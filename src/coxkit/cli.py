@@ -16,11 +16,11 @@ import os
 import random
 import sys
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from . import algebra, braid, cfrac, coxeter, diagram, identities, kostant
 from .algebra import Laurent, Poly, RatFunc
-from .errors import DomainError, UsageError
+from .errors import DomainError, UnknownVertex, UsageError
 
 
 @dataclass
@@ -57,6 +57,8 @@ class CaseResult:
     holds: bool
     residual_terms: int = 0
     elapsed_ms: float = 0.0
+    # when the case was decided; _time_cases turns the gaps into elapsed_ms
+    done_at: float = field(default_factory=time.perf_counter)
 
 
 def _load_diagram(source: str, order_override: str | None = None) -> diagram.Diagram:
@@ -66,7 +68,12 @@ def _load_diagram(source: str, order_override: str | None = None) -> diagram.Dia
     else:
         d = diagram.from_name(source)
     if order_override:
-        d = d.with_order([int(t) for t in order_override.split()])
+        try:
+            order = [int(t) for t in order_override.split()]
+        except ValueError:
+            raise DomainError(f"order must list vertex indices, "
+                              f"got {order_override!r}") from None
+        d = d.with_order(order)
     return d
 
 
@@ -651,6 +658,10 @@ def run_coxeter(cfg: RunConfig) -> int:
 def run_cfrac(cfg: RunConfig) -> int:
     fam, rank = diagram.parse_name(cfg.diagram_spec)
     if fam == "affA":
+        # every vertex of the cycle gives the same expansion, but the root
+        # must still be one of them
+        if not 0 <= cfg.root <= rank:
+            raise UnknownVertex(f"no vertex {cfg.root}")
         node = cfrac.expand_cycle(rank)
     else:
         d = diagram.build(fam, rank)
@@ -686,6 +697,7 @@ def run_kostant(cfg: RunConfig) -> int:
         return 0
     which = cfg.verify_which
     cases: list[CaseResult] = []
+    start = time.perf_counter()
     if which in ("17", "all"):
         reps = kostant.ebeling_ratios(data)
         cases.append(CaseResult("kostant", "ratios-17",
@@ -708,6 +720,7 @@ def run_kostant(cfg: RunConfig) -> int:
         ok = all(kostant.prop2_squares(data, i).holds
                  for i in range(1, data.vertex_count))
         cases.append(CaseResult("kostant", "prop2-squares", ok))
+    _time_cases(cases, start)
     return _print_cases(cfg, cases)
 
 
@@ -763,6 +776,15 @@ def _word_text(word) -> str:
     return " ".join((f"x{g}" if g > 0 else f"x{-g}^-1") for g in word)
 
 
+def _time_cases(cases: list[CaseResult], start: float) -> None:
+    """Charge each case the time since the case before it, the first one
+    the time since start."""
+    prev = start
+    for c in cases:
+        c.elapsed_ms = (c.done_at - prev) * 1000
+        prev = c.done_at
+
+
 def _print_cases(cfg: RunConfig, cases: list[CaseResult]) -> int:
     cases.sort(key=lambda c: (c.suite, c.case))
     for c in cases:
@@ -787,13 +809,15 @@ def run_verify(cfg: RunConfig) -> int:
         if name not in VERIFIERS:
             raise UsageError(f"unknown verifier {name!r}; "
                              f"choose from {', '.join(sorted(VERIFIERS))}")
+    if cfg.random_trees < 0:
+        raise UsageError("--random-trees must be at least 0")
+    if cfg.max_vertices < 1:
+        raise UsageError("--max-vertices must be at least 1")
     cases: list[CaseResult] = []
     for name in names:
         start = time.perf_counter()
         got = VERIFIERS[name](cfg)
-        elapsed = (time.perf_counter() - start) * 1000 / max(len(got), 1)
-        for c in got:
-            c.elapsed_ms = elapsed
+        _time_cases(got, start)
         cases.extend(got)
     return _print_cases(cfg, cases)
 

@@ -9,6 +9,7 @@ block-matrix factorization.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Sequence
 
 from .algebra import (Laurent, Poly, RatFunc, adjugate_poly, det_exact,
@@ -16,6 +17,24 @@ from .algebra import (Laurent, Poly, RatFunc, adjugate_poly, det_exact,
 from .diagram import Diagram
 from .errors import (DimensionMismatch, PreconditionABneq2C, UnknownVertex,
                      ZeroDenominator)
+
+# ---------------------------------------------------------------------------
+# memo keys
+# ---------------------------------------------------------------------------
+# The identity suites ask for the polynomials of one diagram over and over,
+# often through reordered copies (pivot_first, bipartite reorders).  Each
+# memo is keyed on exactly what its value depends on: the vertex count and
+# the edge list, plus the vertex order for the Coxeter polynomial of a
+# diagram with a cycle.  Cached values are shared between callers, which is
+# safe because Poly, Laurent and CofactorTable are never mutated after
+# construction.
+
+_POLY_MEMO = 256  # char and Coxeter polynomials: O(n) integers each
+
+
+def _rebuild(n: int, edges, order=None) -> Diagram:
+    return Diagram(n, {(i, j): w for i, j, w in edges}, order=order)
+
 
 # ---------------------------------------------------------------------------
 # Coxeter polynomial via the w = q^2 lift
@@ -49,8 +68,22 @@ def _laurent_from_wdet(p: Poly, size: int) -> Laurent:
 
 
 def coxeter_poly(d: Diagram) -> Laurent:
-    """det(qS + q^-1 S^t) in the diagram's vertex order."""
-    return _laurent_from_wdet(det_poly(_w_matrix(d)), d.n)
+    """det(qS + q^-1 S^t) in the diagram's vertex order.
+
+    On a forest every vertex order gives G(q + 1/q) with G = char_poly(d)
+    (A'Campo 1976), so only diagrams with a cycle run Bareiss here.
+    """
+    edges = d.edges()
+    forest = len(edges) == d.n - len(d.components())
+    return _coxeter_poly(d.n, edges, None if forest else d.order)
+
+
+@lru_cache(maxsize=_POLY_MEMO)
+def _coxeter_poly(n: int, edges, order) -> Laurent:
+    """order is None for a forest, whose polynomial ignores the order."""
+    if order is None:
+        return z_substitute(_char_poly(n, edges))
+    return _laurent_from_wdet(det_poly(_w_matrix(_rebuild(n, edges, order))), n)
 
 
 def coxeter_matrix(d: Diagram) -> list[list[Laurent]]:
@@ -83,7 +116,12 @@ def _z_matrix(d: Diagram) -> list[list[Poly]]:
 
 def char_poly(d: Diagram) -> Poly:
     """det((z-2)E + C); independent of the vertex order."""
-    return det_poly(_z_matrix(d))
+    return _char_poly(d.n, d.edges())
+
+
+@lru_cache(maxsize=_POLY_MEMO)
+def _char_poly(n: int, edges) -> Poly:
+    return det_poly(_z_matrix(_rebuild(n, edges)))
 
 
 @dataclass(frozen=True)
@@ -108,10 +146,16 @@ def cofactors(d: Diagram) -> CofactorTable:
     adj(zE - A) = sum_k M_k z^(n-1-k) where M_0 = E and
     M_k = A M_{k-1} + c_k E, c_k = -tr(A M_{k-1}) / k (always exact).
     """
-    n = d.n
+    return _cofactors(d.n, d.edges())
+
+
+# One table holds n^3 integers, so only the most recent one is kept: the
+# suites finish with one diagram before they move to the next.
+@lru_cache(maxsize=1)
+def _cofactors(n: int, edges) -> CofactorTable:
     if n == 0:
         return CofactorTable(())
-    adj = d.adjacency()
+    adj = _rebuild(n, edges).adjacency()
     mk = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
     layers = [mk]
     for k in range(1, n):
@@ -200,9 +244,11 @@ def schur_step(d: Diagram, pivot: int) -> SchurStep:
         w1 = _w_matrix(rest)
         m = rest.n
         pos = {v: rest.order.index(new_index[v]) for v in nbrs}
+        # a cross minor joining two components of rest is identically zero
+        comp = {v: c for c, vs in enumerate(rest.components()) for v in vs}
         for i in nbrs:
             for j in nbrs:
-                if i == j:
+                if i == j or comp[new_index[i]] != comp[new_index[j]]:
                     continue
                 pi, pj = pos[i], pos[j]
                 minor = [[w1[r][c] for c in range(m) if c != pj]

@@ -367,17 +367,26 @@ def from_text(text: str) -> Diagram:
             continue
         tok = line.split()
         if tok[0] == "n":
-            n = int(tok[1])
+            if len(tok) != 2:
+                raise DomainError(f"bad header line: {raw!r}")
+            (n,) = _ints(tok[1:], raw)
         elif tok[0] == "order":
-            order = [int(t) for t in tok[1:]]
+            order = _ints(tok[1:], raw)
         else:
             if len(tok) != 3:
                 raise DomainError(f"bad edge line: {raw!r}")
-            i, j, w = int(tok[0]), int(tok[1]), int(tok[2])
+            i, j, w = _ints(tok, raw)
             edges.append(((i, j), w))
     if n is None:
         raise DomainError("missing 'n <count>' header")
     return Diagram(n, edges, order=order)
+
+
+def _ints(tokens, raw: str) -> list[int]:
+    try:
+        return [int(t) for t in tokens]
+    except ValueError:
+        raise DomainError(f"expected integers in line: {raw!r}") from None
 
 
 def to_text(d: Diagram) -> str:

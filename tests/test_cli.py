@@ -1,6 +1,10 @@
 """Command-line interface: dispatch, formats, determinism, coverage."""
 
+import hashlib
 import json
+import time
+
+import pytest
 
 from coxkit import cli
 from coxkit.coxeter import char_poly, coxeter_poly
@@ -135,6 +139,48 @@ def test_verify_json_timings_flag(capsys):
 def test_domain_error_exit_code(capsys):
     assert cli.main(["coxeter", "--diagram", "E9"]) == 2
     assert cli.main(["kostant", "--type", "X1"]) == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ["coxeter", "--diagram", "A3", "--order", "x y z"],
+    ["cfrac", "--diagram", "~A3", "--root", "9"],
+    ["cfrac", "--diagram", "~A3", "--root", "-1"],
+    ["verify", "--random-trees", "-3"],
+    ["verify", "schur", "--max-vertices", "0"],
+])
+def test_bad_input_exits_2(capsys, argv):
+    assert cli.main(argv) == 2
+    assert "error" in capsys.readouterr().err
+
+
+def test_cfrac_cycle_accepts_every_vertex_as_root(capsys):
+    code, out = run_cli(capsys, "cfrac", "--diagram", "~A3", "--root", "3")
+    assert code == 0 and "z" in out
+
+
+def test_verify_all_golden_output(capsys):
+    # byte-identical to the output before the polynomial memo existed
+    code, out = run_cli(capsys, "verify", "all", "--seed", "42", "--json")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "b7966c05f152df927dd5a7a80cbd9dc213b59f7e6f64be5cb4224c83c64e7e50")
+
+
+def test_time_cases_charges_the_gap_before_each_case():
+    cases = [cli.CaseResult("s", name, True, done_at=t)
+             for name, t in [("a", 1.5), ("b", 1.5), ("c", 4.0)]]
+    cli._time_cases(cases, 1.0)
+    assert [c.elapsed_ms for c in cases] == [500.0, 0.0, 2500.0]
+
+
+def test_verify_timings_are_per_case(capsys):
+    start = time.perf_counter()
+    code, out = run_cli(capsys, "verify", "cd-char", "--json", "--timings")
+    wall_ms = (time.perf_counter() - start) * 1000
+    assert code == 0
+    times = [json.loads(line)["elapsed_ms"] for line in out.splitlines()]
+    assert len(set(times)) > 1  # not one suite average
+    assert sum(times) <= wall_ms
 
 
 def test_every_operation_has_a_cli_route():

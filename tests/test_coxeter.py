@@ -10,8 +10,8 @@ from coxkit.coxeter import (char_poly, cofactor_entry, cofactors,
                             identity7_check, join_poly, path_sum_H,
                             pivot_first, schur_step, walk_expansion_residual,
                             walk_gf)
-from coxkit.diagram import (bipartite_order, build, disjoint_union, join,
-                            random_tree)
+from coxkit.diagram import (Diagram, bipartite_order, build, disjoint_union,
+                            join, random_tree)
 from coxkit.errors import DimensionMismatch, PreconditionABneq2C
 
 Z = Laurent.z()
@@ -73,6 +73,39 @@ def test_multiplicativity_over_disjoint_union():
     a, b = build("A", 3), build("D", 4)
     u = disjoint_union(a, b)
     assert coxeter_poly(u) == coxeter_poly(a) * coxeter_poly(b)
+
+
+def test_forest_coxeter_matches_generic_determinant_in_every_order():
+    # forests take G(q + 1/q); the oracle expands qS + q^-1 S^t itself
+    rng = random.Random(5)
+    for _ in range(30):
+        d = random_tree(rng, rng.randint(1, 5), (1, 2, 3))
+        for _ in range(rng.randint(0, 2)):
+            d = disjoint_union(d, random_tree(rng, rng.randint(1, 4),
+                                              (1, 2, 3)))
+        for _ in range(3):
+            order = list(range(d.n))
+            rng.shuffle(order)
+            shuffled = d.with_order(order)
+            assert coxeter_poly(shuffled) == det_exact(coxeter_matrix(shuffled))
+
+
+def test_cycle_orders_are_memoized_apart():
+    for n in range(3, 7):
+        cyc = build("affA", n)
+        # swapping the last two vertices changes the cycle's polynomial
+        swapped = cyc.with_order(tuple(range(n - 1)) + (n, n - 1))
+        want = [det_exact(coxeter_matrix(d)) for d in (cyc, swapped)]
+        assert want[0] != want[1]
+        for _ in range(2):  # the second round is served from the memo
+            assert [coxeter_poly(cyc), coxeter_poly(swapped)] == want
+
+
+def test_order_free_results_are_shared_across_orders():
+    d = build("affE", 6)
+    flipped = d.with_order(tuple(reversed(d.order)))
+    assert char_poly(flipped) is char_poly(d)
+    assert cofactors(flipped) is cofactors(d)
 
 
 # -- characteristic polynomial ----------------------------------------------
@@ -163,6 +196,29 @@ def test_schur_reassembly_everywhere():
             st_ = schur_step(d, pivot)
             assert st_.residual.is_zero
             assert st_.total == coxeter_poly(pivot_first(d, pivot))
+
+
+def test_schur_on_cyclic_diagrams_has_zero_residual():
+    # two triangles sharing vertex 0: deleting it leaves two components,
+    # whose cross minors are skipped as identically zero
+    bowtie = Diagram(5, [((0, 1), 1), ((1, 2), 2), ((0, 2), 1),
+                         ((0, 3), 3), ((3, 4), 1), ((0, 4), 1)])
+    rng = random.Random(17)
+    diagrams = [bowtie, bowtie.with_order((4, 2, 0, 3, 1))]
+    for _ in range(15):
+        tree = random_tree(rng, rng.randint(3, 7), (1, 2, 3))
+        edges = {(i, j): w for i, j, w in tree.edges()}
+        for _ in range(rng.randint(1, 3)):
+            i, j = rng.sample(range(tree.n), 2)
+            edges.setdefault((min(i, j), max(i, j)), rng.randint(1, 3))
+        order = list(range(tree.n))
+        rng.shuffle(order)
+        diagrams.append(Diagram(tree.n, edges, order=order))
+    for d in diagrams:
+        for pivot in range(d.n):
+            st_ = schur_step(d, pivot)
+            assert st_.residual.is_zero
+            assert st_.total == det_exact(coxeter_matrix(pivot_first(d, pivot)))
 
 
 # -- join formula -------------------------------------------------------------

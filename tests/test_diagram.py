@@ -171,8 +171,11 @@ def test_parse_and_file_roundtrip():
 
 
 def test_from_text_errors():
-    with pytest.raises(DomainError):
-        from_text("1 2 1\n")  # missing header
+    for text in ["1 2 1\n",  # missing header
+                 "n x\n", "n\n", "n 3\n0 1 a\n",
+                 "n 3\n0 1 1\norder 0 x 2\n"]:
+        with pytest.raises(DomainError):
+            from_text(text)
 
 
 @settings(max_examples=40, deadline=None)
