@@ -587,19 +587,6 @@ def det_exact(mat: Sequence[Sequence[Laurent]]) -> Laurent:
     return Laurent.from_poly(det_poly(rows), 0).shifted(-total_shift)
 
 
-def adjugate_poly(mat: Sequence[Sequence[Poly]]) -> list[list[Poly]]:
-    """Adjugate via cofactor determinants (intended for small matrices)."""
-    n = len(mat)
-    out = [[Poly.zero()] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(n):
-            minor = [[mat[r][c] for c in range(n) if c != j]
-                     for r in range(n) if r != i]
-            d = det_poly(minor)
-            out[j][i] = d if (i + j) % 2 == 0 else -d
-    return out
-
-
 # ---------------------------------------------------------------------------
 # two-variable Laurent polynomials
 # ---------------------------------------------------------------------------

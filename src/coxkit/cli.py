@@ -583,6 +583,10 @@ VERIFIERS = {
     "divide": verify_divide,
 }
 
+# the suites that run on --diagram; every other suite has fixed inputs
+DIAGRAM_SUITES = ("schur", "bipartite", "cd-coxeter", "cd-wronskian",
+                  "cd-char", "identity7")
+
 # every public module operation is reachable through at least one CLI route
 OPERATION_ROUTES = {
     "algebra.z_substitute": ("verify", "algebra"),
@@ -656,16 +660,19 @@ def run_coxeter(cfg: RunConfig) -> int:
 
 
 def run_cfrac(cfg: RunConfig) -> int:
-    fam, rank = diagram.parse_name(cfg.diagram_spec)
-    if fam == "affA":
-        # every vertex of the cycle gives the same expansion, but the root
-        # must still be one of them
-        if not 0 <= cfg.root <= rank:
-            raise UnknownVertex(f"no vertex {cfg.root}")
-        node = cfrac.expand_cycle(rank)
+    if os.path.exists(cfg.diagram_spec):
+        # a diagram file must be a tree; expand_tree raises NotATree
+        node = cfrac.expand_tree(_load_diagram(cfg.diagram_spec), cfg.root)
     else:
-        d = diagram.build(fam, rank)
-        node = cfrac.expand_tree(d, cfg.root)
+        fam, rank = diagram.parse_name(cfg.diagram_spec)
+        if fam == "affA":
+            # every vertex of the cycle gives the same expansion, but the
+            # root must still be one of them
+            if not 0 <= cfg.root <= rank:
+                raise UnknownVertex(f"no vertex {cfg.root}")
+            node = cfrac.expand_cycle(rank)
+        else:
+            node = cfrac.expand_tree(diagram.build(fam, rank), cfg.root)
     if cfg.fmt == "eval":
         print(cfrac.evaluate(node).render("z"))
     else:
@@ -809,10 +816,13 @@ def run_verify(cfg: RunConfig) -> int:
         if name not in VERIFIERS:
             raise UsageError(f"unknown verifier {name!r}; "
                              f"choose from {', '.join(sorted(VERIFIERS))}")
+    if cfg.diagram_spec and any(n not in DIAGRAM_SUITES for n in names):
+        raise UsageError(f"--diagram applies only to the suites "
+                         f"{', '.join(DIAGRAM_SUITES)}, not to {cfg.verifier}")
     if cfg.random_trees < 0:
         raise UsageError("--random-trees must be at least 0")
-    if cfg.max_vertices < 1:
-        raise UsageError("--max-vertices must be at least 1")
+    if not 1 <= cfg.max_vertices <= diagram.MAX_VERTICES:
+        raise UsageError(f"--max-vertices must be in 1..{diagram.MAX_VERTICES}")
     cases: list[CaseResult] = []
     for name in names:
         start = time.perf_counter()

@@ -12,8 +12,8 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Sequence
 
-from .algebra import (Laurent, Poly, RatFunc, adjugate_poly, det_exact,
-                      det_poly, mat_mul, z_substitute)
+from .algebra import (Laurent, Poly, RatFunc, det_exact, det_poly, mat_mul,
+                      z_substitute)
 from .diagram import Diagram
 from .errors import (DimensionMismatch, PreconditionABneq2C, UnknownVertex,
                      ZeroDenominator)
@@ -114,6 +114,68 @@ def _z_matrix(d: Diagram) -> list[list[Poly]]:
              for j in range(n)] for i in range(n)]
 
 
+def _adjacency_rows(n: int, edges) -> list[list[tuple[int, int]]]:
+    """Nonzero entries (column, weight) of each row of the adjacency."""
+    rows: list[list[tuple[int, int]]] = [[] for _ in range(n)]
+    for i, j, w in edges:
+        rows[i].append((j, w))
+        rows[j].append((i, w))
+    return rows
+
+
+def _row_times(row, m: list[list[int]], n: int) -> list[int]:
+    """One row of M m, for the row of M given by its nonzero entries."""
+    if not row:
+        return [0] * n
+    (t, w), *rest = row
+    acc = [w * x for x in m[t]]
+    for t, w in rest:
+        acc = [a + w * x for a, x in zip(acc, m[t])]
+    return acc
+
+
+def _faddeev_leverrier(rows, entry=None):
+    """det(xE - M), and adj(xE - M) on request, for an integer matrix M
+    given by the nonzero entries (column, value) of each row.
+
+    M_0 = E, M_k = M M_{k-1} + c_k E with c_k = -tr(M M_{k-1}) / k (always
+    exact).  The c_k are the coefficients of det(xE - M) = sum c_k x^(n-k)
+    and adj(xE - M) = sum M_k x^(n-1-k).  A step costs one pass over the
+    nonzero entries of M per column: 2|E|n products on a diagram, not n^3.
+
+    Returns the ascending coefficients of the determinant, and the table
+    of entry(ascending coefficients of adj(xE - M)[i][j]) when entry is
+    given; else None, and only the current layer is held.
+    """
+    n = len(rows)
+    m = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
+    layers = [m] if entry else None
+    coeffs = [1]
+    for k in range(1, n + 1):
+        tr = sum(w * m[t][i] for i, row in enumerate(rows) for t, w in row)
+        if tr % k:
+            raise ArithmeticError("Faddeev-LeVerrier trace not divisible")
+        c = -(tr // k)
+        coeffs.append(c)
+        if k == n:
+            break
+        m = [_row_times(row, m, n) for row in rows]
+        for i in range(n):
+            m[i][i] += c
+        if entry:
+            layers.append(m)
+    coeffs.reverse()
+    if not entry:
+        return coeffs, None
+    layers.reverse()
+    adj = []
+    for i in range(n):
+        adj.append([entry(c) for c in zip(*(layer[i] for layer in layers))])
+        for layer in layers:
+            layer[i] = None  # the table takes the place of the layers
+    return coeffs, adj
+
+
 def char_poly(d: Diagram) -> Poly:
     """det((z-2)E + C); independent of the vertex order."""
     return _char_poly(d.n, d.edges())
@@ -121,7 +183,8 @@ def char_poly(d: Diagram) -> Poly:
 
 @lru_cache(maxsize=_POLY_MEMO)
 def _char_poly(n: int, edges) -> Poly:
-    return det_poly(_z_matrix(_rebuild(n, edges)))
+    coeffs, _ = _faddeev_leverrier(_adjacency_rows(n, edges))
+    return Poly(coeffs)
 
 
 @dataclass(frozen=True)
@@ -140,12 +203,8 @@ class CofactorTable:
 
 
 def cofactors(d: Diagram) -> CofactorTable:
-    """All cofactors at once via the Faddeev-LeVerrier adjugate recursion.
-
-    Works over plain integer matrices: with A the weighted adjacency,
-    adj(zE - A) = sum_k M_k z^(n-1-k) where M_0 = E and
-    M_k = A M_{k-1} + c_k E, c_k = -tr(A M_{k-1}) / k (always exact).
-    """
+    """All cofactors at once: adj(zE - A) from the sparse Faddeev-LeVerrier
+    pass that also gives char_poly (A the weighted adjacency)."""
     return _cofactors(d.n, d.edges())
 
 
@@ -153,29 +212,8 @@ def cofactors(d: Diagram) -> CofactorTable:
 # suites finish with one diagram before they move to the next.
 @lru_cache(maxsize=1)
 def _cofactors(n: int, edges) -> CofactorTable:
-    if n == 0:
-        return CofactorTable(())
-    adj = _rebuild(n, edges).adjacency()
-    mk = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-    layers = [mk]
-    for k in range(1, n):
-        am = [[sum(adj[i][t] * mk[t][j] for t in range(n)) for j in range(n)]
-              for i in range(n)]
-        tr = sum(am[i][i] for i in range(n))
-        if tr % k:
-            raise ArithmeticError("Faddeev-LeVerrier trace not divisible")
-        c = -(tr // k)
-        mk = [[am[i][j] + (c if i == j else 0) for j in range(n)]
-              for i in range(n)]
-        layers.append(mk)
-    rows = []
-    for i in range(n):
-        row = []
-        for j in range(n):
-            coeffs = [layers[n - 1 - deg][i][j] for deg in range(n)]
-            row.append(Poly(coeffs))
-        rows.append(tuple(row))
-    return CofactorTable(tuple(rows))
+    _, adj = _faddeev_leverrier(_adjacency_rows(n, edges), Poly)
+    return CofactorTable(tuple(map(tuple, adj)))
 
 
 def cofactor_entry(d: Diagram, i: int, j: int) -> Poly:
@@ -386,6 +424,20 @@ def _poly_mat_mul(a, b):
     return out
 
 
+def _at_square(coeffs) -> Poly:
+    """The polynomial with these ascending coefficients, at x = z^2."""
+    out = [0] * (2 * len(coeffs))
+    out[::2] = coeffs
+    return Poly(out)
+
+
+def _det_adj_at_square(m: list[list[int]]):
+    """det and adj of z^2 E - m, m a square integer matrix."""
+    rows = [[(t, x) for t, x in enumerate(row) if x] for row in m]
+    det, adj = _faddeev_leverrier(rows, _at_square)
+    return _at_square(det), adj
+
+
 def _int_to_poly_mat(m):
     return [[Poly.const(x) for x in row] for row in m]
 
@@ -445,15 +497,10 @@ def divide_identity(a_mat, b_mat, c_mat) -> DivideReport:
     schur_exact = (g * z ** (p + r)) == (z ** s * det_exact(inner))
 
     # simplified closed form over z-polynomials
-    zsq = Poly((0, 0, 1))
     aat = _imat_mul(a, _mat_t(a)) if r else [[0] * p for _ in range(p)]
     btb = _imat_mul(_mat_t(b), b) if r else [[0] * s for _ in range(s)]
-    za = [[zsq - Poly.const(aat[i][j]) if i == j else Poly.const(-aat[i][j])
-           for j in range(p)] for i in range(p)]
-    zb = [[zsq - Poly.const(btb[i][j]) if i == j else Poly.const(-btb[i][j])
-           for j in range(s)] for i in range(s)]
-    det_a, det_b = det_poly(za), det_poly(zb)
-    adj_a, adj_b = adjugate_poly(za), adjugate_poly(zb)
+    det_a, adj_a = _det_adj_at_square(aat)
+    det_b, adj_b = _det_adj_at_square(btb)
     dd = det_a * det_b
     four_minus = Poly((4, 0, -1))
     if s:

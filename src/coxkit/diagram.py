@@ -15,6 +15,16 @@ from .errors import BadRank, DomainError, UnknownVertex
 
 FAMILIES = ("A", "D", "E", "affA", "affD", "affE")
 
+# Largest vertex count accepted from outside input (names, files, builders).
+# It opens the rank 50-200 families with room to spare and stops a typo such
+# as `n 1000000000000` before anything of that size is allocated.
+MAX_VERTICES = 1024
+
+
+def _check_vertex_count(n: int) -> None:
+    if n > MAX_VERTICES:
+        raise DomainError(f"size {n} exceeds the vertex limit {MAX_VERTICES}")
+
 
 class Diagram:
     """Immutable weighted graph with a vertex order.
@@ -26,6 +36,7 @@ class Diagram:
     __slots__ = ("n", "labels", "order", "_w")
 
     def __init__(self, n: int, edges=(), labels=None, order=None):
+        _check_vertex_count(n)
         self.n = n
         w: dict[tuple[int, int], int] = {}
         items = edges.items() if isinstance(edges, dict) else edges
@@ -186,6 +197,7 @@ def build(family: str, n: int) -> Diagram:
     Affine families put the affine vertex at index 0.  The affine A_1 cycle
     degenerates to a single edge of weight 2 (its Cartan matrix).
     """
+    _check_vertex_count(n)
     if family == "A":
         if n < 0:
             raise BadRank("A_n needs n >= 0")
@@ -244,6 +256,7 @@ def parse_name(name: str) -> tuple[str, int]:
         rank = int(s[1:])
     except ValueError:
         raise DomainError(f"cannot parse rank in {name!r}") from None
+    _check_vertex_count(rank)
     return ("aff" + fam if aff else fam), rank
 
 
@@ -342,6 +355,7 @@ def _odd_cycle_witness(parent, u, v) -> tuple[int, ...]:
 
 def random_tree(rng: random.Random, n: int, weights=(1,)) -> Diagram:
     """Random recursive tree: vertex k > 0 hangs off a uniform earlier one."""
+    _check_vertex_count(n)
     edges = []
     for k in range(1, n):
         edges.append(((rng.randrange(k), k), rng.choice(list(weights))))

@@ -3,12 +3,13 @@
 import hashlib
 import json
 import time
+import tracemalloc
 
 import pytest
 
 from coxkit import cli
 from coxkit.coxeter import char_poly, coxeter_poly
-from coxkit.diagram import build
+from coxkit.diagram import MAX_VERTICES, build
 
 
 def run_cli(capsys, *argv):
@@ -151,6 +152,58 @@ def test_domain_error_exit_code(capsys):
 def test_bad_input_exits_2(capsys, argv):
     assert cli.main(argv) == 2
     assert "error" in capsys.readouterr().err
+
+
+def test_cfrac_accepts_a_tree_file(tmp_path, capsys):
+    path = tmp_path / "a3.txt"
+    path.write_text("n 3\n0 1 1\n1 2 1\n")
+    for fmt in ("latex", "eval"):
+        _, named = run_cli(capsys, "cfrac", "--diagram", "A3", "--format", fmt)
+        code, out = run_cli(capsys, "cfrac", "--diagram", str(path),
+                            "--format", fmt)
+        assert code == 0 and out == named
+
+
+def test_cfrac_rejects_a_file_that_is_not_a_tree(tmp_path, capsys):
+    path = tmp_path / "triangle.txt"
+    path.write_text("n 3\n0 1 1\n1 2 1\n0 2 1\n")
+    assert cli.main(["cfrac", "--diagram", str(path)]) == 2
+    assert "not a connected tree" in capsys.readouterr().err
+
+
+def test_verify_rejects_diagram_for_suites_with_fixed_inputs(capsys):
+    for name in ("walks", "path-sum", "chain", "binet-cauchy", "all"):
+        assert cli.main(["verify", name, "--diagram", "A3"]) == 2
+        err = capsys.readouterr().err
+        assert "--diagram applies only to" in err and "cd-coxeter" in err
+    for name in cli.DIAGRAM_SUITES:
+        assert name in cli.VERIFIERS
+        assert cli.main(["verify", name, "--diagram", "A3"]) == 0
+
+
+@pytest.mark.parametrize("argv", [
+    ["coxeter", "--diagram", "A1000000000"],
+    ["coxeter", "--diagram", "HUGE"],
+    ["cfrac", "--diagram", "~A1000000000"],
+    ["kostant", "--type", "~A1000000000"],
+    ["verify", "schur", "--max-vertices", "1000000000000"],
+])
+def test_huge_vertex_counts_exit_2_without_allocating(tmp_path, capsys,
+                                                      argv):
+    path = tmp_path / "huge.txt"
+    path.write_text("n 1000000000000\n0 1 1\n")
+    argv = [str(path) if a == "HUGE" else a for a in argv]
+    start = time.perf_counter()
+    tracemalloc.start()
+    try:
+        code = cli.main(argv)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 2
+    assert str(MAX_VERTICES) in capsys.readouterr().err
+    assert peak < 1 << 20
+    assert time.perf_counter() - start < 1.0
 
 
 def test_cfrac_cycle_accepts_every_vertex_as_root(capsys):

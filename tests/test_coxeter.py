@@ -4,7 +4,8 @@ import random
 
 import pytest
 
-from coxkit.algebra import Laurent, Poly, det_exact, q_to_z, z_substitute
+from coxkit.algebra import (Laurent, Poly, det_exact, det_poly, q_to_z,
+                            z_substitute)
 from coxkit.coxeter import (char_poly, cofactor_entry, cofactors,
                             coxeter_matrix, coxeter_poly, divide_identity,
                             identity7_check, join_poly, path_sum_H,
@@ -296,6 +297,121 @@ def test_cofactors_match_direct_minors():
             for j in range(d.n):
                 assert table[i, j] == cofactor_entry(d, i, j)
                 assert table[i, j] == table[j, i]
+
+
+# -- the Faddeev-LeVerrier engine against independent oracles -----------------
+
+def _random_graphs(count: int, seed: int = 3):
+    """Seeded graphs with cycles, negative weights and disconnected parts;
+    the first ones have 0 and 1 vertices."""
+    rng = random.Random(seed)
+    out = [Diagram(0), Diagram(1)]
+    while len(out) < count:
+        n = rng.randint(2, 9)
+        density = rng.choice((0.2, 0.4, 0.7))
+        edges = {(i, j): rng.choice((-2, -1, 1, 2, 3))
+                 for i in range(n) for j in range(i + 1, n)
+                 if rng.random() < density}
+        d = Diagram(n, edges)
+        if rng.random() < 0.3:
+            d = disjoint_union(d, Diagram(2, {(0, 1): -1}))
+        out.append(d)
+    return out
+
+
+GRAPHS = _random_graphs(110)
+
+
+def _z_minus_a(d: Diagram) -> list[list[Poly]]:
+    adj = d.adjacency()
+    return [[Poly((-adj[i][j], 1)) if i == j else Poly((-adj[i][j],))
+             for j in range(d.n)] for i in range(d.n)]
+
+
+def test_random_graphs_cover_the_cases():
+    sizes = [d.n for d in GRAPHS]
+    assert 0 in sizes and 1 in sizes
+    assert any(len(d.components()) > 1 for d in GRAPHS)
+    assert any(len(d.edges()) >= d.n for d in GRAPHS)  # has a cycle
+    assert any(w < 0 for d in GRAPHS for _, _, w in d.edges())
+
+
+def test_char_poly_matches_bareiss_on_random_graphs():
+    for d in GRAPHS:
+        assert char_poly(d) == det_poly(_z_minus_a(d)), d
+
+
+def test_cofactors_match_minors_and_invert_on_random_graphs():
+    for d in GRAPHS:
+        table, g, m = cofactors(d), char_poly(d), _z_minus_a(d)
+        assert table.n == d.n
+        for i in range(d.n):
+            for j in range(d.n):
+                assert table[i, j] == table[j, i]
+                # one signed minor per unordered pair, on the smaller graphs
+                if i <= j and d.n <= 7:
+                    assert table[i, j] == cofactor_entry(d, i, j), (d, i, j)
+                # (zE - A) adj(zE - A) = G E fixes the table, G being monic
+                acc = Poly.zero()
+                for k in range(d.n):
+                    acc = acc + m[i][k] * table[k, j]
+                assert acc == (g if i == j else Poly.zero()), (d, i, j)
+
+
+def test_char_poly_and_cofactors_match_sympy():
+    sympy = pytest.importorskip("sympy")
+    z = sympy.Symbol("z")
+
+    def coeffs(expr):
+        return Poly(reversed(sympy.Poly(expr, z).all_coeffs()))
+
+    for d in GRAPHS:
+        a = sympy.Matrix(d.n, d.n, lambda i, j: d.weight(i, j))
+        assert char_poly(d) == coeffs(a.charpoly(z).as_expr()), d
+        if d.n > 4:
+            continue  # sympy's symbolic adjugate is slow beyond this
+        adj = (z * sympy.eye(d.n) - a).adjugate(method="berkowitz")
+        table = cofactors(d)
+        for i in range(d.n):
+            for j in range(d.n):
+                assert table[i, j] == coeffs(sympy.expand(adj[i, j])), d
+
+
+def _tree_char_by_leaves(n: int, edges) -> Poly:
+    """det(zE - A) of a tree from its edge list: rooted at 0, the subtree
+    of v has f_v = z P_v - sum_c w_c^2 P_c prod_(c' != c) f_c', with c the
+    children of v and P_v the product of their f_c."""
+    nbrs = {v: [] for v in range(n)}
+    for i, j, w in edges:
+        nbrs[i].append((j, w))
+        nbrs[j].append((i, w))
+    order, parent = [0], {0: None}
+    for v in order:
+        for u, _ in nbrs[v]:
+            if u not in parent:
+                parent[u] = v
+                order.append(u)
+    f, prods = {}, {}
+    for v in reversed(order):
+        prod, rest = Poly.one(), Poly.zero()
+        for c, w in nbrs[v]:
+            if parent[c] == v:
+                rest = rest * f[c] + (w * w) * prods[c] * prod
+                prod = prod * f[c]
+        f[v], prods[v] = Poly.x() * prod - rest, prod
+    return f[0]
+
+
+def test_char_poly_of_100_vertex_tree_matches_leaf_expansion():
+    d = random_tree(random.Random(100), 100, (1, 2, -3))
+    assert char_poly(d) == _tree_char_by_leaves(d.n, d.edges())
+    # the trace of the cofactor table is G'
+    table = cofactors(d)
+    trace = Poly.zero()
+    for i in range(d.n):
+        trace = trace + table[i, i]
+    g = char_poly(d).coeffs
+    assert trace == Poly(k * c for k, c in enumerate(g) if k)
 
 
 # -- path sums and walks ------------------------------------------------------

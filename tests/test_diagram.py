@@ -6,9 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from coxkit.diagram import (Diagram, OddCycle, SeifertMatrix, bipartite_order,
-                            build, disjoint_union, from_name, from_text, join,
-                            parse_name, random_tree, to_text)
+from coxkit.diagram import (MAX_VERTICES, Diagram, OddCycle, SeifertMatrix,
+                            bipartite_order, build, disjoint_union, from_name,
+                            from_text, join, parse_name, random_tree, to_text)
 from coxkit.errors import BadRank, DomainError, UnknownVertex
 
 
@@ -176,6 +176,19 @@ def test_from_text_errors():
                  "n 3\n0 1 1\norder 0 x 2\n"]:
         with pytest.raises(DomainError):
             from_text(text)
+
+
+def test_vertex_count_is_capped():
+    assert Diagram(MAX_VERTICES).n == MAX_VERTICES
+    assert build("A", MAX_VERTICES).n == MAX_VERTICES
+    for make in (lambda: Diagram(MAX_VERTICES + 1),
+                 lambda: from_text("n 1000000000000\n"),
+                 lambda: build("A", 10 ** 12),
+                 lambda: build("affD", MAX_VERTICES),
+                 lambda: from_name("~A1000000000"),
+                 lambda: random_tree(random.Random(0), 10 ** 12)):
+        with pytest.raises(DomainError, match="vertex limit"):
+            make()
 
 
 @settings(max_examples=40, deadline=None)
