@@ -461,7 +461,8 @@ class Laurent:
         return f"Laurent({self.render()})"
 
 
-def _render_terms(items: Sequence[tuple[int, int]], var: str) -> str:
+def _render_terms(items: Sequence[tuple[int, int | Fraction]],
+                  var: str) -> str:
     """Canonical text: terms ascending by exponent, `q^-2` style powers."""
     if not items:
         return "0"
@@ -860,18 +861,7 @@ class TruncSeries:
         return acc
 
     def render(self, var: str = "u") -> str:
-        parts = []
-        for k, c in enumerate(self._c):
-            if c == 0:
-                continue
-            body = str(abs(c)) if k == 0 else (
-                (var if k == 1 else f"{var}^{k}") if abs(c) == 1
-                else f"{abs(c)}*{var if k == 1 else f'{var}^{k}'}")
-            if not parts:
-                parts.append(body if c > 0 else f"-{body}")
-            else:
-                parts.append(f"+ {body}" if c > 0 else f"- {body}")
-        return " ".join(parts) if parts else "0"
+        return _render_terms([(k, c) for k, c in enumerate(self._c) if c], var)
 
     def __repr__(self) -> str:
         return f"TruncSeries({self.render()} + O(u^{self.order + 1}))"

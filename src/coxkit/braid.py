@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from .algebra import (Laurent, Poly, RatFunc, TruncSeries, det_exact,
-                      series_sqrt1p)
+                      mat_identity, series_sqrt1p)
 from .errors import (DomainError, NotPure, StrandMismatch, UnknownClosure)
 from .report import IdentityReport
 
@@ -110,71 +110,43 @@ class BurauImage:
         return len(self.entries)
 
 
-def _identity(n: int) -> list[list[Laurent]]:
-    return [[Laurent.one() if i == j else Laurent.zero() for j in range(n)]
-            for i in range(n)]
-
-
-def _unreduced_gen(n: int, g: int) -> list[list[Laurent]]:
-    m = _identity(n)
+def _unreduced_letter(row: list[Laurent], g: int) -> None:
+    """Right-multiply one row by the unreduced image of s_k^(+-1); only
+    columns k and k+1 change."""
     k = abs(g) - 1
-    t, tinv = Laurent.q(1), Laurent.q(-1)
-    one = Laurent.one()
+    x, y = row[k], row[k + 1]
     if g > 0:
-        m[k][k] = one - t
-        m[k][k + 1] = t
-        m[k + 1][k] = one
-        m[k + 1][k + 1] = Laurent.zero()
+        tx = x.shifted(1)
+        row[k], row[k + 1] = x - tx + y, tx
     else:
-        m[k][k] = Laurent.zero()
-        m[k][k + 1] = one
-        m[k + 1][k] = tinv
-        m[k + 1][k + 1] = one - tinv
-    return m
+        ty = y.shifted(-1)
+        row[k], row[k + 1] = ty, x + y - ty
 
 
-def _reduced_gen(n: int, g: int) -> list[list[Laurent]]:
-    m = _identity(n - 1)
+def _reduced_letter(row: list[Laurent], g: int) -> None:
+    """Right-multiply one row by the reduced image of s_k^(+-1), which
+    differs from the identity in row k only: column k becomes -t^(+-1) x
+    and multiples of x = row[k] are added to columns k-1 and k+1."""
     k = abs(g) - 1
-    t, tinv = Laurent.q(1), Laurent.q(-1)
-    if g > 0:
-        m[k][k] = -t
-        if k > 0:
-            m[k][k - 1] = t
-        if k + 1 < n - 1:
-            m[k][k + 1] = Laurent.one()
-    else:
-        m[k][k] = -tinv
-        if k > 0:
-            m[k][k - 1] = Laurent.one()
-        if k + 1 < n - 1:
-            m[k][k + 1] = tinv
-    return m
-
-
-def _mat_mul(a, b):
-    n, p = len(a), len(b[0]) if b else 0
-    out = [[Laurent.zero()] * p for _ in range(n)]
-    for i in range(n):
-        for k in range(len(b)):
-            x = a[i][k]
-            if x.is_zero:
-                continue
-            for j in range(p):
-                y = b[k][j]
-                if not y.is_zero:
-                    out[i][j] = out[i][j] + x * y
-    return out
+    x = row[k]
+    if x.is_zero:
+        return
+    tx = x.shifted(1 if g > 0 else -1)
+    row[k] = -tx
+    if k > 0:
+        row[k - 1] = row[k - 1] + (tx if g > 0 else x)
+    if k + 1 < len(row):
+        row[k + 1] = row[k + 1] + (x if g > 0 else tx)
 
 
 def burau(b: BraidWord, reduced: bool = False) -> BurauImage:
     """Image of the braid word; multiplicative over concatenation."""
     n = b.strands
-    size = n - 1 if reduced else n
-    acc = _identity(size)
-    gen = _reduced_gen if reduced else _unreduced_gen
+    acc = mat_identity(n - 1 if reduced else n)
+    act = _reduced_letter if reduced else _unreduced_letter
     for g in b.word:
-        acc = _mat_mul(acc, gen(n, g))
+        for row in acc:
+            act(row, g)
     return BurauImage("reduced" if reduced else "unreduced", n,
                       tuple(tuple(row) for row in acc))
 
@@ -379,12 +351,56 @@ class MagnusSeries:
         return f"MagnusSeries({dict(self.items())!r})"
 
 
+def _times_letter(acc: dict[Word, int], i: int,
+                  order: int) -> dict[Word, int]:
+    """acc * (1 + u_i), truncated at total degree order (to zero when
+    order < 0)."""
+    out = dict(acc) if order >= 0 else {}
+    for w, c in acc.items():
+        if len(w) < order:
+            key = w + (i,)
+            v = out.get(key, 0) + c
+            if v:
+                out[key] = v
+            else:
+                del out[key]
+    return out
+
+
+def _times_inverse_letter(acc: dict[Word, int], i: int,
+                          order: int) -> dict[Word, int]:
+    """acc * (1 + u_i)^-1, truncated: the solution of out * (1 + u_i) = acc.
+
+    Coefficients of different stems (words with their trailing i's
+    stripped) do not interact; along stem * i^j the coefficient of out is
+    the alternating running sum of those of acc.
+    """
+    stems = set()
+    for w in acc:
+        end = len(w)
+        while end and w[end - 1] == i:
+            end -= 1
+        stems.add(w[:end])
+    out: dict[Word, int] = {}
+    for stem in stems:
+        key, run = stem, 0
+        for _ in range(order - len(stem) + 1):
+            run = acc.get(key, 0) - run
+            if run:
+                out[key] = run
+            key += (i,)
+    return out
+
+
 def magnus(word: Sequence[int], nvars: int, order: int) -> MagnusSeries:
     """Magnus embedding x_i -> 1 + u_i, truncated at total degree order."""
-    acc = MagnusSeries.one(nvars, order)
+    acc: dict[Word, int] = {(): 1}
     for letter in word:
-        acc = acc * MagnusSeries.generator(nvars, order, letter)
-    return acc
+        if letter > 0:
+            acc = _times_letter(acc, letter, order)
+        else:
+            acc = _times_inverse_letter(acc, -letter, order)
+    return MagnusSeries(nvars, order, acc)
 
 
 # ---------------------------------------------------------------------------

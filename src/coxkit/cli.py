@@ -460,8 +460,8 @@ def verify_burau(cfg: RunConfig):
             for _ in range(rng.randint(0, 6))))
         for red in (False, True):
             lhs = braid.burau(w1 * w2, red).entries
-            rhs = braid._mat_mul([list(r) for r in braid.burau(w1, red).entries],
-                                 [list(r) for r in braid.burau(w2, red).entries])
+            rhs = algebra.mat_mul(braid.burau(w1, red).entries,
+                                  braid.burau(w2, red).entries)
             ok_mult &= algebra.mat_eq(lhs, rhs)
     out.append(_report_case("burau", "multiplicativity-200", ok_mult))
     for n in (3, 4):

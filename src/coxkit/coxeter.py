@@ -461,7 +461,7 @@ def divide_identity(a_mat, b_mat, c_mat) -> DivideReport:
         raise DimensionMismatch("A columns must match B rows")
     if c and (len(c) != p or any(len(row) != s for row in c)):
         raise DimensionMismatch("C must be (rows of A) x (cols of B)")
-    ab = _imat_mul(a, b) if p and s else [[0] * s for _ in range(p)]
+    ab = _imat_mul(a, b) if r else [[0] * s for _ in range(p)]
     two_c = [[2 * x for x in row] for row in c] if c else [[0] * s for _ in range(p)]
     if ab != two_c:
         raise PreconditionABneq2C("A*B != 2*C")

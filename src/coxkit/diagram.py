@@ -37,6 +37,8 @@ class Diagram:
 
     def __init__(self, n: int, edges=(), labels=None, order=None):
         _check_vertex_count(n)
+        if n < 0:
+            raise DomainError(f"vertex count {n} is negative")
         self.n = n
         w: dict[tuple[int, int], int] = {}
         items = edges.items() if isinstance(edges, dict) else edges

@@ -143,11 +143,13 @@ def poincare_series(data: KleinGroupData, i: int, terms: int) -> Laurent:
         num = data.z_table[i]
     else:
         raise IndexOutOfRange(f"no vertex {i}")
-    acc = num
+    lo = min(num.support, default=0)
+    c = [num.coeff(e) for e in range(lo, terms + 1)]
     for step in (data.a, data.b):
-        geom = Laurent({k: 1 for k in range(0, terms + 2, step)})
-        acc = (acc * geom).truncate_above(terms + 1)
-    return acc.truncate_above(terms)
+        # divide by 1 - q^step as a power series
+        for k in range(step, len(c)):
+            c[k] += c[k - step]
+    return Laurent({lo + k: v for k, v in enumerate(c)})
 
 
 # ---------------------------------------------------------------------------

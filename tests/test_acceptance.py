@@ -8,10 +8,9 @@ import random
 import time
 from itertools import product
 
-from coxkit.algebra import Laurent, RatFunc, mat_eq, z_substitute
+from coxkit.algebra import Laurent, RatFunc, mat_eq, mat_mul, z_substitute
 from coxkit.braid import (BraidWord, burau, conway_torus2, det_ratio,
-                          levin_check, milnor, t_poly_to_laurent, unit_match,
-                          _mat_mul)
+                          levin_check, milnor, t_poly_to_laurent, unit_match)
 from coxkit.cfrac import evaluate, expand_cycle, expand_tree, z_count
 from coxkit.cfrac import Closing
 from coxkit.coxeter import (char_poly, cofactors, coxeter_poly,
@@ -223,8 +222,7 @@ def test_criterion_9_braid_suite():
         w2 = BraidWord(n, tuple(rng.choice([1, -1]) * rng.randint(1, n - 1)
                                 for _ in range(rng.randint(0, 6))))
         lhs = burau(w1 * w2, True).entries
-        rhs = _mat_mul([list(r) for r in burau(w1, True).entries],
-                       [list(r) for r in burau(w2, True).entries])
+        rhs = mat_mul(burau(w1, True).entries, burau(w2, True).entries)
         assert mat_eq(lhs, rhs)
         if n >= 3:
             i = rng.randint(1, n - 2)

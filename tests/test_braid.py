@@ -5,12 +5,13 @@ from itertools import product
 
 import pytest
 
-from coxkit.algebra import Laurent, Poly, RatFunc, TruncSeries, mat_eq
-from coxkit.braid import (BraidWord, artin_action, burau, conway_torus2,
-                          det_one_minus, det_ratio, free_reduce,
-                          laurent_to_t_poly, levin_check, linking_matrix,
-                          longitudes, magnus, milnor, t_poly_to_laurent,
-                          unit_match, _mat_mul)
+from coxkit.algebra import (Laurent, Poly, RatFunc, TruncSeries, mat_eq,
+                            mat_mul)
+from coxkit.braid import (BraidWord, MagnusSeries, artin_action, burau,
+                          conway_torus2, det_one_minus, det_ratio,
+                          free_reduce, laurent_to_t_poly, levin_check,
+                          linking_matrix, longitudes, magnus, milnor,
+                          t_poly_to_laurent, unit_match)
 from coxkit.errors import DomainError, NotPure, StrandMismatch
 
 
@@ -85,9 +86,48 @@ def test_multiplicativity_seeded_pairs():
         w2 = rand_word(rng, n, rng.randint(0, 6))
         for reduced in (False, True):
             lhs = burau(w1 * w2, reduced).entries
-            rhs = _mat_mul([list(r) for r in burau(w1, reduced).entries],
-                           [list(r) for r in burau(w2, reduced).entries])
+            rhs = mat_mul(burau(w1, reduced).entries,
+                          burau(w2, reduced).entries)
             assert mat_eq(lhs, rhs)
+
+
+def _textbook_gen(n, g, reduced):
+    """Dense image of s_k^(+-1), written out entry by entry."""
+    t, tinv = Laurent.q(1), Laurent.q(-1)
+    one, zero = Laurent.one(), Laurent.zero()
+    size = n - 1 if reduced else n
+    m = [[one if i == j else zero for j in range(size)] for i in range(size)]
+    k = abs(g) - 1
+    if not reduced and g > 0:
+        m[k][k], m[k][k + 1], m[k + 1][k], m[k + 1][k + 1] = one - t, t, one, zero
+    elif not reduced:
+        m[k][k], m[k][k + 1], m[k + 1][k], m[k + 1][k + 1] = (
+            zero, one, tinv, one - tinv)
+    else:
+        m[k][k] = -t if g > 0 else -tinv
+        if k > 0:
+            m[k][k - 1] = t if g > 0 else one
+        if k + 1 < size:
+            m[k][k + 1] = one if g > 0 else tinv
+    return m
+
+
+def test_burau_matches_dense_generator_product():
+    rng = random.Random(61)
+    words = [(n, ()) for n in range(2, 8)]
+    words += [(n, (-k,) * 3 + (k,) + (-(n - 1),) * 2)
+              for n in range(2, 8) for k in range(1, n)]
+    for _ in range(120):
+        n = rng.randint(2, 7)
+        words.append((n, rand_word(rng, n, rng.randint(1, 10)).word))
+    for n, word in words:
+        for reduced in (False, True):
+            size = n - 1 if reduced else n
+            want = [[Laurent.one() if i == j else Laurent.zero()
+                     for j in range(size)] for i in range(size)]
+            for g in word:
+                want = mat_mul(want, _textbook_gen(n, g, reduced))
+            assert mat_eq(burau(BraidWord(n, word), reduced).entries, want)
 
 
 def test_inverse_word_gives_inverse_matrix():
@@ -237,6 +277,20 @@ def test_magnus_is_multiplicative():
         lhs = magnus(w1 + w2, 2, 4)
         rhs = magnus(w1, 2, 4) * magnus(w2, 2, 4)
         assert lhs == rhs
+
+
+def test_magnus_matches_generator_product():
+    rng = random.Random(67)
+    letters = [1, 2, 3, 4, -1, -2, -3, -4]
+    words = [(-2, -2, -2), (1, -2, -2, -2, 2), (-4, -4, 3, -4, -4, -4)]
+    words += [tuple(rng.choice(letters) for _ in range(rng.randint(0, 9)))
+              for _ in range(200)]
+    for k, word in enumerate(words):
+        order = k % 9
+        want = MagnusSeries.one(4, order)
+        for letter in word:
+            want = want * MagnusSeries.generator(4, order, letter)
+        assert magnus(word, 4, order) == want
 
 
 def test_magnus_respects_free_reduction():

@@ -171,6 +171,13 @@ def test_cfrac_rejects_a_file_that_is_not_a_tree(tmp_path, capsys):
     assert "not a connected tree" in capsys.readouterr().err
 
 
+def test_negative_vertex_count_file_names_the_count(tmp_path, capsys):
+    path = tmp_path / "neg.txt"
+    path.write_text("n -1\n")
+    assert cli.main(["coxeter", "--diagram", str(path)]) == 2
+    assert "vertex count -1 is negative" in capsys.readouterr().err
+
+
 def test_verify_rejects_diagram_for_suites_with_fixed_inputs(capsys):
     for name in ("walks", "path-sum", "chain", "binet-cauchy", "all"):
         assert cli.main(["verify", name, "--diagram", "A3"]) == 2

@@ -501,6 +501,13 @@ def test_divide_empty_blocks():
     assert rep.equal and rep.schur_exact
 
 
+def test_divide_empty_middle_block():
+    rep = divide_identity([[]], [], [[0]])
+    assert rep.equal and rep.schur_exact and rep.twist_power == 0
+    rep = divide_identity([[], []], [], [[0, 0, 0], [0, 0, 0]])
+    assert rep.equal and rep.schur_exact and rep.twist_power == 0
+
+
 def test_divide_randomized_including_rectangular():
     rng = random.Random(20)
     for _ in range(10):

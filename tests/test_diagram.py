@@ -191,6 +191,17 @@ def test_vertex_count_is_capped():
             make()
 
 
+def test_negative_vertex_count_is_named():
+    for make in (lambda: Diagram(-1), lambda: from_text("n -1\n"),
+                 lambda: random_tree(random.Random(0), -1)):
+        with pytest.raises(DomainError, match="vertex count -1 is negative"):
+            make()
+    with pytest.raises(DomainError, match="A_n needs n >= 0"):
+        build("A", -1)
+    with pytest.raises(DomainError, match="affine A_n needs n >= 1"):
+        from_name("~A-3")
+
+
 @settings(max_examples=40, deadline=None)
 @given(st.integers(1, 9), st.integers(0, 10 ** 6))
 def test_random_tree_is_tree(n, seed):

@@ -106,6 +106,32 @@ def test_series_matches_rational_function():
         assert diff.is_zero or diff.min_exp > 60 - data.h
 
 
+def _long_division(num, a, b, terms):
+    """Coefficients of num / ((1 - q^a)(1 - q^b)) through q^terms, by
+    integer long division against the expanded denominator."""
+    den = {}
+    for k, v in ((0, 1), (a, -1), (b, -1), (a + b, 1)):
+        den[k] = den.get(k, 0) + v
+    lo = min(0, num.min_exp)
+    out = {}
+    for m in range(lo, terms + 1):
+        c = num.coeff(m) - sum(v * out.get(m - k, 0)
+                               for k, v in den.items() if k)
+        if c:
+            out[m] = c
+    return Laurent(out)
+
+
+def test_series_matches_long_division():
+    for fam, n in klein_types(16):
+        data = klein_data(fam, n)
+        for i in range(-1, data.vertex_count):
+            num = data.z_minus1 if i == -1 else data.z_table[i]
+            for terms in sorted({0, 1, data.a - 1, data.a, data.h, 400}):
+                assert poincare_series(data, i, terms) == \
+                    _long_division(num, data.a, data.b, terms)
+
+
 def test_series_index_range():
     data = klein_data("affA", 2)
     with pytest.raises(IndexOutOfRange):
