@@ -12,7 +12,8 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence, Union
 
-from .errors import ExactDivisionError, NotSymmetric, ZeroDenominator
+from .errors import (DomainError, ExactDivisionError, NotSymmetric,
+                     ZeroDenominator)
 
 
 # ---------------------------------------------------------------------------
@@ -170,6 +171,9 @@ class Poly:
     def is_zero(self) -> bool:
         return not self._c
 
+    def __bool__(self) -> bool:
+        return bool(self._c)
+
     @property
     def degree(self) -> int:
         return len(self._c) - 1
@@ -306,6 +310,9 @@ class Laurent:
     def is_zero(self) -> bool:
         return not self._c
 
+    def __bool__(self) -> bool:
+        return bool(self._c)
+
     @property
     def support(self) -> tuple[int, ...]:
         return tuple(sorted(self._c))
@@ -406,11 +413,6 @@ class Laurent:
     def is_palindromic(self) -> bool:
         return all(self._c.get(-k, 0) == v for k, v in self._c.items())
 
-    def truncate_above(self, k: int) -> "Laurent":
-        out = Laurent.__new__(Laurent)
-        out._c = {e: v for e, v in self._c.items() if e <= k}
-        return out
-
     def to_poly(self) -> tuple[int, Poly]:
         """Write self = q^shift * p with p(0) != 0; zero gives (0, 0)."""
         if self.is_zero:
@@ -485,29 +487,41 @@ def _render_terms(items: Sequence[tuple[int, int | Fraction]],
 # conversions between the q-world and the z-world
 # ---------------------------------------------------------------------------
 
-def z_substitute(p: Poly) -> Laurent:
-    """Evaluate a z-polynomial at z = q + 1/q."""
-    z = Laurent.z()
+def _substitute(p: Poly, var: Laurent) -> Laurent:
+    """p(var) by Horner's rule."""
     acc = Laurent.zero()
     for c in reversed(p.coeffs):
-        acc = acc * z + Laurent.const(c)
+        acc = acc * var + Laurent.const(c)
     return acc
+
+
+def _unsubstitute(p: Laurent, var: Laurent, name: str) -> Poly:
+    """The polynomial f with f(var) = p, for var = q +- 1/q: peel the top
+    degree d off with c * var^d until nothing is left."""
+    rem = p
+    out: list[int] = []
+    while not rem.is_zero:
+        d = rem.max_exp
+        if d < 0:
+            raise DomainError(f"not a polynomial in {name}")
+        c = rem.coeff(d)
+        while len(out) <= d:
+            out.append(0)
+        out[d] = c
+        rem = rem - c * var ** d
+    return Poly(out)
+
+
+def z_substitute(p: Poly) -> Laurent:
+    """Evaluate a z-polynomial at z = q + 1/q."""
+    return _substitute(p, Laurent.z())
 
 
 def q_to_z(p: Laurent) -> Poly:
     """Inverse of z_substitute on palindromic Laurent polynomials."""
     if not p.is_palindromic:
         raise NotSymmetric(f"not invariant under q -> 1/q: {p.render()}")
-    rem = p
-    out: list[int] = []
-    while not rem.is_zero:
-        d = rem.max_exp
-        c = rem.coeff(d)
-        while len(out) <= d:
-            out.append(0)
-        out[d] = c
-        rem = rem - z_substitute(Poly.monomial(c, d))
-    return Poly(out)
+    return _unsubstitute(p, Laurent.z(), "q + 1/q")
 
 
 # ---------------------------------------------------------------------------
@@ -542,6 +556,8 @@ def det_poly(mat: Sequence[Sequence[Poly]]) -> Poly:
 
 
 def _det_laplace(mat: Sequence[Sequence[Laurent]]) -> Laurent:
+    """Cofactor expansion along the first row: the independent oracle that
+    det_exact is tested against, never a computing path."""
     n = len(mat)
     if n == 0:
         return Laurent.one()
@@ -561,17 +577,12 @@ def _det_laplace(mat: Sequence[Sequence[Laurent]]) -> Laurent:
 def det_exact(mat: Sequence[Sequence[Laurent]]) -> Laurent:
     """Exact determinant of a square Laurent matrix.
 
-    Laplace expansion up to 6x6; larger matrices clear each row's negative
-    powers of q, run fraction-free Bareiss over Z[q], and divide the q-power
-    back out.
+    Clears each row's negative powers of q, runs fraction-free Bareiss over
+    Z[q], and divides the q-power back out.
     """
     n = len(mat)
     if any(len(row) != n for row in mat):
         raise ValueError("matrix is not square")
-    if n == 0:
-        return Laurent.one()
-    if n <= 6:
-        return _det_laplace(mat)
     total_shift = 0
     rows: list[list[Poly]] = []
     for row in mat:
@@ -686,11 +697,6 @@ class BiLaurent:
 
     def __hash__(self) -> int:
         return hash(("BiLaurent", tuple(sorted(self._c.items()))))
-
-    def swap_xy(self) -> "BiLaurent":
-        out = BiLaurent.__new__(BiLaurent)
-        out._c = {(j, i): v for (i, j), v in self._c.items()}
-        return out
 
     def subs_y_eq_x(self) -> Laurent:
         out = Laurent.zero()
@@ -1001,7 +1007,7 @@ def _reduce_pair(num: Poly, den: Poly) -> tuple[Poly, Poly]:
 
 
 # ---------------------------------------------------------------------------
-# small matrix helpers over Laurent
+# small matrix helpers
 # ---------------------------------------------------------------------------
 
 def mat_identity(n: int) -> list[list[Laurent]]:
@@ -1009,19 +1015,22 @@ def mat_identity(n: int) -> list[list[Laurent]]:
             for i in range(n)]
 
 
-def mat_mul(a: Sequence[Sequence[Laurent]],
-            b: Sequence[Sequence[Laurent]]) -> list[list[Laurent]]:
-    n, m, p = len(a), len(b), len(b[0]) if b else 0
-    out = [[Laurent.zero()] * p for _ in range(n)]
-    for i in range(n):
-        for k in range(m):
-            x = a[i][k]
-            if x.is_zero:
-                continue
-            for j in range(p):
-                y = b[k][j]
-                if not y.is_zero:
-                    out[i][j] = out[i][j] + x * y
+def mat_mul(a, b) -> list:
+    """Matrix product over int, Poly or Laurent entries, or int times Poly.
+
+    Zero entries are skipped, and the ring's zero is taken from one product
+    of entries.  An empty b leaves the column count unknown: the product
+    then has rows of length 0.
+    """
+    p = len(b[0]) if b else 0
+    zero = a[0][0] * b[0][0] * 0 if a and p else 0
+    out = [[zero] * p for _ in a]
+    for ra, row in zip(a, out):
+        for x, rb in zip(ra, b):
+            if x:
+                for j, y in enumerate(rb):
+                    if y:
+                        row[j] = row[j] + x * y
     return out
 
 

@@ -14,10 +14,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .algebra import (Laurent, Poly, RatFunc, TruncSeries, det_exact,
-                      mat_identity, series_sqrt1p)
+from .algebra import (Laurent, Poly, RatFunc, TruncSeries, _substitute,
+                      _unsubstitute, det_exact, mat_identity, series_sqrt1p)
 from .errors import (DomainError, NotPure, StrandMismatch, UnknownClosure)
-from .report import IdentityReport
 
 Word = tuple[int, ...]
 
@@ -48,9 +47,11 @@ class BraidWord:
         for tok in text.split():
             neg = tok.startswith("-")
             body = tok[1:] if neg else tok
-            if not body.startswith("s"):
+            index = body[1:]
+            if not (body.startswith("s") and index.isascii()
+                    and index.isdigit()):
                 raise DomainError(f"bad braid token {tok!r}")
-            k = int(body[1:])
+            k = int(index)
             letters.append(-k if neg else k)
         if strands is None:
             strands = max((abs(g) for g in letters), default=1) + 1
@@ -481,27 +482,11 @@ def conway_torus2(k: int) -> Poly:
 def laurent_to_t_poly(p: Laurent) -> Poly:
     """Rewrite a Laurent polynomial lying in Z[q - 1/q] as a dense
     polynomial in t."""
-    t = Laurent.q(1) - Laurent.q(-1)
-    rem = p
-    out: list[int] = []
-    while not rem.is_zero:
-        d = rem.max_exp
-        if d < 0:
-            raise DomainError("not a polynomial in q - 1/q")
-        c = rem.coeff(d)
-        while len(out) <= d:
-            out.append(0)
-        out[d] = c
-        rem = rem - c * t ** d
-    return Poly(out)
+    return _unsubstitute(p, Laurent.q(1) - Laurent.q(-1), "q - 1/q")
 
 
 def t_poly_to_laurent(p: Poly) -> Laurent:
-    t = Laurent.q(1) - Laurent.q(-1)
-    acc = Laurent.zero()
-    for c in reversed(p.coeffs):
-        acc = acc * t + Laurent.const(c)
-    return acc
+    return _substitute(p, Laurent.q(1) - Laurent.q(-1))
 
 
 # ---------------------------------------------------------------------------
@@ -552,9 +537,3 @@ def levin_check(b: BraidWord, order: int,
     residual = lhs - rhs
     degenerate = conway_v.is_zero
     return LevinReport(lhs, rhs, residual.is_zero, degenerate)
-
-
-def levin_report(b: BraidWord, order: int) -> IdentityReport:
-    rep = levin_check(b, order)
-    return IdentityReport("levin-series", rep.lhs, rep.rhs,
-                          rep.lhs - rep.rhs, rep.holds)

@@ -81,22 +81,12 @@ def _load_diagram(source: str, order_override: str | None = None) -> diagram.Dia
 # verifier suites
 # ---------------------------------------------------------------------------
 
-def _ade_set(max_rank: int):
-    out = [("A", n) for n in range(1, max_rank + 1)]
-    out += [("D", n) for n in range(4, max_rank + 1)]
-    out += [("E", n) for n in (6, 7, 8) if n <= max_rank]
-    out += [("affA", n) for n in range(1, max_rank + 1)]
-    out += [("affD", n) for n in range(4, max_rank + 1)]
-    out += [("affE", n) for n in (6, 7, 8) if n <= max_rank]
-    return out
-
-
 def _suite_diagrams(cfg: RunConfig, max_rank: int):
     """Named diagram only when --diagram was given, else the ADE sweep."""
     if cfg.diagram_spec:
         yield cfg.diagram_spec, _load_diagram(cfg.diagram_spec)
         return
-    for fam, n in _ade_set(max_rank):
+    for fam, n in diagram.ade_types(max_rank):
         yield f"{fam}{n}", diagram.build(fam, n)
 
 
@@ -647,7 +637,7 @@ def _emit(obj) -> None:
 
 def run_coxeter(cfg: RunConfig) -> int:
     d = _load_diagram(cfg.diagram_spec, cfg.order_override)
-    if cfg.fmt == "char" or cfg.verify_which == "char":
+    if cfg.verify_which == "char":
         poly = coxeter.char_poly(d).render("z")
     else:
         poly = coxeter.coxeter_poly(d).render("q")
@@ -732,6 +722,8 @@ def run_kostant(cfg: RunConfig) -> int:
 
 
 def run_braid(cfg: RunConfig) -> int:
+    if cfg.order < 0:
+        raise UsageError("--order must be at least 0")
     word = braid.BraidWord.parse(cfg.word, cfg.strands)
     mode = cfg.mode
     if mode == "burau":
@@ -837,6 +829,8 @@ def run_verify(cfg: RunConfig) -> int:
 # ---------------------------------------------------------------------------
 
 def build_parser() -> argparse.ArgumentParser:
+    """Each option's dest is the RunConfig field it sets; metavar keeps the
+    help text in the option's own name."""
     top = argparse.ArgumentParser(
         prog="coxkit",
         description="Exact identities for Coxeter polynomials, Klein-group "
@@ -844,27 +838,33 @@ def build_parser() -> argparse.ArgumentParser:
     sub = top.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("coxeter", help="Coxeter/characteristic polynomial")
-    p.add_argument("--diagram", required=True,
+    p.add_argument("--diagram", dest="diagram_spec", metavar="DIAGRAM",
+                   required=True,
                    help="name (A5, ~E7, ...) or diagram file path")
-    p.add_argument("--char", action="store_true",
+    p.add_argument("--char", dest="verify_which", action="store_const",
+                   const="char",
                    help="characteristic polynomial in z instead")
-    p.add_argument("--order", help="space-separated vertex order override")
-    p.add_argument("--json", action="store_true")
+    p.add_argument("--order", dest="order_override", metavar="ORDER",
+                   help="space-separated vertex order override")
+    p.add_argument("--json", dest="json_out", action="store_true")
 
     p = sub.add_parser("cfrac", help="branching continued fraction")
-    p.add_argument("--diagram", required=True)
+    p.add_argument("--diagram", dest="diagram_spec", metavar="DIAGRAM",
+                   required=True)
     p.add_argument("--root", type=int, default=0)
-    p.add_argument("--format", default="latex",
+    p.add_argument("--format", dest="fmt", default="latex",
                    choices=("latex", "ascii", "eval"))
 
     p = sub.add_parser("kostant", help="Poincare series data and checks")
-    p.add_argument("--type", required=True, help="affine name, e.g. ~E8")
-    p.add_argument("--series", type=int, default=None,
+    p.add_argument("--type", dest="type_spec", metavar="TYPE", required=True,
+                   help="affine name, e.g. ~E8")
+    p.add_argument("--series", dest="series_index", metavar="SERIES",
+                   type=int, default=None,
                    help="vertex index (-1 for the virtual vertex)")
     p.add_argument("--terms", type=int, default=40)
-    p.add_argument("--verify", default=None,
+    p.add_argument("--verify", dest="verify_which", default=None,
                    choices=("all", "17", "14", "15", "16", "squares", "walks"))
-    p.add_argument("--json", action="store_true")
+    p.add_argument("--json", dest="json_out", action="store_true")
     p.add_argument("--timings", action="store_true")
 
     p = sub.add_parser("braid", help="Burau, Milnor, Levin tools")
@@ -878,55 +878,19 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--reduced", dest="reduced", action="store_true",
                    default=True)
     p.add_argument("--unreduced", dest="reduced", action="store_false")
-    p.add_argument("--json", action="store_true")
+    p.add_argument("--json", dest="json_out", action="store_true")
 
     p = sub.add_parser("verify", help="run exact identity suites")
-    p.add_argument("name", nargs="?", default="all",
+    p.add_argument("verifier", metavar="name", nargs="?", default="all",
                    help="suite name or 'all'")
-    p.add_argument("--diagram", default=None)
+    p.add_argument("--diagram", dest="diagram_spec", metavar="DIAGRAM",
+                   default=None)
     p.add_argument("--random-trees", type=int, default=50)
     p.add_argument("--max-vertices", type=int, default=8)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--json", action="store_true")
+    p.add_argument("--json", dest="json_out", action="store_true")
     p.add_argument("--timings", action="store_true")
     return top
-
-
-def config_from_args(args: argparse.Namespace) -> RunConfig:
-    cfg = RunConfig(command=args.command)
-    if args.command == "coxeter":
-        cfg.diagram_spec = args.diagram
-        cfg.order_override = args.order
-        cfg.json_out = args.json
-        cfg.verify_which = "char" if args.char else None
-    elif args.command == "cfrac":
-        cfg.diagram_spec = args.diagram
-        cfg.root = args.root
-        cfg.fmt = args.format
-    elif args.command == "kostant":
-        cfg.type_spec = args.type
-        cfg.series_index = args.series
-        cfg.terms = args.terms
-        cfg.verify_which = args.verify
-        cfg.json_out = args.json
-        cfg.timings = args.timings
-    elif args.command == "braid":
-        cfg.mode = args.mode
-        cfg.word = args.word
-        cfg.strands = args.strands
-        cfg.order = args.order
-        cfg.against = args.against
-        cfg.reduced = args.reduced
-        cfg.json_out = args.json
-    elif args.command == "verify":
-        cfg.verifier = args.name
-        cfg.diagram_spec = args.diagram
-        cfg.random_trees = args.random_trees
-        cfg.max_vertices = args.max_vertices
-        cfg.seed = args.seed
-        cfg.json_out = args.json
-        cfg.timings = args.timings
-    return cfg
 
 
 def run(cfg: RunConfig) -> int:
@@ -944,8 +908,7 @@ def run(cfg: RunConfig) -> int:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
-    cfg = config_from_args(args)
+    cfg = RunConfig(**vars(build_parser().parse_args(argv)))
     try:
         return run(cfg)
     except UsageError as exc:

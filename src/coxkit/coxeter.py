@@ -402,28 +402,6 @@ def _mat_t(m):
     return [list(col) for col in zip(*m)] if m else []
 
 
-def _imat_mul(a, b):
-    if not a or not b:
-        return [[0] * (len(b[0]) if b else 0) for _ in range(len(a))]
-    return [[sum(x * y for x, y in zip(row, col)) for col in zip(*b)]
-            for row in a]
-
-
-def _poly_mat_mul(a, b):
-    n, p = len(a), len(b[0]) if b else 0
-    out = [[Poly.zero()] * p for _ in range(n)]
-    for i in range(n):
-        for k in range(len(b)):
-            x = a[i][k]
-            if x.is_zero:
-                continue
-            for j in range(p):
-                y = b[k][j]
-                if not y.is_zero:
-                    out[i][j] = out[i][j] + x * y
-    return out
-
-
 def _at_square(coeffs) -> Poly:
     """The polynomial with these ascending coefficients, at x = z^2."""
     out = [0] * (2 * len(coeffs))
@@ -436,10 +414,6 @@ def _det_adj_at_square(m: list[list[int]]):
     rows = [[(t, x) for t, x in enumerate(row) if x] for row in m]
     det, adj = _faddeev_leverrier(rows, _at_square)
     return _at_square(det), adj
-
-
-def _int_to_poly_mat(m):
-    return [[Poly.const(x) for x in row] for row in m]
 
 
 def divide_identity(a_mat, b_mat, c_mat) -> DivideReport:
@@ -461,7 +435,7 @@ def divide_identity(a_mat, b_mat, c_mat) -> DivideReport:
         raise DimensionMismatch("A columns must match B rows")
     if c and (len(c) != p or any(len(row) != s for row in c)):
         raise DimensionMismatch("C must be (rows of A) x (cols of B)")
-    ab = _imat_mul(a, b) if r else [[0] * s for _ in range(p)]
+    ab = mat_mul(a, b) if r else [[0] * s for _ in range(p)]
     two_c = [[2 * x for x in row] for row in c] if c else [[0] * s for _ in range(p)]
     if ab != two_c:
         raise PreconditionABneq2C("A*B != 2*C")
@@ -497,17 +471,15 @@ def divide_identity(a_mat, b_mat, c_mat) -> DivideReport:
     schur_exact = (g * z ** (p + r)) == (z ** s * det_exact(inner))
 
     # simplified closed form over z-polynomials
-    aat = _imat_mul(a, _mat_t(a)) if r else [[0] * p for _ in range(p)]
-    btb = _imat_mul(_mat_t(b), b) if r else [[0] * s for _ in range(s)]
+    aat = mat_mul(a, _mat_t(a)) if r else [[0] * p for _ in range(p)]
+    btb = mat_mul(_mat_t(b), b) if r else [[0] * s for _ in range(s)]
     det_a, adj_a = _det_adj_at_square(aat)
     det_b, adj_b = _det_adj_at_square(btb)
     dd = det_a * det_b
     four_minus = Poly((4, 0, -1))
     if s:
         if p:
-            core = _poly_mat_mul(_int_to_poly_mat(_mat_t(c)), adj_a)
-            core = _poly_mat_mul(core, _int_to_poly_mat(c))
-            core = _poly_mat_mul(core, adj_b)
+            core = mat_mul(mat_mul(mat_mul(_mat_t(c), adj_a), c), adj_b)
         else:
             core = [[Poly.zero()] * s for _ in range(s)]
         big = [[dd * (Poly.one() if i == j else Poly.zero())

@@ -245,6 +245,19 @@ def build(family: str, n: int) -> Diagram:
     raise BadRank(f"unknown family {family!r}")
 
 
+def ade_types(max_rank: int) -> list[tuple[str, int]]:
+    """Every (family, rank) that build accepts with 1 <= rank <= max_rank,
+    family by family in the order of FAMILIES, ranks ascending."""
+    out = []
+    for fam in FAMILIES:
+        if fam.endswith("E"):
+            ranks = (6, 7, 8)
+        else:
+            ranks = range(4 if fam.endswith("D") else 1, max_rank + 1)
+        out += [(fam, n) for n in ranks if n <= max_rank]
+    return out
+
+
 def parse_name(name: str) -> tuple[str, int]:
     """Parse CLI diagram names like A5, D7, E8, ~A4, ~D6, ~E7."""
     s = name.strip()

@@ -11,8 +11,8 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import combinations
 
-from .algebra import (BiLaurent, Laurent, Poly, RatFunc, bezoutian,
-                      wronskian, z_substitute)
+from .algebra import (BiLaurent, Laurent, RatFunc, bezoutian, det_exact,
+                      wronskian)
 from .coxeter import char_poly, cofactors, coxeter_poly, schur_step
 from .diagram import Diagram
 from .errors import (BadType, ShapeViolation, SizeMismatch, UnknownVertex)
@@ -26,10 +26,6 @@ def _one_minus_inv_xy() -> BiLaurent:
 
 def _one_minus_inv_x2() -> Laurent:
     return Laurent({0: 1, -2: -1})
-
-
-def _poly_to_laurent(p: Poly) -> Laurent:
-    return Laurent.from_poly(p)
 
 
 # ---------------------------------------------------------------------------
@@ -152,10 +148,10 @@ def cd_char(d: Diagram, i: int, j: int) -> tuple[IdentityReport, IdentityReport]
     if not (0 <= i < d.n and 0 <= j < d.n):
         raise UnknownVertex("vertices outside the diagram")
     table = cofactors(d)
-    g = _poly_to_laurent(char_poly(d))
-    h_ij = _poly_to_laurent(table[i, j])
-    h_i = [_poly_to_laurent(table[i, k]) for k in range(d.n)]
-    h_j = [_poly_to_laurent(table[j, k]) for k in range(d.n)]
+    g = Laurent.from_poly(char_poly(d))
+    h_ij = Laurent.from_poly(table[i, j])
+    h_i = [Laurent.from_poly(table[i, k]) for k in range(d.n)]
+    h_j = [Laurent.from_poly(table[j, k]) for k in range(d.n)]
     bez_lhs = bezoutian(g, h_ij)
     bez_rhs = BiLaurent.zero()
     for k in range(d.n):
@@ -185,50 +181,32 @@ def binet_cauchy(d: Diagram, i: int, j: int, xs, ys) -> IdentityReport:
         raise SizeMismatch("more sample points than vertices")
     rep8, _ = cd_char(d, i, j)
     table = cofactors(d)
-    g = _poly_to_laurent(char_poly(d))
-    h_ij = _poly_to_laurent(table[i, j])
+    g = Laurent.from_poly(char_poly(d))
+    h_ij = Laurent.from_poly(table[i, j])
     bez = bezoutian(g, h_ij)
     bmat = [[bez.eval_fraction(Fraction(x), Fraction(y)) for y in ys]
             for x in xs]
-    hx = [[Fraction(table[i, k].eval_int(x)) for k in range(d.n)] for x in xs]
-    hy = [[Fraction(table[j, k].eval_int(y)) for k in range(d.n)] for y in ys]
+    hx = [[table[i, k].eval_int(x) for k in range(d.n)] for x in xs]
+    hy = [[table[j, k].eval_int(y) for k in range(d.n)] for y in ys]
     entry_ok = rep8.holds
     for l in range(m):
         for t in range(m):
             val = sum(hx[l][k] * hy[t][k] for k in range(d.n))
             entry_ok = entry_ok and (val == bmat[l][t])
-    lhs = _frac_det(bmat)
-    rhs = Fraction(0)
+    # when the entries match these integer sums, every value is an integer
+    lhs = _int_det([[v.numerator for v in row] for row in bmat])
+    rhs = 0
     for subset in combinations(range(d.n), m):
         mx = [[hx[l][k] for k in subset] for l in range(m)]
         my = [[hy[t][k] for k in subset] for t in range(m)]
-        rhs += _frac_det(mx) * _frac_det(my)
+        rhs += _int_det(mx) * _int_det(my)
     holds = entry_ok and lhs == rhs
     return IdentityReport(f"binet-cauchy-{i}-{j}-m{m}", lhs, rhs,
                           Laurent.zero() if holds else Laurent.one(), holds)
 
 
-def _frac_det(mat) -> Fraction:
-    n = len(mat)
-    if n == 0:
-        return Fraction(1)
-    m = [row[:] for row in mat]
-    det = Fraction(1)
-    for k in range(n):
-        pivot_row = next((r for r in range(k, n) if m[r][k] != 0), None)
-        if pivot_row is None:
-            return Fraction(0)
-        if pivot_row != k:
-            m[k], m[pivot_row] = m[pivot_row], m[k]
-            det = -det
-        det *= m[k][k]
-        inv = 1 / m[k][k]
-        for r in range(k + 1, n):
-            f = m[r][k] * inv
-            if f:
-                for t in range(k, n):
-                    m[r][t] -= f * m[k][t]
-    return det
+def _int_det(mat) -> int:
+    return det_exact([[Laurent.const(x) for x in row] for row in mat]).coeff(0)
 
 
 # ---------------------------------------------------------------------------

@@ -17,7 +17,7 @@ from math import isqrt
 
 from .algebra import Laurent, Poly, RatFunc, z_substitute
 from .coxeter import char_poly, cofactors, walk_expansion_residual, walk_gf
-from .diagram import Diagram, build
+from .diagram import Diagram, ade_types, build
 from .errors import BadType, IndexOutOfRange, NotASquare
 from .report import IdentityReport
 
@@ -119,10 +119,7 @@ def klein_data(family: str, n: int) -> KleinGroupData:
 
 def klein_types(max_rank: int = 12):
     """All built-in types with rank at most max_rank."""
-    out = [("affA", k) for k in range(1, max_rank + 1)]
-    out += [("affD", k) for k in range(4, max_rank + 1)]
-    out += [("affE", k) for k in (6, 7, 8) if k <= max_rank]
-    return out
+    return [t for t in ade_types(max_rank) if t[0].startswith("aff")]
 
 
 # ---------------------------------------------------------------------------

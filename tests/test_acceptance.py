@@ -15,7 +15,8 @@ from coxkit.cfrac import evaluate, expand_cycle, expand_tree, z_count
 from coxkit.cfrac import Closing
 from coxkit.coxeter import (char_poly, cofactors, coxeter_poly,
                             divide_identity, walk_expansion_residual, walk_gf)
-from coxkit.diagram import OddCycle, bipartite_order, build, random_tree
+from coxkit.diagram import (OddCycle, ade_types, bipartite_order, build,
+                            random_tree)
 from coxkit.identities import binet_cauchy, cd_char, cd_coxeter, cd_wronskian
 from coxkit.identities import poincare_cd
 from coxkit.kostant import (a2m_closed_form, cramer_z_table, ebeling_ratios,
@@ -113,19 +114,9 @@ def _closings(node):
     return out
 
 
-def _rank10_set():
-    out = [("A", n) for n in range(1, 11)]
-    out += [("D", n) for n in range(4, 11)]
-    out += [("E", n) for n in (6, 7, 8)]
-    out += [("affA", n) for n in range(1, 11)]
-    out += [("affD", n) for n in range(4, 11)]
-    out += [("affE", n) for n in (6, 7, 8)]
-    return out
-
-
 def test_criterion_5_christoffel_darboux_suite():
     start = time.perf_counter()
-    for fam, n in _rank10_set():
+    for fam, n in ade_types(10):
         d = build(fam, n)
         for pivot in range(d.n):
             assert cd_coxeter(d, pivot).holds, (fam, n, pivot, 4)

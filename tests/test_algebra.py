@@ -1,5 +1,6 @@
 """Exact-arithmetic kernel tests."""
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -7,8 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from coxkit.algebra import (BiLaurent, Laurent, Poly, RatFunc, TruncSeries,
-                            _det_laplace, bezoutian, det_exact, q_to_z,
-                            series_sqrt1p, wronskian, z_substitute)
+                            _det_laplace, bezoutian, det_exact, mat_mul,
+                            q_to_z, series_sqrt1p, wronskian, z_substitute)
 from coxkit.errors import ExactDivisionError, NotSymmetric, ZeroDenominator
 
 laurents = st.dictionaries(st.integers(-4, 4), st.integers(-9, 9),
@@ -90,11 +91,40 @@ def test_det_matches_laplace_4x4(rows):
     assert det_exact(rows) == _det_laplace(rows)
 
 
-def test_bareiss_path_used_above_six():
+def test_det_matches_laplace_7x7():
     n = 7
     m = [[Laurent.term((i * j) % 3 - 1, (i - j) % 3 - 1) if i != j
           else Laurent.z() for j in range(n)] for i in range(n)]
     assert det_exact(m) == _det_laplace(m)
+
+
+def _triple_loop(a, b, zero):
+    return [[sum((a[i][k] * b[k][j] for k in range(len(b))), zero)
+             for j in range(len(b[0]))] for i in range(len(a))]
+
+
+def test_mat_mul_over_every_ring():
+    rng = random.Random(11)
+
+    def small():  # mostly zero, so the zero skips run
+        return rng.choice([0, 0, rng.randint(-5, 5)])
+
+    def poly():
+        return Poly([small() for _ in range(rng.randint(0, 3))])
+
+    def laurent():
+        return Laurent({rng.randint(-3, 3): small()
+                        for _ in range(rng.randint(0, 3))})
+
+    for make_a, make_b, zero in [(small, small, 0),
+                                 (poly, poly, Poly.zero()),
+                                 (laurent, laurent, Laurent.zero()),
+                                 (small, poly, Poly.zero())]:
+        for _ in range(20):
+            n, m, p = rng.randint(1, 4), rng.randint(1, 4), rng.randint(1, 4)
+            a = [[make_a() for _ in range(m)] for _ in range(n)]
+            b = [[make_b() for _ in range(p)] for _ in range(m)]
+            assert mat_mul(a, b) == _triple_loop(a, b, zero)
 
 
 def test_exact_division_raises_on_remainder():

@@ -1,6 +1,7 @@
 """Burau representation, Artin action, Milnor invariants, series identity."""
 
 import random
+import re
 from itertools import product
 
 import pytest
@@ -26,6 +27,12 @@ def test_parse_word_syntax():
     b = BraidWord.parse("s1 s1 -s2", 3)
     assert b.word == (1, 1, -2) and b.strands == 3
     assert BraidWord.parse("s1 s1").strands == 2
+
+
+def test_parse_names_the_bad_token():
+    for tok in ("sx", "s", "-s", "s-1", "s+1", "t1"):
+        with pytest.raises(DomainError, match=re.escape(repr(tok))):
+            BraidWord.parse(f"s1 {tok}")
 
 
 def test_generator_range_checked():

@@ -148,6 +148,10 @@ def test_domain_error_exit_code(capsys):
     ["cfrac", "--diagram", "~A3", "--root", "-1"],
     ["verify", "--random-trees", "-3"],
     ["verify", "schur", "--max-vertices", "0"],
+    ["braid", "levin", "--word", "s1 s1", "--order", "-1"],
+    ["braid", "magnus", "--word", "s1 s1", "--order", "-1"],
+    ["braid", "burau", "--word", "sx"],
+    ["braid", "burau", "--word", "s"],
 ])
 def test_bad_input_exits_2(capsys, argv):
     assert cli.main(argv) == 2
