@@ -9,7 +9,6 @@ Usage:
 
 import argparse
 
-from coxkit.algebra import z_substitute
 from coxkit.cfrac import evaluate, expand_cycle, expand_tree, render
 from coxkit.kostant import klein_data, klein_types, poincare_series
 

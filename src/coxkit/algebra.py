@@ -5,6 +5,11 @@ polynomials (the z-world), integer Laurent polynomials in two variables
 (x, y), truncated power series with rational coefficients, and rational
 functions kept in reduced canonical form.  All values are immutable and
 every operation is exact; no floating point enters anywhere.
+
+The two sparse kinds, Laurent and BiLaurent, share one base (_Sparse)
+for construction, addition, integer scaling, equality and hashing.
+Bezoutians come from the Bezout matrix recurrence, so no two-variable
+product or division is needed.
 """
 
 from __future__ import annotations
@@ -260,20 +265,22 @@ class Poly:
 
 
 # ---------------------------------------------------------------------------
-# Laurent: sparse integer Laurent polynomial in one variable
+# sparse integer maps: the arithmetic Laurent and BiLaurent share
 # ---------------------------------------------------------------------------
 
-class Laurent:
-    """Integer Laurent polynomial, a sparse map exponent -> coefficient.
+_new = object.__new__
 
-    The empty map is zero; stored coefficients are never zero.
-    """
+
+class _Sparse:
+    """A sparse map key -> nonzero integer coefficient, closed under +, -
+    and integer scaling.  The empty map is zero.  Values of different
+    subclasses never compare equal, not even two zeros."""
 
     __slots__ = ("_c",)
 
-    def __init__(self, coeffs: Mapping[int, int] | Iterable[tuple[int, int]] = ()):
+    def __init__(self, coeffs: Mapping | Iterable[tuple] = ()):
         items = coeffs.items() if isinstance(coeffs, Mapping) else coeffs
-        d: dict[int, int] = {}
+        d: dict = {}
         for k, v in items:
             if v:
                 d[k] = d.get(k, 0) + v
@@ -281,9 +288,75 @@ class Laurent:
                     del d[k]
         self._c = d
 
-    @staticmethod
-    def zero() -> "Laurent":
-        return Laurent()
+    @classmethod
+    def _of(cls, d: dict):
+        """Wrap a map whose coefficients are already nonzero.  The ring
+        operations and from_poly build their result inline instead: this
+        call costs about a tenth of a small Laurent sum."""
+        out = _new(cls)
+        out._c = d
+        return out
+
+    @classmethod
+    def zero(cls):
+        return cls()
+
+    @property
+    def is_zero(self) -> bool:
+        return not self._c
+
+    def __bool__(self) -> bool:
+        return bool(self._c)
+
+    def items(self) -> tuple:
+        return tuple(sorted(self._c.items()))
+
+    def __add__(self, other):
+        d = dict(self._c)
+        for k, v in other._c.items():
+            nv = d.get(k, 0) + v
+            if nv:
+                d[k] = nv
+            elif k in d:
+                del d[k]
+        out = _new(type(self))
+        out._c = d
+        return out
+
+    def __sub__(self, other):
+        return self + (-other)
+
+    def __neg__(self):
+        out = _new(type(self))
+        out._c = {k: -v for k, v in self._c.items()}
+        return out
+
+    def __mul__(self, c: int):
+        if not isinstance(c, int):
+            return NotImplemented
+        if not c:
+            return self.zero()
+        out = _new(type(self))
+        out._c = {k: c * v for k, v in self._c.items()}
+        return out
+
+    __rmul__ = __mul__
+
+    def __eq__(self, other: object) -> bool:
+        return type(other) is type(self) and self._c == other._c
+
+    def __hash__(self) -> int:
+        return hash((type(self).__name__, self.items()))
+
+
+# ---------------------------------------------------------------------------
+# Laurent: sparse integer Laurent polynomial in one variable
+# ---------------------------------------------------------------------------
+
+class Laurent(_Sparse):
+    """Integer Laurent polynomial, a sparse map exponent -> coefficient."""
+
+    __slots__ = ()
 
     @staticmethod
     def one() -> "Laurent":
@@ -307,13 +380,6 @@ class Laurent:
         return Laurent({1: 1, -1: 1})
 
     @property
-    def is_zero(self) -> bool:
-        return not self._c
-
-    def __bool__(self) -> bool:
-        return bool(self._c)
-
-    @property
     def support(self) -> tuple[int, ...]:
         return tuple(sorted(self._c))
 
@@ -328,36 +394,9 @@ class Laurent:
     def coeff(self, k: int) -> int:
         return self._c.get(k, 0)
 
-    def items(self) -> tuple[tuple[int, int], ...]:
-        return tuple(sorted(self._c.items()))
-
-    def __add__(self, other: "Laurent") -> "Laurent":
-        d = dict(self._c)
-        for k, v in other._c.items():
-            nv = d.get(k, 0) + v
-            if nv:
-                d[k] = nv
-            elif k in d:
-                del d[k]
-        out = Laurent.__new__(Laurent)
-        out._c = d
-        return out
-
-    def __sub__(self, other: "Laurent") -> "Laurent":
-        return self + (-other)
-
-    def __neg__(self) -> "Laurent":
-        out = Laurent.__new__(Laurent)
-        out._c = {k: -v for k, v in self._c.items()}
-        return out
-
     def __mul__(self, other: Union["Laurent", int]) -> "Laurent":
         if isinstance(other, int):
-            if not other:
-                return Laurent.zero()
-            out = Laurent.__new__(Laurent)
-            out._c = {k: other * v for k, v in self._c.items()}
-            return out
+            return _Sparse.__mul__(self, other)
         a, b = self._c, other._c
         if len(a) > len(b):
             a, b = b, a
@@ -370,7 +409,7 @@ class Laurent:
                     d[k] = nv
                 elif k in d:
                     del d[k]
-        out = Laurent.__new__(Laurent)
+        out = _new(Laurent)
         out._c = d
         return out
 
@@ -385,29 +424,19 @@ class Laurent:
             e >>= 1
         return out
 
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, Laurent) and self._c == other._c
-
-    def __hash__(self) -> int:
-        return hash(("Laurent", tuple(sorted(self._c.items()))))
-
     def bar(self) -> "Laurent":
         """Substitute q -> 1/q."""
-        out = Laurent.__new__(Laurent)
-        out._c = {-k: v for k, v in self._c.items()}
-        return out
+        return Laurent._of({-k: v for k, v in self._c.items()})
 
     def shifted(self, k: int) -> "Laurent":
         """Multiply by q^k."""
-        out = Laurent.__new__(Laurent)
+        out = _new(Laurent)
         out._c = {e + k: v for e, v in self._c.items()}
         return out
 
     def derivative(self) -> "Laurent":
         """Formal derivative: d/dq q^k = k q^(k-1), including negative k."""
-        out = Laurent.__new__(Laurent)
-        out._c = {k - 1: k * v for k, v in self._c.items() if k}
-        return out
+        return Laurent._of({k - 1: k * v for k, v in self._c.items() if k})
 
     @property
     def is_palindromic(self) -> bool:
@@ -425,7 +454,7 @@ class Laurent:
 
     @staticmethod
     def from_poly(p: Poly, shift: int = 0) -> "Laurent":
-        out = Laurent.__new__(Laurent)
+        out = _new(Laurent)
         out._c = {k + shift: c for k, c in enumerate(p.coeffs) if c}
         return out
 
@@ -449,12 +478,6 @@ class Laurent:
             if pa == pb * sign:
                 return sign, sa - sb
         return None
-
-    def eval_fraction(self, x: Fraction) -> Fraction:
-        if x == 0 and not self.is_zero and self.min_exp < 0:
-            raise ZeroDenominator("evaluating a negative power at 0")
-        return sum((Fraction(v) * x ** k for k, v in self._c.items()),
-                   Fraction(0))
 
     def render(self, var: str = "q") -> str:
         return _render_terms(self.items(), var)
@@ -603,142 +626,25 @@ def det_exact(mat: Sequence[Sequence[Laurent]]) -> Laurent:
 # two-variable Laurent polynomials
 # ---------------------------------------------------------------------------
 
-class BiLaurent:
-    """Integer Laurent polynomial in two variables x and y."""
+class BiLaurent(_Sparse):
+    """Integer Laurent polynomial in two variables x and y, a sparse map
+    (i, j) -> coefficient of x^i y^j."""
 
-    __slots__ = ("_c",)
-
-    def __init__(self, coeffs: Mapping[tuple[int, int], int] |
-                 Iterable[tuple[tuple[int, int], int]] = ()):
-        items = coeffs.items() if isinstance(coeffs, Mapping) else coeffs
-        d: dict[tuple[int, int], int] = {}
-        for k, v in items:
-            if v:
-                kk = (k[0], k[1])
-                d[kk] = d.get(kk, 0) + v
-                if not d[kk]:
-                    del d[kk]
-        self._c = d
-
-    @staticmethod
-    def zero() -> "BiLaurent":
-        return BiLaurent()
-
-    @staticmethod
-    def one() -> "BiLaurent":
-        return BiLaurent({(0, 0): 1})
+    __slots__ = ()
 
     @staticmethod
     def outer(f: Laurent, g: Laurent) -> "BiLaurent":
         """f(x) * g(y)."""
-        out = BiLaurent.__new__(BiLaurent)
-        out._c = {(i, j): a * b
-                  for i, a in f.items() for j, b in g.items()}
-        return out
+        return BiLaurent._of({(i, j): a * b for i, a in f._c.items()
+                              for j, b in g._c.items()})
 
-    @staticmethod
-    def x_minus_y() -> "BiLaurent":
-        return BiLaurent({(1, 0): 1, (0, 1): -1})
-
-    @property
-    def is_zero(self) -> bool:
-        return not self._c
-
-    def items(self) -> tuple[tuple[tuple[int, int], int], ...]:
-        return tuple(sorted(self._c.items()))
-
-    def __add__(self, other: "BiLaurent") -> "BiLaurent":
-        d = dict(self._c)
-        for k, v in other._c.items():
-            nv = d.get(k, 0) + v
-            if nv:
-                d[k] = nv
-            elif k in d:
-                del d[k]
-        out = BiLaurent.__new__(BiLaurent)
-        out._c = d
-        return out
-
-    def __sub__(self, other: "BiLaurent") -> "BiLaurent":
-        return self + (-other)
-
-    def __neg__(self) -> "BiLaurent":
-        out = BiLaurent.__new__(BiLaurent)
-        out._c = {k: -v for k, v in self._c.items()}
-        return out
-
-    def __mul__(self, other: Union["BiLaurent", int]) -> "BiLaurent":
-        if isinstance(other, int):
-            if not other:
-                return BiLaurent.zero()
-            out = BiLaurent.__new__(BiLaurent)
-            out._c = {k: other * v for k, v in self._c.items()}
-            return out
-        a, b = self._c, other._c
-        if len(a) > len(b):
-            a, b = b, a
-        d: dict[tuple[int, int], int] = {}
-        for (ax, ay), va in a.items():
-            for (bx, by), vb in b.items():
-                k = (ax + bx, ay + by)
-                nv = d.get(k, 0) + va * vb
-                if nv:
-                    d[k] = nv
-                elif k in d:
-                    del d[k]
-        out = BiLaurent.__new__(BiLaurent)
-        out._c = d
-        return out
-
-    __rmul__ = __mul__
-
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, BiLaurent) and self._c == other._c
-
-    def __hash__(self) -> int:
-        return hash(("BiLaurent", tuple(sorted(self._c.items()))))
+    def shifted(self, k: int) -> "BiLaurent":
+        """Multiply by (xy)^k."""
+        return BiLaurent._of({(i + k, j + k): v
+                              for (i, j), v in self._c.items()})
 
     def subs_y_eq_x(self) -> Laurent:
-        out = Laurent.zero()
-        d: dict[int, int] = {}
-        for (i, j), v in self._c.items():
-            k = i + j
-            d[k] = d.get(k, 0) + v
-        out._c = {k: v for k, v in d.items() if v}
-        return out
-
-    def div_x_minus_y(self) -> "BiLaurent":
-        """Exact division by (x - y); the input must vanish on x = y."""
-        if self.is_zero:
-            return self
-        ax = min(i for (i, _), _ in self._c.items())
-        ay = min(j for (_, j), _ in self._c.items())
-        # lift to a genuine polynomial in x and y
-        by_x: dict[int, dict[int, int]] = {}
-        dmax = 0
-        for (i, j), v in self._c.items():
-            ii, jj = i - ax, j - ay
-            by_x.setdefault(ii, {})[jj] = v
-            dmax = max(dmax, ii)
-        # synthetic division by (x - y), treating coefficients in Z[y]
-        quot: dict[int, dict[int, int]] = {}
-        carry: dict[int, int] = {}
-        for deg in range(dmax, 0, -1):
-            c = dict(by_x.get(deg, {}))
-            for j, v in carry.items():
-                c[j] = c.get(j, 0) + v
-            c = {j: v for j, v in c.items() if v}
-            quot[deg - 1] = c
-            carry = {j + 1: v for j, v in c.items()}
-        rem = dict(by_x.get(0, {}))
-        for j, v in carry.items():
-            rem[j] = rem.get(j, 0) + v
-        if any(rem.values()):
-            raise ExactDivisionError("not divisible by (x - y)")
-        out = BiLaurent.__new__(BiLaurent)
-        out._c = {(i + ax, j + ay): v
-                  for i, col in quot.items() for j, v in col.items() if v}
-        return out
+        return Laurent((i + j, v) for (i, j), v in self._c.items())
 
     def eval_fraction(self, x: Fraction, y: Fraction) -> Fraction:
         acc = Fraction(0)
@@ -751,9 +657,37 @@ class BiLaurent:
 
 
 def bezoutian(f: Laurent, g: Laurent) -> BiLaurent:
-    """(f(x) g(y) - f(y) g(x)) / (x - y), exactly."""
-    num = BiLaurent.outer(f, g) - BiLaurent.outer(g, f)
-    return num.div_x_minus_y()
+    """(f(x) g(y) - f(y) g(x)) / (x - y), exactly, by the Bezout matrix
+    recurrence.
+
+    With f = q^lo F and g = q^lo G for polynomials F, G of degree <= n, the
+    Bezoutian is (xy)^lo sum b_ij x^i y^j over 0 <= i, j < n, where
+    b_ij = F_{i+1} G_j - F_j G_{i+1} + b_{i+1,j-1} and b is zero outside
+    that square.
+    """
+    exps = [*f._c, *g._c]
+    if not exps:
+        return BiLaurent()
+    lo = min(exps)
+    n = max(exps) - lo
+    fs, gs = [0] * (n + 1), [0] * (n + 1)
+    for k, v in f._c.items():
+        fs[k - lo] = v
+    for k, v in g._c.items():
+        gs[k - lo] = v
+    # row j is row j - 1 moved down one place plus the new terms, which are
+    # nonzero only on the support of F and G
+    support = sorted({k - lo for k in exps if k > lo})
+    d: dict[tuple[int, int], int] = {}
+    row = [0] * n
+    for j in range(n):
+        row = row[1:] + [0]
+        fj, gj = fs[j], gs[j]
+        if fj or gj:
+            for a in support:
+                row[a - 1] += fs[a] * gj - fj * gs[a]
+        d.update({(i + lo, j + lo): v for i, v in enumerate(row) if v})
+    return BiLaurent._of(d)
 
 
 def wronskian(f: Laurent, g: Laurent) -> Laurent:

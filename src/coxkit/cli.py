@@ -187,50 +187,49 @@ def verify_bipartite(cfg: RunConfig):
     return out
 
 
-def verify_cd_coxeter(cfg: RunConfig):
+def _verify_pivot(cfg: RunConfig, suite: str, identity):
+    """One case per pivot of each named diagram and one per seeded tree."""
     out = []
     for name, d in _suite_diagrams(cfg, 10):
         for pivot in range(d.n):
-            rep = identities.cd_coxeter(d, pivot)
-            out.append(_report_case("cd-coxeter", f"{name}-p{pivot}",
-                                    rep.holds, rep.residual_terms))
+            rep = identity(d, pivot)
+            out.append(_report_case(suite, f"{name}-p{pivot}", rep.holds,
+                                    rep.residual_terms))
     for k, d, rng in _seeded_trees(cfg):
-        rep = identities.cd_coxeter(d, rng.randrange(d.n))
-        out.append(_report_case("cd-coxeter", f"tree{k:03d}", rep.holds,
+        rep = identity(d, rng.randrange(d.n))
+        out.append(_report_case(suite, f"tree{k:03d}", rep.holds,
                                 rep.residual_terms))
     return out
+
+
+def verify_cd_coxeter(cfg: RunConfig):
+    return _verify_pivot(cfg, "cd-coxeter", identities.cd_coxeter)
 
 
 def verify_cd_wronskian(cfg: RunConfig):
-    out = []
-    for name, d in _suite_diagrams(cfg, 10):
-        for pivot in range(d.n):
-            rep = identities.cd_wronskian(d, pivot)
-            out.append(_report_case("cd-wronskian", f"{name}-p{pivot}",
-                                    rep.holds, rep.residual_terms))
-    for k, d, rng in _seeded_trees(cfg):
-        rep = identities.cd_wronskian(d, rng.randrange(d.n))
-        out.append(_report_case("cd-wronskian", f"tree{k:03d}", rep.holds,
-                                rep.residual_terms))
-    return out
+    return _verify_pivot(cfg, "cd-wronskian", identities.cd_wronskian)
 
 
 def verify_cd_char(cfg: RunConfig):
     out = []
     for name, d in _suite_diagrams(cfg, 10):
         ok8 = ok9 = True
+        terms8 = terms9 = 0
         for i in range(d.n):
             for j in range(i, d.n):
                 r8, r9 = identities.cd_char(d, i, j)
                 ok8 &= r8.holds
                 ok9 &= r9.holds
-        out.append(_report_case("cd-char", f"{name}-bez", ok8))
-        out.append(_report_case("cd-char", f"{name}-wr", ok9))
+                terms8 += r8.residual_terms
+                terms9 += r9.residual_terms
+        out.append(_report_case("cd-char", f"{name}-bez", ok8, terms8))
+        out.append(_report_case("cd-char", f"{name}-wr", ok9, terms9))
     for k, d, rng in _seeded_trees(cfg):
         i, j = rng.randrange(d.n), rng.randrange(d.n)
         r8, r9 = identities.cd_char(d, i, j)
         out.append(_report_case("cd-char", f"tree{k:03d}",
-                                r8.holds and r9.holds))
+                                r8.holds and r9.holds,
+                                r8.residual_terms + r9.residual_terms))
     return out
 
 

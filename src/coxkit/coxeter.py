@@ -433,11 +433,12 @@ def divide_identity(a_mat, b_mat, c_mat) -> DivideReport:
         raise DimensionMismatch("ragged blocks")
     if len(b) != r:
         raise DimensionMismatch("A columns must match B rows")
-    if c and (len(c) != p or any(len(row) != s for row in c)):
+    if not c:
+        c = [[0] * s for _ in range(p)]
+    elif len(c) != p or any(len(row) != s for row in c):
         raise DimensionMismatch("C must be (rows of A) x (cols of B)")
     ab = mat_mul(a, b) if r else [[0] * s for _ in range(p)]
-    two_c = [[2 * x for x in row] for row in c] if c else [[0] * s for _ in range(p)]
-    if ab != two_c:
+    if ab != [[2 * x for x in row] for row in c]:
         raise PreconditionABneq2C("A*B != 2*C")
 
     n = p + r + s

@@ -20,8 +20,9 @@ from .kostant import KleinGroupData
 from .report import IdentityReport
 
 
-def _one_minus_inv_xy() -> BiLaurent:
-    return BiLaurent({(0, 0): 1, (-1, -1): -1})
+def _one_minus_inv_xy(b: BiLaurent) -> BiLaurent:
+    """(1 - 1/(xy)) * b."""
+    return b - b.shifted(-1)
 
 
 def _one_minus_inv_x2() -> Laurent:
@@ -37,7 +38,7 @@ def cd_coxeter(d: Diagram, pivot: int) -> IdentityReport:
     + weighted Bezoutians of the branch and cross terms."""
     step = schur_step(d, pivot)
     lhs = bezoutian(step.total, step.base)
-    rhs = _one_minus_inv_xy() * BiLaurent.outer(step.base, step.base)
+    rhs = _one_minus_inv_xy(BiLaurent.outer(step.base, step.base))
     for _, wsq, g in step.branches:
         rhs = rhs + wsq * bezoutian(step.base, g)
     for _, coeff, p in step.crosses:
@@ -128,7 +129,7 @@ def chain_identities(d: Diagram, tail) -> list[IdentityReport]:
         bez_lhs = bezoutian(c[i - 1], c[i])
         bez_rhs = bezoutian(c[k - 1], c[k])
         for j in range(i, k):
-            bez_rhs = bez_rhs + _one_minus_inv_xy() * BiLaurent.outer(c[j], c[j])
+            bez_rhs = bez_rhs + _one_minus_inv_xy(BiLaurent.outer(c[j], c[j]))
         reports.append(IdentityReport.compare(f"chain-bez-{i}", bez_lhs, bez_rhs))
         wr_lhs = wronskian(c[i - 1], c[i])
         wr_rhs = wronskian(c[k - 1], c[k])
@@ -291,7 +292,7 @@ def poincare_cd(data: KleinGroupData, i, j: int | None = None
     for k in ks:
         bez_rhs = bez_rhs + BiLaurent.outer(zt[k], zt[k])
         wr_rhs = wr_rhs + zt[k] * zt[k]
-    bez_rhs = _one_minus_inv_xy() * bez_rhs
+    bez_rhs = _one_minus_inv_xy(bez_rhs)
     wr_rhs = _one_minus_inv_x2() * wr_rhs
     return (IdentityReport.compare(name + "-bez", bez_lhs, bez_rhs),
             IdentityReport.compare(name + "-wr", wr_lhs, wr_rhs))
@@ -312,7 +313,7 @@ def poincare_cd_antipodal_choices(data: KleinGroupData):
     for parent in (mid - 1, mid + 1):
         rep_b, rep_w = poincare_cd(data, mid, mid)
         lhs = bezoutian(zt[parent], zt[mid]) - bezoutian(zt[mid], zt[2 * mid - parent])
-        rhs = _one_minus_inv_xy() * BiLaurent.outer(zt[mid], zt[mid])
+        rhs = _one_minus_inv_xy(BiLaurent.outer(zt[mid], zt[mid]))
         out.append(IdentityReport.compare(
             f"poincare-cd-antipodal-parent{parent}", lhs, rhs))
         out.append(rep_b)

@@ -21,7 +21,7 @@ from coxkit.identities import binet_cauchy, cd_char, cd_coxeter, cd_wronskian
 from coxkit.identities import poincare_cd
 from coxkit.kostant import (a2m_closed_form, cramer_z_table, ebeling_ratios,
                             klein_data, klein_types, perfect_square_check,
-                            poincare_series, verify_system, walk_series_check)
+                            verify_system, walk_series_check)
 
 SEED = 20240817
 

@@ -172,9 +172,59 @@ def test_bezoutian_diagonal_is_wronskian(f, g):
 @settings(max_examples=50, deadline=None)
 @given(laurents, laurents)
 def test_bezoutian_defining_property(f, g):
-    lhs = bezoutian(f, g) * BiLaurent.x_minus_y()
+    # (x - y) * B, term by term through the pair constructor
+    b = bezoutian(f, g).items()
+    lhs = BiLaurent([((i + 1, j), v) for (i, j), v in b] +
+                    [((i, j + 1), -v) for (i, j), v in b])
     rhs = BiLaurent.outer(f, g) - BiLaurent.outer(g, f)
     assert lhs == rhs
+
+
+def test_bezoutian_matches_sympy():
+    sympy = pytest.importorskip("sympy")
+    x, y = sympy.symbols("x y")
+
+    def expr(d, var):
+        return sum((v * var ** k for k, v in d.items()), sympy.Integer(0))
+
+    # zero, constants, f = g and negative exponents, then seeded pairs
+    pairs = [({}, {}), ({}, {2: 3, -1: 1}), ({0: 5}, {0: -2}),
+             ({0: 1}, {-3: 2, 1: 1}), ({-2: 1, 3: -4}, {-2: 1, 3: -4})]
+    rng = random.Random(6)
+    for _ in range(20):
+        pairs.append(tuple({rng.randint(-5, 5): rng.randint(-9, 9)
+                            for _ in range(rng.randint(0, 5))}
+                           for _ in range(2)))
+    for f, g in pairs:
+        want = sympy.cancel((expr(f, x) * expr(g, y) - expr(f, y) * expr(g, x))
+                            / (x - y))
+        got = sum((v * x ** i * y ** j
+                   for (i, j), v in bezoutian(Laurent(f), Laurent(g)).items()),
+                  sympy.Integer(0))
+        assert sympy.cancel(got - want) == 0, (f, g)
+
+
+def test_bilaurent_shifted_multiplies_by_xy_power():
+    b = BiLaurent({(0, 0): 1, (2, -1): -3})
+    assert b.shifted(-1) == BiLaurent({(-1, -1): 1, (1, -2): -3})
+    assert b.shifted(2).shifted(-2) == b
+    assert b.shifted(1).subs_y_eq_x() == b.subs_y_eq_x().shifted(2)
+    assert BiLaurent().shifted(5).is_zero
+
+
+def test_laurent_and_bilaurent_never_compare_equal():
+    assert Laurent() != BiLaurent()
+    assert BiLaurent() != Laurent()
+    assert Laurent({0: 1}) != BiLaurent({(0, 0): 1})
+    assert Laurent() == Laurent.zero() and BiLaurent() == BiLaurent.zero()
+
+
+def test_bilaurent_scales_by_int_only():
+    b = BiLaurent({(1, 0): 2})
+    assert 3 * b == b * 3 == BiLaurent({(1, 0): 6})
+    assert (0 * b).is_zero
+    with pytest.raises(TypeError):
+        b * b
 
 
 # -- truncated series -------------------------------------------------------

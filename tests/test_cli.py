@@ -7,9 +7,11 @@ import tracemalloc
 
 import pytest
 
-from coxkit import cli
+from coxkit import cli, identities
+from coxkit.algebra import Laurent
 from coxkit.coxeter import char_poly, coxeter_poly
 from coxkit.diagram import MAX_VERTICES, build
+from coxkit.report import IdentityReport
 
 
 def run_cli(capsys, *argv):
@@ -245,6 +247,17 @@ def test_verify_timings_are_per_case(capsys):
     times = [json.loads(line)["elapsed_ms"] for line in out.splitlines()]
     assert len(set(times)) > 1  # not one suite average
     assert sum(times) <= wall_ms
+
+
+def test_cd_char_failure_reports_residual_terms(capsys, monkeypatch):
+    bad = IdentityReport.compare("bad", Laurent.z(), Laurent.zero())
+    monkeypatch.setattr(identities, "cd_char", lambda d, i, j: (bad, bad))
+    code, out = run_cli(capsys, "verify", "cd-char", "--json",
+                        "--random-trees", "1")
+    assert code == 1
+    records = [json.loads(line) for line in out.splitlines()]
+    assert records and not any(r["holds"] for r in records)
+    assert all(r["residual_terms"] > 0 for r in records)
 
 
 def test_every_operation_has_a_cli_route():

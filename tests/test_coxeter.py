@@ -510,6 +510,14 @@ def test_divide_empty_middle_block():
     assert rep.equal and rep.schur_exact and rep.twist_power == 0
 
 
+def test_divide_empty_c_is_the_zero_block():
+    # an empty C stands for the p x s zero block, as an empty AB does
+    for a, b in (([[0]], [[0]]), ([[1]], [[0]])):
+        rep = divide_identity(a, b, [])
+        assert rep == divide_identity(a, b, [[0]])
+        assert rep.equal and rep.schur_exact
+
+
 def test_divide_randomized_including_rectangular():
     rng = random.Random(20)
     for _ in range(10):
