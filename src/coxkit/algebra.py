@@ -274,7 +274,8 @@ _new = object.__new__
 class _Sparse:
     """A sparse map key -> nonzero integer coefficient, closed under +, -
     and integer scaling.  The empty map is zero.  Values of different
-    subclasses never compare equal, not even two zeros."""
+    subclasses never compare equal, not even two zeros, and neither add
+    nor subtract."""
 
     __slots__ = ("_c",)
 
@@ -312,6 +313,8 @@ class _Sparse:
         return tuple(sorted(self._c.items()))
 
     def __add__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
         d = dict(self._c)
         for k, v in other._c.items():
             nv = d.get(k, 0) + v
@@ -324,7 +327,20 @@ class _Sparse:
         return out
 
     def __sub__(self, other):
-        return self + (-other)
+        # written out like +: going through self + (-other) builds the
+        # negated map first, which doubles the cost of a small difference
+        if type(other) is not type(self):
+            return NotImplemented
+        d = dict(self._c)
+        for k, v in other._c.items():
+            nv = d.get(k, 0) - v
+            if nv:
+                d[k] = nv
+            elif k in d:
+                del d[k]
+        out = _new(type(self))
+        out._c = d
+        return out
 
     def __neg__(self):
         out = _new(type(self))

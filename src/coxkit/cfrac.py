@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from typing import Union
 
 from .algebra import Poly, RatFunc
-from .coxeter import char_poly
+from .coxeter import _rooted_step, char_poly
 from .diagram import Diagram
 from .errors import BadRank, DomainError, NotATree, UnknownVertex, ZeroDenominator
 
@@ -79,17 +79,28 @@ def expand_cycle(n: int, depth: int | None = None) -> Branch:
 
 
 def evaluate(node: CFracNode) -> RatFunc:
-    """Exact rational value in z."""
+    """Exact rational value in z.
+
+    The numerator and denominator go up the tree unreduced by the rooted
+    recursion of char_poly, and are reduced once, at the root.
+    """
+    return RatFunc(*_pair(node))
+
+
+def _pair(node: CFracNode) -> tuple[Poly, Poly]:
+    """(numerator, denominator) of the node's value, neither reduced."""
     if isinstance(node, Closing):
         if node.value.is_zero:
             raise ZeroDenominator("closing term is zero")
-        return node.value.reciprocal()
-    acc = RatFunc(Poly.x(), Poly.one())
+        return node.value.den, node.value.num
+    children = []
     for wsq, child in node.children:
-        acc = acc - wsq * evaluate(child)
-    if acc.is_zero:
+        num, den = _pair(child)
+        children.append((wsq, den, num))
+    den, num = _rooted_step(children)
+    if den.is_zero:
         raise ZeroDenominator("denominator collapsed to zero")
-    return acc.reciprocal()
+    return num, den
 
 
 def z_count(node: CFracNode) -> int:

@@ -909,7 +909,17 @@ def run(cfg: RunConfig) -> int:
 def main(argv=None) -> int:
     cfg = RunConfig(**vars(build_parser().parse_args(argv)))
     try:
-        return run(cfg)
+        code = run(cfg)
+        # a reader that left early (`| head`) shows up here, not in the
+        # interpreter's own flush at exit
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # the recipe of the Python docs (signal, "Note on SIGPIPE"): send
+        # what is still buffered to devnull and exit 1 without a traceback
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        return 1
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2

@@ -219,6 +219,18 @@ def test_laurent_and_bilaurent_never_compare_equal():
     assert Laurent() == Laurent.zero() and BiLaurent() == BiLaurent.zero()
 
 
+def test_sparse_sums_refuse_the_other_kind():
+    one, bi = Laurent({0: 1}), BiLaurent({(0, 0): 1})
+    for left, right in ((one, bi), (bi, one)):
+        with pytest.raises(TypeError):
+            left + right
+        with pytest.raises(TypeError):
+            left - right
+    with pytest.raises(TypeError):
+        one + 1
+    assert one + one == Laurent({0: 2}) and (bi - bi).is_zero
+
+
 def test_bilaurent_scales_by_int_only():
     b = BiLaurent({(1, 0): 2})
     assert 3 * b == b * 3 == BiLaurent({(1, 0): 6})

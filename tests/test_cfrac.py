@@ -7,9 +7,9 @@ import pytest
 from coxkit.algebra import Laurent, Poly, RatFunc, z_substitute
 from coxkit.cfrac import (Branch, Closing, evaluate, expand_cycle,
                           expand_tree, render, tree_ratio, z_count)
-from coxkit.coxeter import char_poly
+from coxkit.coxeter import _adjacency_rows, _faddeev_leverrier, char_poly
 from coxkit.diagram import build, from_name, random_tree
-from coxkit.errors import DomainError, NotATree
+from coxkit.errors import DomainError, NotATree, ZeroDenominator
 from coxkit.kostant import klein_data
 
 
@@ -137,6 +137,42 @@ def test_fraction_equals_scaled_poincare_series():
         lhs = z_substitute(val.num) * data.denominator()
         rhs = Laurent.q(1) * data.z_table[0] * z_substitute(val.den)
         assert lhs == rhs
+
+
+# -- the fraction-free evaluation against Faddeev-LeVerrier --------------------
+# char_poly and tree_ratio of a tree run the recursion evaluate runs, so the
+# oracle here is the Faddeev-LeVerrier pass, which never takes it.
+
+def _fl_char(d) -> Poly:
+    return Poly(_faddeev_leverrier(_adjacency_rows(d.n, d.edges()))[0])
+
+
+def test_evaluate_matches_faddeev_leverrier_ratio():
+    rng = random.Random(31)
+    for _ in range(30):
+        d = random_tree(rng, rng.randint(1, 16), (1, 2, 3))
+        for root in rng.sample(range(d.n), min(3, d.n)):
+            want = RatFunc(_fl_char(d.delete([root])), _fl_char(d))
+            assert evaluate(expand_tree(d, root)) == want, (d, root)
+
+
+def test_cycle_evaluation_matches_faddeev_leverrier_ratio():
+    for n in range(1, 10):
+        d = build("affA", n)
+        want = RatFunc(_fl_char(d.delete([0])), _fl_char(d))
+        assert evaluate(expand_cycle(n)) == want, n
+
+
+def test_evaluate_still_refuses_zero_denominators():
+    with pytest.raises(ZeroDenominator, match="closing term is zero"):
+        evaluate(Branch(((1, Closing(RatFunc(Poly.zero(), Poly.one()))),)))
+    # 1/(z - 1/(1/z)): the child is worth z, so z - z = 0
+    collapse = Branch(((1, Closing(RatFunc(Poly.one(), Poly.x()))),))
+    with pytest.raises(ZeroDenominator, match="denominator collapsed"):
+        evaluate(collapse)
+    deep = Branch(((1, Branch(((1, collapse),))),))
+    with pytest.raises(ZeroDenominator, match="denominator collapsed"):
+        evaluate(deep)
 
 
 def test_latex_render():

@@ -2,8 +2,12 @@
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
 import time
 import tracemalloc
+from pathlib import Path
 
 import pytest
 
@@ -289,3 +293,20 @@ def test_every_operation_has_a_cli_route():
         assert command in ("coxeter", "cfrac", "kostant", "braid", "verify")
         if command == "verify" and detail not in ("all",):
             assert detail in cli.VERIFIERS, op
+
+
+def test_closed_stdout_ends_without_traceback():
+    # the reader is gone before the first line is written, as when
+    # `| head` has already exited
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "coxkit.cli", "verify", "cd-char", "--json",
+         "--random-trees", "1"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    proc.stdout.close()
+    err = proc.stderr.read().decode()
+    proc.stderr.close()
+    assert proc.wait(timeout=120) == 1
+    assert "Traceback" not in err and "BrokenPipe" not in err, err

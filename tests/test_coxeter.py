@@ -4,13 +4,15 @@ import random
 
 import pytest
 
-from coxkit.algebra import (Laurent, Poly, _det_laplace, det_poly,
+from coxkit import coxeter
+from coxkit.algebra import (Laurent, Poly, _det_laplace, det_exact, det_poly,
                             q_to_z, z_substitute)
-from coxkit.coxeter import (char_poly, cofactor_entry, cofactors,
-                            coxeter_matrix, coxeter_poly, divide_identity,
-                            identity7_check, join_poly, path_sum_H,
-                            pivot_first, schur_step, walk_expansion_residual,
-                            walk_gf)
+from coxkit.coxeter import (_adjacency_rows, _cyclomatic, _edge_step,
+                            _faddeev_leverrier, char_poly, cofactor_entry,
+                            cofactors, coxeter_matrix, coxeter_poly,
+                            divide_identity, identity7_check, join_poly,
+                            path_sum_H, pivot_first, schur_step,
+                            walk_expansion_residual, walk_gf)
 from coxkit.diagram import (Diagram, bipartite_order, build, disjoint_union,
                             join, random_tree)
 from coxkit.errors import DimensionMismatch, PreconditionABneq2C
@@ -414,6 +416,140 @@ def test_char_poly_of_100_vertex_tree_matches_leaf_expansion():
         trace = trace + table[i, i]
     g = char_poly(d).coeffs
     assert trace == Poly(k * c for k, c in enumerate(g) if k)
+
+
+# -- graph expansion against independent oracles -------------------------------
+# The forest recursion, Schwenk's edge step and the fraction-free continued
+# fraction share one recursion, so none of these checks uses it: the oracles
+# are Faddeev-LeVerrier, sympy, Laplace, Bareiss and the ~A closed form.
+
+def _fl_char(d: Diagram) -> Poly:
+    """det(zE - A) by the Faddeev-LeVerrier pass, whatever the graph."""
+    return Poly(_faddeev_leverrier(_adjacency_rows(d.n, d.edges()))[0])
+
+
+def _relabel(rng, d: Diagram) -> Diagram:
+    """The same graph under a random renumbering of its vertices."""
+    perm = rng.sample(range(d.n), d.n)
+    return Diagram(d.n, {(perm[i], perm[j]): w for i, j, w in d.edges()})
+
+
+def _random_forests(count: int, seed: int) -> list[Diagram]:
+    rng = random.Random(seed)
+    out = [Diagram(0), Diagram(1), Diagram(3)]
+    while len(out) < count:
+        d = random_tree(rng, rng.randint(1, 16), (1, 2, 3))
+        if rng.random() < 0.5:
+            d = disjoint_union(d, random_tree(rng, rng.randint(1, 6),
+                                              (1, 2, 3)))
+        out.append(_relabel(rng, d))
+    return out
+
+
+FORESTS = _random_forests(60, 17)
+
+
+def _with_cycles(rng, n: int, c: int, orders: int = 3) -> list[Diagram]:
+    """A random tree on n vertices plus c chords (cyclomatic number c),
+    with weights -1, 1, 2, 3, in several shuffled vertex orders."""
+    t = random_tree(rng, n, (-1, 1, 2, 3))
+    edges = {(i, j): w for i, j, w in t.edges()}
+    while len(edges) < n - 1 + c:
+        i, j = sorted(rng.sample(range(n), 2))
+        edges.setdefault((i, j), rng.choice((-1, 1, 2, 3)))
+    d = _relabel(rng, Diagram(n, edges))
+    return [d.with_order(rng.sample(range(n), n)) for _ in range(orders)]
+
+
+def test_cyclomatic_counts_independent_cycles():
+    for d in GRAPHS + FORESTS:
+        closing = _cyclomatic(d.n, d.edges())
+        assert len(closing) == len(d.edges()) - d.n + len(d.components())
+        for i, j, w in closing:  # each closing edge lies on a cycle
+            rest = Diagram(d.n, {(a, b): x for a, b, x in d.edges()
+                                 if (a, b) != (i, j)})
+            assert any(i in comp and j in comp for comp in rest.components())
+
+
+def test_forest_char_poly_matches_faddeev_leverrier():
+    assert any(len(d.components()) > 1 for d in FORESTS)
+    for d in FORESTS:
+        assert not _cyclomatic(d.n, d.edges())
+        assert char_poly(d) == _fl_char(d), d
+
+
+def test_forest_char_poly_matches_sympy():
+    sympy = pytest.importorskip("sympy")
+    z = sympy.Symbol("z")
+    for d in FORESTS[:30]:
+        a = sympy.Matrix(d.n, d.n, lambda i, j: d.weight(i, j))
+        want = sympy.Poly(a.charpoly(z).as_expr(), z).all_coeffs()
+        assert char_poly(d) == Poly(reversed(want)), d
+
+
+def test_edge_step_matches_laplace_up_to_7_vertices():
+    rng = random.Random(41)
+    for c in range(1, 6):
+        for _ in range(3):
+            n = rng.randint(4 if c <= 3 else 5, 7)
+            for d in _with_cycles(rng, n, c):
+                want = _det_laplace(coxeter_matrix(d))
+                assert coxeter_poly(d) == want, d
+                # the step holds at every edge on a cycle, not only the
+                # one coxeter_poly picks
+                for e in _cyclomatic(d.n, d.edges()):
+                    assert _edge_step(d, e) == want, d
+
+
+def test_edge_step_matches_bareiss_on_8_to_16_vertices():
+    rng = random.Random(43)
+    for c in range(1, 6):
+        for n in (8, 12, 16):
+            for d in _with_cycles(rng, n, c, orders=2):
+                want = det_exact(coxeter_matrix(d))
+                assert coxeter_poly(d) == want, d
+                e = _cyclomatic(d.n, d.edges())[0]
+                assert _edge_step(d, e) == want, d
+
+
+def _counting_bareiss(monkeypatch) -> list:
+    """Route coxeter's det_poly through a call log, on an empty memo."""
+    calls = []
+
+    def logged(mat):
+        calls.append(len(mat))
+        return det_poly(mat)
+
+    monkeypatch.setattr(coxeter, "det_poly", logged)
+    coxeter._coxeter_poly.cache_clear()
+    coxeter._char_poly.cache_clear()
+    return calls
+
+
+def test_expansion_takes_affine_a_and_unicyclic_graphs(monkeypatch):
+    calls = _counting_bareiss(monkeypatch)
+    for n in range(2, 49):
+        # closed form: P_(n+1) - P_(n-1) - (q^s + q^-s), P_k the path
+        # polynomial; the cycle 0 -> 1 -> ... -> n -> 0 has s = n - 1
+        want = (z_substitute(chebyshev_path(n + 1) - chebyshev_path(n - 1))
+                - Laurent(((n - 1, 1), (1 - n, 1))))
+        assert coxeter_poly(build("affA", n)) == want, n
+    rng = random.Random(47)
+    for n in range(3, 21):
+        for d in _with_cycles(rng, n, 1, orders=2):
+            assert coxeter_poly(d) == det_exact(coxeter_matrix(d)), d
+    assert calls == []
+
+
+def test_gate_sends_dense_cycle_spaces_to_bareiss(monkeypatch):
+    rng = random.Random(53)
+    at_gate = _with_cycles(rng, 10, coxeter._EXPAND_MAX, orders=1)[0]
+    above = _with_cycles(rng, 10, coxeter._EXPAND_MAX + 1, orders=1)[0]
+    calls = _counting_bareiss(monkeypatch)
+    assert coxeter_poly(at_gate) == det_exact(coxeter_matrix(at_gate))
+    assert calls == []
+    assert coxeter_poly(above) == det_exact(coxeter_matrix(above))
+    assert calls == [10]
 
 
 # -- path sums and walks ------------------------------------------------------
