@@ -526,41 +526,66 @@ def _render_terms(items: Sequence[tuple[int, int | Fraction]],
 # conversions between the q-world and the z-world
 # ---------------------------------------------------------------------------
 
-def _substitute(p: Poly, var: Laurent) -> Laurent:
-    """p(var) by Horner's rule."""
-    acc = Laurent.zero()
-    for c in reversed(p.coeffs):
-        acc = acc * var + Laurent.const(c)
-    return acc
+def _next_row(row: list[int], sign: int) -> list[int]:
+    """The binomial row of (q + sign/q)^(k+1) from that of (q + sign/q)^k.
+    The row of power k lists sign^t C(k, t), the coefficient of q^(k-2t),
+    for t = 0..k."""
+    return [1, *[a + sign * b for a, b in zip(row[1:], row)], sign * row[-1]]
 
 
-def _unsubstitute(p: Laurent, var: Laurent, name: str) -> Poly:
-    """The polynomial f with f(var) = p, for var = q +- 1/q: peel the top
-    degree d off with c * var^d until nothing is left."""
-    rem = p
-    out: list[int] = []
-    while not rem.is_zero:
-        d = rem.max_exp
-        if d < 0:
-            raise DomainError(f"not a polynomial in {name}")
-        c = rem.coeff(d)
-        while len(out) <= d:
-            out.append(0)
-        out[d] = c
-        rem = rem - c * var ** d
+def _substitute(p: Poly, sign: int) -> Laurent:
+    """p(q + sign/q) for sign = +-1: c_k contributes c_k sign^t C(k, t) to
+    q^(k - 2t)."""
+    d: dict[int, int] = {}
+    row = [1]
+    for k, c in enumerate(p.coeffs):
+        if k:
+            row = _next_row(row, sign)
+        if c:
+            for t, b in enumerate(row):
+                e = k - 2 * t
+                d[e] = d.get(e, 0) + c * b
+    return Laurent._of({e: c for e, c in d.items() if c})
+
+
+def _unsubstitute(p: Laurent, sign: int) -> Poly:
+    """The polynomial f with f(q + sign/q) = p, for sign = +-1: peel the
+    coefficient c of q^k off with c times the binomial row of power k, for
+    k from the top exponent down to 0.  The rows are walked back down by
+    the Pascal rule read backwards, so only one is held."""
+    rem = dict(p._c)
+    top = max(rem, default=-1)
+    out = [0] * (top + 1)
+    row = [1]
+    for _ in range(top):
+        row = _next_row(row, sign)
+    for k in range(top, -1, -1):
+        c = rem.pop(k, 0)
+        if c:
+            out[k] = c
+            for t in range(1, k + 1):
+                e = k - 2 * t
+                rem[e] = rem.get(e, 0) - c * row[t]
+        prev = [1]
+        for t in range(1, k):
+            prev.append(row[t] - sign * prev[-1])
+        row = prev
+    if any(rem.values()):
+        name = "q + 1/q" if sign > 0 else "q - 1/q"
+        raise DomainError(f"not a polynomial in {name}")
     return Poly(out)
 
 
 def z_substitute(p: Poly) -> Laurent:
     """Evaluate a z-polynomial at z = q + 1/q."""
-    return _substitute(p, Laurent.z())
+    return _substitute(p, 1)
 
 
 def q_to_z(p: Laurent) -> Poly:
     """Inverse of z_substitute on palindromic Laurent polynomials."""
     if not p.is_palindromic:
         raise NotSymmetric(f"not invariant under q -> 1/q: {p.render()}")
-    return _unsubstitute(p, Laurent.z(), "q + 1/q")
+    return _unsubstitute(p, 1)
 
 
 # ---------------------------------------------------------------------------

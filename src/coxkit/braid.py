@@ -482,11 +482,11 @@ def conway_torus2(k: int) -> Poly:
 def laurent_to_t_poly(p: Laurent) -> Poly:
     """Rewrite a Laurent polynomial lying in Z[q - 1/q] as a dense
     polynomial in t."""
-    return _unsubstitute(p, Laurent.q(1) - Laurent.q(-1), "q - 1/q")
+    return _unsubstitute(p, -1)
 
 
 def t_poly_to_laurent(p: Poly) -> Laurent:
-    return _substitute(p, Laurent.q(1) - Laurent.q(-1))
+    return _substitute(p, -1)
 
 
 # ---------------------------------------------------------------------------

@@ -36,21 +36,25 @@ CFracNode = Union[Branch, Closing]
 
 
 def expand_tree(d: Diagram, root: int) -> Branch:
-    """Recursive expansion of char(d minus root) / char(d) for a tree."""
+    """Expansion of char(d minus root) / char(d) for a tree.
+
+    The tree is walked from the root and its nodes are built leaves first,
+    so a path of any length needs no recursion."""
     if not (0 <= root < d.n):
         raise UnknownVertex(f"no vertex {root}")
     if not d.is_tree():
         raise NotATree("diagram is not a connected tree")
-
-    def grow(v: int, parent: int) -> Branch:
-        children = []
-        for u in sorted(d.neighbors(v)):
-            if u != parent:
-                w = d.weight(v, u)
-                children.append((w * w, grow(u, v)))
-        return Branch(tuple(children))
-
-    return grow(root, -1)
+    tour, parent = [root], {root: -1}
+    for v in tour:
+        for u in d.neighbors(v):
+            if u != parent[v]:
+                parent[u] = v
+                tour.append(u)
+    built: dict[int, Branch] = {}
+    for v in reversed(tour):
+        built[v] = Branch(tuple((d.weight(v, u) ** 2, built.pop(u))
+                                for u in d.neighbors(v) if u != parent[v]))
+    return built[root]
 
 
 def expand_cycle(n: int, depth: int | None = None) -> Branch:
@@ -88,26 +92,48 @@ def evaluate(node: CFracNode) -> RatFunc:
 
 
 def _pair(node: CFracNode) -> tuple[Poly, Poly]:
-    """(numerator, denominator) of the node's value, neither reduced."""
-    if isinstance(node, Closing):
-        if node.value.is_zero:
-            raise ZeroDenominator("closing term is zero")
-        return node.value.den, node.value.num
-    children = []
-    for wsq, child in node.children:
-        num, den = _pair(child)
-        children.append((wsq, den, num))
-    den, num = _rooted_step(children)
-    if den.is_zero:
-        raise ZeroDenominator("denominator collapsed to zero")
-    return num, den
+    """(numerator, denominator) of the node's value, neither reduced.
+
+    Children are evaluated before their parent, first child first, from an
+    explicit stack.  A child's pair is dropped once its parent has used it,
+    so only the pairs still waiting for a parent are held; the two arms of
+    expand_cycle, one node under one parent, are evaluated once."""
+    done: dict[int, tuple[Poly, Poly]] = {}
+    stack = [node]
+    while stack:
+        x = stack[-1]
+        if id(x) in done:
+            stack.pop()
+        elif isinstance(x, Closing):
+            if x.value.is_zero:
+                raise ZeroDenominator("closing term is zero")
+            done[id(x)] = x.value.den, x.value.num
+            stack.pop()
+        else:
+            todo = [c for _, c in reversed(x.children) if id(c) not in done]
+            if todo:
+                stack.extend(todo)
+                continue
+            stack.pop()
+            den, num = _rooted_step((wsq, *reversed(done[id(c)]))
+                                    for wsq, c in x.children)
+            for _, c in x.children:
+                done.pop(id(c), None)
+            if den.is_zero:
+                raise ZeroDenominator("denominator collapsed to zero")
+            done[id(x)] = num, den
+    return done[id(node)]
 
 
 def z_count(node: CFracNode) -> int:
     """Number of head z's (one per Branch node)."""
-    if isinstance(node, Closing):
-        return 0
-    return 1 + sum(z_count(child) for _, child in node.children)
+    count, stack = 0, [node]
+    while stack:
+        x = stack.pop()
+        if isinstance(x, Branch):
+            count += 1
+            stack.extend(child for _, child in x.children)
+    return count
 
 
 def tree_ratio(d: Diagram, root: int) -> RatFunc:
@@ -123,7 +149,7 @@ def render(node: CFracNode, fmt: str = "latex") -> str:
     if fmt == "latex":
         return _latex(node)
     if fmt == "ascii":
-        return "\n".join(_ascii(node, 0))
+        return "\n".join(_ascii(node))
     raise DomainError(f"unknown render format {fmt!r}")
 
 
@@ -138,23 +164,38 @@ def _rat_text(value: RatFunc) -> str:
 
 
 def _latex(node: CFracNode) -> str:
-    if isinstance(node, Closing):
-        return r"\cfrac{1}{%s}" % _rat_text(node.value)
-    body = "z"
-    for wsq, child in node.children:
-        prefix = "" if wsq == 1 else f"{wsq}\\,"
-        body += " - " + prefix + _latex(child)
-    return r"\cfrac{1}{%s}" % body
+    """Written out front to back from a stack of nodes and the literal text
+    between them."""
+    parts: list[str] = []
+    stack: list = [node]
+    while stack:
+        x = stack.pop()
+        if isinstance(x, str):
+            parts.append(x)
+        elif isinstance(x, Closing):
+            parts.append(r"\cfrac{1}{%s}" % _rat_text(x.value))
+        else:
+            parts.append(r"\cfrac{1}{z")
+            stack.append("}")
+            for wsq, child in reversed(x.children):
+                prefix = "" if wsq == 1 else f"{wsq}\\,"
+                stack += [child, " - " + prefix]
+    return "".join(parts)
 
 
-def _ascii(node: CFracNode, indent: int) -> list[str]:
-    pad = "  " * indent
-    if isinstance(node, Closing):
-        return [f"{pad}close 1/({_rat_text(node.value)})"]
-    heads = " - ".join(
-        ("#" if wsq == 1 else f"{wsq}*#") for wsq, _ in node.children)
-    line = f"{pad}1/(z{' - ' + heads if heads else ''})"
-    out = [line]
-    for _, child in node.children:
-        out.extend(_ascii(child, indent + 1))
+def _ascii(node: CFracNode) -> list[str]:
+    """One line per node, parents before children, two spaces of indent a
+    level."""
+    out: list[str] = []
+    stack = [(node, 0)]
+    while stack:
+        x, indent = stack.pop()
+        pad = "  " * indent
+        if isinstance(x, Closing):
+            out.append(f"{pad}close 1/({_rat_text(x.value)})")
+            continue
+        heads = " - ".join(
+            ("#" if wsq == 1 else f"{wsq}*#") for wsq, _ in x.children)
+        out.append(f"{pad}1/(z{' - ' + heads if heads else ''})")
+        stack += [(child, indent + 1) for _, child in reversed(x.children)]
     return out

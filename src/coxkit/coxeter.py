@@ -385,7 +385,9 @@ def pivot_first(d: Diagram, pivot: int) -> Diagram:
 
 def schur_step(d: Diagram, pivot: int) -> SchurStep:
     """Pivot on one vertex: head z, squared-weight branch terms, and signed
-    cross cofactors of the pivot-deleted matrix."""
+    cross cofactors of the pivot-deleted matrix.  Each cross cofactor is a
+    path sum (_cross_minor), or a Bareiss minor when the pivot-deleted
+    graph is above the gate of coxeter_poly."""
     dp = pivot_first(d, pivot)
     total = coxeter_poly(dp)
     rest = d.delete([pivot])
@@ -399,26 +401,51 @@ def schur_step(d: Diagram, pivot: int) -> SchurStep:
         branches.append((v, a * a, coxeter_poly(d.delete([pivot, v]))))
     crosses = []
     if len(nbrs) > 1:
-        w1 = _w_matrix(rest)
-        m = rest.n
-        pos = {v: rest.order.index(new_index[v]) for v in nbrs}
-        # a cross minor joining two components of rest is identically zero
-        comp = {v: c for c, vs in enumerate(rest.components()) for v in vs}
+        pos = {x: p for p, x in enumerate(rest.order)}
+        dense = len(_cyclomatic(rest.n, rest.edges())) > _EXPAND_MAX
+        w1 = _w_matrix(rest) if dense else None
         for i in nbrs:
             for j in nbrs:
-                if i == j or comp[new_index[i]] != comp[new_index[j]]:
+                if i == j:
                     continue
-                pi, pj = pos[i], pos[j]
-                minor = [[w1[r][c] for c in range(m) if c != pj]
-                         for r in range(m) if r != pi]
-                det = det_poly(minor)
-                p = _laurent_from_wdet(det, m - 1)
-                if (pi + pj) % 2:
-                    p = -p
+                ri, rj = new_index[i], new_index[j]
+                if dense:
+                    p = _bareiss_cofactor(w1, pos[ri], pos[rj])
+                else:
+                    p = _cross_minor(rest, ri, rj, pos)
                 if not p.is_zero:
                     crosses.append(((i, j),
                                     d.weight(pivot, i) * d.weight(pivot, j), p))
     return SchurStep(pivot, total, base, tuple(branches), tuple(crosses))
+
+
+def _cross_minor(d: Diagram, i: int, j: int, pos) -> Laurent:
+    """The cofactor of the Coxeter matrix M at row pos[i], column pos[j],
+    which is adj(M)[pos[j]][pos[i]], by the path expansion of an adjugate
+    entry (Godsil, Algebraic Combinatorics, ch. 4):
+
+    sum over simple paths P from j to i of (prod_P a) q^s det(G-P)
+
+    where s is the number of arcs of P that go forward in the vertex order
+    minus the number that go backward: M = zE - N with N = a q^(+-1) off
+    the diagonal.  Vertices in two components are joined by no path, so
+    their minor is zero.  Every subgraph keeps the induced order.
+    """
+    total = Laurent.zero()
+    for path, weight in _paths(d.n, d.edges(), j, i):
+        s = sum(1 if pos[x] < pos[y] else -1 for x, y in zip(path, path[1:]))
+        total = total + weight * coxeter_poly(d.delete(path)).shifted(s)
+    return total
+
+
+def _bareiss_cofactor(w: list[list[Poly]], r: int, c: int) -> Laurent:
+    """The cofactor of the Coxeter matrix at row r, column c, by a Bareiss
+    minor of its w-matrix."""
+    m = len(w)
+    minor = [[w[x][y] for y in range(m) if y != c]
+             for x in range(m) if x != r]
+    p = _laurent_from_wdet(det_poly(minor), m - 1)
+    return -p if (r + c) % 2 else p
 
 
 def join_poly(parts) -> Laurent:

@@ -30,10 +30,12 @@ class Diagram:
     """Immutable weighted graph with a vertex order.
 
     Edges are stored once per unordered pair with a nonzero integer weight;
-    an absent pair means weight 0.
+    an absent pair means weight 0.  The neighbor lists are built from the
+    edges on the first neighbors() call, not here: most diagrams (the
+    subgraphs of the expansions in coxeter) never need them.
     """
 
-    __slots__ = ("n", "labels", "order", "_w")
+    __slots__ = ("n", "labels", "order", "_w", "_nbrs")
 
     def __init__(self, n: int, edges=(), labels=None, order=None):
         _check_vertex_count(n)
@@ -53,6 +55,7 @@ class Diagram:
             if weight:
                 w[key] = weight
         self._w = w
+        self._nbrs = None
         self.labels = tuple(labels) if labels else tuple(str(i) for i in range(n))
         if len(self.labels) != n:
             raise DomainError("label count does not match vertex count")
@@ -72,13 +75,14 @@ class Diagram:
         return tuple(sorted((i, j, w) for (i, j), w in self._w.items()))
 
     def neighbors(self, i: int) -> tuple[int, ...]:
-        out = []
-        for (a, b), _ in self._w.items():
-            if a == i:
-                out.append(b)
-            elif b == i:
-                out.append(a)
-        return tuple(sorted(out))
+        """The vertices joined to i, ascending; () when i is no vertex."""
+        if self._nbrs is None:
+            nbrs: list[list[int]] = [[] for _ in range(self.n)]
+            for a, b in self._w:
+                nbrs[a].append(b)
+                nbrs[b].append(a)
+            self._nbrs = tuple(tuple(sorted(x)) for x in nbrs)
+        return self._nbrs[i] if 0 <= i < self.n else ()
 
     def degree(self, i: int) -> int:
         return len(self.neighbors(i))
@@ -138,8 +142,8 @@ class Diagram:
         return comps
 
     def is_tree(self) -> bool:
-        return (len(self.components()) == 1
-                and len(self._w) == self.n - 1) or self.n == 0
+        return (len(self._w) == self.n - 1
+                and len(self.components()) == 1) or self.n == 0
 
 
 def delete(d: Diagram, vertices) -> Diagram:

@@ -10,7 +10,9 @@ from hypothesis import strategies as st
 from coxkit.algebra import (BiLaurent, Laurent, Poly, RatFunc, TruncSeries,
                             _det_laplace, bezoutian, det_exact, mat_mul,
                             q_to_z, series_sqrt1p, wronskian, z_substitute)
-from coxkit.errors import ExactDivisionError, NotSymmetric, ZeroDenominator
+from coxkit.braid import laurent_to_t_poly, t_poly_to_laurent
+from coxkit.errors import (DomainError, ExactDivisionError, NotSymmetric,
+                           ZeroDenominator)
 
 laurents = st.dictionaries(st.integers(-4, 4), st.integers(-9, 9),
                            max_size=5).map(Laurent)
@@ -49,6 +51,41 @@ def test_q_to_z_rejects_asymmetric():
 @given(polys)
 def test_q_to_z_roundtrip(p):
     assert q_to_z(z_substitute(p)) == p
+
+
+def _substitution_cases() -> list[Poly]:
+    rng = random.Random(71)
+    fixed = [Poly.zero(), Poly.one(), Poly.const(-7), Poly.x(),
+             Poly([(-1) ** k * (k + 1) for k in range(49)]),
+             Poly([0] * 48 + [1])]
+    return fixed + [Poly([rng.randint(-9, 9) for _ in range(rng.randint(1, 20))])
+                    for _ in range(12)]
+
+
+def test_substitutions_match_sympy():
+    sympy = pytest.importorskip("sympy")
+    q, z = sympy.symbols("q z")
+    for p in _substitution_cases():
+        for sign, forward, back in ((1, z_substitute, q_to_z),
+                                    (-1, t_poly_to_laurent,
+                                     laurent_to_t_poly)):
+            expr = sympy.Poly(list(reversed(p.coeffs)) or [0], z).as_expr()
+            terms = sympy.Add.make_args(sympy.expand(expr.subs(z, q + sign / q)))
+            want = Laurent((int(e), int(c)) for c, e in
+                           (t.as_coeff_exponent(q) for t in terms))
+            assert forward(p) == want, (p, sign)
+            assert back(want) == p, (p, sign)
+
+
+def test_unsubstitution_keeps_its_errors():
+    with pytest.raises(NotSymmetric, match="not invariant under q -> 1/q"):
+        q_to_z(Laurent({2: 1, -2: 2}))
+    for bad in (Laurent.q(2), Laurent.q(-1), Laurent({1: 1, -1: 1}),
+                Laurent({3: 1, 1: -3, -1: 3, -3: 1})):
+        with pytest.raises(DomainError, match="not a polynomial in q - 1/q"):
+            laurent_to_t_poly(bad)
+    assert laurent_to_t_poly(Laurent({3: 1, 1: -3, -1: 3, -3: -1})) == \
+        Poly.x() ** 3
 
 
 # -- ring axioms ------------------------------------------------------------

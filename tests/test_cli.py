@@ -11,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from coxkit import cli, identities
+from coxkit import cfrac, cli, identities
 from coxkit.algebra import Laurent
 from coxkit.coxeter import char_poly, coxeter_poly
 from coxkit.diagram import MAX_VERTICES, build
@@ -65,6 +65,22 @@ def test_cfrac_formats(capsys):
     code, out = run_cli(capsys, "cfrac", "--diagram", "~A3",
                         "--format", "eval")
     assert code == 0 and "z" in out
+
+
+def test_cfrac_of_a_1000_vertex_path_needs_no_recursion(capsys):
+    # the expansion, its value and both renderers walk the tree from an
+    # explicit stack, so a path longer than the interpreter's recursion
+    # limit still works
+    outs = {}
+    for fmt in ("eval", "latex", "ascii"):
+        code, outs[fmt] = run_cli(capsys, "cfrac", "--diagram", "A1000",
+                                  "--format", fmt)
+        assert code == 0, fmt
+    want = cfrac.tree_ratio(build("A", 1000), 0).render("z")
+    assert outs["eval"].strip() == want
+    assert outs["latex"].count(r"\cfrac{1}{z") == 1000
+    lines = outs["ascii"].splitlines()
+    assert len(lines) == 1000 and lines[-1] == "  " * 999 + "1/(z)"
 
 
 def test_kostant_series_and_tables(capsys):

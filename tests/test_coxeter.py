@@ -552,6 +552,118 @@ def test_gate_sends_dense_cycle_spaces_to_bareiss(monkeypatch):
     assert calls == [10]
 
 
+def _oracle_crosses(d: Diagram, pivot: int, det) -> list:
+    """The crosses of schur_step(d, pivot) from signed minors of the
+    Coxeter matrix of d minus the pivot, each by det."""
+    rest = d.delete([pivot])
+    m = coxeter_matrix(rest)
+    keep = [v for v in range(d.n) if v != pivot]
+    pos = {v: rest.order.index(k) for k, v in enumerate(keep)}
+    nbrs = [v for v in d.neighbors(pivot) if d.weight(pivot, v)]
+    out = []
+    for i in nbrs:
+        for j in nbrs:
+            if i == j:
+                continue
+            pi, pj = pos[i], pos[j]
+            minor = [[m[r][c] for c in range(rest.n) if c != pj]
+                     for r in range(rest.n) if r != pi]
+            p = det(minor)
+            if (pi + pj) % 2:
+                p = -p
+            if not p.is_zero:
+                out.append(((i, j), d.weight(pivot, i) * d.weight(pivot, j),
+                            p))
+    return out
+
+
+def _graphs_by_cyclomatic(rng, sizes, orders: int) -> list[Diagram]:
+    """Random graphs of cyclomatic number 0-6, weights 1-3, each in
+    several shuffled vertex orders."""
+    out = []
+    for c in range(7):
+        for n in sizes:
+            if (n - 1) * n // 2 >= n - 1 + c:
+                t = random_tree(rng, n, (1, 2, 3))
+                edges = {(i, j): w for i, j, w in t.edges()}
+                while len(edges) < n - 1 + c:
+                    i, j = sorted(rng.sample(range(n), 2))
+                    edges.setdefault((i, j), rng.randint(1, 3))
+                d = _relabel(rng, Diagram(n, edges))
+                out += [d.with_order(rng.sample(range(n), n))
+                        for _ in range(orders)]
+    return out
+
+
+def _gate_sides(graphs) -> set:
+    """Which sides of the gate the crosses of these graphs take."""
+    sides = set()
+    for d in graphs:
+        for pivot in range(d.n):
+            rest = d.delete([pivot])
+            c = len(_cyclomatic(rest.n, rest.edges()))
+            sides.add(c > coxeter._EXPAND_MAX)
+    return sides
+
+
+def test_cross_minors_match_laplace_up_to_7_vertices():
+    graphs = _graphs_by_cyclomatic(random.Random(59), (4, 5, 6, 7), 2)
+    assert _gate_sides(graphs) == {False, True}
+    for d in graphs:
+        for pivot in range(d.n):
+            st_ = schur_step(d, pivot)
+            assert list(st_.crosses) == _oracle_crosses(d, pivot,
+                                                        _det_laplace), d
+            assert st_.residual.is_zero
+
+
+def test_cross_minors_match_bareiss_on_8_to_10_vertices():
+    graphs = _graphs_by_cyclomatic(random.Random(61), (8, 10), 1)
+    assert _gate_sides(graphs) == {False, True}
+    for d in graphs:
+        for pivot in range(d.n):
+            st_ = schur_step(d, pivot)
+            assert list(st_.crosses) == _oracle_crosses(d, pivot,
+                                                        det_exact), d
+
+
+def test_cross_minors_of_two_components_are_skipped():
+    # deleting the pivot of a bowtie leaves two triangles' edges apart
+    bowtie = Diagram(5, [((0, 1), 1), ((1, 2), 2), ((0, 2), 1),
+                         ((0, 3), 3), ((3, 4), 1), ((0, 4), 1)])
+    pairs = {pair for pair, _, _ in schur_step(bowtie, 0).crosses}
+    assert pairs == {(1, 2), (2, 1), (3, 4), (4, 3)}
+
+
+def test_schur_step_takes_paths_below_the_gate(monkeypatch):
+    rng = random.Random(67)
+    graphs = _graphs_by_cyclomatic(rng, (6, 9), 1)
+    calls = _counting_bareiss(monkeypatch)
+    totals_above = 0
+    for d in graphs:
+        for pivot in range(d.n):
+            rest = d.delete([pivot])
+            if len(_cyclomatic(rest.n, rest.edges())) > coxeter._EXPAND_MAX:
+                continue
+            coxeter._coxeter_poly.cache_clear()
+            calls.clear()
+            assert schur_step(d, pivot).residual.is_zero
+            # only the total, of d itself, may go above the gate
+            above = len(_cyclomatic(d.n, d.edges())) > coxeter._EXPAND_MAX
+            assert calls == ([d.n] if above else []), d
+            totals_above += above
+    assert totals_above
+
+
+def test_schur_step_returns_on_k10(monkeypatch):
+    k10 = Diagram(10, {(i, j): 1 for i in range(10) for j in range(i + 1, 10)})
+    calls = _counting_bareiss(monkeypatch)
+    st_ = schur_step(k10, 0)
+    assert st_.residual.is_zero
+    assert st_.total == det_exact(coxeter_matrix(k10))
+    assert len(st_.crosses) == 72 and calls
+
+
 # -- path sums and walks ------------------------------------------------------
 
 def test_path_sum_diagonal():

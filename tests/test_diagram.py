@@ -46,6 +46,52 @@ def test_families_have_unit_weights_and_right_sizes():
             assert all(w == 1 for (_, _, w) in d.edges())
 
 
+def _scan_neighbors(d: Diagram, i: int) -> tuple[int, ...]:
+    """Brute force: every edge scanned for an end at i."""
+    return tuple(sorted([b for a, b, _ in d.edges() if a == i]
+                        + [a for a, b, _ in d.edges() if b == i]))
+
+
+def _scan_components(d: Diagram) -> list[tuple[int, ...]]:
+    """Brute force: merge edge ends until nothing changes."""
+    comp = list(range(d.n))
+    changed = True
+    while changed:
+        changed = False
+        for a, b, _ in d.edges():
+            lo = min(comp[a], comp[b])
+            if comp[a] != lo or comp[b] != lo:
+                comp[a] = comp[b] = lo
+                changed = True
+    return sorted(tuple(v for v in range(d.n) if comp[v] == c)
+                  for c in set(comp))
+
+
+def test_neighbors_match_an_edge_scan_on_random_graphs():
+    rng = random.Random(73)
+    for _ in range(60):
+        n = rng.randint(0, 14)
+        pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+        chosen = rng.sample(pairs, rng.randint(0, len(pairs)))
+        d = Diagram(n, {p: rng.choice((-2, 1, 3)) for p in chosen},
+                    order=rng.sample(range(n), n))
+        for i in range(-1, n + 1):
+            assert d.neighbors(i) == _scan_neighbors(d, i), (d, i)
+            assert d.degree(i) == len(_scan_neighbors(d, i))
+        assert d.components() == _scan_components(d)
+        assert d.is_tree() == (n == 0 or (len(d.edges()) == n - 1
+                                          and len(_scan_components(d)) == 1))
+        # the lists are built on demand and change neither equality nor hash
+        fresh = Diagram(n, {(i, j): w for i, j, w in d.edges()}, order=d.order)
+        assert fresh == d and hash(fresh) == hash(d)
+
+
+def test_is_tree_and_neighbors_of_a_1000_vertex_path():
+    d = build("A", 1000)
+    assert d.is_tree() and len(d.components()) == 1
+    assert d.neighbors(0) == (1,) and d.neighbors(500) == (499, 501)
+
+
 def test_delete_middle_of_path():
     d = build("A", 3).delete([1])
     assert d.n == 2 and d.edges() == ()
