@@ -2,9 +2,10 @@
 
 Integer Laurent polynomials in one variable (sparse), dense integer
 polynomials (the z-world), integer Laurent polynomials in two variables
-(x, y), truncated power series with rational coefficients, and rational
-functions kept in reduced canonical form.  All values are immutable and
-every operation is exact; no floating point enters anywhere.
+(x, y), truncated power series with rational coefficients (integer
+numerators over one common denominator), and rational functions kept in
+reduced canonical form.  All values are immutable and every operation is
+exact; no floating point enters anywhere.
 
 The two sparse kinds, Laurent and BiLaurent, share one base (_Sparse)
 for construction, addition, integer scaling, equality and hashing.
@@ -15,6 +16,8 @@ product or division is needed.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, lcm
+from operator import mul
 from typing import Iterable, Mapping, Sequence, Union
 
 from .errors import (DomainError, ExactDivisionError, NotSymmetric,
@@ -77,22 +80,8 @@ def _list_exact_div(a: Sequence[int], b: Sequence[int]) -> tuple[int, ...]:
     return _trim(quot)
 
 
-def _content(a: Sequence[int]) -> int:
-    g = 0
-    for x in a:
-        g = _gcd_int(g, x)
-    return g
-
-
-def _gcd_int(a: int, b: int) -> int:
-    a, b = abs(a), abs(b)
-    while b:
-        a, b = b, a % b
-    return a
-
-
 def _primitive(a: Sequence[int]) -> tuple[int, ...]:
-    c = _content(a)
+    c = gcd(*a)
     if c in (0, 1):
         return tuple(a)
     return tuple(x // c for x in a)
@@ -123,7 +112,7 @@ def _list_gcd(a: Sequence[int], b: Sequence[int]) -> tuple[int, ...]:
     elif not b:
         g = list(a)
     else:
-        cont = _gcd_int(_content(a), _content(b))
+        cont = gcd(*a, *b)
         f, g2 = _primitive(a), _primitive(b)
         if len(f) < len(g2):
             f, g2 = g2, f
@@ -237,7 +226,7 @@ class Poly:
         return p
 
     def content(self) -> int:
-        return _content(self._c)
+        return gcd(*self._c)
 
     def gcd(self, other: "Poly") -> "Poly":
         p = Poly.__new__(Poly)
@@ -743,21 +732,38 @@ def wronskian(f: Laurent, g: Laurent) -> Laurent:
 class TruncSeries:
     """Power series in one variable truncated at a fixed order.
 
-    Coefficients are exact Fractions of u^0 .. u^order; all arithmetic is
-    closed at that order.
+    The coefficients of u^0 .. u^order are integer numerators over one
+    positive common denominator, kept in lowest terms: a product is one
+    integer convolution, and equal series have equal fields.  All
+    arithmetic is exact and closed at the order.
     """
 
-    __slots__ = ("order", "_c")
+    __slots__ = ("order", "_n", "_d")
 
     DEFAULT_ORDER = 32
 
     def __init__(self, order: int, coeffs: Iterable[Fraction | int] = ()):
         if order < 0:
             raise ValueError("order must be >= 0")
-        self.order = order
         c = [Fraction(x) for x in coeffs][: order + 1]
-        c += [Fraction(0)] * (order + 1 - len(c))
-        self._c = c
+        # over the lcm of reduced denominators no prime divides them all
+        den = lcm(*(x.denominator for x in c))
+        self.order = order
+        self._n = [x.numerator * (den // x.denominator) for x in c]
+        self._n += [0] * (order + 1 - len(c))
+        self._d = den
+
+    @staticmethod
+    def _of(order: int, nums: list[int], den: int) -> "TruncSeries":
+        """nums / den (den nonzero) in lowest terms with den > 0."""
+        g = gcd(den, *nums)
+        if den < 0:
+            g = -g
+        out = _new(TruncSeries)
+        out.order = order
+        out._n = nums if g == 1 else [x // g for x in nums]
+        out._d = den // g
+        return out
 
     @staticmethod
     def zero(order: int) -> "TruncSeries":
@@ -773,66 +779,82 @@ class TruncSeries:
 
     @property
     def coeffs(self) -> tuple[Fraction, ...]:
-        return tuple(self._c)
+        return tuple(Fraction(x, self._d) for x in self._n)
 
     def coeff(self, k: int) -> Fraction:
-        return self._c[k] if 0 <= k <= self.order else Fraction(0)
+        if 0 <= k <= self.order:
+            return Fraction(self._n[k], self._d)
+        return Fraction(0)
 
     def _match(self, other: "TruncSeries") -> int:
         if self.order != other.order:
             raise ValueError("series truncated at different orders")
         return self.order
 
-    def __add__(self, other: "TruncSeries") -> "TruncSeries":
+    def _plus(self, other: "TruncSeries", sign: int) -> "TruncSeries":
         n = self._match(other)
-        return TruncSeries(n, [a + b for a, b in zip(self._c, other._c)])
+        g = gcd(self._d, other._d)
+        sa, sb = other._d // g, sign * (self._d // g)
+        return TruncSeries._of(n, [a * sa + b * sb for a, b
+                                   in zip(self._n, other._n)], self._d * sa)
+
+    def __add__(self, other: "TruncSeries") -> "TruncSeries":
+        return self._plus(other, 1)
 
     def __sub__(self, other: "TruncSeries") -> "TruncSeries":
-        n = self._match(other)
-        return TruncSeries(n, [a - b for a, b in zip(self._c, other._c)])
+        return self._plus(other, -1)
 
     def __neg__(self) -> "TruncSeries":
-        return TruncSeries(self.order, [-a for a in self._c])
+        return TruncSeries._of(self.order, [-a for a in self._n], self._d)
 
     def __mul__(self, other: Union["TruncSeries", int, Fraction]) -> "TruncSeries":
         if isinstance(other, (int, Fraction)):
-            return TruncSeries(self.order, [a * other for a in self._c])
+            f = Fraction(other)
+            return TruncSeries._of(self.order,
+                                   [a * f.numerator for a in self._n],
+                                   self._d * f.denominator)
         n = self._match(other)
-        out = [Fraction(0)] * (n + 1)
-        for i, a in enumerate(self._c):
-            if a:
-                for j in range(0, n + 1 - i):
-                    b = other._c[j]
-                    if b:
-                        out[i + j] += a * b
-        return TruncSeries(n, out)
+        a, b = self._n, other._n
+        out = [sum(map(mul, a[: k + 1], b[k::-1])) for k in range(n + 1)]
+        return TruncSeries._of(n, out, self._d * other._d)
 
     __rmul__ = __mul__
 
     def __eq__(self, other: object) -> bool:
         return (isinstance(other, TruncSeries) and self.order == other.order
-                and self._c == other._c)
+                and self._d == other._d and self._n == other._n)
 
     def __hash__(self) -> int:
-        return hash(("TruncSeries", self.order, tuple(self._c)))
+        return hash(("TruncSeries", self.order, self._d, tuple(self._n)))
 
     @property
     def is_zero(self) -> bool:
-        return all(a == 0 for a in self._c)
+        return not any(self._n)
 
     def inverse(self) -> "TruncSeries":
-        """Multiplicative inverse; requires a nonzero constant term."""
-        if self._c[0] == 0:
+        """Multiplicative inverse; requires a nonzero constant term.
+
+        With numerators a and a0 = a[0], 1/a has the coefficients
+        c_k / a0^(k+1) for the integers c_0 = 1 and
+        c_k = -sum_(i=1..k) a_i a0^(i-1) c_(k-i); the inverse of a/d is
+        d/a, brought over the one denominator a0^(order+1)."""
+        a = self._n
+        a0 = a[0]
+        if a0 == 0:
             raise ZeroDenominator("series with zero constant term")
         n = self.order
-        inv = [Fraction(0)] * (n + 1)
-        inv[0] = 1 / self._c[0]
+        scaled, power = [0], 1
+        for x in a[1:]:
+            scaled.append(x * power)
+            power *= a0
+        c = [1]
         for k in range(1, n + 1):
-            s = Fraction(0)
-            for i in range(1, k + 1):
-                s += self._c[i] * inv[k - i]
-            inv[k] = -s / self._c[0]
-        return TruncSeries(n, inv)
+            c.append(-sum(map(mul, scaled[1: k + 1], c[::-1])))
+        nums, power = [0] * (n + 1), self._d
+        for k in range(n, -1, -1):
+            nums[k] = c[k] * power
+            power *= a0
+        return TruncSeries._of(n, nums, power // self._d)
 
     def compose_poly(self, coeffs: Sequence[int | Fraction]) -> "TruncSeries":
         """Evaluate the polynomial sum c_k t^k at t = self (Horner)."""
@@ -842,7 +864,8 @@ class TruncSeries:
         return acc
 
     def render(self, var: str = "u") -> str:
-        return _render_terms([(k, c) for k, c in enumerate(self._c) if c], var)
+        return _render_terms([(k, Fraction(x, self._d))
+                              for k, x in enumerate(self._n) if x], var)
 
     def __repr__(self) -> str:
         return f"TruncSeries({self.render()} + O(u^{self.order + 1}))"
@@ -972,7 +995,7 @@ def _reduce_pair(num: Poly, den: Poly) -> tuple[Poly, Poly]:
     if g.degree > 0 or abs(g.lead) > 1:
         num = num.exact_div(g)
         den = den.exact_div(g)
-    c = _gcd_int(num.content(), den.content())
+    c = gcd(num.content(), den.content())
     if c > 1:
         num = Poly(tuple(x // c for x in num.coeffs))
         den = Poly(tuple(x // c for x in den.coeffs))

@@ -20,6 +20,11 @@ from .errors import (DomainError, NotPure, StrandMismatch, UnknownClosure)
 
 Word = tuple[int, ...]
 
+# The largest series order the command line accepts.  Series work grows
+# with a power of the order (levin_check roughly with its cube), and every
+# order in the suites and the benchmark is at most 40.
+MAX_ORDER = 64
+
 
 # ---------------------------------------------------------------------------
 # braid words
@@ -404,6 +409,36 @@ def magnus(word: Sequence[int], nvars: int, order: int) -> MagnusSeries:
     return MagnusSeries(nvars, order, acc)
 
 
+def _ending_in_1(word: Sequence[int], order: int) -> list[int]:
+    """For m = 0..order, the sum of the Magnus coefficients of the words of
+    length m that end in u_1, without expanding the series.
+
+    T is the image of the series under u_i -> t, a truncated integer
+    polynomial, and E the part of T that comes from words ending in u_1.
+    A letter x_i multiplies on the right by 1 + u_i: T becomes T (1 + t),
+    and for i = 1 the new words w u_1 add t T to E.  A letter x_i^-1
+    multiplies by the geometric series in -u_i: T becomes T' = T / (1 + t),
+    an alternating running sum, and for i = 1 the terms that grew a tail
+    of u_1's add T' - T to E.
+    """
+    tot = [1] + [0] * order
+    end = [0] * (order + 1)
+    for letter in word:
+        if letter > 0:
+            new = tot[:1] + [a + b for a, b in zip(tot[1:], tot)]
+            if letter == 1:
+                end = [0] + [a + b for a, b in zip(end[1:], tot)]
+        else:
+            new, run = [], 0
+            for c in tot:
+                run = c - run
+                new.append(run)
+            if letter == -1:
+                end = [e + a - b for e, a, b in zip(end, new, tot)]
+        tot = new
+    return end
+
+
 # ---------------------------------------------------------------------------
 # Milnor invariants
 # ---------------------------------------------------------------------------
@@ -510,8 +545,9 @@ def levin_check(b: BraidWord, order: int,
     Vertical closure over horizontal closure, expanded in u through the
     substitution q - 1/q = u (1+u)^(-1/2), must equal
     (1+u)^(1/2) * sum_k (sum over index words mu_{i_1..i_k,1,1}) u^(k+1).
-    Closure polynomials default to the torus catalog (the horizontal
-    closure of any pure 2-braid is an unknot).
+    The inner sums come from the longitude of strand 1 by _ending_in_1,
+    with no Magnus expansion.  Closure polynomials default to the torus
+    catalog (the horizontal closure of any pure 2-braid is an unknot).
     """
     if b.strands != 2:
         raise DomainError("the series identity is implemented for 2 strands")
@@ -528,12 +564,7 @@ def levin_check(b: BraidWord, order: int,
     t_series = TruncSeries.u(order) * sqrt.inverse()
     lhs = t_series.compose_poly(conway_v.coeffs) * \
         t_series.compose_poly(conway_h.coeffs).inverse()
-    series = magnus(longitudes(b)[0], 2, order)
-    sums = [0] * (order + 1)
-    for word, coeff in series.items():
-        if word and word[-1] == 1 and len(word) <= order:
-            sums[len(word)] += coeff
-    rhs = sqrt * TruncSeries(order, sums)
+    rhs = sqrt * TruncSeries(order, _ending_in_1(longitudes(b)[0], order))
     residual = lhs - rhs
     degenerate = conway_v.is_zero
     return LevinReport(lhs, rhs, residual.is_zero, degenerate)

@@ -18,15 +18,60 @@ from .diagram import Diagram
 from .errors import BadRank, DomainError, NotATree, UnknownVertex, ZeroDenominator
 
 
-@dataclass(frozen=True)
-class Closing:
+class _Node:
+    """Equality and hashing by explicit stacks, so that a path of any
+    length compares and hashes without recursion."""
+
+    __slots__ = ()
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, _Node):
+            return NotImplemented
+        stack = [(self, other)]
+        while stack:
+            a, b = stack.pop()
+            if type(a) is not type(b):
+                return False
+            if isinstance(a, Closing):
+                if a.value != b.value:
+                    return False
+            elif len(a.children) != len(b.children):
+                return False
+            else:
+                for (wa, ca), (wb, cb) in zip(a.children, b.children):
+                    if wa != wb:
+                        return False
+                    stack.append((ca, cb))
+        return True
+
+    def __hash__(self) -> int:
+        tour, stack = [], [self]
+        while stack:
+            node = stack.pop()
+            tour.append(node)
+            if isinstance(node, Branch):
+                stack.extend(c for _, c in node.children)
+        # children come after their parent in the tour, so before it here
+        hashes: dict[int, int] = {}
+        for node in reversed(tour):
+            if isinstance(node, Closing):
+                h = hash(("Closing", node.value))
+            else:
+                h = hash(("Branch", tuple((w, hashes[id(c)])
+                                          for w, c in node.children)))
+            hashes[id(node)] = h
+        return hashes[id(self)]
+
+
+@dataclass(frozen=True, eq=False)
+class Closing(_Node):
     """Terminal node: contributes 1/r to the enclosing denominator."""
 
     value: RatFunc
 
 
-@dataclass(frozen=True)
-class Branch:
+@dataclass(frozen=True, eq=False)
+class Branch(_Node):
     """Inner node: value 1 / (z - sum of weighted child values)."""
 
     children: tuple[tuple[int, Union["Branch", Closing]], ...] = ()

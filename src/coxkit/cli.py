@@ -14,6 +14,7 @@ import argparse
 import json
 import os
 import random
+import shlex
 import sys
 import time
 from dataclasses import dataclass, field
@@ -494,7 +495,8 @@ def verify_levin(cfg: RunConfig):
                               ("neg-hopf-12", (-1, -1), 12),
                               ("identity-8", (), 8)]:
         rep = braid.levin_check(braid.BraidWord(2, word), order)
-        out.append(_report_case("levin", name, rep.holds))
+        terms = sum(1 for c in (rep.lhs - rep.rhs).coeffs if c)
+        out.append(_report_case("levin", name, rep.holds, terms))
     return out
 
 
@@ -721,8 +723,8 @@ def run_kostant(cfg: RunConfig) -> int:
 
 
 def run_braid(cfg: RunConfig) -> int:
-    if cfg.order < 0:
-        raise UsageError("--order must be at least 0")
+    if not 0 <= cfg.order <= braid.MAX_ORDER:
+        raise UsageError(f"--order must be in 0..{braid.MAX_ORDER}")
     word = braid.BraidWord.parse(cfg.word, cfg.strands)
     mode = cfg.mode
     if mode == "burau":
@@ -783,6 +785,21 @@ def _time_cases(cases: list[CaseResult], start: float) -> None:
         prev = c.done_at
 
 
+def _rerun_command(cfg: RunConfig, suite: str) -> str:
+    """The command line that runs a failing case's suite again."""
+    if cfg.command == "kostant":
+        return (f"coxkit kostant --type {shlex.quote(cfg.type_spec)} "
+                f"--verify {cfg.verify_which}")
+    words = ["coxkit", "verify", suite, "--seed", str(cfg.seed)]
+    if cfg.diagram_spec:
+        words += ["--diagram", shlex.quote(cfg.diagram_spec)]
+    if cfg.random_trees != RunConfig.random_trees:
+        words += ["--random-trees", str(cfg.random_trees)]
+    if cfg.max_vertices != RunConfig.max_vertices:
+        words += ["--max-vertices", str(cfg.max_vertices)]
+    return " ".join(words)
+
+
 def _print_cases(cfg: RunConfig, cases: list[CaseResult]) -> int:
     cases.sort(key=lambda c: (c.suite, c.case))
     for c in cases:
@@ -792,9 +809,11 @@ def _print_cases(cfg: RunConfig, cases: list[CaseResult]) -> int:
             if cfg.timings:
                 record["elapsed_ms"] = round(c.elapsed_ms, 3)
             _emit(record)
+        elif c.holds:
+            print(f"[ok ] {c.suite}: {c.case}")
         else:
-            mark = "ok " if c.holds else "FAIL"
-            print(f"[{mark}] {c.suite}: {c.case}")
+            print(f"[FAIL] {c.suite}: {c.case}")
+            print(f"       rerun: {_rerun_command(cfg, c.suite)}")
     bad = sum(1 for c in cases if not c.holds)
     if not cfg.json_out:
         print(f"{len(cases) - bad}/{len(cases)} checks hold")

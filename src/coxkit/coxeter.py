@@ -387,7 +387,9 @@ def schur_step(d: Diagram, pivot: int) -> SchurStep:
     """Pivot on one vertex: head z, squared-weight branch terms, and signed
     cross cofactors of the pivot-deleted matrix.  Each cross cofactor is a
     path sum (_cross_minor), or a Bareiss minor when the pivot-deleted
-    graph is above the gate of coxeter_poly."""
+    graph is above the gate of coxeter_poly.  The matrix is its own
+    transpose under q -> 1/q, so cross(j, i) is cross(i, j).bar() and each
+    unordered pair is computed once."""
     dp = pivot_first(d, pivot)
     total = coxeter_poly(dp)
     rest = d.delete([pivot])
@@ -404,15 +406,19 @@ def schur_step(d: Diagram, pivot: int) -> SchurStep:
         pos = {x: p for p, x in enumerate(rest.order)}
         dense = len(_cyclomatic(rest.n, rest.edges())) > _EXPAND_MAX
         w1 = _w_matrix(rest) if dense else None
+        done: dict[tuple[int, int], Laurent] = {}
         for i in nbrs:
             for j in nbrs:
                 if i == j:
                     continue
                 ri, rj = new_index[i], new_index[j]
-                if dense:
+                if (j, i) in done:
+                    p = done[j, i].bar()
+                elif dense:
                     p = _bareiss_cofactor(w1, pos[ri], pos[rj])
                 else:
                     p = _cross_minor(rest, ri, rj, pos)
+                done[i, j] = p
                 if not p.is_zero:
                     crosses.append(((i, j),
                                     d.weight(pivot, i) * d.weight(pivot, j), p))

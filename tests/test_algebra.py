@@ -353,3 +353,133 @@ def test_render_ascending_with_caret_exponents():
     assert p.render() == "q^-2 - 3 + q^2"
     assert Poly((-1, 0, 1)).render() == "-1 + z^2"
     assert Laurent.zero().render() == "0"
+
+
+# -- TruncSeries on integer numerators against plain Fraction lists --------------
+
+def _frac_mul(a, b, n):
+    return [sum((a[i] * b[k - i] for i in range(k + 1)), Fraction(0))
+            for k in range(n + 1)]
+
+
+def _frac_inverse(a, n):
+    inv = [1 / a[0]]
+    for k in range(1, n + 1):
+        inv.append(-sum((a[i] * inv[k - i] for i in range(1, k + 1)),
+                        Fraction(0)) / a[0])
+    return inv
+
+
+def _frac_compose(t, coeffs, n):
+    acc = [Fraction(0)] * (n + 1)
+    for c in reversed(coeffs):
+        acc = _frac_mul(acc, t, n)
+        acc[0] += c
+    return acc
+
+
+def _rand_fractions(rng, n, unit=False):
+    out = [Fraction(rng.randint(-9, 9), rng.randint(1, 12))
+           for _ in range(n + 1)]
+    if rng.random() < 0.3:
+        out[rng.randrange(n + 1)] = Fraction(0)
+    if unit and out[0] == 0:
+        out[0] = Fraction(-3, 4)
+    return out
+
+
+def test_series_arithmetic_matches_fraction_lists():
+    rng = random.Random(71)
+    for _ in range(150):
+        n = rng.randint(0, 10)
+        a, b = _rand_fractions(rng, n), _rand_fractions(rng, n, unit=True)
+        sa, sb = TruncSeries(n, a), TruncSeries(n, b)
+        assert sa.coeffs == tuple(a)
+        assert (sa * sb).coeffs == tuple(_frac_mul(a, b, n))
+        assert (sa + sb).coeffs == tuple(x + y for x, y in zip(a, b))
+        assert (sa - sb).coeffs == tuple(x - y for x, y in zip(a, b))
+        assert (-sa).coeffs == tuple(-x for x in a)
+        f = Fraction(rng.randint(-5, 5), rng.randint(1, 6))
+        assert (sa * f).coeffs == (f * sa).coeffs == tuple(x * f for x in a)
+        assert sb.inverse().coeffs == tuple(_frac_inverse(b, n))
+        poly = [Fraction(rng.randint(-4, 4), rng.randint(1, 3))
+                for _ in range(rng.randint(0, 5))]
+        assert sa.compose_poly(poly).coeffs == tuple(_frac_compose(a, poly, n))
+
+
+def test_series_inverse_and_compose_match_sympy():
+    sympy = pytest.importorskip("sympy")
+    u = sympy.symbols("u")
+    rng = random.Random(73)
+
+    def truncated(expr, n):
+        poly = sympy.Poly(sympy.series(expr, u, 0, n + 1).removeO(), u)
+        return tuple(Fraction(int(c.p), int(c.q))
+                     for c in (poly.coeff_monomial(u ** k)
+                               for k in range(n + 1)))
+
+    def as_expr(coeffs):
+        return sum(sympy.Rational(c.numerator, c.denominator) * u ** k
+                   for k, c in enumerate(coeffs))
+
+    for n in (0, 1, 5, 12):
+        s = series_sqrt1p(n)
+        assert s.coeffs == truncated(sympy.sqrt(1 + u), n)
+        assert s.inverse().coeffs == truncated(1 / sympy.sqrt(1 + u), n)
+        t = TruncSeries.u(n) * s.inverse()
+        assert t.compose_poly((0, -1, 0, 1)).coeffs == truncated(
+            -u / sympy.sqrt(1 + u) + (u / sympy.sqrt(1 + u)) ** 3, n)
+    for _ in range(5):
+        n = rng.randint(0, 6)
+        a, b = _rand_fractions(rng, n), _rand_fractions(rng, n, unit=True)
+        sa, sb = TruncSeries(n, a), TruncSeries(n, b)
+        assert sb.inverse().coeffs == truncated(1 / as_expr(b), n)
+        assert (sa * sb.inverse()).coeffs == truncated(
+            as_expr(a) / as_expr(b), n)
+        poly = [Fraction(rng.randint(-4, 4), rng.randint(1, 3))
+                for _ in range(rng.randint(1, 4))]
+        want = sum((sympy.Rational(c.numerator, c.denominator)
+                    * as_expr(a) ** k for k, c in enumerate(poly)),
+                   sympy.Integer(0))
+        assert sa.compose_poly(poly).coeffs == truncated(want, n)
+
+
+def test_series_equality_and_hash_ignore_the_spelling():
+    a = TruncSeries(4, (Fraction(2, 4), 1, Fraction(-6, 3)))
+    b = TruncSeries(4, [Fraction(1, 2), Fraction(3, 3), -2, 0, 0])
+    c = TruncSeries(4, (Fraction(1, 2), 1, -2, Fraction(0, 7)))
+    d = (a * Fraction(6, 7) + TruncSeries(4, (Fraction(1, 3),))) * \
+        Fraction(7, 6) - TruncSeries(4, (Fraction(7, 18),))
+    assert a == b == c == d
+    assert len({hash(a), hash(b), hash(c), hash(d)}) == 1
+    assert len({a, b, c, d}) == 1
+    assert a.coeffs == (Fraction(1, 2), 1, -2, 0, 0)
+    ints = TruncSeries(3, (2, -4, 6))
+    assert ints == TruncSeries(3, (Fraction(4, 2), Fraction(-8, 2), 6, 0))
+    assert ints == TruncSeries(3, (1, -2, 3)) * 2
+    assert hash(ints) == hash(TruncSeries(3, (1, -2, 3)) * 2)
+    zero = a - b
+    assert zero.is_zero and zero == TruncSeries.zero(4)
+    assert hash(zero) == hash(TruncSeries.zero(4))
+    assert a != TruncSeries(3, (Fraction(1, 2), 1, -2))
+    assert a != a.coeffs
+    for n in (3, 4):  # odd and even powers of a negative constant term
+        inv = TruncSeries(n, (-3, 1, Fraction(2, 5))).inverse()
+        assert inv == TruncSeries(n, inv.coeffs)
+        assert hash(inv) == hash(TruncSeries(n, inv.coeffs))
+
+
+def test_series_keeps_its_surface():
+    s = TruncSeries(3, (Fraction(1, 2), 0, -1, Fraction(3, 4), 5))
+    assert s.render() == "1/2 - u^2 + 3/4*u^3"
+    assert repr(s) == "TruncSeries(1/2 - u^2 + 3/4*u^3 + O(u^4))"
+    assert s.coeff(3) == Fraction(3, 4) and s.coeff(7) == 0
+    assert s.coeff(-1) == 0
+    assert all(isinstance(c, Fraction) for c in s.coeffs)
+    with pytest.raises(ValueError):
+        TruncSeries(-1)
+    for op in ("__add__", "__sub__", "__mul__"):
+        with pytest.raises(ValueError):
+            getattr(s, op)(TruncSeries.one(4))
+    with pytest.raises(ZeroDenominator):
+        TruncSeries(3, (0, Fraction(1, 2))).inverse()

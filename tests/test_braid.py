@@ -1,5 +1,6 @@
 """Burau representation, Artin action, Milnor invariants, series identity."""
 
+import hashlib
 import random
 import re
 from itertools import product
@@ -8,8 +9,8 @@ import pytest
 
 from coxkit.algebra import (Laurent, Poly, RatFunc, TruncSeries, mat_eq,
                             mat_mul)
-from coxkit.braid import (BraidWord, MagnusSeries, artin_action, burau,
-                          conway_torus2, det_one_minus, det_ratio,
+from coxkit.braid import (BraidWord, MagnusSeries, _ending_in_1, artin_action,
+                          burau, conway_torus2, det_one_minus, det_ratio,
                           free_reduce, laurent_to_t_poly, levin_check,
                           linking_matrix, longitudes, magnus, milnor,
                           t_poly_to_laurent, unit_match)
@@ -469,3 +470,82 @@ def test_levin_requires_two_pure_strands():
         levin_check(BraidWord(2, (1,)), 8)
     with pytest.raises(DomainError):
         levin_check(BraidWord(3, (1, 1)), 8)
+
+
+# -- levin_check without the Magnus expansion -----------------------------------
+
+def _magnus_sums(word, nvars, order):
+    """The oracle: expand the series and sum the coefficients of the words
+    ending in u_1 by length."""
+    sums = [0] * (order + 1)
+    for w, c in magnus(word, nvars, order).items():
+        if w and w[-1] == 1:
+            sums[len(w)] += c
+    return sums
+
+
+def test_ending_in_1_matches_magnus_sums():
+    rng = random.Random(83)
+    checked = set()
+    for nvars in (2, 3, 4):
+        letters = [g for i in range(1, nvars + 1) for g in (i, -i)]
+        for last in letters:
+            for _ in range(4):
+                body = [rng.choice(letters) for _ in range(rng.randint(0, 6))]
+                word = tuple(body) + (last,)
+                order = rng.randint(0, 12)
+                assert _ending_in_1(word, order) == \
+                    _magnus_sums(word, nvars, order), (word, order)
+                checked.add(last)
+    assert checked == {g for i in range(1, 5) for g in (i, -i)}
+    for order in range(13):
+        assert _ending_in_1((), order) == [0] * (order + 1)
+        assert _ending_in_1((-1,) * 3, order) == _magnus_sums((-1,) * 3, 2,
+                                                              order)
+    for b in (BraidWord(2, (1, 1)), BraidWord(2, (-1,) * 4),
+              BraidWord(2, (1,) * 6)):
+        lon = longitudes(b)[0]
+        assert _ending_in_1(lon, 12) == _magnus_sums(lon, 2, 12)
+
+
+def _digest(series):
+    return hashlib.sha256(",".join(str(c) for c in series.coeffs)
+                          .encode()).hexdigest()[:16]
+
+
+# sha256 prefixes of ",".join(str(c) for c in lhs.coeffs) at the commit
+# before levin_check dropped the Magnus expansion, where the rhs gave the
+# same text.  At order 40 that commit ran out of memory (2 GB) on the rhs
+# of s1^-6, s1^-8 and s1^-10; those three digests are of its lhs alone.
+LEVIN_DIGESTS = {
+    2: ("5feceb66ffc86f38", "c381e5db8b5efc47", "f0ae027c1d6fdb85",
+        "f8980f4b52e16ed1"),
+    4: ("5feceb66ffc86f38", "b3ea2fe7b8ed03c1", "4d6cd9046273c666",
+        "4f902260084ecbcb"),
+    6: ("5feceb66ffc86f38", "6139a1214e01d500", "46d0b90fc761b0a3",
+        "1489dc9dbe9613c2"),
+    8: ("5feceb66ffc86f38", "a3c43f4e5489b4c2", "98bbf6c5658efde8",
+        "f64a6a5b4531e10a"),
+    10: ("5feceb66ffc86f38", "b77c90bce240d5e7", "bf6b4f1f9ce7d621",
+         "b72d9b1e4e06b31a"),
+    -2: ("5feceb66ffc86f38", "83b97b859aa5f81b", "b9d43d090d37de68",
+         "33e49a058ab7d725"),
+    -4: ("5feceb66ffc86f38", "a7841ea775e1dff3", "99671fc4ea8949e7",
+         "5c1952187334f679"),
+    -6: ("5feceb66ffc86f38", "f338800d71eae1d6", "09d804a638694efe",
+         "55a43f8ff9afd648"),
+    -8: ("5feceb66ffc86f38", "d20465aa92ad20bd", "343d62b8a93fa8bf",
+         "0a892183a1e6e60d"),
+    -10: ("5feceb66ffc86f38", "f6f0bae4d13cc5d8", "acb58bbec9760aae",
+          "65fc19791ca86651"),
+}
+
+
+@pytest.mark.parametrize("twists", sorted(LEVIN_DIGESTS))
+def test_levin_series_match_the_magnus_values(twists):
+    sign = 1 if twists > 0 else -1
+    b = BraidWord(2, (sign,) * abs(twists))
+    for order, want in zip((0, 1, 12, 40), LEVIN_DIGESTS[twists]):
+        rep = levin_check(b, order)
+        assert rep.holds and not rep.degenerate
+        assert _digest(rep.lhs) == _digest(rep.rhs) == want, order

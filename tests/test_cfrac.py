@@ -8,7 +8,7 @@ from coxkit.algebra import Laurent, Poly, RatFunc, z_substitute
 from coxkit.cfrac import (Branch, Closing, evaluate, expand_cycle,
                           expand_tree, render, tree_ratio, z_count)
 from coxkit.coxeter import _adjacency_rows, _faddeev_leverrier, char_poly
-from coxkit.diagram import build, from_name, random_tree
+from coxkit.diagram import Diagram, build, from_name, random_tree
 from coxkit.errors import DomainError, NotATree, ZeroDenominator
 from coxkit.kostant import klein_data
 
@@ -194,3 +194,16 @@ def test_weighted_edge_renders_weight():
     node = expand_tree(build("affA", 1), 0)  # weight-2 edge: child weight 4
     latex = render(node, "latex")
     assert "4\\," in latex
+
+
+def test_a1000_expansions_compare_and_hash_without_recursion():
+    a = expand_tree(build("A", 1000), 0)
+    b = expand_tree(build("A", 1000), 0)
+    assert a is not b and a == b and hash(a) == hash(b)
+    edges = [((v, v + 1), 1) for v in range(998)] + [((998, 999), 2)]
+    c = expand_tree(Diagram(1000, edges), 0)
+    assert a != c and not a == c
+    assert expand_cycle(7) == expand_cycle(7) != expand_cycle(8)
+    assert hash(expand_cycle(7)) == hash(expand_cycle(7))
+    assert len({hash(expand_cycle(k)) for k in range(3, 9)}) == 6
+    assert Closing(RatFunc(Poly.one(), Poly.x())) != Branch(())

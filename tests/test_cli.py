@@ -11,8 +11,8 @@ from pathlib import Path
 
 import pytest
 
-from coxkit import cfrac, cli, identities
-from coxkit.algebra import Laurent
+from coxkit import braid, cfrac, cli, identities, kostant
+from coxkit.algebra import Laurent, TruncSeries
 from coxkit.coxeter import char_poly, coxeter_poly
 from coxkit.diagram import MAX_VERTICES, build
 from coxkit.report import IdentityReport
@@ -326,3 +326,79 @@ def test_closed_stdout_ends_without_traceback():
     proc.stderr.close()
     assert proc.wait(timeout=120) == 1
     assert "Traceback" not in err and "BrokenPipe" not in err, err
+
+
+def test_braid_order_above_the_cap_exits_2_at_once(capsys, monkeypatch):
+    assert braid.MAX_ORDER >= 40  # every order of the suites and benchmark
+
+    def never(*args):
+        raise AssertionError("a series of a rejected order was started")
+
+    with monkeypatch.context() as m:
+        for name in ("levin_check", "magnus", "milnor"):
+            m.setattr(braid, name, never)
+        tracemalloc.start()
+        start = time.perf_counter()
+        try:
+            code = cli.main(["braid", "levin", "--word", "s1 s1",
+                             "--order", "1000000000"])
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert code == 2 and time.perf_counter() - start < 1.0
+        assert peak < 256 * 1024
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and f"0..{braid.MAX_ORDER}" in err
+        for mode in ("magnus", "milnor"):
+            assert cli.main(["braid", mode, "--word", "s1 s1", "--order",
+                             str(braid.MAX_ORDER + 1)]) == 2
+    code, out = run_cli(capsys, "braid", "levin", "--word", "s1 s1",
+                        "--order", str(braid.MAX_ORDER))
+    assert code == 0 and "holds: True" in out
+
+
+def _failing_levin(monkeypatch):
+    """levin_check with u^2 - 3u^5 added to every rhs."""
+    real = braid.levin_check
+
+    def broken(b, order):
+        rep = real(b, order)
+        extra = TruncSeries(order, (0, 0, 1, 0, 0, -3))
+        return braid.LevinReport(rep.lhs, rep.rhs + extra, False, False)
+
+    monkeypatch.setattr(braid, "levin_check", broken)
+
+
+def test_levin_failure_reports_residual_terms(capsys, monkeypatch):
+    _failing_levin(monkeypatch)
+    code, out = run_cli(capsys, "verify", "levin", "--json")
+    assert code == 1
+    records = {r["case"]: r for r in map(json.loads, out.splitlines())}
+    assert not any(r["holds"] for r in records.values())
+    # orders 16, 12, 10, 12, 8: all keep both terms
+    assert {r["residual_terms"] for r in records.values()} == {2}
+
+
+def test_failing_case_prints_a_rerun_command(capsys, monkeypatch):
+    _failing_levin(monkeypatch)
+    code, out = run_cli(capsys, "verify", "levin", "--seed", "5",
+                        "--random-trees", "3")
+    lines = out.splitlines()
+    assert code == 1
+    fails = [k for k, line in enumerate(lines) if line.startswith("[FAIL]")]
+    assert len(fails) == 5
+    for k in fails:
+        assert lines[k + 1].split() == ["rerun:", "coxkit", "verify", "levin",
+                                        "--seed", "5", "--random-trees", "3"]
+    bad = IdentityReport.compare("bad", Laurent.z(), Laurent.zero())
+    monkeypatch.setattr(identities, "cd_char", lambda d, i, j: (bad, bad))
+    _, out = run_cli(capsys, "verify", "cd-char", "--random-trees", "1")
+    assert "rerun: coxkit verify cd-char --seed 0 --random-trees 1" in out
+    _, out = run_cli(capsys, "verify", "cd-char", "--diagram", "D4")
+    assert "rerun: coxkit verify cd-char --seed 0 --diagram D4" in out
+    monkeypatch.setattr(kostant, "perfect_square_check", lambda data: -1)
+    code, out = run_cli(capsys, "kostant", "--type", "~E6", "--verify",
+                        "squares")
+    assert code == 1
+    assert out.splitlines()[1].split(maxsplit=1) == [
+        "rerun:", "coxkit kostant --type '~E6' --verify squares"]

@@ -784,3 +784,31 @@ def test_divide_preconditions():
         divide_identity([[1]], [[1]], [[1]])
     with pytest.raises(DimensionMismatch):
         divide_identity([[1, 0]], [[2]], [[1]])
+
+
+def test_schur_step_computes_each_cross_pair_once(monkeypatch):
+    # below the gate (a wheel pivoted on its hub leaves a 6-cycle) and above
+    # it (K7 leaves K6): one path sum or Bareiss minor per unordered pair of
+    # neighbors, the other order taken as its bar
+    wheel = Diagram(7, [((0, v), 1 + v % 2) for v in range(1, 7)]
+                    + [((v, v % 6 + 1), 1) for v in range(1, 7)])
+    k7 = Diagram(7, [((i, j), 1 + (i + j) % 3)
+                     for i in range(7) for j in range(i + 1, 7)])
+    for d, dense in ((wheel, False), (k7, True)):
+        rest = d.delete([0])
+        assert (len(_cyclomatic(rest.n, rest.edges()))
+                > coxeter._EXPAND_MAX) == dense
+        name = "_bareiss_cofactor" if dense else "_cross_minor"
+        real, calls = getattr(coxeter, name), []
+
+        def logged(*args, real=real, calls=calls):
+            calls.append(args[1:3])
+            return real(*args)
+
+        monkeypatch.setattr(coxeter, name, logged)
+        st_ = schur_step(d, 0)
+        monkeypatch.undo()
+        assert len(calls) == len(set(calls)) == 6 * 5 // 2
+        assert list(st_.crosses) == _oracle_crosses(d, 0, det_exact)
+        by_pair = {pair: p for pair, _, p in st_.crosses}
+        assert all(by_pair[j, i] == p.bar() for (i, j), p in by_pair.items())
