@@ -630,26 +630,32 @@ def _det_laplace(mat: Sequence[Sequence[Laurent]]) -> Laurent:
 def det_exact(mat: Sequence[Sequence[Laurent]]) -> Laurent:
     """Exact determinant of a square Laurent matrix.
 
-    Clears each row's negative powers of q, runs fraction-free Bareiss over
-    Z[q], and divides the q-power back out.
+    Divides each row by its lowest power of q, writes the rows in w = q^g
+    for g the gcd of the exponents left (1 when they are all 0), runs
+    fraction-free Bareiss over Z[w], and multiplies the q-powers back in.
+    On the Coxeter matrix and its minors g is 2: the w = q^2 lift.
     """
     n = len(mat)
     if any(len(row) != n for row in mat):
         raise ValueError("matrix is not square")
-    total_shift = 0
-    rows: list[list[Poly]] = []
+    lows, g = [], 0
     for row in mat:
-        lift = 0
-        for e in row:
-            if not e.is_zero:
-                lift = min(lift, e.min_exp)
-        total_shift += -lift
-        prow = []
-        for e in row:
-            s, p = e.shifted(-lift).to_poly()
-            prow.append(p.shift(s))
-        rows.append(prow)
-    return Laurent.from_poly(det_poly(rows), 0).shifted(-total_shift)
+        exps = [k for e in row for k in e._c]
+        low = min(exps, default=0)
+        lows.append(low)
+        for k in exps:
+            g = gcd(g, k - low)
+    g = g or 1
+    rows = [[_packed(e, low, g) for e in row] for row, low in zip(mat, lows)]
+    shift = sum(lows)
+    return Laurent._of({g * k + shift: c
+                        for k, c in enumerate(det_poly(rows).coeffs) if c})
+
+
+def _packed(e: Laurent, low: int, g: int) -> Poly:
+    """e / q^low as a polynomial in w = q^g."""
+    top = (max(e._c, default=low) - low) // g
+    return Poly([e._c.get(low + g * k, 0) for k in range(top + 1)])
 
 
 # ---------------------------------------------------------------------------

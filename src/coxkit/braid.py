@@ -25,6 +25,12 @@ Word = tuple[int, ...]
 # order in the suites and the benchmark is at most 40.
 MAX_ORDER = 64
 
+# The most words a Magnus expansion may hold.  Their number grows like a
+# power of the order set by the longitude: the longitude of s1^-6 has
+# 26475 words at order 16 and 104119 at order 20, while the largest
+# expansion in the suites and the benchmark has 1101.
+MAX_MAGNUS_WORDS = 100_000
+
 
 # ---------------------------------------------------------------------------
 # braid words
@@ -335,23 +341,9 @@ class MagnusSeries:
                     del out[key]
         return MagnusSeries(self.nvars, self.order, out)
 
-    def __sub__(self, other: "MagnusSeries") -> "MagnusSeries":
-        out = dict(self._c)
-        for k, v in other._c.items():
-            nv = out.get(k, 0) - v
-            if nv:
-                out[k] = nv
-            elif k in out:
-                del out[k]
-        return MagnusSeries(self.nvars, self.order, out)
-
     def __eq__(self, other: object) -> bool:
         return (isinstance(other, MagnusSeries) and self._c == other._c
                 and self.order == other.order)
-
-    @property
-    def is_zero(self) -> bool:
-        return not self._c
 
     def __repr__(self) -> str:
         return f"MagnusSeries({dict(self.items())!r})"
@@ -368,6 +360,8 @@ def _times_letter(acc: dict[Word, int], i: int,
             v = out.get(key, 0) + c
             if v:
                 out[key] = v
+                if len(out) > MAX_MAGNUS_WORDS:
+                    _too_many()
             else:
                 del out[key]
     return out
@@ -395,7 +389,16 @@ def _times_inverse_letter(acc: dict[Word, int], i: int,
             if run:
                 out[key] = run
             key += (i,)
+        if len(out) > MAX_MAGNUS_WORDS:
+            _too_many()
     return out
+
+
+def _too_many():
+    """The words are counted as they are added, so a step holds at most
+    one stem's run, order + 1 words, beyond MAX_MAGNUS_WORDS."""
+    raise DomainError(f"the Magnus expansion holds more than "
+                      f"{MAX_MAGNUS_WORDS} words; lower the order")
 
 
 def magnus(word: Sequence[int], nvars: int, order: int) -> MagnusSeries:

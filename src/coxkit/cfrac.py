@@ -19,58 +19,56 @@ from .errors import BadRank, DomainError, NotATree, UnknownVertex, ZeroDenominat
 
 
 class _Node:
-    """Equality and hashing by explicit stacks, so that a path of any
-    length compares and hashes without recursion."""
+    """Equality, hashing and repr from the walk (_walk), so that a path of
+    any length compares, hashes and prints without recursion."""
 
     __slots__ = ()
+
+    def _key(self) -> tuple:
+        """The preorder of (weight, kind, value or number of children),
+        which determines the tree."""
+        return tuple((w, "Closing", x.value) if isinstance(x, Closing)
+                     else (w, "Branch", len(x.children))
+                     for w, x, _ in _walk(self))
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, _Node):
             return NotImplemented
-        stack = [(self, other)]
-        while stack:
-            a, b = stack.pop()
-            if type(a) is not type(b):
-                return False
-            if isinstance(a, Closing):
-                if a.value != b.value:
-                    return False
-            elif len(a.children) != len(b.children):
-                return False
-            else:
-                for (wa, ca), (wb, cb) in zip(a.children, b.children):
-                    if wa != wb:
-                        return False
-                    stack.append((ca, cb))
-        return True
+        return self._key() == other._key()
 
     def __hash__(self) -> int:
-        tour, stack = [], [self]
-        while stack:
-            node = stack.pop()
-            tour.append(node)
-            if isinstance(node, Branch):
-                stack.extend(c for _, c in node.children)
-        # children come after their parent in the tour, so before it here
-        hashes: dict[int, int] = {}
-        for node in reversed(tour):
-            if isinstance(node, Closing):
-                h = hash(("Closing", node.value))
+        return hash(self._key())
+
+    def __repr__(self) -> str:
+        """The dataclass text, written front to back."""
+        parts: list[str] = []
+        closers: list[str] = []  # one per open Branch, the deepest last
+        last = -1
+        for w, x, depth in _walk(self):
+            while len(closers) > depth:
+                parts.append(closers.pop())
+            if depth:
+                # a first child follows its parent in the walk
+                parts.append(f"{'' if last < depth else ', '}({w}, ")
+            tail = ")" if depth else ""
+            if isinstance(x, Closing):
+                parts.append(f"Closing(value={x.value!r}){tail}")
             else:
-                h = hash(("Branch", tuple((w, hashes[id(c)])
-                                          for w, c in node.children)))
-            hashes[id(node)] = h
-        return hashes[id(self)]
+                parts.append("Branch(children=(")
+                comma = "," if len(x.children) == 1 else ""
+                closers.append(f"{comma})){tail}")
+            last = depth
+        return "".join(parts + closers[::-1])
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, repr=False)
 class Closing(_Node):
     """Terminal node: contributes 1/r to the enclosing denominator."""
 
     value: RatFunc
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, repr=False)
 class Branch(_Node):
     """Inner node: value 1 / (z - sum of weighted child values)."""
 
@@ -78,6 +76,19 @@ class Branch(_Node):
 
 
 CFracNode = Union[Branch, Closing]
+
+
+def _walk(node: CFracNode):
+    """(weight, node, depth) for every node under node, parents before
+    their children and children in order, from an explicit stack.  The
+    weight is the squared edge weight to the parent (None at the root)."""
+    stack = [(None, node, 0)]
+    while stack:
+        item = stack.pop()
+        yield item
+        _, x, depth = item
+        if isinstance(x, Branch):
+            stack += [(wsq, c, depth + 1) for wsq, c in reversed(x.children)]
 
 
 def expand_tree(d: Diagram, root: int) -> Branch:
@@ -139,46 +150,28 @@ def evaluate(node: CFracNode) -> RatFunc:
 def _pair(node: CFracNode) -> tuple[Poly, Poly]:
     """(numerator, denominator) of the node's value, neither reduced.
 
-    Children are evaluated before their parent, first child first, from an
-    explicit stack.  A child's pair is dropped once its parent has used it,
-    so only the pairs still waiting for a parent are held; the two arms of
-    expand_cycle, one node under one parent, are evaluated once."""
-    done: dict[int, tuple[Poly, Poly]] = {}
-    stack = [node]
-    while stack:
-        x = stack[-1]
-        if id(x) in done:
-            stack.pop()
-        elif isinstance(x, Closing):
+    The walk runs backward, so every child comes before its parent and the
+    pairs of a parent's children are the top of a stack, first child on
+    top.  Only the pairs still waiting for a parent are held.  A node under
+    two parents, like the arm of expand_cycle, is evaluated under each."""
+    pairs: list[tuple[Poly, Poly]] = []
+    for _, x, _ in reversed(list(_walk(node))):
+        if isinstance(x, Closing):
             if x.value.is_zero:
                 raise ZeroDenominator("closing term is zero")
-            done[id(x)] = x.value.den, x.value.num
-            stack.pop()
-        else:
-            todo = [c for _, c in reversed(x.children) if id(c) not in done]
-            if todo:
-                stack.extend(todo)
-                continue
-            stack.pop()
-            den, num = _rooted_step((wsq, *reversed(done[id(c)]))
-                                    for wsq, c in x.children)
-            for _, c in x.children:
-                done.pop(id(c), None)
-            if den.is_zero:
-                raise ZeroDenominator("denominator collapsed to zero")
-            done[id(x)] = num, den
-    return done[id(node)]
+            pairs.append((x.value.den, x.value.num))
+            continue
+        den, num = _rooted_step((wsq, *reversed(pairs.pop()))
+                                for wsq, _ in x.children)
+        if den.is_zero:
+            raise ZeroDenominator("denominator collapsed to zero")
+        pairs.append((num, den))
+    return pairs[0]
 
 
 def z_count(node: CFracNode) -> int:
     """Number of head z's (one per Branch node)."""
-    count, stack = 0, [node]
-    while stack:
-        x = stack.pop()
-        if isinstance(x, Branch):
-            count += 1
-            stack.extend(child for _, child in x.children)
-    return count
+    return sum(isinstance(x, Branch) for _, x, _ in _walk(node))
 
 
 def tree_ratio(d: Diagram, root: int) -> RatFunc:
@@ -209,38 +202,33 @@ def _rat_text(value: RatFunc) -> str:
 
 
 def _latex(node: CFracNode) -> str:
-    """Written out front to back from a stack of nodes and the literal text
-    between them."""
+    """Written out front to back: a Branch opens a brace that closes once
+    the walk leaves its subtree."""
     parts: list[str] = []
-    stack: list = [node]
-    while stack:
-        x = stack.pop()
-        if isinstance(x, str):
-            parts.append(x)
-        elif isinstance(x, Closing):
+    opened = 0
+    for wsq, x, depth in _walk(node):
+        parts.append("}" * (opened - depth))
+        opened = depth
+        if depth:
+            parts.append(" - " if wsq == 1 else f" - {wsq}\\,")
+        if isinstance(x, Closing):
             parts.append(r"\cfrac{1}{%s}" % _rat_text(x.value))
         else:
             parts.append(r"\cfrac{1}{z")
-            stack.append("}")
-            for wsq, child in reversed(x.children):
-                prefix = "" if wsq == 1 else f"{wsq}\\,"
-                stack += [child, " - " + prefix]
-    return "".join(parts)
+            opened += 1
+    return "".join(parts) + "}" * opened
 
 
 def _ascii(node: CFracNode) -> list[str]:
     """One line per node, parents before children, two spaces of indent a
     level."""
     out: list[str] = []
-    stack = [(node, 0)]
-    while stack:
-        x, indent = stack.pop()
-        pad = "  " * indent
+    for _, x, depth in _walk(node):
+        pad = "  " * depth
         if isinstance(x, Closing):
             out.append(f"{pad}close 1/({_rat_text(x.value)})")
             continue
         heads = " - ".join(
             ("#" if wsq == 1 else f"{wsq}*#") for wsq, _ in x.children)
         out.append(f"{pad}1/(z{' - ' + heads if heads else ''})")
-        stack += [(child, indent + 1) for _, child in reversed(x.children)]
     return out

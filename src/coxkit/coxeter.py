@@ -37,35 +37,8 @@ def _rebuild(n: int, edges, order=None) -> Diagram:
 
 
 # ---------------------------------------------------------------------------
-# Coxeter polynomial via the w = q^2 lift
+# Coxeter polynomial
 # ---------------------------------------------------------------------------
-# Every entry of qS + q^-1 S^t equals q^-1 times the matching entry of
-# wS + S^t at w = q^2, so any k x k minor of the Coxeter matrix is q^-k
-# times a plain polynomial determinant.  That keeps the whole q-world on
-# dense integer polynomials.
-
-
-def _w_matrix(d: Diagram) -> list[list[Poly]]:
-    n = d.n
-    rows = []
-    for p in range(n):
-        row = []
-        for t in range(n):
-            if p == t:
-                row.append(Poly((1, 1)))
-            else:
-                a = d.weight(d.order[p], d.order[t])
-                if p < t:
-                    row.append(Poly((0, -a)))
-                else:
-                    row.append(Poly((-a,)))
-        rows.append(row)
-    return rows
-
-
-def _laurent_from_wdet(p: Poly, size: int) -> Laurent:
-    return Laurent({2 * k - size: c for k, c in enumerate(p.coeffs) if c})
-
 
 def coxeter_poly(d: Diagram) -> Laurent:
     """det(qS + q^-1 S^t) in the diagram's vertex order, by graph expansion.
@@ -73,8 +46,9 @@ def coxeter_poly(d: Diagram) -> Laurent:
     On a forest every vertex order gives G(q + 1/q) with G = char_poly(d)
     (A'Campo 1976), and G comes from the rooted forest recursion.  A
     diagram with a cycle takes Schwenk's edge step (_edge_step), which
-    respects the vertex order, until only forests are left.  Bareiss runs
-    only on a diagram whose cyclomatic number exceeds _EXPAND_MAX.
+    respects the vertex order, until only forests are left.  Bareiss
+    (det_exact) runs only on a diagram whose cyclomatic number exceeds
+    _EXPAND_MAX.
     """
     edges = d.edges()
     return _coxeter_poly(d.n, edges,
@@ -98,7 +72,7 @@ def _coxeter_poly(n: int, edges, order) -> Laurent:
     d = _rebuild(n, edges, order)
     closing = _cyclomatic(n, edges)
     if len(closing) > _EXPAND_MAX:
-        return _laurent_from_wdet(det_poly(_w_matrix(d)), n)
+        return det_exact(coxeter_matrix(d))
     return _edge_step(d, closing[0])
 
 
@@ -106,26 +80,24 @@ def _edge_step(d: Diagram, e) -> Laurent:
     """Schwenk's edge expansion of the Coxeter polynomial at an edge e = uv
     of weight a that lies on a cycle:
 
-    det G = det(G-e) - a^2 det(G-u-v)
-            - sum over cycles C through e of (prod_C a)(q^s + q^-s) det(G-C)
+    det G = det(G-e) - a^2 det(G-u-v) - a (q^s X + q^-s Xbar)
 
-    where s is the number of arcs of C that go forward in the vertex order
-    minus the number that go backward.  Each term of det(qS + q^-1 S^t)
-    is a permutation: its fixed points give z, its transpositions -a^2 and
-    each cycle, read in both directions, -(prod a) q^(+-s).  Every
-    subgraph keeps the induced order.
+    Each term of det(qS + q^-1 S^t) is a permutation: its fixed points give
+    z, its transpositions -a^2 and each cycle, read in both directions,
+    -(prod a) q^(+-s'), with s' the number of its arcs that go forward in
+    the vertex order minus the number that go backward.  The cycles
+    through e are the paths v -> u of G-e closed by e, so their terms are
+    a q^s times the cross minor X = _cross_minor(G-e, u, v, pos) and its
+    bar, where s = +-1 is the direction of the arc u -> v.  Every subgraph
+    keeps the induced order.
     """
     u, v, a = e
     rest = _rebuild(d.n, [x for x in d.edges() if x != e], d.order)
     pos = {x: p for p, x in enumerate(d.order)}
-    total = coxeter_poly(rest) - a * a * coxeter_poly(rest.delete([u, v]))
-    for path, weight in _paths(rest.n, rest.edges(), v, u):
-        # the cycle runs u -> v along e, then v -> ... -> u along the path
-        arcs = [(u, v)] + list(zip(path, path[1:]))
-        s = sum(1 if pos[x] < pos[y] else -1 for x, y in arcs)
-        term = Laurent(((s, a * weight), (-s, a * weight)))
-        total = total - term * coxeter_poly(rest.delete(path))
-    return total
+    s = 1 if pos[u] < pos[v] else -1
+    cross = _cross_minor(rest, u, v, pos)
+    return (coxeter_poly(rest) - a * a * coxeter_poly(rest.delete([u, v]))
+            - a * (cross.shifted(s) + cross.bar().shifted(-s)))
 
 
 def _paths(n: int, edges, start: int, end: int):
@@ -385,16 +357,12 @@ def pivot_first(d: Diagram, pivot: int) -> Diagram:
 
 def schur_step(d: Diagram, pivot: int) -> SchurStep:
     """Pivot on one vertex: head z, squared-weight branch terms, and signed
-    cross cofactors of the pivot-deleted matrix.  Each cross cofactor is a
-    path sum (_cross_minor), or a Bareiss minor when the pivot-deleted
-    graph is above the gate of coxeter_poly.  The matrix is its own
-    transpose under q -> 1/q, so cross(j, i) is cross(i, j).bar() and each
-    unordered pair is computed once."""
+    cross cofactors of the pivot-deleted matrix (_cross_minor).  The matrix
+    is its own transpose under q -> 1/q, so cross(j, i) is cross(i, j).bar()
+    and each unordered pair is computed once."""
     dp = pivot_first(d, pivot)
     total = coxeter_poly(dp)
     rest = d.delete([pivot])
-    keep = [v for v in range(d.n) if v != pivot]
-    new_index = {v: k for k, v in enumerate(keep)}
     base = coxeter_poly(rest)
     nbrs = [v for v in d.neighbors(pivot) if d.weight(pivot, v)]
     branches = []
@@ -402,56 +370,51 @@ def schur_step(d: Diagram, pivot: int) -> SchurStep:
         a = d.weight(pivot, v)
         branches.append((v, a * a, coxeter_poly(d.delete([pivot, v]))))
     crosses = []
-    if len(nbrs) > 1:
-        pos = {x: p for p, x in enumerate(rest.order)}
-        dense = len(_cyclomatic(rest.n, rest.edges())) > _EXPAND_MAX
-        w1 = _w_matrix(rest) if dense else None
-        done: dict[tuple[int, int], Laurent] = {}
-        for i in nbrs:
-            for j in nbrs:
-                if i == j:
-                    continue
-                ri, rj = new_index[i], new_index[j]
-                if (j, i) in done:
-                    p = done[j, i].bar()
-                elif dense:
-                    p = _bareiss_cofactor(w1, pos[ri], pos[rj])
-                else:
-                    p = _cross_minor(rest, ri, rj, pos)
-                done[i, j] = p
-                if not p.is_zero:
-                    crosses.append(((i, j),
-                                    d.weight(pivot, i) * d.weight(pivot, j), p))
+    pos = {x: p for p, x in enumerate(rest.order)}
+    done: dict[tuple[int, int], Laurent] = {}
+    for i in nbrs:
+        for j in nbrs:
+            if i == j:
+                continue
+            if (j, i) in done:
+                p = done[j, i].bar()
+            else:
+                # vertex v of d is v - (v > pivot) in rest
+                p = _cross_minor(rest, i - (i > pivot), j - (j > pivot), pos)
+            done[i, j] = p
+            if not p.is_zero:
+                crosses.append(((i, j),
+                                d.weight(pivot, i) * d.weight(pivot, j), p))
     return SchurStep(pivot, total, base, tuple(branches), tuple(crosses))
 
 
 def _cross_minor(d: Diagram, i: int, j: int, pos) -> Laurent:
     """The cofactor of the Coxeter matrix M at row pos[i], column pos[j],
-    which is adj(M)[pos[j]][pos[i]], by the path expansion of an adjugate
-    entry (Godsil, Algebraic Combinatorics, ch. 4):
+    which is adj(M)[pos[j]][pos[i]].
+
+    At or below the gate of coxeter_poly it is the path expansion of an
+    adjugate entry (Godsil, Algebraic Combinatorics, ch. 4):
 
     sum over simple paths P from j to i of (prod_P a) q^s det(G-P)
 
     where s is the number of arcs of P that go forward in the vertex order
     minus the number that go backward: M = zE - N with N = a q^(+-1) off
     the diagonal.  Vertices in two components are joined by no path, so
-    their minor is zero.  Every subgraph keeps the induced order.
+    their minor is zero.  Every subgraph keeps the induced order.  Above
+    the gate it is the signed det_exact minor of M.
     """
+    edges = d.edges()
+    if len(_cyclomatic(d.n, edges)) > _EXPAND_MAX:
+        r, c = pos[i], pos[j]
+        minor = [[x for t, x in enumerate(row) if t != c]
+                 for p, row in enumerate(coxeter_matrix(d)) if p != r]
+        det = det_exact(minor)
+        return -det if (r + c) % 2 else det
     total = Laurent.zero()
-    for path, weight in _paths(d.n, d.edges(), j, i):
+    for path, weight in _paths(d.n, edges, j, i):
         s = sum(1 if pos[x] < pos[y] else -1 for x, y in zip(path, path[1:]))
         total = total + weight * coxeter_poly(d.delete(path)).shifted(s)
     return total
-
-
-def _bareiss_cofactor(w: list[list[Poly]], r: int, c: int) -> Laurent:
-    """The cofactor of the Coxeter matrix at row r, column c, by a Bareiss
-    minor of its w-matrix."""
-    m = len(w)
-    minor = [[w[x][y] for y in range(m) if y != c]
-             for x in range(m) if x != r]
-    p = _laurent_from_wdet(det_poly(minor), m - 1)
-    return -p if (r + c) % 2 else p
 
 
 def join_poly(parts) -> Laurent:

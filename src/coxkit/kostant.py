@@ -13,10 +13,11 @@ arm first with the short leaf last.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import isqrt
+from math import comb, isqrt
 
 from .algebra import Laurent, Poly, RatFunc, z_substitute
-from .coxeter import char_poly, cofactors, walk_expansion_residual, walk_gf
+from .coxeter import (char_poly, cofactors, coxeter_poly,
+                      walk_expansion_residual, walk_gf)
 from .diagram import Diagram, ade_types, build
 from .errors import BadType, IndexOutOfRange, NotASquare
 from .report import IdentityReport
@@ -264,8 +265,6 @@ def a2m_recurrence(m: int) -> Poly:
     one-vertex cycle entering as z - 2 (a loop counts twice in walks).
     Follows from z^N = sum_j C(N, j) * 2 T_{N-2j}(z/2) and
     char(cycle N) = 2 T_N(z/2) - 2."""
-    from math import comb
-
     acc = Poly.monomial(1, 2 * m + 1)
     for i in range(1, m + 1):
         acc = acc - comb(2 * m + 1, i) * _odd_cycle_char(m - i)
@@ -296,8 +295,6 @@ def prop2_squares(data: KleinGroupData, i: int) -> IdentityReport:
     if not (1 <= i < data.vertex_count):
         raise IndexOutOfRange("vertex must be 1..n")
     d = data.diagram()
-    from .coxeter import coxeter_poly
-
     t_i = coxeter_poly(d.delete([0, i]))
     tbar_i = coxeter_poly(d.delete([i]))
     anchor = z_substitute(char_poly(d))

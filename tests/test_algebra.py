@@ -135,6 +135,31 @@ def test_det_matches_laplace_7x7():
     assert det_exact(m) == _det_laplace(m)
 
 
+def test_det_packs_exponent_strides():
+    # rows in q^2, q^3 and a mix of both, constant matrices, zero rows and
+    # the empty matrix: each against the cofactor expansion
+    rng = random.Random(71)
+
+    def entry(strides):
+        if rng.random() < 0.3:
+            return Laurent()
+        return Laurent({rng.choice(strides) * rng.randint(-2, 2):
+                        rng.randint(-3, 3) for _ in range(rng.randint(1, 3))})
+
+    for strides in ((2,), (3,), (2, 3), (0,)):
+        for n in range(6):
+            for _ in range(4):
+                m = [[entry(strides) for _ in range(n)] for _ in range(n)]
+                assert det_exact(m) == _det_laplace(m), m
+                if n:
+                    m[rng.randrange(n)] = [Laurent()] * n
+                    assert det_exact(m) == Laurent.zero()
+    # lifted exponents all even: det(q^2 E) in dimension 3 is q^6
+    assert det_exact([[Laurent.q(2) if i == j else Laurent()
+                       for j in range(3)] for i in range(3)]) == Laurent.q(6)
+    assert det_exact([]) == _det_laplace([]) == Laurent.one()
+
+
 def _triple_loop(a, b, zero):
     return [[sum((a[i][k] * b[k][j] for k in range(len(b))), zero)
              for j in range(len(b[0]))] for i in range(len(a))]

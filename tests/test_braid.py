@@ -3,10 +3,12 @@
 import hashlib
 import random
 import re
+import sys
 from itertools import product
 
 import pytest
 
+from coxkit import braid
 from coxkit.algebra import (Laurent, Poly, RatFunc, TruncSeries, mat_eq,
                             mat_mul)
 from coxkit.braid import (BraidWord, MagnusSeries, _ending_in_1, artin_action,
@@ -299,6 +301,39 @@ def test_magnus_matches_generator_product():
         for letter in word:
             want = want * MagnusSeries.generator(4, order, letter)
         assert magnus(word, 4, order) == want
+
+
+def test_magnus_stops_one_stem_past_the_word_cap(monkeypatch):
+    lon = longitudes(BraidWord.parse("-s1 -s1 -s1 -s1 -s1 -s1", 2))[0]
+    order = 12
+    sizes = []
+    for name in ("_times_letter", "_times_inverse_letter"):
+        real = getattr(braid, name)
+
+        def logged(acc, i, order, real=real):
+            out = real(acc, i, order)
+            sizes.append(len(out))
+            return out
+
+        monkeypatch.setattr(braid, name, logged)
+    want = magnus(lon, 2, order)
+    assert len(want.items()) == 4407
+    top = max(sizes)
+    # the cap counts the words of every step, not only of the result
+    monkeypatch.setattr(braid, "MAX_MAGNUS_WORDS", top)
+    assert magnus(lon, 2, order) == want
+    held = []
+
+    def too_many():
+        held.append(len(sys._getframe(1).f_locals["out"]))
+        raise DomainError("too many")
+
+    monkeypatch.setattr(braid, "_too_many", too_many)
+    for cap in (top - 1, top // 2, 100):
+        monkeypatch.setattr(braid, "MAX_MAGNUS_WORDS", cap)
+        with pytest.raises(DomainError):
+            magnus(lon, 2, order)
+        assert cap < held[-1] <= cap + order + 1, cap
 
 
 def test_magnus_respects_free_reduction():

@@ -178,9 +178,11 @@ def test_evaluate_still_refuses_zero_denominators():
 def test_latex_render():
     assert render(Branch(()), "latex") == r"\cfrac{1}{z}"
     latex = render(expand_tree(build("affD", 4), 0), "latex")
-    assert latex.count(r"\cfrac{1}{z}") == 3
-    cyc = render(expand_cycle(3), "latex")
-    assert cyc.count("z/2") == 2
+    assert latex == (r"\cfrac{1}{z - \cfrac{1}{z - \cfrac{1}{z} - "
+                     r"\cfrac{1}{z} - \cfrac{1}{z}}}")
+    arm = r"\cfrac{1}{z - \cfrac{1}{z/2}}"
+    assert render(expand_cycle(3), "latex") == (
+        rf"\cfrac{{1}}{{z - {arm} - {arm}}}")
 
 
 def test_ascii_render_two_levels():
@@ -207,3 +209,24 @@ def test_a1000_expansions_compare_and_hash_without_recursion():
     assert hash(expand_cycle(7)) == hash(expand_cycle(7))
     assert len({hash(expand_cycle(k)) for k in range(3, 9)}) == 6
     assert Closing(RatFunc(Poly.one(), Poly.x())) != Branch(())
+    # a path and a star with the same weights in the same preorder
+    assert expand_tree(build("A", 3), 0) != expand_tree(build("A", 3), 1)
+    half = Closing(RatFunc(Poly.x(), Poly.const(2)))
+    assert Branch(((1, half),)) != Branch(((4, half),))
+
+
+def test_repr_is_the_dataclass_text_at_any_depth():
+    assert repr(expand_tree(build("A", 2), 0)) == (
+        "Branch(children=((1, Branch(children=())),))")
+    assert repr(expand_tree(from_name("~D4"), 0)) == (
+        "Branch(children=((1, Branch(children=((1, Branch(children=())), "
+        "(1, Branch(children=())), (1, Branch(children=()))))),))")
+    half = "Closing(value=RatFunc((q) / (2)))"
+    assert repr(expand_cycle(3)) == (
+        f"Branch(children=((1, Branch(children=((1, {half}),))), "
+        f"(1, Branch(children=((1, {half}),)))))")
+    assert repr(Branch(((4, Branch()),))) == (
+        "Branch(children=((4, Branch(children=())),))")
+    text = repr(expand_tree(build("A", 1000), 0))
+    assert text == "Branch(children=((1, " * 999 + "Branch(children=())" + (
+        "),))" * 999)

@@ -357,6 +357,26 @@ def test_braid_order_above_the_cap_exits_2_at_once(capsys, monkeypatch):
     assert code == 0 and "holds: True" in out
 
 
+def test_magnus_above_the_word_cap_exits_2_at_once(capsys):
+    # the longitude of s1^-6 at order 40, which once ran out of memory
+    argv = ["braid", "magnus", "--word", "-s1 -s1 -s1 -s1 -s1 -s1",
+            "--order", "40"]
+    start = time.perf_counter()
+    assert cli.main(argv) == 2
+    assert time.perf_counter() - start < 1.0
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and str(braid.MAX_MAGNUS_WORDS) in err
+    tracemalloc.start()
+    try:
+        assert cli.main(argv) == 2
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 << 20
+    code, out = run_cli(capsys, *argv[:-1], "16")
+    assert code == 0 and len(out.splitlines()) == 26475
+
+
 def _failing_levin(monkeypatch):
     """levin_check with u^2 - 3u^5 added to every rhs."""
     real = braid.levin_check

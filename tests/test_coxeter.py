@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from coxkit import coxeter
+from coxkit import algebra, coxeter
 from coxkit.algebra import (Laurent, Poly, _det_laplace, det_exact, det_poly,
                             q_to_z, z_substitute)
 from coxkit.coxeter import (_adjacency_rows, _cyclomatic, _edge_step,
@@ -513,14 +513,15 @@ def test_edge_step_matches_bareiss_on_8_to_16_vertices():
 
 
 def _counting_bareiss(monkeypatch) -> list:
-    """Route coxeter's det_poly through a call log, on an empty memo."""
+    """Route coxeter's det_exact, its one Bareiss route, through a call
+    log, on an empty memo."""
     calls = []
 
     def logged(mat):
         calls.append(len(mat))
-        return det_poly(mat)
+        return det_exact(mat)
 
-    monkeypatch.setattr(coxeter, "det_poly", logged)
+    monkeypatch.setattr(coxeter, "det_exact", logged)
     coxeter._coxeter_poly.cache_clear()
     coxeter._char_poly.cache_clear()
     return calls
@@ -550,6 +551,31 @@ def test_gate_sends_dense_cycle_spaces_to_bareiss(monkeypatch):
     assert calls == []
     assert coxeter_poly(above) == det_exact(coxeter_matrix(above))
     assert calls == [10]
+
+
+def test_det_exact_takes_the_coxeter_matrix_in_w_equals_q_squared(
+        monkeypatch):
+    # the stride packing of det_exact is the w = q^2 lift: every entry of
+    # the Coxeter matrix, or of a minor, reaches Bareiss with degree <= 1
+    k6 = Diagram(6, {(i, j): 1 + (i * j) % 3
+                     for i in range(6) for j in range(i + 1, 6)})
+    d = k6.with_order((3, 0, 5, 1, 4, 2))
+    degrees = []
+
+    def logged(mat):
+        degrees.extend(e.degree for row in mat for e in row)
+        return det_poly(mat)
+
+    monkeypatch.setattr(algebra, "det_poly", logged)
+    m = coxeter_matrix(d)
+    want = _det_laplace(m)
+    assert det_exact(m) == want
+    # row 0 of the (3, 0) minor has only q^+1 entries
+    for r, c in ((3, 0), (1, 4), (5, 2)):
+        minor = [[x for t, x in enumerate(row) if t != c]
+                 for p, row in enumerate(m) if p != r]
+        assert det_exact(minor) == _det_laplace(minor)
+    assert degrees and max(degrees) == 1
 
 
 def _oracle_crosses(d: Diagram, pivot: int, det) -> list:
@@ -661,7 +687,11 @@ def test_schur_step_returns_on_k10(monkeypatch):
     st_ = schur_step(k10, 0)
     assert st_.residual.is_zero
     assert st_.total == det_exact(coxeter_matrix(k10))
-    assert len(st_.crosses) == 72 and calls
+    assert len(st_.crosses) == 72
+    # above the gate: the total, the base, one 8 x 8 det_exact for the 9
+    # branches (one K8 in one order, which the memo serves after the first)
+    # and one for each of the 36 unordered pairs of neighbors
+    assert sorted(calls) == [8] * (1 + 36) + [9, 10]
 
 
 # -- path sums and walks ------------------------------------------------------
@@ -788,8 +818,8 @@ def test_divide_preconditions():
 
 def test_schur_step_computes_each_cross_pair_once(monkeypatch):
     # below the gate (a wheel pivoted on its hub leaves a 6-cycle) and above
-    # it (K7 leaves K6): one path sum or Bareiss minor per unordered pair of
-    # neighbors, the other order taken as its bar
+    # it (K7 leaves K6): one cross minor per unordered pair of neighbors,
+    # the other order taken as its bar
     wheel = Diagram(7, [((0, v), 1 + v % 2) for v in range(1, 7)]
                     + [((v, v % 6 + 1), 1) for v in range(1, 7)])
     k7 = Diagram(7, [((i, j), 1 + (i + j) % 3)
@@ -798,14 +828,16 @@ def test_schur_step_computes_each_cross_pair_once(monkeypatch):
         rest = d.delete([0])
         assert (len(_cyclomatic(rest.n, rest.edges()))
                 > coxeter._EXPAND_MAX) == dense
-        name = "_bareiss_cofactor" if dense else "_cross_minor"
-        real, calls = getattr(coxeter, name), []
+        # a warm memo keeps out the cross minors of the edge step that
+        # coxeter_poly takes on the 6-cycle
+        schur_step(d, 0)
+        real, calls = coxeter._cross_minor, []
 
         def logged(*args, real=real, calls=calls):
             calls.append(args[1:3])
             return real(*args)
 
-        monkeypatch.setattr(coxeter, name, logged)
+        monkeypatch.setattr(coxeter, "_cross_minor", logged)
         st_ = schur_step(d, 0)
         monkeypatch.undo()
         assert len(calls) == len(set(calls)) == 6 * 5 // 2
