@@ -100,12 +100,7 @@ def expand_tree(d: Diagram, root: int) -> Branch:
         raise UnknownVertex(f"no vertex {root}")
     if not d.is_tree():
         raise NotATree("diagram is not a connected tree")
-    tour, parent = [root], {root: -1}
-    for v in tour:
-        for u in d.neighbors(v):
-            if u != parent[v]:
-                parent[u] = v
-                tour.append(u)
+    tour, parent = d.tour(root)
     built: dict[int, Branch] = {}
     for v in reversed(tour):
         built[v] = Branch(tuple((d.weight(v, u) ** 2, built.pop(u))
@@ -150,23 +145,33 @@ def evaluate(node: CFracNode) -> RatFunc:
 def _pair(node: CFracNode) -> tuple[Poly, Poly]:
     """(numerator, denominator) of the node's value, neither reduced.
 
-    The walk runs backward, so every child comes before its parent and the
-    pairs of a parent's children are the top of a stack, first child on
-    top.  Only the pairs still waiting for a parent are held.  A node under
-    two parents, like the arm of expand_cycle, is evaluated under each."""
-    pairs: list[tuple[Poly, Poly]] = []
-    for _, x, _ in reversed(list(_walk(node))):
-        if isinstance(x, Closing):
+    An explicit stack takes each node after its children, last child
+    first, and keeps the pair of every node it has evaluated by id.  So a
+    node under two parents, like the arm of expand_cycle, is evaluated
+    once, and the nodes of a tree are evaluated in reversed walk order."""
+    pairs: dict[int, tuple[Poly, Poly]] = {}
+    stack = [node]
+    while stack:
+        x = stack[-1]
+        if id(x) in pairs:
+            stack.pop()
+        elif isinstance(x, Closing):
             if x.value.is_zero:
                 raise ZeroDenominator("closing term is zero")
-            pairs.append((x.value.den, x.value.num))
-            continue
-        den, num = _rooted_step((wsq, *reversed(pairs.pop()))
-                                for wsq, _ in x.children)
-        if den.is_zero:
-            raise ZeroDenominator("denominator collapsed to zero")
-        pairs.append((num, den))
-    return pairs[0]
+            pairs[id(x)] = (x.value.den, x.value.num)
+            stack.pop()
+        else:
+            todo = [c for _, c in x.children if id(c) not in pairs]
+            if todo:
+                stack += todo
+                continue
+            den, num = _rooted_step((wsq, *reversed(pairs[id(c)]))
+                                    for wsq, c in x.children)
+            if den.is_zero:
+                raise ZeroDenominator("denominator collapsed to zero")
+            pairs[id(x)] = (num, den)
+            stack.pop()
+    return pairs[id(node)]
 
 
 def z_count(node: CFracNode) -> int:

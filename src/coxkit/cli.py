@@ -725,8 +725,12 @@ def run_kostant(cfg: RunConfig) -> int:
 def run_braid(cfg: RunConfig) -> int:
     if not 0 <= cfg.order <= braid.MAX_ORDER:
         raise UsageError(f"--order must be in 0..{braid.MAX_ORDER}")
-    word = braid.BraidWord.parse(cfg.word, cfg.strands)
     mode = cfg.mode
+    if cfg.json_out and mode != "burau":
+        raise UsageError(f"--json applies only to burau, not to {mode}")
+    if cfg.against is not None and mode != "ratio":
+        raise UsageError(f"--against applies only to ratio, not to {mode}")
+    word = braid.BraidWord.parse(cfg.word, cfg.strands)
     if mode == "burau":
         img = braid.burau(word, cfg.reduced)
         rows = [[e.render("t") for e in row] for row in img.entries]

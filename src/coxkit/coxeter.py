@@ -100,19 +100,18 @@ def _edge_step(d: Diagram, e) -> Laurent:
             - a * (cross.shifted(s) + cross.bar().shifted(-s)))
 
 
-def _paths(n: int, edges, start: int, end: int):
+def _paths(d: Diagram, start: int, end: int):
     """Every simple path from start to end as (vertex list, product of the
     edge weights along it)."""
-    rows = _adjacency_rows(n, edges)
     stack = [(start, [start], 1)]
     while stack:
         x, path, weight = stack.pop()
         if x == end:
             yield path, weight
             continue
-        for y, w in rows[x]:
+        for y in d.neighbors(x):
             if y not in path:
-                stack.append((y, path + [y], weight * w))
+                stack.append((y, path + [y], weight * d.weight(x, y)))
 
 
 def _cyclomatic(n: int, edges) -> list:
@@ -237,28 +236,18 @@ def char_poly(d: Diagram) -> Poly:
 
 @lru_cache(maxsize=_POLY_MEMO)
 def _char_poly(n: int, edges) -> Poly:
-    rows = _adjacency_rows(n, edges)
     if _cyclomatic(n, edges):
-        coeffs, _ = _faddeev_leverrier(rows)
+        coeffs, _ = _faddeev_leverrier(_adjacency_rows(n, edges))
         return Poly(coeffs)
+    d = _rebuild(n, edges)
     total = Poly.one()
-    seen = [False] * n
-    for root in range(n):
-        if seen[root]:
-            continue
-        seen[root] = True
-        tour, parent = [root], {root: -1}
-        for x in tour:
-            for y, _ in rows[x]:
-                if not seen[y]:
-                    seen[y] = True
-                    parent[y] = x
-                    tour.append(y)
+    for comp in d.components():
+        tour, parent = d.tour(comp[0])
         pairs: dict[int, tuple[Poly, Poly]] = {}
         for x in reversed(tour):
-            pairs[x] = _rooted_step((w * w, *pairs.pop(y)) for y, w in rows[x]
-                                   if y != parent[x])
-        total = total * pairs[root][0]
+            pairs[x] = _rooted_step((d.weight(x, y) ** 2, *pairs.pop(y))
+                                   for y in d.neighbors(x) if y != parent[x])
+        total = total * pairs[comp[0]][0]
     return total
 
 
@@ -411,7 +400,7 @@ def _cross_minor(d: Diagram, i: int, j: int, pos) -> Laurent:
         det = det_exact(minor)
         return -det if (r + c) % 2 else det
     total = Laurent.zero()
-    for path, weight in _paths(d.n, edges, j, i):
+    for path, weight in _paths(d, j, i):
         s = sum(1 if pos[x] < pos[y] else -1 for x, y in zip(path, path[1:]))
         total = total + weight * coxeter_poly(d.delete(path)).shifted(s)
     return total
@@ -446,7 +435,7 @@ def path_sum_H(d: Diagram, i: int, j: int) -> Poly:
     if not (0 <= i < d.n and 0 <= j < d.n):
         raise UnknownVertex("path endpoints outside the diagram")
     acc = Poly.zero()
-    for path, weight in _paths(d.n, d.edges(), i, j):
+    for path, weight in _paths(d, i, j):
         acc = acc + weight * char_poly(d.delete(path))
     return acc
 

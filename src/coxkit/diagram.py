@@ -27,7 +27,8 @@ def _check_vertex_count(n: int) -> None:
 
 
 class Diagram:
-    """Immutable weighted graph with a vertex order.
+    """Immutable weighted graph: a vertex count, weighted edges and a
+    vertex order.
 
     Edges are stored once per unordered pair with a nonzero integer weight;
     an absent pair means weight 0.  The neighbor lists are built from the
@@ -35,9 +36,9 @@ class Diagram:
     subgraphs of the expansions in coxeter) never need them.
     """
 
-    __slots__ = ("n", "labels", "order", "_w", "_nbrs")
+    __slots__ = ("n", "order", "_w", "_nbrs")
 
-    def __init__(self, n: int, edges=(), labels=None, order=None):
+    def __init__(self, n: int, edges=(), order=None):
         _check_vertex_count(n)
         if n < 0:
             raise DomainError(f"vertex count {n} is negative")
@@ -56,9 +57,6 @@ class Diagram:
                 w[key] = weight
         self._w = w
         self._nbrs = None
-        self.labels = tuple(labels) if labels else tuple(str(i) for i in range(n))
-        if len(self.labels) != n:
-            raise DomainError("label count does not match vertex count")
         self.order = tuple(order) if order is not None else tuple(range(n))
         if sorted(self.order) != list(range(n)):
             raise DomainError("order must be a permutation of the vertices")
@@ -107,7 +105,7 @@ class Diagram:
     # -- derived diagrams ----------------------------------------------------
 
     def with_order(self, order) -> "Diagram":
-        return Diagram(self.n, dict(self._w), self.labels, tuple(order))
+        return Diagram(self.n, dict(self._w), order=tuple(order))
 
     def delete(self, vertices) -> "Diagram":
         """Induced subdiagram on the remaining vertices, order inherited."""
@@ -119,35 +117,38 @@ class Diagram:
         index = {v: k for k, v in enumerate(keep)}
         edges = {(index[i], index[j]): w for (i, j), w in self._w.items()
                  if i in index and j in index}
-        labels = [self.labels[v] for v in keep]
         order = [index[v] for v in self.order if v in index]
-        return Diagram(len(keep), edges, labels, order)
+        return Diagram(len(keep), edges, order=order)
+
+    def tour(self, root: int) -> tuple[list[int], dict[int, int]]:
+        """The component of root, breadth first with neighbors ascending,
+        and the parent of each of its vertices (-1 at the root).  A parent
+        comes before its children, so a reversed tour builds a rooted
+        recursion leaves first."""
+        if not (0 <= root < self.n):
+            raise UnknownVertex(f"no vertex {root}")
+        tour, parent = [root], {root: -1}
+        for v in tour:
+            for u in self.neighbors(v):
+                if u not in parent:
+                    parent[u] = v
+                    tour.append(u)
+        return tour, parent
 
     def components(self) -> list[tuple[int, ...]]:
+        """Vertex sets of the components, each ascending, by least vertex."""
         seen: set[int] = set()
         comps = []
         for start in range(self.n):
-            if start in seen:
-                continue
-            stack, comp = [start], []
-            seen.add(start)
-            while stack:
-                v = stack.pop()
-                comp.append(v)
-                for u in self.neighbors(v):
-                    if u not in seen:
-                        seen.add(u)
-                        stack.append(u)
-            comps.append(tuple(sorted(comp)))
+            if start not in seen:
+                tour, _ = self.tour(start)
+                seen.update(tour)
+                comps.append(tuple(sorted(tour)))
         return comps
 
     def is_tree(self) -> bool:
         return (len(self._w) == self.n - 1
                 and len(self.components()) == 1) or self.n == 0
-
-
-def delete(d: Diagram, vertices) -> Diagram:
-    return d.delete(vertices)
 
 
 # ---------------------------------------------------------------------------
@@ -293,7 +294,6 @@ def join(parts) -> Diagram:
     """
     parts = list(parts)
     edges: list[tuple[tuple[int, int], int]] = []
-    labels: list[str] = ["join"]
     order: list[int] = [0]
     offset = 1
     for k, (d, v) in enumerate(parts):
@@ -301,19 +301,17 @@ def join(parts) -> Diagram:
             raise UnknownVertex(f"marked vertex {v} outside part {k}")
         for (i, j, w) in d.edges():
             edges.append(((i + offset, j + offset), w))
-        labels.extend(f"p{k}:{lab}" for lab in d.labels)
         order.extend(p + offset for p in d.order)
         edges.append(((0, v + offset), 1))
         offset += d.n
-    return Diagram(offset, edges, labels, order)
+    return Diagram(offset, edges, order=order)
 
 
 def disjoint_union(a: Diagram, b: Diagram) -> Diagram:
     edges = [((i, j), w) for (i, j, w) in a.edges()]
     edges += [((i + a.n, j + a.n), w) for (i, j, w) in b.edges()]
-    labels = list(a.labels) + list(b.labels)
     order = list(a.order) + [p + a.n for p in b.order]
-    return Diagram(a.n + b.n, edges, labels, order)
+    return Diagram(a.n + b.n, edges, order=order)
 
 
 # ---------------------------------------------------------------------------
@@ -333,21 +331,16 @@ def bipartite_order(d: Diagram):
     A normal outcome either way: graphs without odd cycles get an order
     under which the characteristic and Coxeter polynomials coincide.
     """
-    color = [-1] * d.n
-    parent = [-1] * d.n
-    for start in range(d.n):
-        if color[start] != -1:
-            continue
-        color[start] = 0
-        queue = [start]
-        while queue:
-            v = queue.pop(0)
+    color = [0] * d.n
+    for comp in d.components():
+        tour, parent = d.tour(comp[0])
+        for v in tour[1:]:
+            color[v] = 1 - color[parent[v]]
+        # the first conflict in tour order is the first that a breadth-first
+        # coloring meets: it gives every new neighbor the other color
+        for v in tour:
             for u in d.neighbors(v):
-                if color[u] == -1:
-                    color[u] = 1 - color[v]
-                    parent[u] = v
-                    queue.append(u)
-                elif color[u] == color[v]:
+                if color[u] == color[v]:
                     return OddCycle(_odd_cycle_witness(parent, u, v))
     part0 = [v for v in range(d.n) if color[v] == 0]
     part1 = [v for v in range(d.n) if color[v] == 1]

@@ -214,32 +214,6 @@ def _int_det(mat) -> int:
 # Poincare-series forms over the numerator tables
 # ---------------------------------------------------------------------------
 
-def _bfs_parents(d: Diagram, root: int) -> list[int]:
-    parent = [-2] * d.n
-    parent[root] = -1
-    queue = [root]
-    while queue:
-        v = queue.pop(0)
-        for u in d.neighbors(v):
-            if parent[u] == -2:
-                parent[u] = v
-                queue.append(u)
-    return parent
-
-
-def _subtree(d: Diagram, parent, i: int) -> list[int]:
-    children: dict[int, list[int]] = {v: [] for v in range(d.n)}
-    for v, p in enumerate(parent):
-        if p >= 0:
-            children[p].append(v)
-    out, stack = [], [i]
-    while stack:
-        v = stack.pop()
-        out.append(v)
-        stack.extend(children[v])
-    return sorted(out)
-
-
 def poincare_cd(data: KleinGroupData, i, j: int | None = None
                 ) -> tuple[IdentityReport, IdentityReport]:
     """Christoffel-Darboux forms over the numerator tables.
@@ -274,18 +248,22 @@ def poincare_cd(data: KleinGroupData, i, j: int | None = None
             raise BadType("vertex pairs only apply to the cycle family")
         if not (0 <= i < d.n):
             raise UnknownVertex(f"no vertex {i}")
-        parent = _bfs_parents(d, 0)
         if data.family == "affA":
             # only the full-diagram case is two-sided-free on a cycle
             if i != 0:
                 raise BadType("cycle family needs a vertex pair for i > 0")
-            up = [-1]
+            up = -1
             ks = list(range(d.n))
         else:
-            up = [parent[i] if i != 0 else -1]
-            ks = _subtree(d, parent, i)
-        bez_lhs = bezoutian(z_of(up[0]), zt[i])
-        wr_lhs = wronskian(z_of(up[0]), zt[i])
+            tour, parent = d.tour(0)
+            up = parent[i]
+            branch = {i}
+            for v in tour:
+                if parent[v] in branch:
+                    branch.add(v)
+            ks = sorted(branch)
+        bez_lhs = bezoutian(z_of(up), zt[i])
+        wr_lhs = wronskian(z_of(up), zt[i])
         name = f"poincare-cd-{data.family}{data.n}-{i}"
     bez_rhs = BiLaurent.zero()
     wr_rhs = Laurent.zero()
@@ -301,8 +279,10 @@ def poincare_cd(data: KleinGroupData, i, j: int | None = None
 def poincare_cd_antipodal_choices(data: KleinGroupData):
     """On even cycles the vertex opposite the affine one has two equally
     short routes back; the expansion must not depend on which neighbor is
-    taken as its parent.  Returns one report per choice plus the meeting
-    identity at the antipode; all must hold."""
+    taken as its parent.  Returns five reports, which must all hold: that
+    the two neighbors carry one numerator, the meeting identity under each
+    parent choice, and the (Bezoutian, Wronskian) pair of poincare_cd at
+    the antipode."""
     if data.family != "affA" or data.n % 2 == 0 or data.n < 3:
         raise BadType("two parent choices only occur on even cycles")
     mid = (data.n + 1) // 2
@@ -311,11 +291,8 @@ def poincare_cd_antipodal_choices(data: KleinGroupData):
     out = [IdentityReport("antipodal-parents-agree", zt[mid - 1], zt[mid + 1],
                           same, same.is_zero)]
     for parent in (mid - 1, mid + 1):
-        rep_b, rep_w = poincare_cd(data, mid, mid)
         lhs = bezoutian(zt[parent], zt[mid]) - bezoutian(zt[mid], zt[2 * mid - parent])
         rhs = _one_minus_inv_xy(BiLaurent.outer(zt[mid], zt[mid]))
         out.append(IdentityReport.compare(
             f"poincare-cd-antipodal-parent{parent}", lhs, rhs))
-        out.append(rep_b)
-        out.append(rep_w)
-    return out
+    return out + list(poincare_cd(data, mid, mid))

@@ -161,47 +161,31 @@ def verify_system(data: KleinGroupData, which: int) -> IdentityReport:
     16: the Cramer identity on the cofactor column of the diagram.
     """
     d = data.diagram()
+    # per system: the head z, the vector v and the virtual entry v_-1
     if which == 14:
-        z = RatFunc(Laurent.z(), Laurent.one())
+        head = RatFunc(Laurent.z(), Laurent.one())
         vec = [data.series(i) for i in range(d.n)]
-        total = Laurent.zero()
-        for j in range(d.n):
-            acc = z * vec[j]
-            for i in d.neighbors(j):
-                acc = acc - d.weight(i, j) * vec[i]
-            if j == 0:
-                acc = acc - data.series(-1)
-            total = total + acc.num * acc.num
-        return IdentityReport(f"system-14-{data.family}{data.n}",
-                              None, None, total, total.is_zero)
-    if which == 15:
-        z = Laurent.z()
-        total = Laurent.zero()
-        for j in range(d.n):
-            acc = z * data.z_table[j]
-            for i in d.neighbors(j):
-                acc = acc - d.weight(i, j) * data.z_table[i]
-            if j == 0:
-                acc = acc - data.z_minus1
-            total = total + acc * acc
-        return IdentityReport(f"system-15-{data.family}{data.n}",
-                              None, None, total, total.is_zero)
-    if which == 16:
+        virtual = data.series(-1)
+    elif which == 15:
+        head, vec, virtual = Laurent.z(), data.z_table, data.z_minus1
+    elif which == 16:
         table = cofactors(d)
-        g = char_poly(d)
-        total = Poly.zero()
-        zp = Poly.x()
-        adj = d.adjacency()
-        for j in range(d.n):
-            acc = zp * table[j, 0]
-            for i in d.neighbors(j):
-                acc = acc - Poly.const(adj[i][j]) * table[i, 0]
-            if j == 0:
-                acc = acc - g
-            total = total + acc * acc
-        return IdentityReport(f"system-16-{data.family}{data.n}",
-                              None, None, total, total.is_zero)
-    raise IndexOutOfRange("which must be 14, 15 or 16")
+        head, vec = Poly.x(), [table[j, 0] for j in range(d.n)]
+        virtual = char_poly(d)
+    else:
+        raise IndexOutOfRange("which must be 14, 15 or 16")
+    total = Poly.zero() if which == 16 else Laurent.zero()
+    for j in range(d.n):
+        acc = head * vec[j]
+        for i in d.neighbors(j):
+            acc = acc - d.weight(i, j) * vec[i]
+        if j == 0:
+            acc = acc - virtual
+        # system 14 sums the squares of the residuals' numerators
+        part = acc.num if which == 14 else acc
+        total = total + part * part
+    return IdentityReport(f"system-{which}-{data.family}{data.n}",
+                          None, None, total, total.is_zero)
 
 
 def cramer_z_table(data: KleinGroupData) -> list[Laurent]:

@@ -4,10 +4,12 @@ import random
 
 import pytest
 
+from coxkit import cfrac
 from coxkit.algebra import Laurent, Poly, RatFunc, z_substitute
 from coxkit.cfrac import (Branch, Closing, evaluate, expand_cycle,
                           expand_tree, render, tree_ratio, z_count)
-from coxkit.coxeter import _adjacency_rows, _faddeev_leverrier, char_poly
+from coxkit.coxeter import (_adjacency_rows, _faddeev_leverrier, _rooted_step,
+                            char_poly)
 from coxkit.diagram import Diagram, build, from_name, random_tree
 from coxkit.errors import DomainError, NotATree, ZeroDenominator
 from coxkit.kostant import klein_data
@@ -173,6 +175,38 @@ def test_evaluate_still_refuses_zero_denominators():
     deep = Branch(((1, Branch(((1, collapse),))),))
     with pytest.raises(ZeroDenominator, match="denominator collapsed"):
         evaluate(deep)
+
+
+def _unshared(node):
+    """A copy of node in which no node has two parents."""
+    if isinstance(node, Closing):
+        return Closing(node.value)
+    return Branch(tuple((wsq, _unshared(c)) for wsq, c in node.children))
+
+
+def test_evaluate_takes_a_shared_node_once(monkeypatch):
+    steps = []
+
+    def counted(children):
+        steps.append(1)
+        return _rooted_step(children)
+
+    monkeypatch.setattr(cfrac, "_rooted_step", counted)
+    # 201 distinct Branch nodes: the root and the 200 of the arm it holds
+    # under both of its children
+    evaluate(expand_cycle(400))
+    assert len(steps) == 201
+    for n in range(1, 41):
+        node = expand_cycle(n)
+        copy = _unshared(node)
+        assert copy == node and evaluate(node) == evaluate(copy), n
+    rng = random.Random(5)
+    for _ in range(20):
+        d = random_tree(rng, rng.randint(1, 9), (1, 2))
+        root = rng.randrange(d.n)
+        node = expand_tree(d, root)
+        assert evaluate(node) == evaluate(_unshared(node)) == \
+            tree_ratio(d, root)
 
 
 def test_latex_render():

@@ -123,6 +123,61 @@ def test_braid_modes(capsys):
     assert code == 0 and "u1" in out
 
 
+@pytest.mark.parametrize("argv", [
+    ["milnor", "--word", "s1 s1", "--order", "3", "--json"],
+    ["burau", "--word", "s1", "--against", "s1 s1"],
+])
+def test_braid_option_of_another_mode_exits_2(capsys, argv):
+    # only burau reads --json, and only ratio reads --against
+    assert cli.main(["braid", *argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("usage error: ")
+    assert captured.err.count("\n") == 1
+
+
+# sha256 of the stdout of `coxkit cfrac --diagram NAME --format FORMAT`
+CFRAC_SHA256 = {
+    ("A1000", "latex"):
+        "1353b6c2f2d878766214b1c978cbdf4d910aa3f70fc3c828c981ab5344905992",
+    ("A1000", "ascii"):
+        "e84a163f239b94605eabed008f6fec2886fb633bfe811fb5f4efc20665efdbc1",
+    ("A1000", "eval"):
+        "681240caa2d74869f0f8589dcccb6eaa7d7073139ca8065498d3a9e81a10d1e9",
+    ("~D4", "latex"):
+        "ed8c7ae14114cf49c73c981ce7f7b33dff6904548819e690ec83730584294859",
+    ("~D4", "ascii"):
+        "3059e7252d2198dbaf86805bed9f313681a001e889dd54462b08f89c185a75b3",
+    ("~D4", "eval"):
+        "820c6ccfe65c33af29a639384a17bac488e4215959de30670108ad2a8c182bc6",
+    ("~E8", "latex"):
+        "e04b5bd784f7e1db4665bd82a2edfadad0c4db766add170ab95b49d3589b5d21",
+    ("~E8", "ascii"):
+        "f6c1ee2997e60109e3c7789ca99a97c692c2ad44c922b684c097327c465a1e5a",
+    ("~E8", "eval"):
+        "2285816028ef67a7e93964ae7657a6563548141b7f294f70ac2e143c8cbf98a3",
+    ("~A6", "latex"):
+        "5244f534dccab786b0745328abde26674535e936eddf03160d3f4362e5787b4c",
+    ("~A6", "ascii"):
+        "d6bc7369814cff3bbbec157b40fb00c0e8bba84b6056dd0bc61b234c9ba96741",
+    ("~A6", "eval"):
+        "50dbeee49d71585584420faf04db7cf948d1b03f9af25590f1baa4d7b1e48f2f",
+    ("~A7", "latex"):
+        "33fde91e6851caae09b3fa612a9e362f4230e1ddea2ae986270c647727508929",
+    ("~A7", "ascii"):
+        "9db53ea77ae56d386c87e06233239a56753242dc91db8cbd805819540f46f3c5",
+    ("~A7", "eval"):
+        "35338e9a6b2f97feeb0ab07552278515ad761e59259077d2b85d60ee43804e23",
+}
+
+
+@pytest.mark.parametrize("name,fmt", sorted(CFRAC_SHA256))
+def test_cfrac_output_is_pinned(capsys, name, fmt):
+    code, out = run_cli(capsys, "cfrac", "--diagram", name, "--format", fmt)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == CFRAC_SHA256[name, fmt]
+
+
 def test_verify_single_suite(capsys):
     code, out = run_cli(capsys, "verify", "join")
     assert code == 0

@@ -1,5 +1,6 @@
 """Diagram builders, deletion, joins and the two-block order."""
 
+import hashlib
 import random
 
 import pytest
@@ -84,6 +85,35 @@ def test_neighbors_match_an_edge_scan_on_random_graphs():
         # the lists are built on demand and change neither equality nor hash
         fresh = Diagram(n, {(i, j): w for i, j, w in d.edges()}, order=d.order)
         assert fresh == d and hash(fresh) == hash(d)
+
+
+def test_tour_is_breadth_first_with_neighbors_ascending():
+    # a tree on 0..4, the isolated vertex 5 and a triangle on 6..8
+    d = Diagram(9, {(0, 3): 1, (0, 1): 2, (1, 4): -1, (2, 3): 1,
+                    (6, 7): 1, (7, 8): 1, (6, 8): 1})
+    assert d.tour(0) == ([0, 1, 3, 4, 2], {0: -1, 1: 0, 3: 0, 4: 1, 2: 3})
+    assert d.tour(2) == ([2, 3, 0, 1, 4], {2: -1, 3: 2, 0: 3, 1: 0, 4: 1})
+    assert d.tour(5) == ([5], {5: -1})
+    assert d.tour(7) == ([7, 6, 8], {7: -1, 6: 7, 8: 7})
+    for bad in (-1, 9):
+        with pytest.raises(UnknownVertex):
+            d.tour(bad)
+
+
+def test_bipartite_order_and_components_are_pinned():
+    # one digest over seeded random graphs of the two-block order or the
+    # OddCycle witness, and of the components
+    rng = random.Random(1011)
+    digest = hashlib.sha256()
+    for _ in range(1000):
+        n = rng.randint(0, 12)
+        p = rng.random() * 0.4
+        d = Diagram(n, {(i, j): rng.choice((-1, 1, 2))
+                        for i in range(n) for j in range(i + 1, n)
+                        if rng.random() < p})
+        digest.update(repr((bipartite_order(d), d.components())).encode())
+    assert digest.hexdigest() == (
+        "dddc858c117cd116487524536b0a4789584315384791100bffd97289239aca55")
 
 
 def test_is_tree_and_neighbors_of_a_1000_vertex_path():

@@ -194,7 +194,14 @@ def test_poincare_cd_cycle_full_diagram():
 def test_poincare_cd_antipodal_both_choices():
     for n in (3, 5, 7):
         reps = poincare_cd_antipodal_choices(klein_data("affA", n))
-        assert reps and all(r.holds for r in reps)
+        mid = (n + 1) // 2
+        assert [r.name for r in reps] == [
+            "antipodal-parents-agree",
+            f"poincare-cd-antipodal-parent{mid - 1}",
+            f"poincare-cd-antipodal-parent{mid + 1}",
+            f"poincare-cd-affA{n}-{mid}-{mid}-bez",
+            f"poincare-cd-affA{n}-{mid}-{mid}-wr"]
+        assert all(r.holds for r in reps)
     with pytest.raises(BadType):
         poincare_cd_antipodal_choices(klein_data("affA", 4))
 

@@ -1,10 +1,13 @@
 """Klein-group Poincare series: tables, systems, ratios, closed forms."""
 
+import dataclasses
+
 import pytest
 
-from coxkit.algebra import Laurent, RatFunc, z_substitute
+from coxkit import kostant
+from coxkit.algebra import Laurent, Poly, RatFunc, z_substitute
 from coxkit.cfrac import evaluate, expand_cycle, expand_tree
-from coxkit.coxeter import char_poly, coxeter_poly
+from coxkit.coxeter import CofactorTable, char_poly, coxeter_poly
 from coxkit.diagram import build
 from coxkit.errors import BadType, IndexOutOfRange
 from coxkit.kostant import (PoincareVector, a2m_closed_form, a2m_recurrence,
@@ -159,6 +162,26 @@ def test_all_systems_all_types():
             assert verify_system(data, which).holds, (fam, n, which)
 
 
+def test_every_system_counts_the_residual_of_a_wrong_input(monkeypatch):
+    # each residual is a sum of squares: unsquared, the counts would be
+    # 6, 9 and 6
+    data = klein_data("affE", 6)
+    wrong = dataclasses.replace(
+        data, z_table=(data.z_table[0],
+                       data.z_table[1] + Laurent({3: 1, 7: -2, 13: 5}))
+        + data.z_table[2:])
+    for which, terms in ((14, 11), (15, 12)):
+        rep = verify_system(wrong, which)
+        assert not rep.holds and rep.residual_terms == terms, which
+    table = kostant.cofactors(data.diagram())
+    rows = [list(row) for row in table.entries]
+    rows[1][0] = rows[1][0] + Poly((0, 1, 0, -2, 0, 0, 5))
+    monkeypatch.setattr(kostant, "cofactors",
+                        lambda d: CofactorTable(tuple(map(tuple, rows))))
+    rep = verify_system(data, 16)
+    assert not rep.holds and rep.residual_terms == 9
+
+
 def test_cramer_recompute_matches_tables():
     for fam, n in klein_types(12):
         data = klein_data(fam, n)
@@ -294,12 +317,12 @@ def test_subfractions_are_series_ratios():
                     queue.append(u)
         for i in range(1, d.n):
             cut = d.delete([parent[i]])
-            comp = next(c for c in cut.components()
-                        if any(cut.labels[v] == d.labels[i] for v in c))
+            # delete keeps the order of the vertices that remain
+            at = i - (i > parent[i])
+            comp = next(c for c in cut.components() if at in c)
             keep = set(comp)
             sub = cut.delete([v for v in range(cut.n) if v not in keep])
-            root = next(v for v in range(sub.n)
-                        if sub.labels[v] == d.labels[i])
+            root = comp.index(at)
             val = evaluate(expand_tree(sub, root))
             # value = P_i / P_parent = Z_i / Z_parent
             lhs = z_substitute(val.den) * data.z_table[i]
