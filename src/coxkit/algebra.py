@@ -15,10 +15,11 @@ product or division is needed.
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Mapping, Sequence
 from fractions import Fraction
 from math import gcd, lcm
 from operator import mul
-from typing import Iterable, Mapping, Sequence, Union
+from typing import Union
 
 from .errors import (DomainError, ExactDivisionError, NotSymmetric,
                      ZeroDenominator)
@@ -269,7 +270,9 @@ class _Sparse:
     __slots__ = ("_c",)
 
     def __init__(self, coeffs: Mapping | Iterable[tuple] = ()):
-        items = coeffs.items() if isinstance(coeffs, Mapping) else coeffs
+        # a dict is tested first: the test costs a tenth of the Mapping one
+        items = (coeffs.items() if isinstance(coeffs, (dict, Mapping))
+                 else coeffs)
         d: dict = {}
         for k, v in items:
             if v:
@@ -289,7 +292,28 @@ class _Sparse:
 
     @classmethod
     def zero(cls):
-        return cls()
+        return cls._of({})
+
+    @classmethod
+    def total(cls, terms: Iterable):
+        """The sum of values of this class, added into one map: a chain of
+        + copies the running sum once per term."""
+        d: dict = {}
+        for term in terms:
+            if type(term) is not cls:
+                raise TypeError(f"cannot add {type(term).__name__} to "
+                                f"{cls.__name__}")
+            if not d:
+                d = dict(term._c)
+                continue
+            get = d.get
+            for k, v in term._c.items():
+                nv = get(k, 0) + v
+                if nv:
+                    d[k] = nv
+                elif k in d:
+                    del d[k]
+        return cls._of(d)
 
     @property
     def is_zero(self) -> bool:
@@ -1013,11 +1037,6 @@ def _reduce_pair(num: Poly, den: Poly) -> tuple[Poly, Poly]:
 # ---------------------------------------------------------------------------
 # small matrix helpers
 # ---------------------------------------------------------------------------
-
-def mat_identity(n: int) -> list[list[Laurent]]:
-    return [[Laurent.one() if i == j else Laurent.zero() for j in range(n)]
-            for i in range(n)]
-
 
 def mat_mul(a, b) -> list:
     """Matrix product over int, Poly or Laurent entries, or int times Poly.

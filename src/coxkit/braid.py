@@ -12,10 +12,11 @@ otherwise.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from struct import Struct
 from typing import Iterable, Sequence
 
 from .algebra import (Laurent, Poly, RatFunc, TruncSeries, _substitute,
-                      _unsubstitute, det_exact, mat_identity, series_sqrt1p)
+                      _unsubstitute, det_exact, mat_mul, series_sqrt1p)
 from .errors import (DomainError, NotPure, StrandMismatch, UnknownClosure)
 
 Word = tuple[int, ...]
@@ -122,45 +123,94 @@ class BurauImage:
         return len(self.entries)
 
 
-def _unreduced_letter(row: list[Laurent], g: int) -> None:
-    """Right-multiply one row by the unreduced image of s_k^(+-1); only
-    columns k and k+1 change."""
-    k = abs(g) - 1
-    x, y = row[k], row[k + 1]
-    if g > 0:
-        tx = x.shifted(1)
-        row[k], row[k + 1] = x - tx + y, tx
-    else:
-        ty = y.shifted(-1)
-        row[k], row[k + 1] = ty, x + y - ty
+# Each entry of an image being built is one integer, the sum of
+# c_e 2^(64 (e + m)) over its terms c_e t^e, where m counts the inverse
+# letters of the word.  Multiplying by t is a shift left by one 64-bit
+# digit and multiplying by 1/t a shift right, which is exact: before the
+# i-th inverse letter every exponent is at least 1 - i >= 1 - m, so the
+# digit shifted out is zero.  A letter at most triples the sum of the
+# absolute coefficients of a row, so after L letters every coefficient is
+# at most 3^L, and 3^39 < 2^63 keeps a piece of _PIECE letters in signed
+# 64-bit digits.  A longer word is the product of the images of its
+# pieces.
+_PIECE = 39
+# the signed digits of x, in c digits, are those of (x + off) ^ off read
+# as two's complement, where off holds 2^63 in each digit
+_OFFSET = tuple(int.from_bytes((bytes(7) + b"\x80") * c, "little")
+                for c in range(_PIECE + 2))
+_DIGITS = tuple(Struct(f"<{c}q").unpack for c in range(_PIECE + 2))
 
 
-def _reduced_letter(row: list[Laurent], g: int) -> None:
-    """Right-multiply one row by the reduced image of s_k^(+-1), which
-    differs from the identity in row k only: column k becomes -t^(+-1) x
-    and multiples of x = row[k] are added to columns k-1 and k+1."""
-    k = abs(g) - 1
-    x = row[k]
-    if x.is_zero:
-        return
-    tx = x.shifted(1 if g > 0 else -1)
-    row[k] = -tx
-    if k > 0:
-        row[k - 1] = row[k - 1] + (tx if g > 0 else x)
-    if k + 1 < len(row):
-        row[k + 1] = row[k + 1] + (x if g > 0 else tx)
+def _unpack(x: int, m: int) -> Laurent:
+    """The Laurent polynomial of a nonzero packed entry: digit d is the
+    coefficient of t^(d - m).  Only the digits from the lowest to the
+    highest nonzero one are read."""
+    low = ((x & -x).bit_length() - 1) >> 6
+    x >>= low << 6
+    count = (x.bit_length() >> 6) + 1
+    off = _OFFSET[count]
+    digits = _DIGITS[count](((x + off) ^ off).to_bytes(8 * count, "little"))
+    return Laurent._of({e: c for e, c in enumerate(digits, low - m) if c})
+
+
+def _piece(word: Word, size: int, reduced: bool) -> list[list[Laurent]]:
+    """Image of a word of at most _PIECE letters.  Each letter
+    right-multiplies every row; column j of the image is at place j + 1
+    of a row, and places 0 and size + 1 take what a reduced letter at
+    either end would add outside the matrix."""
+    m = sum(1 for g in word if g < 0)
+    rows = [[0] * (size + 2) for _ in range(size)]
+    for i, row in enumerate(rows):
+        row[i + 1] = 1 << (64 * m)
+    for g in word:
+        k = abs(g)
+        if reduced and g > 0:
+            # x at place k becomes -t x, and adds t x to place k - 1 and
+            # x to place k + 1
+            for row in rows:
+                x = row[k]
+                if x:
+                    tx = x << 64
+                    row[k] = -tx
+                    row[k - 1] += tx
+                    row[k + 1] += x
+        elif reduced:
+            for row in rows:
+                x = row[k]
+                if x:
+                    tx = x >> 64
+                    row[k] = -tx
+                    row[k - 1] += x
+                    row[k + 1] += tx
+        elif g > 0:
+            # (x, y) at places k, k + 1 becomes (x - t x + y, t x)
+            for row in rows:
+                x = row[k]
+                tx = x << 64
+                row[k] = x - tx + row[k + 1]
+                row[k + 1] = tx
+        else:
+            # (x, y) becomes (y / t, x + y - y / t)
+            for row in rows:
+                y = row[k + 1]
+                ty = y >> 64
+                row[k + 1] = row[k] + y - ty
+                row[k] = ty
+    zero = Laurent.zero()
+    return [[_unpack(x, m) if x else zero for x in row[1:-1]]
+            for row in rows]
 
 
 def burau(b: BraidWord, reduced: bool = False) -> BurauImage:
     """Image of the braid word; multiplicative over concatenation."""
-    n = b.strands
-    acc = mat_identity(n - 1 if reduced else n)
-    act = _reduced_letter if reduced else _unreduced_letter
-    for g in b.word:
-        for row in acc:
-            act(row, g)
-    return BurauImage("reduced" if reduced else "unreduced", n,
-                      tuple(tuple(row) for row in acc))
+    size = b.strands - 1 if reduced else b.strands
+    word = b.word
+    image = _piece(word[:_PIECE], size, reduced)
+    for start in range(_PIECE, len(word), _PIECE):
+        image = mat_mul(image, _piece(word[start:start + _PIECE], size,
+                                      reduced))
+    return BurauImage("reduced" if reduced else "unreduced", b.strands,
+                      tuple(tuple(row) for row in image))
 
 
 def det_one_minus(img: BurauImage) -> Laurent:

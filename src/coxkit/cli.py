@@ -33,7 +33,9 @@ class RunConfig:
     diagram_spec: str | None = None
     type_spec: str | None = None
     series_index: int | None = None
-    terms: int = 40
+    # terms and reduced are None when the option is not given, so that an
+    # option the chosen mode does not read can be rejected
+    terms: int | None = None
     order: int = 16
     order_override: str | None = None
     root: int = 0
@@ -46,7 +48,7 @@ class RunConfig:
     word: str = ""
     strands: int | None = None
     against: str | None = None
-    reduced: bool = True
+    reduced: bool | None = None
     mode: str = ""
     verify_which: str | None = None
 
@@ -672,13 +674,20 @@ def run_cfrac(cfg: RunConfig) -> int:
 
 
 def run_kostant(cfg: RunConfig) -> int:
+    if cfg.series_index is not None and cfg.verify_which is not None:
+        raise UsageError("--series and --verify cannot be combined")
+    if cfg.terms is not None and cfg.series_index is None:
+        raise UsageError("--terms applies only with --series")
+    if cfg.timings and cfg.verify_which is None:
+        raise UsageError("--timings applies only with --verify")
     fam, rank = diagram.parse_name(cfg.type_spec)
     data = kostant.klein_data(fam, rank)
     if cfg.series_index is not None:
-        series = kostant.poincare_series(data, cfg.series_index, cfg.terms)
+        terms = 40 if cfg.terms is None else cfg.terms
+        series = kostant.poincare_series(data, cfg.series_index, terms)
         if cfg.json_out:
             _emit({"type": cfg.type_spec, "vertex": cfg.series_index,
-                   "terms": cfg.terms, "series": series.render()})
+                   "terms": terms, "series": series.render()})
         else:
             print(series.render())
         return 0
@@ -730,9 +739,13 @@ def run_braid(cfg: RunConfig) -> int:
         raise UsageError(f"--json applies only to burau, not to {mode}")
     if cfg.against is not None and mode != "ratio":
         raise UsageError(f"--against applies only to ratio, not to {mode}")
+    if cfg.reduced is not None and mode not in ("burau", "ratio"):
+        raise UsageError(f"--reduced and --unreduced apply only to burau "
+                         f"and ratio, not to {mode}")
+    reduced = True if cfg.reduced is None else cfg.reduced
     word = braid.BraidWord.parse(cfg.word, cfg.strands)
     if mode == "burau":
-        img = braid.burau(word, cfg.reduced)
+        img = braid.burau(word, reduced)
         rows = [[e.render("t") for e in row] for row in img.entries]
         if cfg.json_out:
             _emit({"kind": img.kind, "entries": rows})
@@ -768,7 +781,7 @@ def run_braid(cfg: RunConfig) -> int:
         return 0 if rep.holds else 1
     if mode == "ratio":
         other = braid.BraidWord.parse(cfg.against or "", word.strands)
-        ratio = braid.det_ratio(word, other, cfg.reduced)
+        ratio = braid.det_ratio(word, other, reduced)
         print(ratio.render("t"))
         return 0
     raise UsageError(f"unknown braid mode {mode!r}")
@@ -883,7 +896,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--series", dest="series_index", metavar="SERIES",
                    type=int, default=None,
                    help="vertex index (-1 for the virtual vertex)")
-    p.add_argument("--terms", type=int, default=40)
+    p.add_argument("--terms", type=int, default=None,
+                   help="number of series terms (default 40)")
     p.add_argument("--verify", dest="verify_which", default=None,
                    choices=("all", "17", "14", "15", "16", "squares", "walks"))
     p.add_argument("--json", dest="json_out", action="store_true")
@@ -898,7 +912,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--against", default=None,
                    help="second braid word for ratio mode")
     p.add_argument("--reduced", dest="reduced", action="store_true",
-                   default=True)
+                   default=None,
+                   help="reduced Burau image (the default of burau, ratio)")
     p.add_argument("--unreduced", dest="reduced", action="store_false")
     p.add_argument("--json", dest="json_out", action="store_true")
 

@@ -38,11 +38,10 @@ def cd_coxeter(d: Diagram, pivot: int) -> IdentityReport:
     + weighted Bezoutians of the branch and cross terms."""
     step = schur_step(d, pivot)
     lhs = bezoutian(step.total, step.base)
-    rhs = _one_minus_inv_xy(BiLaurent.outer(step.base, step.base))
-    for _, wsq, g in step.branches:
-        rhs = rhs + wsq * bezoutian(step.base, g)
-    for _, coeff, p in step.crosses:
-        rhs = rhs + coeff * bezoutian(step.base, p)
+    rhs = BiLaurent.total([
+        _one_minus_inv_xy(BiLaurent.outer(step.base, step.base)),
+        *(wsq * bezoutian(step.base, g) for _, wsq, g in step.branches),
+        *(coeff * bezoutian(step.base, p) for _, coeff, p in step.crosses)])
     return IdentityReport.compare(f"cd-bez-pivot{pivot}", lhs, rhs)
 
 
@@ -50,11 +49,10 @@ def cd_wronskian(d: Diagram, pivot: int) -> IdentityReport:
     """Wronskian form: the diagonal limit of the Bezoutian identity."""
     step = schur_step(d, pivot)
     lhs = wronskian(step.total, step.base)
-    rhs = _one_minus_inv_x2() * step.base * step.base
-    for _, wsq, g in step.branches:
-        rhs = rhs + wsq * wronskian(step.base, g)
-    for _, coeff, p in step.crosses:
-        rhs = rhs + coeff * wronskian(step.base, p)
+    rhs = Laurent.total([
+        _one_minus_inv_x2() * step.base * step.base,
+        *(wsq * wronskian(step.base, g) for _, wsq, g in step.branches),
+        *(coeff * wronskian(step.base, p) for _, coeff, p in step.crosses)])
     return IdentityReport.compare(f"cd-wr-pivot{pivot}", lhs, rhs)
 
 
@@ -106,10 +104,8 @@ def chain_identities(d: Diagram, tail) -> list[IdentityReport]:
         mat = [[c[0], c[1]], [c[1], c[2]]]
         for i in range(1, k):
             want = [[c[i - 1], c[i]], [c[i], c[i + 1]]]
-            res = Laurent.zero()
-            for r in range(2):
-                for t in range(2):
-                    res = res + (mat[r][t] - want[r][t]) ** 2
+            res = Laurent.total((mat[r][t] - want[r][t]) ** 2
+                                for r in range(2) for t in range(2))
             reports.append(IdentityReport(
                 f"chain-transfer-{i}", None, None, res, res.is_zero))
             mat = [[mat[1][0], mat[1][1]],
@@ -127,14 +123,12 @@ def chain_identities(d: Diagram, tail) -> list[IdentityReport]:
     # Christoffel-Darboux sums along the chain
     for i in range(1, k):
         bez_lhs = bezoutian(c[i - 1], c[i])
-        bez_rhs = bezoutian(c[k - 1], c[k])
-        for j in range(i, k):
-            bez_rhs = bez_rhs + _one_minus_inv_xy(BiLaurent.outer(c[j], c[j]))
+        bez_rhs = bezoutian(c[k - 1], c[k]) + _one_minus_inv_xy(
+            BiLaurent.total(BiLaurent.outer(c[j], c[j]) for j in range(i, k)))
         reports.append(IdentityReport.compare(f"chain-bez-{i}", bez_lhs, bez_rhs))
         wr_lhs = wronskian(c[i - 1], c[i])
-        wr_rhs = wronskian(c[k - 1], c[k])
-        for j in range(i, k):
-            wr_rhs = wr_rhs + _one_minus_inv_x2() * c[j] * c[j]
+        wr_rhs = wronskian(c[k - 1], c[k]) + _one_minus_inv_x2() * \
+            Laurent.total(c[j] * c[j] for j in range(i, k))
         reports.append(IdentityReport.compare(f"chain-wr-{i}", wr_lhs, wr_rhs))
     return reports
 
@@ -154,14 +148,10 @@ def cd_char(d: Diagram, i: int, j: int) -> tuple[IdentityReport, IdentityReport]
     h_i = [Laurent.from_poly(table[i, k]) for k in range(d.n)]
     h_j = [Laurent.from_poly(table[j, k]) for k in range(d.n)]
     bez_lhs = bezoutian(g, h_ij)
-    bez_rhs = BiLaurent.zero()
-    for k in range(d.n):
-        bez_rhs = bez_rhs + BiLaurent.outer(h_i[k], h_j[k])
+    bez_rhs = BiLaurent.total(map(BiLaurent.outer, h_i, h_j))
     rep8 = IdentityReport.compare(f"cd-char-bez-{i}-{j}", bez_lhs, bez_rhs)
     wr_lhs = wronskian(g, h_ij)
-    wr_rhs = Laurent.zero()
-    for k in range(d.n):
-        wr_rhs = wr_rhs + h_i[k] * h_j[k]
+    wr_rhs = Laurent.total(map(Laurent.__mul__, h_i, h_j))
     rep9 = IdentityReport.compare(f"cd-char-wr-{i}-{j}", wr_lhs, wr_rhs)
     return rep8, rep9
 
@@ -265,13 +255,9 @@ def poincare_cd(data: KleinGroupData, i, j: int | None = None
         bez_lhs = bezoutian(z_of(up), zt[i])
         wr_lhs = wronskian(z_of(up), zt[i])
         name = f"poincare-cd-{data.family}{data.n}-{i}"
-    bez_rhs = BiLaurent.zero()
-    wr_rhs = Laurent.zero()
-    for k in ks:
-        bez_rhs = bez_rhs + BiLaurent.outer(zt[k], zt[k])
-        wr_rhs = wr_rhs + zt[k] * zt[k]
-    bez_rhs = _one_minus_inv_xy(bez_rhs)
-    wr_rhs = _one_minus_inv_x2() * wr_rhs
+    bez_rhs = _one_minus_inv_xy(
+        BiLaurent.total(BiLaurent.outer(zt[k], zt[k]) for k in ks))
+    wr_rhs = _one_minus_inv_x2() * Laurent.total(zt[k] * zt[k] for k in ks)
     return (IdentityReport.compare(name + "-bez", bez_lhs, bez_rhs),
             IdentityReport.compare(name + "-wr", wr_lhs, wr_rhs))
 

@@ -1,7 +1,9 @@
 """Exact-arithmetic kernel tests."""
 
 import random
+from collections import Counter
 from fractions import Fraction
+from types import MappingProxyType
 
 import pytest
 from hypothesis import given, settings
@@ -291,6 +293,35 @@ def test_sparse_sums_refuse_the_other_kind():
     with pytest.raises(TypeError):
         one + 1
     assert one + one == Laurent({0: 2}) and (bi - bi).is_zero
+
+
+def test_sparse_takes_every_mapping_and_every_iterable_of_pairs():
+    want = Laurent({-1: 2, 3: -1})
+    for coeffs in (MappingProxyType({-1: 2, 3: -1, 5: 0}),
+                   Counter({-1: 2, 3: -1}),
+                   [(-1, 1), (3, -1), (-1, 1), (4, 2), (4, -2)],
+                   ((k, v) for k, v in ((-1, 2), (3, -1)))):
+        assert Laurent(coeffs) == want
+    assert BiLaurent(MappingProxyType({(0, 1): 3})) == BiLaurent({(0, 1): 3})
+    assert Laurent(MappingProxyType({})).is_zero and Laurent([]).is_zero
+
+
+def test_total_sums_into_one_map():
+    rng = random.Random(83)
+    for _ in range(200):
+        terms = [Laurent({rng.randint(-3, 3): rng.randint(-2, 2)
+                          for _ in range(rng.randint(0, 4))})
+                 for _ in range(rng.randint(0, 6))]
+        want = Laurent.zero()
+        for t in terms:
+            want = want + t
+        got = Laurent.total(iter(terms))
+        assert got == want and 0 not in got._c.values()
+    pair = [BiLaurent({(1, 0): 2}), BiLaurent({(1, 0): -2, (0, 1): 1})]
+    assert BiLaurent.total(pair) == BiLaurent({(0, 1): 1})
+    assert BiLaurent.total([]) == BiLaurent.zero()
+    with pytest.raises(TypeError):
+        Laurent.total([Laurent.one(), BiLaurent({(0, 0): 1})])
 
 
 def test_bilaurent_scales_by_int_only():

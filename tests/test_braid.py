@@ -7,6 +7,8 @@ import sys
 from itertools import product
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from coxkit import braid
 from coxkit.algebra import (Laurent, Poly, RatFunc, TruncSeries, mat_eq,
@@ -124,12 +126,27 @@ def _textbook_gen(n, g, reduced):
 
 def test_burau_matches_dense_generator_product():
     rng = random.Random(61)
-    words = [(n, ()) for n in range(2, 8)]
+    words = [(n, ()) for n in range(1, 8)]
     words += [(n, (-k,) * 3 + (k,) + (-(n - 1),) * 2)
               for n in range(2, 8) for k in range(1, n)]
     for _ in range(120):
         n = rng.randint(2, 7)
         words.append((n, rand_word(rng, n, rng.randint(1, 10)).word))
+    # around the 39-letter piece length, and several pieces
+    for length in (38, 39, 40, 41, 78, 79, 130):
+        for n in (2, 3, 5, 7):
+            words.append((n, rand_word(rng, n, length).word))
+    # (s1 s2^-1)^65 grows like the golden ratio to the power of the
+    # length, so its image has coefficients past 2^63 (near 10^27)
+    words += [(3, (1, -2) * 65), (4, (1, -2, 3) * 44)]
+    # all-inverse and all-positive runs: the most shifts one way; on 2
+    # strands the reduced image is 1 x 1, and on 1 strand it is empty
+    for length in (38, 39, 40, 41, 130):
+        for n in (2, 4):
+            for sign in (1, -1):
+                words.append((n, (sign,) * length))
+                words.append((n, tuple(sign * rng.randint(1, n - 1)
+                                       for _ in range(length))))
     for n, word in words:
         for reduced in (False, True):
             size = n - 1 if reduced else n
@@ -137,7 +154,25 @@ def test_burau_matches_dense_generator_product():
                      for j in range(size)] for i in range(size)]
             for g in word:
                 want = mat_mul(want, _textbook_gen(n, g, reduced))
-            assert mat_eq(burau(BraidWord(n, word), reduced).entries, want)
+            img = burau(BraidWord(n, word), reduced)
+            assert img.size == size and all(len(r) == size
+                                            for r in img.entries)
+            assert mat_eq(img.entries, want), (n, word, reduced)
+            assert all(type(e) is Laurent for r in img.entries for e in r)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(2, 6), st.lists(st.integers(1, 5), max_size=60),
+       st.lists(st.booleans(), max_size=60), st.booleans())
+def test_burau_coefficients_stay_below_three_to_the_length(n, ks, signs,
+                                                         reduced):
+    # a letter at most triples a row's sum of absolute coefficients
+    word = tuple((-1 if neg else 1) * ((k - 1) % (n - 1) + 1)
+                 for k, neg in zip(ks, signs + [False] * len(ks)))
+    img = burau(BraidWord(n, word), reduced)
+    bound = 3 ** len(word)
+    for row in img.entries:
+        assert sum(abs(c) for e in row for _, c in e.items()) <= bound
 
 
 def test_inverse_word_gives_inverse_matrix():

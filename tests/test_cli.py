@@ -3,6 +3,7 @@
 import hashlib
 import json
 import os
+import random
 import subprocess
 import sys
 import time
@@ -126,14 +127,104 @@ def test_braid_modes(capsys):
 @pytest.mark.parametrize("argv", [
     ["milnor", "--word", "s1 s1", "--order", "3", "--json"],
     ["burau", "--word", "s1", "--against", "s1 s1"],
+    ["milnor", "--word", "s1 s1", "--order", "3", "--unreduced"],
+    ["levin", "--word", "s1 s1", "--order", "4", "--reduced"],
+    ["artin", "--word", "s1", "--unreduced"],
+    ["longitudes", "--word", "s1 s1", "--reduced"],
+    ["magnus", "--word", "s1 s1", "--order", "3", "--unreduced"],
 ])
 def test_braid_option_of_another_mode_exits_2(capsys, argv):
-    # only burau reads --json, and only ratio reads --against
+    # only burau reads --json, only ratio reads --against, and only those
+    # two read --reduced and --unreduced
     assert cli.main(["braid", *argv]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("usage error: ")
     assert captured.err.count("\n") == 1
+
+
+def test_burau_and_ratio_default_to_the_reduced_image(capsys):
+    for mode, extra in (("burau", []), ("ratio", ["--against", "s1 s1"])):
+        argv = ["braid", mode, "--word", "s1 s2 -s1", *extra]
+        _, default = run_cli(capsys, *argv)
+        _, reduced = run_cli(capsys, *argv, "--reduced")
+        code, unreduced = run_cli(capsys, *argv, "--unreduced")
+        assert default == reduced and default
+        if mode == "burau":
+            assert code == 0
+            assert default.count("[") == 2 and unreduced.count("[") == 3
+        else:
+            # the unreduced image fixes the all-ones vector, so
+            # det(E - beta) vanishes and the ratio is refused
+            assert code == 2 and unreduced == ""
+
+
+@pytest.mark.parametrize("argv", [
+    ["--type", "~A2", "--series", "0", "--verify", "15"],
+    ["--type", "~A2", "--terms", "5"],
+    ["--type", "~A2", "--verify", "15", "--terms", "5"],
+    ["--type", "~A2", "--timings"],
+    ["--type", "~A2", "--series", "0", "--timings"],
+])
+def test_kostant_option_without_its_mode_exits_2(capsys, argv):
+    # --terms belongs to --series, --timings to --verify, and the two
+    # modes exclude each other
+    assert cli.main(["kostant", *argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("usage error: ")
+    assert captured.err.count("\n") == 1
+
+
+def test_kostant_series_defaults_to_40_terms(capsys):
+    code, out = run_cli(capsys, "kostant", "--type", "~E8", "--series", "0",
+                        "--json")
+    assert code == 0 and json.loads(out)["terms"] == 40
+    code, out = run_cli(capsys, "kostant", "--type", "~A2", "--verify", "15",
+                        "--timings", "--json")
+    assert code == 0 and "elapsed_ms" in json.loads(out)
+
+
+def _pinned_braid_words():
+    rng = random.Random(12)
+    w41 = " ".join(rng.choice(("s", "-s")) + str(rng.randint(1, 4))
+                   for _ in range(41))
+    w130 = " ".join(rng.choice(("s", "-s")) + str(rng.randint(1, 3))
+                    for _ in range(130))
+    return w41, w130
+
+
+_W41, _W130 = _pinned_braid_words()
+# sha256 of the stdout of `coxkit braid ...`, computed before Burau images
+# were built on packed integers
+BRAID_SHA256 = [
+    (["burau", "--word", "s1 s1 -s2", "--strands", "3", "--unreduced",
+      "--json"],
+     "0e0a740f382b8c1f1633cef9a8b41d7160b25695060ee88be4d4322b664299dd"),
+    (["burau", "--word", "s1 -s2 s3 s2 -s1 s3", "--strands", "4", "--json"],
+     "d9a571dbed951ffb43ca03d7dbfd53930b2e3e4b1a1150d9b51425264cba81ca"),
+    (["burau", "--word", _W41, "--strands", "5", "--json"],
+     "cbe9043056b94c9beab926a9653ae1f513fbb890cc455cd1cc3a8fb6a2fb269e"),
+    (["burau", "--word", _W41, "--strands", "5", "--unreduced", "--json"],
+     "d8f62acedc993cc7ee3e4b69bea63cf776837b2aaa05905d3c96d269d1b424e9"),
+    (["burau", "--word", _W130, "--json"],
+     "293b25e5afbf90c5f73d35a2beb0067d1436f658d6dfffed5d9672dde5879dcd"),
+    (["burau", "--word", _W130, "--unreduced"],
+     "4fd91e27a17647a050ad38de694ede5c390c18546cbcff16de8a86a7a81826d8"),
+    (["burau", "--word", " ".join(["-s2"] * 40), "--strands", "3"],
+     "3716db8e86942ac992e74a83cad82243c4613768b6eda5442530eb0826c09fc1"),
+    (["ratio", "--word", "s1 s2 -s1 s2", "--against", "s1 s1 -s2"],
+     "5f3c06c44919219458eddcf2666e1cef4119da41724b34ee2e7291a36909b31e"),
+    (["ratio", "--word", _W41, "--against", "s1 s2", "--strands", "5"],
+     "bcf557f062e5415b227e02560088a07bd3f1a327ebf1f5eb1aef422ab0492ee8"),
+]
+
+
+@pytest.mark.parametrize("argv,digest", BRAID_SHA256)
+def test_braid_output_is_pinned(capsys, argv, digest):
+    code, out = run_cli(capsys, "braid", *argv)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 # sha256 of the stdout of `coxkit cfrac --diagram NAME --format FORMAT`
