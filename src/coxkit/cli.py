@@ -826,10 +826,12 @@ def _print_cases(cfg: RunConfig, cases: list[CaseResult]) -> int:
             if cfg.timings:
                 record["elapsed_ms"] = round(c.elapsed_ms, 3)
             _emit(record)
-        elif c.holds:
-            print(f"[ok ] {c.suite}: {c.case}")
+            continue
+        took = f" ({c.elapsed_ms:.3f} ms)" if cfg.timings else ""
+        if c.holds:
+            print(f"[ok ] {c.suite}: {c.case}{took}")
         else:
-            print(f"[FAIL] {c.suite}: {c.case}")
+            print(f"[FAIL] {c.suite}: {c.case}{took}")
             print(f"       rerun: {_rerun_command(cfg, c.suite)}")
     bad = sum(1 for c in cases if not c.holds)
     if not cfg.json_out:

@@ -22,6 +22,12 @@ from .diagram import Diagram, ade_types, build
 from .errors import BadType, IndexOutOfRange, NotASquare
 from .report import IdentityReport
 
+# The most terms a series may have.  Its coefficients grow linearly, so the
+# work and the text grow a little faster than the count: the slowest type
+# (~A8 at its last vertex) prints 8 MB through the command line in about a
+# second at the cap, while the suites and the benchmark ask for at most 400.
+MAX_TERMS = 500_000
+
 
 def _exps(*exponents: int) -> Laurent:
     out: dict[int, int] = {}
@@ -133,8 +139,8 @@ def poincare_series(data: KleinGroupData, i: int, terms: int) -> Laurent:
     Returned as a Laurent polynomial so the virtual vertex's exact value 1/q
     fits; every coefficient of a real vertex is a nonnegative integer.
     """
-    if terms < 0:
-        raise IndexOutOfRange("terms must be >= 0")
+    if not 0 <= terms <= MAX_TERMS:
+        raise IndexOutOfRange(f"terms must be in 0..{MAX_TERMS}")
     if i == -1:
         num = data.z_minus1
     elif 0 <= i < data.vertex_count:

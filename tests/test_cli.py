@@ -185,6 +185,63 @@ def test_kostant_series_defaults_to_40_terms(capsys):
     assert code == 0 and "elapsed_ms" in json.loads(out)
 
 
+def test_kostant_terms_above_the_cap_exits_2_at_once(capsys):
+    assert kostant.MAX_TERMS >= 400  # every series of the suites and benchmark
+    tracemalloc.start()
+    start = time.perf_counter()
+    try:
+        code = cli.main(["kostant", "--type", "~A2", "--series", "0",
+                         "--terms", "100000000"])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert code == 2 and time.perf_counter() - start < 1.0
+    assert peak < 256 * 1024
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.count("\n") == 1
+    assert captured.err.startswith("error: ")
+    assert f"0..{kostant.MAX_TERMS}" in captured.err
+    for terms in (-1, kostant.MAX_TERMS + 1):
+        assert cli.main(["kostant", "--type", "~E8", "--series", "-1",
+                         "--terms", str(terms)]) == 2
+    code, out = run_cli(capsys, "kostant", "--type", "~E8", "--series", "-1",
+                        "--terms", str(kostant.MAX_TERMS))
+    assert code == 0 and out.strip() == "q^-1"
+
+
+def _timed_lines(out: str) -> list[tuple[str, float]]:
+    """The case lines of text output with --timings, each split into the
+    text before its ` (x.xxx ms)` tail and the time."""
+    got = []
+    for line in out.splitlines():
+        if line.startswith(("[ok ]", "[FAIL]")):
+            head, sep, tail = line.rpartition(" (")
+            assert sep and tail.endswith(" ms)"), line
+            ms = tail[:-len(" ms)")]
+            assert len(ms.rpartition(".")[2]) == 3, line
+            got.append((head, float(ms)))
+    return got
+
+
+def test_timings_in_text_mode_end_each_case_line(capsys, monkeypatch):
+    for argv in (["verify", "algebra"],
+                 ["kostant", "--type", "~A2", "--verify", "all"]):
+        code, plain = run_cli(capsys, *argv)
+        assert code == 0 and " ms)" not in plain
+        code, out = run_cli(capsys, *argv, "--timings")
+        timed = _timed_lines(out)
+        assert code == 0 and timed and all(ms >= 0 for _, ms in timed)
+        # dropping the tails gives the output without --timings
+        cases = iter(head for head, _ in timed)
+        assert [next(cases) if line.startswith("[") else line
+                for line in out.splitlines()] == plain.splitlines()
+    _failing_levin(monkeypatch)
+    code, out = run_cli(capsys, "verify", "levin", "--timings")
+    fails = [line for line in out.splitlines() if line.startswith("[FAIL]")]
+    assert code == 1 and len(fails) == len(_timed_lines(out)) == 5
+    assert "rerun: coxkit verify levin --seed 0" in out
+
+
 def _pinned_braid_words():
     rng = random.Random(12)
     w41 = " ".join(rng.choice(("s", "-s")) + str(rng.randint(1, 4))

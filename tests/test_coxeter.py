@@ -1,5 +1,6 @@
 """Coxeter/characteristic polynomials, Schur step, cofactors, walks."""
 
+import hashlib
 import random
 
 import pytest
@@ -476,6 +477,125 @@ def test_forest_char_poly_matches_faddeev_leverrier():
     for d in FORESTS:
         assert not _cyclomatic(d.n, d.edges())
         assert char_poly(d) == _fl_char(d), d
+
+
+# -- the Faddeev-LeVerrier sweep on large graphs --------------------------------
+
+_SWEEP_WEIGHTS = (-2, -1, 1, 2, 3)
+
+
+def _sweep_graphs(count: int = 6, seed: int = 13) -> list[Diagram]:
+    """Seeded graphs of 20-49 vertices: a random tree with weights -2, -1,
+    1, 2, 3, plus 0-3 chords and 0-2 isolated vertices."""
+    rng = random.Random(seed)
+    out = []
+    for _ in range(count):
+        n, loose = rng.randint(20, 49), rng.randint(0, 2)
+        t = random_tree(rng, n - loose, _SWEEP_WEIGHTS)
+        edges = {(i, j): w for i, j, w in t.edges()}
+        chords = rng.randint(0, 3)
+        while len(edges) < n - loose - 1 + chords:
+            i, j = sorted(rng.sample(range(n - loose), 2))
+            edges.setdefault((i, j), rng.choice(_SWEEP_WEIGHTS))
+        out.append(_relabel(rng, Diagram(n, edges)))
+    return out
+
+
+def _int_det(m: list[list[int]]) -> int:
+    """Fraction-free Bareiss over the integers (test oracle)."""
+    m = [row[:] for row in m]
+    n, sign, prev = len(m), 1, 1
+    for k in range(n - 1):
+        if m[k][k] == 0:
+            swap = next((r for r in range(k + 1, n) if m[r][k]), None)
+            if swap is None:
+                return 0
+            m[k], m[swap], sign = m[swap], m[k], -sign
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
+        prev = m[k][k]
+    return sign * m[-1][-1] if n else 1
+
+
+def test_sweep_tables_are_symmetric_inverses_on_large_graphs():
+    graphs = _sweep_graphs()
+    rows = [_adjacency_rows(d.n, d.edges()) for d in graphs]
+    # every branch of the row sum runs: an empty row, a row that is one
+    # entry of weight 1 (a copy), and later entries of weight 1, -1 and
+    # others (map by add, by sub and over w.__mul__)
+    flat = [row for rs in rows for row in rs]
+    assert any(not row for row in flat)
+    assert any(len(row) == 1 and row[0][1] == 1 for row in flat)
+    later = {w for row in flat for _, w in row[1:]}
+    assert {1, -1} <= later and later - {1, -1}
+    assert any(_cyclomatic(d.n, d.edges()) for d in graphs)
+    for d, rs in zip(graphs, rows):
+        table, g = cofactors(d), char_poly(d)
+        adj = d.adjacency()
+        for z0 in (3, -2):  # G against Bareiss at two integer points
+            assert sum(c * z0 ** k for k, c in enumerate(g.coeffs)) == \
+                _int_det([[(z0 if i == j else 0) - adj[i][j]
+                           for j in range(d.n)] for i in range(d.n)])
+        for i in range(d.n):
+            for j in range(d.n):
+                assert table[i, j] == table[j, i]
+                # row i of (zE - A) adj(zE - A) = G E, A sparse
+                acc = table[i, j].shift(1)
+                for k, w in rs[i]:
+                    acc = acc - w * table[k, j]
+                assert acc == (g if i == j else Poly.zero()), (d, i, j)
+
+
+def test_det_adj_at_square_of_a_dense_gram_matrix_matches_bareiss():
+    rng = random.Random(31)
+    for p in (2, 4, 6):
+        a = [[rng.choice((-3, -2, -1, 1, 2, 3)) for _ in range(p + 1)]
+             for _ in range(p)]
+        m = algebra.mat_mul(a, [list(col) for col in zip(*a)])
+        assert all(m[i][i] > 1 for i in range(p))
+        det, adj = coxeter._det_adj_at_square(m)
+        zm = [[Poly((-m[i][j], 0, 1)) if i == j else Poly((-m[i][j],))
+               for j in range(p)] for i in range(p)]
+        assert det == det_poly(zm)
+        for i in range(p):
+            for j in range(p):
+                minor = [[x for c, x in enumerate(row) if c != i]
+                         for r, row in enumerate(zm) if r != j]
+                want = det_poly(minor)
+                assert adj[i][j] == (-want if (i + j) % 2 else want)
+
+
+def test_faddeev_leverrier_on_zero_and_one_rows():
+    assert _faddeev_leverrier([]) == ([1], None)
+    assert _faddeev_leverrier([], Poly) == ([1], [])
+    assert _faddeev_leverrier([[]], Poly) == ([0, 1], [[Poly.one()]])
+    assert _faddeev_leverrier([[(0, 5)]], tuple) == ([-5, 1], [[(1,)]])
+    assert cofactors(Diagram(0)).n == 0
+    assert cofactors(Diagram(1))[0, 0] == Poly.one()
+    assert coxeter._det_adj_at_square([]) == (Poly.one(), [])
+    assert coxeter._det_adj_at_square([[7]]) == (Poly((-7, 0, 1)),
+                                                 [[Poly.one()]])
+
+
+def _rendered(table) -> str:
+    return "\n".join(table[i, j].render("z")
+                     for i in range(table.n) for j in range(table.n))
+
+
+# sha256 of _rendered(cofactors(d)), computed before the sweep summed rows
+# with map and built only the upper half of the table
+COFACTOR_SHA256 = {
+    "~A48": "64076cdaa3fbe180e9340d941ac81295adc5740780ed91b0a58adf61a325d220",
+    "tree48": "435304804686d64022ad8244d6f5ab785b0278c1cf4e80ffb45bc28f0cc1619e",
+}
+
+
+def test_large_cofactor_tables_are_pinned():
+    tree = random_tree(random.Random(48), 48, _SWEEP_WEIGHTS)
+    for name, d in (("~A48", build("affA", 48)), ("tree48", tree)):
+        digest = hashlib.sha256(_rendered(cofactors(d)).encode())
+        assert digest.hexdigest() == COFACTOR_SHA256[name], name
 
 
 def test_forest_char_poly_matches_sympy():
