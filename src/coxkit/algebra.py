@@ -10,15 +10,19 @@ exact; no floating point enters anywhere.
 The two sparse kinds, Laurent and BiLaurent, share one base (_Sparse)
 for construction, addition, integer scaling, equality and hashing.
 Bezoutians come from the Bezout matrix recurrence, so no two-variable
-product or division is needed.
+product or division is needed.  A Frame packs a polynomial into one
+integer (Kronecker substitution), so that sums of products run as integer
+arithmetic, and decodes such an integer back into a Laurent or BiLaurent.
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterable, Mapping, Sequence
 from fractions import Fraction
+from functools import lru_cache
 from math import gcd, lcm
 from operator import mul
+from struct import Struct
 from typing import Union
 
 from .errors import (DomainError, ExactDivisionError, NotSymmetric,
@@ -753,6 +757,91 @@ def bezoutian(f: Laurent, g: Laurent) -> BiLaurent:
 def wronskian(f: Laurent, g: Laurent) -> Laurent:
     """f' g - f g' with the formal Laurent derivative."""
     return f.derivative() * g - f * g.derivative()
+
+
+# ---------------------------------------------------------------------------
+# Kronecker packing: a polynomial as one integer
+# ---------------------------------------------------------------------------
+
+class Frame:
+    """Signed digits of one width w (Kronecker substitution).
+
+    A coefficient list c_0, c_1, ... packs into the integer sum of
+    c_k 2^(w k).  Integer sums and products of packed values are then the
+    packed sums and products of the polynomials, as long as every
+    coefficient of a value that is decoded stays a digit: |c| < 2^(w - 1).
+    w is the least multiple of 8, and at least 64, with bound < 2^(w - 1),
+    so any integer of absolute value at most bound is a digit.
+    """
+
+    __slots__ = ("width",)
+
+    def __init__(self, bound: int):
+        self.width = max(64, (bound.bit_length() + 8) // 8 * 8)
+
+    def pack(self, coeffs: Sequence[int], stride: int = 1) -> int:
+        """The sum of c_k 2^(w stride k)."""
+        shift = self.width * stride
+        x = 0
+        for c in reversed(coeffs):
+            x = (x << shift) + c
+        return x
+
+    def laurents(self, xs: Iterable[int], start: int = 0) -> list[Laurent]:
+        """For each x, the Laurent polynomial with digit k of x as the
+        coefficient of q^(k + start).
+
+        Only the digits from the lowest nonzero one to the highest are
+        read.  With off holding 2^(w - 1) in each of them, x + off has the
+        digits c + 2^(w - 1), all in 0..2^w - 1, and xor with off turns
+        each into the two's complement of c; places above those of x come
+        out zero."""
+        w = self.width
+        step = w // 8
+        zero = Laurent.zero()
+        reader = _digit_reader
+        of = Laurent._of
+        out = []
+        for x in xs:
+            if not x:
+                out.append(zero)
+                continue
+            low = ((x & -x).bit_length() - 1) // w
+            x >>= low * w
+            count = x.bit_length() // w + 1
+            if w == 64:
+                # more than 40 digits are read as a multiple of 8, so that
+                # few readers are kept
+                if count > 40:
+                    count = (count + 7) & -8
+                off, read = reader(count)
+                digits = read(((x + off) ^ off).to_bytes(8 * count, "little"))
+            else:
+                off = int.from_bytes((bytes(step - 1) + b"\x80") * count,
+                                     "little")
+                raw = ((x + off) ^ off).to_bytes(step * count, "little")
+                digits = [int.from_bytes(raw[k:k + step], "little",
+                                         signed=True)
+                          for k in range(0, step * count, step)]
+            out.append(of(
+                {e: c for e, c in enumerate(digits, low + start) if c}))
+        return out
+
+    def bilaurents(self, xs: Iterable[int], stride: int) -> list[BiLaurent]:
+        """For each x, digit stride a + b of x, 0 <= b < stride, as the
+        coefficient of x^a y^b: the packing at y = 2^w and
+        x = 2^(w stride)."""
+        return [BiLaurent._of({divmod(p, stride): c for p, c in e._c.items()})
+                for e in self.laurents(xs)]
+
+
+@lru_cache(maxsize=64)
+def _digit_reader(count: int):
+    """The offset with 2^63 in each of count 64-bit digits, and a reader of
+    count signed little-endian 64-bit digits.  The explicit little-endian
+    Struct is portable, where memoryview.cast reads native order."""
+    return (int.from_bytes((bytes(7) + b"\x80") * count, "little"),
+            Struct(f"<{count}q").unpack)
 
 
 # ---------------------------------------------------------------------------

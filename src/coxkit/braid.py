@@ -12,11 +12,10 @@ otherwise.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from struct import Struct
 from typing import Iterable, Sequence
 
-from .algebra import (Laurent, Poly, RatFunc, TruncSeries, _substitute,
-                      _unsubstitute, det_exact, mat_mul, series_sqrt1p)
+from .algebra import (Frame, Laurent, Poly, RatFunc, TruncSeries, _substitute,
+                      _unsubstitute, det_exact, series_sqrt1p)
 from .errors import (DomainError, NotPure, StrandMismatch, UnknownClosure)
 
 Word = tuple[int, ...]
@@ -123,45 +122,30 @@ class BurauImage:
         return len(self.entries)
 
 
-# Each entry of an image being built is one integer, the sum of
-# c_e 2^(64 (e + m)) over its terms c_e t^e, where m counts the inverse
-# letters of the word.  Multiplying by t is a shift left by one 64-bit
-# digit and multiplying by 1/t a shift right, which is exact: before the
-# i-th inverse letter every exponent is at least 1 - i >= 1 - m, so the
-# digit shifted out is zero.  A letter at most triples the sum of the
-# absolute coefficients of a row, so after L letters every coefficient is
-# at most 3^L, and 3^39 < 2^63 keeps a piece of _PIECE letters in signed
-# 64-bit digits.  A longer word is the product of the images of its
-# pieces.
-_PIECE = 39
-# the signed digits of x, in c digits, are those of (x + off) ^ off read
-# as two's complement, where off holds 2^63 in each digit
-_OFFSET = tuple(int.from_bytes((bytes(7) + b"\x80") * c, "little")
-                for c in range(_PIECE + 2))
-_DIGITS = tuple(Struct(f"<{c}q").unpack for c in range(_PIECE + 2))
+# Each entry of an image being built is one integer in an algebra.Frame,
+# the sum of c_e 2^(w (e + m)) over its terms c_e t^e, where m counts the
+# inverse letters of the word.  Multiplying by t is a shift left by one
+# w-bit digit and multiplying by 1/t a shift right, which is exact:
+# before the i-th inverse letter every exponent is at least 1 - i >= 1 - m,
+# so the digit shifted out is zero.  A letter at most triples the sum of
+# the absolute coefficients of a row, so after L letters every coefficient
+# is at most 3^L, and the frame takes w with 3^L < 2^(w - 1): 64 bits up
+# to 39 letters.
 
+def burau(b: BraidWord, reduced: bool = False) -> BurauImage:
+    """Image of the braid word; multiplicative over concatenation.
 
-def _unpack(x: int, m: int) -> Laurent:
-    """The Laurent polynomial of a nonzero packed entry: digit d is the
-    coefficient of t^(d - m).  Only the digits from the lowest to the
-    highest nonzero one are read."""
-    low = ((x & -x).bit_length() - 1) >> 6
-    x >>= low << 6
-    count = (x.bit_length() >> 6) + 1
-    off = _OFFSET[count]
-    digits = _DIGITS[count](((x + off) ^ off).to_bytes(8 * count, "little"))
-    return Laurent._of({e: c for e, c in enumerate(digits, low - m) if c})
-
-
-def _piece(word: Word, size: int, reduced: bool) -> list[list[Laurent]]:
-    """Image of a word of at most _PIECE letters.  Each letter
-    right-multiplies every row; column j of the image is at place j + 1
-    of a row, and places 0 and size + 1 take what a reduced letter at
-    either end would add outside the matrix."""
+    Each letter right-multiplies every row; column j of the image is at
+    place j + 1 of a row, and places 0 and size + 1 take what a reduced
+    letter at either end would add outside the matrix."""
+    size = b.strands - 1 if reduced else b.strands
+    word = b.word
+    frame = Frame(3 ** len(word))
+    w = frame.width
     m = sum(1 for g in word if g < 0)
     rows = [[0] * (size + 2) for _ in range(size)]
     for i, row in enumerate(rows):
-        row[i + 1] = 1 << (64 * m)
+        row[i + 1] = 1 << (w * m)
     for g in word:
         k = abs(g)
         if reduced and g > 0:
@@ -170,7 +154,7 @@ def _piece(word: Word, size: int, reduced: bool) -> list[list[Laurent]]:
             for row in rows:
                 x = row[k]
                 if x:
-                    tx = x << 64
+                    tx = x << w
                     row[k] = -tx
                     row[k - 1] += tx
                     row[k + 1] += x
@@ -178,7 +162,7 @@ def _piece(word: Word, size: int, reduced: bool) -> list[list[Laurent]]:
             for row in rows:
                 x = row[k]
                 if x:
-                    tx = x >> 64
+                    tx = x >> w
                     row[k] = -tx
                     row[k - 1] += x
                     row[k + 1] += tx
@@ -186,31 +170,20 @@ def _piece(word: Word, size: int, reduced: bool) -> list[list[Laurent]]:
             # (x, y) at places k, k + 1 becomes (x - t x + y, t x)
             for row in rows:
                 x = row[k]
-                tx = x << 64
+                tx = x << w
                 row[k] = x - tx + row[k + 1]
                 row[k + 1] = tx
         else:
             # (x, y) becomes (y / t, x + y - y / t)
             for row in rows:
                 y = row[k + 1]
-                ty = y >> 64
+                ty = y >> w
                 row[k + 1] = row[k] + y - ty
                 row[k] = ty
-    zero = Laurent.zero()
-    return [[_unpack(x, m) if x else zero for x in row[1:-1]]
-            for row in rows]
-
-
-def burau(b: BraidWord, reduced: bool = False) -> BurauImage:
-    """Image of the braid word; multiplicative over concatenation."""
-    size = b.strands - 1 if reduced else b.strands
-    word = b.word
-    image = _piece(word[:_PIECE], size, reduced)
-    for start in range(_PIECE, len(word), _PIECE):
-        image = mat_mul(image, _piece(word[start:start + _PIECE], size,
-                                      reduced))
+    flat = frame.laurents([x for row in rows for x in row[1:-1]], -m)
     return BurauImage("reduced" if reduced else "unreduced", b.strands,
-                      tuple(tuple(row) for row in image))
+                      tuple(tuple(flat[r * size:(r + 1) * size])
+                            for r in range(size)))
 
 
 def det_one_minus(img: BurauImage) -> Laurent:

@@ -9,10 +9,12 @@ the Klein-group numerator tables.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 from itertools import combinations
+from operator import mul
 
-from .algebra import (BiLaurent, Laurent, RatFunc, bezoutian, det_exact,
-                      wronskian)
+from .algebra import (BiLaurent, Frame, Laurent, RatFunc, bezoutian,
+                      det_exact, wronskian)
 from .coxeter import char_poly, cofactors, coxeter_poly, schur_step
 from .diagram import Diagram
 from .errors import (BadType, ShapeViolation, SizeMismatch, UnknownVertex)
@@ -35,13 +37,12 @@ def _one_minus_inv_x2() -> Laurent:
 
 def cd_coxeter(d: Diagram, pivot: int) -> IdentityReport:
     """Bezoutian form: Bez(G, G_del) = (1 - 1/(xy)) G_del(x) G_del(y)
-    + weighted Bezoutians of the branch and cross terms."""
+    + weighted Bezoutians of the branch and cross terms, which by
+    bilinearity are one Bezoutian of their weighted sum."""
     step = schur_step(d, pivot)
     lhs = bezoutian(step.total, step.base)
-    rhs = BiLaurent.total([
-        _one_minus_inv_xy(BiLaurent.outer(step.base, step.base)),
-        *(wsq * bezoutian(step.base, g) for _, wsq, g in step.branches),
-        *(coeff * bezoutian(step.base, p) for _, coeff, p in step.crosses)])
+    rhs = (_one_minus_inv_xy(BiLaurent.outer(step.base, step.base))
+           + bezoutian(step.base, _weighted_terms(step)))
     return IdentityReport.compare(f"cd-bez-pivot{pivot}", lhs, rhs)
 
 
@@ -49,11 +50,15 @@ def cd_wronskian(d: Diagram, pivot: int) -> IdentityReport:
     """Wronskian form: the diagonal limit of the Bezoutian identity."""
     step = schur_step(d, pivot)
     lhs = wronskian(step.total, step.base)
-    rhs = Laurent.total([
-        _one_minus_inv_x2() * step.base * step.base,
-        *(wsq * wronskian(step.base, g) for _, wsq, g in step.branches),
-        *(coeff * wronskian(step.base, p) for _, coeff, p in step.crosses)])
+    rhs = (_one_minus_inv_x2() * step.base * step.base
+           + wronskian(step.base, _weighted_terms(step)))
     return IdentityReport.compare(f"cd-wr-pivot{pivot}", lhs, rhs)
+
+
+def _weighted_terms(step) -> Laurent:
+    """sum wsq g over the branches plus sum coeff p over the crosses."""
+    return Laurent.total([*(wsq * g for _, wsq, g in step.branches),
+                          *(coeff * p for _, coeff, p in step.crosses)])
 
 
 # ---------------------------------------------------------------------------
@@ -120,16 +125,22 @@ def chain_identities(d: Diagram, tail) -> list[IdentityReport]:
         diff = lhs - rhs
         reports.append(IdentityReport(
             f"chain-ratio-{i}", lhs, rhs, diff.num, diff.is_zero))
-    # Christoffel-Darboux sums along the chain
-    for i in range(1, k):
-        bez_lhs = bezoutian(c[i - 1], c[i])
-        bez_rhs = bezoutian(c[k - 1], c[k]) + _one_minus_inv_xy(
-            BiLaurent.total(BiLaurent.outer(c[j], c[j]) for j in range(i, k)))
-        reports.append(IdentityReport.compare(f"chain-bez-{i}", bez_lhs, bez_rhs))
-        wr_lhs = wronskian(c[i - 1], c[i])
-        wr_rhs = wronskian(c[k - 1], c[k]) + _one_minus_inv_x2() * \
-            Laurent.total(c[j] * c[j] for j in range(i, k))
-        reports.append(IdentityReport.compare(f"chain-wr-{i}", wr_lhs, wr_rhs))
+    # Christoffel-Darboux sums along the chain: the sums over j = i..k-1
+    # are suffix sums, so one running sum is built from i = k - 1 down
+    bez_tail, wr_tail = bezoutian(c[k - 1], c[k]), wronskian(c[k - 1], c[k])
+    outers, squares = BiLaurent.zero(), Laurent.zero()
+    sums = []
+    for i in range(k - 1, 0, -1):
+        outers = BiLaurent.outer(c[i], c[i]) + outers
+        squares = c[i] * c[i] + squares
+        sums.append((
+            IdentityReport.compare(f"chain-bez-{i}", bezoutian(c[i - 1], c[i]),
+                                   bez_tail + _one_minus_inv_xy(outers)),
+            IdentityReport.compare(
+                f"chain-wr-{i}", wronskian(c[i - 1], c[i]),
+                wr_tail + _one_minus_inv_x2() * squares)))
+    for pair in reversed(sums):
+        reports += pair
     return reports
 
 
@@ -139,21 +150,88 @@ def chain_identities(d: Diagram, tail) -> list[IdentityReport]:
 
 def cd_char(d: Diagram, i: int, j: int) -> tuple[IdentityReport, IdentityReport]:
     """Cofactor forms: Bez(G, H_ij) = sum_k H_ik(x) H_jk(y) and its
-    diagonal limit Wr(G, H_ij) = sum_k H_ik(x) H_jk(x)."""
+    diagonal limit Wr(G, H_ij) = sum_k H_ik(x) H_jk(x).
+
+    Every side is a packed integer (_packed_table, _packed_row): the
+    Bezoutian is (G(X) H(Y) - G(Y) H(X)) / (X - Y) at y = Y = 2^w and
+    x = X = 2^(w s), and each sum is one sum of integer products."""
     if not (0 <= i < d.n and 0 <= j < d.n):
         raise UnknownVertex("vertices outside the diagram")
-    table = cofactors(d)
-    g = Laurent.from_poly(char_poly(d))
-    h_ij = Laurent.from_poly(table[i, j])
-    h_i = [Laurent.from_poly(table[i, k]) for k in range(d.n)]
-    h_j = [Laurent.from_poly(table[j, k]) for k in range(d.n)]
-    bez_lhs = bezoutian(g, h_ij)
-    bez_rhs = BiLaurent.total(map(BiLaurent.outer, h_i, h_j))
-    rep8 = IdentityReport.compare(f"cd-char-bez-{i}-{j}", bez_lhs, bez_rhs)
-    wr_lhs = wronskian(g, h_ij)
-    wr_rhs = Laurent.total(map(Laurent.__mul__, h_i, h_j))
-    rep9 = IdentityReport.compare(f"cd-char-wr-{i}-{j}", wr_lhs, wr_rhs)
+    edges = d.edges()
+    frame, s, g_x, g_y, dg_y, at_y, table = _packed_table(d.n, edges)
+    row_x = _packed_row(d.n, edges, i)
+    h_x, h_y = row_x[j], at_y[i][j]
+    dh_y = frame.pack([k * c for k, c in enumerate(table[i, j].coeffs)][1:])
+    bez_rhs = sum(map(mul, row_x, at_y[j]))
+    num = g_x * h_y - g_y * h_x
+    # X - Y = Y^s - Y; a product is much cheaper than the division, which
+    # is needed only when the identity fails
+    x_minus_y = (1 << (frame.width * s)) - (1 << frame.width)
+    bez_lhs = bez_rhs if num == bez_rhs * x_minus_y else num // x_minus_y
+    rep8 = _packed_report(f"cd-char-bez-{i}-{j}", bez_lhs, bez_rhs,
+                          lambda xs: frame.bilaurents(xs, s))
+    rep9 = _packed_report(
+        f"cd-char-wr-{i}-{j}", dg_y * h_y - g_y * dh_y,
+        sum(map(mul, at_y[i], at_y[j])), frame.laurents)
     return rep8, rep9
+
+
+def _packed_report(name: str, lhs: int, rhs: int, decode) -> IdentityReport:
+    """The report of two packed sides, each decoded once, and one decode
+    serves both when they are equal."""
+    if lhs == rhs:
+        side, residual = decode((lhs, 0))
+        return IdentityReport(name, side, side, residual, True)
+    left, right, residual = decode((lhs, rhs, lhs - rhs))
+    return IdentityReport(name, left, right, residual, False)
+
+
+# Keyed like coxeter's cofactor memo, and like it keeps only the most
+# recent diagram: the suites finish with one diagram before the next.  The
+# value is a plain tuple: a dataclass built at import added ~80 KB to the
+# import's peak memory, which showed in the benchmark's peak RSS.
+@lru_cache(maxsize=1)
+def _packed_table(n: int, edges):
+    """A diagram's char poly G and cofactor table H packed in one frame:
+    (frame, stride s, G(X), G(Y), G'(Y), the rows of H_ik(Y), the table),
+    with Y = 2^w and X = Y^s.
+
+    The width comes from l1 bounds.  With |.| the sum of
+    absolute coefficients, a = max |H_ik| and deg G = n:
+    - Bez(G, H) has coefficients at most |G| |H| (each f_a g_b adds at most
+      one to a coefficient), and G'H - GH' at most (2n - 1) |G| a;
+    - sum_k H_ik(x) H_jk(y) and sum_k H_ik H_jk at most sum_k |H_ik| |H_jk|,
+      which is at most max_i sum_k |H_ik|^2 (Cauchy-Schwarz);
+    - a residual at most the sum of the two bounds, which every digit that
+      is packed or decoded then fits under.
+    Degrees in y stay below the stride s = n + 1."""
+    d = Diagram(n, {(a, b): w for a, b, w in edges})
+    table = cofactors(d)
+    g = char_poly(d).coeffs
+    norms = [[sum(map(abs, h.coeffs)) for h in row] for row in table.entries]
+    g1 = sum(map(abs, g))
+    bound = ((2 * n - 1) * g1 * max(map(max, norms))
+             + max(sum(a * a for a in row) for row in norms))
+    s = n + 1
+    frame = Frame(bound)
+    at_y = [[0] * n for _ in range(n)]
+    for r, row in enumerate(table.entries):
+        for c in range(r, n):
+            at_y[r][c] = at_y[c][r] = frame.pack(row[c].coeffs)
+    return (frame, s, frame.pack(g, s), frame.pack(g),
+            frame.pack([k * c for k, c in enumerate(g)][1:]),
+            tuple(map(tuple, at_y)), table)
+
+
+# A value at X has about s times the digits of one at Y: on A48 the whole
+# table at X takes 18 MB, its largest row 0.8 MB and the table at Y 0.4 MB.
+# So only the row of the current pairs is kept at X; the suites take the
+# pairs of a diagram row by row.
+@lru_cache(maxsize=1)
+def _packed_row(n: int, edges, i: int) -> tuple[int, ...]:
+    """Row i of the cofactor table at X = 2^(w s)."""
+    frame, s, *_, table = _packed_table(n, edges)
+    return tuple(frame.pack(h.coeffs, s) for h in table.entries[i])
 
 
 def binet_cauchy(d: Diagram, i: int, j: int, xs, ys) -> IdentityReport:

@@ -9,8 +9,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from coxkit.algebra import (BiLaurent, Laurent, Poly, RatFunc, TruncSeries,
-                            _det_laplace, bezoutian, det_exact, mat_mul,
+from coxkit.algebra import (BiLaurent, Frame, Laurent, Poly, RatFunc,
+                            TruncSeries, _det_laplace, bezoutian, det_exact,
+                            mat_mul,
                             q_to_z, series_sqrt1p, wronskian, z_substitute)
 from coxkit.braid import laurent_to_t_poly, t_poly_to_laurent
 from coxkit.errors import (DomainError, ExactDivisionError, NotSymmetric,
@@ -539,3 +540,37 @@ def test_series_keeps_its_surface():
             getattr(s, op)(TruncSeries.one(4))
     with pytest.raises(ZeroDenominator):
         TruncSeries(3, (0, Fraction(1, 2))).inverse()
+
+
+# -- Kronecker frames --------------------------------------------------------------
+
+def test_frame_width_is_the_least_that_holds_the_bound():
+    for bound in [0, 1, 2 ** 62, 2 ** 63 - 1, 2 ** 63, 3 ** 39, 3 ** 40,
+                  10 ** 36, 3 ** 400]:
+        w = Frame(bound).width
+        assert w >= 64 and w % 8 == 0 and bound < 2 ** (w - 1)
+        assert w == 64 or bound >= 2 ** (w - 9)
+    assert Frame(3 ** 39).width == 64 and Frame(3 ** 40).width == 72
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.integers(-2 ** 70, 2 ** 70), max_size=12),
+       st.lists(st.integers(-2 ** 70, 2 ** 70), max_size=12),
+       st.integers(-5, 5), st.sampled_from([1, 2 ** 40, 2 ** 70, 2 ** 150]))
+def test_frame_packs_and_decodes_sums_of_products(a, b, start, scale):
+    a = [c // scale for c in a]
+    b = [c // scale for c in b]
+    la = Laurent({k: c for k, c in enumerate(a)})
+    lb = Laurent({k: c for k, c in enumerate(b)})
+    size = max(len(a), len(b), 1)
+    s = size + 1
+    bound = (sum(map(abs, a)) + 1) * (sum(map(abs, b)) + 1)
+    frame = Frame(bound)
+    pa, pb = frame.pack(a), frame.pack(b)
+    assert frame.laurents([pa, 0, pa * pb - pb]) == [
+        la, Laurent.zero(), la * lb - lb]
+    assert frame.laurents([pa], start) == [la.shifted(start)]
+    outer = frame.pack(a, s) * pb - frame.pack(b, s)
+    assert frame.bilaurents([outer, 0], s) == [
+        BiLaurent.outer(la, lb) - BiLaurent.outer(lb, Laurent.one()),
+        BiLaurent.zero()]

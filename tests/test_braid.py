@@ -132,7 +132,7 @@ def test_burau_matches_dense_generator_product():
     for _ in range(120):
         n = rng.randint(2, 7)
         words.append((n, rand_word(rng, n, rng.randint(1, 10)).word))
-    # around the 39-letter piece length, and several pieces
+    # around 39 letters, past which the digits are wider than 64 bits
     for length in (38, 39, 40, 41, 78, 79, 130):
         for n in (2, 3, 5, 7):
             words.append((n, rand_word(rng, n, length).word))

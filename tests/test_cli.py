@@ -483,6 +483,50 @@ def test_cd_char_failure_reports_residual_terms(capsys, monkeypatch):
     assert all(r["residual_terms"] > 0 for r in records)
 
 
+def test_chain_and_poincare_cd_failures_report_residual_terms(capsys,
+                                                             monkeypatch):
+    # a case's residual_terms sum those of its failing reports only
+    bad = IdentityReport.compare("bad", Laurent.z(), Laurent.zero())
+    good = IdentityReport.compare("good", Laurent.z(), Laurent.z())
+    monkeypatch.setattr(identities, "chain_identities",
+                        lambda d, tail: [good, bad, bad])
+    code, out = run_cli(capsys, "verify", "chain", "--json")
+    assert code == 1
+    records = [json.loads(line) for line in out.splitlines()]
+    assert len(records) == 5
+    assert all(not r["holds"] and r["residual_terms"] == 4 for r in records)
+    monkeypatch.setattr(identities, "poincare_cd",
+                        lambda data, i, j=None: (bad, good))
+    monkeypatch.setattr(identities, "poincare_cd_antipodal_choices",
+                        lambda data: [bad, bad, good])
+    code, out = run_cli(capsys, "verify", "poincare-cd", "--json")
+    assert code == 1
+    terms = {r["case"]: r["residual_terms"]
+             for r in map(json.loads, out.splitlines())}
+    # affD4: 5 vertices; affA3: vertex 0 and 6 pairs, then 2 antipodal
+    assert terms["affD4"] == 10 and terms["affA3"] == 2 * (1 + 6 + 2)
+    assert terms["affA2"] == 2 * (1 + 3)
+
+
+# sha256 of `coxkit verify SUITE --seed 7 --json`, computed before the
+# cofactor sums were packed into integers
+CD_SEED7_SHA256 = {
+    "cd-char": "510bee1929e88ec63e8549fc2958ae3d6cf60d386e2a503b082f164e6be772ae",
+    "cd-coxeter":
+        "b4343d69b3425db844a1e541e302ef59303a4d5adba216447622fc7deb8d5f98",
+    "cd-wronskian":
+        "8ac3fb498f5ed893a735ac712bdc67c5a8615955488ff6df7527dd2577c77b10",
+    "chain": "95fb7274a88576991f201c3397cbfac4a7eeed8add4ecb744c43c3d5a64469d0",
+}
+
+
+@pytest.mark.parametrize("suite", sorted(CD_SEED7_SHA256))
+def test_christoffel_darboux_suites_are_pinned_at_seed_7(capsys, suite):
+    code, out = run_cli(capsys, "verify", suite, "--seed", "7", "--json")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == CD_SEED7_SHA256[suite]
+
+
 def test_every_operation_has_a_cli_route():
     expected_ops = {
         "algebra.z_substitute", "algebra.q_to_z", "algebra.det_exact",

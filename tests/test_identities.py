@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from coxkit.algebra import BiLaurent, Laurent, bezoutian
+from coxkit.algebra import BiLaurent, Laurent, bezoutian, wronskian
 from coxkit.diagram import build, random_tree
 from coxkit.errors import BadType, ShapeViolation, SizeMismatch
 from coxkit.identities import (binet_cauchy, cd_char, cd_coxeter,
@@ -259,3 +259,156 @@ def test_identities_on_random_cyclic_graphs():
         assert path_sum_H(d, i, j) == cofactors(d)[i, j]
         if i != j:
             assert identity7_check(d, i, j).is_zero
+
+
+# -- packed cofactor sums against the dict sums ---------------------------------
+
+_CD_WEIGHTS = (-2, -1, 1, 2, 3)
+
+
+def _cd_graphs(seed: int = 19) -> list:
+    """Seeded graphs of 1-13 vertices: a random tree with weights -2, -1,
+    1, 2, 3, plus 0-3 chords and 0-2 isolated vertices, relabelled."""
+    from coxkit.diagram import Diagram
+
+    rng = random.Random(seed)
+    out = []
+    for n in range(1, 14):
+        loose = rng.randint(0, min(2, n - 1))
+        t = random_tree(rng, n - loose, _CD_WEIGHTS)
+        edges = {(i, j): w for i, j, w in t.edges()}
+        target = len(edges) + rng.randint(0, 3)
+        while n - loose > 2 and len(edges) < min(
+                target, (n - loose) * (n - loose - 1) // 2):
+            i, j = sorted(rng.sample(range(n - loose), 2))
+            edges.setdefault((i, j), rng.choice(_CD_WEIGHTS))
+        perm = list(range(n))
+        rng.shuffle(perm)
+        out.append(Diagram(n, {(perm[i], perm[j]): w
+                               for (i, j), w in edges.items()}))
+    return out
+
+
+def _dict_cd_char(g, table, i, j):
+    """The cofactor forms as sums of BiLaurent outer products and Laurent
+    products (test oracle)."""
+    from coxkit.report import IdentityReport
+
+    n = table.n
+    gl = Laurent.from_poly(g)
+    h_ij = Laurent.from_poly(table[i, j])
+    h_i = [Laurent.from_poly(table[i, k]) for k in range(n)]
+    h_j = [Laurent.from_poly(table[j, k]) for k in range(n)]
+    rhs8 = BiLaurent.total(map(BiLaurent.outer, h_i, h_j))
+    rhs9 = Laurent.total(map(Laurent.__mul__, h_i, h_j))
+    return (IdentityReport.compare(f"cd-char-bez-{i}-{j}",
+                                   bezoutian(gl, h_ij), rhs8),
+            IdentityReport.compare(f"cd-char-wr-{i}-{j}",
+                                   wronskian(gl, h_ij), rhs9))
+
+
+def _same_reports(got, want):
+    for g, w in zip(got, want):
+        assert (g.name, g.holds, g.residual_terms) == \
+            (w.name, w.holds, w.residual_terms)
+        assert type(g.lhs) is type(w.lhs) and g.lhs == w.lhs
+        assert type(g.rhs) is type(w.rhs) and g.rhs == w.rhs
+        assert type(g.residual) is type(w.residual)
+        assert g.residual == w.residual
+
+
+def _pairs(n, rng, most=40):
+    pairs = [(i, j) for i in range(n) for j in range(n)]
+    return pairs if len(pairs) <= most else rng.sample(pairs, most)
+
+
+def test_packed_cd_char_matches_dict_sums():
+    from coxkit.coxeter import char_poly, cofactors
+
+    rng = random.Random(3)
+    graphs = _cd_graphs()
+    assert any(len(d.edges()) >= d.n for d in graphs)  # chords
+    assert any(not d.neighbors(v) for d in graphs for v in range(d.n))
+    for d in graphs:
+        g, table = char_poly(d), cofactors(d)
+        for i, j in _pairs(d.n, rng):
+            got = cd_char(d, i, j)
+            assert got[0].holds and got[1].holds
+            _same_reports(got, _dict_cd_char(g, table, i, j))
+
+
+def test_packed_cd_char_widens_its_digits_past_64_bits():
+    from coxkit.coxeter import char_poly, cofactors
+    from coxkit.diagram import Diagram
+    from coxkit.identities import _packed_table
+
+    d = Diagram(4, {(0, 1): 10 ** 6, (1, 2): 3, (2, 3): 10 ** 6})
+    g, table = char_poly(d), cofactors(d)
+    widest = 0
+    for i in range(4):
+        for j in range(4):
+            got = cd_char(d, i, j)
+            _same_reports(got, _dict_cd_char(g, table, i, j))
+            widest = max(widest, *(abs(c) for r in got
+                                   for _, c in r.lhs.items()))
+    assert widest.bit_length() == 120  # past a 64-bit digit
+    assert _packed_table(4, d.edges())[0].width > 121
+
+
+def test_packed_cd_char_failures_match_dict_sums(monkeypatch):
+    # a perturbed table makes the identities fail: the Bezoutian then comes
+    # from the exact division, and the residuals are decoded.  A huge bump
+    # on a diagonal entry makes the cofactor sums far larger than the
+    # Bezoutian side, so the width must come from their bound as well.
+    from coxkit import identities
+    from coxkit.algebra import Poly
+    from coxkit.coxeter import CofactorTable, char_poly, cofactors
+
+    rng = random.Random(5)
+    for d in _cd_graphs(23)[1:]:
+        g = char_poly(d)
+        a, b = rng.sample(range(d.n), 2)
+        for (r, c), size in [((a, b), 3), ((a, a), 10 ** 10)]:
+            rows = [list(row) for row in cofactors(d).entries]
+            bump = Poly([rng.randint(-size, size) for _ in range(d.n)])
+            rows[r][c] = rows[c][r] = rows[r][c] + bump
+            bad = CofactorTable(tuple(map(tuple, rows)))
+            monkeypatch.setattr(identities, "cofactors", lambda _d: bad)
+            identities._packed_table.cache_clear()
+            identities._packed_row.cache_clear()
+            for i, j in [(r, c), (c, r), (a, a)] + _pairs(d.n, rng, 6):
+                got = cd_char(d, i, j)
+                _same_reports(got, _dict_cd_char(g, bad, i, j))
+            got = cd_char(d, r, c)
+            assert not got[0].holds and got[0].residual_terms > 0
+            assert not got[1].holds and got[1].residual_terms > 0
+    identities._packed_table.cache_clear()
+    identities._packed_row.cache_clear()
+
+
+def test_folded_right_hand_sides_match_the_per_term_sums():
+    from coxkit.coxeter import schur_step
+
+    rng = random.Random(11)
+    graphs = [build("affA", n) for n in (2, 3, 5)] + [
+        _random_cyclic_graph(rng, rng.randint(3, 8), rng.randint(1, 4))
+        for _ in range(12)]
+    crossed = 0
+    for d in graphs:
+        for pivot in range(d.n):
+            step = schur_step(d, pivot)
+            crossed += bool(step.crosses)
+            base = step.base
+            bez = BiLaurent.total([
+                BiLaurent.outer(base, base) - BiLaurent.outer(
+                    base, base).shifted(-1),
+                *(wsq * bezoutian(base, g) for _, wsq, g in step.branches),
+                *(c * bezoutian(base, p) for _, c, p in step.crosses)])
+            wr = Laurent.total([
+                Laurent({0: 1, -2: -1}) * base * base,
+                *(wsq * wronskian(base, g) for _, wsq, g in step.branches),
+                *(c * wronskian(base, p) for _, c, p in step.crosses)])
+            rb, rw = cd_coxeter(d, pivot), cd_wronskian(d, pivot)
+            assert rb.rhs == bez and rw.rhs == wr
+            assert rb.holds and rw.holds
+    assert crossed >= 10
