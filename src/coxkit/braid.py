@@ -31,6 +31,16 @@ MAX_ORDER = 64
 # expansion in the suites and the benchmark has 1101.
 MAX_MAGNUS_WORDS = 100_000
 
+# The most strands a braid word may have, as diagram.MAX_VERTICES bounds a
+# diagram; no word in the suites or the benchmark has more than 6.
+MAX_STRANDS = 1024
+
+# The most bits a Burau image may take while it is built (see burau).
+# 2^25 bits (4 MB) admits 2 strands with 2000 letters, 7 with 400 and 12
+# with 130; the unreduced image of 2 strands and 2000 letters took 1.8 s
+# on a Xeon core under Python 3.11.
+MAX_BURAU_BITS = 1 << 25
+
 
 # ---------------------------------------------------------------------------
 # braid words
@@ -44,8 +54,9 @@ class BraidWord:
     word: Word = ()
 
     def __post_init__(self):
-        if self.strands < 1:
-            raise DomainError("need at least one strand")
+        if not 1 <= self.strands <= MAX_STRANDS:
+            raise DomainError(f"strand count must be in 1..{MAX_STRANDS}, "
+                              f"got {self.strands}")
         for g in self.word:
             if g == 0 or abs(g) >= self.strands:
                 raise DomainError(f"generator {g} out of range")
@@ -130,7 +141,9 @@ class BurauImage:
 # so the digit shifted out is zero.  A letter at most triples the sum of
 # the absolute coefficients of a row, so after L letters every coefficient
 # is at most 3^L, and the frame takes w with 3^L < 2^(w - 1): 64 bits up
-# to 39 letters.
+# to 39 letters.  Every entry then spans at most L + 1 digits of w, about
+# 1.6 L bits each, so the image of size^2 entries takes about
+# 1.6 size^2 L^2 bits, which MAX_BURAU_BITS bounds.
 
 def burau(b: BraidWord, reduced: bool = False) -> BurauImage:
     """Image of the braid word; multiplicative over concatenation.
@@ -140,6 +153,10 @@ def burau(b: BraidWord, reduced: bool = False) -> BurauImage:
     letter at either end would add outside the matrix."""
     size = b.strands - 1 if reduced else b.strands
     word = b.word
+    if 8 * size * size * len(word) ** 2 > 5 * MAX_BURAU_BITS:
+        raise DomainError(f"the Burau image of {len(word)} letters on "
+                          f"{b.strands} strands would exceed "
+                          f"{MAX_BURAU_BITS} bits")
     frame = Frame(3 ** len(word))
     w = frame.width
     m = sum(1 for g in word if g < 0)

@@ -16,7 +16,7 @@ from typing import Sequence
 
 from .algebra import (Laurent, Poly, RatFunc, det_exact, det_poly, mat_mul,
                       z_substitute)
-from .diagram import Diagram
+from .diagram import Diagram, SeifertMatrix
 from .errors import (DimensionMismatch, PreconditionABneq2C, UnknownVertex,
                      ZeroDenominator)
 
@@ -139,19 +139,11 @@ def _cyclomatic(n: int, edges) -> list:
 
 
 def coxeter_matrix(d: Diagram) -> list[list[Laurent]]:
-    """The matrix qS + q^-1 S^t itself, order respected."""
-    n = d.n
-    out = []
-    for p in range(n):
-        row = []
-        for t in range(n):
-            if p == t:
-                row.append(Laurent.z())
-            else:
-                a = d.weight(d.order[p], d.order[t])
-                row.append(Laurent.term(-a, 1 if p < t else -1))
-        out.append(row)
-    return out
+    """The matrix qS + q^-1 S^t itself, with S the Seifert matrix of the
+    diagram in its vertex order."""
+    s = SeifertMatrix.from_diagram(d).entries
+    return [[Laurent({1: s[p][t], -1: s[t][p]}) for t in range(d.n)]
+            for p in range(d.n)]
 
 
 # ---------------------------------------------------------------------------
@@ -340,8 +332,8 @@ def cofactor_entry(d: Diagram, i: int, j: int) -> Poly:
 class SchurStep:
     """Decomposition produced by pivoting the Coxeter matrix on one vertex.
 
-    Relative to the pivot-first ordering: total = z*base minus the weighted
-    branch terms minus the weighted cross cofactors.
+    Relative to the pivot-first ordering: total = z*base - terms, with terms
+    the weighted branch terms plus the weighted cross cofactors.
     """
 
     pivot: int
@@ -350,13 +342,14 @@ class SchurStep:
     branches: tuple[tuple[int, int, Laurent], ...]
     crosses: tuple[tuple[tuple[int, int], int, Laurent], ...]
 
+    @property
+    def terms(self) -> Laurent:
+        """sum wsq g over the branches plus sum coeff p over the crosses."""
+        return Laurent.total([*(wsq * g for _, wsq, g in self.branches),
+                              *(coeff * p for _, coeff, p in self.crosses)])
+
     def reassemble(self) -> Laurent:
-        acc = Laurent.z() * self.base
-        for _, wsq, g in self.branches:
-            acc = acc - wsq * g
-        for _, coeff, p in self.crosses:
-            acc = acc - coeff * p
-        return acc
+        return Laurent.z() * self.base - self.terms
 
     @property
     def residual(self) -> Laurent:

@@ -42,7 +42,7 @@ def cd_coxeter(d: Diagram, pivot: int) -> IdentityReport:
     step = schur_step(d, pivot)
     lhs = bezoutian(step.total, step.base)
     rhs = (_one_minus_inv_xy(BiLaurent.outer(step.base, step.base))
-           + bezoutian(step.base, _weighted_terms(step)))
+           + bezoutian(step.base, step.terms))
     return IdentityReport.compare(f"cd-bez-pivot{pivot}", lhs, rhs)
 
 
@@ -51,14 +51,8 @@ def cd_wronskian(d: Diagram, pivot: int) -> IdentityReport:
     step = schur_step(d, pivot)
     lhs = wronskian(step.total, step.base)
     rhs = (_one_minus_inv_x2() * step.base * step.base
-           + wronskian(step.base, _weighted_terms(step)))
+           + wronskian(step.base, step.terms))
     return IdentityReport.compare(f"cd-wr-pivot{pivot}", lhs, rhs)
-
-
-def _weighted_terms(step) -> Laurent:
-    """sum wsq g over the branches plus sum coeff p over the crosses."""
-    return Laurent.total([*(wsq * g for _, wsq, g in step.branches),
-                          *(coeff * p for _, coeff, p in step.crosses)])
 
 
 # ---------------------------------------------------------------------------
@@ -249,10 +243,8 @@ def binet_cauchy(d: Diagram, i: int, j: int, xs, ys) -> IdentityReport:
     if m > d.n:
         raise SizeMismatch("more sample points than vertices")
     rep8, _ = cd_char(d, i, j)
+    bez = rep8.lhs  # Bez(G, H_ij)
     table = cofactors(d)
-    g = Laurent.from_poly(char_poly(d))
-    h_ij = Laurent.from_poly(table[i, j])
-    bez = bezoutian(g, h_ij)
     bmat = [[bez.eval_fraction(Fraction(x), Fraction(y)) for y in ys]
             for x in xs]
     hx = [[table[i, k].eval_int(x) for k in range(d.n)] for x in xs]

@@ -619,3 +619,43 @@ def test_levin_series_match_the_magnus_values(twists):
         rep = levin_check(b, order)
         assert rep.holds and not rep.degenerate
         assert _digest(rep.lhs) == _digest(rep.rhs) == want, order
+
+
+# -- size caps ------------------------------------------------------------------
+
+def test_braid_word_rejects_more_strands_than_the_cap():
+    assert BraidWord(braid.MAX_STRANDS).strands == braid.MAX_STRANDS
+    for strands in (0, braid.MAX_STRANDS + 1, 10 ** 6):
+        with pytest.raises(DomainError, match=str(braid.MAX_STRANDS)):
+            BraidWord(strands)
+    with pytest.raises(DomainError):
+        BraidWord.parse("s999999")
+
+
+class _PastTheCap(Exception):
+    pass
+
+
+@pytest.mark.parametrize("strands,letters", [(2, 2000), (7, 400), (12, 130)])
+def test_burau_cap_admits_the_long_words_in_use(monkeypatch, strands,
+                                                letters):
+    # the frame is built right after the size check, so stopping there
+    # shows the check passed without building the image
+    def stop(bound):
+        raise _PastTheCap
+
+    monkeypatch.setattr(braid, "Frame", stop)
+    word = BraidWord(strands,
+                     tuple(1 + k % (strands - 1) for k in range(letters)))
+    for reduced in (False, True):
+        with pytest.raises(_PastTheCap):
+            burau(word, reduced)
+
+
+def test_burau_rejects_an_image_above_the_bit_cap():
+    # each a little past the cap of about 1.6 size^2 L^2 bits
+    for strands, letters, reduced in [(2, 2300, False), (12, 400, False),
+                                      (40, 130, True), (1000, 5, False)]:
+        word = BraidWord(strands, (1,) * letters)
+        with pytest.raises(DomainError, match=str(braid.MAX_BURAU_BITS)):
+            burau(word, reduced)

@@ -669,3 +669,85 @@ def test_failing_case_prints_a_rerun_command(capsys, monkeypatch):
     assert code == 1
     assert out.splitlines()[1].split(maxsplit=1) == [
         "rerun:", "coxkit kostant --type '~E6' --verify squares"]
+
+
+# sha256 of the `coxkit kostant --type T --verify MODE --json` outputs of
+# every Klein type T of rank at most 12, concatenated in klein_types order,
+# computed while run_kostant and the suites still held separate checks
+KOSTANT_VERIFY_SHA256 = {
+    "all": "e8640c4772e6080e274594a20f9408aceab0b27a965b4314a0062df5366d1c84",
+    "14": "0950a0066a4aee0fa920edcd322db7c9b7b5011535b7838be92f8e6129eac417",
+    "15": "908a9fd0bc3f2d83a8e0b74cc9be7b0af2527364404e4f0b5ca38f2c6637131c",
+    "16": "bf70a3745db2ae96b72b58440cf4a37507524159a731302a095eca9efe9c0837",
+    "17": "5039f5444c28a44f4fc8b88460c505072168c334f4b49641f7a59d8ca099f89f",
+    "squares":
+        "3e88766eec3ce9516f3957cf9ff5e889ce32998dd1ab9b9a54102a1c2ebd5864",
+    "walks": "01dfd4e27ac8ed315b7d90ffebf17a9261f51b188d3655bbb4613b4ec75a5d74",
+}
+
+
+@pytest.mark.parametrize("mode", sorted(KOSTANT_VERIFY_SHA256))
+def test_kostant_verify_output_is_pinned(capsys, mode):
+    digest = hashlib.sha256()
+    for fam, n in kostant.klein_types(12):
+        code, out = run_cli(capsys, "kostant", "--type", f"~{fam[3:]}{n}",
+                            "--verify", mode, "--json")
+        assert code == 0, (fam, n)
+        digest.update(out.encode())
+    assert digest.hexdigest() == KOSTANT_VERIFY_SHA256[mode]
+
+
+def test_kostant_tables_system_failure_reports_residual_terms(capsys,
+                                                              monkeypatch):
+    bad = IdentityReport.compare("bad", Laurent.z(), Laurent.zero())
+    monkeypatch.setattr(kostant, "verify_system", lambda data, which: bad)
+    code, out = run_cli(capsys, "verify", "kostant-tables", "--json")
+    assert code == 1
+    records = [json.loads(line) for line in out.splitlines()]
+    systems = [r for r in records if "-system" in r["case"]]
+    assert len(systems) == 3 * len(kostant.klein_types(12))
+    assert all(not r["holds"] and r["residual_terms"] == 2 for r in systems)
+    assert all(r["holds"] for r in records if r not in systems)
+    code, out = run_cli(capsys, "kostant", "--type", "~D5", "--verify", "14",
+                        "--json")
+    assert code == 1
+    assert json.loads(out)["residual_terms"] == 2
+
+
+def test_kostant_verify_and_the_suites_share_one_check(capsys, monkeypatch):
+    # one failing ratio among the reports of each group: kostant --verify
+    # and the ebeling suite read the same reports and bundle them alike
+    bad = IdentityReport.compare("bad", Laurent.z(), Laurent.q(3))
+    good = IdentityReport.compare("good", Laurent.z(), Laurent.z())
+    monkeypatch.setattr(kostant, "ebeling_ratios", lambda data: [good, bad])
+    code, out = run_cli(capsys, "kostant", "--type", "~E6", "--verify", "17",
+                        "--json")
+    assert code == 1
+    assert json.loads(out) == {"suite": "kostant", "case": "ratios-17",
+                               "holds": False, "residual_terms": 3}
+    code, out = run_cli(capsys, "verify", "ebeling", "--json")
+    assert code == 1
+    records = [json.loads(line) for line in out.splitlines()]
+    assert len(records) == len(kostant.klein_types(12))
+    assert all(not r["holds"] and r["residual_terms"] == 3 for r in records)
+
+
+@pytest.mark.parametrize("argv", [
+    ["burau", "--word", "s999999"],
+    ["ratio", "--word", "s1", "--strands", "1000000"],
+    ["burau", "--word", " ".join(["s1"] * 2300), "--unreduced"],
+])
+def test_braid_sizes_above_the_caps_exit_2_at_once(capsys, argv):
+    start = time.perf_counter()
+    tracemalloc.start()
+    try:
+        code = cli.main(["braid", *argv])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("error: ")
+    assert captured.err.count("\n") == 1
+    assert peak < 1 << 20
+    assert time.perf_counter() - start < 1.0

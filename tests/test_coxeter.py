@@ -4,6 +4,8 @@ import hashlib
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from coxkit import algebra, coxeter
 from coxkit.algebra import (Laurent, Poly, _det_laplace, det_exact, det_poly,
@@ -225,6 +227,49 @@ def test_schur_on_cyclic_diagrams_has_zero_residual():
             assert st_.residual.is_zero
             want = _det_laplace(coxeter_matrix(pivot_first(d, pivot)))
             assert st_.total == want
+
+
+@st.composite
+def ordered_diagrams(draw, max_n: int = 6):
+    """A weighted graph, cycles and all, in a shuffled vertex order."""
+    n = draw(st.integers(1, max_n))
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    weights = draw(st.lists(st.sampled_from((0, 0, 0, 1, 1, 2, -1, 3)),
+                            min_size=len(pairs), max_size=len(pairs)))
+    return Diagram(n, {p: w for p, w in zip(pairs, weights) if w},
+                   order=draw(st.permutations(range(n))))
+
+
+def qs_matrix(d: Diagram) -> list[list[Laurent]]:
+    """Independent oracle: qS + q^-1 S^t entry by entry, z on the diagonal
+    and -a q^(+-1) off it, the sign from the order of the two positions."""
+    o = d.order
+    return [[Z if p == t else
+             Laurent.term(-d.weight(o[p], o[t]), 1 if p < t else -1)
+             for t in range(d.n)] for p in range(d.n)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(ordered_diagrams())
+def test_coxeter_matrix_is_qs_plus_inverse_q_st_in_any_order(d):
+    assert coxeter_matrix(d) == qs_matrix(d)
+
+
+@settings(max_examples=40, deadline=None)
+@given(ordered_diagrams(), st.data())
+def test_schur_terms_are_z_base_minus_total(d, data):
+    pivot = data.draw(st.integers(0, d.n - 1))
+    st_ = schur_step(d, pivot)
+    total = det_exact(qs_matrix(pivot_first(d, pivot)))
+    assert st_.total == total
+    assert st_.terms == Z * st_.base - total
+    # the one map of Laurent.total against a chain of +
+    chain = Laurent.zero()
+    for _, wsq, g in st_.branches:
+        chain = chain + wsq * g
+    for _, coeff, p in st_.crosses:
+        chain = chain + coeff * p
+    assert st_.terms == chain
 
 
 # -- join formula -------------------------------------------------------------
