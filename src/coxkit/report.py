@@ -23,8 +23,13 @@ class IdentityReport:
     @property
     def residual_terms(self) -> int:
         r = self.residual
-        if hasattr(r, "items"):
-            return len(r.items())
-        if hasattr(r, "coeffs"):
-            return sum(1 for c in r.coeffs if c)
+        if hasattr(r, "items") or hasattr(r, "coeffs"):
+            return nonzero_terms(r)
         return 0 if self.holds else 1
+
+
+def nonzero_terms(residual) -> int:
+    """The number of nonzero coefficients of a Poly, Laurent or BiLaurent."""
+    if hasattr(residual, "items"):
+        return len(residual.items())
+    return sum(1 for c in residual.coeffs if c)

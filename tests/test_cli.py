@@ -1,5 +1,6 @@
 """Command-line interface: dispatch, formats, determinism, coverage."""
 
+import dataclasses
 import hashlib
 import json
 import os
@@ -12,8 +13,8 @@ from pathlib import Path
 
 import pytest
 
-from coxkit import braid, cfrac, cli, identities, kostant
-from coxkit.algebra import Laurent, TruncSeries
+from coxkit import braid, cfrac, cli, coxeter, identities, kostant
+from coxkit.algebra import Laurent, Poly, TruncSeries
 from coxkit.coxeter import char_poly, coxeter_poly
 from coxkit.diagram import MAX_VERTICES, build
 from coxkit.report import IdentityReport
@@ -453,6 +454,46 @@ def test_verify_all_golden_output(capsys):
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == (
         "b7966c05f152df927dd5a7a80cbd9dc213b59f7e6f64be5cb4224c83c64e7e50")
+
+
+def test_verify_all_computes_each_schur_step_once(capsys):
+    # schur, cd-coxeter and cd-wronskian pivot the same diagrams on the same
+    # vertices; the step memo runs the body once per distinct step
+    coxeter._schur_step.cache_clear()
+    code, _ = run_cli(capsys, "verify", "all", "--seed", "42", "--json")
+    info = coxeter._schur_step.cache_info()
+    assert code == 0
+    assert (info.hits + info.misses, info.misses) == (880, 301)
+
+
+def test_verify_schur_failure_reports_residual_terms(capsys, monkeypatch):
+    real = coxeter.schur_step
+
+    def off_by_z(d, pivot):
+        step = real(d, pivot)
+        return dataclasses.replace(step, total=step.total + Laurent.z())
+
+    monkeypatch.setattr(coxeter, "schur_step", off_by_z)
+    code, out = run_cli(capsys, "verify", "schur", "--json")
+    assert code == 1
+    records = [json.loads(line) for line in out.splitlines()]
+    assert records
+    assert all(not r["holds"] and r["residual_terms"] == 2 for r in records)
+
+
+def test_verify_identity7_failure_sums_residual_terms(capsys, monkeypatch):
+    real = coxeter.identity7_check
+    monkeypatch.setattr(coxeter, "identity7_check",
+                        lambda d, i, j: real(d, i, j) + Poly((1, 0, 3)))
+    code, out = run_cli(capsys, "verify", "identity7", "--json")
+    assert code == 1
+    records = {r["case"]: r for r in map(json.loads, out.splitlines())}
+    assert not any(r["holds"] for r in records.values())
+    # two terms for each ordered pair of distinct vertices
+    for case, n in [("A4", 4), ("D5", 5), ("affA5", 6), ("affE6", 7)]:
+        assert records[case]["residual_terms"] == 2 * n * (n - 1)
+    trees = [r for case, r in records.items() if case.startswith("tree")]
+    assert trees and all(r["residual_terms"] == 2 for r in trees)
 
 
 def test_time_cases_charges_the_gap_before_each_case():

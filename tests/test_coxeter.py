@@ -1,5 +1,6 @@
 """Coxeter/characteristic polynomials, Schur step, cofactors, walks."""
 
+import dataclasses
 import hashlib
 import random
 
@@ -10,15 +11,16 @@ from hypothesis import strategies as st
 from coxkit import algebra, coxeter
 from coxkit.algebra import (Laurent, Poly, _det_laplace, det_exact, det_poly,
                             q_to_z, z_substitute)
-from coxkit.coxeter import (_adjacency_rows, _cyclomatic, _edge_step,
-                            _faddeev_leverrier, char_poly, cofactor_entry,
-                            cofactors, coxeter_matrix, coxeter_poly,
-                            divide_identity, identity7_check, join_poly,
-                            path_sum_H, pivot_first, schur_step,
+from coxkit.coxeter import (SchurStep, _adjacency_rows, _cyclomatic,
+                            _edge_step, _faddeev_leverrier, char_poly,
+                            cofactor_entry, cofactors, coxeter_matrix,
+                            coxeter_poly, divide_identity, identity7_check,
+                            join_poly, path_sum_H, pivot_first, schur_step,
                             walk_expansion_residual, walk_gf)
 from coxkit.diagram import (Diagram, bipartite_order, build, disjoint_union,
                             join, random_tree)
-from coxkit.errors import DimensionMismatch, PreconditionABneq2C
+from coxkit.errors import (DimensionMismatch, PreconditionABneq2C,
+                           UnknownVertex)
 
 Z = Laurent.z()
 
@@ -270,6 +272,30 @@ def test_schur_terms_are_z_base_minus_total(d, data):
     for _, coeff, p in st_.crosses:
         chain = chain + coeff * p
     assert st_.terms == chain
+
+
+@settings(max_examples=40, deadline=None)
+@given(ordered_diagrams(max_n=7), st.data())
+def test_memoized_schur_step_is_the_fresh_one(d, data):
+    pivot = data.draw(st.integers(0, d.n - 1))
+    memo = schur_step(d, pivot)
+    # a rebuilt copy is served the same entry
+    assert schur_step(Diagram(d.n, {(i, j): w for i, j, w in d.edges()},
+                              order=d.order), pivot) is memo
+    for clear in (coxeter._schur_step, coxeter._coxeter_poly,
+                  coxeter._char_poly):
+        clear.cache_clear()
+    fresh = schur_step(d, pivot)
+    assert fresh is not memo
+    for f in dataclasses.fields(SchurStep):
+        assert getattr(memo, f.name) == getattr(fresh, f.name), f.name
+    # the cross minors depend on the order, so each order has its own entry
+    other = d.with_order(data.draw(st.permutations(range(d.n))))
+    coxeter._schur_step.cache_clear()
+    schur_step(d, pivot)
+    schur_step(other, pivot)
+    assert coxeter._schur_step.cache_info().currsize == (
+        1 if other.order == d.order else 2)
 
 
 # -- join formula -------------------------------------------------------------
@@ -689,6 +715,7 @@ def _counting_bareiss(monkeypatch) -> list:
     monkeypatch.setattr(coxeter, "det_exact", logged)
     coxeter._coxeter_poly.cache_clear()
     coxeter._char_poly.cache_clear()
+    coxeter._schur_step.cache_clear()
     return calls
 
 
@@ -837,6 +864,7 @@ def test_schur_step_takes_paths_below_the_gate(monkeypatch):
             if len(_cyclomatic(rest.n, rest.edges())) > coxeter._EXPAND_MAX:
                 continue
             coxeter._coxeter_poly.cache_clear()
+            coxeter._schur_step.cache_clear()
             calls.clear()
             assert schur_step(d, pivot).residual.is_zero
             # only the total, of d itself, may go above the gate
@@ -934,6 +962,24 @@ def test_identity7_trees_and_disconnected():
     assert identity7_check(pair, 0, 1).is_zero
 
 
+def test_vertex_arguments_outside_the_diagram_raise_unknown_vertex():
+    a4 = build("A", 4)
+    for i, j in [(0, 9), (4, 0), (-1, 2), (2, -1)]:
+        with pytest.raises(UnknownVertex):
+            cofactor_entry(a4, i, j)
+        with pytest.raises(UnknownVertex):
+            identity7_check(a4, i, j)
+        with pytest.raises(UnknownVertex):
+            path_sum_H(a4, i, j)
+        with pytest.raises(UnknownVertex):
+            walk_gf(a4, i, j, 3)
+    for pivot in (4, -1):
+        with pytest.raises(UnknownVertex):
+            schur_step(a4, pivot)
+    with pytest.raises(UnknownVertex):
+        identity7_check(a4, 2, 2)
+
+
 # -- divide block matrix --------------------------------------------------------
 
 def test_divide_smallest_instance():
@@ -1003,6 +1049,7 @@ def test_schur_step_computes_each_cross_pair_once(monkeypatch):
             return real(*args)
 
         monkeypatch.setattr(coxeter, "_cross_minor", logged)
+        coxeter._schur_step.cache_clear()
         st_ = schur_step(d, 0)
         monkeypatch.undo()
         assert len(calls) == len(set(calls)) == 6 * 5 // 2
