@@ -130,6 +130,17 @@ def _list_gcd(a: Sequence[int], b: Sequence[int]) -> tuple[int, ...]:
     return _trim(list(g))
 
 
+def _power(base, e: int, one):
+    """base^e by square and multiply; one for e <= 0."""
+    out = one
+    while e > 0:
+        if e & 1:
+            out = out * base
+        base = base * base
+        e >>= 1
+    return out
+
+
 # ---------------------------------------------------------------------------
 # Poly: dense integer polynomial (the carrier of the z-world)
 # ---------------------------------------------------------------------------
@@ -211,13 +222,7 @@ class Poly:
     __rmul__ = __mul__
 
     def __pow__(self, n: int) -> "Poly":
-        out, base, e = Poly.one(), self, n
-        while e > 0:
-            if e & 1:
-                out = out * base
-            base = base * base
-            e >>= 1
-        return out
+        return _power(self, n, Poly.one())
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, Poly) and self._c == other._c
@@ -449,13 +454,7 @@ class Laurent(_Sparse):
     __rmul__ = __mul__
 
     def __pow__(self, n: int) -> "Laurent":
-        out, base, e = Laurent.one(), self, n
-        while e > 0:
-            if e & 1:
-                out = out * base
-            base = base * base
-            e >>= 1
-        return out
+        return _power(self, n, Laurent.one())
 
     def bar(self) -> "Laurent":
         """Substitute q -> 1/q."""

@@ -108,19 +108,17 @@ def expand_tree(d: Diagram, root: int) -> Branch:
     return built[root]
 
 
-def expand_cycle(n: int, depth: int | None = None) -> Branch:
+def expand_cycle(n: int) -> Branch:
     """Two-branch expansion for the unit cycle on n+1 vertices.
 
     Both branches walk half way around the cycle; at the meeting point the
     closing term is z/2 when n is odd (meeting vertex) and 1 when n is even
-    (meeting edge).  Only the canonical floor(n/2)-step truncation exists in
-    the z-world, so other depths are rejected.  The degenerate n = 1 case
-    (one weight-2 edge) still expands with two unit branches.
+    (meeting edge); this floor(n/2)-step truncation is the only one that
+    closes over z.  The degenerate n = 1 case (one weight-2 edge) still
+    expands with two unit branches.
     """
     if n < 1:
         raise BadRank("cycle expansion needs n >= 1")
-    if depth is not None and depth != n // 2:
-        raise DomainError("only the half-way truncation closes over z")
     if n % 2:
         closing = Closing(RatFunc(Poly.x(), Poly.const(2)))
         chain_len = (n - 1) // 2

@@ -85,22 +85,22 @@ def _load_diagram(source: str, order_override: str | None = None) -> diagram.Dia
 # verifier suites
 # ---------------------------------------------------------------------------
 
-def _suite_diagrams(cfg: RunConfig, max_rank: int):
-    """Named diagram only when --diagram was given, else the ADE sweep."""
+def _suite_diagrams(cfg: RunConfig, types):
+    """Named diagram only when --diagram was given, else the given types."""
     if cfg.diagram_spec:
         yield cfg.diagram_spec, _load_diagram(cfg.diagram_spec)
         return
-    for fam, n in diagram.ade_types(max_rank):
+    for fam, n in types:
         yield f"{fam}{n}", diagram.build(fam, n)
 
 
-def _seeded_trees(cfg: RunConfig, weights=(1, 2)):
+def _seeded_trees(cfg: RunConfig):
     if cfg.diagram_spec:
         return
     rng = random.Random(cfg.seed)
     for k in range(cfg.random_trees):
         n = rng.randint(1, cfg.max_vertices)
-        yield k, diagram.random_tree(rng, n, weights), rng
+        yield k, diagram.random_tree(rng, n, (1, 2)), rng
 
 
 def verify_algebra(cfg: RunConfig):
@@ -140,16 +140,32 @@ def verify_algebra(cfg: RunConfig):
     return out
 
 
-def verify_schur(cfg: RunConfig):
+def _verify_pivot(cfg: RunConfig, suite: str, types, label: str, residual):
+    """One case per pivot of each named diagram and one per seeded tree;
+    residual(d, pivot) is what must vanish."""
     out = []
-    for name, d in _suite_diagrams(cfg, 8):
-        for pivot in range(d.n):
-            out.append(_residual_case("schur", f"{name}-pivot{pivot}", [
-                coxeter.schur_step(d, pivot).residual]))
+    for name, d in _suite_diagrams(cfg, types):
+        out += [_residual_case(suite, f"{name}-{label}{pivot}",
+                               [residual(d, pivot)]) for pivot in range(d.n)]
     for k, d, rng in _seeded_trees(cfg):
-        out.append(_residual_case("schur", f"tree{k:03d}", [
-            coxeter.schur_step(d, rng.randrange(d.n)).residual]))
+        out.append(_residual_case(suite, f"tree{k:03d}",
+                                  [residual(d, rng.randrange(d.n))]))
     return out
+
+
+def verify_schur(cfg: RunConfig):
+    return _verify_pivot(cfg, "schur", diagram.ade_types(8), "pivot",
+                         lambda d, p: coxeter.schur_step(d, p).residual)
+
+
+def verify_cd_coxeter(cfg: RunConfig):
+    return _verify_pivot(cfg, "cd-coxeter", diagram.ade_types(10), "p",
+                         lambda d, p: identities.cd_coxeter(d, p).residual)
+
+
+def verify_cd_wronskian(cfg: RunConfig):
+    return _verify_pivot(cfg, "cd-wronskian", diagram.ade_types(10), "p",
+                         lambda d, p: identities.cd_wronskian(d, p).residual)
 
 
 def _residual_case(suite: str, name: str, residuals):
@@ -169,15 +185,15 @@ def verify_join(cfg: RunConfig):
         ("empty", []),
     ]
     for name, parts in cases:
-        val = coxeter.join_poly(parts)
-        want = coxeter.coxeter_poly(diagram.join(parts))
-        out.append(CaseResult("join", name, val == want))
+        out.append(_residual_case("join", name, [
+            coxeter.join_poly(parts)
+            - coxeter.coxeter_poly(diagram.join(parts))]))
     return out
 
 
 def verify_bipartite(cfg: RunConfig):
     out = []
-    diagrams = list(_suite_diagrams(cfg, 12))
+    diagrams = list(_suite_diagrams(cfg, diagram.ade_types(12)))
     diagrams += [(f"tree{k:03d}", d) for k, d, _ in _seeded_trees(cfg)]
     for name, d in diagrams:
         split = diagram.bipartite_order(d)
@@ -192,32 +208,9 @@ def verify_bipartite(cfg: RunConfig):
     return out
 
 
-def _verify_pivot(cfg: RunConfig, suite: str, identity):
-    """One case per pivot of each named diagram and one per seeded tree."""
-    out = []
-    for name, d in _suite_diagrams(cfg, 10):
-        for pivot in range(d.n):
-            rep = identity(d, pivot)
-            out.append(CaseResult(suite, f"{name}-p{pivot}", rep.holds,
-                                  rep.residual_terms))
-    for k, d, rng in _seeded_trees(cfg):
-        rep = identity(d, rng.randrange(d.n))
-        out.append(CaseResult(suite, f"tree{k:03d}", rep.holds,
-                              rep.residual_terms))
-    return out
-
-
-def verify_cd_coxeter(cfg: RunConfig):
-    return _verify_pivot(cfg, "cd-coxeter", identities.cd_coxeter)
-
-
-def verify_cd_wronskian(cfg: RunConfig):
-    return _verify_pivot(cfg, "cd-wronskian", identities.cd_wronskian)
-
-
 def verify_cd_char(cfg: RunConfig):
     out = []
-    for name, d in _suite_diagrams(cfg, 10):
+    for name, d in _suite_diagrams(cfg, diagram.ade_types(10)):
         # a case bundles like a report, so each pair folds into the two
         # cases at once and no report outlives its pair: on ~A48 the
         # reports of all pairs would hold hundreds of MB
@@ -276,19 +269,16 @@ def verify_path_sum(cfg: RunConfig):
     for fam, n in [("A", 5), ("D", 5), ("affA", 4), ("affE", 6)]:
         d = diagram.build(fam, n)
         table = coxeter.cofactors(d)
-        ok = all(coxeter.path_sum_H(d, i, j) == table[i, j]
-                 for i in range(d.n) for j in range(d.n))
-        out.append(CaseResult("path-sum", f"{fam}{n}", ok))
+        out.append(_residual_case("path-sum", f"{fam}{n}", (
+            coxeter.path_sum_H(d, i, j) - table[i, j]
+            for i in range(d.n) for j in range(d.n))))
     return out
 
 
 def verify_identity7(cfg: RunConfig):
     out = []
-    named = ([(cfg.diagram_spec, _load_diagram(cfg.diagram_spec))]
-             if cfg.diagram_spec else
-             [(f"{f}{n}", diagram.build(f, n))
-              for f, n in [("A", 4), ("D", 5), ("affA", 5), ("affE", 6)]])
-    for name, d in named:
+    types = [("A", 4), ("D", 5), ("affA", 5), ("affE", 6)]
+    for name, d in _suite_diagrams(cfg, types):
         out.append(_residual_case("identity7", name, (
             coxeter.identity7_check(d, i, j)
             for i in range(d.n) for j in range(d.n) if i != j)))
@@ -437,7 +427,7 @@ def verify_ebeling(cfg: RunConfig):
 
 
 def verify_a2m(cfg: RunConfig):
-    return [CaseResult("a2m", f"m{m}", kostant.a2m_closed_form(m).holds)
+    return [_bundle_case("a2m", f"m{m}", [kostant.a2m_closed_form(m)])
             for m in range(9)]
 
 
@@ -460,12 +450,10 @@ def verify_burau(cfg: RunConfig):
     ok_mult = ok_rel = True
     for _ in range(200):
         n = rng.randint(2, 4)
-        w1 = braid.BraidWord(n, tuple(
+        # the first word takes all its draws before the second
+        w1, w2 = (braid.BraidWord(n, tuple(
             rng.choice([1, -1]) * rng.randint(1, n - 1)
-            for _ in range(rng.randint(0, 6))))
-        w2 = braid.BraidWord(n, tuple(
-            rng.choice([1, -1]) * rng.randint(1, n - 1)
-            for _ in range(rng.randint(0, 6))))
+            for _ in range(rng.randint(0, 6)))) for _ in range(2))
         for red in (False, True):
             lhs = braid.burau(w1 * w2, red).entries
             rhs = algebra.mat_mul(braid.burau(w1, red).entries,
@@ -513,8 +501,7 @@ def verify_levin(cfg: RunConfig):
                               ("neg-hopf-12", (-1, -1), 12),
                               ("identity-8", (), 8)]:
         rep = braid.levin_check(braid.BraidWord(2, word), order)
-        terms = sum(1 for c in (rep.lhs - rep.rhs).coeffs if c)
-        out.append(CaseResult("levin", name, rep.holds, terms))
+        out.append(_residual_case("levin", name, [rep.lhs - rep.rhs]))
     return out
 
 
@@ -540,22 +527,19 @@ def _q_square(p: Laurent) -> Laurent:
 
 def verify_divide(cfg: RunConfig):
     rng = random.Random(cfg.seed)
-    out = []
-    rep = coxeter.divide_identity([[2]], [[1]], [[1]])
-    out.append(CaseResult("divide", "smallest",
-                          rep.equal and rep.schur_exact))
-    rep = coxeter.divide_identity([], [], [])
-    out.append(CaseResult("divide", "empty", rep.equal and rep.schur_exact))
+    cases = [("smallest", [[2]], [[1]], [[1]]), ("empty", [], [], [])]
     for k in range(20):
         p, r, s = rng.randint(1, 3), rng.randint(1, 3), rng.randint(1, 3)
         a = [[rng.randint(0, 2) for _ in range(r)] for _ in range(p)]
         bp = [[rng.randint(0, 2) for _ in range(s)] for _ in range(r)]
-        b = [[2 * x for x in row] for row in bp]
         c = [[sum(a[i][t] * bp[t][j] for t in range(r)) for j in range(s)]
              for i in range(p)]
+        cases.append((f"random{k:02d}", a,
+                      [[2 * x for x in row] for row in bp], c))
+    out = []
+    for name, a, b, c in cases:
         rep = coxeter.divide_identity(a, b, c)
-        out.append(CaseResult("divide", f"random{k:02d}",
-                              rep.schur_exact and rep.equal))
+        out.append(CaseResult("divide", name, rep.equal and rep.schur_exact))
     return out
 
 
@@ -921,18 +905,19 @@ def build_parser() -> argparse.ArgumentParser:
     return top
 
 
+RUNNERS = {
+    "coxeter": run_coxeter,
+    "cfrac": run_cfrac,
+    "kostant": run_kostant,
+    "braid": run_braid,
+    "verify": run_verify,
+}
+
+
 def run(cfg: RunConfig) -> int:
-    if cfg.command == "coxeter":
-        return run_coxeter(cfg)
-    if cfg.command == "cfrac":
-        return run_cfrac(cfg)
-    if cfg.command == "kostant":
-        return run_kostant(cfg)
-    if cfg.command == "braid":
-        return run_braid(cfg)
-    if cfg.command == "verify":
-        return run_verify(cfg)
-    raise UsageError(f"unknown command {cfg.command!r}")
+    if cfg.command not in RUNNERS:
+        raise UsageError(f"unknown command {cfg.command!r}")
+    return RUNNERS[cfg.command](cfg)
 
 
 def main(argv=None) -> int:

@@ -292,6 +292,10 @@ class CofactorTable:
 
     def __getitem__(self, ij: tuple[int, int]) -> Poly:
         i, j = ij
+        n = len(self.entries)
+        # plain comparisons: a negative index must not wrap around
+        if not (0 <= i < n and 0 <= j < n):
+            raise UnknownVertex(f"no cofactor ({i}, {j})")
         return self.entries[i][j]
 
     @property

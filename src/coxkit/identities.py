@@ -15,7 +15,7 @@ from operator import mul
 
 from .algebra import (BiLaurent, Frame, Laurent, RatFunc, bezoutian,
                       det_exact, wronskian)
-from .coxeter import char_poly, cofactors, coxeter_poly, schur_step
+from .coxeter import _rebuild, char_poly, cofactors, coxeter_poly, schur_step
 from .diagram import Diagram
 from .errors import (BadType, ShapeViolation, SizeMismatch, UnknownVertex)
 from .kostant import KleinGroupData
@@ -199,7 +199,7 @@ def _packed_table(n: int, edges):
     - a residual at most the sum of the two bounds, which every digit that
       is packed or decoded then fits under.
     Degrees in y stay below the stride s = n + 1."""
-    d = Diagram(n, {(a, b): w for a, b, w in edges})
+    d = _rebuild(n, edges)
     table = cofactors(d)
     g = char_poly(d).coeffs
     norms = [[sum(map(abs, h.coeffs)) for h in row] for row in table.entries]
@@ -288,10 +288,6 @@ def poincare_cd(data: KleinGroupData, i, j: int | None = None
     """
     d = data.diagram()
     zt = data.z_table
-
-    def z_of(v: int) -> Laurent:
-        return data.z_minus1 if v == -1 else zt[v]
-
     if data.family == "affA" and j is not None:
         n = data.n
         if not (1 <= i <= j <= n):
@@ -322,8 +318,8 @@ def poincare_cd(data: KleinGroupData, i, j: int | None = None
                 if parent[v] in branch:
                     branch.add(v)
             ks = sorted(branch)
-        bez_lhs = bezoutian(z_of(up), zt[i])
-        wr_lhs = wronskian(z_of(up), zt[i])
+        bez_lhs = bezoutian(data.numerator(up), zt[i])
+        wr_lhs = wronskian(data.numerator(up), zt[i])
         name = f"poincare-cd-{data.family}{data.n}-{i}"
     bez_rhs = _one_minus_inv_xy(
         BiLaurent.total(BiLaurent.outer(zt[k], zt[k]) for k in ks))

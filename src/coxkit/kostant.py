@@ -61,25 +61,17 @@ class KleinGroupData:
         one = Laurent.one()
         return (one - Laurent.q(self.a)) * (one - Laurent.q(self.b))
 
-    def series(self, i: int) -> RatFunc:
+    def numerator(self, i: int) -> Laurent:
+        """Z_i, and Z_{-1} = q^-1 (1-q^a)(1-q^b) at the virtual vertex."""
         if i == -1:
-            return RatFunc(Laurent.q(-1), Laurent.one())
+            return self.z_minus1
         if not (0 <= i < self.vertex_count):
             raise IndexOutOfRange(f"no vertex {i}")
-        return RatFunc(self.z_table[i], self.denominator())
+        return self.z_table[i]
 
-
-@dataclass(frozen=True)
-class PoincareVector:
-    """All series of one group, with the virtual entry P_{-1} = 1/q first."""
-
-    data: KleinGroupData
-    entries: tuple[RatFunc, ...]
-
-    @staticmethod
-    def of(data: KleinGroupData) -> "PoincareVector":
-        return PoincareVector(
-            data, tuple(data.series(i) for i in range(-1, data.vertex_count)))
+    def series(self, i: int) -> RatFunc:
+        """P_i = Z_i / ((1-q^a)(1-q^b)), which is 1/q at the virtual vertex."""
+        return RatFunc(self.numerator(i), self.denominator())
 
 
 def klein_data(family: str, n: int) -> KleinGroupData:
@@ -141,12 +133,7 @@ def poincare_series(data: KleinGroupData, i: int, terms: int) -> Laurent:
     """
     if not 0 <= terms <= MAX_TERMS:
         raise IndexOutOfRange(f"terms must be in 0..{MAX_TERMS}")
-    if i == -1:
-        num = data.z_minus1
-    elif 0 <= i < data.vertex_count:
-        num = data.z_table[i]
-    else:
-        raise IndexOutOfRange(f"no vertex {i}")
+    num = data.numerator(i)
     lo = min(num.support, default=0)
     c = [num.coeff(e) for e in range(lo, terms + 1)]
     for step in (data.a, data.b):

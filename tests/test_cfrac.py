@@ -11,7 +11,7 @@ from coxkit.cfrac import (Branch, Closing, evaluate, expand_cycle,
 from coxkit.coxeter import (_adjacency_rows, _faddeev_leverrier, _rooted_step,
                             char_poly)
 from coxkit.diagram import Diagram, build, from_name, random_tree
-from coxkit.errors import DomainError, NotATree, ZeroDenominator
+from coxkit.errors import NotATree, ZeroDenominator
 from coxkit.kostant import klein_data
 
 
@@ -99,12 +99,6 @@ def test_cycle_evaluation_matches_char_ratio():
         d = build("affA", n)
         want = RatFunc(char_poly(d.delete([0])), char_poly(d))
         assert evaluate(expand_cycle(n)) == want
-
-
-def test_cycle_rejects_other_depths():
-    expand_cycle(5, 2)
-    with pytest.raises(DomainError):
-        expand_cycle(5, 1)
 
 
 def test_evaluate_hand_nested():

@@ -496,6 +496,42 @@ def test_verify_identity7_failure_sums_residual_terms(capsys, monkeypatch):
     assert trees and all(r["residual_terms"] == 2 for r in trees)
 
 
+def test_join_failure_reports_residual_terms(capsys, monkeypatch):
+    real = coxeter.join_poly
+    # two terms far above the degree of any joined polynomial here
+    monkeypatch.setattr(coxeter, "join_poly",
+                        lambda parts: real(parts) + Laurent({40: 1, 41: -3}))
+    code, out = run_cli(capsys, "verify", "join", "--json")
+    assert code == 1
+    records = [json.loads(line) for line in out.splitlines()]
+    assert len(records) == 4
+    assert all(not r["holds"] and r["residual_terms"] == 2 for r in records)
+
+
+def test_path_sum_failure_sums_residual_terms(capsys, monkeypatch):
+    real = coxeter.path_sum_H
+    monkeypatch.setattr(coxeter, "path_sum_H",
+                        lambda d, i, j: real(d, i, j) + Poly.monomial(1, 30))
+    code, out = run_cli(capsys, "verify", "path-sum", "--json")
+    assert code == 1
+    records = {r["case"]: r for r in map(json.loads, out.splitlines())}
+    assert not any(r["holds"] for r in records.values())
+    # one term for each ordered pair of vertices
+    assert {case: r["residual_terms"] for case, r in records.items()} == {
+        "A5": 25, "D5": 25, "affA4": 25, "affE6": 49}
+
+
+def test_a2m_failure_reports_residual_terms(capsys, monkeypatch):
+    bad = IdentityReport("bad", None, None, Laurent({0: 1, 3: 2, 5: -1}),
+                         False)
+    monkeypatch.setattr(kostant, "a2m_closed_form", lambda m: bad)
+    code, out = run_cli(capsys, "verify", "a2m", "--json")
+    assert code == 1
+    records = [json.loads(line) for line in out.splitlines()]
+    assert len(records) == 9
+    assert all(not r["holds"] and r["residual_terms"] == 3 for r in records)
+
+
 def test_time_cases_charges_the_gap_before_each_case():
     cases = [cli.CaseResult("s", name, True, done_at=t)
              for name, t in [("a", 1.5), ("b", 1.5), ("c", 4.0)]]

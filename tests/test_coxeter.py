@@ -980,6 +980,17 @@ def test_vertex_arguments_outside_the_diagram_raise_unknown_vertex():
         identity7_check(a4, 2, 2)
 
 
+def test_cofactor_table_rejects_indices_outside_the_diagram():
+    a4 = build("A", 4)
+    table = cofactors(a4)
+    # a negative index must not wrap around to another entry
+    for i, j in [(-1, 0), (0, -1), (4, 0), (0, 4), (-5, 2), (9, 9)]:
+        with pytest.raises(UnknownVertex):
+            table[i, j]
+    assert [table[i, 0] for i in range(4)] == [
+        cofactor_entry(a4, i, 0) for i in range(4)]
+
+
 # -- divide block matrix --------------------------------------------------------
 
 def test_divide_smallest_instance():

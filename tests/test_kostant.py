@@ -10,11 +10,10 @@ from coxkit.cfrac import evaluate, expand_cycle, expand_tree
 from coxkit.coxeter import CofactorTable, char_poly, coxeter_poly
 from coxkit.diagram import build
 from coxkit.errors import BadType, IndexOutOfRange
-from coxkit.kostant import (PoincareVector, a2m_closed_form, a2m_recurrence,
-                            cramer_z_table, ebeling_ratios, klein_data,
-                            klein_types, perfect_square_check,
-                            poincare_series, prop2_squares, verify_system,
-                            walk_series_check)
+from coxkit.kostant import (a2m_closed_form, a2m_recurrence, cramer_z_table,
+                            ebeling_ratios, klein_data, klein_types,
+                            perfect_square_check, poincare_series,
+                            prop2_squares, verify_system, walk_series_check)
 
 
 def test_e6_data():
@@ -276,12 +275,22 @@ def test_perfect_squares():
         assert perfect_square_check(data) == abs(data.a - data.b)
 
 
-def test_poincare_vector():
-    data = klein_data("affA", 2)
-    vec = PoincareVector.of(data)
-    assert vec.entries[0] == RatFunc(Laurent.q(-1), Laurent.one())
-    assert len(vec.entries) == data.vertex_count + 1
-    assert vec.entries[1] == data.series(0)
+def test_numerator_reads_the_virtual_vertex_too():
+    for fam, n in klein_types(12):
+        data = klein_data(fam, n)
+        assert data.numerator(-1) == data.z_minus1
+        assert tuple(map(data.numerator, range(data.vertex_count))) == (
+            data.z_table)
+        # Z_{-1} over the denominator reduces to P_{-1} = 1/q
+        virtual = data.series(-1)
+        assert virtual == RatFunc(Laurent.q(-1), Laurent.one())
+        assert (virtual.num, virtual.den) == (Laurent.q(-1), Laurent.one())
+        assert data.series(0) == RatFunc(data.z_table[0], data.denominator())
+        for bad in (-2, data.vertex_count):
+            with pytest.raises(IndexOutOfRange):
+                data.numerator(bad)
+            with pytest.raises(IndexOutOfRange):
+                data.series(bad)
 
 
 # -- cross-module: fractions equal scaled series -----------------------------------------
