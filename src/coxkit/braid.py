@@ -389,14 +389,14 @@ class MagnusSeries:
         return f"MagnusSeries({dict(self.items())!r})"
 
 
-def _times_letter(acc: dict[Word, int], i: int,
-                  order: int) -> dict[Word, int]:
-    """acc * (1 + u_i), truncated at total degree order (to zero when
-    order < 0)."""
-    out = dict(acc) if order >= 0 else {}
-    for w, c in acc.items():
-        if len(w) < order:
-            key = w + (i,)
+def _times_letter(acc: dict[int, int], i: int, base: int,
+                  short: int) -> dict[int, int]:
+    """acc * (1 + u_i), truncated: each word k shorter than the order
+    (k < short) also gives the word k * base + i."""
+    out = dict(acc)
+    for k, c in acc.items():
+        if k < short:
+            key = k * base + i
             v = out.get(key, 0) + c
             if v:
                 out[key] = v
@@ -407,28 +407,39 @@ def _times_letter(acc: dict[Word, int], i: int,
     return out
 
 
-def _times_inverse_letter(acc: dict[Word, int], i: int,
-                          order: int) -> dict[Word, int]:
+def _times_inverse_letter(acc: dict[int, int], i: int, base: int,
+                          top: int) -> dict[int, int]:
     """acc * (1 + u_i)^-1, truncated: the solution of out * (1 + u_i) = acc.
 
     Coefficients of different stems (words with their trailing i's
-    stripped) do not interact; along stem * i^j the coefficient of out is
-    the alternating running sum of those of acc.
+    stripped) do not interact; along stem * i^j, up to the words below top
+    (those no longer than the order), the coefficient of out is the
+    alternating running sum of those of acc.  A stem as long as the order
+    is a word of acc and is its own run.
     """
+    last = top // base
+    # out starts as a subset of acc, which held at most MAX_MAGNUS_WORDS
+    out: dict[int, int] = {}
     stems = set()
-    for w in acc:
-        end = len(w)
-        while end and w[end - 1] == i:
-            end -= 1
-        stems.add(w[:end])
-    out: dict[Word, int] = {}
-    for stem in stems:
-        key, run = stem, 0
-        for _ in range(order - len(stem) + 1):
-            run = acc.get(key, 0) - run
+    for k, c in acc.items():
+        if k % base != i:
+            if k >= last:
+                out[k] = c
+            else:
+                stems.add(k)
+        else:
+            k //= base
+            while k % base == i:
+                k //= base
+            stems.add(k)
+    get = acc.get
+    for key in stems:
+        run = 0
+        while key < top:
+            run = get(key, 0) - run
             if run:
                 out[key] = run
-            key += (i,)
+            key = key * base + i
         if len(out) > MAX_MAGNUS_WORDS:
             _too_many()
     return out
@@ -442,14 +453,39 @@ def _too_many():
 
 
 def magnus(word: Sequence[int], nvars: int, order: int) -> MagnusSeries:
-    """Magnus embedding x_i -> 1 + u_i, truncated at total degree order."""
-    acc: dict[Word, int] = {(): 1}
+    """Magnus embedding x_i -> 1 + u_i, truncated at total degree order.
+
+    While it is expanded, a word u_(i_1) .. u_(i_m) is the integer with the
+    digits i_1 .. i_m in base nvars + 1, and the empty word is 0.  No digit
+    is 0, so the words of length at most m are exactly the integers below
+    base^m; appending u_i is k * base + i and stripping it k // base.
+    """
+    if order < 0:
+        # below degree 0 a letter leaves nothing
+        return MagnusSeries(nvars, order, {} if word else {(): 1})
+    base = nvars + 1
+    # the words shorter than the order: none at order 0
+    short = base ** (order - 1) if order else 0
+    top = base ** order
+    acc: dict[int, int] = {0: 1}
     for letter in word:
         if letter > 0:
-            acc = _times_letter(acc, letter, order)
+            acc = _times_letter(acc, letter, base, short)
         else:
-            acc = _times_inverse_letter(acc, -letter, order)
-    return MagnusSeries(nvars, order, acc)
+            acc = _times_inverse_letter(acc, -letter, base, top)
+    words = {0: ()}
+    return MagnusSeries(nvars, order, {_spelled(k, base, words): c
+                                       for k, c in acc.items()})
+
+
+def _spelled(k: int, base: int, words: dict[int, Word]) -> Word:
+    """The word of the integer k (see magnus), through the memo words of
+    those already spelled, so that a shared prefix is spelled once."""
+    w = words.get(k)
+    if w is None:
+        rest, i = divmod(k, base)
+        w = words[k] = _spelled(rest, base, words) + (i,)
+    return w
 
 
 def _ending_in_1(word: Sequence[int], order: int) -> list[int]:

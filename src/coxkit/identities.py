@@ -16,7 +16,7 @@ from operator import mul
 from .algebra import (BiLaurent, Frame, Laurent, RatFunc, bezoutian,
                       det_exact, wronskian)
 from .coxeter import _rebuild, char_poly, cofactors, coxeter_poly, schur_step
-from .diagram import Diagram
+from .diagram import Diagram, build
 from .errors import (BadType, ShapeViolation, SizeMismatch, UnknownVertex)
 from .kostant import KleinGroupData
 from .report import IdentityReport
@@ -286,7 +286,6 @@ def poincare_cd(data: KleinGroupData, i, j: int | None = None
     Bez(Z_{i-1}, Z_i) + Bez(Z_j, Z_{j+1}) = (1 - 1/(xy)) sum_{k=i}^{j} ...,
     wrapping Z_{n+1} = Z_0.  Returns the (Bezoutian, Wronskian) pair.
     """
-    d = data.diagram()
     zt = data.z_table
     if data.family == "affA" and j is not None:
         n = data.n
@@ -297,27 +296,20 @@ def poincare_cd(data: KleinGroupData, i, j: int | None = None
         # second one in reversed argument order
         bez_lhs = bezoutian(wrap[i - 1], wrap[i]) + bezoutian(wrap[j + 1], wrap[j])
         wr_lhs = wronskian(wrap[i - 1], wrap[i]) + wronskian(wrap[j + 1], wrap[j])
-        ks = list(range(i, j + 1))
+        ks = range(i, j + 1)
         name = f"poincare-cd-{data.family}{data.n}-{i}-{j}"
     else:
         if j is not None:
             raise BadType("vertex pairs only apply to the cycle family")
-        if not (0 <= i < d.n):
+        if not (0 <= i < data.vertex_count):
             raise UnknownVertex(f"no vertex {i}")
         if data.family == "affA":
             # only the full-diagram case is two-sided-free on a cycle
             if i != 0:
                 raise BadType("cycle family needs a vertex pair for i > 0")
-            up = -1
-            ks = list(range(d.n))
+            up, ks = -1, range(data.vertex_count)
         else:
-            tour, parent = d.tour(0)
-            up = parent[i]
-            branch = {i}
-            for v in tour:
-                if parent[v] in branch:
-                    branch.add(v)
-            ks = sorted(branch)
+            up, ks = _branches(data.family, data.n)[i]
         bez_lhs = bezoutian(data.numerator(up), zt[i])
         wr_lhs = wronskian(data.numerator(up), zt[i])
         name = f"poincare-cd-{data.family}{data.n}-{i}"
@@ -326,6 +318,24 @@ def poincare_cd(data: KleinGroupData, i, j: int | None = None
     wr_rhs = _one_minus_inv_x2() * Laurent.total(zt[k] * zt[k] for k in ks)
     return (IdentityReport.compare(name + "-bez", bez_lhs, bez_rhs),
             IdentityReport.compare(name + "-wr", wr_lhs, wr_rhs))
+
+
+# Keyed on the Klein type, and like the packed tables keeps only the most
+# recent one: the suites and the benchmark take a type's vertices in a row.
+@lru_cache(maxsize=1)
+def _branches(family: str, n: int) -> tuple[tuple[int, tuple[int, ...]], ...]:
+    """Per vertex i of a tree family: its parent toward the affine vertex
+    (the virtual vertex -1 at the affine vertex itself) and the ascending
+    vertices of the branch that hangs below i, i included."""
+    tour, parent = build(family, n).tour(0)
+    out = []
+    for i in range(len(tour)):
+        branch = {i}
+        for v in tour:
+            if parent[v] in branch:
+                branch.add(v)
+        out.append((parent[i], tuple(sorted(branch))))
+    return tuple(out)
 
 
 def poincare_cd_antipodal_choices(data: KleinGroupData):

@@ -13,6 +13,7 @@ arm first with the short leaf last.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import accumulate, count
 from math import comb, isqrt
 
 from .algebra import Laurent, Poly, RatFunc, z_substitute
@@ -135,12 +136,16 @@ def poincare_series(data: KleinGroupData, i: int, terms: int) -> Laurent:
         raise IndexOutOfRange(f"terms must be in 0..{MAX_TERMS}")
     num = data.numerator(i)
     lo = min(num.support, default=0)
-    c = [num.coeff(e) for e in range(lo, terms + 1)]
+    c = [0] * (terms + 1 - lo)
+    for e, v in num.items():
+        if e <= terms:
+            c[e - lo] = v
     for step in (data.a, data.b):
-        # divide by 1 - q^step as a power series
-        for k in range(step, len(c)):
-            c[k] += c[k - step]
-    return Laurent({lo + k: v for k, v in enumerate(c)})
+        # divide by 1 - q^step as a power series: a running sum along each
+        # residue class mod step
+        for r in range(step):
+            c[r::step] = accumulate(c[r::step])
+    return Laurent._of({e: v for e, v in zip(count(lo), c) if v})
 
 
 # ---------------------------------------------------------------------------

@@ -345,8 +345,8 @@ def test_magnus_stops_one_stem_past_the_word_cap(monkeypatch):
     for name in ("_times_letter", "_times_inverse_letter"):
         real = getattr(braid, name)
 
-        def logged(acc, i, order, real=real):
-            out = real(acc, i, order)
+        def logged(acc, *args, real=real):
+            out = real(acc, *args)
             sizes.append(len(out))
             return out
 

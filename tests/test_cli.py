@@ -828,3 +828,169 @@ def test_braid_sizes_above_the_caps_exit_2_at_once(capsys, argv):
     assert captured.err.count("\n") == 1
     assert peak < 1 << 20
     assert time.perf_counter() - start < 1.0
+
+
+def test_verify_all_golden_output_at_the_held_out_seed(capsys):
+    code, out = run_cli(capsys, "verify", "all", "--seed", "7", "--json")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "caf553ebb794053325ba51bcdc1d70d22b942c9e8367b0cbaa2dbe135837b5b4")
+
+
+def test_milnor_failure_counts_the_entries_that_disagree(capsys,
+                                                         monkeypatch):
+    # every entry off by one: at the Hopf link mu(2, 1) and each entry
+    # ending in (1, 1) disagree; at the Borromean rings |mu(2, 3, 1)| and
+    # the antisymmetry do, while the cyclic symmetry still holds
+    real = braid.milnor
+
+    def off_by_one(b, order):
+        table = real(b, order)
+        return braid.MilnorTable(table.strands, table.order,
+                                 {k: v + 1 for k, v in table.entries.items()})
+
+    hopf = real(braid.BraidWord(2, (1, 1)), 6).entries
+    ends_in_11 = sum(1 for k in hopf if len(k) >= 2 and k[-2:] == (1, 1))
+    monkeypatch.setattr(braid, "milnor", off_by_one)
+    code, out = run_cli(capsys, "verify", "milnor", "--json")
+    assert code == 1
+    terms = {r["case"]: (r["holds"], r["residual_terms"])
+             for r in map(json.loads, out.splitlines())}
+    assert terms == {"hopf-order6": (False, 1 + ends_in_11),
+                     "borromean": (False, 2)}
+
+
+# sha256 of the `coxkit kostant --type T --series I --terms 400` outputs of
+# every vertex I of T, the virtual vertex -1 first, concatenated; computed
+# before the series were divided by strided prefix sums
+KOSTANT_SERIES_SHA256 = {
+    "affA1":
+        "cec08b1461f649d07b9a6845e0588c96b79b192ea1b0bd471e72746ef2accaf5",
+    "affA2":
+        "142960113bc1f308794af65a5bb1b04d12172bde494fbc3339c42207da84daba",
+    "affA3":
+        "a6892371f54c68bd4f077b64f0e0e0176f5cf3c7c77646783994f639097de272",
+    "affA4":
+        "9f6990eba8deaf72cb06d195a48e8f0d5f311e03ced1a500f12cab736fd36cb2",
+    "affA5":
+        "29151deb7ae81dd5a8eb44f5483668bbd5c09e00fd98fc45393b5ea517b4d5b3",
+    "affA6":
+        "98e14e9cea2204f2849348c599c00d88374fc4a616b680ec924ec288870f847b",
+    "affA7":
+        "8a6d56f4745afae0c7759898cf3248ea89f151d7a9177f20fe4d5d3295ca1882",
+    "affA8":
+        "7e3da68969866300c843f5586e8fc0a6ba27eed7bafb49e14c42b188f42cd151",
+    "affA9":
+        "8706864fc4c3a0afa667cf200b67760dffe5aca3123b03fdd2a4dd91e80c35d6",
+    "affA10":
+        "84ecd90a6b4f6989dc855b8f967786adc8987af6f4e2ba76b09acba4ca537d22",
+    "affA11":
+        "49e5debf15a6ea60730b357141aa31ed53ab5e50a498b6001c9b50450942422c",
+    "affA12":
+        "c1d0928603d98536374646917b6a0a35c6647bdad237996ae1332fdd04bafe4f",
+    "affA13":
+        "5ab88f3ca0a2e82b1a65ada93d56906704c73036f1823f749564e5648eb5e961",
+    "affA14":
+        "53444e74082ff16abfa69aac18960df94984da52461142c4d0c063a3502bfa65",
+    "affA15":
+        "a5ec921bafe132098e75ea1bb1632b3e20b6778abae3789bfae238a1ee53e82a",
+    "affA16":
+        "e397d042a090bb30e1d3ebd629c8febddde3d7a54ee66a92108138a34b90dce0",
+    "affD4":
+        "7af6b26fb9bdf1576391e6f520f793be3a9759f8dbceafe82352a9a2fcfe8925",
+    "affD5":
+        "aec9dd30b2291f7647f82c2ba43ec2071af052db50373238fbbb453b7808596e",
+    "affD6":
+        "ea112fa3ad0601a0d8ea612cab33887013675447c4f23de9f2809e9f448b0bcd",
+    "affD7":
+        "afca149180f487e878e15257e909ddc4deaa22a064866e5a6830e21ca4850f68",
+    "affD8":
+        "64eac4faa8754b431b45007513d74df0c54df333d06cb714d6ed02c2d84a622b",
+    "affD9":
+        "5137f45422ff4d30aed45cac2d9dcfe431994b83d02016f7dcba7ba0d2ecf593",
+    "affD10":
+        "879f7bc72489f44bdfbd5b3bed9f1d9a152cfe7254ea21e9942494b3d6be0eb3",
+    "affD11":
+        "3236e1701d2633653378b667bbcfd4b57c0985d17e6a0647bf8a47b6c8c7ecfb",
+    "affD12":
+        "dcd2b1dc3d9c22f089756ab5d136d6675d05db6c45de9b8c96813d88942267f7",
+    "affD13":
+        "8d829718fbc0cc56a2446c8bea8655dbde7001ddb206f8c390ede4d31919c0ba",
+    "affD14":
+        "8e0e2effb2e72025f717853d5a36f3c051be171fbb1e315d13979c620e9497ae",
+    "affD15":
+        "94aa84609329c1439d80c65c5787241086f399c2061b55220d91b7e44b15cbae",
+    "affD16":
+        "91e2cc799e5181a135bcd07f80fb7959cac44effc1da0ad21af0fbb6d9cbba92",
+    "affE6":
+        "6f4e840dde20d3263fc5c2c803b52295584be0b7b5ae89ce8e42d3a75dea5ecc",
+    "affE7":
+        "e4f67dcdd392de30dc47490d8c815ec1ef7786900bc541ec5b54542e02c90e38",
+    "affE8":
+        "81b892498f4e341d12df16f88642b161fc868fa19642e0e608402cc3be2decd7",
+}
+
+
+@pytest.mark.parametrize("fam,n", kostant.klein_types(16))
+def test_kostant_series_output_is_pinned(capsys, fam, n):
+    digest = hashlib.sha256()
+    for i in range(-1, kostant.klein_data(fam, n).vertex_count):
+        code, out = run_cli(capsys, "kostant", "--type", f"~{fam[3:]}{n}",
+                            "--series", str(i), "--terms", "400")
+        assert code == 0, i
+        digest.update(out.encode())
+    assert digest.hexdigest() == KOSTANT_SERIES_SHA256[f"{fam}{n}"]
+
+
+def _pure_braid_texts():
+    """Seeded pure braids on 2-4 strands, two for each count of 1-5 standard
+    generators A_ij^(+-1) (s_i^2 conjugated by s_(j-1) ... s_(i+1)); the
+    first is an A_1j, so that strand 1, whose longitude braid magnus
+    expands, is linked."""
+    rng = random.Random(18)
+    out = []
+    for k, count in enumerate((1, 1, 2, 2, 3, 3, 4, 4, 5, 5)):
+        strands = 2 + k % 3
+        word = []
+        for _ in range(count):
+            i = rng.randint(1, strands - 1) if word else 1
+            j = rng.randint(i + 1, strands)
+            conj = list(range(j - 1, i, -1))
+            g = rng.choice((1, -1)) * i
+            word += conj + [g, g] + [-x for x in reversed(conj)]
+        out.append((str(strands), " ".join(
+            f"{'-' if x < 0 else ''}s{abs(x)}" for x in word)))
+    return out
+
+
+# sha256 of the `coxkit braid magnus --order K` outputs and exit codes of
+# the braids of _pure_braid_texts, concatenated, keyed by K, and of
+# `coxkit braid milnor --order 7` on the first six; computed before Magnus
+# words were held as integers
+BRAID_MAGNUS_SHA256 = {
+    0: "8aaaea0d36fb0ac1fe5bfaba45c53c6891442f31e21c7b30288641aeaed90119",
+    1: "57469a9a29429b6087d9f044ce2e6858cdc4ae7b9a5c07254692b550be110751",
+    6: "9ba48358c0426871f268694536c07881d12d6b2843e149de318a22ac240286b7",
+    12: "1a67fee79d670f4477514d269aed541ec775f4fa758e94adca06659f17fb43e0",
+}
+BRAID_MILNOR7_SHA256 = (
+    "3dc94be58776c3df3e6d26a411af49289b3c3325128905e8306db9d65a3684cf")
+
+
+@pytest.mark.parametrize("order", sorted(BRAID_MAGNUS_SHA256))
+def test_braid_magnus_output_is_pinned(capsys, order):
+    digest = hashlib.sha256()
+    for strands, word in _pure_braid_texts():
+        code, out = run_cli(capsys, "braid", "magnus", "--word", word,
+                            "--strands", strands, "--order", str(order))
+        digest.update(f"{code}\n{out}".encode())
+    assert digest.hexdigest() == BRAID_MAGNUS_SHA256[order]
+
+
+def test_braid_milnor_output_is_pinned(capsys):
+    digest = hashlib.sha256()
+    for strands, word in _pure_braid_texts()[:6]:
+        code, out = run_cli(capsys, "braid", "milnor", "--word", word,
+                            "--strands", strands, "--order", "7")
+        digest.update(f"{code}\n{out}".encode())
+    assert digest.hexdigest() == BRAID_MILNOR7_SHA256

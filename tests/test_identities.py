@@ -1,16 +1,17 @@
 """Christoffel-Darboux suite."""
 
+import hashlib
 import random
 
 import pytest
 
 from coxkit.algebra import BiLaurent, Laurent, bezoutian, wronskian
 from coxkit.diagram import build, random_tree
-from coxkit.errors import BadType, ShapeViolation, SizeMismatch
+from coxkit.errors import BadType, ShapeViolation, SizeMismatch, UnknownVertex
 from coxkit.identities import (binet_cauchy, cd_char, cd_coxeter,
                                cd_wronskian, chain_identities, poincare_cd,
                                poincare_cd_antipodal_choices)
-from coxkit.kostant import klein_data
+from coxkit.kostant import klein_data, klein_types
 
 
 # -- Coxeter-polynomial forms -------------------------------------------------
@@ -211,6 +212,116 @@ def test_poincare_cd_rejects_bad_usage():
         poincare_cd(klein_data("affD", 4), 1, 2)
     with pytest.raises(BadType):
         poincare_cd(klein_data("affA", 4), 2)
+
+
+def _poincare_cd_args(data):
+    """Every argument of poincare_cd: vertex 0 and each pair on a cycle,
+    each vertex on a tree."""
+    if data.family == "affA":
+        return [(0, None)] + [(i, j) for i in range(1, data.n + 1)
+                              for j in range(i, data.n + 1)]
+    return [(i, None) for i in range(data.vertex_count)]
+
+
+# sha256 of every poincare_cd report (name, holds, lhs, rhs, residual) of a
+# Klein type over _poincare_cd_args, computed while poincare_cd still built
+# the diagram on every call
+POINCARE_CD_SHA256 = {
+    "affA1":
+        "19228e8cad7b5f6816a457d09aeb8b3b97e5237d25b0c9e412883206c3e54e18",
+    "affA2":
+        "4dbd9495a1856b6ad0fe97e78feac4c9d79d86161b57c12cc0e4ca5d6883c324",
+    "affA3":
+        "82020e8dfd9a07efe461a069e8fa3506facb00906f6d72399616991b4c4ee5ff",
+    "affA4":
+        "10209e7d995a81dfba9274728ecbe54249a895a24963c2521e30cac508bb92dc",
+    "affA5":
+        "ca46836d92e4ea29bda75747b8e0d7a5726cd9b9a53af766810264cef2177c97",
+    "affA6":
+        "786328d4715b267367e6b5ee56cd6a69ba61a8f1e2be7faf22b0e5bb931fc21c",
+    "affA7":
+        "5e3a9f31a868e7425c1c5d14c64740db3c84e3062a20dc36ab985cd758047666",
+    "affA8":
+        "619b67481647bfb912a0a4a3f272c13230f4360daaa249e088f98d7a55b25975",
+    "affA9":
+        "dee7ccc7486e3a6c964f4ea710fe7eb9c2008cc68b1983c818b60e39ca260981",
+    "affA10":
+        "fc859ee3ed282b50e5d98cabcf47a1fc0f9e58fe56b04930c1d37a9032a4b4ef",
+    "affA11":
+        "ce18dfb3b47b962b7f35f98676aeabfe3a41cd222654e99ecde04db4bf22904c",
+    "affA12":
+        "3e4cfd9f9e06b1f7f5d4669dae30b0a00fcf069e1245d3c2ec1ac3ee8149e256",
+    "affA13":
+        "11615e02862f6490a0bd66d1e8a95f230ab3dc95e8f202a6c6b9cd5a611b536c",
+    "affA14":
+        "f2d4bc24aa1528d2359995d1dbf310f9a317e0b1a8191aecbb49111024f5a3e9",
+    "affA15":
+        "06a8f5afba0df0efc64a8f0dbd495d5938afa5f2e09baf0144fe19773c76f08f",
+    "affA16":
+        "ab671e621a1a8f15f2cb4a5916013a13f4bcc9c2b6ae9b148a117f1fc608c8eb",
+    "affD4":
+        "3d6487c44c7f5e4f62bd2dd12a95a1e1a468ca51da94b9b129b6172ed91a3f6b",
+    "affD5":
+        "80b7413fea798653a1b5e579eb123f6fd1289d882e7b7a01dcc959fb88478876",
+    "affD6":
+        "369e7f5272594dd1886a689c04929694d1849983b80be0e94e6e79bb2aacbd4a",
+    "affD7":
+        "1f645cca4a2ba56a68505b21edf79abc9103a70579996bd255e84c075b1c8dc8",
+    "affD8":
+        "ecbd023c9df4b0e756b916f2b380d5ee8bad79e01f94dc17278e2c1dd2dcc6c0",
+    "affD9":
+        "904192f46457056fc5d4197cc10406a830078a381292d853cb767b57e8a7b8a8",
+    "affD10":
+        "c84f2f17c523f10c12bf0ed18748c3f80547ba1754b133446e3d7633e1281f56",
+    "affD11":
+        "453cc7f2e5012237c0fd04888880b370e4eca08bcf67a50f4caf9ddb30c4f286",
+    "affD12":
+        "ba8b206baf7acd70f9c4bb8281dff790e47c5f8796762d6fd612c51ffb032535",
+    "affD13":
+        "b2788c479ac251fd0ecbf618d798e5f0f4a1616246842af69b7d66764391de72",
+    "affD14":
+        "86056e37e94c4b494f78325f2b5426bb2eabef00015ca036d185560f86197f81",
+    "affD15":
+        "7325991cc6851fdb1213e829198a5743ba320051672ca108e7507e632a8dd496",
+    "affD16":
+        "e95072a8ad7bc29744107f5e3f3a5c26ea166d3bb410d866046d3ae90a6331b9",
+    "affE6":
+        "4ed027ce8f1e626f348a6f77b1562da6d6f9772b0389153360cc75bc5f4cd0a3",
+    "affE7":
+        "44f16ec9f555cd4bcd41ef9ab47d8b2a09df61e0495fe3a345b0b5d1eb112659",
+    "affE8":
+        "a5ab6fbe74138b1248cad30c12d38d0a2ad29deaeac7e89192dda930427283bf",
+}
+
+
+@pytest.mark.parametrize("fam,n", klein_types(16))
+def test_poincare_cd_reports_are_pinned(fam, n):
+    data = klein_data(fam, n)
+    digest = hashlib.sha256()
+    for i, j in _poincare_cd_args(data):
+        for r in poincare_cd(data, i, j):
+            digest.update(f"{r.name} {r.holds} {r.lhs.items()} "
+                          f"{r.rhs.items()} {r.residual.items()}\n".encode())
+    assert digest.hexdigest() == POINCARE_CD_SHA256[f"{fam}{n}"]
+
+
+@pytest.mark.parametrize("fam,n,i,j,error,message", [
+    ("affA", 3, 1, None, BadType, "cycle family needs a vertex pair for i > 0"),
+    ("affA", 3, 0, 0, BadType, "cycle form needs 1 <= i <= j <= n"),
+    ("affA", 3, 2, 1, BadType, "cycle form needs 1 <= i <= j <= n"),
+    ("affA", 3, 1, 4, BadType, "cycle form needs 1 <= i <= j <= n"),
+    ("affA", 3, 4, None, UnknownVertex, "no vertex 4"),
+    ("affA", 1, -1, None, UnknownVertex, "no vertex -1"),
+    ("affD", 4, 0, 1, BadType, "vertex pairs only apply to the cycle family"),
+    ("affD", 4, 5, None, UnknownVertex, "no vertex 5"),
+    ("affD", 4, -1, None, UnknownVertex, "no vertex -1"),
+    ("affE", 6, 7, None, UnknownVertex, "no vertex 7"),
+    ("affE", 8, 9, 9, BadType, "vertex pairs only apply to the cycle family"),
+])
+def test_poincare_cd_error_paths(fam, n, i, j, error, message):
+    with pytest.raises(error) as info:
+        poincare_cd(klein_data(fam, n), i, j)
+    assert str(info.value) == message
 
 
 def test_structural_term_comes_from_algebra_module():

@@ -337,3 +337,11 @@ def test_subfractions_are_series_ratios():
             lhs = z_substitute(val.den) * data.z_table[i]
             rhs = z_substitute(val.num) * data.z_table[parent[i]]
             assert lhs == rhs, (fam, n, i)
+
+
+def test_vertex_count_is_the_diagram_size():
+    types = klein_types(24)
+    assert len(types) == 48
+    for fam, n in types:
+        data = klein_data(fam, n)
+        assert data.vertex_count == data.diagram().n, (fam, n)
