@@ -8,16 +8,27 @@ Usage:
 """
 
 import argparse
+import sys
 
 from coxkit.cfrac import evaluate, expand_cycle, expand_tree, render
-from coxkit.kostant import klein_data, klein_types, poincare_series
+from coxkit.diagram import MAX_VERTICES
+from coxkit.kostant import MAX_TERMS, klein_data, klein_types, poincare_series
 
 
-def main() -> None:
+def main(argv=None) -> int:
     ap = argparse.ArgumentParser()
     ap.add_argument("--max-rank", type=int, default=8)
     ap.add_argument("--terms", type=int, default=24)
-    args = ap.parse_args()
+    args = ap.parse_args(argv)
+    # checked before any work: an affine type of rank n has n + 1 vertices,
+    # and a rank past the vertex cap would fail only after every smaller type
+    if not 1 <= args.max_rank < MAX_VERTICES:
+        print(f"error: --max-rank must be in 1..{MAX_VERTICES - 1}",
+              file=sys.stderr)
+        return 2
+    if not 0 <= args.terms <= MAX_TERMS:
+        print(f"error: --terms must be in 0..{MAX_TERMS}", file=sys.stderr)
+        return 2
 
     for fam, n in klein_types(args.max_rank):
         data = klein_data(fam, n)
@@ -34,7 +45,8 @@ def main() -> None:
         print("   fraction value:", evaluate(node).render("z"))
         print(render(node, "ascii"))
         print()
+    return 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

@@ -17,8 +17,7 @@ from typing import Sequence
 from .algebra import (Laurent, Poly, RatFunc, det_exact, det_poly, mat_mul,
                       z_substitute)
 from .diagram import Diagram, SeifertMatrix
-from .errors import (DimensionMismatch, PreconditionABneq2C, UnknownVertex,
-                     ZeroDenominator)
+from .errors import DimensionMismatch, PreconditionABneq2C, UnknownVertex
 
 # ---------------------------------------------------------------------------
 # memo keys
@@ -500,13 +499,15 @@ def walk_gf(d: Diagram, i: int, j: int, k_max: int) -> list[int]:
 def walk_expansion_residual(g_char: Poly, h: Poly, walks: Sequence[int]) -> Poly:
     """Residual of H/G = sum d^k z^(-k-1) through the given walk list.
 
-    Returns h * z^(K+1) - (sum_k d_k z^(K-k)) * g; the identity holds at
-    order K exactly when the residual has degree < deg g.
+    Of h * z^(K+1) - (sum_k d_k z^(K-k)) * g, returns the terms of degree at
+    least deg g: the identity holds at order K exactly when they vanish
+    (below them is g times the series' tail past z^(-K-1)).
     """
     k_hi = len(walks) - 1
     lhs = h.shift(k_hi + 1)
     series = Poly([walks[k_hi - t] for t in range(k_hi + 1)])
-    return lhs - series * g_char
+    res = (lhs - series * g_char).coeffs
+    return Poly((0,) * g_char.degree + res[g_char.degree:])
 
 
 def identity7_check(d: Diagram, i: int, j: int) -> Poly:
@@ -529,11 +530,21 @@ def identity7_check(d: Diagram, i: int, j: int) -> Poly:
 
 @dataclass(frozen=True)
 class DivideReport:
+    """Closed form and Schur factorization, exact iff their residuals are 0."""
+
     lhs: RatFunc
     rhs: RatFunc
-    equal: bool
-    schur_exact: bool
+    closed_residual: Laurent
+    schur_residual: Laurent
     twist_power: int
+
+    @property
+    def equal(self) -> bool:
+        return self.closed_residual.is_zero
+
+    @property
+    def schur_exact(self) -> bool:
+        return self.schur_residual.is_zero
 
 
 def _int_rows(mat) -> list[list[int]]:
@@ -612,7 +623,7 @@ def divide_identity(a_mat, b_mat, c_mat) -> DivideReport:
         prod = mat_mul(m12, m21)
         inner = [[inner[i][j] - prod[i][j] for j in range(p + r)]
                  for i in range(p + r)]
-    schur_exact = (g * z ** (p + r)) == (z ** s * det_exact(inner))
+    schur_residual = g * z ** (p + r) - z ** s * det_exact(inner)
 
     # simplified closed form over z-polynomials
     aat = mat_mul(a, _mat_t(a)) if r else [[0] * p for _ in range(p)]
@@ -632,18 +643,15 @@ def divide_identity(a_mat, b_mat, c_mat) -> DivideReport:
     else:
         big_det = Poly.one()
 
+    # dd is a product of monic determinants, so neither denominator is zero
     dd_q = z_substitute(dd)
     big_q = z_substitute(big_det)
     lhs_num = g * z ** (p + s)
     rhs_num = z ** r * big_q
-    try:
-        lhs = RatFunc(lhs_num, dd_q)
-        rhs = RatFunc(rhs_num, dd_q ** s if s else Laurent.one())
-        equal = (lhs_num * dd_q ** s) == (rhs_num * dd_q)
-    except ZeroDenominator:
-        lhs = rhs = RatFunc.from_int(0, laurent=True)
-        equal = False
-    return DivideReport(lhs, rhs, equal, schur_exact, r)
+    return DivideReport(RatFunc(lhs_num, dd_q),
+                        RatFunc(rhs_num, dd_q ** s if s else Laurent.one()),
+                        lhs_num * dd_q ** s - rhs_num * dd_q, schur_residual,
+                        r)
 
 
 __all__ = [

@@ -22,14 +22,14 @@ class IdentityReport:
 
     @property
     def residual_terms(self) -> int:
-        r = self.residual
-        if hasattr(r, "items") or hasattr(r, "coeffs"):
-            return nonzero_terms(r)
-        return 0 if self.holds else 1
+        return nonzero_terms(self.residual)
 
 
 def nonzero_terms(residual) -> int:
-    """The number of nonzero coefficients of a Poly, Laurent or BiLaurent."""
+    """The number of nonzero coefficients of a Poly, Laurent, BiLaurent or
+    TruncSeries; an int counts as a constant."""
+    if isinstance(residual, int):
+        return int(residual != 0)
     if hasattr(residual, "items"):
         return len(residual.items())
     return sum(1 for c in residual.coeffs if c)

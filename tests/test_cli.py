@@ -13,7 +13,8 @@ from pathlib import Path
 
 import pytest
 
-from coxkit import braid, cfrac, cli, coxeter, identities, kostant
+from coxkit import (algebra, braid, cfrac, cli, coxeter, diagram, identities,
+                    kostant)
 from coxkit.algebra import Laurent, Poly, TruncSeries
 from coxkit.coxeter import char_poly, coxeter_poly
 from coxkit.diagram import MAX_VERTICES, build
@@ -533,7 +534,7 @@ def test_a2m_failure_reports_residual_terms(capsys, monkeypatch):
 
 
 def test_time_cases_charges_the_gap_before_each_case():
-    cases = [cli.CaseResult("s", name, True, done_at=t)
+    cases = [cli.CaseResult("s", name, residual_terms=0, done_at=t)
              for name, t in [("a", 1.5), ("b", 1.5), ("c", 4.0)]]
     cli._time_cases(cases, 1.0)
     assert [c.elapsed_ms for c in cases] == [500.0, 0.0, 2500.0]
@@ -858,6 +859,121 @@ def test_milnor_failure_counts_the_entries_that_disagree(capsys,
              for r in map(json.loads, out.splitlines())}
     assert terms == {"hopf-order6": (False, 1 + ends_in_11),
                      "borromean": (False, 2)}
+
+
+def _fail_det_vs_laplace(monkeypatch):
+    real = algebra._det_laplace
+    monkeypatch.setattr(algebra, "_det_laplace",
+                        lambda mat: real(mat) + Laurent.one())
+
+
+def _fail_bipartite(monkeypatch):
+    # an even cycle given as the odd-cycle witness
+    monkeypatch.setattr(diagram, "bipartite_order",
+                        lambda d: diagram.OddCycle((0, 1)))
+
+
+def _fail_walk_counts(monkeypatch):
+    real = coxeter.walk_gf
+    monkeypatch.setattr(coxeter, "walk_gf", lambda d, i, j, k: [
+        w + (t == 4) for t, w in enumerate(real(d, i, j, k))])
+
+
+def _fail_binet_cauchy(monkeypatch):
+    real = identities.binet_cauchy
+    monkeypatch.setattr(identities, "binet_cauchy", lambda *args: (
+        dataclasses.replace(real(*args), residual=Laurent.one(),
+                            holds=False)))
+
+
+def _fail_tree_ratio(monkeypatch):
+    real = cfrac.tree_ratio
+    monkeypatch.setattr(cfrac, "tree_ratio",
+                        lambda d, root: real(d, root) + 1)
+
+
+def _fail_z_count(monkeypatch):
+    real = cfrac.z_count
+    monkeypatch.setattr(cfrac, "z_count", lambda node: real(node) + 1)
+
+
+def _fail_cramer(monkeypatch):
+    real = kostant.cramer_z_table
+    monkeypatch.setattr(kostant, "cramer_z_table", lambda data: [
+        z + Laurent.q(50) for z in real(data)])
+
+
+def _fail_burau(monkeypatch):
+    # one more in the corner entry of every image: the braid relations
+    # still hold, multiplicativity does not
+    real = braid.burau
+
+    def shifted(word, reduced=False):
+        img = real(word, reduced)
+        (corner, *rest), *rows = img.entries
+        return dataclasses.replace(img, entries=(
+            (corner + Laurent.one(), *rest), *rows))
+
+    monkeypatch.setattr(braid, "burau", shifted)
+
+
+def _fail_linking(monkeypatch):
+    monkeypatch.setattr(braid, "linking_matrix", lambda b: {(1, 2): 1})
+
+
+def _fail_unit_match(monkeypatch):
+    monkeypatch.setattr(braid, "unit_match", lambda a, b: None)
+
+
+def _fail_divide_closed_form(monkeypatch):
+    real = coxeter.det_poly
+    monkeypatch.setattr(coxeter, "det_poly",
+                        lambda mat: real(mat) + Poly.one())
+
+
+@pytest.mark.parametrize("suite, case, fail", [
+    ("algebra", "det-vs-laplace", _fail_det_vs_laplace),
+    ("bipartite", "A1-odd-cycle", _fail_bipartite),
+    ("walks", "affE6-eq10", _fail_walk_counts),
+    ("binet-cauchy", "A2-full", _fail_binet_cauchy),
+    ("cfrac-tree", "~E6", _fail_tree_ratio),
+    ("cfrac-cycle", "affA3", _fail_z_count),
+    ("kostant-tables", "affE6", _fail_cramer),
+    ("burau", "multiplicativity-200", _fail_burau),
+    ("milnor", "borromean", _fail_linking),
+    ("burau-ratio", "hopf-vs-trefoil", _fail_unit_match),
+    ("divide", "smallest", _fail_divide_closed_form),
+])
+def test_a_failing_case_has_residual_terms(capsys, monkeypatch, suite, case,
+                                           fail):
+    # a case holds exactly when its residuals vanish, in every suite
+    fail(monkeypatch)
+    code, out = run_cli(capsys, "verify", suite, "--json")
+    assert code == 1
+    records = {r["case"]: r for r in map(json.loads, out.splitlines())}
+    assert not records[case]["holds"] and records[case]["residual_terms"] > 0
+    assert all(r["residual_terms"] > 0 for r in records.values()
+               if not r["holds"])
+
+
+def test_kostant_tables_check_the_tables_not_their_definitions(capsys,
+                                                                monkeypatch):
+    # h = a + b - 2 and |B| = ab/2 hold for these numbers, but the group of
+    # ~E6 has order 24: Z_0 = 1 + q^h still holds, the McKay sum does not
+    real = kostant.klein_data
+
+    def wrong_e6(family, n):
+        data = real(family, n)
+        if (family, n) != ("affE", 6):
+            return data
+        return dataclasses.replace(data, a=4, b=10, h=12, order_b=20)
+
+    monkeypatch.setattr(kostant, "klein_data", wrong_e6)
+    code, out = run_cli(capsys, "verify", "kostant-tables", "--json")
+    assert code == 1
+    failing = {r["case"]: r["residual_terms"]
+               for r in map(json.loads, out.splitlines()) if not r["holds"]}
+    assert failing == {"affE6": 1}
 
 
 # sha256 of the `coxkit kostant --type T --series I --terms 400` outputs of
