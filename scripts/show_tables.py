@@ -11,6 +11,7 @@ import argparse
 import sys
 
 from coxkit.cfrac import evaluate, expand_cycle, expand_tree, render
+from coxkit.cli import run_piped
 from coxkit.diagram import MAX_VERTICES
 from coxkit.kostant import MAX_TERMS, klein_data, klein_types, poincare_series
 
@@ -49,4 +50,5 @@ def main(argv=None) -> int:
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    # a reader that closes early (`| head`) ends it with exit 1, no traceback
+    sys.exit(run_piped(main))

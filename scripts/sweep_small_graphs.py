@@ -8,8 +8,10 @@ checks that
 - char_poly equals det_poly of zE - A (A the weighted adjacency).
 A gate of -1 sends every graph with a cycle to Bareiss; a large gate sends
 every one through Schwenk's edge step.  The tier-1 test
-tests/test_small_graphs.py runs the same checks on 1-5 vertices, plus the
-cofactor table and the Schur step on at most 4.  The 32768 graphs took
+tests/test_small_graphs.py runs the same checks on 1-5 vertices, plus on at
+most 4 the cofactor table, cd_char at every pair, the Schur step and both
+Christoffel-Darboux forms at every pivot, and det_exact of the Coxeter
+matrix against Laplace expansion.  The 32768 graphs took
 about 70 s per gate on a 2-core VM with Python 3.11.7.
 
 Usage:
@@ -20,8 +22,8 @@ import random
 import sys
 from itertools import combinations
 
-from coxkit import coxeter
-from coxkit.algebra import Poly, det_exact, det_poly
+from coxkit import coxeter, identities
+from coxkit.algebra import Poly, _det_laplace, det_exact, det_poly
 from coxkit.diagram import Diagram
 
 GATES = (-1, 1 << 30)
@@ -40,13 +42,15 @@ def labeled_graphs(n: int, rng: random.Random):
 
 def clear_memos() -> None:
     for memo in (coxeter._coxeter_poly, coxeter._char_poly,
-                 coxeter._schur_step, coxeter._cofactors):
+                 coxeter._schur_step, coxeter._cofactors,
+                 identities._packed_table, identities._packed_row):
         memo.cache_clear()
 
 
 def failed_checks(d: Diagram, tables: bool) -> list[str]:
-    """The checks that fail on d; tables adds every cofactor and every
-    pivot's Schur step."""
+    """The checks that fail on d; tables adds every cofactor, cd_char at
+    every pair, the Schur step and both Christoffel-Darboux forms at every
+    pivot, and det_exact of the Coxeter matrix against Laplace expansion."""
     bad = []
     if coxeter.coxeter_poly(d) != det_exact(coxeter.coxeter_matrix(d)):
         bad.append("coxeter_poly")
@@ -58,8 +62,18 @@ def failed_checks(d: Diagram, tables: bool) -> list[str]:
         table = coxeter.cofactors(d)
         bad += [f"cofactor {i} {j}" for i in range(d.n) for j in range(d.n)
                 if table[i, j] != coxeter.cofactor_entry(d, i, j)]
-        bad += [f"schur pivot {p}" for p in range(d.n)
-                if not coxeter.schur_step(d, p).residual.is_zero]
+        bad += [f"cd_char {i} {j}" for i in range(d.n)
+                for j in range(i, d.n)
+                if not all(r.holds for r in identities.cd_char(d, i, j))]
+        for p in range(d.n):
+            bad += [f"{name} pivot {p}" for name, step in (
+                ("schur", coxeter.schur_step(d, p)),
+                ("cd_coxeter", identities.cd_coxeter(d, p)),
+                ("cd_wronskian", identities.cd_wronskian(d, p)))
+                if not step.residual.is_zero]
+        matrix = coxeter.coxeter_matrix(d)
+        if det_exact(matrix) != _det_laplace(matrix):
+            bad.append("det_exact against Laplace")
     return bad
 
 

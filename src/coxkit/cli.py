@@ -11,12 +11,14 @@ appear under --timings).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import random
 import shlex
 import sys
 import time
+from argparse import Namespace
 from dataclasses import dataclass, field
 
 from . import algebra, braid, cfrac, coxeter, diagram, identities, kostant
@@ -25,33 +27,9 @@ from .errors import DomainError, UnknownVertex, UsageError
 from .report import IdentityReport, nonzero_terms
 
 
-@dataclass
-class RunConfig:
-    """Validated run parameters; the seed fully determines the suites."""
-
-    command: str
-    verifier: str = "all"
-    diagram_spec: str | None = None
-    type_spec: str | None = None
-    series_index: int | None = None
-    # terms and reduced are None when the option is not given, so that an
-    # option the chosen mode does not read can be rejected
-    terms: int | None = None
-    order: int = 16
-    order_override: str | None = None
-    root: int = 0
-    fmt: str = "text"
-    json_out: bool = False
-    timings: bool = False
-    seed: int = 0
-    random_trees: int = 50
-    max_vertices: int = 8
-    word: str = ""
-    strands: int | None = None
-    against: str | None = None
-    reduced: bool | None = None
-    mode: str = ""
-    verify_which: str | None = None
+# verify's sweep defaults: seeded trees per suite and their most vertices
+RANDOM_TREES = 50
+MAX_TREE_VERTICES = 8
 
 
 @dataclass
@@ -90,26 +68,26 @@ def _load_diagram(source: str, order_override: str | None = None) -> diagram.Dia
 # verifier suites
 # ---------------------------------------------------------------------------
 
-def _suite_diagrams(cfg: RunConfig, types):
+def _suite_diagrams(args: Namespace, types):
     """Named diagram only when --diagram was given, else the given types."""
-    if cfg.diagram_spec:
-        yield cfg.diagram_spec, _load_diagram(cfg.diagram_spec)
+    if args.diagram:
+        yield args.diagram, _load_diagram(args.diagram)
         return
     for fam, n in types:
         yield f"{fam}{n}", diagram.build(fam, n)
 
 
-def _seeded_trees(cfg: RunConfig):
-    if cfg.diagram_spec:
+def _seeded_trees(args: Namespace):
+    if args.diagram:
         return
-    rng = random.Random(cfg.seed)
-    for k in range(cfg.random_trees):
-        n = rng.randint(1, cfg.max_vertices)
+    rng = random.Random(args.seed)
+    for k in range(args.random_trees):
+        n = rng.randint(1, args.max_vertices)
         yield k, diagram.random_tree(rng, n, (1, 2)), rng
 
 
-def verify_algebra(cfg: RunConfig):
-    rng = random.Random(cfg.seed)
+def verify_algebra(args: Namespace):
+    rng = random.Random(args.seed)
     out = []
 
     def rand_laurent():
@@ -144,31 +122,31 @@ def verify_algebra(cfg: RunConfig):
     return out
 
 
-def _verify_pivot(cfg: RunConfig, suite: str, types, label: str, residual):
+def _verify_pivot(args: Namespace, suite: str, types, label: str, residual):
     """One case per pivot of each named diagram and one per seeded tree;
     residual(d, pivot) is what must vanish."""
     out = []
-    for name, d in _suite_diagrams(cfg, types):
+    for name, d in _suite_diagrams(args, types):
         out += [_case(suite, f"{name}-{label}{pivot}", [residual(d, pivot)])
                 for pivot in range(d.n)]
-    for k, d, rng in _seeded_trees(cfg):
+    for k, d, rng in _seeded_trees(args):
         out.append(_case(suite, f"tree{k:03d}",
                          [residual(d, rng.randrange(d.n))]))
     return out
 
 
-def verify_schur(cfg: RunConfig):
-    return _verify_pivot(cfg, "schur", diagram.ade_types(8), "pivot",
+def verify_schur(args: Namespace):
+    return _verify_pivot(args, "schur", diagram.ade_types(8), "pivot",
                          lambda d, p: coxeter.schur_step(d, p).residual)
 
 
-def verify_cd_coxeter(cfg: RunConfig):
-    return _verify_pivot(cfg, "cd-coxeter", diagram.ade_types(10), "p",
+def verify_cd_coxeter(args: Namespace):
+    return _verify_pivot(args, "cd-coxeter", diagram.ade_types(10), "p",
                          lambda d, p: identities.cd_coxeter(d, p).residual)
 
 
-def verify_cd_wronskian(cfg: RunConfig):
-    return _verify_pivot(cfg, "cd-wronskian", diagram.ade_types(10), "p",
+def verify_cd_wronskian(args: Namespace):
+    return _verify_pivot(args, "cd-wronskian", diagram.ade_types(10), "p",
                          lambda d, p: identities.cd_wronskian(d, p).residual)
 
 
@@ -178,7 +156,7 @@ def _case(suite: str, name: str, residuals) -> CaseResult:
     return CaseResult(suite, name, sum(map(nonzero_terms, residuals)))
 
 
-def verify_join(cfg: RunConfig):
+def verify_join(args: Namespace):
     out = []
     cases = [
         ("three-A1", [(diagram.build("A", 1), 0)] * 3),
@@ -194,10 +172,10 @@ def verify_join(cfg: RunConfig):
     return out
 
 
-def verify_bipartite(cfg: RunConfig):
+def verify_bipartite(args: Namespace):
     out = []
-    diagrams = list(_suite_diagrams(cfg, diagram.ade_types(12)))
-    diagrams += [(f"tree{k:03d}", d) for k, d, _ in _seeded_trees(cfg)]
+    diagrams = list(_suite_diagrams(args, diagram.ade_types(12)))
+    diagrams += [(f"tree{k:03d}", d) for k, d, _ in _seeded_trees(args)]
     for name, d in diagrams:
         split = diagram.bipartite_order(d)
         if isinstance(split, diagram.OddCycle):
@@ -211,9 +189,9 @@ def verify_bipartite(cfg: RunConfig):
     return out
 
 
-def verify_cd_char(cfg: RunConfig):
+def verify_cd_char(args: Namespace):
     out = []
-    for name, d in _suite_diagrams(cfg, diagram.ade_types(10)):
+    for name, d in _suite_diagrams(args, diagram.ade_types(10)):
         # one residual per pair, so that no report outlives its pair: on
         # ~A48 the reports of all pairs would hold hundreds of MB
         bez, wr = [], []
@@ -224,14 +202,14 @@ def verify_cd_char(cfg: RunConfig):
                 wr.append(r9.residual)
         out += [_case("cd-char", f"{name}-bez", bez),
                 _case("cd-char", f"{name}-wr", wr)]
-    for k, d, rng in _seeded_trees(cfg):
+    for k, d, rng in _seeded_trees(args):
         i, j = rng.randrange(d.n), rng.randrange(d.n)
         out.append(_case("cd-char", f"tree{k:03d}",
                          [r.residual for r in identities.cd_char(d, i, j)]))
     return out
 
 
-def verify_chain(cfg: RunConfig):
+def verify_chain(args: Namespace):
     cases = [("A6-full", diagram.build("A", 6), range(6)),
              ("affE8-arm", diagram.build("affE", 8), range(6)),
              ("affE7-arm", diagram.build("affE", 7), range(4)),
@@ -246,7 +224,7 @@ def verify_chain(cfg: RunConfig):
             for name, d, tail in cases]
 
 
-def verify_path_sum(cfg: RunConfig):
+def verify_path_sum(args: Namespace):
     out = []
     for fam, n in [("A", 5), ("D", 5), ("affA", 4), ("affE", 6)]:
         d = diagram.build(fam, n)
@@ -257,14 +235,14 @@ def verify_path_sum(cfg: RunConfig):
     return out
 
 
-def verify_identity7(cfg: RunConfig):
+def verify_identity7(args: Namespace):
     out = []
     types = [("A", 4), ("D", 5), ("affA", 5), ("affE", 6)]
-    for name, d in _suite_diagrams(cfg, types):
+    for name, d in _suite_diagrams(args, types):
         out.append(_case("identity7", name, (
             coxeter.identity7_check(d, i, j)
             for i in range(d.n) for j in range(d.n) if i != j)))
-    for k, d, rng in _seeded_trees(cfg):
+    for k, d, rng in _seeded_trees(args):
         if d.n < 2:
             continue
         i = rng.randrange(d.n)
@@ -274,7 +252,7 @@ def verify_identity7(cfg: RunConfig):
     return out
 
 
-def verify_walks(cfg: RunConfig):
+def verify_walks(args: Namespace):
     out = []
     for fam, n in [("affE", 6), ("affA", 2)]:
         d = diagram.build(fam, n)
@@ -289,7 +267,7 @@ def verify_walks(cfg: RunConfig):
     return out
 
 
-def verify_binet_cauchy(cfg: RunConfig):
+def verify_binet_cauchy(args: Namespace):
     out = []
     d = diagram.build("A", 5)
     samples = {1: ([2], [3]), 2: ([2, 3], [5, 7]), 3: ([1, 2, 3], [4, 5, 6])}
@@ -302,7 +280,7 @@ def verify_binet_cauchy(cfg: RunConfig):
     return out
 
 
-def verify_poincare_cd(cfg: RunConfig):
+def verify_poincare_cd(args: Namespace):
     out = []
     for fam, n in [("affD", 4), ("affE", 6)]:
         data = kostant.klein_data(fam, n)
@@ -323,7 +301,7 @@ def verify_poincare_cd(cfg: RunConfig):
     return out
 
 
-def verify_cfrac_tree(cfg: RunConfig):
+def verify_cfrac_tree(args: Namespace):
     out = []
     for name in ("~D4", "~D5", "~D6", "~E6", "~E7", "~E8"):
         d = diagram.from_name(name)
@@ -338,7 +316,7 @@ def verify_cfrac_tree(cfg: RunConfig):
     return out
 
 
-def verify_cfrac_cycle(cfg: RunConfig):
+def verify_cfrac_cycle(args: Namespace):
     out = []
     for n in range(1, 11):
         node = cfrac.expand_cycle(n)
@@ -383,7 +361,15 @@ def _klein_case(suite: str, name: str, mode: str, data) -> CaseResult:
                  [r.residual for r in KLEIN_CHECKS[mode][1](data)])
 
 
-def verify_kostant_tables(cfg: RunConfig):
+def _klein_suite(suite: str, mode: str, types):
+    """The verifier with one case per Klein type of types: the reports of
+    its KLEIN_CHECKS mode."""
+    return lambda args: [_klein_case(suite, f"{fam}{n}", mode,
+                                     kostant.klein_data(fam, n))
+                         for fam, n in types]
+
+
+def verify_kostant_tables(args: Namespace):
     out = []
     for fam, n in kostant.klein_types(12):
         data = kostant.klein_data(fam, n)
@@ -403,31 +389,13 @@ def verify_kostant_tables(cfg: RunConfig):
     return out
 
 
-def verify_ebeling(cfg: RunConfig):
-    return [_klein_case("ebeling", f"{fam}{n}", "17", kostant.klein_data(fam, n))
-            for fam, n in kostant.klein_types(12)]
-
-
-def verify_a2m(cfg: RunConfig):
+def verify_a2m(args: Namespace):
     return [_case("a2m", f"m{m}", [kostant.a2m_closed_form(m).residual])
             for m in range(9)]
 
 
-def verify_squares(cfg: RunConfig):
-    return [_klein_case("squares", f"{fam}{n}", "squares",
-                        kostant.klein_data(fam, n))
-            for fam, n in kostant.klein_types(12)]
-
-
-def verify_prop2_squares(cfg: RunConfig):
-    return [_klein_case("prop2-squares", f"{fam}{n}", "prop2",
-                        kostant.klein_data(fam, n))
-            for fam, n in [("affA", 3), ("affA", 4), ("affD", 4), ("affD", 6),
-                           ("affE", 6), ("affE", 7), ("affE", 8)]]
-
-
-def verify_burau(cfg: RunConfig):
-    rng = random.Random(cfg.seed)
+def verify_burau(args: Namespace):
+    rng = random.Random(args.seed)
     out = []
     mult, rel = [], []
     for _ in range(200):
@@ -461,7 +429,7 @@ def _entry_differences(a, b) -> list:
     return [r for ra, rb in zip(a, b) for x, y in zip(ra, rb) if (r := x - y)]
 
 
-def verify_milnor(cfg: RunConfig):
+def verify_milnor(args: Namespace):
     """Each residual is a table entry or relation minus its value, so a
     case's residual_terms count the ones that disagree."""
     table = braid.milnor(braid.BraidWord(2, (1, 1)), 6)
@@ -482,7 +450,7 @@ def verify_milnor(cfg: RunConfig):
             _case("milnor", "borromean", rings)]
 
 
-def verify_levin(cfg: RunConfig):
+def verify_levin(args: Namespace):
     out = []
     for name, word, order in [("hopf-16", (1, 1), 16),
                               ("t24-12", (1, 1, 1, 1), 12),
@@ -494,7 +462,7 @@ def verify_levin(cfg: RunConfig):
     return out
 
 
-def verify_burau_ratio(cfg: RunConfig):
+def verify_burau_ratio(args: Namespace):
     """det_ratio(s1^k, s1^(m - k)) against the Conway ratio of the torus
     links T(2, k) and T(2, m), the closures of s1^k and s1^m, up to a unit."""
     out = []
@@ -514,8 +482,8 @@ def _q_square(p: Laurent) -> Laurent:
     return Laurent({2 * k: v for k, v in p.items()})
 
 
-def verify_divide(cfg: RunConfig):
-    rng = random.Random(cfg.seed)
+def verify_divide(args: Namespace):
+    rng = random.Random(args.seed)
     cases = [("smallest", [[2]], [[1]], [[1]]), ("empty", [], [], [])]
     for k in range(20):
         p, r, s = rng.randint(1, 3), rng.randint(1, 3), rng.randint(1, 3)
@@ -550,10 +518,12 @@ VERIFIERS = {
     "cfrac-tree": verify_cfrac_tree,
     "cfrac-cycle": verify_cfrac_cycle,
     "kostant-tables": verify_kostant_tables,
-    "ebeling": verify_ebeling,
+    "ebeling": _klein_suite("ebeling", "17", kostant.klein_types(12)),
     "a2m": verify_a2m,
-    "squares": verify_squares,
-    "prop2-squares": verify_prop2_squares,
+    "squares": _klein_suite("squares", "squares", kostant.klein_types(12)),
+    "prop2-squares": _klein_suite("prop2-squares", "prop2", [
+        ("affA", 3), ("affA", 4), ("affD", 4), ("affD", 6), ("affE", 6),
+        ("affE", 7), ("affE", 8)]),
     "burau": verify_burau,
     "milnor": verify_milnor,
     "levin": verify_levin,
@@ -623,94 +593,85 @@ def _emit(obj) -> None:
     print(json.dumps(obj, sort_keys=True))
 
 
-def run_coxeter(cfg: RunConfig) -> int:
-    d = _load_diagram(cfg.diagram_spec, cfg.order_override)
-    if cfg.verify_which == "char":
+def run_coxeter(args: Namespace) -> int:
+    d = _load_diagram(args.diagram, args.order)
+    if args.char:
         poly = coxeter.char_poly(d).render("z")
     else:
         poly = coxeter.coxeter_poly(d).render("q")
-    if cfg.json_out:
-        _emit({"diagram": cfg.diagram_spec, "order": list(d.order),
+    if args.json:
+        _emit({"diagram": args.diagram, "order": list(d.order),
                "poly": poly})
     else:
         print(poly)
     return 0
 
 
-def run_cfrac(cfg: RunConfig) -> int:
-    if os.path.exists(cfg.diagram_spec):
+def run_cfrac(args: Namespace) -> int:
+    if os.path.exists(args.diagram):
         # a diagram file must be a tree; expand_tree raises NotATree
-        node = cfrac.expand_tree(_load_diagram(cfg.diagram_spec), cfg.root)
+        node = cfrac.expand_tree(_load_diagram(args.diagram), args.root)
     else:
-        fam, rank = diagram.parse_name(cfg.diagram_spec)
+        fam, rank = diagram.parse_name(args.diagram)
         if fam == "affA":
             # every vertex of the cycle gives the same expansion, but the
             # root must still be one of them
-            if not 0 <= cfg.root <= rank:
-                raise UnknownVertex(f"no vertex {cfg.root}")
+            if not 0 <= args.root <= rank:
+                raise UnknownVertex(f"no vertex {args.root}")
             node = cfrac.expand_cycle(rank)
         else:
-            node = cfrac.expand_tree(diagram.build(fam, rank), cfg.root)
-    if cfg.fmt == "eval":
+            node = cfrac.expand_tree(diagram.build(fam, rank), args.root)
+    if args.format == "eval":
         print(cfrac.evaluate(node).render("z"))
     else:
-        print(cfrac.render(node, cfg.fmt))
+        print(cfrac.render(node, args.format))
     return 0
 
 
-def run_kostant(cfg: RunConfig) -> int:
-    if cfg.series_index is not None and cfg.verify_which is not None:
-        raise UsageError("--series and --verify cannot be combined")
-    if cfg.terms is not None and cfg.series_index is None:
+def run_kostant(args: Namespace) -> int:
+    if args.terms is not None and args.series is None:
         raise UsageError("--terms applies only with --series")
-    if cfg.timings and cfg.verify_which is None:
+    if args.timings and args.verify is None:
         raise UsageError("--timings applies only with --verify")
-    fam, rank = diagram.parse_name(cfg.type_spec)
+    fam, rank = diagram.parse_name(args.type)
     data = kostant.klein_data(fam, rank)
-    if cfg.series_index is not None:
-        terms = 40 if cfg.terms is None else cfg.terms
-        series = kostant.poincare_series(data, cfg.series_index, terms)
-        if cfg.json_out:
-            _emit({"type": cfg.type_spec, "vertex": cfg.series_index,
+    if args.series is not None:
+        terms = 40 if args.terms is None else args.terms
+        series = kostant.poincare_series(data, args.series, terms)
+        if args.json:
+            _emit({"type": args.type, "vertex": args.series,
                    "terms": terms, "series": series.render()})
         else:
             print(series.render())
         return 0
-    if cfg.verify_which is None:
-        payload = {"type": cfg.type_spec, "a": data.a, "b": data.b,
+    if args.verify is None:
+        payload = {"type": args.type, "a": data.a, "b": data.b,
                    "h": data.h, "group_order": data.order_b,
                    "Z": [z.render() for z in data.z_table],
                    "Z_minus1": data.z_minus1.render()}
-        if cfg.json_out:
+        if args.json:
             _emit(payload)
         else:
             for key, val in payload.items():
                 print(f"{key}: {val}")
         return 0
-    modes = KLEIN_CHECKS if cfg.verify_which == "all" else [cfg.verify_which]
+    modes = KLEIN_CHECKS if args.verify == "all" else [args.verify]
     start = time.perf_counter()
     cases = [_klein_case("kostant", KLEIN_CHECKS[m][0], m, data) for m in modes]
     _time_cases(cases, start)
-    return _print_cases(cfg, cases)
+    return _print_cases(args, cases)
 
 
-def run_braid(cfg: RunConfig) -> int:
-    if not 0 <= cfg.order <= braid.MAX_ORDER:
+def run_braid(args: Namespace) -> int:
+    # magnus, milnor and levin read --order
+    if "order" in args and not 0 <= args.order <= braid.MAX_ORDER:
         raise UsageError(f"--order must be in 0..{braid.MAX_ORDER}")
-    mode = cfg.mode
-    if cfg.json_out and mode != "burau":
-        raise UsageError(f"--json applies only to burau, not to {mode}")
-    if cfg.against is not None and mode != "ratio":
-        raise UsageError(f"--against applies only to ratio, not to {mode}")
-    if cfg.reduced is not None and mode not in ("burau", "ratio"):
-        raise UsageError(f"--reduced and --unreduced apply only to burau "
-                         f"and ratio, not to {mode}")
-    reduced = True if cfg.reduced is None else cfg.reduced
-    word = braid.BraidWord.parse(cfg.word, cfg.strands)
+    mode = args.mode
+    word = braid.BraidWord.parse(args.word, args.strands)
     if mode == "burau":
-        img = braid.burau(word, reduced)
+        img = braid.burau(word, args.reduced)
         rows = [[e.render("t") for e in row] for row in img.entries]
-        if cfg.json_out:
+        if args.json:
             _emit({"kind": img.kind, "entries": rows})
         else:
             for row in rows:
@@ -726,28 +687,26 @@ def run_braid(cfg: RunConfig) -> int:
         return 0
     if mode == "magnus":
         lon = braid.longitudes(word)
-        series = braid.magnus(lon[0], word.strands, cfg.order)
+        series = braid.magnus(lon[0], word.strands, args.order)
         for mono, coeff in series.items():
             name = "1" if not mono else "*".join(f"u{i}" for i in mono)
             print(f"{coeff} {name}")
         return 0
     if mode == "milnor":
-        table = braid.milnor(word, cfg.order)
+        table = braid.milnor(word, args.order)
         for idx in sorted(table.entries, key=lambda w: (len(w), w)):
             print(f"mu{list(idx)} = {table.entries[idx]}")
         return 0
     if mode == "levin":
-        rep = braid.levin_check(word, cfg.order)
+        rep = braid.levin_check(word, args.order)
         print(f"lhs: {rep.lhs.render()}")
         print(f"rhs: {rep.rhs.render()}")
         print(f"holds: {rep.holds}" + (" (degenerate)" if rep.degenerate else ""))
         return 0 if rep.holds else 1
-    if mode == "ratio":
-        other = braid.BraidWord.parse(cfg.against or "", word.strands)
-        ratio = braid.det_ratio(word, other, reduced)
-        print(ratio.render("t"))
-        return 0
-    raise UsageError(f"unknown braid mode {mode!r}")
+    # the last mode, ratio
+    other = braid.BraidWord.parse(args.against, word.strands)
+    print(braid.det_ratio(word, other, args.reduced).render("t"))
+    return 0
 
 
 def _word_text(word) -> str:
@@ -765,132 +724,140 @@ def _time_cases(cases: list[CaseResult], start: float) -> None:
         prev = c.done_at
 
 
-def _rerun_command(cfg: RunConfig, suite: str) -> str:
+def _rerun_command(args: Namespace, suite: str) -> str:
     """The command line that runs a failing case's suite again."""
-    if cfg.command == "kostant":
-        return (f"coxkit kostant --type {shlex.quote(cfg.type_spec)} "
-                f"--verify {cfg.verify_which}")
-    words = ["coxkit", "verify", suite, "--seed", str(cfg.seed)]
-    if cfg.diagram_spec:
-        words += ["--diagram", shlex.quote(cfg.diagram_spec)]
-    if cfg.random_trees != RunConfig.random_trees:
-        words += ["--random-trees", str(cfg.random_trees)]
-    if cfg.max_vertices != RunConfig.max_vertices:
-        words += ["--max-vertices", str(cfg.max_vertices)]
+    if args.command == "kostant":
+        return (f"coxkit kostant --type {shlex.quote(args.type)} "
+                f"--verify {args.verify}")
+    words = ["coxkit", "verify", suite, "--seed", str(args.seed)]
+    if args.diagram:
+        words += ["--diagram", shlex.quote(args.diagram)]
+    if args.random_trees != RANDOM_TREES:
+        words += ["--random-trees", str(args.random_trees)]
+    if args.max_vertices != MAX_TREE_VERTICES:
+        words += ["--max-vertices", str(args.max_vertices)]
     return " ".join(words)
 
 
-def _print_cases(cfg: RunConfig, cases: list[CaseResult]) -> int:
+def _print_cases(args: Namespace, cases: list[CaseResult]) -> int:
     cases.sort(key=lambda c: (c.suite, c.case))
     for c in cases:
-        if cfg.json_out:
+        if args.json:
             record = {"suite": c.suite, "case": c.case, "holds": c.holds,
                       "residual_terms": c.residual_terms}
-            if cfg.timings:
+            if args.timings:
                 record["elapsed_ms"] = round(c.elapsed_ms, 3)
             _emit(record)
             continue
-        took = f" ({c.elapsed_ms:.3f} ms)" if cfg.timings else ""
+        took = f" ({c.elapsed_ms:.3f} ms)" if args.timings else ""
         if c.holds:
             print(f"[ok ] {c.suite}: {c.case}{took}")
         else:
             print(f"[FAIL] {c.suite}: {c.case}{took}")
-            print(f"       rerun: {_rerun_command(cfg, c.suite)}")
+            print(f"       rerun: {_rerun_command(args, c.suite)}")
     bad = sum(1 for c in cases if not c.holds)
-    if not cfg.json_out:
+    if not args.json:
         print(f"{len(cases) - bad}/{len(cases)} checks hold")
     return 0 if bad == 0 else 1
 
 
-def run_verify(cfg: RunConfig) -> int:
-    names = list(VERIFIERS) if cfg.verifier == "all" else [cfg.verifier]
-    for name in names:
-        if name not in VERIFIERS:
-            raise UsageError(f"unknown verifier {name!r}; "
-                             f"choose from {', '.join(sorted(VERIFIERS))}")
-    if cfg.diagram_spec and any(n not in DIAGRAM_SUITES for n in names):
+def run_verify(args: Namespace) -> int:
+    names = list(VERIFIERS) if args.suite == "all" else [args.suite]
+    if args.diagram and any(n not in DIAGRAM_SUITES for n in names):
         raise UsageError(f"--diagram applies only to the suites "
-                         f"{', '.join(DIAGRAM_SUITES)}, not to {cfg.verifier}")
-    if cfg.random_trees < 0:
+                         f"{', '.join(DIAGRAM_SUITES)}, not to {args.suite}")
+    if args.random_trees < 0:
         raise UsageError("--random-trees must be at least 0")
-    if not 1 <= cfg.max_vertices <= diagram.MAX_VERTICES:
+    if not 1 <= args.max_vertices <= diagram.MAX_VERTICES:
         raise UsageError(f"--max-vertices must be in 1..{diagram.MAX_VERTICES}")
     cases: list[CaseResult] = []
     for name in names:
         start = time.perf_counter()
-        got = VERIFIERS[name](cfg)
+        got = VERIFIERS[name](args)
         _time_cases(got, start)
         cases.extend(got)
-    return _print_cases(cfg, cases)
+    return _print_cases(args, cases)
 
 
 # ---------------------------------------------------------------------------
 # argument parsing
 # ---------------------------------------------------------------------------
 
+class _Parser(argparse.ArgumentParser):
+    """Every bad command line ends in a UsageError, not in argparse's usage
+    block and exit."""
+
+    def error(self, message):
+        raise UsageError(message)
+
+
+@functools.lru_cache(maxsize=1)
 def build_parser() -> argparse.ArgumentParser:
-    """Each option's dest is the RunConfig field it sets; metavar keeps the
-    help text in the option's own name."""
-    top = argparse.ArgumentParser(
+    """The one table of options: each mode takes only the options it reads,
+    so any other is refused.  Built once per process, since a caller may
+    run main once per suite; the parser is shared, so nothing changes it."""
+    top = _Parser(
         prog="coxkit",
         description="Exact identities for Coxeter polynomials, Klein-group "
                     "Poincare series, continued fractions and braid invariants.")
     sub = top.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("coxeter", help="Coxeter/characteristic polynomial")
-    p.add_argument("--diagram", dest="diagram_spec", metavar="DIAGRAM",
-                   required=True,
+    p.add_argument("--diagram", required=True,
                    help="name (A5, ~E7, ...) or diagram file path")
-    p.add_argument("--char", dest="verify_which", action="store_const",
-                   const="char",
+    p.add_argument("--char", action="store_true",
                    help="characteristic polynomial in z instead")
-    p.add_argument("--order", dest="order_override", metavar="ORDER",
-                   help="space-separated vertex order override")
-    p.add_argument("--json", dest="json_out", action="store_true")
+    p.add_argument("--order", help="space-separated vertex order override")
+    p.add_argument("--json", action="store_true")
 
     p = sub.add_parser("cfrac", help="branching continued fraction")
-    p.add_argument("--diagram", dest="diagram_spec", metavar="DIAGRAM",
-                   required=True)
+    p.add_argument("--diagram", required=True)
     p.add_argument("--root", type=int, default=0)
-    p.add_argument("--format", dest="fmt", default="latex",
+    p.add_argument("--format", default="latex",
                    choices=("latex", "ascii", "eval"))
 
     p = sub.add_parser("kostant", help="Poincare series data and checks")
-    p.add_argument("--type", dest="type_spec", metavar="TYPE", required=True,
-                   help="affine name, e.g. ~E8")
-    p.add_argument("--series", dest="series_index", metavar="SERIES",
-                   type=int, default=None,
-                   help="vertex index (-1 for the virtual vertex)")
-    p.add_argument("--terms", type=int, default=None,
+    p.add_argument("--type", required=True, help="affine name, e.g. ~E8")
+    group = p.add_mutually_exclusive_group()
+    group.add_argument("--series", type=int,
+                       help="vertex index (-1 for the virtual vertex)")
+    group.add_argument("--verify", choices=(
+        "all", *(m for m in KLEIN_CHECKS if m != "prop2")))
+    p.add_argument("--terms", type=int,
                    help="number of series terms (default 40)")
-    p.add_argument("--verify", dest="verify_which", default=None,
-                   choices=("all", "17", "14", "15", "16", "squares", "walks"))
-    p.add_argument("--json", dest="json_out", action="store_true")
+    p.add_argument("--json", action="store_true")
     p.add_argument("--timings", action="store_true")
 
     p = sub.add_parser("braid", help="Burau, Milnor, Levin tools")
-    p.add_argument("mode", choices=("burau", "milnor", "levin", "artin",
-                                    "longitudes", "magnus", "ratio"))
-    p.add_argument("--word", required=True, help='tokens like "s1 s1 -s2"')
-    p.add_argument("--strands", type=int, default=None)
-    p.add_argument("--order", type=int, default=16)
-    p.add_argument("--against", default=None,
-                   help="second braid word for ratio mode")
-    p.add_argument("--reduced", dest="reduced", action="store_true",
-                   default=None,
-                   help="reduced Burau image (the default of burau, ratio)")
-    p.add_argument("--unreduced", dest="reduced", action="store_false")
-    p.add_argument("--json", dest="json_out", action="store_true")
+    word = _Parser(add_help=False)
+    word.add_argument("--word", required=True, help='tokens like "s1 s1 -s2"')
+    word.add_argument("--strands", type=int)
+    modes = p.add_subparsers(dest="mode", required=True)
+    for mode in ("burau", "milnor", "levin", "artin", "longitudes", "magnus",
+                 "ratio"):
+        m = modes.add_parser(mode, parents=[word])
+        if mode in ("magnus", "milnor", "levin"):
+            m.add_argument("--order", type=int, default=16,
+                           help="series order (default 16)")
+        if mode in ("burau", "ratio"):
+            m.add_argument("--reduced", action="store_true", default=True,
+                           help="reduced Burau image (the default)")
+            m.add_argument("--unreduced", dest="reduced",
+                           action="store_false")
+        if mode == "ratio":
+            m.add_argument("--against", default="",
+                           help="the second braid word")
+        if mode == "burau":
+            m.add_argument("--json", action="store_true")
 
     p = sub.add_parser("verify", help="run exact identity suites")
-    p.add_argument("verifier", metavar="name", nargs="?", default="all",
-                   help="suite name or 'all'")
-    p.add_argument("--diagram", dest="diagram_spec", metavar="DIAGRAM",
-                   default=None)
-    p.add_argument("--random-trees", type=int, default=50)
-    p.add_argument("--max-vertices", type=int, default=8)
+    p.add_argument("suite", metavar="name", nargs="?", default="all",
+                   choices=("all", *VERIFIERS), help="suite name or 'all'")
+    p.add_argument("--diagram", default=None)
+    p.add_argument("--random-trees", type=int, default=RANDOM_TREES)
+    p.add_argument("--max-vertices", type=int, default=MAX_TREE_VERTICES)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--json", dest="json_out", action="store_true")
+    p.add_argument("--json", action="store_true")
     p.add_argument("--timings", action="store_true")
     return top
 
@@ -904,18 +871,17 @@ RUNNERS = {
 }
 
 
-def run(cfg: RunConfig) -> int:
-    if cfg.command not in RUNNERS:
-        raise UsageError(f"unknown command {cfg.command!r}")
-    return RUNNERS[cfg.command](cfg)
+def run(args: Namespace) -> int:
+    return RUNNERS[args.command](args)
 
 
-def main(argv=None) -> int:
-    cfg = RunConfig(**vars(build_parser().parse_args(argv)))
+def run_piped(body, *args) -> int:
+    """body(*args), its exit code, with stdout flushed at the end; a reader
+    that left early (`| head`) ends the run with exit 1 and no traceback."""
     try:
-        code = run(cfg)
-        # a reader that left early (`| head`) shows up here, not in the
-        # interpreter's own flush at exit
+        code = body(*args)
+        # a closed pipe shows up here, not in the interpreter's own flush
+        # at exit
         sys.stdout.flush()
         return code
     except BrokenPipeError:
@@ -924,12 +890,21 @@ def main(argv=None) -> int:
         devnull = os.open(os.devnull, os.O_WRONLY)
         os.dup2(devnull, sys.stdout.fileno())
         return 1
+
+
+def _main(argv) -> int:
+    try:
+        return run(build_parser().parse_args(argv))
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
     except DomainError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+
+
+def main(argv=None) -> int:
+    return run_piped(_main, argv)
 
 
 if __name__ == "__main__":

@@ -19,7 +19,7 @@ from .coxeter import _rebuild, char_poly, cofactors, coxeter_poly, schur_step
 from .diagram import Diagram, build
 from .errors import (BadType, ShapeViolation, SizeMismatch, UnknownVertex)
 from .kostant import KleinGroupData
-from .report import IdentityReport
+from .report import IdentityReport, nonzero_terms
 
 
 def _one_minus_inv_xy(b: BiLaurent) -> BiLaurent:
@@ -235,6 +235,8 @@ def binet_cauchy(d: Diagram, i: int, j: int, xs, ys) -> IdentityReport:
     cofactor rows; its determinant equals the sum over size-m column
     subsets of the product of the two maximal minors.  The entrywise
     factorization is also checked symbolically through the cofactor form.
+    The residual is the tuple of the cofactor form's residual, each sampled
+    entry's cofactor sum minus its Bezoutian value, and lhs - rhs.
     """
     xs, ys = list(xs), list(ys)
     m = len(xs)
@@ -249,11 +251,8 @@ def binet_cauchy(d: Diagram, i: int, j: int, xs, ys) -> IdentityReport:
             for x in xs]
     hx = [[table[i, k].eval_int(x) for k in range(d.n)] for x in xs]
     hy = [[table[j, k].eval_int(y) for k in range(d.n)] for y in ys]
-    entry_ok = rep8.holds
-    for l in range(m):
-        for t in range(m):
-            val = sum(hx[l][k] * hy[t][k] for k in range(d.n))
-            entry_ok = entry_ok and (val == bmat[l][t])
+    entries = tuple(sum(hx[l][k] * hy[t][k] for k in range(d.n)) - bmat[l][t]
+                    for l in range(m) for t in range(m))
     # when the entries match these integer sums, every value is an integer
     lhs = _int_det([[v.numerator for v in row] for row in bmat])
     rhs = 0
@@ -261,9 +260,9 @@ def binet_cauchy(d: Diagram, i: int, j: int, xs, ys) -> IdentityReport:
         mx = [[hx[l][k] for k in subset] for l in range(m)]
         my = [[hy[t][k] for k in subset] for t in range(m)]
         rhs += _int_det(mx) * _int_det(my)
-    holds = entry_ok and lhs == rhs
-    return IdentityReport(f"binet-cauchy-{i}-{j}-m{m}", lhs, rhs,
-                          Laurent.zero() if holds else Laurent.one(), holds)
+    residual = (rep8.residual, *entries, lhs - rhs)
+    return IdentityReport(f"binet-cauchy-{i}-{j}-m{m}", lhs, rhs, residual,
+                          nonzero_terms(residual) == 0)
 
 
 def _int_det(mat) -> int:

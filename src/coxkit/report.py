@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 
 
 @dataclass(frozen=True)
@@ -27,8 +28,11 @@ class IdentityReport:
 
 def nonzero_terms(residual) -> int:
     """The number of nonzero coefficients of a Poly, Laurent, BiLaurent or
-    TruncSeries; an int counts as a constant."""
-    if isinstance(residual, int):
+    TruncSeries; an int or Fraction counts as a constant, and a tuple sums
+    its parts."""
+    if isinstance(residual, tuple):
+        return sum(map(nonzero_terms, residual))
+    if isinstance(residual, (int, Fraction)):
         return int(residual != 0)
     if hasattr(residual, "items"):
         return len(residual.items())

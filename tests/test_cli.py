@@ -134,15 +134,44 @@ def test_braid_modes(capsys):
     ["artin", "--word", "s1", "--unreduced"],
     ["longitudes", "--word", "s1 s1", "--reduced"],
     ["magnus", "--word", "s1 s1", "--order", "3", "--unreduced"],
+    ["burau", "--word", "s1", "--order", "5"],
+    ["artin", "--word", "s1", "--order", "5"],
+    ["longitudes", "--word", "s1 s1", "--order", "5"],
+    ["ratio", "--word", "s1", "--against", "s1 s1", "--order", "5"],
 ])
 def test_braid_option_of_another_mode_exits_2(capsys, argv):
-    # only burau reads --json, only ratio reads --against, and only those
-    # two read --reduced and --unreduced
+    # only burau reads --json, only ratio reads --against, only those two
+    # read --reduced and --unreduced, and only magnus, milnor and levin
+    # read --order
     assert cli.main(["braid", *argv]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("usage error: ")
     assert captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "algebra", "--bogus"],
+    ["braid", "levin", "--word", "s1 s1", "--order", "x"],
+    ["braid", "burau"],
+    [],
+    ["kostant", "--type", "~A2", "--series", "0", "--verify", "15"],
+])
+def test_every_bad_command_line_is_one_usage_error(capsys, argv):
+    assert cli.main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("usage error: ")
+    assert captured.err.count("\n") == 1
+
+
+def test_braid_mode_help_lists_only_its_own_options(capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        cli.main(["braid", "burau", "-h"])
+    assert exit_info.value.code == 0
+    out = capsys.readouterr().out
+    assert "--word" in out and "--unreduced" in out and "--json" in out
+    assert "--order" not in out and "--against" not in out
 
 
 def test_burau_and_ratio_default_to_the_reduced_image(capsys):

@@ -5,6 +5,7 @@ import random
 
 import pytest
 
+from coxkit import identities
 from coxkit.algebra import BiLaurent, Laurent, bezoutian, wronskian
 from coxkit.diagram import build, random_tree
 from coxkit.errors import BadType, ShapeViolation, SizeMismatch, UnknownVertex
@@ -12,6 +13,7 @@ from coxkit.identities import (binet_cauchy, cd_char, cd_coxeter,
                                cd_wronskian, chain_identities, poincare_cd,
                                poincare_cd_antipodal_choices)
 from coxkit.kostant import klein_data, klein_types
+from coxkit.report import IdentityReport
 
 
 # -- Coxeter-polynomial forms -------------------------------------------------
@@ -142,6 +144,30 @@ def test_binet_cauchy_full_size_a2():
 
 def test_binet_cauchy_m3_a5():
     assert binet_cauchy(build("A", 5), 1, 3, [1, 2, 3], [4, 5, 6]).holds
+
+
+def test_binet_cauchy_counts_each_part_that_disagrees(monkeypatch):
+    d = build("A", 5)
+    real_det = identities._int_det
+    with monkeypatch.context() as m:
+        m.setattr(identities, "_int_det", lambda mat: real_det(mat) + 1000)
+        rep = binet_cauchy(d, 0, 1, [2, 3], [5, 7])
+    # only the determinant sum disagrees, and the residual keeps by how much
+    assert not rep.holds and rep.residual_terms == 1
+    assert rep.residual[-1] == rep.lhs - rep.rhs == 42557000
+    real_cd = identities.cd_char
+
+    def bezoutian_plus_one(d, i, j):
+        r8, r9 = real_cd(d, i, j)
+        return IdentityReport.compare(
+            r8.name, r8.lhs + BiLaurent({(0, 0): 1}), r8.rhs), r9
+
+    monkeypatch.setattr(identities, "cd_char", bezoutian_plus_one)
+    rep = binet_cauchy(d, 0, 1, [2, 3], [5, 7])
+    # the cofactor form, all four sampled entries and the determinant sum
+    assert not rep.holds and rep.residual_terms == 1 + 4 + 1
+    assert rep.residual[1:-1] == (-1, -1, -1, -1)
+    assert rep.residual[-1] == rep.lhs - rep.rhs != 0
 
 
 def test_binet_cauchy_size_checks():

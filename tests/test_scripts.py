@@ -1,7 +1,11 @@
 """The scripts under scripts/: bad options end in one error line and exit
-code 2 before any work."""
+code 2 before any work, and a closed stdout in exit code 1 without a
+traceback."""
 
 import importlib.util
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -42,3 +46,19 @@ def test_show_tables_prints_the_smallest_type(capsys):
     out = capsys.readouterr().out
     assert out.startswith("== ~A1:  a=2  b=2  h=2  |B|=2\n")
     assert "   P_0 through q^0: 1\n" in out
+
+
+def test_show_tables_on_a_closed_stdout_ends_without_traceback():
+    # the reader is gone before the first line is written, as when
+    # `| head` has already exited
+    src = str(_SCRIPT.parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    proc = subprocess.Popen(
+        [sys.executable, str(_SCRIPT), "--max-rank", "1", "--terms", "0"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    proc.stdout.close()
+    err = proc.stderr.read().decode()
+    proc.stderr.close()
+    assert proc.wait(timeout=120) == 1
+    assert "Traceback" not in err and "BrokenPipe" not in err, err
