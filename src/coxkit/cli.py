@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import itertools
 import json
 import os
 import random
@@ -70,7 +71,7 @@ def _load_diagram(source: str, order_override: str | None = None) -> diagram.Dia
 
 def _suite_diagrams(args: Namespace, types):
     """Named diagram only when --diagram was given, else the given types."""
-    if args.diagram:
+    if args.diagram is not None:
         yield args.diagram, _load_diagram(args.diagram)
         return
     for fam, n in types:
@@ -78,12 +79,50 @@ def _suite_diagrams(args: Namespace, types):
 
 
 def _seeded_trees(args: Namespace):
-    if args.diagram:
+    if args.diagram is not None:
         return
     rng = random.Random(args.seed)
-    for k in range(args.random_trees):
-        n = rng.randint(1, args.max_vertices)
+    count = RANDOM_TREES if args.random_trees is None else args.random_trees
+    most = (MAX_TREE_VERTICES if args.max_vertices is None
+            else args.max_vertices)
+    for k in range(count):
+        n = rng.randint(1, most)
         yield k, diagram.random_tree(rng, n, (1, 2)), rng
+
+
+def _sweep(suite: str, types, named, tree):
+    """The verifier of a suite that sweeps diagrams, the only kind that
+    reads --diagram, --random-trees and --max-vertices.  named(d) gives
+    the cases of each diagram of _suite_diagrams and tree(d, rng) those of
+    each seeded tree, as (label, residuals) pairs; a case is named
+    <diagram>-<label> or tree<k>-<label>, or just <diagram> or tree<k>
+    when label is "".  tree draws from rng before the next tree is drawn."""
+    def verify(args: Namespace):
+        out = []
+        for base, cases in itertools.chain(
+                ((name, named(d)) for name, d in _suite_diagrams(args, types)),
+                ((f"tree{k:03d}", tree(d, rng))
+                 for k, d, rng in _seeded_trees(args))):
+            out += [_case(suite, f"{base}-{label}" if label else base,
+                          residuals) for label, residuals in cases]
+        return out
+    # the mark survives functools.wraps, which copies __dict__
+    verify.sweeps = True
+    return verify
+
+
+def _sweeps(suite: str) -> bool:
+    return getattr(VERIFIERS[suite], "sweeps", False)
+
+
+def _pivot_sweep(suite: str, types, label: str, residual):
+    """One case per pivot of each named diagram, <diagram>-<label><pivot>,
+    and one per seeded tree at a random pivot; residual(d, pivot) is what
+    must vanish."""
+    return _sweep(suite, types,
+                  lambda d: [(f"{label}{p}", [residual(d, p)])
+                             for p in range(d.n)],
+                  lambda d, rng: [("", [residual(d, rng.randrange(d.n))])])
 
 
 def verify_algebra(args: Namespace):
@@ -122,34 +161,6 @@ def verify_algebra(args: Namespace):
     return out
 
 
-def _verify_pivot(args: Namespace, suite: str, types, label: str, residual):
-    """One case per pivot of each named diagram and one per seeded tree;
-    residual(d, pivot) is what must vanish."""
-    out = []
-    for name, d in _suite_diagrams(args, types):
-        out += [_case(suite, f"{name}-{label}{pivot}", [residual(d, pivot)])
-                for pivot in range(d.n)]
-    for k, d, rng in _seeded_trees(args):
-        out.append(_case(suite, f"tree{k:03d}",
-                         [residual(d, rng.randrange(d.n))]))
-    return out
-
-
-def verify_schur(args: Namespace):
-    return _verify_pivot(args, "schur", diagram.ade_types(8), "pivot",
-                         lambda d, p: coxeter.schur_step(d, p).residual)
-
-
-def verify_cd_coxeter(args: Namespace):
-    return _verify_pivot(args, "cd-coxeter", diagram.ade_types(10), "p",
-                         lambda d, p: identities.cd_coxeter(d, p).residual)
-
-
-def verify_cd_wronskian(args: Namespace):
-    return _verify_pivot(args, "cd-wronskian", diagram.ade_types(10), "p",
-                         lambda d, p: identities.cd_wronskian(d, p).residual)
-
-
 def _case(suite: str, name: str, residuals) -> CaseResult:
     """The one way to make a case: residual_terms is the sum of the
     residuals' nonzero terms (an int residual counts as a constant)."""
@@ -172,41 +183,25 @@ def verify_join(args: Namespace):
     return out
 
 
-def verify_bipartite(args: Namespace):
-    out = []
-    diagrams = list(_suite_diagrams(args, diagram.ade_types(12)))
-    diagrams += [(f"tree{k:03d}", d) for k, d, _ in _seeded_trees(args)]
-    for name, d in diagrams:
-        split = diagram.bipartite_order(d)
-        if isinstance(split, diagram.OddCycle):
-            # the witness is a cycle of odd length
-            out.append(_case("bipartite", f"{name}-odd-cycle",
-                             [1 - len(split.cycle) % 2]))
-            continue
-        out.append(_case("bipartite", name, [
-            algebra.z_substitute(coxeter.char_poly(d))
-            - coxeter.coxeter_poly(d.with_order(split))]))
-    return out
+def _bipartite(d) -> list:
+    split = diagram.bipartite_order(d)
+    if isinstance(split, diagram.OddCycle):
+        # the witness is a cycle of odd length
+        return [("odd-cycle", [1 - len(split.cycle) % 2])]
+    return [("", [algebra.z_substitute(coxeter.char_poly(d))
+                  - coxeter.coxeter_poly(d.with_order(split))])]
 
 
-def verify_cd_char(args: Namespace):
-    out = []
-    for name, d in _suite_diagrams(args, diagram.ade_types(10)):
-        # one residual per pair, so that no report outlives its pair: on
-        # ~A48 the reports of all pairs would hold hundreds of MB
-        bez, wr = [], []
-        for i in range(d.n):
-            for j in range(i, d.n):
-                r8, r9 = identities.cd_char(d, i, j)
-                bez.append(r8.residual)
-                wr.append(r9.residual)
-        out += [_case("cd-char", f"{name}-bez", bez),
-                _case("cd-char", f"{name}-wr", wr)]
-    for k, d, rng in _seeded_trees(args):
-        i, j = rng.randrange(d.n), rng.randrange(d.n)
-        out.append(_case("cd-char", f"tree{k:03d}",
-                         [r.residual for r in identities.cd_char(d, i, j)]))
-    return out
+def _cd_char_pairs(d) -> list:
+    # one residual per pair, so that no report outlives its pair: on ~A48
+    # the reports of all pairs would hold hundreds of MB
+    bez, wr = [], []
+    for i in range(d.n):
+        for j in range(i, d.n):
+            r8, r9 = identities.cd_char(d, i, j)
+            bez.append(r8.residual)
+            wr.append(r9.residual)
+    return [("bez", bez), ("wr", wr)]
 
 
 def verify_chain(args: Namespace):
@@ -235,21 +230,12 @@ def verify_path_sum(args: Namespace):
     return out
 
 
-def verify_identity7(args: Namespace):
-    out = []
-    types = [("A", 4), ("D", 5), ("affA", 5), ("affE", 6)]
-    for name, d in _suite_diagrams(args, types):
-        out.append(_case("identity7", name, (
-            coxeter.identity7_check(d, i, j)
-            for i in range(d.n) for j in range(d.n) if i != j)))
-    for k, d, rng in _seeded_trees(args):
-        if d.n < 2:
-            continue
-        i = rng.randrange(d.n)
-        j = (i + 1 + rng.randrange(d.n - 1)) % d.n
-        out.append(_case("identity7", f"tree{k:03d}", [
-            coxeter.identity7_check(d, i, j)]))
-    return out
+def _identity7_tree(d, rng) -> list:
+    if d.n < 2:
+        return []
+    i = rng.randrange(d.n)
+    j = (i + 1 + rng.randrange(d.n - 1)) % d.n
+    return [("", [coxeter.identity7_check(d, i, j)])]
 
 
 def verify_walks(args: Namespace):
@@ -334,7 +320,7 @@ def verify_cfrac_cycle(args: Namespace):
 
 def _perfect_square(data) -> list[IdentityReport]:
     s, want = kostant.perfect_square_check(data), abs(data.a - data.b)
-    return [IdentityReport("perfect-square", s, want, s - want, s == want)]
+    return [IdentityReport.of("perfect-square", s, want, s - want)]
 
 
 # The checks on one Klein group, keyed by their kostant --verify mode
@@ -503,15 +489,28 @@ def verify_divide(args: Namespace):
 
 VERIFIERS = {
     "algebra": verify_algebra,
-    "schur": verify_schur,
+    "schur": _pivot_sweep("schur", diagram.ade_types(8), "pivot",
+                          lambda d, p: coxeter.schur_step(d, p).residual),
     "join": verify_join,
-    "bipartite": verify_bipartite,
-    "cd-coxeter": verify_cd_coxeter,
-    "cd-wronskian": verify_cd_wronskian,
-    "cd-char": verify_cd_char,
+    "bipartite": _sweep("bipartite", diagram.ade_types(12), _bipartite,
+                        lambda d, rng: _bipartite(d)),
+    "cd-coxeter": _pivot_sweep(
+        "cd-coxeter", diagram.ade_types(10), "p",
+        lambda d, p: identities.cd_coxeter(d, p).residual),
+    "cd-wronskian": _pivot_sweep(
+        "cd-wronskian", diagram.ade_types(10), "p",
+        lambda d, p: identities.cd_wronskian(d, p).residual),
+    "cd-char": _sweep(
+        "cd-char", diagram.ade_types(10), _cd_char_pairs,
+        lambda d, rng: [("", [r.residual for r in identities.cd_char(
+            d, rng.randrange(d.n), rng.randrange(d.n))])]),
     "chain": verify_chain,
     "path-sum": verify_path_sum,
-    "identity7": verify_identity7,
+    "identity7": _sweep(
+        "identity7", [("A", 4), ("D", 5), ("affA", 5), ("affE", 6)],
+        lambda d: [("", (coxeter.identity7_check(d, i, j) for i in range(d.n)
+                         for j in range(d.n) if i != j))],
+        _identity7_tree),
     "walks": verify_walks,
     "binet-cauchy": verify_binet_cauchy,
     "poincare-cd": verify_poincare_cd,
@@ -530,60 +529,6 @@ VERIFIERS = {
     "burau-ratio": verify_burau_ratio,
     "divide": verify_divide,
 }
-
-# the suites that run on --diagram; every other suite has fixed inputs
-DIAGRAM_SUITES = ("schur", "bipartite", "cd-coxeter", "cd-wronskian",
-                  "cd-char", "identity7")
-
-# every public module operation is reachable through at least one CLI route
-OPERATION_ROUTES = {
-    "algebra.z_substitute": ("verify", "algebra"),
-    "algebra.q_to_z": ("verify", "algebra"),
-    "algebra.det_exact": ("verify", "algebra"),
-    "algebra.bezoutian": ("verify", "algebra"),
-    "algebra.wronskian": ("verify", "algebra"),
-    "algebra.series_sqrt1p": ("braid", "levin"),
-    "diagram.build": ("coxeter", "--diagram"),
-    "diagram.delete": ("cfrac", "--diagram"),
-    "diagram.join": ("verify", "join"),
-    "diagram.bipartite_order": ("verify", "bipartite"),
-    "coxeter.coxeter_poly": ("coxeter", ""),
-    "coxeter.char_poly": ("coxeter", "--char"),
-    "coxeter.schur_step": ("verify", "schur"),
-    "coxeter.join_poly": ("verify", "join"),
-    "coxeter.cofactors": ("verify", "cd-char"),
-    "coxeter.path_sum_H": ("verify", "path-sum"),
-    "coxeter.walk_gf": ("verify", "walks"),
-    "coxeter.identity7_check": ("verify", "identity7"),
-    "coxeter.divide_identity": ("verify", "divide"),
-    "cfrac.expand_tree": ("cfrac", "--format latex"),
-    "cfrac.expand_cycle": ("cfrac", "--diagram ~A4"),
-    "cfrac.evaluate": ("cfrac", "--format eval"),
-    "cfrac.render": ("cfrac", "--format ascii"),
-    "identities.cd_coxeter": ("verify", "cd-coxeter"),
-    "identities.cd_wronskian": ("verify", "cd-wronskian"),
-    "identities.chain_identities": ("verify", "chain"),
-    "identities.cd_char": ("verify", "cd-char"),
-    "identities.binet_cauchy": ("verify", "binet-cauchy"),
-    "identities.poincare_cd": ("verify", "poincare-cd"),
-    "kostant.klein_data": ("kostant", "--type"),
-    "kostant.poincare_series": ("kostant", "--series"),
-    "kostant.verify_system": ("kostant", "--verify 15"),
-    "kostant.ebeling_ratios": ("kostant", "--verify 17"),
-    "kostant.a2m_closed_form": ("verify", "a2m"),
-    "kostant.prop2_squares": ("verify", "prop2-squares"),
-    "kostant.walk_series_check": ("kostant", "--verify walks"),
-    "kostant.perfect_square_check": ("kostant", "--verify squares"),
-    "braid.burau": ("braid", "burau"),
-    "braid.det_ratio": ("braid", "ratio"),
-    "braid.artin_action": ("braid", "artin"),
-    "braid.longitudes": ("braid", "longitudes"),
-    "braid.magnus": ("braid", "magnus"),
-    "braid.milnor": ("braid", "milnor"),
-    "braid.levin_check": ("braid", "levin"),
-    "cli.run": ("verify", "all"),
-}
-
 
 # ---------------------------------------------------------------------------
 # subcommand runners
@@ -663,9 +608,6 @@ def run_kostant(args: Namespace) -> int:
 
 
 def run_braid(args: Namespace) -> int:
-    # magnus, milnor and levin read --order
-    if "order" in args and not 0 <= args.order <= braid.MAX_ORDER:
-        raise UsageError(f"--order must be in 0..{braid.MAX_ORDER}")
     mode = args.mode
     word = braid.BraidWord.parse(args.word, args.strands)
     if mode == "burau":
@@ -730,13 +672,17 @@ def _rerun_command(args: Namespace, suite: str) -> str:
         return (f"coxkit kostant --type {shlex.quote(args.type)} "
                 f"--verify {args.verify}")
     words = ["coxkit", "verify", suite, "--seed", str(args.seed)]
-    if args.diagram:
-        words += ["--diagram", shlex.quote(args.diagram)]
-    if args.random_trees != RANDOM_TREES:
-        words += ["--random-trees", str(args.random_trees)]
-    if args.max_vertices != MAX_TREE_VERTICES:
-        words += ["--max-vertices", str(args.max_vertices)]
+    if _sweeps(suite):
+        for flag, value in _sweep_options(args):
+            words += [flag, shlex.quote(str(value))]
     return " ".join(words)
+
+
+def _sweep_options(args: Namespace) -> list:
+    """The sweep options on the command line, as (flag, value) pairs."""
+    return [(f"--{dest.replace('_', '-')}", value)
+            for dest in ("diagram", "random_trees", "max_vertices")
+            if (value := getattr(args, dest)) is not None]
 
 
 def _print_cases(args: Namespace, cases: list[CaseResult]) -> int:
@@ -763,13 +709,13 @@ def _print_cases(args: Namespace, cases: list[CaseResult]) -> int:
 
 def run_verify(args: Namespace) -> int:
     names = list(VERIFIERS) if args.suite == "all" else [args.suite]
-    if args.diagram and any(n not in DIAGRAM_SUITES for n in names):
-        raise UsageError(f"--diagram applies only to the suites "
-                         f"{', '.join(DIAGRAM_SUITES)}, not to {args.suite}")
-    if args.random_trees < 0:
-        raise UsageError("--random-trees must be at least 0")
-    if not 1 <= args.max_vertices <= diagram.MAX_VERTICES:
-        raise UsageError(f"--max-vertices must be in 1..{diagram.MAX_VERTICES}")
+    for flag, _ in _sweep_options(args):
+        # --diagram replaces the inputs of every suite, so each must sweep;
+        # the tree options need one suite that draws trees
+        if not (all if flag == "--diagram" else any)(map(_sweeps, names)):
+            raise UsageError(f"{flag} applies only to the suites "
+                             f"{', '.join(filter(_sweeps, VERIFIERS))}, "
+                             f"not to {args.suite}")
     cases: list[CaseResult] = []
     for name in names:
         start = time.perf_counter()
@@ -782,6 +728,21 @@ def run_verify(args: Namespace) -> int:
 # ---------------------------------------------------------------------------
 # argument parsing
 # ---------------------------------------------------------------------------
+
+def _int_in(lo: int, hi: int | None = None):
+    """The argparse type of an int in lo..hi, or at least lo when hi is
+    None."""
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < lo or hi is not None and value > hi:
+            raise argparse.ArgumentTypeError(
+                f"must be at least {lo}" if hi is None
+                else f"must be in {lo}..{hi}")
+        return value
+    # argparse names the type in its "invalid int value" message
+    parse.__name__ = "int"
+    return parse
+
 
 class _Parser(argparse.ArgumentParser):
     """Every bad command line ends in a UsageError, not in argparse's usage
@@ -837,7 +798,8 @@ def build_parser() -> argparse.ArgumentParser:
                  "ratio"):
         m = modes.add_parser(mode, parents=[word])
         if mode in ("magnus", "milnor", "levin"):
-            m.add_argument("--order", type=int, default=16,
+            m.add_argument("--order", type=_int_in(0, braid.MAX_ORDER),
+                           default=16,
                            help="series order (default 16)")
         if mode in ("burau", "ratio"):
             m.add_argument("--reduced", action="store_true", default=True,
@@ -853,9 +815,14 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="run exact identity suites")
     p.add_argument("suite", metavar="name", nargs="?", default="all",
                    choices=("all", *VERIFIERS), help="suite name or 'all'")
-    p.add_argument("--diagram", default=None)
-    p.add_argument("--random-trees", type=int, default=RANDOM_TREES)
-    p.add_argument("--max-vertices", type=int, default=MAX_TREE_VERTICES)
+    # the sweep options: unset is None, and only the suites of _sweep read
+    # them (_seeded_trees applies the defaults)
+    p.add_argument("--diagram")
+    p.add_argument("--random-trees", type=_int_in(0),
+                   help=f"seeded trees per suite (default {RANDOM_TREES})")
+    p.add_argument("--max-vertices", type=_int_in(1, diagram.MAX_VERTICES),
+                   help=f"most vertices of a tree (default "
+                        f"{MAX_TREE_VERTICES})")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--json", action="store_true")
     p.add_argument("--timings", action="store_true")

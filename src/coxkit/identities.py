@@ -19,7 +19,7 @@ from .coxeter import _rebuild, char_poly, cofactors, coxeter_poly, schur_step
 from .diagram import Diagram, build
 from .errors import (BadType, ShapeViolation, SizeMismatch, UnknownVertex)
 from .kostant import KleinGroupData
-from .report import IdentityReport, nonzero_terms
+from .report import IdentityReport
 
 
 def _one_minus_inv_xy(b: BiLaurent) -> BiLaurent:
@@ -105,8 +105,8 @@ def chain_identities(d: Diagram, tail) -> list[IdentityReport]:
             want = [[c[i - 1], c[i]], [c[i], c[i + 1]]]
             res = Laurent.total((mat[r][t] - want[r][t]) ** 2
                                 for r in range(2) for t in range(2))
-            reports.append(IdentityReport(
-                f"chain-transfer-{i}", None, None, res, res.is_zero))
+            reports.append(IdentityReport.of(
+                f"chain-transfer-{i}", None, None, res))
             mat = [[mat[1][0], mat[1][1]],
                    [z * mat[1][0] - mat[0][0], z * mat[1][1] - mat[0][1]]]
     # telescoped ratio: C_{i-1}/C_i = D * sum 1/(C_{j-1} C_j) + C_{k-1}/C_k
@@ -117,8 +117,8 @@ def chain_identities(d: Diagram, tail) -> list[IdentityReport]:
         for j in range(i + 1, k + 1):
             rhs = rhs + RatFunc(det2, c[j - 1] * c[j])
         diff = lhs - rhs
-        reports.append(IdentityReport(
-            f"chain-ratio-{i}", lhs, rhs, diff.num, diff.is_zero))
+        reports.append(IdentityReport.of(
+            f"chain-ratio-{i}", lhs, rhs, diff.num))
     # Christoffel-Darboux sums along the chain: the sums over j = i..k-1
     # are suffix sums, so one running sum is built from i = k - 1 down
     bez_tail, wr_tail = bezoutian(c[k - 1], c[k]), wronskian(c[k - 1], c[k])
@@ -175,9 +175,9 @@ def _packed_report(name: str, lhs: int, rhs: int, decode) -> IdentityReport:
     serves both when they are equal."""
     if lhs == rhs:
         side, residual = decode((lhs, 0))
-        return IdentityReport(name, side, side, residual, True)
+        return IdentityReport.of(name, side, side, residual)
     left, right, residual = decode((lhs, rhs, lhs - rhs))
-    return IdentityReport(name, left, right, residual, False)
+    return IdentityReport.of(name, left, right, residual)
 
 
 # Keyed like coxeter's cofactor memo, and like it keeps only the most
@@ -261,8 +261,7 @@ def binet_cauchy(d: Diagram, i: int, j: int, xs, ys) -> IdentityReport:
         my = [[hy[t][k] for k in subset] for t in range(m)]
         rhs += _int_det(mx) * _int_det(my)
     residual = (rep8.residual, *entries, lhs - rhs)
-    return IdentityReport(f"binet-cauchy-{i}-{j}-m{m}", lhs, rhs, residual,
-                          nonzero_terms(residual) == 0)
+    return IdentityReport.of(f"binet-cauchy-{i}-{j}-m{m}", lhs, rhs, residual)
 
 
 def _int_det(mat) -> int:
@@ -349,8 +348,8 @@ def poincare_cd_antipodal_choices(data: KleinGroupData):
     mid = (data.n + 1) // 2
     zt = data.z_table
     same = zt[mid - 1] - zt[mid + 1]
-    out = [IdentityReport("antipodal-parents-agree", zt[mid - 1], zt[mid + 1],
-                          same, same.is_zero)]
+    out = [IdentityReport.of("antipodal-parents-agree", zt[mid - 1],
+                             zt[mid + 1], same)]
     for parent in (mid - 1, mid + 1):
         lhs = bezoutian(zt[parent], zt[mid]) - bezoutian(zt[mid], zt[2 * mid - parent])
         rhs = _one_minus_inv_xy(BiLaurent.outer(zt[mid], zt[mid]))

@@ -182,8 +182,8 @@ def verify_system(data: KleinGroupData, which: int) -> IdentityReport:
         # system 14 sums the squares of the residuals' numerators
         part = acc.num if which == 14 else acc
         total = total + part * part
-    return IdentityReport(f"system-{which}-{data.family}{data.n}",
-                          None, None, total, total.is_zero)
+    return IdentityReport.of(f"system-{which}-{data.family}{data.n}",
+                             None, None, total)
 
 
 def cramer_z_table(data: KleinGroupData) -> list[Laurent]:
@@ -263,8 +263,8 @@ def a2m_closed_form(m: int) -> IdentityReport:
     res_sub = Laurent.q(1) * z_substitute(direct) - target.shifted(-2 * m)
     # the parts cannot cancel: one is symmetric about q^0, the other q^1
     residual = z_substitute(res_rec) + res_sub
-    return IdentityReport(f"odd-cycle-closed-form-m{m}", rec, direct,
-                          residual, residual.is_zero)
+    return IdentityReport.of(f"odd-cycle-closed-form-m{m}", rec, direct,
+                             residual)
 
 
 # ---------------------------------------------------------------------------
@@ -298,8 +298,8 @@ def walk_series_check(data: KleinGroupData, i: int, k_max: int) -> IdentityRepor
     g = char_poly(d)
     walks = walk_gf(d, i, 0, k_max)
     residual = walk_expansion_residual(g, table[i, 0], walks)
-    return IdentityReport(f"walks-{data.family}{data.n}-{i}",
-                          None, None, residual, residual.is_zero)
+    return IdentityReport.of(f"walks-{data.family}{data.n}-{i}",
+                             None, None, residual)
 
 
 def perfect_square_check(data: KleinGroupData) -> int:

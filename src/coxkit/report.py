@@ -17,9 +17,14 @@ class IdentityReport:
     holds: bool
 
     @staticmethod
+    def of(name: str, lhs, rhs, residual) -> "IdentityReport":
+        """The report whose verdict is that residual has no nonzero term."""
+        return IdentityReport(name, lhs, rhs, residual,
+                              nonzero_terms(residual) == 0)
+
+    @staticmethod
     def compare(name: str, lhs, rhs) -> "IdentityReport":
-        residual = lhs - rhs
-        return IdentityReport(name, lhs, rhs, residual, residual.is_zero)
+        return IdentityReport.of(name, lhs, rhs, lhs - rhs)
 
     @property
     def residual_terms(self) -> int:

@@ -1,10 +1,16 @@
 """Command-line interface: dispatch, formats, determinism, coverage."""
 
+import contextlib
 import dataclasses
+import functools
 import hashlib
+import importlib
+import inspect
+import io
 import json
 import os
 import random
+import shlex
 import subprocess
 import sys
 import time
@@ -162,6 +168,37 @@ def test_every_bad_command_line_is_one_usage_error(capsys, argv):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("usage error: ")
+    assert captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize("option,value,message", [
+    ("--order", "x", "invalid int value: 'x'"),
+    ("--order", "-1", "must be in 0..64"),
+    ("--order", "65", "must be in 0..64"),
+    ("--random-trees", "-1", "must be at least 0"),
+    ("--random-trees", "1.5", "invalid int value: '1.5'"),
+    ("--max-vertices", "0", "must be in 1..1024"),
+    ("--max-vertices", "1025", "must be in 1..1024"),
+])
+def test_the_parser_refuses_an_int_out_of_its_range(capsys, option, value,
+                                                    message):
+    argv = (["braid", "milnor", "--word", "s1 s1"] if option == "--order"
+            else ["verify", "schur"])
+    assert cli.main([*argv, option, value]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"usage error: argument {option}: {message}\n"
+
+
+@pytest.mark.parametrize("suite", ["levin", "walks", "chain"])
+@pytest.mark.parametrize("option,value", [("--random-trees", "1"),
+                                          ("--max-vertices", "5")])
+def test_a_suite_with_fixed_inputs_refuses_the_tree_options(capsys, suite,
+                                                            option, value):
+    assert cli.main(["verify", suite, option, value]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"usage error: {option} applies only to")
     assert captured.err.count("\n") == 1
 
 
@@ -438,14 +475,34 @@ def test_negative_vertex_count_file_names_the_count(tmp_path, capsys):
     assert "vertex count -1 is negative" in capsys.readouterr().err
 
 
+# the suites that sweep diagrams: --diagram replaces their inputs, and
+# --random-trees and --max-vertices size their seeded trees
+SWEEP_SUITES = ("schur", "bipartite", "cd-coxeter", "cd-wronskian",
+                "cd-char", "identity7")
+
+
 def test_verify_rejects_diagram_for_suites_with_fixed_inputs(capsys):
-    for name in ("walks", "path-sum", "chain", "binet-cauchy", "all"):
-        assert cli.main(["verify", name, "--diagram", "A3"]) == 2
+    for name in ("all", *cli.VERIFIERS):
+        code = cli.main(["verify", name, "--diagram", "A3"])
         err = capsys.readouterr().err
+        if name in SWEEP_SUITES:
+            assert code == 0, name
+            continue
+        assert code == 2, name
         assert "--diagram applies only to" in err and "cd-coxeter" in err
-    for name in cli.DIAGRAM_SUITES:
-        assert name in cli.VERIFIERS
-        assert cli.main(["verify", name, "--diagram", "A3"]) == 0
+        assert ", ".join(SWEEP_SUITES) in err
+
+
+def test_verify_all_takes_the_tree_options(capsys, monkeypatch):
+    # at least one suite of all draws trees; a failing suite that draws
+    # none is rerun without them
+    _failing_levin(monkeypatch)
+    code, out = run_cli(capsys, "verify", "all", "--random-trees", "0",
+                        "--max-vertices", "3")
+    assert code == 1
+    assert "tree000" not in out and "[ok ] cd-char: A1-bez" in out
+    reruns = {line.strip() for line in out.splitlines() if "rerun:" in line}
+    assert reruns == {"rerun: coxkit verify levin --seed 0"}
 
 
 @pytest.mark.parametrize("argv", [
@@ -634,35 +691,86 @@ def test_christoffel_darboux_suites_are_pinned_at_seed_7(capsys, suite):
     assert hashlib.sha256(out.encode()).hexdigest() == CD_SEED7_SHA256[suite]
 
 
+# each public operation and a command line that runs it; the route test
+# checks that the line does
+OPERATION_ROUTES = {
+    "algebra.z_substitute": "verify algebra",
+    "algebra.q_to_z": "verify algebra",
+    "algebra.det_exact": "verify algebra",
+    "algebra.bezoutian": "verify algebra",
+    "algebra.wronskian": "verify algebra",
+    "algebra.series_sqrt1p": "braid levin --word 's1 s1'",
+    "diagram.build": "coxeter --diagram E8",
+    "diagram.Diagram.delete": "verify chain",
+    "diagram.join": "verify join",
+    "diagram.bipartite_order": "verify bipartite",
+    "coxeter.coxeter_poly": "coxeter --diagram E8",
+    "coxeter.char_poly": "coxeter --diagram ~A4 --char",
+    "coxeter.schur_step": "verify schur",
+    "coxeter.join_poly": "verify join",
+    "coxeter.cofactors": "verify cd-char",
+    "coxeter.path_sum_H": "verify path-sum",
+    "coxeter.walk_gf": "verify walks",
+    "coxeter.identity7_check": "verify identity7",
+    "coxeter.divide_identity": "verify divide",
+    "cfrac.expand_tree": "cfrac --diagram ~D4 --format latex",
+    "cfrac.expand_cycle": "cfrac --diagram ~A4",
+    "cfrac.evaluate": "cfrac --diagram ~D4 --format eval",
+    "cfrac.render": "cfrac --diagram ~D4 --format ascii",
+    "identities.cd_coxeter": "verify cd-coxeter",
+    "identities.cd_wronskian": "verify cd-wronskian",
+    "identities.chain_identities": "verify chain",
+    "identities.cd_char": "verify cd-char",
+    "identities.binet_cauchy": "verify binet-cauchy",
+    "identities.poincare_cd": "verify poincare-cd",
+    "kostant.klein_data": "kostant --type ~E6",
+    "kostant.poincare_series": "kostant --type ~E8 --series 0",
+    "kostant.verify_system": "kostant --type ~E6 --verify 15",
+    "kostant.ebeling_ratios": "kostant --type ~E6 --verify 17",
+    "kostant.a2m_closed_form": "verify a2m",
+    "kostant.prop2_squares": "verify prop2-squares",
+    "kostant.walk_series_check": "kostant --type ~E6 --verify walks",
+    "kostant.perfect_square_check": "kostant --type ~E6 --verify squares",
+    "braid.burau": "braid burau --word 's1 s2 -s1'",
+    "braid.det_ratio": "braid ratio --word s1 --against 's1 s1'",
+    "braid.artin_action": "braid artin --word 's1 s2 -s1'",
+    "braid.longitudes": "braid longitudes --word 's1 s1'",
+    "braid.magnus": "braid magnus --word 's1 s1' --order 6",
+    "braid.milnor": "braid milnor --word 's1 s1' --order 6",
+    "braid.levin_check": "braid levin --word 's1 s1'",
+    "cli.run": "verify all",
+}
+
+
+def _code_entered(line: str) -> set:
+    """The code objects entered while the command line runs; it must exit
+    0."""
+    entered = set()
+
+    def profile(frame, event, arg):
+        if event == "call":
+            entered.add(frame.f_code)
+
+    with contextlib.redirect_stdout(io.StringIO()):
+        sys.setprofile(profile)
+        try:
+            code = cli.main(shlex.split(line))
+        finally:
+            sys.setprofile(None)
+    assert code == 0, line
+    return entered
+
+
 def test_every_operation_has_a_cli_route():
-    expected_ops = {
-        "algebra.z_substitute", "algebra.q_to_z", "algebra.det_exact",
-        "algebra.bezoutian", "algebra.wronskian", "algebra.series_sqrt1p",
-        "diagram.build", "diagram.delete", "diagram.join",
-        "diagram.bipartite_order",
-        "coxeter.coxeter_poly", "coxeter.char_poly", "coxeter.schur_step",
-        "coxeter.join_poly", "coxeter.cofactors", "coxeter.path_sum_H",
-        "coxeter.walk_gf", "coxeter.identity7_check",
-        "coxeter.divide_identity",
-        "cfrac.expand_tree", "cfrac.expand_cycle", "cfrac.evaluate",
-        "cfrac.render",
-        "identities.cd_coxeter", "identities.cd_wronskian",
-        "identities.chain_identities", "identities.cd_char",
-        "identities.binet_cauchy", "identities.poincare_cd",
-        "kostant.klein_data", "kostant.poincare_series",
-        "kostant.verify_system", "kostant.ebeling_ratios",
-        "kostant.a2m_closed_form", "kostant.prop2_squares",
-        "kostant.walk_series_check", "kostant.perfect_square_check",
-        "braid.burau", "braid.det_ratio", "braid.artin_action",
-        "braid.longitudes", "braid.magnus", "braid.milnor",
-        "braid.levin_check",
-        "cli.run",
-    }
-    assert expected_ops == set(cli.OPERATION_ROUTES)
-    for op, (command, detail) in cli.OPERATION_ROUTES.items():
-        assert command in ("coxeter", "cfrac", "kostant", "braid", "verify")
-        if command == "verify" and detail not in ("all",):
-            assert detail in cli.VERIFIERS, op
+    # each distinct line runs once, and each operation must run under its
+    # own line
+    entered = {line: _code_entered(line)
+               for line in sorted(set(OPERATION_ROUTES.values()))}
+    for op, line in OPERATION_ROUTES.items():
+        module, path = op.split(".", 1)
+        fn = functools.reduce(getattr, path.split("."),
+                              importlib.import_module(f"coxkit.{module}"))
+        assert inspect.unwrap(fn).__code__ in entered[line], (op, line)
 
 
 def test_closed_stdout_ends_without_traceback():
@@ -755,19 +863,25 @@ def test_levin_failure_reports_residual_terms(capsys, monkeypatch):
 
 def test_failing_case_prints_a_rerun_command(capsys, monkeypatch):
     _failing_levin(monkeypatch)
-    code, out = run_cli(capsys, "verify", "levin", "--seed", "5",
-                        "--random-trees", "3")
+    code, out = run_cli(capsys, "verify", "levin", "--seed", "5")
     lines = out.splitlines()
     assert code == 1
     fails = [k for k, line in enumerate(lines) if line.startswith("[FAIL]")]
     assert len(fails) == 5
     for k in fails:
         assert lines[k + 1].split() == ["rerun:", "coxkit", "verify", "levin",
-                                        "--seed", "5", "--random-trees", "3"]
+                                        "--seed", "5"]
     bad = IdentityReport.compare("bad", Laurent.z(), Laurent.zero())
     monkeypatch.setattr(identities, "cd_char", lambda d, i, j: (bad, bad))
-    _, out = run_cli(capsys, "verify", "cd-char", "--random-trees", "1")
-    assert "rerun: coxkit verify cd-char --seed 0 --random-trees 1" in out
+    _, out = run_cli(capsys, "verify", "cd-char", "--seed", "5",
+                     "--random-trees", "3")
+    assert out.count("rerun: coxkit verify cd-char --seed 5 "
+                     "--random-trees 3\n") == out.count("[FAIL]") > 0
+    # an option given at its default value is repeated too
+    _, out = run_cli(capsys, "verify", "cd-char", "--random-trees", "50",
+                     "--max-vertices", "2")
+    assert ("rerun: coxkit verify cd-char --seed 0 --random-trees 50 "
+            "--max-vertices 2") in out
     _, out = run_cli(capsys, "verify", "cd-char", "--diagram", "D4")
     assert "rerun: coxkit verify cd-char --seed 0 --diagram D4" in out
     monkeypatch.setattr(kostant, "perfect_square_check", lambda data: -1)
