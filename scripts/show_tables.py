@@ -7,28 +7,25 @@ Usage:
     python scripts/show_tables.py [--max-rank N] [--terms N]
 """
 
-import argparse
 import sys
 
 from coxkit.cfrac import evaluate, expand_cycle, expand_tree, render
-from coxkit.cli import run_piped
+from coxkit.cli import _int_in, _Parser, run_piped
 from coxkit.diagram import MAX_VERTICES
+from coxkit.errors import UsageError
 from coxkit.kostant import MAX_TERMS, klein_data, klein_types, poincare_series
 
 
 def main(argv=None) -> int:
-    ap = argparse.ArgumentParser()
-    ap.add_argument("--max-rank", type=int, default=8)
-    ap.add_argument("--terms", type=int, default=24)
-    args = ap.parse_args(argv)
-    # checked before any work: an affine type of rank n has n + 1 vertices,
-    # and a rank past the vertex cap would fail only after every smaller type
-    if not 1 <= args.max_rank < MAX_VERTICES:
-        print(f"error: --max-rank must be in 1..{MAX_VERTICES - 1}",
-              file=sys.stderr)
-        return 2
-    if not 0 <= args.terms <= MAX_TERMS:
-        print(f"error: --terms must be in 0..{MAX_TERMS}", file=sys.stderr)
+    ap = _Parser()
+    # an affine type of rank n has n + 1 vertices, and a rank past the
+    # vertex cap would fail only after every smaller type
+    ap.add_argument("--max-rank", type=_int_in(1, MAX_VERTICES - 1), default=8)
+    ap.add_argument("--terms", type=_int_in(0, MAX_TERMS), default=24)
+    try:
+        args = ap.parse_args(argv)
+    except UsageError as exc:
+        print(f"error: {exc}", file=sys.stderr)
         return 2
 
     for fam, n in klein_types(args.max_rank):

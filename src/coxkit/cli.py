@@ -744,12 +744,29 @@ def _int_in(lo: int, hi: int | None = None):
     return parse
 
 
+class _Missing(UsageError):
+    """argparse's error for missing required arguments."""
+
+
 class _Parser(argparse.ArgumentParser):
     """Every bad command line ends in a UsageError, not in argparse's usage
-    block and exit."""
+    block and exit, and an unknown option is named before a missing one
+    (known: a prefix of one of the parser's options, as argparse reads it)."""
+
+    def parse_known_args(self, args=None, namespace=None):
+        args = sys.argv[1:] if args is None else list(args)
+        try:
+            return super().parse_known_args(args, namespace)
+        except _Missing as exc:
+            unknown = [a for a in args if a.startswith("--") and not any(
+                s.startswith(a.split("=")[0])
+                for s in self._option_string_actions)]
+            raise UsageError(f"unrecognized arguments: {' '.join(unknown)}"
+                             if unknown else str(exc)) from None
 
     def error(self, message):
-        raise UsageError(message)
+        raise (_Missing if "arguments are required" in message
+               else UsageError)(message)
 
 
 @functools.lru_cache(maxsize=1)

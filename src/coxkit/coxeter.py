@@ -14,8 +14,7 @@ from itertools import dropwhile
 from operator import add, not_, sub
 from typing import Sequence
 
-from .algebra import (Laurent, Poly, RatFunc, det_exact, det_poly, mat_mul,
-                      z_substitute)
+from .algebra import Laurent, Poly, det_exact, det_poly, mat_mul, z_substitute
 from .diagram import Diagram, SeifertMatrix
 from .errors import DimensionMismatch, PreconditionABneq2C, UnknownVertex
 
@@ -532,8 +531,6 @@ def identity7_check(d: Diagram, i: int, j: int) -> Poly:
 class DivideReport:
     """Closed form and Schur factorization, exact iff their residuals are 0."""
 
-    lhs: RatFunc
-    rhs: RatFunc
     closed_residual: Laurent
     schur_residual: Laurent
     twist_power: int
@@ -643,15 +640,12 @@ def divide_identity(a_mat, b_mat, c_mat) -> DivideReport:
     else:
         big_det = Poly.one()
 
-    # dd is a product of monic determinants, so neither denominator is zero
+    # the closed form g z^(p+s) / dd = z^r det(big) / dd^s, cross-multiplied:
+    # dd is a product of monic determinants, so no denominator is zero
     dd_q = z_substitute(dd)
-    big_q = z_substitute(big_det)
-    lhs_num = g * z ** (p + s)
-    rhs_num = z ** r * big_q
-    return DivideReport(RatFunc(lhs_num, dd_q),
-                        RatFunc(rhs_num, dd_q ** s if s else Laurent.one()),
-                        lhs_num * dd_q ** s - rhs_num * dd_q, schur_residual,
-                        r)
+    closed = (g * z ** (p + s) * dd_q ** s
+              - z ** r * z_substitute(big_det) * dd_q)
+    return DivideReport(closed, schur_residual, r)
 
 
 __all__ = [

@@ -9,9 +9,9 @@ the Klein-group numerator tables.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache
-from itertools import combinations
-from operator import mul
+from functools import lru_cache, reduce
+from itertools import combinations, starmap
+from operator import add, mul
 
 from .algebra import (BiLaurent, Frame, Laurent, RatFunc, bezoutian,
                       det_exact, wronskian)
@@ -22,37 +22,43 @@ from .kostant import KleinGroupData
 from .report import IdentityReport
 
 
-def _one_minus_inv_xy(b: BiLaurent) -> BiLaurent:
-    """(1 - 1/(xy)) * b."""
-    return b - b.shifted(-1)
-
-
-def _one_minus_inv_x2() -> Laurent:
-    return Laurent({0: 1, -2: -1})
-
-
 # ---------------------------------------------------------------------------
-# Coxeter-polynomial forms built on the one-row pivot
+# the one Christoffel-Darboux sum, and its forms on the one-row pivot
 # ---------------------------------------------------------------------------
+
+# A form is (F, S, s, total): the pairing F, the square S(h) of a term,
+# the shift s of (1 - u) X = X - X.shifted(s), and the sum of the squares'
+# class, which adds into one map.  The Wronskian is the y = x limit of the
+# Bezoutian, so 1 - 1/(xy) becomes 1 - 1/x^2.
+_BEZ = (bezoutian, lambda h: BiLaurent.outer(h, h), -1, BiLaurent.total)
+_WR = (wronskian, lambda h: h * h, -2, Laurent.total)
+
+
+def _cd(form, name: str, left, right, inside) -> IdentityReport:
+    """sum_left F(f, g) = (1 - u) sum_inside S(h) + sum_right F(f, g): the
+    sum of F(z h, h) = (1 - u) S(h) over the inside, where bilinearity and
+    skew-symmetry keep only the pairs (f, g) that cross its boundary."""
+    pair, square, shift, total = form
+    inner = total(map(square, inside))
+    return IdentityReport.compare(
+        name, reduce(add, starmap(pair, left)),
+        reduce(add, starmap(pair, right), inner - inner.shifted(shift)))
+
 
 def cd_coxeter(d: Diagram, pivot: int) -> IdentityReport:
     """Bezoutian form: Bez(G, G_del) = (1 - 1/(xy)) G_del(x) G_del(y)
     + weighted Bezoutians of the branch and cross terms, which by
     bilinearity are one Bezoutian of their weighted sum."""
     step = schur_step(d, pivot)
-    lhs = bezoutian(step.total, step.base)
-    rhs = (_one_minus_inv_xy(BiLaurent.outer(step.base, step.base))
-           + bezoutian(step.base, step.terms))
-    return IdentityReport.compare(f"cd-bez-pivot{pivot}", lhs, rhs)
+    return _cd(_BEZ, f"cd-bez-pivot{pivot}", [(step.total, step.base)],
+               [(step.base, step.terms)], [step.base])
 
 
 def cd_wronskian(d: Diagram, pivot: int) -> IdentityReport:
     """Wronskian form: the diagonal limit of the Bezoutian identity."""
     step = schur_step(d, pivot)
-    lhs = wronskian(step.total, step.base)
-    rhs = (_one_minus_inv_x2() * step.base * step.base
-           + wronskian(step.base, step.terms))
-    return IdentityReport.compare(f"cd-wr-pivot{pivot}", lhs, rhs)
+    return _cd(_WR, f"cd-wr-pivot{pivot}", [(step.total, step.base)],
+               [(step.base, step.terms)], [step.base])
 
 
 # ---------------------------------------------------------------------------
@@ -119,22 +125,11 @@ def chain_identities(d: Diagram, tail) -> list[IdentityReport]:
         diff = lhs - rhs
         reports.append(IdentityReport.of(
             f"chain-ratio-{i}", lhs, rhs, diff.num))
-    # Christoffel-Darboux sums along the chain: the sums over j = i..k-1
-    # are suffix sums, so one running sum is built from i = k - 1 down
-    bez_tail, wr_tail = bezoutian(c[k - 1], c[k]), wronskian(c[k - 1], c[k])
-    outers, squares = BiLaurent.zero(), Laurent.zero()
-    sums = []
-    for i in range(k - 1, 0, -1):
-        outers = BiLaurent.outer(c[i], c[i]) + outers
-        squares = c[i] * c[i] + squares
-        sums.append((
-            IdentityReport.compare(f"chain-bez-{i}", bezoutian(c[i - 1], c[i]),
-                                   bez_tail + _one_minus_inv_xy(outers)),
-            IdentityReport.compare(
-                f"chain-wr-{i}", wronskian(c[i - 1], c[i]),
-                wr_tail + _one_minus_inv_x2() * squares)))
-    for pair in reversed(sums):
-        reports += pair
+    # Christoffel-Darboux sums along the chain, over C_i .. C_{k-1}
+    for i in range(1, k):
+        for tag, form in (("bez", _BEZ), ("wr", _WR)):
+            reports.append(_cd(form, f"chain-{tag}-{i}", [(c[i - 1], c[i])],
+                               [(c[k - 1], c[k])], c[i:k]))
     return reports
 
 
@@ -286,16 +281,13 @@ def poincare_cd(data: KleinGroupData, i, j: int | None = None
     """
     zt = data.z_table
     if data.family == "affA" and j is not None:
-        n = data.n
-        if not (1 <= i <= j <= n):
+        if not (1 <= i <= j <= data.n):
             raise BadType("cycle form needs 1 <= i <= j <= n")
         wrap = list(zt) + [zt[0]]
         # two expansions meeting around the cycle; skew-symmetry puts the
         # second one in reversed argument order
-        bez_lhs = bezoutian(wrap[i - 1], wrap[i]) + bezoutian(wrap[j + 1], wrap[j])
-        wr_lhs = wronskian(wrap[i - 1], wrap[i]) + wronskian(wrap[j + 1], wrap[j])
+        left = [(wrap[i - 1], wrap[i]), (wrap[j + 1], wrap[j])]
         ks = range(i, j + 1)
-        name = f"poincare-cd-{data.family}{data.n}-{i}-{j}"
     else:
         if j is not None:
             raise BadType("vertex pairs only apply to the cycle family")
@@ -308,14 +300,11 @@ def poincare_cd(data: KleinGroupData, i, j: int | None = None
             up, ks = -1, range(data.vertex_count)
         else:
             up, ks = _branches(data.family, data.n)[i]
-        bez_lhs = bezoutian(data.numerator(up), zt[i])
-        wr_lhs = wronskian(data.numerator(up), zt[i])
-        name = f"poincare-cd-{data.family}{data.n}-{i}"
-    bez_rhs = _one_minus_inv_xy(
-        BiLaurent.total(BiLaurent.outer(zt[k], zt[k]) for k in ks))
-    wr_rhs = _one_minus_inv_x2() * Laurent.total(zt[k] * zt[k] for k in ks)
-    return (IdentityReport.compare(name + "-bez", bez_lhs, bez_rhs),
-            IdentityReport.compare(name + "-wr", wr_lhs, wr_rhs))
+        left = [(data.numerator(up), zt[i])]
+    name = f"poincare-cd-{data.family}{data.n}-{i}" + (f"-{j}" if j else "")
+    inside = [zt[k] for k in ks]
+    return (_cd(_BEZ, name + "-bez", left, [], inside),
+            _cd(_WR, name + "-wr", left, [], inside))
 
 
 # Keyed on the Klein type, and like the packed tables keeps only the most
@@ -350,9 +339,8 @@ def poincare_cd_antipodal_choices(data: KleinGroupData):
     same = zt[mid - 1] - zt[mid + 1]
     out = [IdentityReport.of("antipodal-parents-agree", zt[mid - 1],
                              zt[mid + 1], same)]
-    for parent in (mid - 1, mid + 1):
-        lhs = bezoutian(zt[parent], zt[mid]) - bezoutian(zt[mid], zt[2 * mid - parent])
-        rhs = _one_minus_inv_xy(BiLaurent.outer(zt[mid], zt[mid]))
-        out.append(IdentityReport.compare(
-            f"poincare-cd-antipodal-parent{parent}", lhs, rhs))
+    for parent, other in ((mid - 1, mid + 1), (mid + 1, mid - 1)):
+        out.append(_cd(_BEZ, f"poincare-cd-antipodal-parent{parent}",
+                       [(zt[parent], zt[mid]), (zt[other], zt[mid])],
+                       [], [zt[mid]]))
     return out + list(poincare_cd(data, mid, mid))

@@ -162,6 +162,9 @@ def test_braid_option_of_another_mode_exits_2(capsys, argv):
     ["braid", "burau"],
     [],
     ["kostant", "--type", "~A2", "--series", "0", "--verify", "15"],
+    ["--bogus"],
+    ["braid", "--bogus"],
+    ["braid", "burau", "--bogus"],
 ])
 def test_every_bad_command_line_is_one_usage_error(capsys, argv):
     assert cli.main(argv) == 2
@@ -169,6 +172,30 @@ def test_every_bad_command_line_is_one_usage_error(capsys, argv):
     assert captured.out == ""
     assert captured.err.startswith("usage error: ")
     assert captured.err.count("\n") == 1
+    # an unknown option is named, also where a required argument is missing
+    assert "--bogus" not in argv or "--bogus" in captured.err
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["--bogus"], "unrecognized arguments: --bogus"),
+    (["braid", "--bogus", "--x=1"], "unrecognized arguments: --bogus --x=1"),
+    (["braid", "burau", "--bogus"], "unrecognized arguments: --bogus"),
+    (["braid", "burau"], "the following arguments are required: --word"),
+    # argparse takes a prefix of an option, so --str is --strands
+    (["braid", "burau", "--str", "3"],
+     "the following arguments are required: --word"),
+    (["braid", "levin", "--bogus", "--word", "s1"],
+     "unrecognized arguments: --bogus"),
+])
+def test_a_usage_error_names_unknown_options_before_missing_ones(
+        capsys, monkeypatch, argv, message):
+    # main() reads the command line from sys.argv, main(argv) from argv
+    monkeypatch.setattr(sys, "argv", ["coxkit", *argv])
+    for args in ((), (argv,)):
+        assert cli.main(*args) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"usage error: {message}\n"
 
 
 @pytest.mark.parametrize("option,value,message", [

@@ -549,3 +549,84 @@ def test_folded_right_hand_sides_match_the_per_term_sums():
             assert rb.rhs == bez and rw.rhs == wr
             assert rb.holds and rw.holds
     assert crossed >= 10
+
+
+def _cd_oracle(name, left, right, inside, bez: bool):
+    """(name, lhs, rhs, residual) of a Christoffel-Darboux sum, term by
+    term: sum_left F = (1 - u) sum_inside S + sum_right F, with 1 - u
+    written out as a product, not as a shift."""
+    if bez:
+        terms = [BiLaurent.outer(h, h) - BiLaurent.outer(h.shifted(-1),
+                                                         h.shifted(-1))
+                 for h in inside]
+        lhs = BiLaurent.total(bezoutian(f, g) for f, g in left)
+        rhs = BiLaurent.total([*terms, *(bezoutian(f, g) for f, g in right)])
+    else:
+        terms = [Laurent({0: 1, -2: -1}) * h * h for h in inside]
+        lhs = Laurent.total(wronskian(f, g) for f, g in left)
+        rhs = Laurent.total([*terms, *(wronskian(f, g) for f, g in right)])
+    return name, lhs, rhs, lhs - rhs
+
+
+def _sides(rep):
+    return rep.name, rep.lhs, rep.rhs, rep.residual
+
+
+def _tree_with_path_tail(rng, size, k):
+    """A seeded weighted tree on size vertices with a path v_1 .. v_k of
+    weight-1 edges hanging off a random vertex, in a shuffled order."""
+    from coxkit.diagram import Diagram
+
+    tree = random_tree(rng, size, (1, 2))
+    tail = list(range(size, size + k))
+    edges = [((i, j), w) for i, j, w in tree.edges()]
+    edges += [((v, v + 1), 1) for v in tail[:-1]]
+    edges.append(((tail[-1], rng.randrange(size)), 1))
+    order = list(range(size + k))
+    rng.shuffle(order)
+    return Diagram(size + k, edges, order), tail
+
+
+def test_chain_and_antipodal_reports_match_the_per_term_sums():
+    from coxkit.coxeter import coxeter_poly
+
+    rng = random.Random(22)
+    checked = 0
+    for _ in range(12):
+        d, tail = _tree_with_path_tail(rng, rng.randint(1, 6),
+                                       rng.randint(1, 6))
+        k = len(tail)
+        c = [coxeter_poly(d.delete(tail[:i])) for i in range(k + 1)]
+        reps = chain_identities(d, tail)
+        got = {r.name: r for r in reps}
+        assert [r.name for r in reps if r.name.startswith(
+            ("chain-bez", "chain-wr"))] == [
+                f"chain-{t}-{i}" for i in range(1, k) for t in ("bez", "wr")]
+        for i in range(1, k):
+            for tag in ("bez", "wr"):
+                name = f"chain-{tag}-{i}"
+                assert _sides(got[name]) == _cd_oracle(
+                    name, [(c[i - 1], c[i])], [(c[k - 1], c[k])], c[i:k],
+                    tag == "bez")
+                assert got[name].holds
+                checked += 1
+    assert checked >= 40
+    for n in (3, 5, 7):
+        zt = klein_data("affA", n).z_table
+        mid = (n + 1) // 2
+        reps = poincare_cd_antipodal_choices(klein_data("affA", n))
+        assert _sides(reps[0]) == ("antipodal-parents-agree", zt[mid - 1],
+                                   zt[mid + 1], zt[mid - 1] - zt[mid + 1])
+        for rep, parent in zip(reps[1:3], (mid - 1, mid + 1)):
+            name, lhs, rhs, _ = _cd_oracle(
+                f"poincare-cd-antipodal-parent{parent}",
+                [(zt[parent], zt[mid])], [], [zt[mid]], True)
+            # the other neighbor's term, in reversed order and subtracted
+            lhs = lhs - bezoutian(zt[mid], zt[2 * mid - parent])
+            assert _sides(rep) == (name, lhs, rhs, lhs - rhs)
+        for rep, bez in zip(reps[3:], (True, False)):
+            assert _sides(rep) == _cd_oracle(
+                f"poincare-cd-affA{n}-{mid}-{mid}-{'bez' if bez else 'wr'}",
+                [(zt[mid - 1], zt[mid]), (zt[mid + 1], zt[mid])], [],
+                [zt[mid]], bez)
+        assert all(r.holds for r in reps)

@@ -28,6 +28,8 @@ _spec.loader.exec_module(show_tables)
     # an affine type of rank n has n + 1 vertices
     ["--max-rank", str(MAX_VERTICES)],
     ["--max-rank", "1100"],
+    ["--terms", "x"],
+    ["--bogus"],
 ])
 def test_show_tables_rejects_bad_options_at_once(capsys, monkeypatch, argv):
     def no_work(max_rank):
