@@ -815,7 +815,9 @@ def build_parser() -> argparse.ArgumentParser:
                  "ratio"):
         m = modes.add_parser(mode, parents=[word])
         if mode in ("magnus", "milnor", "levin"):
-            m.add_argument("--order", type=_int_in(0, braid.MAX_ORDER),
+            # a Milnor invariant has length at least 1
+            lo = 1 if mode == "milnor" else 0
+            m.add_argument("--order", type=_int_in(lo, braid.MAX_ORDER),
                            default=16,
                            help="series order (default 16)")
         if mode in ("burau", "ratio"):

@@ -10,13 +10,13 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache, reduce
-from itertools import combinations, starmap
+from itertools import accumulate, combinations, starmap
 from operator import add, mul
 
 from .algebra import (BiLaurent, Frame, Laurent, RatFunc, bezoutian,
                       det_exact, wronskian)
 from .coxeter import _rebuild, char_poly, cofactors, coxeter_poly, schur_step
-from .diagram import Diagram, build
+from .diagram import Diagram
 from .errors import (BadType, ShapeViolation, SizeMismatch, UnknownVertex)
 from .kostant import KleinGroupData
 from .report import IdentityReport
@@ -267,6 +267,14 @@ def _int_det(mat) -> int:
 # Poincare-series forms over the numerator tables
 # ---------------------------------------------------------------------------
 
+# The (Bezoutian, Wronskian) tables of the most recent Klein type: the
+# suites and the benchmark take a type's calls in a row.  The one slot
+# holds the data itself and is checked with `is`.  A key (family, n) would
+# answer a hand-built z_table with the built-in table, and hashing the
+# data costs about half a call.
+_klein_slot: list = [None, ()]
+
+
 def poincare_cd(data: KleinGroupData, i, j: int | None = None
                 ) -> tuple[IdentityReport, IdentityReport]:
     """Christoffel-Darboux forms over the numerator tables.
@@ -277,52 +285,69 @@ def poincare_cd(data: KleinGroupData, i, j: int | None = None
     Passing i = 0 gives the full-diagram special case.  Cycle families take
     a vertex pair (i, j) and check the two-sided form
     Bez(Z_{i-1}, Z_i) + Bez(Z_j, Z_{j+1}) = (1 - 1/(xy)) sum_{k=i}^{j} ...,
-    wrapping Z_{n+1} = Z_0.  Returns the (Bezoutian, Wronskian) pair.
+    wrapping Z_{n+1} = Z_0.  Returns the (Bezoutian, Wronskian) pair, read
+    off the type's table (_klein_form), built on its first call.
     """
-    zt = data.z_table
     if data.family == "affA" and j is not None:
         if not (1 <= i <= j <= data.n):
             raise BadType("cycle form needs 1 <= i <= j <= n")
-        wrap = list(zt) + [zt[0]]
-        # two expansions meeting around the cycle; skew-symmetry puts the
-        # second one in reversed argument order
-        left = [(wrap[i - 1], wrap[i]), (wrap[j + 1], wrap[j])]
-        ks = range(i, j + 1)
     else:
         if j is not None:
             raise BadType("vertex pairs only apply to the cycle family")
         if not (0 <= i < data.vertex_count):
             raise UnknownVertex(f"no vertex {i}")
-        if data.family == "affA":
-            # only the full-diagram case is two-sided-free on a cycle
-            if i != 0:
-                raise BadType("cycle family needs a vertex pair for i > 0")
-            up, ks = -1, range(data.vertex_count)
-        else:
-            up, ks = _branches(data.family, data.n)[i]
-        left = [(data.numerator(up), zt[i])]
+        # only the full-diagram case is two-sided-free on a cycle
+        if data.family == "affA" and i != 0:
+            raise BadType("cycle family needs a vertex pair for i > 0")
     name = f"poincare-cd-{data.family}{data.n}-{i}" + (f"-{j}" if j else "")
-    inside = [zt[k] for k in ks]
-    return (_cd(_BEZ, name + "-bez", left, [], inside),
-            _cd(_WR, name + "-wr", left, [], inside))
+    if _klein_slot[0] is not data:
+        _klein_slot[:] = data, (_klein_form(_BEZ, data),
+                                _klein_form(_WR, data))
+    reports = []
+    for tag, (down, whole, up, arcs) in zip(("-bez", "-wr"), _klein_slot[1]):
+        if j is None:
+            reports.append(IdentityReport.compare(name + tag, down[i],
+                                                  whole[i]))
+        else:
+            # two expansions meeting around the cycle
+            reports.append(IdentityReport.compare(
+                name + tag, down[i] + up[j - 1], arcs[j + 1] - arcs[i]))
+    return tuple(reports)
 
 
-# Keyed on the Klein type, and like the packed tables keeps only the most
-# recent one: the suites and the benchmark take a type's vertices in a row.
-@lru_cache(maxsize=1)
-def _branches(family: str, n: int) -> tuple[tuple[int, tuple[int, ...]], ...]:
-    """Per vertex i of a tree family: its parent toward the affine vertex
-    (the virtual vertex -1 at the affine vertex itself) and the ascending
-    vertices of the branch that hangs below i, i included."""
-    tour, parent = build(family, n).tour(0)
-    out = []
-    for i in range(len(tour)):
-        branch = {i}
-        for v in tour:
-            if parent[v] in branch:
-                branch.add(v)
-        out.append((parent[i], tuple(sorted(branch))))
-    return tuple(out)
+def _klein_form(form, data: KleinGroupData):
+    """(down, whole, up, arcs) of one form, with F its pairing, S its square
+    and (1 - u) its shift:
+    - down[i] = F(Z_p, Z_i), p the parent of i: i - 1 on the cycle, the
+      vertex toward the affine one on a tree, and -1 at the affine vertex;
+    - whole[i] = (1 - u) sum S(Z_k) over the branch below i on a tree, and
+      over the whole cycle at i = 0;
+    - on the cycle, up[j - 1] = F(Z_{j+1}, Z_j), wrapping Z_{n+1} = Z_0
+      (skew-symmetry puts it in reversed order), and arcs[m] = (1 - u)
+      sum_{k<m} S(Z_k), so that the arc i..j is arcs[j + 1] - arcs[i].
+    Each side is a sum over a set whose boundary is one or two pairs
+    (_cd), and the table holds them all, each made once."""
+    pair, square, shift, total = form
+    zt = data.z_table
+    if data.family == "affA":
+        parents = range(-1, data.n)
+        sums = list(accumulate(map(square, zt), add, initial=total(())))
+        wrap = (*zt, zt[0])
+        up = [pair(wrap[j + 1], wrap[j]) for j in range(1, data.n + 1)]
+        arcs = [s - s.shifted(shift) for s in sums]
+        whole = arcs[-1:]
+    else:
+        # a branch sum is its vertex's square plus its children's sums, and
+        # the reversed tour has each child before its parent
+        tour, parent = data.diagram().tour(0)
+        sums = list(map(square, zt))
+        for v in reversed(tour[1:]):
+            sums[parent[v]] = sums[parent[v]] + sums[v]
+        parents = [parent[v] for v in range(len(zt))]
+        whole = [s - s.shifted(shift) for s in sums]
+        up = arcs = ()
+    down = [pair(data.numerator(p), z) for p, z in zip(parents, zt)]
+    return down, whole, up, arcs
 
 
 def poincare_cd_antipodal_choices(data: KleinGroupData):

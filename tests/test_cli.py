@@ -209,12 +209,30 @@ def test_a_usage_error_names_unknown_options_before_missing_ones(
 ])
 def test_the_parser_refuses_an_int_out_of_its_range(capsys, option, value,
                                                     message):
-    argv = (["braid", "milnor", "--word", "s1 s1"] if option == "--order"
+    argv = (["braid", "magnus", "--word", "s1 s1"] if option == "--order"
             else ["verify", "schur"])
     assert cli.main([*argv, option, value]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"usage error: argument {option}: {message}\n"
+
+
+@pytest.mark.parametrize("value", ["0", "65"])
+def test_milnor_orders_start_at_1_in_the_parser(capsys, monkeypatch, value):
+    def never(*args):
+        raise AssertionError("milnor ran on an order the parser refuses")
+
+    with monkeypatch.context() as m:
+        m.setattr(braid, "milnor", never)
+        assert cli.main(["braid", "milnor", "--word", "s1 s1",
+                         "--order", value]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "usage error: argument --order: must be in 1..64\n"
+    # order 1 has no invariant of length 1 or more to print
+    code, out = run_cli(capsys, "braid", "milnor", "--word", "s1 s1",
+                        "--order", "1")
+    assert code == 0 and out == ""
 
 
 @pytest.mark.parametrize("suite", ["levin", "walks", "chain"])

@@ -1,5 +1,6 @@
 """Christoffel-Darboux suite."""
 
+import dataclasses
 import hashlib
 import random
 
@@ -348,6 +349,108 @@ def test_poincare_cd_error_paths(fam, n, i, j, error, message):
     with pytest.raises(error) as info:
         poincare_cd(klein_data(fam, n), i, j)
     assert str(info.value) == message
+
+
+def _poincare_cd_oracle(data, i, j):
+    """The reports of poincare_cd summed afresh, one _cd call per form over
+    the explicit boundary and inside: the cycle arc i..j, or the branch
+    below i.  On a tree, searches from the neighbors of i that do not
+    cross i find its parent (the one whose search reaches the affine
+    vertex 0) and its branch (i and what the other searches reach)."""
+    zt = data.z_table
+    if j is not None:
+        wrap = [*zt, zt[0]]
+        left = [(wrap[i - 1], wrap[i]), (wrap[j + 1], wrap[j])]
+        inside = range(i, j + 1)
+    elif i == 0:
+        left, inside = [(data.numerator(-1), zt[0])], range(len(zt))
+    else:
+        d = data.diagram()
+
+        def reach(start):
+            seen, todo = {start}, [start]
+            while todo:
+                for u in d.neighbors(todo.pop()):
+                    if u != i and u not in seen:
+                        seen.add(u)
+                        todo.append(u)
+            return seen
+
+        sides = {u: reach(u) for u in d.neighbors(i)}
+        (parent,) = [u for u, side in sides.items() if 0 in side]
+        branch = {i}.union(*(side for u, side in sides.items()
+                             if u != parent))
+        left, inside = [(zt[parent], zt[i])], sorted(branch)
+    name = f"poincare-cd-{data.family}{data.n}-{i}" + (f"-{j}" if j else "")
+    return tuple(identities._cd(form, name + tag, left, [],
+                                [zt[k] for k in inside])
+                 for tag, form in (("-bez", identities._BEZ),
+                                   ("-wr", identities._WR)))
+
+
+def _fields(rep):
+    return rep.name, rep.holds, rep.lhs, rep.rhs, rep.residual
+
+
+def test_poincare_cd_table_matches_the_per_term_sums():
+    # every Klein type of rank <= 24, two types at a time taking turns of
+    # three calls each, so the one-slot table is rebuilt at every turn and
+    # reused within one
+    types = [klein_data(fam, n) for fam, n in klein_types(24)]
+    half = len(types) // 2
+    checked = 0
+    for pair in zip(types[:half], types[half:]):
+        calls = [[(data, *arg) for arg in _poincare_cd_args(data)]
+                 for data in pair]
+        longest = max(map(len, calls))
+        for start in range(0, longest, 3):
+            for data, i, j in (*calls[0][start:start + 3],
+                               *calls[1][start:start + 3]):
+                got = poincare_cd(data, i, j)
+                want = _poincare_cd_oracle(data, i, j)
+                assert list(map(_fields, got)) == list(map(_fields, want))
+                assert all(r.holds for r in got), (data.family, data.n, i, j)
+                checked += 1
+    assert half == 24 and checked == sum(
+        len(_poincare_cd_args(data)) for data in types)
+
+
+def test_a_hand_built_numerator_table_gets_its_own_table():
+    for fam, n, k, args in (("affA", 5, 3, [(0, None), (3, 3), (2, 4)]),
+                            ("affD", 6, 2, [(0, None), (1, None), (2, None)])):
+        data = klein_data(fam, n)
+        for arg in args:
+            assert all(r.holds for r in poincare_cd(data, *arg))
+        zt = list(data.z_table)
+        zt[k] = zt[k] + Laurent.q(1)
+        bad = dataclasses.replace(data, z_table=tuple(zt))
+        for arg in args:
+            for r in poincare_cd(bad, *arg):
+                assert not r.holds and r.residual_terms > 0, (fam, arg)
+        for arg in args:
+            assert all(r.holds for r in poincare_cd(data, *arg))
+
+
+def test_cycle_pairs_make_each_boundary_pairing_once(monkeypatch):
+    # Z_{i-1}, Z_i for i = 0..n and Z_{j+1}, Z_j for j = 1..n: 2n + 1
+    # pairings of each form for all n(n + 1)/2 pairs, not one or two a pair
+    log = []
+    for form in ("_BEZ", "_WR"):
+        pair, *rest = getattr(identities, form)
+
+        def logged(f, g, pair=pair, form=form):
+            log.append(form)
+            return pair(f, g)
+
+        monkeypatch.setattr(identities, form, (logged, *rest))
+    n = 12
+    data = klein_data("affA", n)
+    pairs = [(i, j) for i in range(1, n + 1) for j in range(i, n + 1)]
+    assert len(pairs) == n * (n + 1) // 2
+    for i, j in pairs:
+        assert all(r.holds for r in poincare_cd(data, i, j))
+    assert 0 < log.count("_BEZ") <= 2 * n + 1
+    assert 0 < log.count("_WR") <= 2 * n + 1
 
 
 def test_structural_term_comes_from_algebra_module():
