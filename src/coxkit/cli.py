@@ -481,9 +481,8 @@ def verify_divide(args: Namespace):
                       [[2 * x for x in row] for row in bp], c))
     out = []
     for name, a, b, c in cases:
-        rep = coxeter.divide_identity(a, b, c)
         out.append(_case("divide", name,
-                         [rep.closed_residual, rep.schur_residual]))
+                         [coxeter.divide_identity(a, b, c).residual]))
     return out
 
 

@@ -17,6 +17,7 @@ from typing import Sequence
 from .algebra import Laurent, Poly, det_exact, det_poly, mat_mul, z_substitute
 from .diagram import Diagram, SeifertMatrix
 from .errors import DimensionMismatch, PreconditionABneq2C, UnknownVertex
+from .report import IdentityReport
 
 # ---------------------------------------------------------------------------
 # memo keys
@@ -527,23 +528,6 @@ def identity7_check(d: Diagram, i: int, j: int) -> Poly:
 # tripartite divide block matrix
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class DivideReport:
-    """Closed form and Schur factorization, exact iff their residuals are 0."""
-
-    closed_residual: Laurent
-    schur_residual: Laurent
-    twist_power: int
-
-    @property
-    def equal(self) -> bool:
-        return self.closed_residual.is_zero
-
-    @property
-    def schur_exact(self) -> bool:
-        return self.schur_residual.is_zero
-
-
 def _int_rows(mat) -> list[list[int]]:
     return [list(map(int, row)) for row in mat]
 
@@ -567,12 +551,15 @@ def _det_adj_at_square(m: list[list[int]]):
     return _at_square(det), adj
 
 
-def divide_identity(a_mat, b_mat, c_mat) -> DivideReport:
+def divide_identity(a_mat, b_mat, c_mat) -> IdentityReport:
     """Check the Schur factorization of the tripartite block matrix
     [[zE, -qA, qC], [-A^t/q, zE, -qB], [C^t/q, -B^t/q, zE]] under AB = 2C.
 
-    Reports the generic two-block Schur factorization (always exact) and
-    the simplified closed form whose twist power is the middle block size.
+    The matrix is the Coxeter matrix of the divide diagram on p + r + s
+    vertices in natural order, with weight a_ij on (i, p+j), -c_ij on
+    (i, p+r+j) and b_ij on (p+i, p+r+j).  The residual is the pair of the
+    simplified closed form, whose twist power is the middle block size r,
+    and the generic two-block Schur factorization (always exact).
     """
     a = _int_rows(a_mat)
     b = _int_rows(b_mat)
@@ -588,26 +575,18 @@ def divide_identity(a_mat, b_mat, c_mat) -> DivideReport:
         c = [[0] * s for _ in range(p)]
     elif len(c) != p or any(len(row) != s for row in c):
         raise DimensionMismatch("C must be (rows of A) x (cols of B)")
+    # the diagram refuses more than MAX_VERTICES vertices before any
+    # product or determinant is formed
+    d = Diagram(p + r + s, [
+        *(((i, p + j), a[i][j]) for i in range(p) for j in range(r)),
+        *(((i, p + r + j), -c[i][j]) for i in range(p) for j in range(s)),
+        *(((p + i, p + r + j), b[i][j]) for i in range(r) for j in range(s))])
     ab = mat_mul(a, b) if r else [[0] * s for _ in range(p)]
     if ab != [[2 * x for x in row] for row in c]:
         raise PreconditionABneq2C("A*B != 2*C")
 
-    n = p + r + s
     z = Laurent.z()
-    m = [[Laurent.zero()] * n for _ in range(n)]
-    for i in range(n):
-        m[i][i] = z
-    for i in range(p):
-        for j in range(r):
-            m[i][p + j] = Laurent.term(-a[i][j], 1)
-            m[p + j][i] = Laurent.term(-a[i][j], -1)
-        for j in range(s):
-            m[i][p + r + j] = Laurent.term(c[i][j], 1)
-            m[p + r + j][i] = Laurent.term(c[i][j], -1)
-    for i in range(r):
-        for j in range(s):
-            m[p + i][p + r + j] = Laurent.term(-b[i][j], 1)
-            m[p + r + j][p + i] = Laurent.term(-b[i][j], -1)
+    m = coxeter_matrix(d)
     g = det_exact(m)
 
     # generic Schur step against the last diagonal block:
@@ -645,12 +624,13 @@ def divide_identity(a_mat, b_mat, c_mat) -> DivideReport:
     dd_q = z_substitute(dd)
     closed = (g * z ** (p + s) * dd_q ** s
               - z ** r * z_substitute(big_det) * dd_q)
-    return DivideReport(closed, schur_residual, r)
+    return IdentityReport.of(f"divide-p{p}-r{r}-s{s}", None, None,
+                             (closed, schur_residual))
 
 
 __all__ = [
-    "CofactorTable", "DivideReport", "SchurStep", "char_poly", "cofactors",
-    "cofactor_entry", "coxeter_matrix", "coxeter_poly", "divide_identity",
-    "identity7_check", "join_poly", "path_sum_H", "pivot_first", "schur_step",
+    "CofactorTable", "SchurStep", "char_poly", "cofactors", "cofactor_entry",
+    "coxeter_matrix", "coxeter_poly", "divide_identity", "identity7_check",
+    "join_poly", "path_sum_H", "pivot_first", "schur_step",
     "walk_expansion_residual", "walk_gf",
 ]

@@ -29,9 +29,12 @@ from .report import IdentityReport
 # A form is (F, S, s, total): the pairing F, the square S(h) of a term,
 # the shift s of (1 - u) X = X - X.shifted(s), and the sum of the squares'
 # class, which adds into one map.  The Wronskian is the y = x limit of the
-# Bezoutian, so 1 - 1/(xy) becomes 1 - 1/x^2.
-_BEZ = (bezoutian, lambda h: BiLaurent.outer(h, h), -1, BiLaurent.total)
-_WR = (wronskian, lambda h: h * h, -2, Laurent.total)
+# Bezoutian, so 1 - 1/(xy) becomes 1 - 1/x^2.  The pairing is looked up
+# when it runs, so that a patched or traced bezoutian or wronskian is the
+# one called.
+_BEZ = (lambda f, g: bezoutian(f, g), lambda h: BiLaurent.outer(h, h), -1,
+        BiLaurent.total)
+_WR = (lambda f, g: wronskian(f, g), lambda h: h * h, -2, Laurent.total)
 
 
 def _cd(form, name: str, left, right, inside) -> IdentityReport:
@@ -109,10 +112,10 @@ def chain_identities(d: Diagram, tail) -> list[IdentityReport]:
         mat = [[c[0], c[1]], [c[1], c[2]]]
         for i in range(1, k):
             want = [[c[i - 1], c[i]], [c[i], c[i + 1]]]
-            res = Laurent.total((mat[r][t] - want[r][t]) ** 2
-                                for r in range(2) for t in range(2))
             reports.append(IdentityReport.of(
-                f"chain-transfer-{i}", None, None, res))
+                f"chain-transfer-{i}", None, None,
+                tuple(mat[r][t] - want[r][t]
+                      for r in range(2) for t in range(2))))
             mat = [[mat[1][0], mat[1][1]],
                    [z * mat[1][0] - mat[0][0], z * mat[1][1] - mat[0][1]]]
     # telescoped ratio: C_{i-1}/C_i = D * sum 1/(C_{j-1} C_j) + C_{k-1}/C_k

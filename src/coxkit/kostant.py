@@ -156,7 +156,8 @@ def verify_system(data: KleinGroupData, which: int) -> IdentityReport:
     """Check one of the three row-vector linear systems.
 
     14: over the rational functions P_i, 15: over the numerators Z_i,
-    16: the Cramer identity on the cofactor column of the diagram.
+    16: the Cramer identity on the cofactor column of the diagram.  The
+    residual is the tuple of the rows' residuals.
     """
     d = data.diagram()
     # per system: the head z, the vector v and the virtual entry v_-1
@@ -172,18 +173,17 @@ def verify_system(data: KleinGroupData, which: int) -> IdentityReport:
         virtual = char_poly(d)
     else:
         raise IndexOutOfRange("which must be 14, 15 or 16")
-    total = Poly.zero() if which == 16 else Laurent.zero()
+    parts = []
     for j in range(d.n):
         acc = head * vec[j]
         for i in d.neighbors(j):
             acc = acc - d.weight(i, j) * vec[i]
         if j == 0:
             acc = acc - virtual
-        # system 14 sums the squares of the residuals' numerators
-        part = acc.num if which == 14 else acc
-        total = total + part * part
+        # system 14's rows are rational functions: their numerators count
+        parts.append(acc.num if which == 14 else acc)
     return IdentityReport.of(f"system-{which}-{data.family}{data.n}",
-                             None, None, total)
+                             None, None, tuple(parts))
 
 
 def cramer_z_table(data: KleinGroupData) -> list[Laurent]:
@@ -255,16 +255,15 @@ def a2m_recurrence(m: int) -> Poly:
 
 def a2m_closed_form(m: int) -> IdentityReport:
     """Odd cycles: the binomial recurrence reproduces the characteristic
-    polynomial, and q * char(q + 1/q) = q^(-2m) (q^(2m+1) - 1)^2."""
+    polynomial, and q * char(q + 1/q) = q^(-2m) (q^(2m+1) - 1)^2.  The
+    residual is the pair of the two differences."""
     direct = _odd_cycle_char(m)
     rec = a2m_recurrence(m)
     res_rec = rec - direct
     target = (Laurent.q(2 * m + 1) - Laurent.one()) ** 2
     res_sub = Laurent.q(1) * z_substitute(direct) - target.shifted(-2 * m)
-    # the parts cannot cancel: one is symmetric about q^0, the other q^1
-    residual = z_substitute(res_rec) + res_sub
     return IdentityReport.of(f"odd-cycle-closed-form-m{m}", rec, direct,
-                             residual)
+                             (res_rec, res_sub))
 
 
 # ---------------------------------------------------------------------------

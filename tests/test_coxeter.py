@@ -17,10 +17,11 @@ from coxkit.coxeter import (SchurStep, _adjacency_rows, _cyclomatic,
                             coxeter_poly, divide_identity, identity7_check,
                             join_poly, path_sum_H, pivot_first, schur_step,
                             walk_expansion_residual, walk_gf)
-from coxkit.diagram import (Diagram, bipartite_order, build, disjoint_union,
-                            join, random_tree)
-from coxkit.errors import (DimensionMismatch, PreconditionABneq2C,
-                           UnknownVertex)
+from coxkit.diagram import (MAX_VERTICES, Diagram, bipartite_order, build,
+                            disjoint_union, join, random_tree)
+from coxkit.errors import (DimensionMismatch, DomainError,
+                           PreconditionABneq2C, UnknownVertex)
+from coxkit.report import nonzero_terms
 
 Z = Laurent.z()
 
@@ -993,21 +994,27 @@ def test_cofactor_table_rejects_indices_outside_the_diagram():
 
 # -- divide block matrix --------------------------------------------------------
 
+def _divide_holds(rep) -> bool:
+    # residual[0] is the closed form, residual[1] the Schur factorization
+    closed, schur = rep.residual
+    return rep.holds and closed.is_zero and schur.is_zero
+
+
 def test_divide_smallest_instance():
     rep = divide_identity([[2]], [[1]], [[1]])
-    assert rep.equal and rep.schur_exact and rep.twist_power == 1
+    assert _divide_holds(rep) and rep.name == "divide-p1-r1-s1"
 
 
 def test_divide_empty_blocks():
     rep = divide_identity([], [], [])
-    assert rep.equal and rep.schur_exact
+    assert _divide_holds(rep)
 
 
 def test_divide_empty_middle_block():
     rep = divide_identity([[]], [], [[0]])
-    assert rep.equal and rep.schur_exact and rep.twist_power == 0
+    assert _divide_holds(rep) and rep.name == "divide-p1-r0-s1"
     rep = divide_identity([[], []], [], [[0, 0, 0], [0, 0, 0]])
-    assert rep.equal and rep.schur_exact and rep.twist_power == 0
+    assert _divide_holds(rep) and rep.name == "divide-p2-r0-s3"
 
 
 def test_divide_empty_c_is_the_zero_block():
@@ -1015,7 +1022,7 @@ def test_divide_empty_c_is_the_zero_block():
     for a, b in (([[0]], [[0]]), ([[1]], [[0]])):
         rep = divide_identity(a, b, [])
         assert rep == divide_identity(a, b, [[0]])
-        assert rep.equal and rep.schur_exact
+        assert _divide_holds(rep)
 
 
 def test_divide_randomized_including_rectangular():
@@ -1028,7 +1035,34 @@ def test_divide_randomized_including_rectangular():
         c = [[sum(a[i][t] * bp[t][j] for t in range(r)) for j in range(s)]
              for i in range(p)]
         rep = divide_identity(a, b, c)
-        assert rep.schur_exact and rep.equal
+        assert _divide_holds(rep)
+
+
+def test_divide_counts_the_residual_of_a_wrong_input(monkeypatch):
+    # det(big) off by one: the closed form is off by z dd(q + 1/q), with
+    # dd = (z^2 - 4)(z^2 - 1), and the Schur factorization never reads it
+    real = coxeter.det_poly
+    monkeypatch.setattr(coxeter, "det_poly",
+                        lambda mat: real(mat) + Poly.one())
+    rep = divide_identity([[2]], [[1]], [[1]])
+    closed, schur = rep.residual
+    assert closed == -Laurent({5: 1, 1: -1, -1: -1, -5: 1}) and schur.is_zero
+    assert not rep.holds and rep.residual_terms == 4 == sum(
+        map(nonzero_terms, rep.residual))
+
+
+def test_divide_refuses_more_than_max_vertices_before_any_matrix(
+        monkeypatch):
+    def never(*args):
+        raise AssertionError("a matrix was built")
+
+    for name in ("mat_mul", "coxeter_matrix", "det_exact", "det_poly"):
+        monkeypatch.setattr(coxeter, name, never)
+    cap = MAX_VERTICES
+    for a, b, c in (([[]] * (cap + 1), [], []),
+                    ([[0]], [[0] * cap], [[0] * cap])):
+        with pytest.raises(DomainError):
+            divide_identity(a, b, c)
 
 
 def test_divide_preconditions():

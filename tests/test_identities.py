@@ -14,7 +14,7 @@ from coxkit.identities import (binet_cauchy, cd_char, cd_coxeter,
                                cd_wronskian, chain_identities, poincare_cd,
                                poincare_cd_antipodal_choices)
 from coxkit.kostant import klein_data, klein_types
-from coxkit.report import IdentityReport
+from coxkit.report import IdentityReport, nonzero_terms
 
 
 # -- Coxeter-polynomial forms -------------------------------------------------
@@ -96,6 +96,47 @@ def test_chain_transfer_matrix_and_ratio_content():
     assert "chain-transfer-3" in names
     assert "chain-ratio-2" in names
     assert "chain-bez-4" in names and "chain-wr-4" in names
+
+
+def test_chain_transfer_counts_the_residual_of_a_wrong_input(monkeypatch):
+    # C_0 off by q^7: the transfer matrix carries the error into its
+    # second row at step 2, then into both rows, times z below, at step 3
+    d = build("A", 5)
+    real = identities.coxeter_poly
+    monkeypatch.setattr(identities, "coxeter_poly", lambda g: real(g) + (
+        Laurent.q(7) if g.n == d.n else Laurent.zero()))
+    reps = {r.name: r for r in chain_identities(d, range(5))}
+    assert reps["chain-transfer-1"].holds
+    for i, parts in ((2, [0, 0, 1, 0]), (3, [1, 0, 2, 0])):
+        rep = reps[f"chain-transfer-{i}"]
+        assert [nonzero_terms(x) for x in rep.residual] == parts
+        assert not rep.holds and rep.residual_terms == sum(parts)
+
+
+def test_the_forms_call_the_pairings_bound_in_the_module(monkeypatch):
+    # the pairing is looked up when a form runs, so a patched (or traced)
+    # bezoutian or wronskian sees the calls of every form
+    calls = {"bezoutian": 0, "wronskian": 0}
+    for name in calls:
+        def counted(f, g, real=getattr(identities, name), name=name):
+            calls[name] += 1
+            return real(f, g)
+
+        monkeypatch.setattr(identities, name, counted)
+
+    def taken():
+        out = dict(calls)
+        calls.update(bezoutian=0, wronskian=0)
+        return out
+
+    assert cd_coxeter(build("D", 5), 2).holds
+    assert cd_wronskian(build("D", 5), 2).holds
+    assert taken() == {"bezoutian": 2, "wronskian": 2}
+    assert all(r.holds for r in chain_identities(build("A", 5), range(5)))
+    assert taken() == {"bezoutian": 8, "wronskian": 8}
+    # a fresh data object, so the type's table is built here
+    assert all(r.holds for r in poincare_cd(klein_data("affE", 6), 0))
+    assert taken() == {"bezoutian": 7, "wronskian": 7}
 
 
 # -- characteristic-polynomial forms --------------------------------------------
@@ -532,7 +573,7 @@ def _cd_graphs(seed: int = 19) -> list:
 def _dict_cd_char(g, table, i, j):
     """The cofactor forms as sums of BiLaurent outer products and Laurent
     products (test oracle)."""
-    from coxkit.report import IdentityReport
+    from coxkit.report import IdentityReport, nonzero_terms
 
     n = table.n
     gl = Laurent.from_poly(g)

@@ -14,6 +14,7 @@ from coxkit.kostant import (a2m_closed_form, a2m_recurrence, cramer_z_table,
                             ebeling_ratios, klein_data, klein_types,
                             perfect_square_check, poincare_series,
                             prop2_squares, verify_system, walk_series_check)
+from coxkit.report import nonzero_terms
 
 
 def test_e6_data():
@@ -162,22 +163,28 @@ def test_all_systems_all_types():
 
 
 def test_every_system_counts_the_residual_of_a_wrong_input(monkeypatch):
-    # each residual is a sum of squares: unsquared, the counts would be
-    # 6, 9 and 6
+    # each residual is the tuple of its rows: a wrong entry at vertex 1
+    # shows in row 1 and in the rows of its neighbors 0 and 2, three terms
+    # each, except row 1 of system 15, where z = q + 1/q doubles them
+    # (system 14 reduces that row's numerator against 1 - q^8, and system
+    # 16 is a polynomial in z)
     data = klein_data("affE", 6)
     wrong = dataclasses.replace(
         data, z_table=(data.z_table[0],
                        data.z_table[1] + Laurent({3: 1, 7: -2, 13: 5}))
         + data.z_table[2:])
-    for which, terms in ((14, 11), (15, 12)):
+    for which, rows in ((14, [3, 3, 3, 0, 0, 0, 0]),
+                        (15, [3, 6, 3, 0, 0, 0, 0])):
         rep = verify_system(wrong, which)
-        assert not rep.holds and rep.residual_terms == terms, which
+        assert [nonzero_terms(row) for row in rep.residual] == rows, which
+        assert not rep.holds and rep.residual_terms == sum(rows), which
     table = kostant.cofactors(data.diagram())
     rows = [list(row) for row in table.entries]
     rows[1][0] = rows[1][0] + Poly((0, 1, 0, -2, 0, 0, 5))
     monkeypatch.setattr(kostant, "cofactors",
                         lambda d: CofactorTable(tuple(map(tuple, rows))))
     rep = verify_system(data, 16)
+    assert [nonzero_terms(row) for row in rep.residual] == [3, 3, 3, 0, 0, 0, 0]
     assert not rep.holds and rep.residual_terms == 9
 
 
@@ -230,6 +237,19 @@ def test_a2m_m1_triangle():
 def test_a2m_sweep():
     for m in range(9):
         assert a2m_closed_form(m).holds
+
+
+def test_a2m_counts_the_residual_of_a_wrong_input(monkeypatch):
+    # a wrong direct polynomial for m = 2 (3z^2 too much) shows once in
+    # the recurrence's residual and as q * 3(q^2 + 2 + q^-2) in the
+    # substituted one; the recurrence itself reads m = 0 and 1 only
+    real = kostant._odd_cycle_char
+    monkeypatch.setattr(kostant, "_odd_cycle_char", lambda m: real(m) + (
+        Poly((0, 0, 3)) if m == 2 else Poly.zero()))
+    rep = a2m_closed_form(2)
+    assert rep.residual == (Poly((0, 0, -3)), Laurent({3: 3, 1: 6, -1: 3}))
+    assert not rep.holds and rep.residual_terms == 1 + 3 == sum(
+        map(nonzero_terms, rep.residual))
 
 
 # -- squares and walks ----------------------------------------------------------------
