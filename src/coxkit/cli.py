@@ -20,7 +20,7 @@ import shlex
 import sys
 import time
 from argparse import Namespace
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from . import algebra, braid, cfrac, coxeter, diagram, identities, kostant
 from .algebra import Laurent, Poly, RatFunc
@@ -40,9 +40,7 @@ class CaseResult:
     suite: str
     case: str
     residual_terms: int
-    elapsed_ms: float = 0.0
-    # when the case was decided; _time_cases turns the gaps into elapsed_ms
-    done_at: float = field(default_factory=time.perf_counter)
+    elapsed_ms: float
 
     @property
     def holds(self) -> bool:
@@ -51,8 +49,16 @@ class CaseResult:
 
 def _load_diagram(source: str, order_override: str | None = None) -> diagram.Diagram:
     if os.path.exists(source):
-        with open(source, encoding="utf-8") as fh:
-            d = diagram.from_text(fh.read())
+        try:
+            with open(source, encoding="utf-8") as fh:
+                text = fh.read()
+        except OSError as exc:  # a directory or an unreadable file
+            raise DomainError(f"cannot read diagram file {source!r}: "
+                              f"{exc.strerror}") from None
+        except UnicodeDecodeError:
+            raise DomainError(f"diagram file {source!r} is not UTF-8 "
+                              f"text") from None
+        d = diagram.from_text(text)
     else:
         d = diagram.from_name(source)
     if order_override:
@@ -90,29 +96,47 @@ def _seeded_trees(args: Namespace):
         yield k, diagram.random_tree(rng, n, (1, 2)), rng
 
 
-def _sweep(suite: str, types, named, tree):
-    """The verifier of a suite that sweeps diagrams, the only kind that
-    reads --diagram, --random-trees and --max-vertices.  named(d) gives
-    the cases of each diagram of _suite_diagrams and tree(d, rng) those of
-    each seeded tree, as (label, residuals) pairs; a case is named
-    <diagram>-<label> or tree<k>-<label>, or just <diagram> or tree<k>
-    when label is "".  tree draws from rng before the next tree is drawn."""
-    def verify(args: Namespace):
+def _suite(suite: str, cases, sweeps: bool = False):
+    """The verifier of a suite whose cases(args) yields its (case name,
+    residuals) pairs; every verifier and every case is made here.  A
+    case's residual_terms is the sum of its residuals' nonzero terms (an
+    int residual counts as a constant), and its elapsed_ms the time since
+    the case before it, the first one the time since the verifier
+    started.  The verifier returns the list of its cases, so a span
+    around it times the suite's work; sweeps marks the suites that read
+    --diagram, --random-trees and --max-vertices."""
+    def verify(args: Namespace) -> list[CaseResult]:
         out = []
-        for base, cases in itertools.chain(
-                ((name, named(d)) for name, d in _suite_diagrams(args, types)),
-                ((f"tree{k:03d}", tree(d, rng))
-                 for k, d, rng in _seeded_trees(args))):
-            out += [_case(suite, f"{base}-{label}" if label else base,
-                          residuals) for label, residuals in cases]
+        prev = time.perf_counter()
+        for name, residuals in cases(args):
+            terms = sum(map(nonzero_terms, residuals))
+            now = time.perf_counter()
+            out.append(CaseResult(suite, name, terms, (now - prev) * 1000))
+            prev = now
         return out
     # the mark survives functools.wraps, which copies __dict__
-    verify.sweeps = True
+    verify.sweeps = sweeps
     return verify
 
 
+def _sweep(suite: str, types, named, tree):
+    """The verifier of a suite that sweeps diagrams.  named(d) gives the
+    cases of each diagram of _suite_diagrams and tree(d, rng) those of each
+    seeded tree, as (label, residuals) pairs; a case is named
+    <diagram>-<label> or tree<k>-<label>, or just <diagram> or tree<k>
+    when label is "".  tree draws from rng before the next tree is drawn."""
+    def cases(args: Namespace):
+        for base, pairs in itertools.chain(
+                ((name, named(d)) for name, d in _suite_diagrams(args, types)),
+                ((f"tree{k:03d}", tree(d, rng))
+                 for k, d, rng in _seeded_trees(args))):
+            for label, residuals in pairs:
+                yield f"{base}-{label}" if label else base, residuals
+    return _suite(suite, cases, sweeps=True)
+
+
 def _sweeps(suite: str) -> bool:
-    return getattr(VERIFIERS[suite], "sweeps", False)
+    return VERIFIERS[suite].sweeps
 
 
 def _pivot_sweep(suite: str, types, label: str, residual):
@@ -125,9 +149,8 @@ def _pivot_sweep(suite: str, types, label: str, residual):
                   lambda d, rng: [("", [residual(d, rng.randrange(d.n))])])
 
 
-def verify_algebra(args: Namespace):
+def _algebra(args: Namespace):
     rng = random.Random(args.seed)
-    out = []
 
     def rand_laurent():
         return Laurent({rng.randint(-4, 4): rng.randint(-6, 6)
@@ -137,38 +160,29 @@ def verify_algebra(args: Namespace):
     for _ in range(60):
         a, b, c = rand_laurent(), rand_laurent(), rand_laurent()
         ring += [(a * b) * c - a * (b * c), a * (b + c) - (a * b + a * c)]
-    out.append(_case("algebra", "ring-axioms", ring))
+    yield "ring-axioms", ring
     roundtrip = []
     for _ in range(40):
         p = Poly([rng.randint(-5, 5) for _ in range(rng.randint(0, 6))])
         roundtrip.append(algebra.q_to_z(algebra.z_substitute(p)) - p)
-    out.append(_case("algebra", "roundtrip-z", roundtrip))
+    yield "roundtrip-z", roundtrip
     anti = []
     for _ in range(60):
         f, g = rand_laurent(), rand_laurent()
         bez, wr = algebra.bezoutian(f, g), algebra.wronskian(f, g)
         anti += [bez + algebra.bezoutian(g, f), wr + algebra.wronskian(g, f),
                  bez.subs_y_eq_x() - wr]
-    out.append(_case("algebra", "bez-wr-antisymmetry", anti))
+    yield "bez-wr-antisymmetry", anti
     det = []
     for _ in range(15):
         mat = [[rand_laurent() for _ in range(4)] for _ in range(4)]
         det.append(algebra.det_exact(mat) - algebra._det_laplace(mat))
-    out.append(_case("algebra", "det-vs-laplace", det))
+    yield "det-vs-laplace", det
     sq = algebra.series_sqrt1p(8)
-    out.append(_case("algebra", "sqrt-square",
-                     [sq * sq - algebra.TruncSeries(8, (1, 1))]))
-    return out
+    yield "sqrt-square", [sq * sq - algebra.TruncSeries(8, (1, 1))]
 
 
-def _case(suite: str, name: str, residuals) -> CaseResult:
-    """The one way to make a case: residual_terms is the sum of the
-    residuals' nonzero terms (an int residual counts as a constant)."""
-    return CaseResult(suite, name, sum(map(nonzero_terms, residuals)))
-
-
-def verify_join(args: Namespace):
-    out = []
+def _join(args: Namespace):
     cases = [
         ("three-A1", [(diagram.build("A", 1), 0)] * 3),
         ("A4-end", [(diagram.build("A", 4), 3)]),
@@ -177,10 +191,8 @@ def verify_join(args: Namespace):
         ("empty", []),
     ]
     for name, parts in cases:
-        out.append(_case("join", name, [
-            coxeter.join_poly(parts)
-            - coxeter.coxeter_poly(diagram.join(parts))]))
-    return out
+        yield name, [coxeter.join_poly(parts)
+                     - coxeter.coxeter_poly(diagram.join(parts))]
 
 
 def _bipartite(d) -> list:
@@ -204,7 +216,7 @@ def _cd_char_pairs(d) -> list:
     return [("bez", bez), ("wr", wr)]
 
 
-def verify_chain(args: Namespace):
+def _chain(args: Namespace):
     cases = [("A6-full", diagram.build("A", 6), range(6)),
              ("affE8-arm", diagram.build("affE", 8), range(6)),
              ("affE7-arm", diagram.build("affE", 7), range(4)),
@@ -214,20 +226,16 @@ def verify_chain(args: Namespace):
              # ending at the branch point
              ("affE8-long-arm-k7",
               diagram.join([(diagram.build("affE", 8), 0)]), range(7))]
-    return [_case("chain", name, [r.residual for r in
-                                  identities.chain_identities(d, tail)])
-            for name, d, tail in cases]
+    for name, d, tail in cases:
+        yield name, [r.residual for r in identities.chain_identities(d, tail)]
 
 
-def verify_path_sum(args: Namespace):
-    out = []
+def _path_sum(args: Namespace):
     for fam, n in [("A", 5), ("D", 5), ("affA", 4), ("affE", 6)]:
         d = diagram.build(fam, n)
         table = coxeter.cofactors(d)
-        out.append(_case("path-sum", f"{fam}{n}", (
-            coxeter.path_sum_H(d, i, j) - table[i, j]
-            for i in range(d.n) for j in range(d.n))))
-    return out
+        yield f"{fam}{n}", (coxeter.path_sum_H(d, i, j) - table[i, j]
+                            for i in range(d.n) for j in range(d.n))
 
 
 def _identity7_tree(d, rng) -> list:
@@ -238,42 +246,33 @@ def _identity7_tree(d, rng) -> list:
     return [("", [coxeter.identity7_check(d, i, j)])]
 
 
-def verify_walks(args: Namespace):
-    out = []
+def _walks(args: Namespace):
     for fam, n in [("affE", 6), ("affA", 2)]:
         d = diagram.build(fam, n)
         g = coxeter.char_poly(d)
         table = coxeter.cofactors(d)
-        out.append(_case("walks", f"{fam}{n}-eq10", (
+        yield f"{fam}{n}-eq10", (
             coxeter.walk_expansion_residual(g, table[i, j],
                                             coxeter.walk_gf(d, i, j, 20))
-            for i in range(d.n) for j in range(d.n))))
-        out.append(_klein_case("walks", f"{fam}{n}-series", "walks",
-                               kostant.klein_data(fam, n)))
-    return out
+            for i in range(d.n) for j in range(d.n))
+        yield f"{fam}{n}-series", _klein_residuals(
+            "walks", kostant.klein_data(fam, n))
 
 
-def verify_binet_cauchy(args: Namespace):
-    out = []
-    d = diagram.build("A", 5)
-    samples = {1: ([2], [3]), 2: ([2, 3], [5, 7]), 3: ([1, 2, 3], [4, 5, 6])}
-    for m, (xs, ys) in samples.items():
-        rep = identities.binet_cauchy(d, 0, 1, xs, ys)
-        out.append(_case("binet-cauchy", f"A5-m{m}", [rep.residual]))
-    d2 = diagram.build("A", 2)
-    rep = identities.binet_cauchy(d2, 0, 1, [2, 3], [5, 7])
-    out.append(_case("binet-cauchy", "A2-full", [rep.residual]))
-    return out
+def _binet_cauchy(args: Namespace):
+    a5, a2 = diagram.build("A", 5), diagram.build("A", 2)
+    for name, d, xs, ys in [("A5-m1", a5, [2], [3]),
+                            ("A5-m2", a5, [2, 3], [5, 7]),
+                            ("A5-m3", a5, [1, 2, 3], [4, 5, 6]),
+                            ("A2-full", a2, [2, 3], [5, 7])]:
+        yield name, [identities.binet_cauchy(d, 0, 1, xs, ys).residual]
 
 
-def verify_poincare_cd(args: Namespace):
-    out = []
+def _poincare_cd(args: Namespace):
     for fam, n in [("affD", 4), ("affE", 6)]:
         data = kostant.klein_data(fam, n)
-        reps = [r for i in range(data.vertex_count)
-                for r in identities.poincare_cd(data, i)]
-        out.append(_case("poincare-cd", f"{fam}{n}",
-                         [r.residual for r in reps]))
+        yield f"{fam}{n}", [r.residual for i in range(data.vertex_count)
+                            for r in identities.poincare_cd(data, i)]
     for n in range(1, 9):
         data = kostant.klein_data("affA", n)
         reps = list(identities.poincare_cd(data, 0))
@@ -282,13 +281,10 @@ def verify_poincare_cd(args: Namespace):
                 reps += identities.poincare_cd(data, i, j)
         if n % 2 and n >= 3:
             reps += identities.poincare_cd_antipodal_choices(data)
-        out.append(_case("poincare-cd", f"affA{n}",
-                         [r.residual for r in reps]))
-    return out
+        yield f"affA{n}", [r.residual for r in reps]
 
 
-def verify_cfrac_tree(args: Namespace):
-    out = []
+def _cfrac_tree(args: Namespace):
     for name in ("~D4", "~D5", "~D6", "~E6", "~E7", "~E8"):
         d = diagram.from_name(name)
         node = cfrac.expand_tree(d, 0)
@@ -296,22 +292,17 @@ def verify_cfrac_tree(args: Namespace):
         data = kostant.klein_data(*diagram.parse_name(name))
         lhs = algebra.z_substitute(val.num) * data.denominator()
         rhs = Laurent.q(1) * data.z_table[0] * algebra.z_substitute(val.den)
-        out.append(_case("cfrac-tree", name, [
-            cfrac.z_count(node) - d.n, (val - cfrac.tree_ratio(d, 0)).num,
-            lhs - rhs]))
-    return out
+        yield name, [cfrac.z_count(node) - d.n,
+                     (val - cfrac.tree_ratio(d, 0)).num, lhs - rhs]
 
 
-def verify_cfrac_cycle(args: Namespace):
-    out = []
+def _cfrac_cycle(args: Namespace):
     for n in range(1, 11):
         node = cfrac.expand_cycle(n)
         d = diagram.build("affA", n)
         want = RatFunc(coxeter.char_poly(d.delete([0])), coxeter.char_poly(d))
-        out.append(_case("cfrac-cycle", f"affA{n}", [
-            cfrac.z_count(node) - (n if n % 2 else n + 1),
-            (cfrac.evaluate(node) - want).num]))
-    return out
+        yield f"affA{n}", [cfrac.z_count(node) - (n if n % 2 else n + 1),
+                           (cfrac.evaluate(node) - want).num]
 
 
 # ---------------------------------------------------------------------------
@@ -342,47 +333,43 @@ KLEIN_CHECKS = {
 }
 
 
-def _klein_case(suite: str, name: str, mode: str, data) -> CaseResult:
-    return _case(suite, name,
-                 [r.residual for r in KLEIN_CHECKS[mode][1](data)])
+def _klein_residuals(mode: str, data) -> list:
+    return [r.residual for r in KLEIN_CHECKS[mode][1](data)]
 
 
 def _klein_suite(suite: str, mode: str, types):
     """The verifier with one case per Klein type of types: the reports of
     its KLEIN_CHECKS mode."""
-    return lambda args: [_klein_case(suite, f"{fam}{n}", mode,
-                                     kostant.klein_data(fam, n))
-                         for fam, n in types]
+    return _suite(suite, lambda args: (
+        (f"{fam}{n}", _klein_residuals(mode, kostant.klein_data(fam, n)))
+        for fam, n in types))
 
 
-def verify_kostant_tables(args: Namespace):
-    out = []
+def _kostant_tables(args: Namespace):
     for fam, n in kostant.klein_types(12):
         data = kostant.klein_data(fam, n)
         zt = data.z_table
         # Z_i(1) is twice the dimension of irrep i (McKay), and the squared
         # dimensions sum to |B|
         dims = [sum(v for _, v in z.items()) for z in zt]
-        out.append(_case("kostant-tables", f"{fam}{n}", [
+        yield f"{fam}{n}", [
             *(a - b for a, b in zip(kostant.cramer_z_table(data), zt)),
             zt[0] - Laurent.one() - Laurent.q(data.h),
             4 * data.order_b - sum(x * x for x in dims),
             # a count: the numerators outside degrees 0..h or with a term < 0
             sum(not (0 <= z.min_exp and z.max_exp <= data.h
-                     and all(v >= 0 for _, v in z.items())) for z in zt)]))
-        out += [_klein_case("kostant-tables", f"{fam}{n}-system{w}", str(w),
-                            data) for w in (14, 15, 16)]
-    return out
+                     and all(v >= 0 for _, v in z.items())) for z in zt)]
+        for w in (14, 15, 16):
+            yield f"{fam}{n}-system{w}", _klein_residuals(str(w), data)
 
 
-def verify_a2m(args: Namespace):
-    return [_case("a2m", f"m{m}", [kostant.a2m_closed_form(m).residual])
-            for m in range(9)]
+def _a2m(args: Namespace):
+    for m in range(9):
+        yield f"m{m}", [kostant.a2m_closed_form(m).residual]
 
 
-def verify_burau(args: Namespace):
+def _burau(args: Namespace):
     rng = random.Random(args.seed)
-    out = []
     mult, rel = [], []
     for _ in range(200):
         n = rng.randint(2, 4)
@@ -395,7 +382,7 @@ def verify_burau(args: Namespace):
             rhs = algebra.mat_mul(braid.burau(w1, red).entries,
                                   braid.burau(w2, red).entries)
             mult += _entry_differences(lhs, rhs)
-    out.append(_case("burau", "multiplicativity-200", mult))
+    yield "multiplicativity-200", mult
     for n in (3, 4):
         for i in range(1, n - 1):
             a = braid.BraidWord(n, (i,))
@@ -404,8 +391,7 @@ def verify_burau(args: Namespace):
                 lhs = braid.burau(a * b * a, red).entries
                 rhs = braid.burau(b * a * b, red).entries
                 rel += _entry_differences(lhs, rhs)
-    out.append(_case("burau", "braid-relations", rel))
-    return out
+    yield "braid-relations", rel
 
 
 def _entry_differences(a, b) -> list:
@@ -415,13 +401,13 @@ def _entry_differences(a, b) -> list:
     return [r for ra, rb in zip(a, b) for x, y in zip(ra, rb) if (r := x - y)]
 
 
-def verify_milnor(args: Namespace):
+def _milnor(args: Namespace):
     """Each residual is a table entry or relation minus its value, so a
     case's residual_terms count the ones that disagree."""
     table = braid.milnor(braid.BraidWord(2, (1, 1)), 6)
     # the Hopf link: mu(2, 1) = 1, and an entry ending in (1, 1) is
     # (-1)^(length - 1) on 1...1 and 0 on any other index
-    hopf = [table.mu(2, 1) - 1] + [
+    yield "hopf-order6", [table.mu(2, 1) - 1] + [
         val - ((-1) ** (len(idx) - 1) if set(idx) == {1} else 0)
         for idx, val in table.entries.items()
         if len(idx) >= 2 and idx[-2:] == (1, 1)]
@@ -430,37 +416,31 @@ def verify_milnor(args: Namespace):
     mu = t.mu(2, 3, 1)
     # the Borromean rings: unlinked in pairs, |mu(2, 3, 1)| = 1, invariant
     # under cyclic shifts and odd under reversal
-    rings = [*braid.linking_matrix(borr).values(), abs(mu) - 1,
-             mu - t.mu(3, 1, 2), mu - t.mu(1, 2, 3), mu + t.mu(3, 2, 1)]
-    return [_case("milnor", "hopf-order6", hopf),
-            _case("milnor", "borromean", rings)]
+    yield "borromean", [*braid.linking_matrix(borr).values(), abs(mu) - 1,
+                        mu - t.mu(3, 1, 2), mu - t.mu(1, 2, 3),
+                        mu + t.mu(3, 2, 1)]
 
 
-def verify_levin(args: Namespace):
-    out = []
+def _levin(args: Namespace):
     for name, word, order in [("hopf-16", (1, 1), 16),
                               ("t24-12", (1, 1, 1, 1), 12),
                               ("t26-10", (1,) * 6, 10),
                               ("neg-hopf-12", (-1, -1), 12),
                               ("identity-8", (), 8)]:
         rep = braid.levin_check(braid.BraidWord(2, word), order)
-        out.append(_case("levin", name, [rep.lhs - rep.rhs]))
-    return out
+        yield name, [rep.lhs - rep.rhs]
 
 
-def verify_burau_ratio(args: Namespace):
+def _burau_ratio(args: Namespace):
     """det_ratio(s1^k, s1^(m - k)) against the Conway ratio of the torus
     links T(2, k) and T(2, m), the closures of s1^k and s1^m, up to a unit."""
-    out = []
     for name, k, m in [("unknot-vs-trefoil", 1, 3), ("hopf-vs-trefoil", 2, 3)]:
         ratio = braid.det_ratio(braid.BraidWord(2, (1,) * k),
                                 braid.BraidWord(2, (1,) * (m - k)))
         cat = RatFunc(braid.t_poly_to_laurent(braid.conway_torus2(k)),
                       braid.t_poly_to_laurent(braid.conway_torus2(m)))
         sub = RatFunc(_q_square(ratio.num), _q_square(ratio.den))
-        out.append(_case("burau-ratio", name,
-                         [int(braid.unit_match(sub, cat) is None)]))
-    return out
+        yield name, [int(braid.unit_match(sub, cat) is None)]
 
 
 def _q_square(p: Laurent) -> Laurent:
@@ -468,7 +448,7 @@ def _q_square(p: Laurent) -> Laurent:
     return Laurent({2 * k: v for k, v in p.items()})
 
 
-def verify_divide(args: Namespace):
+def _divide(args: Namespace):
     rng = random.Random(args.seed)
     cases = [("smallest", [[2]], [[1]], [[1]]), ("empty", [], [], [])]
     for k in range(20):
@@ -479,18 +459,15 @@ def verify_divide(args: Namespace):
              for i in range(p)]
         cases.append((f"random{k:02d}", a,
                       [[2 * x for x in row] for row in bp], c))
-    out = []
     for name, a, b, c in cases:
-        out.append(_case("divide", name,
-                         [coxeter.divide_identity(a, b, c).residual]))
-    return out
+        yield name, [coxeter.divide_identity(a, b, c).residual]
 
 
 VERIFIERS = {
-    "algebra": verify_algebra,
+    "algebra": _suite("algebra", _algebra),
     "schur": _pivot_sweep("schur", diagram.ade_types(8), "pivot",
                           lambda d, p: coxeter.schur_step(d, p).residual),
-    "join": verify_join,
+    "join": _suite("join", _join),
     "bipartite": _sweep("bipartite", diagram.ade_types(12), _bipartite,
                         lambda d, rng: _bipartite(d)),
     "cd-coxeter": _pivot_sweep(
@@ -503,30 +480,30 @@ VERIFIERS = {
         "cd-char", diagram.ade_types(10), _cd_char_pairs,
         lambda d, rng: [("", [r.residual for r in identities.cd_char(
             d, rng.randrange(d.n), rng.randrange(d.n))])]),
-    "chain": verify_chain,
-    "path-sum": verify_path_sum,
+    "chain": _suite("chain", _chain),
+    "path-sum": _suite("path-sum", _path_sum),
     "identity7": _sweep(
         "identity7", [("A", 4), ("D", 5), ("affA", 5), ("affE", 6)],
         lambda d: [("", (coxeter.identity7_check(d, i, j) for i in range(d.n)
                          for j in range(d.n) if i != j))],
         _identity7_tree),
-    "walks": verify_walks,
-    "binet-cauchy": verify_binet_cauchy,
-    "poincare-cd": verify_poincare_cd,
-    "cfrac-tree": verify_cfrac_tree,
-    "cfrac-cycle": verify_cfrac_cycle,
-    "kostant-tables": verify_kostant_tables,
+    "walks": _suite("walks", _walks),
+    "binet-cauchy": _suite("binet-cauchy", _binet_cauchy),
+    "poincare-cd": _suite("poincare-cd", _poincare_cd),
+    "cfrac-tree": _suite("cfrac-tree", _cfrac_tree),
+    "cfrac-cycle": _suite("cfrac-cycle", _cfrac_cycle),
+    "kostant-tables": _suite("kostant-tables", _kostant_tables),
     "ebeling": _klein_suite("ebeling", "17", kostant.klein_types(12)),
-    "a2m": verify_a2m,
+    "a2m": _suite("a2m", _a2m),
     "squares": _klein_suite("squares", "squares", kostant.klein_types(12)),
     "prop2-squares": _klein_suite("prop2-squares", "prop2", [
         ("affA", 3), ("affA", 4), ("affD", 4), ("affD", 6), ("affE", 6),
         ("affE", 7), ("affE", 8)]),
-    "burau": verify_burau,
-    "milnor": verify_milnor,
-    "levin": verify_levin,
-    "burau-ratio": verify_burau_ratio,
-    "divide": verify_divide,
+    "burau": _suite("burau", _burau),
+    "milnor": _suite("milnor", _milnor),
+    "levin": _suite("levin", _levin),
+    "burau-ratio": _suite("burau-ratio", _burau_ratio),
+    "divide": _suite("divide", _divide),
 }
 
 # ---------------------------------------------------------------------------
@@ -600,10 +577,9 @@ def run_kostant(args: Namespace) -> int:
                 print(f"{key}: {val}")
         return 0
     modes = KLEIN_CHECKS if args.verify == "all" else [args.verify]
-    start = time.perf_counter()
-    cases = [_klein_case("kostant", KLEIN_CHECKS[m][0], m, data) for m in modes]
-    _time_cases(cases, start)
-    return _print_cases(args, cases)
+    verify = _suite("kostant", lambda _: (
+        (KLEIN_CHECKS[m][0], _klein_residuals(m, data)) for m in modes))
+    return _print_cases(args, verify(args))
 
 
 def run_braid(args: Namespace) -> int:
@@ -656,15 +632,6 @@ def _word_text(word) -> str:
     return " ".join((f"x{g}" if g > 0 else f"x{-g}^-1") for g in word)
 
 
-def _time_cases(cases: list[CaseResult], start: float) -> None:
-    """Charge each case the time since the case before it, the first one
-    the time since start."""
-    prev = start
-    for c in cases:
-        c.elapsed_ms = (c.done_at - prev) * 1000
-        prev = c.done_at
-
-
 def _rerun_command(args: Namespace, suite: str) -> str:
     """The command line that runs a failing case's suite again."""
     if args.command == "kostant":
@@ -715,13 +682,8 @@ def run_verify(args: Namespace) -> int:
             raise UsageError(f"{flag} applies only to the suites "
                              f"{', '.join(filter(_sweeps, VERIFIERS))}, "
                              f"not to {args.suite}")
-    cases: list[CaseResult] = []
-    for name in names:
-        start = time.perf_counter()
-        got = VERIFIERS[name](args)
-        _time_cases(got, start)
-        cases.extend(got)
-    return _print_cases(args, cases)
+    return _print_cases(args, [c for name in names
+                               for c in VERIFIERS[name](args)])
 
 
 # ---------------------------------------------------------------------------

@@ -16,7 +16,8 @@ from typing import Sequence
 
 from .algebra import Laurent, Poly, det_exact, det_poly, mat_mul, z_substitute
 from .diagram import Diagram, SeifertMatrix
-from .errors import DimensionMismatch, PreconditionABneq2C, UnknownVertex
+from .errors import (DimensionMismatch, DomainError, PreconditionABneq2C,
+                     UnknownVertex)
 from .report import IdentityReport
 
 # ---------------------------------------------------------------------------
@@ -302,9 +303,20 @@ class CofactorTable:
         return len(self.entries)
 
 
+# The most vertices of a cofactor table.  Its n^3/2 integers grow like n^3
+# in time and memory: on a seeded random tree (Python 3.11, 2 cores) 64
+# vertices took 0.3 s and a 4.5 MB traced peak, 128 took 2.0 s and 38 MB,
+# and 192 took 6.8 s and 138 MB, so diagram.MAX_VERTICES (1024) would ask
+# for some 20 GB.  The suites and the benchmark reach at most 49 vertices.
+MAX_COFACTOR_VERTICES = 192
+
+
 def cofactors(d: Diagram) -> CofactorTable:
     """All cofactors at once: adj(zE - A) from the sparse Faddeev-LeVerrier
     pass that also gives char_poly (A the weighted adjacency)."""
+    if d.n > MAX_COFACTOR_VERTICES:
+        raise DomainError(f"a cofactor table of {d.n} vertices exceeds the "
+                          f"limit {MAX_COFACTOR_VERTICES}")
     return _cofactors(d.n, d.edges())
 
 

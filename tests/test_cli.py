@@ -16,6 +16,7 @@ import sys
 import time
 import tracemalloc
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
@@ -575,6 +576,54 @@ def test_huge_vertex_counts_exit_2_without_allocating(tmp_path, capsys,
     assert time.perf_counter() - start < 1.0
 
 
+@pytest.mark.parametrize("argv", [
+    ["coxeter", "--diagram"],
+    ["cfrac", "--diagram"],
+    ["verify", "cd-char", "--diagram"],
+])
+def test_unreadable_diagram_files_exit_2_naming_the_file(tmp_path, capsys,
+                                                         argv):
+    not_utf8 = tmp_path / "bad.txt"
+    not_utf8.write_bytes(b"\xff\xfe")
+    for path in (tmp_path, not_utf8):
+        assert cli.main([*argv, str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.count("\n") == 1
+        assert captured.err.startswith("error: ")
+        assert str(path) in captured.err
+
+
+@pytest.mark.parametrize("argv", [
+    ["kostant", "--type", "~A1000", "--verify", "16"],
+    ["verify", "cd-char", "--diagram", "A1000"],
+    ["verify", "identity7", "--diagram", "D1000"],
+    # at seed 0 the first tree has more vertices than the cap
+    ["verify", "cd-char", "--random-trees", "1", "--max-vertices", "1024"],
+])
+def test_cofactor_tables_above_the_cap_exit_2_at_once(capsys, monkeypatch,
+                                                      argv):
+    # every suite and benchmark diagram has at most 49 vertices
+    assert 49 < coxeter.MAX_COFACTOR_VERTICES < MAX_VERTICES
+    assert random.Random(0).randint(1, 1024) > coxeter.MAX_COFACTOR_VERTICES
+
+    real = coxeter._faddeev_leverrier
+
+    def below_the_cap(rows, entry=None):
+        # the tree option still sweeps the small named diagrams first
+        assert len(rows) <= coxeter.MAX_COFACTOR_VERTICES, (
+            "a cofactor table above the cap was started")
+        return real(rows, entry)
+
+    monkeypatch.setattr(coxeter, "_faddeev_leverrier", below_the_cap)
+    start = time.perf_counter()
+    assert cli.main(argv) == 2
+    assert time.perf_counter() - start < 1.0
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.count("\n") == 1
+    assert captured.err.startswith("error: ")
+    assert f"limit {coxeter.MAX_COFACTOR_VERTICES}" in captured.err
+
+
 def test_cfrac_cycle_accepts_every_vertex_as_root(capsys):
     code, out = run_cli(capsys, "cfrac", "--diagram", "~A3", "--root", "3")
     assert code == 0 and "z" in out
@@ -664,11 +713,36 @@ def test_a2m_failure_reports_residual_terms(capsys, monkeypatch):
     assert all(not r["holds"] and r["residual_terms"] == 3 for r in records)
 
 
-def test_time_cases_charges_the_gap_before_each_case():
-    cases = [cli.CaseResult("s", name, residual_terms=0, done_at=t)
-             for name, t in [("a", 1.5), ("b", 1.5), ("c", 4.0)]]
-    cli._time_cases(cases, 1.0)
+def test_suite_charges_the_gap_before_each_case(monkeypatch):
+    # _suite reads the clock as the verifier starts and after each case
+    clock = iter([1.0, 1.5, 1.5, 4.0])
+    monkeypatch.setattr(cli, "time",
+                        SimpleNamespace(perf_counter=clock.__next__))
+    verify = cli._suite("s", lambda args: iter([
+        ("a", []), ("b", [Poly([1, 0, 2]), 0]), ("c", [3, Laurent.zero()])]))
+    cases = verify(None)
+    assert [(c.suite, c.case, c.residual_terms) for c in cases] == [
+        ("s", "a", 0), ("s", "b", 2), ("s", "c", 1)]
     assert [c.elapsed_ms for c in cases] == [500.0, 0.0, 2500.0]
+    assert verify.sweeps is False
+
+
+def test_every_verifier_returns_the_list_of_its_cases():
+    # a span around a verifier times the suite's work only if calling it
+    # does the work, so no verifier may hand back a generator
+    args = cli.build_parser().parse_args(["verify", "--seed", "42"])
+    sweeping, total = [], 0
+    for name, verify in cli.VERIFIERS.items():
+        cases = verify(args)
+        assert type(cases) is list and cases, name
+        assert all(type(c) is cli.CaseResult and c.suite == name
+                   for c in cases), name
+        assert type(verify.sweeps) is bool, name
+        if verify.sweeps:
+            sweeping.append(name)
+        total += len(cases)
+    assert sweeping == list(SWEEP_SUITES)
+    assert total == 1404
 
 
 def test_verify_timings_are_per_case(capsys):
