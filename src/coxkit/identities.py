@@ -118,16 +118,26 @@ def chain_identities(d: Diagram, tail) -> list[IdentityReport]:
                       for r in range(2) for t in range(2))))
             mat = [[mat[1][0], mat[1][1]],
                    [z * mat[1][0] - mat[0][0], z * mat[1][1] - mat[0][1]]]
-    # telescoped ratio: C_{i-1}/C_i = D * sum 1/(C_{j-1} C_j) + C_{k-1}/C_k
+    # telescoped ratio: C_{i-1}/C_i = D * sum 1/(C_{j-1} C_j) + C_{k-1}/C_k,
+    # taken over M_i = C_i ... C_k and reduced once.  With
+    # S_i = sum_{j>i} M_i / (C_{j-1} C_j), going down from i = k gives
+    # M_i = C_i M_{i+1}, M_i / C_k = C_i M_{i+1} / C_k and
+    # S_i = M_{i+2} + C_i S_{i+1}, so no cofactor of M_i needs a division.
     det2 = c[0] * c[2] - c[1] * c[1] if k >= 2 else Laurent.zero()
-    for i in range(1, k):
+    # M_{i+1}, M_{i+2}, M_{i+1}/C_k and S_{i+1}, at i = k - 1
+    after, after2, head, s = c[k], Laurent.one(), Laurent.one(), Laurent.zero()
+    ratios = []
+    for i in range(k - 1, 0, -1):
+        head, s = c[i] * head, after2 + c[i] * s
+        whole = c[i] * after
+        diff = RatFunc(c[i - 1] * after - c[k - 1] * head - det2 * s, whole)
         lhs = RatFunc(c[i - 1], c[i])
-        rhs = RatFunc(c[k - 1], c[k])
-        for j in range(i + 1, k + 1):
-            rhs = rhs + RatFunc(det2, c[j - 1] * c[j])
-        diff = lhs - rhs
-        reports.append(IdentityReport.of(
+        # one reduced quotient serves both sides when they are equal
+        rhs = lhs if diff.is_zero else lhs - diff
+        ratios.append(IdentityReport.of(
             f"chain-ratio-{i}", lhs, rhs, diff.num))
+        after, after2 = whole, after
+    reports += reversed(ratios)
     # Christoffel-Darboux sums along the chain, over C_i .. C_{k-1}
     for i in range(1, k):
         for tag, form in (("bez", _BEZ), ("wr", _WR)):

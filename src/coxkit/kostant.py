@@ -70,10 +70,6 @@ class KleinGroupData:
             raise IndexOutOfRange(f"no vertex {i}")
         return self.z_table[i]
 
-    def series(self, i: int) -> RatFunc:
-        """P_i = Z_i / ((1-q^a)(1-q^b)), which is 1/q at the virtual vertex."""
-        return RatFunc(self.numerator(i), self.denominator())
-
 
 def klein_data(family: str, n: int) -> KleinGroupData:
     """Built-in numerator tables for the affine ADE families."""
@@ -157,15 +153,13 @@ def verify_system(data: KleinGroupData, which: int) -> IdentityReport:
 
     14: over the rational functions P_i, 15: over the numerators Z_i,
     16: the Cramer identity on the cofactor column of the diagram.  The
-    residual is the tuple of the rows' residuals.
+    residual is the tuple of the rows' residuals.  Every P_i is Z_i over
+    the one denominator D, so a row of 14 is the row of 15 over D, and its
+    residual is the numerator of that quotient, reduced once.
     """
     d = data.diagram()
     # per system: the head z, the vector v and the virtual entry v_-1
-    if which == 14:
-        head = RatFunc(Laurent.z(), Laurent.one())
-        vec = [data.series(i) for i in range(d.n)]
-        virtual = data.series(-1)
-    elif which == 15:
+    if which in (14, 15):
         head, vec, virtual = Laurent.z(), data.z_table, data.z_minus1
     elif which == 16:
         table = cofactors(d)
@@ -180,8 +174,10 @@ def verify_system(data: KleinGroupData, which: int) -> IdentityReport:
             acc = acc - d.weight(i, j) * vec[i]
         if j == 0:
             acc = acc - virtual
-        # system 14's rows are rational functions: their numerators count
-        parts.append(acc.num if which == 14 else acc)
+        parts.append(acc)
+    if which == 14:
+        den = data.denominator()
+        parts = [RatFunc(row, den).num for row in parts]
     return IdentityReport.of(f"system-{which}-{data.family}{data.n}",
                              None, None, tuple(parts))
 

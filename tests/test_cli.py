@@ -593,6 +593,36 @@ def test_unreadable_diagram_files_exit_2_naming_the_file(tmp_path, capsys,
         assert str(path) in captured.err
 
 
+@pytest.mark.parametrize("klein_type", ["~A1000", "~D1000"])
+def test_kostant_verify_14_at_rank_1000_runs_no_gcd(capsys, monkeypatch,
+                                                    klein_type):
+    # each row of system 14 is the row of system 15 over the shared
+    # denominator, reduced once, and a zero row is reduced by no GCD: the
+    # work is bounded by counting calls, not by timing them
+    gcds = []
+    real_gcd = algebra.Poly.gcd
+    monkeypatch.setattr(algebra.Poly, "gcd",
+                        lambda f, g: gcds.append((f, g)) or real_gcd(f, g))
+    reports = []
+    real = kostant.verify_system
+
+    def kept(data, which):
+        reports.append(real(data, which))
+        return reports[-1]
+
+    monkeypatch.setattr(kostant, "verify_system", kept)
+    code, out = run_cli(capsys, "kostant", "--type", klein_type, "--verify",
+                        "14", "--json")
+    assert code == 0
+    assert [json.loads(line) for line in out.splitlines()] == [
+        {"case": "system-14", "holds": True, "residual_terms": 0,
+         "suite": "kostant"}]
+    (rep,) = reports
+    assert len(rep.residual) == 1001
+    assert all(row.is_zero for row in rep.residual)
+    assert gcds == []
+
+
 @pytest.mark.parametrize("argv", [
     ["kostant", "--type", "~A1000", "--verify", "16"],
     ["verify", "cd-char", "--diagram", "A1000"],

@@ -7,7 +7,8 @@ import random
 import pytest
 
 from coxkit import identities
-from coxkit.algebra import BiLaurent, Laurent, bezoutian, wronskian
+from coxkit.algebra import (BiLaurent, Laurent, RatFunc, bezoutian,
+                            wronskian)
 from coxkit.diagram import build, random_tree
 from coxkit.errors import BadType, ShapeViolation, SizeMismatch, UnknownVertex
 from coxkit.identities import (binet_cauchy, cd_char, cd_coxeter,
@@ -729,6 +730,47 @@ def _tree_with_path_tail(rng, size, k):
     order = list(range(size + k))
     rng.shuffle(order)
     return Diagram(size + k, edges, order), tail
+
+
+def _chain_ratio_oracle(c, i):
+    """(name, lhs, rhs, residual) of chain-ratio-i as a running sum of
+    reduced quotients, each + reducing by a GCD, as it was first written."""
+    k = len(c) - 1
+    det2 = c[0] * c[2] - c[1] * c[1]
+    lhs = RatFunc(c[i - 1], c[i])
+    rhs = RatFunc(c[k - 1], c[k])
+    for j in range(i + 1, k + 1):
+        rhs = rhs + RatFunc(det2, c[j - 1] * c[j])
+    return f"chain-ratio-{i}", lhs, rhs, (lhs - rhs).num
+
+
+def test_chain_ratio_matches_the_running_sum(monkeypatch):
+    # each ratio is taken over C_i ... C_k and reduced once; the running
+    # sum must give the same sides and residual, on the true C's and with
+    # C_0 off by a seeded monomial, which fails the ratios
+    real = identities.coxeter_poly
+    bump = {}  # vertex count -> the monomial added to its C
+    monkeypatch.setattr(identities, "coxeter_poly",
+                        lambda g: real(g) + bump.get(g.n, Laurent.zero()))
+    rng = random.Random(26)
+    failing = 0
+    for _ in range(40):
+        d, tail = _tree_with_path_tail(rng, rng.randint(1, 6),
+                                       rng.randint(2, 6))
+        k = len(tail)
+        for wrong in (False, True):
+            bump.clear()
+            if wrong:
+                bump[d.n] = rng.choice((-1, 1)) * Laurent.q(rng.randint(-8, 8))
+            c = [identities.coxeter_poly(d.delete(tail[:i]))
+                 for i in range(k + 1)]
+            got = [r for r in chain_identities(d, tail)
+                   if r.name.startswith("chain-ratio-")]
+            assert [_sides(r) for r in got] == [
+                _chain_ratio_oracle(c, i) for i in range(1, k)]
+            assert all(r.holds for r in got) or wrong
+            failing += sum(not r.holds for r in got)
+    assert failing >= 40
 
 
 def test_chain_and_antipodal_reports_match_the_per_term_sums():
