@@ -6,8 +6,9 @@ order.  Under each setting of the expansion gate, with empty memos, it
 checks that
 - coxeter_poly equals det_exact of the Coxeter matrix, and
 - char_poly equals det_poly of zE - A (A the weighted adjacency).
-A gate of -1 sends every graph with a cycle to Bareiss; a large gate sends
-every one through Schwenk's edge step.  The tier-1 test
+A gate of -1 sends every graph with a cycle to Bareiss (coxeter_poly) and
+to Faddeev-LeVerrier (char_poly); a large gate sends every one through
+Schwenk's edge step, read in q and in z.  The tier-1 test
 tests/test_small_graphs.py runs the same checks on 1-5 vertices, plus on at
 most 4 the cofactor table, cd_char at every pair, the Schur step and both
 Christoffel-Darboux forms at every pivot, and det_exact of the Coxeter

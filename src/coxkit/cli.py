@@ -24,7 +24,8 @@ from dataclasses import dataclass
 
 from . import algebra, braid, cfrac, coxeter, diagram, identities, kostant
 from .algebra import Laurent, Poly, RatFunc
-from .errors import DomainError, UnknownVertex, UsageError
+from .errors import (DomainError, ExactDivisionError, NotASquare,
+                     UnknownVertex, UsageError)
 from .report import IdentityReport, nonzero_terms
 
 
@@ -310,7 +311,11 @@ def _cfrac_cycle(args: Namespace):
 # ---------------------------------------------------------------------------
 
 def _perfect_square(data) -> list[IdentityReport]:
-    s, want = kostant.perfect_square_check(data), abs(data.a - data.b)
+    want = abs(data.a - data.b)
+    try:
+        s = kostant.perfect_square_check(data)
+    except NotASquare:  # a wrong |B|: one failing term, not an error
+        return [IdentityReport.of("perfect-square", None, want, 1)]
     return [IdentityReport.of("perfect-square", s, want, s - want)]
 
 
@@ -352,8 +357,12 @@ def _kostant_tables(args: Namespace):
         # Z_i(1) is twice the dimension of irrep i (McKay), and the squared
         # dimensions sum to |B|
         dims = [sum(v for _, v in z.items()) for z in zt]
+        try:
+            cramer = [a - b for a, b in zip(kostant.cramer_z_table(data), zt)]
+        except ExactDivisionError:  # a wrong Z_-1: one failing term
+            cramer = [1]
         yield f"{fam}{n}", [
-            *(a - b for a, b in zip(kostant.cramer_z_table(data), zt)),
+            *cramer,
             zt[0] - Laurent.one() - Laurent.q(data.h),
             4 * data.order_b - sum(x * x for x in dims),
             # a count: the numerators outside degrees 0..h or with a term < 0

@@ -246,15 +246,23 @@ def char_poly(d: Diagram) -> Poly:
     """det((z-2)E + C); independent of the vertex order.
 
     A forest takes the rooted recursion (_rooted_step) at every vertex, a
-    graph with a cycle the sparse Faddeev-LeVerrier pass."""
+    graph with a cycle Schwenk's edge step (_edge_step) read in z, where a
+    cycle counts in both directions: G = G(G-e) - a^2 G(G-u-v) - 2a H_uv(G-e)
+    with H the cross minor path_sum_H.  Above the gate, Faddeev-LeVerrier."""
     return _char_poly(d.n, d.edges())
 
 
 @lru_cache(maxsize=_POLY_MEMO)
 def _char_poly(n: int, edges) -> Poly:
-    if _cyclomatic(n, edges):
+    closing = _cyclomatic(n, edges)
+    if closing and len(closing) > _EXPAND_MAX:  # not a forest, at any gate
         coeffs, _ = _faddeev_leverrier(_adjacency_rows(n, edges))
         return Poly(coeffs)
+    if closing:
+        u, v, a = e = closing[0]
+        rest = _rebuild(n, [x for x in edges if x != e])
+        return (char_poly(rest) - a * a * char_poly(rest.delete([u, v]))
+                - 2 * a * path_sum_H(rest, u, v))
     d = _rebuild(n, edges)
     total = Poly.one()
     for comp in d.components():
@@ -267,7 +275,7 @@ def _char_poly(n: int, edges) -> Poly:
     return total
 
 
-def _rooted_step(children) -> tuple[Poly, Poly]:
+def _rooted_step(children, z=None):
     """One vertex x of the rooted forest recursion, from (a^2, A_c, B_c)
     for each child c joined to x by an edge of weight a:
 
@@ -275,13 +283,15 @@ def _rooted_step(children) -> tuple[Poly, Poly]:
 
     A(x) is det(zE - A) of the subtree of x and B(x) that of the subtree
     less x, so B/A is the branching continued fraction
-    1 / (z - sum_c a^2 B_c/A_c).  cfrac.evaluate runs the same step.
+    1 / (z - sum_c a^2 B_c/A_c).  cfrac.evaluate runs the same step.  With
+    z = Laurent.z() the step runs in q, on Coxeter polynomials (join_poly).
     """
-    prod, rest = Poly.one(), Poly.zero()
+    ring = Poly if z is None else Laurent
+    prod, rest = ring.one(), ring.zero()
     for wsq, a, b in children:
         rest = rest * a + wsq * b * prod
         prod = prod * a
-    return prod.shift(1) - rest, prod
+    return (prod.shift(1) if z is None else z * prod) - rest, prod
 
 
 @dataclass(frozen=True)
@@ -313,7 +323,7 @@ MAX_COFACTOR_VERTICES = 192
 
 def cofactors(d: Diagram) -> CofactorTable:
     """All cofactors at once: adj(zE - A) from the sparse Faddeev-LeVerrier
-    pass that also gives char_poly (A the weighted adjacency)."""
+    pass (A the weighted adjacency)."""
     if d.n > MAX_COFACTOR_VERTICES:
         raise DomainError(f"a cofactor table of {d.n} vertices exceeds the "
                           f"limit {MAX_COFACTOR_VERTICES}")
@@ -409,11 +419,9 @@ def _schur_step(n: int, edges, order, pivot: int) -> SchurStep:
     total = coxeter_poly(dp)
     rest = d.delete([pivot])
     base = coxeter_poly(rest)
-    nbrs = [v for v in d.neighbors(pivot) if d.weight(pivot, v)]
-    branches = []
-    for v in nbrs:
-        a = d.weight(pivot, v)
-        branches.append((v, a * a, coxeter_poly(d.delete([pivot, v]))))
+    nbrs = d.neighbors(pivot)  # every stored edge has a nonzero weight
+    branches = [(v, d.weight(pivot, v) ** 2,
+                 coxeter_poly(d.delete([pivot, v]))) for v in nbrs]
     crosses = []
     pos = {x: p for p, x in enumerate(rest.order)}
     done: dict[tuple[int, int], Laurent] = {}
@@ -463,22 +471,11 @@ def _cross_minor(d: Diagram, i: int, j: int, pos) -> Laurent:
 
 
 def join_poly(parts) -> Laurent:
-    """Coxeter polynomial of a join, assembled without division:
+    """Coxeter polynomial of a join, assembled without division: the rooted
+    step at the join vertex, with unit weights and z = q + 1/q,
     z * prod T_i - sum_j Tbar_j * prod_{i != j} T_i."""
-    parts = list(parts)
-    polys = [coxeter_poly(d) for d, _ in parts]
-    bars = [coxeter_poly(d.delete([v])) for d, v in parts]
-    prod = Laurent.one()
-    for p in polys:
-        prod = prod * p
-    acc = Laurent.z() * prod
-    for j in range(len(parts)):
-        term = bars[j]
-        for i, p in enumerate(polys):
-            if i != j:
-                term = term * p
-        acc = acc - term
-    return acc
+    return _rooted_step(((1, coxeter_poly(d), coxeter_poly(d.delete([v])))
+                         for d, v in parts), Laurent.z())[0]
 
 
 # ---------------------------------------------------------------------------
@@ -603,14 +600,11 @@ def divide_identity(a_mat, b_mat, c_mat) -> IdentityReport:
 
     # generic Schur step against the last diagonal block:
     # G * z^(p+r) == z^s * det(z*M11 - M12*M21)
-    m11 = [[m[i][j] for j in range(p + r)] for i in range(p + r)]
-    m12 = [[m[i][p + r + j] for j in range(s)] for i in range(p + r)]
-    m21 = [[m[p + r + i][j] for j in range(p + r)] for i in range(s)]
-    inner = [[z * m11[i][j] for j in range(p + r)] for i in range(p + r)]
+    k = p + r
+    inner = [[z * x for x in row[:k]] for row in m[:k]]
     if s:
-        prod = mat_mul(m12, m21)
-        inner = [[inner[i][j] - prod[i][j] for j in range(p + r)]
-                 for i in range(p + r)]
+        prod = mat_mul([row[k:] for row in m[:k]], [row[:k] for row in m[k:]])
+        inner = [[x - y for x, y in zip(a, b)] for a, b in zip(inner, prod)]
     schur_residual = g * z ** (p + r) - z ** s * det_exact(inner)
 
     # simplified closed form over z-polynomials

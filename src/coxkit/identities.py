@@ -77,13 +77,11 @@ def _check_tail(d: Diagram, tail) -> None:
             raise ShapeViolation("tail edges must be consecutive with weight 1")
     allowed = set(tail)
     for t, v in enumerate(tail[:-1]):
-        for u in d.neighbors(v):
-            if u not in allowed:
-                raise ShapeViolation(
-                    f"tail vertex {v} has an edge leaving the tail")
-        nbrs_in = [u for u in d.neighbors(v) if u in allowed]
+        if not allowed.issuperset(d.neighbors(v)):
+            raise ShapeViolation(
+                f"tail vertex {v} has an edge leaving the tail")
         expected = {tail[t + 1]} | ({tail[t - 1]} if t > 0 else set())
-        if set(nbrs_in) != expected:
+        if set(d.neighbors(v)) != expected:
             raise ShapeViolation("tail is not an induced path")
 
 
@@ -99,14 +97,11 @@ def chain_identities(d: Diagram, tail) -> list[IdentityReport]:
     if k == 0:
         raise ShapeViolation("empty tail")
     _check_tail(d, tail)
-    c = [coxeter_poly(d)]
-    for i in range(1, k + 1):
-        c.append(coxeter_poly(d.delete(tail[:i])))
+    c = [coxeter_poly(d.delete(tail[:i])) for i in range(k + 1)]
     z = Laurent.z()
-    reports: list[IdentityReport] = []
-    for i in range(1, k):
-        reports.append(IdentityReport.compare(
-            f"chain-recurrence-{i}", c[i - 1] + c[i + 1], z * c[i]))
+    reports = [IdentityReport.compare(f"chain-recurrence-{i}",
+                                      c[i - 1] + c[i + 1], z * c[i])
+               for i in range(1, k)]
     # transfer matrix [[0,1],[-1,z]]^(i-1) * [[C0,C1],[C1,C2]]
     if k >= 2:
         mat = [[c[0], c[1]], [c[1], c[2]]]

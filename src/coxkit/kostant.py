@@ -31,10 +31,7 @@ MAX_TERMS = 500_000
 
 
 def _exps(*exponents: int) -> Laurent:
-    out: dict[int, int] = {}
-    for e in exponents:
-        out[e] = out.get(e, 0) + 1
-    return Laurent(out)
+    return Laurent((e, 1) for e in exponents)  # a repeated exponent adds up
 
 
 @dataclass(frozen=True)
@@ -191,11 +188,8 @@ def cramer_z_table(data: KleinGroupData) -> list[Laurent]:
     d = data.diagram()
     table = cofactors(d)
     denom = z_substitute(char_poly(d))
-    out = []
-    for i in range(d.n):
-        num = data.z_minus1 * z_substitute(table[i, 0])
-        out.append(num.exact_div(denom))
-    return out
+    return [(data.z_minus1 * z_substitute(table[i, 0])).exact_div(denom)
+            for i in range(d.n)]
 
 
 def ebeling_ratios(data: KleinGroupData) -> list[IdentityReport]:
@@ -285,16 +279,24 @@ def prop2_squares(data: KleinGroupData, i: int) -> IdentityReport:
 
 def walk_series_check(data: KleinGroupData, i: int, k_max: int) -> IdentityReport:
     """q P_i = sum_k d_i0^k z^(-k-1): the cofactor over the characteristic
-    polynomial expands into weighted walk counts toward the affine vertex."""
+    polynomial expands into weighted walk counts toward the affine vertex.
+    The residual pairs eq. 10's (H_i0 / G against the counts) with the
+    series' (q P_i against them through q^(k_max+1)), where a product with
+    z^-1 = q / (1 + q^2) is the recurrence y_t = x_(t-1) - y_(t-2)."""
     if not (0 <= i < data.vertex_count):
         raise IndexOutOfRange(f"no vertex {i}")
     d = data.diagram()
-    table = cofactors(d)
-    g = char_poly(d)
+    table = cofactors(d)  # first: it refuses a table above the cap
     walks = walk_gf(d, i, 0, k_max)
-    residual = walk_expansion_residual(g, table[i, 0], walks)
-    return IdentityReport.of(f"walks-{data.family}{data.n}-{i}",
-                             None, None, residual)
+    acc = [0] * (k_max + 2)  # Horner in z^-1
+    for d_k in reversed(walks):
+        acc = [0, d_k, *acc[1:-1]]
+        for t in range(2, k_max + 2):
+            acc[t] -= acc[t - 2]
+    series = (poincare_series(data, i, k_max).shifted(1)
+              - Laurent(enumerate(acc)))
+    return IdentityReport.of(f"walks-{data.family}{data.n}-{i}", None, None, (
+        walk_expansion_residual(char_poly(d), table[i, 0], walks), series))
 
 
 def perfect_square_check(data: KleinGroupData) -> int:

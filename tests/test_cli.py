@@ -1248,24 +1248,73 @@ def test_a_failing_case_has_residual_terms(capsys, monkeypatch, suite, case,
                if not r["holds"])
 
 
+def _wrong_e6(monkeypatch, change):
+    """Serve change(data) in place of ~E6's Klein data."""
+    real = kostant.klein_data
+
+    def wrong(family, n):
+        data = real(family, n)
+        return change(data) if (family, n) == ("affE", 6) else data
+
+    monkeypatch.setattr(kostant, "klein_data", wrong)
+
+
 def test_kostant_tables_check_the_tables_not_their_definitions(capsys,
                                                                 monkeypatch):
     # h = a + b - 2 and |B| = ab/2 hold for these numbers, but the group of
     # ~E6 has order 24: Z_0 = 1 + q^h still holds, the McKay sum does not
-    real = kostant.klein_data
-
-    def wrong_e6(family, n):
-        data = real(family, n)
-        if (family, n) != ("affE", 6):
-            return data
-        return dataclasses.replace(data, a=4, b=10, h=12, order_b=20)
-
-    monkeypatch.setattr(kostant, "klein_data", wrong_e6)
+    _wrong_e6(monkeypatch, lambda data: dataclasses.replace(
+        data, a=4, b=10, h=12, order_b=20))
     code, out = run_cli(capsys, "verify", "kostant-tables", "--json")
     assert code == 1
     failing = {r["case"]: r["residual_terms"]
                for r in map(json.loads, out.splitlines()) if not r["holds"]}
     assert failing == {"affE6": 1}
+
+
+def _failing(out: str) -> set:
+    return {(r["suite"], r["case"]) for r in map(json.loads, out.splitlines())
+            if not r["holds"]}
+
+
+@pytest.mark.parametrize("change, want, kostant_want", [
+    # Z_-1 H_i0 / T is then no polynomial: the Cramer division is inexact
+    (lambda data: dataclasses.replace(
+        data, z_minus1=data.z_minus1 + Laurent.q(3)),
+     {("kostant-tables", "affE6"), ("kostant-tables", "affE6-system14"),
+      ("kostant-tables", "affE6-system15"), ("poincare-cd", "affE6")},
+     {"system-14", "system-15"}),
+    # (h + 2)^2 - 8|B| = 12 is no square
+    (lambda data: dataclasses.replace(data, order_b=23),
+     {("kostant-tables", "affE6"), ("squares", "affE6")},
+     {"perfect-square"}),
+])
+def test_a_wrong_klein_table_fails_its_cases_not_the_run(
+        capsys, monkeypatch, change, want, kostant_want):
+    _wrong_e6(monkeypatch, change)
+    code, out = run_cli(capsys, "verify", "all", "--seed", "42", "--json")
+    assert code == 1
+    assert len(out.splitlines()) == 1404
+    assert _failing(out) == want
+    for suite in {s for s, _ in want}:
+        code, out = run_cli(capsys, "verify", suite, "--json")
+        assert code == 1 and _failing(out) == {
+            (s, c) for s, c in want if s == suite}
+    code, out = run_cli(capsys, "kostant", "--type", "~E6", "--verify",
+                        "all", "--json")
+    assert code == 1 and {c for _, c in _failing(out)} == kostant_want
+
+
+def test_walks_check_the_series_they_name(capsys, monkeypatch):
+    # Z_2 of ~E6 one term off: eq. 10 never reads it, the series part does
+    _wrong_e6(monkeypatch, lambda data: dataclasses.replace(data, z_table=(
+        *data.z_table[:2], data.z_table[2] + Laurent.q(5),
+        *data.z_table[3:])))
+    code, out = run_cli(capsys, "verify", "walks", "--json")
+    assert code == 1 and _failing(out) == {("walks", "affE6-series")}
+    code, out = run_cli(capsys, "kostant", "--type", "~E6", "--verify",
+                        "walks", "--json")
+    assert code == 1 and _failing(out) == {("kostant", "walks")}
 
 
 # sha256 of the `coxkit kostant --type T --series I --terms 400` outputs of

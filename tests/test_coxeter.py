@@ -320,6 +320,44 @@ def test_join_matches_built_join():
     assert join_poly(parts) == coxeter_poly(join(parts))
 
 
+def _join_by_products(parts) -> Laurent:
+    """The join polynomial z prod T_i - sum_j Tbar_j prod_(i != j) T_i by
+    two explicit product loops: an oracle that shares no code with
+    _rooted_step."""
+    parts = list(parts)
+    polys = [coxeter_poly(d) for d, _ in parts]
+    bars = [coxeter_poly(d.delete([v])) for d, v in parts]
+    prod = Laurent.one()
+    for p in polys:
+        prod = prod * p
+    acc = Laurent.z() * prod
+    for j in range(len(parts)):
+        term = bars[j]
+        for i, p in enumerate(polys):
+            if i != j:
+                term = term * p
+        acc = acc - term
+    return acc
+
+
+def test_join_poly_matches_the_product_loops_on_cyclic_parts():
+    assert join_poly([]) == _join_by_products([]) == Z
+    rng = random.Random(71)
+    cyclic = 0
+    for _ in range(12):
+        parts = []
+        for _ in range(rng.randint(1, 4)):
+            n = rng.randint(4, 7)
+            d = _with_cycles(rng, n, rng.randint(0, 2), orders=1)[0]
+            parts.append((d, rng.randrange(n)))
+            cyclic += bool(_cyclomatic(d.n, d.edges()))
+        want = _join_by_products(parts)
+        assert join_poly(parts) == want, parts
+        # the join vertex lies on no cycle, so its step holds in any order
+        assert coxeter_poly(join(parts)) == want, parts
+    assert cyclic > 10
+
+
 # -- cofactors ----------------------------------------------------------------
 
 def test_cofactor_a1():
@@ -549,6 +587,56 @@ def test_forest_char_poly_matches_faddeev_leverrier():
     for d in FORESTS:
         assert not _cyclomatic(d.n, d.edges())
         assert char_poly(d) == _fl_char(d), d
+
+
+def test_char_poly_edge_step_matches_two_oracles_on_trees_plus_chords():
+    # the z reading of Schwenk's step against Faddeev-LeVerrier and Bareiss
+    # on zE - A, on fresh memos so the step itself runs
+    coxeter._char_poly.cache_clear()
+    rng = random.Random(61)
+    for c in range(1, 5):
+        for n in (5, 9, 12, 24, 48):
+            d = _with_cycles(rng, n, c, orders=1)[0]
+            assert len(_cyclomatic(d.n, d.edges())) == c
+            got = char_poly(d)
+            assert got == _fl_char(d), d
+            assert got == det_poly(_z_minus_a(d)), d
+
+
+def _char_poly_engines(monkeypatch, graphs) -> list:
+    """The row counts of each Faddeev-LeVerrier call that char_poly makes
+    on these graphs, on an empty memo."""
+    calls = []
+
+    def logged(rows, entry=None):
+        calls.append(len(rows))
+        return _faddeev_leverrier(rows, entry)
+
+    monkeypatch.setattr(coxeter, "_faddeev_leverrier", logged)
+    coxeter._char_poly.cache_clear()
+    for d in graphs:
+        assert char_poly(d) == det_poly(_z_minus_a(d)), d
+    return calls
+
+
+def test_char_poly_runs_faddeev_leverrier_only_above_the_gate(monkeypatch):
+    rng = random.Random(67)
+    below = [_with_cycles(rng, n, c, orders=1)[0]
+             for c in range(1, coxeter._EXPAND_MAX + 1) for n in (8, 16)]
+    assert _char_poly_engines(monkeypatch, FORESTS[:10] + below) == []
+    above = _with_cycles(rng, 12, coxeter._EXPAND_MAX + 1, orders=1)[0]
+    assert _char_poly_engines(monkeypatch, [above]) == [12]
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 47, 192, 1000])
+def test_char_poly_of_affine_a_is_the_chebyshev_closed_form(n):
+    # char(~A_n), the cycle on n + 1 vertices (two joined by weight 2 at
+    # n = 1), is 2 T_(n+1)(z/2) - 2, and 2 T_k(z/2) = C_k obeys
+    # C_0 = 2, C_1 = z, C_(k+1) = z C_k - C_(k-1)
+    prev, cur = Poly.const(2), Poly.x()
+    for _ in range(n):
+        prev, cur = cur, Poly.x() * cur - prev
+    assert char_poly(build("affA", n)) == cur - Poly.const(2)
 
 
 # -- the Faddeev-LeVerrier sweep on large graphs --------------------------------
