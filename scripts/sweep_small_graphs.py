@@ -10,10 +10,11 @@ A gate of -1 sends every graph with a cycle to Bareiss (coxeter_poly) and
 to Faddeev-LeVerrier (char_poly); a large gate sends every one through
 Schwenk's edge step, read in q and in z.  The tier-1 test
 tests/test_small_graphs.py runs the same checks on 1-5 vertices, plus on at
-most 4 the cofactor table, cd_char at every pair, the Schur step and both
-Christoffel-Darboux forms at every pivot, and det_exact of the Coxeter
-matrix against Laplace expansion.  The 32768 graphs took
-about 70 s per gate on a 2-core VM with Python 3.11.7.
+most 4 the cofactor table against the signed minors of zE - A (det_poly),
+cd_char at every pair, the Schur step and both Christoffel-Darboux forms
+at every pivot, and det_exact of the Coxeter matrix against Laplace
+expansion.  The 32768 graphs took about 70 s per gate on a 2-core VM
+with Python 3.11.7.
 
 Usage:
     python scripts/sweep_small_graphs.py
@@ -48,10 +49,19 @@ def clear_memos() -> None:
         memo.cache_clear()
 
 
+def signed_minor(m, i: int, j: int) -> Poly:
+    """The cofactor of the polynomial matrix m at (i, j): (-1)^(i+j) times
+    det_poly of m less row i and column j."""
+    det = det_poly([[x for c, x in enumerate(row) if c != j]
+                    for r, row in enumerate(m) if r != i])
+    return -det if (i + j) % 2 else det
+
+
 def failed_checks(d: Diagram, tables: bool) -> list[str]:
-    """The checks that fail on d; tables adds every cofactor, cd_char at
-    every pair, the Schur step and both Christoffel-Darboux forms at every
-    pivot, and det_exact of the Coxeter matrix against Laplace expansion."""
+    """The checks that fail on d; tables adds every cofactor against the
+    signed minor of zE - A, cd_char at every pair, the Schur step and both
+    Christoffel-Darboux forms at every pivot, and det_exact of the Coxeter
+    matrix against Laplace expansion."""
     bad = []
     if coxeter.coxeter_poly(d) != det_exact(coxeter.coxeter_matrix(d)):
         bad.append("coxeter_poly")
@@ -62,7 +72,7 @@ def failed_checks(d: Diagram, tables: bool) -> list[str]:
     if tables:
         table = coxeter.cofactors(d)
         bad += [f"cofactor {i} {j}" for i in range(d.n) for j in range(d.n)
-                if table[i, j] != coxeter.cofactor_entry(d, i, j)]
+                if table[i, j] != signed_minor(z_minus_a, i, j)]
         bad += [f"cd_char {i} {j}" for i in range(d.n)
                 for j in range(i, d.n)
                 if not all(r.holds for r in identities.cd_char(d, i, j))]

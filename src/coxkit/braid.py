@@ -347,39 +347,8 @@ class MagnusSeries:
         self.order = order
         self._c: dict[Word, int] = dict(coeffs) if coeffs else {}
 
-    @staticmethod
-    def one(nvars: int, order: int) -> "MagnusSeries":
-        return MagnusSeries(nvars, order, {(): 1})
-
-    @staticmethod
-    def generator(nvars: int, order: int, letter: int) -> "MagnusSeries":
-        """Image of x_i (letter > 0) or x_i^-1 (letter < 0)."""
-        i = abs(letter)
-        if letter > 0:
-            return MagnusSeries(nvars, order, {(): 1, (i,): 1})
-        coeffs = {(i,) * k: (-1) ** k for k in range(order + 1)}
-        return MagnusSeries(nvars, order, coeffs)
-
-    def coefficient(self, word: Sequence[int]) -> int:
-        return self._c.get(tuple(word), 0)
-
     def items(self):
         return tuple(sorted(self._c.items()))
-
-    def __mul__(self, other: "MagnusSeries") -> "MagnusSeries":
-        out: dict[Word, int] = {}
-        for wa, ca in self._c.items():
-            room = self.order - len(wa)
-            for wb, cb in other._c.items():
-                if len(wb) > room:
-                    continue
-                key = wa + wb
-                val = out.get(key, 0) + ca * cb
-                if val:
-                    out[key] = val
-                elif key in out:
-                    del out[key]
-        return MagnusSeries(self.nvars, self.order, out)
 
     def __eq__(self, other: object) -> bool:
         return (isinstance(other, MagnusSeries) and self._c == other._c
@@ -533,14 +502,6 @@ class MilnorTable:
 
     def mu(self, *index: int) -> int:
         return self.entries.get(tuple(index), 0)
-
-    def first_nonzero_length(self) -> int | None:
-        lengths = [len(k) for k, v in self.entries.items() if v]
-        return min(lengths) if lengths else None
-
-    def at_length(self, length: int) -> dict[Word, int]:
-        return {k: v for k, v in self.entries.items()
-                if len(k) == length and v}
 
 
 def milnor(b: BraidWord, order: int) -> MilnorTable:

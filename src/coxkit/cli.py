@@ -33,6 +33,16 @@ from .report import IdentityReport, nonzero_terms
 RANDOM_TREES = 50
 MAX_TREE_VERTICES = 8
 
+# verify's sweep bounds: seeded trees per suite (`verify all --random-trees
+# 10000` took 9.5 s at 8 vertices, Python 3.11, 2 cores), and the vertices,
+# independent cycles and |edge weight| of a --diagram.  cd-char and
+# identity7 take every vertex pair, so a sweep grows like n^4 to n^6, and
+# faster with cycles and weights: cd-char took 0.95 s on A32, 9.5 s on A48
+# and 64 s on A32 with weights 10^6, identity7 on 32 vertices 0.7 s with
+# one cycle and 2.9 s with two.  At the bounds a suite took at most 1.8 s.
+MAX_RANDOM_TREES = 10_000
+MAX_SWEEP_VERTICES, MAX_SWEEP_CYCLES, MAX_SWEEP_WEIGHT = 32, 1, 2
+
 
 @dataclass
 class CaseResult:
@@ -77,9 +87,20 @@ def _load_diagram(source: str, order_override: str | None = None) -> diagram.Dia
 # ---------------------------------------------------------------------------
 
 def _suite_diagrams(args: Namespace, types):
-    """Named diagram only when --diagram was given, else the given types."""
+    """Named diagram only when --diagram was given, else the given types;
+    a --diagram beyond the sweep bounds is refused before any work."""
     if args.diagram is not None:
-        yield args.diagram, _load_diagram(args.diagram)
+        d = _load_diagram(args.diagram)
+        cycles = len(coxeter._cyclomatic(d.n, d.edges()))
+        weight = max((abs(w) for *_, w in d.edges()), default=0)
+        if (d.n > MAX_SWEEP_VERTICES or cycles > MAX_SWEEP_CYCLES
+                or weight > MAX_SWEEP_WEIGHT):
+            raise DomainError(
+                f"{args.diagram} has {d.n} vertices, {cycles} independent "
+                f"cycles and weights up to {weight}; a sweep takes at most "
+                f"{MAX_SWEEP_VERTICES} vertices, {MAX_SWEEP_CYCLES} cycle "
+                f"and weights up to {MAX_SWEEP_WEIGHT}")
+        yield args.diagram, d
         return
     for fam, n in types:
         yield f"{fam}{n}", diagram.build(fam, n)
@@ -807,8 +828,9 @@ def build_parser() -> argparse.ArgumentParser:
     # the sweep options: unset is None, and only the suites of _sweep read
     # them (_seeded_trees applies the defaults)
     p.add_argument("--diagram")
-    p.add_argument("--random-trees", type=_int_in(0),
-                   help=f"seeded trees per suite (default {RANDOM_TREES})")
+    p.add_argument("--random-trees", type=_int_in(0, MAX_RANDOM_TREES),
+                   help=f"seeded trees per suite, 0..{MAX_RANDOM_TREES} "
+                        f"(default {RANDOM_TREES})")
     p.add_argument("--max-vertices", type=_int_in(1, diagram.MAX_VERTICES),
                    help=f"most vertices of a tree (default "
                         f"{MAX_TREE_VERTICES})")

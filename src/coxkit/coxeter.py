@@ -62,7 +62,9 @@ def coxeter_poly(d: Diagram) -> Laurent:
 # Bareiss costs about n^3 whatever the cycles.  On random trees plus c
 # chords in a shuffled order, the two cross at c = 3 on 8 vertices (the
 # step takes 1.1 times Bareiss's time at c = 3, 1.7 at c = 4), while at
-# c = 4 on 16-32 vertices the step takes 0.15-0.46 of it.
+# c = 4 on 16-32 vertices the step takes 0.15-0.46 of it.  _char_poly
+# reads the same gate, although its step's crossover with
+# Faddeev-LeVerrier lies elsewhere.
 _EXPAND_MAX = 4
 
 
@@ -149,14 +151,6 @@ def coxeter_matrix(d: Diagram) -> list[list[Laurent]]:
 # ---------------------------------------------------------------------------
 # characteristic polynomial and cofactors
 # ---------------------------------------------------------------------------
-
-def _z_matrix(d: Diagram) -> list[list[Poly]]:
-    """(z-2)E + C = zE - A with A the weighted adjacency matrix."""
-    n = d.n
-    adj = d.adjacency()
-    return [[Poly((0, 1)) if i == j else Poly((-adj[i][j],))
-             for j in range(n)] for i in range(n)]
-
 
 def _adjacency_rows(n: int, edges) -> list[list[tuple[int, int]]]:
     """Nonzero entries (column, weight) of each row of the adjacency."""
@@ -344,17 +338,6 @@ def _check_vertices(d: Diagram, what: str, *vertices: int) -> None:
         raise UnknownVertex(f"{what} outside the diagram")
 
 
-def cofactor_entry(d: Diagram, i: int, j: int) -> Poly:
-    """Single cofactor by a direct signed minor determinant."""
-    _check_vertices(d, "cofactor indices", i, j)
-    n = d.n
-    m = _z_matrix(d)
-    minor = [[m[r][c] for c in range(n) if c != j]
-             for r in range(n) if r != i]
-    det = det_poly(minor)
-    return det if (i + j) % 2 == 0 else -det
-
-
 # ---------------------------------------------------------------------------
 # one-row Schur step
 # ---------------------------------------------------------------------------
@@ -405,8 +388,9 @@ def schur_step(d: Diagram, pivot: int) -> SchurStep:
 # the same vertices: `verify all` asks for 880 steps at seed 42, of which
 # 301 are distinct (302 at seed 7), and no step is asked for again more
 # than 301 other steps after its last use.  So 512 steps hold the whole
-# working set, where the 256-entry polynomial memos thrash.  The cross
-# minors depend on the vertex order, hence the order in the key.  Holding
+# working set, where the 256-entry polynomial memos thrash.  On a diagram
+# with a cycle the cross minors depend on the vertex order, hence the order
+# in the key; a forest's steps have no crosses and ignore it.  Holding
 # the steps raised the peak RSS of the benchmark's verify-sweep workload by
 # 0.15 MB, from 19.15 MB (Python 3.11, seeds 42 and 7).
 _STEP_MEMO = 512
@@ -632,11 +616,3 @@ def divide_identity(a_mat, b_mat, c_mat) -> IdentityReport:
               - z ** r * z_substitute(big_det) * dd_q)
     return IdentityReport.of(f"divide-p{p}-r{r}-s{s}", None, None,
                              (closed, schur_residual))
-
-
-__all__ = [
-    "CofactorTable", "SchurStep", "char_poly", "cofactors", "cofactor_entry",
-    "coxeter_matrix", "coxeter_poly", "divide_identity", "identity7_check",
-    "join_poly", "path_sum_H", "pivot_first", "schur_step",
-    "walk_expansion_residual", "walk_gf",
-]

@@ -82,9 +82,6 @@ class Diagram:
             self._nbrs = tuple(tuple(sorted(x)) for x in nbrs)
         return self._nbrs[i] if 0 <= i < self.n else ()
 
-    def degree(self, i: int) -> int:
-        return len(self.neighbors(i))
-
     def adjacency(self) -> list[list[int]]:
         m = [[0] * self.n for _ in range(self.n)]
         for (i, j), w in self._w.items():
@@ -181,12 +178,6 @@ class SeifertMatrix:
     @property
     def n(self) -> int:
         return len(self.entries)
-
-    def c_matrix(self) -> list[list[int]]:
-        """S + S^t: diagonal 2, off-diagonal -a_ij."""
-        n = self.n
-        return [[self.entries[i][j] + self.entries[j][i] for j in range(n)]
-                for i in range(n)]
 
 
 # ---------------------------------------------------------------------------
@@ -307,13 +298,6 @@ def join(parts) -> Diagram:
     return Diagram(offset, edges, order=order)
 
 
-def disjoint_union(a: Diagram, b: Diagram) -> Diagram:
-    edges = [((i, j), w) for (i, j, w) in a.edges()]
-    edges += [((i + a.n, j + a.n), w) for (i, j, w) in b.edges()]
-    order = list(a.order) + [p + a.n for p in b.order]
-    return Diagram(a.n + b.n, edges, order=order)
-
-
 # ---------------------------------------------------------------------------
 # bipartite two-block ordering
 # ---------------------------------------------------------------------------
@@ -413,11 +397,3 @@ def _ints(tokens, raw: str) -> list[int]:
         return [int(t) for t in tokens]
     except ValueError:
         raise DomainError(f"expected integers in line: {raw!r}") from None
-
-
-def to_text(d: Diagram) -> str:
-    lines = [f"n {d.n}"]
-    lines += [f"{i} {j} {w}" for (i, j, w) in d.edges()]
-    if d.order != tuple(range(d.n)):
-        lines.append("order " + " ".join(str(v) for v in d.order))
-    return "\n".join(lines) + "\n"

@@ -1,0 +1,76 @@
+"""Independent oracles and input builders that only the tests use.
+
+Each computes what it checks the straight way, sharing no code with the
+library routine under test: a cofactor as a signed minor determinant, a
+Magnus expansion as the product of its letters' images, and a union of
+diagrams or a diagram file by writing the edges out.
+"""
+
+from coxkit.algebra import Poly, det_poly
+from coxkit.coxeter import _check_vertices
+from coxkit.diagram import Diagram
+
+
+# -- cofactors ------------------------------------------------------------------
+
+def _z_matrix(d: Diagram) -> list[list[Poly]]:
+    """(z-2)E + C = zE - A with A the weighted adjacency matrix."""
+    n = d.n
+    adj = d.adjacency()
+    return [[Poly((0, 1)) if i == j else Poly((-adj[i][j],))
+             for j in range(n)] for i in range(n)]
+
+
+def cofactor_entry(d: Diagram, i: int, j: int) -> Poly:
+    """Single cofactor by a direct signed minor determinant."""
+    _check_vertices(d, "cofactor indices", i, j)
+    n = d.n
+    m = _z_matrix(d)
+    minor = [[m[r][c] for c in range(n) if c != j]
+             for r in range(n) if r != i]
+    det = det_poly(minor)
+    return det if (i + j) % 2 == 0 else -det
+
+
+# -- Magnus expansion ---------------------------------------------------------------
+
+def magnus_product(a: dict, b: dict, order: int) -> dict:
+    """The product of two series in noncommuting variables, {word:
+    coefficient} with words as tuples of variable indices, truncated at
+    total degree order; no zero coefficient is kept."""
+    out: dict = {}
+    for wa, ca in a.items():
+        for wb, cb in b.items():
+            if len(wa) + len(wb) <= order:
+                out[wa + wb] = out.get(wa + wb, 0) + ca * cb
+    return {w: c for w, c in out.items() if c}
+
+
+def magnus_by_letters(word, order: int) -> dict:
+    """The Magnus expansion of a free-group word, letter by letter: x_i
+    maps to 1 + u_i and x_i^-1 to sum_k (-u_i)^k."""
+    out = {(): 1}
+    for letter in word:
+        i = abs(letter)
+        image = ({(): 1, (i,): 1} if letter > 0
+                 else {(i,) * k: (-1) ** k for k in range(order + 1)})
+        out = magnus_product(out, image, order)
+    return out
+
+
+# -- diagram builders ---------------------------------------------------------------
+
+def disjoint_union(a: Diagram, b: Diagram) -> Diagram:
+    edges = [((i, j), w) for (i, j, w) in a.edges()]
+    edges += [((i + a.n, j + a.n), w) for (i, j, w) in b.edges()]
+    order = list(a.order) + [p + a.n for p in b.order]
+    return Diagram(a.n + b.n, edges, order=order)
+
+
+def to_text(d: Diagram) -> str:
+    """The diagram file that diagram.from_text reads back as d."""
+    lines = [f"n {d.n}"]
+    lines += [f"{i} {j} {w}" for (i, j, w) in d.edges()]
+    if d.order != tuple(range(d.n)):
+        lines.append("order " + " ".join(str(v) for v in d.order))
+    return "\n".join(lines) + "\n"

@@ -203,7 +203,9 @@ def test_a_usage_error_names_unknown_options_before_missing_ones(
     ("--order", "x", "invalid int value: 'x'"),
     ("--order", "-1", "must be in 0..64"),
     ("--order", "65", "must be in 0..64"),
-    ("--random-trees", "-1", "must be at least 0"),
+    ("--random-trees", "-1", f"must be in 0..{cli.MAX_RANDOM_TREES}"),
+    ("--random-trees", f"{cli.MAX_RANDOM_TREES + 1}",
+     f"must be in 0..{cli.MAX_RANDOM_TREES}"),
     ("--random-trees", "1.5", "invalid int value: '1.5'"),
     ("--max-vertices", "0", "must be in 1..1024"),
     ("--max-vertices", "1025", "must be in 1..1024"),
@@ -651,7 +653,58 @@ def test_cofactor_tables_above_the_cap_exit_2_at_once(capsys, monkeypatch,
     captured = capsys.readouterr()
     assert captured.out == "" and captured.err.count("\n") == 1
     assert captured.err.startswith("error: ")
-    assert f"limit {coxeter.MAX_COFACTOR_VERTICES}" in captured.err
+    # the sweep bounds refuse a --diagram before the cap is reached
+    assert (f"at most {cli.MAX_SWEEP_VERTICES} vertices" if "--diagram" in argv
+            else f"limit {coxeter.MAX_COFACTOR_VERTICES}") in captured.err
+
+
+def _diagram_file(path, n, edges) -> str:
+    path.write_text(f"n {n}\n" + "".join(f"{i} {j} {w}\n"
+                                         for i, j, w in edges))
+    return str(path)
+
+
+@pytest.mark.parametrize("suite", SWEEP_SUITES)
+def test_sweep_inputs_beyond_the_bounds_exit_2_at_once(tmp_path, capsys,
+                                                       monkeypatch, suite):
+    def never(*args):
+        raise AssertionError("a refused sweep input was computed on")
+
+    for module, name in [(coxeter, "_faddeev_leverrier"),
+                         (coxeter, "schur_step"), (identities, "cd_char")]:
+        monkeypatch.setattr(module, name, never)
+    # one past each bound: 33 vertices, two cycles, a weight of 3 or -3
+    square = [(0, 1, 1), (1, 2, 1), (2, 3, 1), (0, 3, 1)]
+    refused = [
+        "A33", "~D32", "~A32", "D1000",
+        _diagram_file(tmp_path / "path", 33,
+                      [(k, k + 1, 1) for k in range(32)]),
+        _diagram_file(tmp_path / "two-cycles", 4, square + [(0, 2, 1)]),
+        _diagram_file(tmp_path / "heavy", 2, [(0, 1, 3)]),
+        _diagram_file(tmp_path / "negative", 3, [(0, 1, 1), (1, 2, -3)]),
+    ]
+    for source in refused:
+        start = time.perf_counter()
+        assert cli.main(["verify", suite, "--diagram", source]) == 2, source
+        assert time.perf_counter() - start < 1.0
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.count("\n") == 1
+        assert captured.err.startswith(f"error: {source} has ")
+        assert "a sweep takes at most" in captured.err
+
+
+def test_the_largest_admitted_sweep_inputs_finish_every_sweep_suite(
+        tmp_path, capsys):
+    # the largest name, and a file of as many vertices and cycles and as
+    # heavy weights as admitted: the 32-cycle with every weight -2
+    cycle = [(k, (k + 1) % 32, -2) for k in range(32)]
+    for source in ("~A31", _diagram_file(tmp_path / "densest", 32, cycle)):
+        for suite in SWEEP_SUITES:
+            code, out = run_cli(capsys, "verify", suite, "--diagram", source,
+                                "--json")
+            assert code == 0, (suite, source)
+            assert all(json.loads(line)["holds"]
+                       for line in out.splitlines()), (suite, source)
 
 
 def test_cfrac_cycle_accepts_every_vertex_as_root(capsys):

@@ -13,15 +13,16 @@ from coxkit.algebra import (Laurent, Poly, _det_laplace, det_exact, det_poly,
                             q_to_z, z_substitute)
 from coxkit.coxeter import (SchurStep, _adjacency_rows, _cyclomatic,
                             _edge_step, _faddeev_leverrier, char_poly,
-                            cofactor_entry, cofactors, coxeter_matrix,
-                            coxeter_poly, divide_identity, identity7_check,
-                            join_poly, path_sum_H, pivot_first, schur_step,
+                            cofactors, coxeter_matrix, coxeter_poly,
+                            divide_identity, identity7_check, join_poly,
+                            path_sum_H, pivot_first, schur_step,
                             walk_expansion_residual, walk_gf)
 from coxkit.diagram import (MAX_VERTICES, Diagram, bipartite_order, build,
-                            disjoint_union, join, random_tree)
+                            join, random_tree)
 from coxkit.errors import (DimensionMismatch, DomainError,
                            PreconditionABneq2C, UnknownVertex)
 from coxkit.report import nonzero_terms
+from oracles import cofactor_entry, disjoint_union
 
 Z = Laurent.z()
 
@@ -297,6 +298,26 @@ def test_memoized_schur_step_is_the_fresh_one(d, data):
     schur_step(other, pivot)
     assert coxeter._schur_step.cache_info().currsize == (
         1 if other.order == d.order else 2)
+
+
+def test_the_step_key_keeps_the_order_for_cycles_not_forests():
+    # on a forest two neighbours of the pivot lie in different components
+    # of the rest, so no step has a cross and no order changes a step
+    rng = random.Random(28)
+    for _ in range(300):
+        d = disjoint_union(random_tree(rng, rng.randint(1, 5), (1, 2)),
+                           random_tree(rng, rng.randint(1, 4), (1, 2)))
+        pivot = rng.randrange(d.n)
+        steps = [schur_step(d.with_order(rng.sample(range(d.n), d.n)), pivot)
+                 for _ in range(3)]
+        assert all(s.crosses == () for s in steps), d
+        assert steps[0] == steps[1] == steps[2], d
+    # on a cycle the crosses and the total depend on the order
+    square = build("affA", 3)
+    cycle, two_block = (schur_step(square.with_order(order), 0)
+                        for order in [(0, 1, 2, 3), (0, 2, 1, 3)])
+    assert cycle.crosses != two_block.crosses
+    assert cycle.total != two_block.total
 
 
 # -- join formula -------------------------------------------------------------

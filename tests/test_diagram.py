@@ -8,9 +8,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from coxkit.diagram import (MAX_VERTICES, Diagram, OddCycle, SeifertMatrix,
-                            bipartite_order, build, disjoint_union, from_name,
-                            from_text, join, parse_name, random_tree, to_text)
+                            bipartite_order, build, from_name, from_text, join,
+                            parse_name, random_tree)
 from coxkit.errors import BadRank, DomainError, UnknownVertex
+from oracles import disjoint_union, to_text
 
 
 def test_build_a1_single_vertex():
@@ -78,7 +79,7 @@ def test_neighbors_match_an_edge_scan_on_random_graphs():
                     order=rng.sample(range(n), n))
         for i in range(-1, n + 1):
             assert d.neighbors(i) == _scan_neighbors(d, i), (d, i)
-            assert d.degree(i) == len(_scan_neighbors(d, i))
+            assert len(d.neighbors(i)) == len(_scan_neighbors(d, i))
         assert d.components() == _scan_components(d)
         assert d.is_tree() == (n == 0 or (len(d.edges()) == n - 1
                                           and len(_scan_components(d)) == 1))
@@ -131,8 +132,8 @@ def test_delete_affine_vertex_gives_euclidean():
     for fam, n in [("affE", 6), ("affE", 7), ("affE", 8), ("affD", 5)]:
         d = build(fam, n).delete([0])
         e = build(fam.replace("aff", ""), n)
-        assert sorted(d.degree(v) for v in range(d.n)) == \
-            sorted(e.degree(v) for v in range(e.n))
+        assert sorted(len(d.neighbors(v)) for v in range(d.n)) == \
+            sorted(len(e.neighbors(v)) for v in range(e.n))
 
 
 def test_delete_everything():
@@ -148,16 +149,17 @@ def test_delete_unknown_vertex():
 def test_join_of_three_a1_is_star():
     d = join([(build("A", 1), 0)] * 3)
     assert d.n == 4
-    degs = sorted(d.degree(v) for v in range(4))
+    degs = sorted(len(d.neighbors(v)) for v in range(4))
     assert degs == [1, 1, 1, 3]
     e = build("D", 4)
-    assert sorted(e.degree(v) for v in range(4)) == degs
+    assert sorted(len(e.neighbors(v)) for v in range(4)) == degs
 
 
 def test_join_path_extension():
     d = join([(build("A", 3), 2)])
-    degs = sorted(d.degree(v) for v in range(4))
-    assert degs == sorted(build("A", 4).degree(v) for v in range(4))
+    degs = sorted(len(d.neighbors(v)) for v in range(4))
+    e = build("A", 4)
+    assert degs == sorted(len(e.neighbors(v)) for v in range(4))
 
 
 def test_join_then_delete_center_restores_parts():
@@ -227,7 +229,8 @@ def test_seifert_matrix_shape():
     d = build("A", 3)
     s = SeifertMatrix.from_diagram(d)
     assert s.entries == ((1, -1, 0), (0, 1, -1), (0, 0, 1))
-    c = s.c_matrix()
+    c = [[x + y for x, y in zip(row, col)]
+         for row, col in zip(s.entries, zip(*s.entries))]
     assert c == [[2, -1, 0], [-1, 2, -1], [0, -1, 2]]
 
 

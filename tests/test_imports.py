@@ -1,8 +1,12 @@
-"""Every imported name is used, and every module-level private function
-or class of the package is referenced: stdlib-only checks."""
+"""Every imported name is used, every module-level private function or
+class of the package is referenced, and every public one, and every public
+method of a public class, is reached from outside the tests: stdlib-only
+checks."""
 
 import ast
 import pathlib
+import re
+from collections import Counter
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 
@@ -49,25 +53,34 @@ def test_checker_flags_unused_and_spares_all_and_future():
     assert _unused_imports(source, "m.py") == ["m.py:3: d", "m.py:2: os"]
 
 
+_FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef)
+_DEFINITIONS = (*_FUNCTIONS, ast.ClassDef)
+
+
+def _mentions(node: ast.AST):
+    """Every name, attribute, imported name and dotted string's last part
+    under node; an `__all__` list mentions nothing."""
+    if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__all__"
+            for t in node.targets):
+        return
+    if isinstance(node, ast.Name):
+        yield node.id
+    elif isinstance(node, ast.Attribute):
+        yield node.attr
+    elif isinstance(node, ast.alias):
+        yield node.name.split(".")[-1]
+    elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+        yield node.value.split(".")[-1]
+    for child in ast.iter_child_nodes(node):
+        yield from _mentions(child)
+
+
 def _references(tree: ast.Module) -> list[tuple[str, str | None]]:
-    """(name, enclosing top-level definition or None) for every name,
-    attribute, imported name and dotted string a module mentions."""
-    out = []
-    for top in tree.body:
-        owner = (top.name if isinstance(top, (ast.FunctionDef,
-                                              ast.AsyncFunctionDef,
-                                              ast.ClassDef)) else None)
-        for node in ast.walk(top):
-            if isinstance(node, ast.Name):
-                out.append((node.id, owner))
-            elif isinstance(node, ast.Attribute):
-                out.append((node.attr, owner))
-            elif isinstance(node, ast.alias):
-                out.append((node.name.split(".")[-1], owner))
-            elif isinstance(node, ast.Constant) and isinstance(node.value,
-                                                                str):
-                out.append((node.value.split(".")[-1], owner))
-    return out
+    """(name, enclosing top-level definition or None) for every mention in
+    a module."""
+    return [(name, top.name if isinstance(top, _DEFINITIONS) else None)
+            for top in tree.body for name in _mentions(top)]
 
 
 def _orphans(sources: dict[str, str], checked) -> list[str]:
@@ -81,8 +94,7 @@ def _orphans(sources: dict[str, str], checked) -> list[str]:
     out = []
     for name in checked:
         for node in trees[name].body:
-            if (isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
-                                  ast.ClassDef))
+            if (isinstance(node, _DEFINITIONS)
                     and node.name.startswith("_")
                     and not node.name.startswith("__")
                     and not any(ref == node.name and home != name
@@ -91,14 +103,20 @@ def _orphans(sources: dict[str, str], checked) -> list[str]:
     return out
 
 
-def test_no_orphan_private_helpers():
+def _package_sources() -> tuple[dict[str, str], list[str]]:
+    """The text of every Python file of the repository by its path, and
+    the paths of the package's files."""
     files = [p for d in ("src", "tests", "scripts", "perfbench")
              for p in sorted((ROOT / d).rglob("*.py"))]
     sources = {str(p.relative_to(ROOT)): p.read_text(encoding="utf-8")
                for p in files}
     checked = [name for name in sources if name.startswith("src/coxkit/")]
     assert checked
-    orphans = _orphans(sources, checked)
+    return sources, checked
+
+
+def test_no_orphan_private_helpers():
+    orphans = _orphans(*_package_sources())
     assert not orphans, "\n".join(orphans)
 
 
@@ -124,3 +142,75 @@ def test_checker_flags_orphans_and_spares_outside_references():
                  "    pass\n"),
     }
     assert _orphans(sources, ["pkg/m.py"]) == ["pkg/m.py:1: _alone"]
+
+
+def _public(tree: ast.Module):
+    """(qualified name, node) of each public module-level function and
+    class and each public method of a public class."""
+    for top in tree.body:
+        if isinstance(top, _DEFINITIONS) and not top.name.startswith("_"):
+            yield top.name, top
+            for node in top.body if isinstance(top, ast.ClassDef) else ():
+                if (isinstance(node, _FUNCTIONS)
+                        and not node.name.startswith("_")):
+                    yield f"{top.name}.{node.name}", node
+
+
+def _unreached(sources: dict[str, str], checked, readme: str) -> list[str]:
+    """The public functions, classes and methods of the files in checked
+    that no source (file name -> text) outside tests/ mentions outside
+    their own definition and that no code span of readme names.  A name
+    shared with another definition counts as reached through it."""
+    trees = {name: ast.parse(text, name) for name, text in sources.items()}
+    mentioned = Counter(m for name, tree in trees.items()
+                        if not name.startswith("tests/")
+                        for m in _mentions(tree))
+    named = {word for span in re.findall(r"```.*?```|`[^`]+`", readme, re.S)
+             for word in re.findall(r"[A-Za-z_]\w*", span)}
+    return [f"{name}:{node.lineno}: {qual}"
+            for name in checked for qual, node in _public(trees[name])
+            if node.name not in named
+            and mentioned[node.name] == Counter(_mentions(node))[node.name]]
+
+
+def test_every_public_name_is_reached_outside_the_tests():
+    # the library, the CLI, the scripts and the benchmark reach the public
+    # surface, or README documents it; a test oracle lives in tests/
+    unreached = _unreached(*_package_sources(),
+                           (ROOT / "README.md").read_text(encoding="utf-8"))
+    assert not unreached, "\n".join(unreached)
+
+
+def test_checker_flags_test_only_names_and_spares_readme_and_callers():
+    sources = {
+        "pkg/m.py": ("def by_test():\n"
+                     "    pass\n"
+                     "def recursive(n):\n"
+                     "    return recursive(n - 1) if n else 0\n"
+                     "def documented():\n"
+                     "    pass\n"
+                     "def called():\n"
+                     "    pass\n"
+                     "def exported():\n"
+                     "    pass\n"
+                     "__all__ = ['exported']\n"
+                     "class Table:\n"
+                     "    def row(self):\n"
+                     "        return called()\n"
+                     "    def unread(self):\n"
+                     "        return self.unread()\n"
+                     "    def __len__(self):\n"
+                     "        return 0\n"
+                     "class _Hidden:\n"
+                     "    def method(self):\n"
+                     "        pass\n"),
+        "scripts/s.py": ("from pkg.m import Table\n"
+                         "print(Table().row())\n"),
+        "tests/test_m.py": ("from pkg.m import by_test, recursive\n"
+                            "by_test(recursive(2))\n"),
+    }
+    readme = ("The prose word by_test names nothing; `documented()` and\n"
+              "```\nunread = 1\n```\n")
+    assert _unreached(sources, ["pkg/m.py"], readme) == [
+        "pkg/m.py:1: by_test", "pkg/m.py:3: recursive",
+        "pkg/m.py:9: exported"]
