@@ -12,6 +12,7 @@ otherwise.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import zip_longest
 from typing import Iterable, Sequence
 
 from .algebra import (Frame, Laurent, Poly, RatFunc, TruncSeries, _substitute,
@@ -40,6 +41,14 @@ MAX_STRANDS = 1024
 # with 130; the unreduced image of 2 strands and 2000 letters took 1.8 s
 # on a Xeon core under Python 3.11.
 MAX_BURAU_BITS = 1 << 25
+
+# The most letters a meridian walk (artin_action, longitudes) may build,
+# counting each conjugate before it is reduced and each picked word, so
+# that the work is bounded as well as what is held.  Meridians grow about
+# 2.6 times per letter pair on (s1 s2^-1)^k: the walk builds 120k letters
+# at k = 9 and 2.1 M at k = 12, and s1^500 builds 1.0 M; the largest walk
+# in the suites and the benchmark builds 802.
+MAX_WALK_LETTERS = 1_000_000
 
 
 # ---------------------------------------------------------------------------
@@ -104,7 +113,8 @@ class BraidWord:
 
 
 def linking_matrix(b: BraidWord) -> dict[tuple[int, int], int]:
-    """Half the signed crossing count between each strand pair (1-based)."""
+    """Half the signed crossing count between each strand pair (1-based)
+    of a pure braid."""
     pos = list(range(b.strands))
     counts: dict[tuple[int, int], int] = {}
     for g in b.word:
@@ -113,8 +123,8 @@ def linking_matrix(b: BraidWord) -> dict[tuple[int, int], int]:
         key = (min(s, t) + 1, max(s, t) + 1)
         counts[key] = counts.get(key, 0) + (1 if g > 0 else -1)
         pos[k], pos[k + 1] = pos[k + 1], pos[k]
-    if any(v % 2 for v in counts.values()) and b.is_pure:
-        raise ArithmeticError("odd crossing count on a pure braid")
+    if pos != list(range(b.strands)):
+        raise NotPure("the linking matrix needs a pure braid")
     return {k: v // 2 for k, v in counts.items()}
 
 
@@ -233,7 +243,7 @@ def unit_match(a: RatFunc, b: RatFunc) -> tuple[int, int] | None:
 
 
 # ---------------------------------------------------------------------------
-# free-group words and the Artin action
+# free-group words, the meridian walk, the Artin action and longitudes
 # ---------------------------------------------------------------------------
 
 def free_reduce(word: Iterable[int]) -> Word:
@@ -250,82 +260,65 @@ def word_inverse(word: Sequence[int]) -> Word:
     return tuple(-g for g in reversed(word))
 
 
+def _meridians(b: BraidWord) -> tuple[list[Word], list[tuple[int, Word]]]:
+    """Walk the word with the meridian of every strand position.
+
+    The Wirtinger update keeps the left-to-right meridian product
+    constant.  Returns the meridians at the bottom and, for each letter,
+    the 0-based strand that passes under with the over-strand's meridian
+    read with the crossing sign.  Every letter the walk builds (a
+    conjugate before it is reduced, and a picked word) is counted, and
+    past MAX_WALK_LETTERS the walk is refused before it reduces.
+    """
+    merid: list[Word] = [(p + 1,) for p in range(b.strands)]
+    strand_at = list(range(b.strands))
+    picks: list[tuple[int, Word]] = []
+    built = 0
+    for g in b.word:
+        k = abs(g) - 1
+        x, y = merid[k], merid[k + 1]
+        if g > 0:
+            # the strand at position k + 1 passes over the one at k
+            under, picked, conj = k, y, word_inverse(y) + x + y
+        else:
+            under, picked = k + 1, word_inverse(x)
+            conj = x + y + picked
+        built += len(conj) + len(picked)
+        if built > MAX_WALK_LETTERS:
+            raise DomainError(f"the meridian walk of {len(b.word)} letters "
+                              f"on {b.strands} strands builds more than "
+                              f"{MAX_WALK_LETTERS} letters")
+        picks.append((strand_at[under], picked))
+        merid[k], merid[k + 1] = ((y, free_reduce(conj)) if g > 0
+                                  else (free_reduce(conj), x))
+        strand_at[k], strand_at[k + 1] = strand_at[k + 1], strand_at[k]
+    return merid, picks
+
+
 def artin_action(b: BraidWord) -> tuple[Word, ...]:
     """Images of the free generators: s_i sends x_i to x_i x_{i+1} x_i^-1
-    and x_{i+1} to x_i; composition follows the word left to right."""
-    n = b.strands
-    images: list[Word] = [(i + 1,) for i in range(n)]
+    and x_{i+1} to x_i; composition follows the word left to right.  They
+    are the bottom meridians of the inverse word."""
+    return tuple(_meridians(b.inverse())[0])
 
-    def gen_image(g: int, x: int) -> Word:
-        i = abs(g)
-        if g > 0:
-            if x == i:
-                return (i, i + 1, -i)
-            if x == i + 1:
-                return (i,)
-        else:
-            if x == i:
-                return (i + 1,)
-            if x == i + 1:
-                return (-(i + 1), i, i + 1)
-        return (x,)
-
-    for g in b.word:
-        new_images = []
-        for img in images:
-            word: list[int] = []
-            for letter in img:
-                piece = gen_image(g, abs(letter))
-                word.extend(piece if letter > 0 else word_inverse(piece))
-            new_images.append(free_reduce(word))
-        images = new_images
-    return tuple(images)
-
-
-# ---------------------------------------------------------------------------
-# longitudes of a pure braid
-# ---------------------------------------------------------------------------
 
 def longitudes(b: BraidWord) -> tuple[Word, ...]:
     """Zero-linking longitudes read at the bottom of the cylinder.
 
-    Walk the word tracking the meridian of every position (the Wirtinger
-    update keeps the left-to-right meridian product constant); each time
-    strand i passes under it collects the over-strand's meridian with the
-    crossing sign.  The raw word L is then framed as x_i^-1 L x_i^(1-e)
+    Each strand collects the words the meridian walk picks where it
+    passes under.  The raw word L is then framed as x_i^-1 L x_i^(1-e)
     with e the exponent sum of L, which makes the linking number with the
     union of all strands zero.
     """
     if not b.is_pure:
         raise NotPure("longitudes need a pure braid")
-    n = b.strands
-    merid: list[Word] = [(p + 1,) for p in range(n)]
-    strand_at: list[int] = list(range(n))
-    raw: list[list[int]] = [[] for _ in range(n)]
-    for g in b.word:
-        k = abs(g) - 1
-        if g > 0:
-            over_pos, under_pos = k + 1, k
-        else:
-            over_pos, under_pos = k, k + 1
-        m_over = merid[over_pos]
-        picked = m_over if g > 0 else word_inverse(m_over)
-        raw[strand_at[under_pos]].extend(picked)
-        if g > 0:
-            new_k = merid[k + 1]
-            new_k1 = free_reduce(word_inverse(merid[k + 1]) + merid[k]
-                                 + merid[k + 1])
-        else:
-            new_k1 = merid[k]
-            new_k = free_reduce(merid[k] + merid[k + 1]
-                                + word_inverse(merid[k]))
-        merid[k], merid[k + 1] = new_k, new_k1
-        strand_at[k], strand_at[k + 1] = strand_at[k + 1], strand_at[k]
+    raw: list[list[int]] = [[] for _ in range(b.strands)]
+    for strand, picked in _meridians(b)[1]:
+        raw[strand].extend(picked)
     out = []
-    for i in range(n):
-        body = free_reduce(raw[i])
+    for gen, letters in enumerate(raw, start=1):
+        body = free_reduce(letters)
         e = sum(1 if g > 0 else -1 for g in body)
-        gen = i + 1
         framed = (-gen,) + body + ((gen,) * (1 - e) if e <= 1
                                    else (-gen,) * (e - 1))
         out.append(free_reduce(framed))
@@ -522,36 +515,19 @@ def milnor(b: BraidWord, order: int) -> MilnorTable:
 # Alexander-Conway catalog for 2-braid closures
 # ---------------------------------------------------------------------------
 
-def conway_from_seifert(v_mat) -> Poly:
-    """Conway polynomial det(qV - q^-1 V^t) of a Seifert matrix, written
-    in the variable t = q - 1/q."""
-    size = len(v_mat)
-    q, qinv = Laurent.q(1), Laurent.q(-1)
-    m = [[q * Laurent.const(v_mat[i][j]) - qinv * Laurent.const(v_mat[j][i])
-          for j in range(size)] for i in range(size)]
-    return laurent_to_t_poly(det_exact(m))
-
-
 def conway_torus2(k: int) -> Poly:
     """Conway polynomial (variable t = q - 1/q) of the closure of s1^k.
 
-    Computed from the bidiagonal Seifert matrix of the k-banded annulus;
-    the sign convention makes the k = 2 Hopf value equal -t, and negative
-    k mirrors by t -> -t.  k = 0 is the split unlink (zero), |k| = 1 the
-    unknot (one).
+    By the skein relation C_k = C_(k-2) - t C_(k-1) from C_0 = 0 (the
+    split unlink) and C_1 = 1 (the unknot), so the k = 2 Hopf value is -t;
+    negative k mirrors by t -> -t.
     """
-    if k == 0:
-        return Poly.zero()
-    size = abs(k) - 1
-    if size == 0:
-        return Poly.one()
-    v_mat = [[(-1 if i == j else (1 if j == i + 1 else 0))
-              for j in range(size)] for i in range(size)]
-    t_poly = conway_from_seifert(v_mat)
-    if k < 0:
-        t_poly = Poly(tuple(c if i % 2 == 0 else -c
-                            for i, c in enumerate(t_poly.coeffs)))
-    return t_poly
+    prev, cur = [1], []             # C_-1 and C_0
+    sign = -1 if k > 0 else 1       # t -> -t for the mirror
+    for _ in range(abs(k)):
+        prev, cur = cur, [a + sign * c for a, c in
+                          zip_longest(prev, [0] + cur, fillvalue=0)]
+    return Poly(cur)
 
 
 def laurent_to_t_poly(p: Laurent) -> Poly:
@@ -593,9 +569,10 @@ def levin_check(b: BraidWord, order: int,
         raise DomainError("the series identity is implemented for 2 strands")
     if not b.is_pure:
         raise NotPure("need a pure braid")
-    half_twists = b.exponent_sum()
+    # the walk's bound refuses a long word before the catalog is built
+    lon = longitudes(b)[0]
     if conway_v is None:
-        conway_v = conway_torus2(half_twists)
+        conway_v = conway_torus2(b.exponent_sum())
     if conway_h is None:
         conway_h = Poly.one()
     if conway_h.is_zero:
@@ -604,7 +581,7 @@ def levin_check(b: BraidWord, order: int,
     t_series = TruncSeries.u(order) * sqrt.inverse()
     lhs = t_series.compose_poly(conway_v.coeffs) * \
         t_series.compose_poly(conway_h.coeffs).inverse()
-    rhs = sqrt * TruncSeries(order, _ending_in_1(longitudes(b)[0], order))
+    rhs = sqrt * TruncSeries(order, _ending_in_1(lon, order))
     residual = lhs - rhs
     degenerate = conway_v.is_zero
     return LevinReport(lhs, rhs, residual.is_zero, degenerate)

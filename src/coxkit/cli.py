@@ -34,12 +34,13 @@ RANDOM_TREES = 50
 MAX_TREE_VERTICES = 8
 
 # verify's sweep bounds: seeded trees per suite (`verify all --random-trees
-# 10000` took 9.5 s at 8 vertices, Python 3.11, 2 cores), and the vertices,
-# independent cycles and |edge weight| of a --diagram.  cd-char and
-# identity7 take every vertex pair, so a sweep grows like n^4 to n^6, and
-# faster with cycles and weights: cd-char took 0.95 s on A32, 9.5 s on A48
-# and 64 s on A32 with weights 10^6, identity7 on 32 vertices 0.7 s with
-# one cycle and 2.9 s with two.  At the bounds a suite took at most 1.8 s.
+# 10000` took 9.5 s at 8 vertices, Python 3.11, 2 cores, and 1000 took
+# 8.3 s at --max-vertices 32), and the vertices (of a tree too), independent
+# cycles and |edge weight| of a --diagram.  cd-char and identity7 take every
+# vertex pair, so a sweep grows like n^4 to n^6, and faster with cycles and
+# weights: cd-char took 0.95 s on A32, 9.5 s on A48 and 64 s on A32 with
+# weights 10^6, identity7 on 32 vertices 0.7 s with one cycle and 2.9 s
+# with two.  At the bounds a suite took at most 1.8 s.
 MAX_RANDOM_TREES = 10_000
 MAX_SWEEP_VERTICES, MAX_SWEEP_CYCLES, MAX_SWEEP_WEIGHT = 32, 1, 2
 
@@ -831,9 +832,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--random-trees", type=_int_in(0, MAX_RANDOM_TREES),
                    help=f"seeded trees per suite, 0..{MAX_RANDOM_TREES} "
                         f"(default {RANDOM_TREES})")
-    p.add_argument("--max-vertices", type=_int_in(1, diagram.MAX_VERTICES),
-                   help=f"most vertices of a tree (default "
-                        f"{MAX_TREE_VERTICES})")
+    p.add_argument("--max-vertices", type=_int_in(1, MAX_SWEEP_VERTICES),
+                   help=f"most vertices of a tree, 1..{MAX_SWEEP_VERTICES} "
+                        f"(default {MAX_TREE_VERTICES})")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--json", action="store_true")
     p.add_argument("--timings", action="store_true")

@@ -2,11 +2,14 @@
 
 Each computes what it checks the straight way, sharing no code with the
 library routine under test: a cofactor as a signed minor determinant, a
-Magnus expansion as the product of its letters' images, and a union of
-diagrams or a diagram file by writing the edges out.
+Magnus expansion as the product of its letters' images, the Artin action
+by substituting into every image letter by letter, a Conway polynomial as
+the determinant of a Seifert form, and a union of diagrams or a diagram
+file by writing the edges out.
 """
 
-from coxkit.algebra import Poly, det_poly
+from coxkit.algebra import Laurent, Poly, det_exact, det_poly
+from coxkit.braid import free_reduce, laurent_to_t_poly, word_inverse
 from coxkit.coxeter import _check_vertices
 from coxkit.diagram import Diagram
 
@@ -56,6 +59,50 @@ def magnus_by_letters(word, order: int) -> dict:
                  else {(i,) * k: (-1) ** k for k in range(order + 1)})
         out = magnus_product(out, image, order)
     return out
+
+
+# -- Artin action and Conway polynomials ---------------------------------------------
+
+def artin_by_substitution(b) -> tuple:
+    """Images of the free generators under the braid word b: s_i sends x_i
+    to x_i x_{i+1} x_i^-1 and x_{i+1} to x_i, and each letter of the word
+    is substituted into every image, left to right."""
+    images = [(i + 1,) for i in range(b.strands)]
+
+    def gen_image(g: int, x: int) -> tuple:
+        i = abs(g)
+        if g > 0:
+            if x == i:
+                return (i, i + 1, -i)
+            if x == i + 1:
+                return (i,)
+        else:
+            if x == i:
+                return (i + 1,)
+            if x == i + 1:
+                return (-(i + 1), i, i + 1)
+        return (x,)
+
+    for g in b.word:
+        new_images = []
+        for img in images:
+            word: list = []
+            for letter in img:
+                piece = gen_image(g, abs(letter))
+                word.extend(piece if letter > 0 else word_inverse(piece))
+            new_images.append(free_reduce(word))
+        images = new_images
+    return tuple(images)
+
+
+def conway_from_seifert(v_mat) -> Poly:
+    """Conway polynomial det(qV - q^-1 V^t) of a Seifert matrix, written
+    in the variable t = q - 1/q."""
+    size = len(v_mat)
+    q, qinv = Laurent.q(1), Laurent.q(-1)
+    m = [[q * Laurent.const(v_mat[i][j]) - qinv * Laurent.const(v_mat[j][i])
+          for j in range(size)] for i in range(size)]
+    return laurent_to_t_poly(det_exact(m))
 
 
 # -- diagram builders ---------------------------------------------------------------

@@ -19,7 +19,8 @@ from coxkit.braid import (BraidWord, _ending_in_1, artin_action, burau,
                           linking_matrix, longitudes, magnus, milnor,
                           t_poly_to_laurent, unit_match)
 from coxkit.errors import DomainError, NotPure, StrandMismatch
-from oracles import magnus_by_letters, magnus_product
+from oracles import (artin_by_substitution, conway_from_seifert,
+                     magnus_by_letters, magnus_product)
 
 
 def rand_word(rng, n, length):
@@ -55,6 +56,15 @@ def test_permutation_and_purity():
 def test_linking_matrix_hopf():
     assert linking_matrix(BraidWord(2, (1, 1))) == {(1, 2): 1}
     assert linking_matrix(BraidWord(2, (-1, -1))) == {(1, 2): -1}
+
+
+def test_linking_matrix_refuses_a_braid_that_is_not_pure():
+    # odd crossing counts were halved and rounded down: s1 gave 0 and
+    # s1^-1 gave -1, and on 3 strands s1^3 gave 1 and s1^-3 gave -2
+    for b in (BraidWord(2, (1,)), BraidWord(2, (-1,)), BraidWord(3, (1,) * 3),
+              BraidWord(3, (-1,) * 3), BraidWord(3, (1, 2))):
+        with pytest.raises(NotPure):
+            linking_matrix(b)
 
 
 # -- Burau ----------------------------------------------------------------------
@@ -259,6 +269,16 @@ def test_artin_s1():
 def test_artin_s1_squared():
     got = artin_action(BraidWord(2, (1, 1)))
     assert got == ((1, 2, 1, -2, -1), (1, 2, -1))
+
+
+def test_artin_action_matches_the_substitution_oracle():
+    # the bottom meridians of the inverse word are the images that
+    # substituting each letter into every image gives
+    rng = random.Random(29)
+    for _ in range(600):
+        n = rng.randint(1, 6)
+        w = rand_word(rng, n, rng.randint(0, 14) if n > 1 else 0)
+        assert artin_action(w) == artin_by_substitution(w), w
 
 
 def test_artin_inverse_composes_to_identity():
@@ -480,8 +500,20 @@ def test_conway_catalog_values():
     assert conway_torus2(-2) == Poly((0, 1))
 
 
+def test_conway_catalog_matches_the_seifert_determinant():
+    # the bidiagonal Seifert matrix of the |k|-banded annulus, mirrored by
+    # t -> -t for negative k
+    for k in range(41):
+        size = max(k - 1, 0)
+        v = [[-1 if i == j else (1 if j == i + 1 else 0)
+              for j in range(size)] for i in range(size)]
+        want = conway_from_seifert(v) if k else Poly.zero()
+        assert conway_torus2(k) == want, k
+        assert conway_torus2(-k) == Poly(c if i % 2 == 0 else -c
+                                         for i, c in enumerate(want.coeffs))
+
+
 def test_conway_from_seifert_matrix_input():
-    from coxkit.braid import conway_from_seifert
     # figure-eight knot: Conway 1 - t^2
     v = [[1, 1], [0, -1]]
     assert conway_from_seifert(v) == Poly((1, 0, -1))
@@ -492,7 +524,6 @@ def test_conway_from_seifert_matrix_input():
 def test_levin_accepts_seifert_input():
     # both closure polynomials supplied from Seifert matrices: the band
     # surface of the s1^4 closure and the empty matrix of the unknot
-    from coxkit.braid import conway_from_seifert
     rep = levin_check(BraidWord(2, (1, 1, 1, 1)), 10,
                       conway_v=conway_from_seifert(
                           [[-1, 1, 0], [0, -1, 1], [0, 0, -1]]),

@@ -207,8 +207,9 @@ def test_a_usage_error_names_unknown_options_before_missing_ones(
     ("--random-trees", f"{cli.MAX_RANDOM_TREES + 1}",
      f"must be in 0..{cli.MAX_RANDOM_TREES}"),
     ("--random-trees", "1.5", "invalid int value: '1.5'"),
-    ("--max-vertices", "0", "must be in 1..1024"),
-    ("--max-vertices", "1025", "must be in 1..1024"),
+    ("--max-vertices", "0", f"must be in 1..{cli.MAX_SWEEP_VERTICES}"),
+    ("--max-vertices", f"{cli.MAX_SWEEP_VERTICES + 1}",
+     f"must be in 1..{cli.MAX_SWEEP_VERTICES}"),
 ])
 def test_the_parser_refuses_an_int_out_of_its_range(capsys, option, value,
                                                     message):
@@ -400,6 +401,30 @@ def test_braid_output_is_pinned(capsys, argv, digest):
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
+# sha256 of the stdout of `coxkit braid artin` on the words of BRAID_SHA256
+# of up to 41 letters, computed when the Artin action was substituted
+# letter by letter; the walk of _W130 is past braid.MAX_WALK_LETTERS
+ARTIN_SHA256 = [
+    (["--word", "s1 s1 -s2", "--strands", "3"],
+     "40890a8b3ae43433d9c76fee6f0736f68d72e9dac906ad09cc69c8ad71e17f09"),
+    (["--word", "s1 -s2 s3 s2 -s1 s3", "--strands", "4"],
+     "48c93b0b197763c2723b418350cf3cdc00fa32ebbe78181055d476c62322d609"),
+    (["--word", _W41, "--strands", "5"],
+     "d58bcc7e81fc1e25c29a8fd3c60b3a1a85466187793fc669d7c365e66c0b831f"),
+    (["--word", " ".join(["-s2"] * 40), "--strands", "3"],
+     "4f23e8c53e804e788be7c9cd155e1dee6dafe3ea1e4ad1716be71ddfb1884951"),
+    (["--word", "s1 s2 -s1 s2"],
+     "7dcde8931747fc9f5c822abc3f288321b97c1d2486d1cf2135c04f344ddfbb0d"),
+]
+
+
+@pytest.mark.parametrize("argv,digest", ARTIN_SHA256)
+def test_braid_artin_output_is_pinned(capsys, argv, digest):
+    code, out = run_cli(capsys, "braid", "artin", *argv)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 # sha256 of the stdout of `coxkit cfrac --diagram NAME --format FORMAT`
 CFRAC_SHA256 = {
     ("A1000", "latex"):
@@ -573,7 +598,10 @@ def test_huge_vertex_counts_exit_2_without_allocating(tmp_path, capsys,
     finally:
         tracemalloc.stop()
     assert code == 2
-    assert str(MAX_VERTICES) in capsys.readouterr().err
+    # a tree size meets the sweep bound in the parser
+    bound = (f"1..{cli.MAX_SWEEP_VERTICES}" if "--max-vertices" in argv
+             else str(MAX_VERTICES))
+    assert bound in capsys.readouterr().err
     assert peak < 1 << 20
     assert time.perf_counter() - start < 1.0
 
@@ -629,7 +657,8 @@ def test_kostant_verify_14_at_rank_1000_runs_no_gcd(capsys, monkeypatch,
     ["kostant", "--type", "~A1000", "--verify", "16"],
     ["verify", "cd-char", "--diagram", "A1000"],
     ["verify", "identity7", "--diagram", "D1000"],
-    # at seed 0 the first tree has more vertices than the cap
+    # at seed 0 the first tree of at most 1024 vertices would have more
+    # vertices than the cap, but the parser refuses that size first
     ["verify", "cd-char", "--random-trees", "1", "--max-vertices", "1024"],
 ])
 def test_cofactor_tables_above_the_cap_exit_2_at_once(capsys, monkeypatch,
@@ -652,10 +681,16 @@ def test_cofactor_tables_above_the_cap_exit_2_at_once(capsys, monkeypatch,
     assert time.perf_counter() - start < 1.0
     captured = capsys.readouterr()
     assert captured.out == "" and captured.err.count("\n") == 1
-    assert captured.err.startswith("error: ")
-    # the sweep bounds refuse a --diagram before the cap is reached
-    assert (f"at most {cli.MAX_SWEEP_VERTICES} vertices" if "--diagram" in argv
-            else f"limit {coxeter.MAX_COFACTOR_VERTICES}") in captured.err
+    # the sweep bounds refuse a --diagram, and the parser a tree size,
+    # before the cap is reached
+    if "--max-vertices" in argv:
+        assert captured.err == ("usage error: argument --max-vertices: must "
+                                f"be in 1..{cli.MAX_SWEEP_VERTICES}\n")
+    else:
+        assert captured.err.startswith("error: ")
+        assert (f"at most {cli.MAX_SWEEP_VERTICES} vertices"
+                if "--diagram" in argv
+                else f"limit {coxeter.MAX_COFACTOR_VERTICES}") in captured.err
 
 
 def _diagram_file(path, n, edges) -> str:
@@ -1039,6 +1074,53 @@ def test_magnus_above_the_word_cap_exits_2_at_once(capsys):
     assert peak < 64 << 20
     code, out = run_cli(capsys, *argv[:-1], "16")
     assert code == 0 and len(out.splitlines()) == 26475
+
+
+_S1_S2INV_9 = " ".join(["s1 -s2"] * 9)
+_WALK_MODES = [["artin"], ["longitudes"], ["magnus", "--order", "2"],
+               ["milnor", "--order", "2"]]
+
+
+def _refused_at_once(capsys, argv, seconds):
+    start = time.perf_counter()
+    assert cli.main(argv) == 2
+    assert time.perf_counter() - start < seconds
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.count("\n") == 1
+    assert captured.err.startswith("error: the meridian walk of ")
+    assert f"more than {braid.MAX_WALK_LETTERS} letters" in captured.err
+
+
+@pytest.mark.parametrize("mode", _WALK_MODES, ids=lambda m: m[0])
+def test_a_walk_past_a_lowered_bound_exits_2_at_once(capsys, monkeypatch,
+                                                     mode):
+    # (s1 s2^-1)^9 is pure, and its walks build 30k (inverse) to 120k
+    # letters, which the real bound admits
+    argv = ["braid", *mode, "--word", _S1_S2INV_9]
+    assert run_cli(capsys, *argv)[0] == 0
+    monkeypatch.setattr(braid, "MAX_WALK_LETTERS", 10_000)
+    _refused_at_once(capsys, argv, 1.0)
+
+
+@pytest.mark.parametrize("argv", [
+    *(["braid", *m, "--word", " ".join(["s1 -s2"] * 21)] for m in _WALK_MODES),
+    ["braid", "levin", "--word", " ".join(["s1"] * 2000)],
+], ids=["artin", "longitudes", "magnus", "milnor", "levin"])
+def test_words_whose_walks_grow_past_the_bound_exit_2_at_once(capsys, argv):
+    # without the bound, longitudes, magnus and milnor of (s1 s2^-1)^21
+    # ran out of memory, artin ran for minutes, and levin of s1^2000 would
+    # have run its Conway catalog for hours; a tree without the bound fails
+    # here, before it runs any of them
+    assert braid.MAX_WALK_LETTERS <= 10 ** 6
+    _refused_at_once(capsys, argv, 2.0)
+    tracemalloc.start()
+    try:
+        assert cli.main(argv) == 2
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 << 20
+    capsys.readouterr()
 
 
 def _failing_levin(monkeypatch):
@@ -1485,6 +1567,10 @@ BRAID_MAGNUS_SHA256 = {
 }
 BRAID_MILNOR7_SHA256 = (
     "3dc94be58776c3df3e6d26a411af49289b3c3325128905e8306db9d65a3684cf")
+# and of `coxkit braid longitudes` on all ten, computed before longitudes
+# and the Artin action shared one meridian walk
+BRAID_LONGITUDES_SHA256 = (
+    "67edac413c32f66666c18b4afd27c238ca3e5dc961e668b65a8bd3b8c2c14d53")
 
 
 @pytest.mark.parametrize("order", sorted(BRAID_MAGNUS_SHA256))
@@ -1504,3 +1590,12 @@ def test_braid_milnor_output_is_pinned(capsys):
                             "--strands", strands, "--order", "7")
         digest.update(f"{code}\n{out}".encode())
     assert digest.hexdigest() == BRAID_MILNOR7_SHA256
+
+
+def test_braid_longitudes_output_is_pinned(capsys):
+    digest = hashlib.sha256()
+    for strands, word in _pure_braid_texts():
+        code, out = run_cli(capsys, "braid", "longitudes", "--word", word,
+                            "--strands", strands)
+        digest.update(f"{code}\n{out}".encode())
+    assert digest.hexdigest() == BRAID_LONGITUDES_SHA256
