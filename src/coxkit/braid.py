@@ -32,6 +32,17 @@ MAX_ORDER = 64
 # expansion in the suites and the benchmark has 1101.
 MAX_MAGNUS_WORDS = 100_000
 
+# The most words the Magnus expansions of one command may visit, summed
+# over their letters (milnor's longitudes share the count): each letter
+# passes over every word held, so the work is letters times words, which
+# MAX_MAGNUS_WORDS alone leaves unbounded.  On (s1 s2^-1)^9, whose walk
+# MAX_WALK_LETTERS admits, the longitudes of 4180, 10946 and 6766 letters
+# visit 0.9, 2.5 and 1.6 M words at order 5 and about 3 times as many at
+# each order above, and `braid milnor --order 10` ran for 61 s; at 10^6
+# it is refused in 0.2 s (Python 3.11, 2 cores).  The largest count in
+# the suites and the benchmark is 68525 (a milnor op of the benchmark).
+MAX_MAGNUS_WORK = 1_000_000
+
 # The most strands a braid word may have, as diagram.MAX_VERTICES bounds a
 # diagram; no word in the suites or the benchmark has more than 6.
 MAX_STRANDS = 1024
@@ -422,22 +433,35 @@ def magnus(word: Sequence[int], nvars: int, order: int) -> MagnusSeries:
     is 0, so the words of length at most m are exactly the integers below
     base^m; appending u_i is k * base + i and stripping it k // base.
     """
+    return _magnus(word, nvars, order, 0)[0]
+
+
+def _magnus(word: Sequence[int], nvars: int, order: int,
+            work: int) -> tuple[MagnusSeries, int]:
+    """magnus, and work plus the words its letters visit: each letter
+    passes over every word held, and the count, taken once per letter, is
+    refused past MAX_MAGNUS_WORK.  milnor passes the count on from one
+    longitude to the next, so that the bound holds for all of them."""
     if order < 0:
         # below degree 0 a letter leaves nothing
-        return MagnusSeries(nvars, order, {} if word else {(): 1})
+        return MagnusSeries(nvars, order, {} if word else {(): 1}), work
     base = nvars + 1
     # the words shorter than the order: none at order 0
     short = base ** (order - 1) if order else 0
     top = base ** order
     acc: dict[int, int] = {0: 1}
     for letter in word:
+        work += len(acc)
+        if work > MAX_MAGNUS_WORK:
+            raise DomainError(f"the Magnus expansion visits more than "
+                              f"{MAX_MAGNUS_WORK} words; lower the order")
         if letter > 0:
             acc = _times_letter(acc, letter, base, short)
         else:
             acc = _times_inverse_letter(acc, -letter, base, top)
     words = {0: ()}
     return MagnusSeries(nvars, order, {_spelled(k, base, words): c
-                                       for k, c in acc.items()})
+                                       for k, c in acc.items()}), work
 
 
 def _spelled(k: int, base: int, words: dict[int, Word]) -> Word:
@@ -503,8 +527,9 @@ def milnor(b: BraidWord, order: int) -> MilnorTable:
     if not b.is_pure:
         raise NotPure("Milnor invariants need a pure braid")
     entries: dict[Word, int] = {}
+    work = 0
     for i, lon in enumerate(longitudes(b), start=1):
-        series = magnus(lon, b.strands, order - 1)
+        series, work = _magnus(lon, b.strands, order - 1, work)
         for word, coeff in series.items():
             if word and coeff:
                 entries[word + (i,)] = coeff

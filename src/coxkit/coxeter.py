@@ -10,8 +10,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import dropwhile
-from operator import add, not_, sub
+from itertools import repeat
+from operator import add, sub
 from typing import Sequence
 
 from .algebra import Laurent, Poly, det_exact, det_poly, mat_mul, z_substitute
@@ -161,23 +161,47 @@ def _adjacency_rows(n: int, edges) -> list[list[tuple[int, int]]]:
     return rows
 
 
-def _row_times(row, m: list[list[int]], n: int) -> list[int]:
-    """One row of M m, for the row of M given by its nonzero entries.  The
-    sums run through map, so every element is added in C; a row made of
-    one entry of weight 1 is a copy, since the caller updates the
-    diagonal in place."""
-    if not row:
-        return [0] * n
-    (t, w), *rest = row
-    acc = m[t][:] if w == 1 else list(map(w.__mul__, m[t]))
-    for t, w in rest:
-        if w == 1:
-            acc = list(map(add, acc, m[t]))
+def _two_sides(rows) -> tuple[list[int], list[list[int]]]:
+    """A 2-colouring of the nonzero pattern of rows: the side (0 or 1) of
+    each vertex and the two classes, each in ascending order.  A pattern
+    with an odd cycle (a nonzero diagonal entry is one) gets side 0
+    everywhere and one class that holds every vertex."""
+    n = len(rows)
+    side = [-1] * n
+    for s in range(n):
+        if side[s] >= 0:
+            continue
+        side[s], stack = 0, [s]
+        while stack:
+            i = stack.pop()
+            other = 1 - side[i]
+            for t, _ in rows[i]:
+                if side[t] < 0:
+                    side[t] = other
+                    stack.append(t)
+                elif side[t] != other:
+                    return [0] * n, [list(range(n))]
+    return side, [[i for i in range(n) if not side[i]],
+                  [i for i in range(n) if side[i]]]
+
+
+def _row_times(row, m: list[list[int]]) -> list[int]:
+    """One row of M m, for the row of M given by its nonzero entries: one
+    lazy map chain over the rows of m that list runs once, so every element
+    is added in C and no row of m is copied before the sum.  An empty row
+    gives []."""
+    acc = None
+    for t, w in row:
+        r = m[t]
+        if acc is None:
+            acc = r if w == 1 else map(w.__mul__, r)
+        elif w == 1:
+            acc = map(add, acc, r)
         elif w == -1:
-            acc = list(map(sub, acc, m[t]))
+            acc = map(sub, acc, r)
         else:
-            acc = list(map(add, acc, map(w.__mul__, m[t])))
-    return acc
+            acc = map(add, acc, map(w.__mul__, r))
+    return [] if acc is None else list(acc)
 
 
 def _trace_coeff(tr: int, k: int) -> int:
@@ -193,44 +217,71 @@ def _faddeev_leverrier(rows, entry=None):
 
     M_0 = E, M_k = M M_{k-1} + c_k E with c_k = -tr(M M_{k-1}) / k (always
     exact).  The c_k are the coefficients of det(xE - M) = sum c_k x^(n-k)
-    and adj(xE - M) = sum M_k x^(n-1-k).  A step costs one pass over the
-    nonzero entries of M per column: 2|E|n products on a diagram, not n^3.
-    The trace is read off the diagonal of M M_{k-1} before c_k is added;
-    the last step, which needs no layer, computes only that diagonal.
+    and adj(xE - M) = sum M_k x^(n-1-k).  The trace is read off the
+    diagonal of M M_{k-1} before c_k is added; the last step, which needs
+    no layer, computes only that diagonal.
+
+    On a bipartite pattern (see _two_sides), (M^k)_ij vanishes unless
+    k = side(i) + side(j) mod 2, so c_k = 0 at odd k, and row i of M_k is
+    held at half width, on the class of side side(i) + k mod 2, where the
+    row of every neighbour of i lies in M_{k-1}: a step costs |E|n
+    products, and the trace runs at even k only.  Any other pattern runs
+    the same loop with one class of every vertex: full rows, and a trace
+    at every k.
 
     Returns the ascending coefficients of the determinant, and the table
     of entry(ascending coefficients of adj(xE - M)[i][j]) when entry is
-    given; else None, and only the current layer is held.  M symmetric
-    (every caller's is) makes the adjugate symmetric, so entry runs once
-    per unordered pair and [i][j] and [j][i] hold the same value.
+    given; else None, and only the current layer is held.  Each row is
+    zipped once per parity over its layers, lowest power first, with
+    repeat(0) for the other parity, so an entry is one tuple of n
+    integers whose trailing zeros are entry's to drop.  M symmetric (every
+    caller's is) makes the adjugate symmetric, so entry runs once per
+    unordered pair and [i][j] and [j][i] hold the same value.
     """
     n = len(rows)
-    m = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
+    side, classes = _two_sides(rows)
+    h = len(classes)  # 2 on a bipartite pattern, else 1
+    at = [0] * n  # the place of each vertex in its class
+    for cls in classes:
+        for p, i in enumerate(cls):
+            at[i] = p
+    m = [[0] * len(classes[s]) for s in side]
+    for r, p in zip(m, at):
+        r[p] = 1
     layers = [m] if entry else None
     coeffs = [1]
     for k in range(1, n):
-        m = [_row_times(row, m, n) for row in rows]
-        c = _trace_coeff(sum(m[i][i] for i in range(n)), k)
-        coeffs.append(c)
-        for i in range(n):
-            m[i][i] += c
+        m = [_row_times(row, m) or [0] * len(classes[(s + k) % h])
+             for row, s in zip(rows, side)]
+        if k % h:
+            coeffs.append(0)
+        else:
+            c = _trace_coeff(sum(r[p] for r, p in zip(m, at)), k)
+            coeffs.append(c)
+            for r, p in zip(m, at):
+                r[p] += c
         if entry:
             layers.append(m)
     if n:
-        coeffs.append(_trace_coeff(
-            sum(w * m[t][i] for i, row in enumerate(rows) for t, w in row), n))
+        coeffs.append(0 if n % h else _trace_coeff(
+            sum(w * m[t][at[i]] for i, row in enumerate(rows)
+                for t, w in row), n))
     coeffs.reverse()
     if not entry:
         return coeffs, None
-    # zipped in layer order, an entry's coefficients come highest power
-    # first, so its leading zeros (|i - j| of them on a path) drop in C.
-    # The scratch copies are lists: freed tuples of fewer than 20 items
-    # stay on the interpreter's free lists, and with tuples here the peak
-    # RSS of the 25 verify suites rose by 0.4 MB (2%).
     adj = [[None] * n for _ in range(n)]
+    zeros = repeat(0)
     for i in range(n):
-        for j, c in enumerate(zip(*(layer[i][i:] for layer in layers)), i):
-            adj[i][j] = adj[j][i] = entry(list(dropwhile(not_, c))[::-1])
+        for par in range(h):
+            cls = classes[(side[i] + par) % h]
+            # the columns j >= i: of the i vertices below i, at[i] lie on
+            # the side of i and the others on the other side
+            lo = i - at[i] if par else at[i]
+            # layer n - 1 holds the coefficient of x^0
+            cols = zip(*[layers[k][i][lo:] if k % h == par else zeros
+                         for k in range(n - 1, -1, -1)])
+            for j, c in zip(cls[lo:], cols):
+                adj[i][j] = adj[j][i] = entry(c)
         for layer in layers:
             layer[i] = None  # the table takes the place of the layers
     return coeffs, adj
@@ -308,10 +359,13 @@ class CofactorTable:
 
 
 # The most vertices of a cofactor table.  Its n^3/2 integers grow like n^3
-# in time and memory: on a seeded random tree (Python 3.11, 2 cores) 64
-# vertices took 0.3 s and a 4.5 MB traced peak, 128 took 2.0 s and 38 MB,
-# and 192 took 6.8 s and 138 MB, so diagram.MAX_VERTICES (1024) would ask
-# for some 20 GB.  The suites and the benchmark reach at most 49 vertices.
+# in time and memory, although a bipartite graph holds its layers at half
+# width: on the seeded random tree random_tree(Random(n), n, (1, 2))
+# (Python 3.11, 2 cores) 64 vertices took 0.04 s and a 3.5 MB traced
+# peak, 128 took 0.31 s and 34 MB, and 192 took 1.15 s and 126 MB (full
+# rows: 0.06 s and 4.4 MB, 0.57 s and 42 MB, 2.2 s and 151 MB), so
+# diagram.MAX_VERTICES (1024) would ask for some 20 GB.  The suites and
+# the benchmark reach at most 49 vertices.
 MAX_COFACTOR_VERTICES = 192
 
 

@@ -1,12 +1,15 @@
 """Independent oracles and input builders that only the tests use.
 
 Each computes what it checks the straight way, sharing no code with the
-library routine under test: a cofactor as a signed minor determinant, a
-Magnus expansion as the product of its letters' images, the Artin action
-by substituting into every image letter by letter, a Conway polynomial as
-the determinant of a Seifert form, and a union of diagrams or a diagram
-file by writing the edges out.
+library routine under test: a cofactor as a signed minor determinant, the
+Faddeev-LeVerrier layers on full rows, a Magnus expansion as the product
+of its letters' images, the Artin action by substituting into every image
+letter by letter, a Conway polynomial as the determinant of a Seifert
+form, and a union of diagrams or a diagram file by writing the edges out.
 """
+
+from itertools import dropwhile
+from operator import add, not_, sub
 
 from coxkit.algebra import Laurent, Poly, det_exact, det_poly
 from coxkit.braid import free_reduce, laurent_to_t_poly, word_inverse
@@ -33,6 +36,57 @@ def cofactor_entry(d: Diagram, i: int, j: int) -> Poly:
              for r in range(n) if r != i]
     det = det_poly(minor)
     return det if (i + j) % 2 == 0 else -det
+
+
+def _full_row_times(row, m: list[list[int]], n: int) -> list[int]:
+    """One full row of M m, for the row of M given by its nonzero
+    entries."""
+    if not row:
+        return [0] * n
+    (t, w), *rest = row
+    acc = m[t][:] if w == 1 else list(map(w.__mul__, m[t]))
+    for t, w in rest:
+        if w == 1:
+            acc = list(map(add, acc, m[t]))
+        elif w == -1:
+            acc = list(map(sub, acc, m[t]))
+        else:
+            acc = list(map(add, acc, map(w.__mul__, m[t])))
+    return acc
+
+
+def faddeev_leverrier_full_rows(rows, entry=None):
+    """det(xE - M) and adj(xE - M) as the library's _faddeev_leverrier
+    returns them, for a symmetric integer matrix M given by the nonzero
+    entries of each row: every layer M_k = M M_(k-1) + c_k E held on full
+    rows, and a trace taken at every k, whatever the pattern of M."""
+    n = len(rows)
+    m = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
+    layers = [m] if entry else None
+    coeffs = [1]
+
+    def coeff(tr: int, k: int) -> int:
+        assert tr % k == 0
+        return -(tr // k)
+
+    for k in range(1, n):
+        m = [_full_row_times(row, m, n) for row in rows]
+        c = coeff(sum(m[i][i] for i in range(n)), k)
+        coeffs.append(c)
+        for i in range(n):
+            m[i][i] += c
+        if entry:
+            layers.append(m)
+    if n:
+        coeffs.append(coeff(
+            sum(w * m[t][i] for i, row in enumerate(rows) for t, w in row), n))
+    coeffs.reverse()
+    if not entry:
+        return coeffs, None
+    # in layer order an entry's coefficients come highest power first
+    return coeffs, [[entry(list(dropwhile(
+        not_, [layer[i][j] for layer in layers]))[::-1]) for j in range(n)]
+        for i in range(n)]
 
 
 # -- Magnus expansion ---------------------------------------------------------------

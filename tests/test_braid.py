@@ -391,6 +391,51 @@ def test_magnus_stops_one_stem_past_the_word_cap(monkeypatch):
         assert cap < held[-1] <= cap + order + 1, cap
 
 
+def _visits(word, nvars: int, order: int, monkeypatch) -> int:
+    """The words the letters of word visit in its Magnus expansion: the
+    sum over the letters of the words held when each is read."""
+    sizes = [1]
+    with monkeypatch.context() as mp:
+        for name in ("_times_letter", "_times_inverse_letter"):
+            real = getattr(braid, name)
+
+            def logged(acc, *args, real=real):
+                out = real(acc, *args)
+                sizes.append(len(out))
+                return out
+
+            mp.setattr(braid, name, logged)
+        magnus(word, nvars, order)
+    return sum(sizes[:len(word)])
+
+
+def test_magnus_refuses_one_word_past_the_work_bound(monkeypatch):
+    lon = longitudes(BraidWord.parse("-s1 -s1 -s1 -s1 -s1 -s1", 2))[0]
+    order = 12
+    want = magnus(lon, 2, order)
+    work = _visits(lon, 2, order, monkeypatch)
+    monkeypatch.setattr(braid, "MAX_MAGNUS_WORK", work)
+    assert magnus(lon, 2, order) == want
+    monkeypatch.setattr(braid, "MAX_MAGNUS_WORK", work - 1)
+    with pytest.raises(DomainError, match=f"more than {work - 1} words"):
+        magnus(lon, 2, order)
+
+
+def test_milnor_shares_the_work_bound_between_its_longitudes(monkeypatch):
+    b = BraidWord.parse("s1 s1 s2 s2 -s1 -s1 -s2 -s2", 3)
+    order = 5
+    want = milnor(b, order)
+    visits = [_visits(lon, 3, order - 1, monkeypatch)
+              for lon in longitudes(b)]
+    work = sum(visits)
+    assert max(visits) < work - 1  # no longitude alone passes work - 1
+    monkeypatch.setattr(braid, "MAX_MAGNUS_WORK", work)
+    assert milnor(b, order) == want
+    monkeypatch.setattr(braid, "MAX_MAGNUS_WORK", work - 1)
+    with pytest.raises(DomainError, match="lower the order"):
+        milnor(b, order)
+
+
 def test_magnus_respects_free_reduction():
     word = (1, 2, -2, -1, 1)
     assert magnus(word, 2, 5) == magnus(free_reduce(word), 2, 5)

@@ -1123,6 +1123,20 @@ def test_words_whose_walks_grow_past_the_bound_exit_2_at_once(capsys, argv):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("mode", ["magnus", "milnor"])
+def test_magnus_work_past_the_bound_exits_2_at_once(capsys, mode):
+    # the walk of (s1 s2^-1)^9 is admitted, but without the work bound its
+    # Magnus expansions at order 10 ran for 41 s (magnus) and 61 s (milnor)
+    argv = ["braid", mode, "--word", _S1_S2INV_9, "--order", "10"]
+    start = time.perf_counter()
+    assert cli.main(argv) == 2
+    assert time.perf_counter() - start < 1.0
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.count("\n") == 1
+    assert captured.err.startswith("error: the Magnus expansion visits ")
+    assert f"more than {braid.MAX_MAGNUS_WORK} words" in captured.err
+
+
 def _failing_levin(monkeypatch):
     """levin_check with u^2 - 3u^5 added to every rhs."""
     real = braid.levin_check

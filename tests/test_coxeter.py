@@ -22,7 +22,8 @@ from coxkit.diagram import (MAX_VERTICES, Diagram, bipartite_order, build,
 from coxkit.errors import (DimensionMismatch, DomainError,
                            PreconditionABneq2C, UnknownVertex)
 from coxkit.report import nonzero_terms
-from oracles import cofactor_entry, disjoint_union
+from oracles import (cofactor_entry, disjoint_union,
+                     faddeev_leverrier_full_rows)
 
 Z = Laurent.z()
 
@@ -455,7 +456,31 @@ def _random_graphs(count: int, seed: int = 3):
     return out
 
 
-GRAPHS = _random_graphs(110)
+def _shaped_graphs() -> list[Diagram]:
+    """The two shapes of the engine's layers.  Bipartite graphs with
+    cycles: a weighted 6-cycle, ~A_3, ~A_5 and ~A_7, K_3,3 and the 3 x 4
+    grid; forests with isolated vertices.  Not bipartite: a square beside
+    a triangle.  Several carry negative weights."""
+    rng = random.Random(11)
+    hexagon = Diagram(6, {(k, (k + 1) % 6): w
+                          for k, w in enumerate((2, -1, 3, 1, -2, 1))})
+    k33 = Diagram(6, {(i, j): rng.choice((-2, -1, 1, 2))
+                      for i in range(3) for j in range(3, 6)})
+    grid = Diagram(12, {**{(4 * r + c, 4 * r + c + 1): rng.choice((-1, 1, 2))
+                           for r in range(3) for c in range(3)},
+                        **{(4 * r + c, 4 * r + c + 4): rng.choice((-1, 1, 2))
+                           for r in range(2) for c in range(4)}})
+    forests = [Diagram(2 + t.n, {(i, j): w for i, j, w in t.edges()})
+               for t in (random_tree(rng, 7, (-1, 2, 3)),
+                         random_tree(rng, 10, (1, -3)))]
+    square = Diagram(4, {(0, 1): 1, (1, 2): -1, (2, 3): 2, (0, 3): 1})
+    triangle = Diagram(3, {(0, 1): 1, (1, 2): 2, (0, 2): -1})
+    return [hexagon, *(build("affA", k) for k in (3, 5, 7)), k33, grid,
+            *forests, disjoint_union(square, triangle)]
+
+
+SHAPED = _shaped_graphs()
+GRAPHS = _random_graphs(110) + SHAPED
 
 
 def _z_minus_a(d: Diagram) -> list[list[Poly]]:
@@ -470,6 +495,14 @@ def test_random_graphs_cover_the_cases():
     assert any(len(d.components()) > 1 for d in GRAPHS)
     assert any(len(d.edges()) >= d.n for d in GRAPHS)  # has a cycle
     assert any(w < 0 for d in GRAPHS for _, _, w in d.edges())
+    # both shapes of the engine's layers: half width on a bipartite graph
+    # with a cycle, full width on a graph with an odd cycle
+    assert any(isinstance(bipartite_order(d), list)
+               and _cyclomatic(d.n, d.edges()) for d in GRAPHS)
+    assert any(not isinstance(bipartite_order(d), list) for d in GRAPHS)
+    assert any(isinstance(bipartite_order(d), list)
+               and any(not d.neighbors(v) for v in range(d.n))
+               and len(d.edges()) for d in GRAPHS)
 
 
 def test_char_poly_matches_bareiss_on_random_graphs():
@@ -492,6 +525,66 @@ def test_cofactors_match_minors_and_invert_on_random_graphs():
                 for k in range(d.n):
                     acc = acc + m[i][k] * table[k, j]
                 assert acc == (g if i == j else Poly.zero()), (d, i, j)
+
+
+def test_engine_matches_the_full_row_oracle_on_random_graphs():
+    for d in GRAPHS:
+        rows = _adjacency_rows(d.n, d.edges())
+        for entry in (None, Poly, coxeter._at_square):
+            assert (_faddeev_leverrier(rows, entry)
+                    == faddeev_leverrier_full_rows(rows, entry)), d
+
+
+def test_shaped_graphs_match_every_minor():
+    for d in SHAPED:
+        table = cofactors(d)
+        for i in range(d.n):
+            for j in range(i, d.n):
+                assert table[i, j] == cofactor_entry(d, i, j), (d, i, j)
+
+
+def _side_counts(d: Diagram) -> set:
+    """The sizes of the two colour classes of a connected bipartite d."""
+    tour, parent = d.tour(0)
+    colour = {0: 0}
+    for v in tour[1:]:
+        colour[v] = 1 - colour[parent[v]]
+    black = sum(colour.values())
+    return {black, d.n - black}
+
+
+def _layer_widths(monkeypatch, call) -> set:
+    """The lengths of the layer rows that the engine sums during call."""
+    widths = set()
+    real = coxeter._row_times
+
+    def logged(row, m):
+        out = real(row, m)
+        widths.add(len(out))
+        return out
+
+    with monkeypatch.context() as mp:
+        mp.setattr(coxeter, "_row_times", logged)
+        call()
+    return widths
+
+
+def test_layer_rows_are_half_width_exactly_on_bipartite_patterns(
+        monkeypatch):
+    def table(d):
+        return _layer_widths(monkeypatch, lambda: _faddeev_leverrier(
+            _adjacency_rows(d.n, d.edges()), Poly))
+
+    tree = random_tree(random.Random(9), 21, (1, -2, 3))
+    assert table(tree) == _side_counts(tree) and len(_side_counts(tree)) == 2
+    assert table(build("affA", 11)) == {6}  # the 12-cycle
+    assert table(build("affA", 10)) == {11}  # the 11-cycle
+    # A A^t, whose diagonal holds the squared row lengths of A
+    a = [[1, -2, 0, 3], [0, 1, 1, 0], [2, 0, -1, 1], [1, 1, 1, 1]]
+    aat = algebra.mat_mul(a, [list(col) for col in zip(*a)])
+    assert all(aat[i][i] for i in range(4))
+    assert _layer_widths(monkeypatch,
+                         lambda: coxeter._det_adj_at_square(aat)) == {4}
 
 
 def test_char_poly_and_cofactors_match_sympy():
