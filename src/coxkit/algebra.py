@@ -567,25 +567,16 @@ def _substitute(p: Poly, sign: int) -> Laurent:
 def _unsubstitute(p: Laurent, sign: int) -> Poly:
     """The polynomial f with f(q + sign/q) = p, for sign = +-1: peel the
     coefficient c of q^k off with c times the binomial row of power k, for
-    k from the top exponent down to 0.  The rows are walked back down by
-    the Pascal rule read backwards, so only one is held."""
+    k from the top exponent down to 0.  Its term c sign^t C(k, t) at
+    q^(k - 2t) is the one before times sign (k - t + 1) / t, exactly."""
     rem = dict(p._c)
-    top = max(rem, default=-1)
-    out = [0] * (top + 1)
-    row = [1]
-    for _ in range(top):
-        row = _next_row(row, sign)
-    for k in range(top, -1, -1):
-        c = rem.pop(k, 0)
-        if c:
-            out[k] = c
+    out = [0] * (max(rem, default=-1) + 1)
+    for k in reversed(range(len(out))):
+        b = out[k] = rem.pop(k, 0)
+        if b:
             for t in range(1, k + 1):
-                e = k - 2 * t
-                rem[e] = rem.get(e, 0) - c * row[t]
-        prev = [1]
-        for t in range(1, k):
-            prev.append(row[t] - sign * prev[-1])
-        row = prev
+                b = sign * b * (k - t + 1) // t
+                rem[k - 2 * t] = rem.get(k - 2 * t, 0) - b
     if any(rem.values()):
         name = "q + 1/q" if sign > 0 else "q - 1/q"
         raise DomainError(f"not a polynomial in {name}")
@@ -858,8 +849,6 @@ class TruncSeries:
 
     __slots__ = ("order", "_n", "_d")
 
-    DEFAULT_ORDER = 32
-
     def __init__(self, order: int, coeffs: Iterable[Fraction | int] = ()):
         if order < 0:
             raise ValueError("order must be >= 0")
@@ -888,21 +877,12 @@ class TruncSeries:
         return TruncSeries(order)
 
     @staticmethod
-    def one(order: int) -> "TruncSeries":
-        return TruncSeries(order, (1,))
-
-    @staticmethod
     def u(order: int) -> "TruncSeries":
         return TruncSeries(order, (0, 1))
 
     @property
     def coeffs(self) -> tuple[Fraction, ...]:
         return tuple(Fraction(x, self._d) for x in self._n)
-
-    def coeff(self, k: int) -> Fraction:
-        if 0 <= k <= self.order:
-            return Fraction(self._n[k], self._d)
-        return Fraction(0)
 
     def _match(self, other: "TruncSeries") -> int:
         if self.order != other.order:
@@ -989,7 +969,7 @@ class TruncSeries:
         return f"TruncSeries({self.render()} + O(u^{self.order + 1}))"
 
 
-def series_sqrt1p(order: int = TruncSeries.DEFAULT_ORDER) -> TruncSeries:
+def series_sqrt1p(order: int) -> TruncSeries:
     """Binomial series of (1 + u)^(1/2) truncated at the given order."""
     c = [Fraction(1)]
     for k in range(1, order + 1):

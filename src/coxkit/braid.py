@@ -105,7 +105,7 @@ class BraidWord:
         return BraidWord(self.strands, self.word + other.word)
 
     def inverse(self) -> "BraidWord":
-        return BraidWord(self.strands, tuple(-g for g in reversed(self.word)))
+        return BraidWord(self.strands, word_inverse(self.word))
 
     def permutation(self) -> tuple[int, ...]:
         """pi with pi[p] = strand ending at position p (0-based strands)."""

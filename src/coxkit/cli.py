@@ -323,9 +323,8 @@ def _cfrac_cycle(args: Namespace):
     for n in range(1, 11):
         node = cfrac.expand_cycle(n)
         d = diagram.build("affA", n)
-        want = RatFunc(coxeter.char_poly(d.delete([0])), coxeter.char_poly(d))
         yield f"affA{n}", [cfrac.z_count(node) - (n if n % 2 else n + 1),
-                           (cfrac.evaluate(node) - want).num]
+                           (cfrac.evaluate(node) - cfrac.tree_ratio(d, 0)).num]
 
 
 # ---------------------------------------------------------------------------
@@ -707,8 +706,10 @@ def _print_cases(args: Namespace, cases: list[CaseResult]) -> int:
 def run_verify(args: Namespace) -> int:
     names = list(VERIFIERS) if args.suite == "all" else [args.suite]
     for flag, _ in _sweep_options(args):
-        # --diagram replaces the inputs of every suite, so each must sweep;
-        # the tree options need one suite that draws trees
+        # --diagram replaces every suite's inputs, so each must sweep and
+        # none draws trees; a tree option needs one suite that draws them
+        if flag != "--diagram" and args.diagram is not None:
+            raise UsageError(f"{flag} cannot be given with --diagram")
         if not (all if flag == "--diagram" else any)(map(_sweeps, names)):
             raise UsageError(f"{flag} applies only to the suites "
                              f"{', '.join(filter(_sweeps, VERIFIERS))}, "

@@ -532,13 +532,13 @@ def path_sum_H(d: Diagram, i: int, j: int) -> Poly:
 
 def walk_gf(d: Diagram, i: int, j: int, k_max: int) -> list[int]:
     """Weighted walk counts d_ij^k for k = 0..k_max (powers of the
-    adjacency matrix)."""
+    adjacency matrix, applied to column j one sparse row at a time)."""
     _check_vertices(d, "walk endpoints", i, j)
-    adj = d.adjacency()
+    rows = _adjacency_rows(d.n, d.edges())
     vec = [1 if t == j else 0 for t in range(d.n)]
     out = [vec[i]]
     for _ in range(k_max):
-        vec = [sum(adj[r][t] * vec[t] for t in range(d.n)) for r in range(d.n)]
+        vec = [sum(w * vec[t] for t, w in row) for row in rows]
         out.append(vec[i])
     return out
 

@@ -82,13 +82,6 @@ class Diagram:
             self._nbrs = tuple(tuple(sorted(x)) for x in nbrs)
         return self._nbrs[i] if 0 <= i < self.n else ()
 
-    def adjacency(self) -> list[list[int]]:
-        m = [[0] * self.n for _ in range(self.n)]
-        for (i, j), w in self._w.items():
-            m[i][j] = w
-            m[j][i] = w
-        return m
-
     def __eq__(self, other: object) -> bool:
         return (isinstance(other, Diagram) and self.n == other.n
                 and self._w == other._w and self.order == other.order)
@@ -174,10 +167,6 @@ class SeifertMatrix:
                     row.append(0)
             rows.append(tuple(row))
         return SeifertMatrix(tuple(rows))
-
-    @property
-    def n(self) -> int:
-        return len(self.entries)
 
 
 # ---------------------------------------------------------------------------

@@ -110,7 +110,7 @@ def klein_data(family: str, n: int) -> KleinGroupData:
     return KleinGroupData(family, n, a, b, h, a * b // 2, z, zm1)
 
 
-def klein_types(max_rank: int = 12):
+def klein_types(max_rank: int):
     """All built-in types with rank at most max_rank."""
     return [t for t in ade_types(max_rank) if t[0].startswith("aff")]
 

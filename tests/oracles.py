@@ -2,7 +2,8 @@
 
 Each computes what it checks the straight way, sharing no code with the
 library routine under test: a cofactor as a signed minor determinant, the
-Faddeev-LeVerrier layers on full rows, a Magnus expansion as the product
+Faddeev-LeVerrier layers on full rows, the inverse substitution by Pascal's
+rule walked down from the top row, a Magnus expansion as the product
 of its letters' images, the Artin action by substituting into every image
 letter by letter, a Conway polynomial as the determinant of a Seifert
 form, and a union of diagrams or a diagram file by writing the edges out.
@@ -15,6 +16,7 @@ from coxkit.algebra import Laurent, Poly, det_exact, det_poly
 from coxkit.braid import free_reduce, laurent_to_t_poly, word_inverse
 from coxkit.coxeter import _check_vertices
 from coxkit.diagram import Diagram
+from coxkit.errors import DomainError
 
 
 # -- cofactors ------------------------------------------------------------------
@@ -22,8 +24,7 @@ from coxkit.diagram import Diagram
 def _z_matrix(d: Diagram) -> list[list[Poly]]:
     """(z-2)E + C = zE - A with A the weighted adjacency matrix."""
     n = d.n
-    adj = d.adjacency()
-    return [[Poly((0, 1)) if i == j else Poly((-adj[i][j],))
+    return [[Poly((0, 1)) if i == j else Poly((-d.weight(i, j),))
              for j in range(n)] for i in range(n)]
 
 
@@ -87,6 +88,36 @@ def faddeev_leverrier_full_rows(rows, entry=None):
     return coeffs, [[entry(list(dropwhile(
         not_, [layer[i][j] for layer in layers]))[::-1]) for j in range(n)]
         for i in range(n)]
+
+
+# -- the inverse substitution ------------------------------------------------------
+
+def unsubstitute_by_pascal(p: Laurent, sign: int) -> Poly:
+    """The polynomial f with f(q + sign/q) = p, for sign = +-1: peel the
+    coefficient c of q^k off with c times the binomial row of power k, for
+    k from the top exponent down to 0.  The row of power k lists
+    sign^t C(k, t), the coefficient of q^(k-2t); the top row is built up by
+    Pascal's rule and the rows are walked back down by it read backwards."""
+    rem = dict(p._c)
+    top = max(rem, default=-1)
+    out = [0] * (top + 1)
+    row = [1]
+    for _ in range(top):
+        row = [1, *[a + sign * b for a, b in zip(row[1:], row)], sign * row[-1]]
+    for k in range(top, -1, -1):
+        c = rem.pop(k, 0)
+        if c:
+            out[k] = c
+            for t in range(1, k + 1):
+                e = k - 2 * t
+                rem[e] = rem.get(e, 0) - c * row[t]
+        prev = [1]
+        for t in range(1, k):
+            prev.append(row[t] - sign * prev[-1])
+        row = prev
+    if any(rem.values()):
+        raise DomainError("not a polynomial in q + sign/q")
+    return Poly(out)
 
 
 # -- Magnus expansion ---------------------------------------------------------------

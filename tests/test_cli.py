@@ -566,6 +566,19 @@ def test_verify_rejects_diagram_for_suites_with_fixed_inputs(capsys):
         assert ", ".join(SWEEP_SUITES) in err
 
 
+@pytest.mark.parametrize("trees,named", [
+    (["--max-vertices", "3"], "--max-vertices"),
+    (["--random-trees", "500"], "--random-trees"),
+    (["--max-vertices", "3", "--random-trees", "500"], "--random-trees")])
+def test_verify_diagram_refuses_the_tree_options(capsys, trees, named):
+    # --diagram replaces the seeded trees, so the options that draw them
+    # would do nothing
+    assert cli.main(["verify", "cd-char", "--diagram", "~D4", *trees]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"usage error: {named} cannot be given with --diagram\n"
+
+
 def test_verify_all_takes_the_tree_options(capsys, monkeypatch):
     # at least one suite of all draws trees; a failing suite that draws
     # none is rerun without them

@@ -484,8 +484,7 @@ GRAPHS = _random_graphs(110) + SHAPED
 
 
 def _z_minus_a(d: Diagram) -> list[list[Poly]]:
-    adj = d.adjacency()
-    return [[Poly((-adj[i][j], 1)) if i == j else Poly((-adj[i][j],))
+    return [[Poly((0, 1)) if i == j else Poly((-d.weight(i, j),))
              for j in range(d.n)] for i in range(d.n)]
 
 
@@ -806,10 +805,9 @@ def test_sweep_tables_are_symmetric_inverses_on_large_graphs():
     assert any(_cyclomatic(d.n, d.edges()) for d in graphs)
     for d, rs in zip(graphs, rows):
         table, g = cofactors(d), char_poly(d)
-        adj = d.adjacency()
         for z0 in (3, -2):  # G against Bareiss at two integer points
             assert sum(c * z0 ** k for k, c in enumerate(g.coeffs)) == \
-                _int_det([[(z0 if i == j else 0) - adj[i][j]
+                _int_det([[(z0 if i == j else 0) - d.weight(i, j)
                            for j in range(d.n)] for i in range(d.n)])
         for i in range(d.n):
             for j in range(d.n):
@@ -1124,6 +1122,34 @@ def test_walk_counts():
     assert walk_gf(d, 0, 1, 1) == [0, 1]
     tri = build("affA", 2)
     assert walk_gf(tri, 0, 0, 2)[2] == 2
+
+
+def test_walk_counts_match_dense_matrix_powers():
+    """walk_gf against the powers of the dense weighted adjacency, built
+    from d.weight, on seeded weighted trees with 0-3 chords (as many
+    independent cycles)."""
+    rng = random.Random(23)
+    cycles = set()
+    for _ in range(40):
+        n = rng.randint(1, 12)
+        tree = random_tree(rng, n, (-2, -1, 1, 2, 3))
+        edges = {(i, j): w for i, j, w in tree.edges()}
+        chords = min(rng.randint(0, 3), (n - 1) * (n - 2) // 2)
+        while len(edges) < n - 1 + chords:
+            edges.setdefault(tuple(sorted(rng.sample(range(n), 2))),
+                             rng.choice((-1, 1, 2)))
+        d = Diagram(n, edges)
+        cycles.add(chords)
+        a = [[d.weight(i, j) for j in range(n)] for i in range(n)]
+        k_max = rng.randint(0, 20)
+        powers = [[[int(i == j) for j in range(n)] for i in range(n)]]
+        for _ in range(k_max):
+            powers.append([[sum(x * a[t][j] for t, x in enumerate(row))
+                            for j in range(n)] for row in powers[-1]])
+        for i in range(n):
+            for j in range(n):
+                assert walk_gf(d, i, j, k_max) == [m[i][j] for m in powers]
+    assert cycles == {0, 1, 2, 3}
 
 
 def test_walk_expansion_order_20():
