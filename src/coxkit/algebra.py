@@ -251,8 +251,6 @@ class Poly:
 
     def shift(self, k: int) -> "Poly":
         """Multiply by x^k (k >= 0)."""
-        if self.is_zero:
-            return self
         return Poly((0,) * k + self._c)
 
     def render(self, var: str = "z") -> str:
@@ -494,8 +492,6 @@ class Laurent(_Sparse):
         """Exact division; the quotient is again a Laurent polynomial."""
         if other.is_zero:
             raise ExactDivisionError("division by zero")
-        if self.is_zero:
-            return Laurent.zero()
         sa, pa = self.to_poly()
         sb, pb = other.to_poly()
         return Laurent.from_poly(pa.exact_div(pb), sa - sb)

@@ -340,28 +340,6 @@ def longitudes(b: BraidWord) -> tuple[Word, ...]:
 # Magnus expansion
 # ---------------------------------------------------------------------------
 
-class MagnusSeries:
-    """Truncated series in noncommuting variables u_1..u_n with integer
-    coefficients; keys are tuples of 1-based variable indices."""
-
-    __slots__ = ("nvars", "order", "_c")
-
-    def __init__(self, nvars: int, order: int, coeffs=None):
-        self.nvars = nvars
-        self.order = order
-        self._c: dict[Word, int] = dict(coeffs) if coeffs else {}
-
-    def items(self):
-        return tuple(sorted(self._c.items()))
-
-    def __eq__(self, other: object) -> bool:
-        return (isinstance(other, MagnusSeries) and self._c == other._c
-                and self.order == other.order)
-
-    def __repr__(self) -> str:
-        return f"MagnusSeries({dict(self.items())!r})"
-
-
 def _times_letter(acc: dict[int, int], i: int, base: int,
                   short: int) -> dict[int, int]:
     """acc * (1 + u_i), truncated: each word k shorter than the order
@@ -425,26 +403,30 @@ def _too_many():
                       f"{MAX_MAGNUS_WORDS} words; lower the order")
 
 
-def magnus(word: Sequence[int], nvars: int, order: int) -> MagnusSeries:
-    """Magnus embedding x_i -> 1 + u_i, truncated at total degree order.
+def magnus(word: Sequence[int], nvars: int, order: int) -> dict[Word, int]:
+    """Magnus embedding x_i -> 1 + u_i, truncated at total degree order:
+    the coefficient of each word, a tuple of 1-based variable indices.
 
     While it is expanded, a word u_(i_1) .. u_(i_m) is the integer with the
     digits i_1 .. i_m in base nvars + 1, and the empty word is 0.  No digit
     is 0, so the words of length at most m are exactly the integers below
     base^m; appending u_i is k * base + i and stripping it k // base.
     """
+    for g in word:
+        if not 0 < abs(g) <= nvars:
+            raise DomainError(f"letter {g} is not a generator of 1..{nvars}")
     return _magnus(word, nvars, order, 0)[0]
 
 
 def _magnus(word: Sequence[int], nvars: int, order: int,
-            work: int) -> tuple[MagnusSeries, int]:
+            work: int) -> tuple[dict[Word, int], int]:
     """magnus, and work plus the words its letters visit: each letter
     passes over every word held, and the count, taken once per letter, is
     refused past MAX_MAGNUS_WORK.  milnor passes the count on from one
     longitude to the next, so that the bound holds for all of them."""
     if order < 0:
         # below degree 0 a letter leaves nothing
-        return MagnusSeries(nvars, order, {} if word else {(): 1}), work
+        return ({} if word else {(): 1}), work
     base = nvars + 1
     # the words shorter than the order: none at order 0
     short = base ** (order - 1) if order else 0
@@ -460,8 +442,7 @@ def _magnus(word: Sequence[int], nvars: int, order: int,
         else:
             acc = _times_inverse_letter(acc, -letter, base, top)
     words = {0: ()}
-    return MagnusSeries(nvars, order, {_spelled(k, base, words): c
-                                       for k, c in acc.items()}), work
+    return {_spelled(k, base, words): c for k, c in acc.items()}, work
 
 
 def _spelled(k: int, base: int, words: dict[int, Word]) -> Word:
@@ -577,9 +558,7 @@ class LevinReport:
     degenerate: bool
 
 
-def levin_check(b: BraidWord, order: int,
-                conway_v: Poly | None = None,
-                conway_h: Poly | None = None) -> LevinReport:
+def levin_check(b: BraidWord, order: int) -> LevinReport:
     """Compare the Alexander-Conway ratio of the two closures of a pure
     2-strand braid with its Milnor-invariant series.
 
@@ -587,8 +566,9 @@ def levin_check(b: BraidWord, order: int,
     substitution q - 1/q = u (1+u)^(-1/2), must equal
     (1+u)^(1/2) * sum_k (sum over index words mu_{i_1..i_k,1,1}) u^(k+1).
     The inner sums come from the longitude of strand 1 by _ending_in_1,
-    with no Magnus expansion.  Closure polynomials default to the torus
-    catalog (the horizontal closure of any pure 2-braid is an unknot).
+    with no Magnus expansion.  The vertical closure's polynomial comes
+    from the torus catalog; the horizontal closure of any pure 2-braid is
+    an unknot, whose polynomial is 1.
     """
     if b.strands != 2:
         raise DomainError("the series identity is implemented for 2 strands")
@@ -596,16 +576,10 @@ def levin_check(b: BraidWord, order: int,
         raise NotPure("need a pure braid")
     # the walk's bound refuses a long word before the catalog is built
     lon = longitudes(b)[0]
-    if conway_v is None:
-        conway_v = conway_torus2(b.exponent_sum())
-    if conway_h is None:
-        conway_h = Poly.one()
-    if conway_h.is_zero:
-        raise UnknownClosure("horizontal closure has zero polynomial")
+    conway_v = conway_torus2(b.exponent_sum())
     sqrt = series_sqrt1p(order)
     t_series = TruncSeries.u(order) * sqrt.inverse()
-    lhs = t_series.compose_poly(conway_v.coeffs) * \
-        t_series.compose_poly(conway_h.coeffs).inverse()
+    lhs = t_series.compose_poly(conway_v.coeffs)
     rhs = sqrt * TruncSeries(order, _ending_in_1(lon, order))
     residual = lhs - rhs
     degenerate = conway_v.is_zero

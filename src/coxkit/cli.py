@@ -635,7 +635,7 @@ def run_braid(args: Namespace) -> int:
     if mode == "magnus":
         lon = braid.longitudes(word)
         series = braid.magnus(lon[0], word.strands, args.order)
-        for mono, coeff in series.items():
+        for mono, coeff in sorted(series.items()):
             name = "1" if not mono else "*".join(f"u{i}" for i in mono)
             print(f"{coeff} {name}")
         return 0
@@ -851,10 +851,6 @@ RUNNERS = {
 }
 
 
-def run(args: Namespace) -> int:
-    return RUNNERS[args.command](args)
-
-
 def run_piped(body, *args) -> int:
     """body(*args), its exit code, with stdout flushed at the end; a reader
     that left early (`| head`) ends the run with exit 1 and no traceback."""
@@ -874,7 +870,8 @@ def run_piped(body, *args) -> int:
 
 def _main(argv) -> int:
     try:
-        return run(build_parser().parse_args(argv))
+        args = build_parser().parse_args(argv)
+        return RUNNERS[args.command](args)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2

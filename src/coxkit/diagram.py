@@ -64,8 +64,6 @@ class Diagram:
     # -- basic queries ------------------------------------------------------
 
     def weight(self, i: int, j: int) -> int:
-        if i == j:
-            return 0
         key = (i, j) if i < j else (j, i)
         return self._w.get(key, 0)
 

@@ -220,6 +220,19 @@ def test_mat_mul_over_every_ring():
 def test_exact_division_raises_on_remainder():
     with pytest.raises(ExactDivisionError):
         Poly((1, 1)).exact_div(Poly((0, 1)))
+    # a zero dividend gives zero, and a zero divisor still raises
+    assert Laurent.zero().exact_div(Laurent.z()) == Laurent.zero()
+    for zero, one in ((Poly.zero(), Poly.one()),
+                      (Laurent.zero(), Laurent.one())):
+        for dividend in (zero, one):
+            with pytest.raises(ExactDivisionError):
+                dividend.exact_div(zero)
+
+
+def test_shift_multiplies_by_a_power_of_x():
+    for k in range(4):
+        assert Poly.zero().shift(k) == Poly.zero()
+        assert Poly((2, -1)).shift(k) == Poly.monomial(1, k) * Poly((2, -1))
 
 
 # -- bezoutian and wronskian ------------------------------------------------

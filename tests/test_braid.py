@@ -1,10 +1,13 @@
 """Burau representation, Artin action, Milnor invariants, series identity."""
 
 import hashlib
+import os
 import random
 import re
+import subprocess
 import sys
 from itertools import product
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -436,6 +439,31 @@ def test_milnor_shares_the_work_bound_between_its_longitudes(monkeypatch):
         milnor(b, order)
 
 
+def test_magnus_refuses_a_letter_that_is_no_generator():
+    # letter 3 of two variables once gave the word (1, 0), and a word of
+    # no variables once recursed without end
+    for word, nvars in (((3,), 2), ((-3, 1), 2), ((1,), 0), ((-1,), 0)):
+        with pytest.raises(DomainError, match="not a generator"):
+            magnus(word, nvars, 2)
+
+
+def test_magnus_refuses_letter_0_at_once():
+    # letter 0 once stripped trailing 0-digits from the empty word forever,
+    # so it runs in a child process that the timeout ends
+    src = str(Path(braid.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    code = ("from coxkit.braid import magnus\n"
+            "from coxkit.errors import DomainError\n"
+            "try:\n"
+            "    magnus((0,), 2, 2)\n"
+            "except DomainError:\n"
+            "    raise SystemExit(3)\n")
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, timeout=30)
+    assert proc.returncode == 3, proc.stderr.decode()
+
+
 def test_magnus_respects_free_reduction():
     word = (1, 2, -2, -1, 1)
     assert magnus(word, 2, 5) == magnus(free_reduce(word), 2, 5)
@@ -564,16 +592,6 @@ def test_conway_from_seifert_matrix_input():
     assert conway_from_seifert(v) == Poly((1, 0, -1))
     # empty matrix: unknot
     assert conway_from_seifert([]) == Poly.one()
-
-
-def test_levin_accepts_seifert_input():
-    # both closure polynomials supplied from Seifert matrices: the band
-    # surface of the s1^4 closure and the empty matrix of the unknot
-    rep = levin_check(BraidWord(2, (1, 1, 1, 1)), 10,
-                      conway_v=conway_from_seifert(
-                          [[-1, 1, 0], [0, -1, 1], [0, 0, -1]]),
-                      conway_h=conway_from_seifert([]))
-    assert rep.holds
 
 
 def test_catalog_hopf_matches_stated_value():

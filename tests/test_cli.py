@@ -988,7 +988,6 @@ OPERATION_ROUTES = {
     "braid.magnus": "braid magnus --word 's1 s1' --order 6",
     "braid.milnor": "braid milnor --word 's1 s1' --order 6",
     "braid.levin_check": "braid levin --word 's1 s1'",
-    "cli.run": "verify all",
 }
 
 

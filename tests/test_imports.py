@@ -1,7 +1,8 @@
 """Every imported name is used, every module-level private function or
-class of the package is referenced, and every public one, and every public
-method of a public class, is reached from outside the tests: stdlib-only
-checks."""
+class of the package is referenced, every public one, and every public
+method of a public class, is reached from outside the tests, and every
+parameter default of the package is passed from outside the tests:
+stdlib-only checks."""
 
 import ast
 import pathlib
@@ -214,3 +215,117 @@ def test_checker_flags_test_only_names_and_spares_readme_and_callers():
     assert _unreached(sources, ["pkg/m.py"], readme) == [
         "pkg/m.py:1: by_test", "pkg/m.py:3: recursive",
         "pkg/m.py:9: exported"]
+
+
+def _name(node: ast.AST) -> str | None:
+    """The name a Name or an Attribute node reads, else None."""
+    return getattr(node, "id", getattr(node, "attr", None))
+
+
+def _passes(trees) -> tuple[Counter, dict, set]:
+    """For each name called in trees: the most positional arguments one
+    call passes (every position once a call passes *args), and the
+    keywords the calls pass (None, every keyword, once a call passes
+    **kwargs); and the names mentioned other than as a callee."""
+    most: Counter = Counter()
+    keywords: dict[str, set | None] = {}
+    callees, mentioned = set(), set()
+    for tree in trees:
+        # ast.walk yields a call before its callee
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call):
+                callees.add(id(node.func))
+                name = _name(node.func)
+                if any(isinstance(a, ast.Starred) for a in node.args):
+                    most[name] = float("inf")
+                most[name] = max(most[name], len(node.args))
+                words = keywords.setdefault(name, set())
+                if words is not None:
+                    names = [k.arg for k in node.keywords]
+                    keywords[name] = (None if None in names
+                                      else words.union(names))
+            elif (isinstance(node, (ast.Name, ast.Attribute))
+                  and id(node) not in callees):
+                mentioned.add(_name(node))
+    return most, keywords, mentioned
+
+
+def _functions(tree: ast.Module):
+    """(function node, whether its first parameter is bound) of each
+    module-level function and each method of a module-level class."""
+    for top in tree.body:
+        if isinstance(top, _FUNCTIONS):
+            yield top, False
+        elif isinstance(top, ast.ClassDef):
+            for node in top.body:
+                if isinstance(node, _FUNCTIONS):
+                    yield node, not any(
+                        getattr(d, "id", None) == "staticmethod"
+                        for d in node.decorator_list)
+
+
+def _unpassed_defaults(sources: dict[str, str], checked) -> list[str]:
+    """The parameters with a default, of the functions and methods of the
+    files in checked, that no call in a source (file name -> text)
+    outside tests/ passes, by position or by keyword.  Calls are matched
+    by name, as in _unreached; a function mentioned other than as a
+    callee counts as passing every parameter, and dunders are skipped."""
+    trees = {name: ast.parse(text, name) for name, text in sources.items()}
+    most, keywords, mentioned = _passes(
+        tree for name, tree in trees.items() if not name.startswith("tests/"))
+    out = []
+    for name in checked:
+        for fn, bound in _functions(trees[name]):
+            if fn.name.startswith("__") or fn.name in mentioned:
+                continue
+            a = fn.args
+            positional = a.posonlyargs + a.args
+            first = len(positional) - len(a.defaults)
+            words = keywords.get(fn.name, set())
+            if words is None:
+                continue
+            unpassed = [p.arg for k, p in enumerate(positional)
+                        if k >= first and most[fn.name] <= k - bound
+                        and p.arg not in words]
+            unpassed += [p.arg for p, d in zip(a.kwonlyargs, a.kw_defaults)
+                         if d is not None and p.arg not in words]
+            out += [f"{name}:{fn.lineno}: {fn.name}({p}=)" for p in unpassed]
+    return out
+
+
+def test_every_default_is_passed_outside_the_tests():
+    # a parameter that only tests pass is an input the product never
+    # reads: drop it, or give it a caller
+    unpassed = _unpassed_defaults(*_package_sources())
+    assert not unpassed, "\n".join(unpassed)
+
+
+def test_checker_flags_unpassed_defaults_and_spares_passed_ones():
+    sources = {
+        "pkg/m.py": ("def f(a, b=1, c=2, d=3, *, e=4, g=5):\n"
+                     "    pass\n"
+                     "def spread(a=1, *, b=2):\n"
+                     "    pass\n"
+                     "def handed(a=1):\n"
+                     "    pass\n"
+                     "def __dunder(a=1):\n"
+                     "    pass\n"
+                     "class Table:\n"
+                     "    def row(self, k=0, full=False):\n"
+                     "        return f(k, 1, d=2)\n"
+                     "    @staticmethod\n"
+                     "    def make(n=0, m=0):\n"
+                     "        return Table().row(n)\n"
+                     "    def __init__(self, n=0):\n"
+                     "        pass\n"
+                     "hooks = [handed]\n"),
+        "scripts/s.py": ("from pkg.m import f, spread, Table\n"
+                         "f(0, e=1)\n"
+                         "spread(*[1], **{'b': 2})\n"
+                         "Table.make(1)\n"),
+        "tests/test_m.py": ("from pkg.m import f\n"
+                            "f(0, 1, 2, 3, e=4, g=5)\n"),
+    }
+    assert _unpassed_defaults(sources, ["pkg/m.py"]) == [
+        "pkg/m.py:1: f(c=)", "pkg/m.py:1: f(g=)",
+        "pkg/m.py:10: row(full=)", "pkg/m.py:13: make(m=)"]
