@@ -21,7 +21,7 @@ from collections.abc import Iterable, Mapping, Sequence
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
-from operator import mul
+from operator import add, mul, neg, sub
 from struct import Struct
 from typing import Union
 
@@ -40,12 +40,18 @@ def _trim(c: list[int]) -> tuple[int, ...]:
 
 
 def _list_add(a: Sequence[int], b: Sequence[int]) -> tuple[int, ...]:
-    n = max(len(a), len(b))
-    out = [0] * n
-    for i, x in enumerate(a):
-        out[i] = x
-    for i, x in enumerate(b):
-        out[i] += x
+    # map runs the common prefix in C; the longer side's tail is copied
+    out = list(map(add, a, b))
+    out += a[len(b):] if len(a) > len(b) else b[len(a):]
+    return _trim(out)
+
+
+def _list_sub(a: Sequence[int], b: Sequence[int]) -> tuple[int, ...]:
+    out = list(map(sub, a, b))
+    if len(a) > len(b):
+        out += a[len(b):]
+    else:
+        out += map(neg, b[len(a):])
     return _trim(out)
 
 
@@ -196,27 +202,38 @@ class Poly:
         return self._c[k] if 0 <= k < len(self._c) else 0
 
     def __add__(self, other: "Poly") -> "Poly":
+        if not isinstance(other, Poly):
+            return NotImplemented
         p = Poly.__new__(Poly)
         p._c = _list_add(self._c, other._c)
         return p
 
     def __sub__(self, other: "Poly") -> "Poly":
-        return self + (-other)
+        # written out like +: self + (-other) builds the negation first
+        if not isinstance(other, Poly):
+            return NotImplemented
+        p = Poly.__new__(Poly)
+        p._c = _list_sub(self._c, other._c)
+        return p
 
     def __neg__(self) -> "Poly":
         p = Poly.__new__(Poly)
-        p._c = tuple(-x for x in self._c)
+        p._c = tuple(map(neg, self._c))
         return p
 
     def __mul__(self, other: Union["Poly", int]) -> "Poly":
-        if isinstance(other, int):
-            if other == 0:
-                return Poly.zero()
+        if isinstance(other, Poly):
             p = Poly.__new__(Poly)
-            p._c = tuple(other * x for x in self._c)
+            p._c = _list_mul(self._c, other._c)
             return p
+        if not isinstance(other, int):
+            return NotImplemented
+        if other == 1:
+            return self  # a Poly is immutable
+        if other == 0:
+            return Poly.zero()
         p = Poly.__new__(Poly)
-        p._c = _list_mul(self._c, other._c)
+        p._c = tuple(map(other.__mul__, self._c))
         return p
 
     __rmul__ = __mul__
@@ -231,6 +248,8 @@ class Poly:
         return hash(("Poly", self._c))
 
     def exact_div(self, other: "Poly") -> "Poly":
+        if not isinstance(other, Poly):
+            raise TypeError(f"expected a Poly, got {type(other).__name__}")
         p = Poly.__new__(Poly)
         p._c = _list_exact_div(self._c, other._c)
         return p
@@ -239,6 +258,8 @@ class Poly:
         return gcd(*self._c)
 
     def gcd(self, other: "Poly") -> "Poly":
+        if not isinstance(other, Poly):
+            raise TypeError(f"expected a Poly, got {type(other).__name__}")
         p = Poly.__new__(Poly)
         p._c = _list_gcd(self._c, other._c)
         return p
@@ -433,6 +454,8 @@ class Laurent(_Sparse):
     def __mul__(self, other: Union["Laurent", int]) -> "Laurent":
         if isinstance(other, int):
             return _Sparse.__mul__(self, other)
+        if not isinstance(other, Laurent):
+            return NotImplemented
         a, b = self._c, other._c
         if len(a) > len(b):
             a, b = b, a

@@ -331,11 +331,17 @@ def _rooted_step(children, z=None):
     1 / (z - sum_c a^2 B_c/A_c).  cfrac.evaluate runs the same step.  With
     z = Laurent.z() the step runs in q, on Coxeter polynomials (join_poly).
     """
-    ring = Poly if z is None else Laurent
-    prod, rest = ring.one(), ring.zero()
+    prod = None  # no product or scaling with the unit: prod starts at A_c
     for wsq, a, b in children:
-        rest = rest * a + wsq * b * prod
-        prod = prod * a
+        if wsq != 1:
+            b = wsq * b
+        if prod is None:
+            prod, rest = a, b
+        else:
+            rest = rest * a + b * prod
+            prod = prod * a
+    if prod is None:  # a leaf: A = z, B = 1
+        return (Poly.x(), Poly.one()) if z is None else (z, Laurent.one())
     return (prod.shift(1) if z is None else z * prod) - rest, prod
 
 

@@ -2,8 +2,9 @@
 
 Each computes what it checks the straight way, sharing no code with the
 library routine under test: a cofactor as a signed minor determinant, the
-Faddeev-LeVerrier layers on full rows, the inverse substitution by Pascal's
-rule walked down from the top row, a Magnus expansion as the product
+Faddeev-LeVerrier layers on full rows, the rooted forest step as products
+running from the unit, the inverse substitution by Pascal's rule walked
+down from the top row, a Magnus expansion as the product
 of its letters' images, the Artin action by substituting into every image
 letter by letter, a Conway polynomial as the determinant of a Seifert
 form, and a union of diagrams or a diagram file by writing the edges out.
@@ -88,6 +89,20 @@ def faddeev_leverrier_full_rows(rows, entry=None):
     return coeffs, [[entry(list(dropwhile(
         not_, [layer[i][j] for layer in layers]))[::-1]) for j in range(n)]
         for i in range(n)]
+
+
+# -- the rooted forest step -----------------------------------------------------------
+
+def rooted_step_by_products(children, z=None):
+    """coxeter._rooted_step as it ran before it skipped the unit: the
+    running product starts at 1 and the running sum at 0, so every child
+    pays both products.  Returns (A(x), B(x))."""
+    ring = Poly if z is None else Laurent
+    prod, rest = ring.one(), ring.zero()
+    for wsq, a, b in children:
+        rest = rest * a + wsq * b * prod
+        prod = prod * a
+    return (prod.shift(1) if z is None else z * prod) - rest, prod
 
 
 # -- the inverse substitution ------------------------------------------------------

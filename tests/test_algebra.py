@@ -3,6 +3,7 @@
 import random
 from collections import Counter
 from fractions import Fraction
+from operator import add, mul, sub
 from types import MappingProxyType
 
 import pytest
@@ -10,8 +11,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from coxkit.algebra import (BiLaurent, Frame, Laurent, Poly, RatFunc,
-                            TruncSeries, _det_laplace, _unsubstitute,
-                            bezoutian, det_exact, mat_mul,
+                            TruncSeries, _det_laplace, _list_add, _list_sub,
+                            _unsubstitute, bezoutian, det_exact, mat_mul,
                             q_to_z, series_sqrt1p, wronskian, z_substitute)
 from coxkit.braid import laurent_to_t_poly, t_poly_to_laurent
 from coxkit.errors import (DomainError, ExactDivisionError, NotSymmetric,
@@ -21,6 +22,42 @@ from oracles import unsubstitute_by_pascal
 laurents = st.dictionaries(st.integers(-4, 4), st.integers(-9, 9),
                            max_size=5).map(Laurent)
 polys = st.lists(st.integers(-9, 9), max_size=6).map(Poly)
+
+
+def _by_powers(a, b, sign: int) -> tuple[int, ...]:
+    """a + sign*b through a map power -> coefficient, trimmed."""
+    acc: dict[int, int] = {}
+    for k, c in [*enumerate(a), *((k, sign * c) for k, c in enumerate(b))]:
+        acc[k] = acc.get(k, 0) + c
+    top = max((k for k, c in acc.items() if c), default=-1)
+    return tuple(acc[k] for k in range(top + 1))
+
+
+coeff_tuples = st.lists(st.integers(-3, 3), max_size=7).map(tuple)
+
+
+@given(coeff_tuples, coeff_tuples)
+def test_list_sums_match_a_map_of_powers(a, b):
+    assert _list_add(a, b) == _by_powers(a, b, 1) == _list_add(b, a)
+    assert _list_sub(a, b) == _by_powers(a, b, -1)
+
+
+def test_list_sums_at_the_edges():
+    assert _list_add((), ()) == _list_sub((), ()) == ()
+    assert _list_add((), (1, -2)) == (1, -2)
+    assert _list_sub((), (1, -2)) == (-1, 2)
+    assert _list_sub((5,), (1, 0, 4)) == (4, 0, -4)
+    assert _list_sub((1, 0, 4), (5,)) == (-4, 0, 4)
+    assert _list_add((1, 2, 3), (-1, -2, -3)) == ()
+    assert _list_sub((1, 2, 3), (0, 2, 3)) == (1,)
+    assert _list_add((1, 0, 3), (2, 0, -3)) == (3,)
+
+
+@given(polys, polys)
+def test_poly_difference_is_the_sum_with_the_negation(a, b):
+    assert a - b == a + (-b)
+    assert a * 1 is a and 1 * a is a
+    assert -(-a) == a and (a - a).is_zero
 
 
 # -- conversions ------------------------------------------------------------
@@ -332,6 +369,25 @@ def test_sparse_sums_refuse_the_other_kind():
     with pytest.raises(TypeError):
         one + 1
     assert one + one == Laurent({0: 2}) and (bi - bi).is_zero
+
+
+def test_poly_refuses_the_other_ring():
+    p = Poly((1, 2))
+    for left, right in ((p, Laurent({0: 1})), (Laurent({0: 1}), p),
+                        (p, Laurent({1: 1})), (Laurent({1: 1}), p)):
+        for op in (add, sub, mul):
+            with pytest.raises(TypeError):
+                op(left, right)
+    for op in (add, sub):
+        with pytest.raises(TypeError):
+            op(p, 3)
+        with pytest.raises(TypeError):
+            op(3, p)
+    for method in (Poly.gcd, Poly.exact_div):
+        with pytest.raises(TypeError):
+            method(Poly((2, 4)), Laurent({0: 2}))
+    assert p * 3 == 3 * p == Poly((3, 6)) and (p * 0).is_zero
+    assert Poly((2, 4)).gcd(Poly((2,))) == Poly((2,))
 
 
 def test_sparse_takes_every_mapping_and_every_iterable_of_pairs():

@@ -2,6 +2,7 @@
 
 import dataclasses
 import hashlib
+import math
 import random
 
 import pytest
@@ -12,8 +13,8 @@ from coxkit import algebra, coxeter
 from coxkit.algebra import (Laurent, Poly, _det_laplace, det_exact, det_poly,
                             q_to_z, z_substitute)
 from coxkit.coxeter import (SchurStep, _adjacency_rows, _cyclomatic,
-                            _edge_step, _faddeev_leverrier, char_poly,
-                            cofactors, coxeter_matrix, coxeter_poly,
+                            _edge_step, _faddeev_leverrier, _rooted_step,
+                            char_poly, cofactors, coxeter_matrix, coxeter_poly,
                             divide_identity, identity7_check, join_poly,
                             path_sum_H, pivot_first, schur_step,
                             walk_expansion_residual, walk_gf)
@@ -22,8 +23,8 @@ from coxkit.diagram import (MAX_VERTICES, Diagram, bipartite_order, build,
 from coxkit.errors import (DimensionMismatch, DomainError,
                            PreconditionABneq2C, UnknownVertex)
 from coxkit.report import nonzero_terms
-from oracles import (cofactor_entry, disjoint_union,
-                     faddeev_leverrier_full_rows)
+from oracles import (_z_matrix, cofactor_entry, disjoint_union,
+                     faddeev_leverrier_full_rows, rooted_step_by_products)
 
 Z = Laurent.z()
 
@@ -378,6 +379,98 @@ def test_join_poly_matches_the_product_loops_on_cyclic_parts():
         # the join vertex lies on no cycle, so its step holds in any order
         assert coxeter_poly(join(parts)) == want, parts
     assert cyclic > 10
+
+
+# -- the rooted forest step ---------------------------------------------------
+
+def _random_pair(rng, ring):
+    """An arbitrary (A, B): the step's identity holds for any values."""
+    if ring is Poly:
+        return tuple(Poly(rng.randint(-3, 3) for _ in range(rng.randint(1, 5)))
+                     for _ in range(2))
+    return tuple(Laurent({rng.randint(-3, 3): rng.randint(-3, 3)
+                          for _ in range(rng.randint(1, 4))})
+                 for _ in range(2))
+
+
+def test_rooted_step_matches_the_product_loop():
+    for z in (None, Z):
+        assert _rooted_step((), z) == rooted_step_by_products((), z)
+    assert _rooted_step(()) == (Poly.x(), Poly.one())
+    assert _rooted_step((), Z) == (Z, Laurent.one())
+    rng = random.Random(33)
+    for ring, z in ((Poly, None), (Laurent, Z)):
+        for wsq in (1, 4):
+            for _ in range(20):
+                children = [(wsq, *_random_pair(rng, ring))]
+                assert (_rooted_step(children, z)
+                        == rooted_step_by_products(children, z)), children
+        for _ in range(60):
+            children = [(rng.choice((1, 4, 9)), *_random_pair(rng, ring))
+                        for _ in range(rng.randint(2, 4))]
+            assert (_rooted_step(children, z)
+                    == rooted_step_by_products(children, z)), children
+
+
+def _rooted_pair(d: Diagram, x: int, parent, z=None):
+    return _rooted_step([(d.weight(x, y) ** 2, *_rooted_pair(d, y, x, z))
+                         for y in d.neighbors(x) if y != parent], z)
+
+
+def test_rooted_step_gives_the_determinants_of_random_forests():
+    rng = random.Random(19)
+    for _ in range(150):
+        n = rng.randint(1, 7)
+        edges = [((rng.randrange(k), k), rng.choice((1, 2, -1, 3)))
+                 for k in range(1, n) if rng.random() < 0.75]
+        d = Diagram(n, edges)
+        roots = [comp[0] for comp in d.components()]
+        pairs = {r: _rooted_pair(d, r, None) for r in roots}
+        total = math.prod((a for a, _ in pairs.values()), start=Poly.one())
+        assert total == det_poly(_z_matrix(d)), edges
+        for r, (a, b) in pairs.items():
+            # B of a root is its tree less the root: d less r has B_r in
+            # place of A_r
+            assert b * total == det_poly(_z_matrix(d.delete([r]))) * a, edges
+            assert (_rooted_pair(d, r, None, Z)
+                    == (z_substitute(a), z_substitute(b))), edges
+
+
+def test_rooted_step_does_no_algebra_with_the_unit_or_zero(monkeypatch):
+    """No product with one or zero, no scaling by one or zero, and no
+    sum or difference with zero.  On a path every vertex has one child, so
+    the step makes no product of polynomials: one subtraction per vertex
+    above the leaf (z A - a^2 B of the child, z^2 - a^2 above a leaf), one
+    scaling a^2 B per edge of weight 2 and, in q, the product with z."""
+    ops = []
+    for ring in (Poly, Laurent):
+        for name in ("__add__", "__sub__", "__mul__", "__rmul__"):
+            def counted(self, other, _op=getattr(ring, name), _name=name):
+                ops.append((_name, self, other))
+                return _op(self, other)
+            monkeypatch.setattr(ring, name, counted)
+    units = (0, 1, Poly.zero(), Poly.one(), Laurent.zero(), Laurent.one())
+    for z in (None, Z):
+        for n in (1, 2, 9):
+            weights = [1 + k % 2 for k in range(n - 1)]
+            d = Diagram(n, [((k, k + 1), w) for k, w in enumerate(weights)])
+            del ops[:]
+            a, b = _rooted_pair(d, 0, None, z)
+            for name, left, right in ops:
+                if name == "__mul__":
+                    assert left not in units and right not in units, ops
+                elif name == "__rmul__":  # a^2 B, where B of a leaf is 1
+                    assert left and right not in (0, 1), ops
+                else:
+                    assert left and right, ops
+            names = [name for name, _, _ in ops]
+            assert names.count("__sub__") == n - 1
+            assert names.count("__rmul__") == weights.count(2)
+            assert names.count("__mul__") == (0 if z is None else n - 1)
+            assert "__add__" not in names
+            if z is None:
+                assert a == det_poly(_z_matrix(d))
+                assert b == det_poly(_z_matrix(d.delete([0])))
 
 
 # -- cofactors ----------------------------------------------------------------
