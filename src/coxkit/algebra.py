@@ -99,21 +99,21 @@ def _primitive(a: Sequence[int]) -> tuple[int, ...]:
 
 
 def _pseudo_rem(a: Sequence[int], b: Sequence[int]) -> tuple[int, ...]:
-    """Pseudo-remainder of a by b: lc(b)^(da-db+1) * a mod b."""
+    """Sparse pseudo-remainder of a by b: lc(b)^k * a mod b with one factor
+    lc(b) per step, so k <= da - db + 1, the exponent of the dense one
+    (sympy's prem), and the sign follows lc(b)^k.  Both inputs are trimmed,
+    and b is nonempty."""
     r = list(a)
     db = len(b) - 1
     lb = b[-1]
-    while len(r) - 1 >= db and any(r):
-        r = _trim(r)
-        if not r or len(r) - 1 < db:
-            break
+    while len(r) - 1 >= db:
         lr = r[-1]
         shift = len(r) - 1 - db
         r = [x * lb for x in r]
         for j, y in enumerate(b):
             r[shift + j] -= lr * y
         r = list(_trim(r))
-    return _trim(list(r))
+    return tuple(r)
 
 
 def _list_gcd(a: Sequence[int], b: Sequence[int]) -> tuple[int, ...]:
@@ -253,9 +253,6 @@ class Poly:
         p = Poly.__new__(Poly)
         p._c = _list_exact_div(self._c, other._c)
         return p
-
-    def content(self) -> int:
-        return gcd(*self._c)
 
     def gcd(self, other: "Poly") -> "Poly":
         if not isinstance(other, Poly):
@@ -1003,8 +1000,8 @@ def series_sqrt1p(order: int) -> TruncSeries:
 class RatFunc:
     """Quotient of two polynomials, stored fully reduced.
 
-    Both members live in the same ring: either dense Poly (the z-world) or
-    Laurent (the q-world).  The denominator is kept as an honest polynomial
+    Both members come from one ring, or TypeError: either dense Poly (the
+    z-world) or Laurent (the q-world).  The denominator is kept as an honest polynomial
     with nonzero constant term (units q^k are pushed into the numerator) and
     a positive leading coefficient; the joint integer content is stripped.
     Equality is structural equality of the reduced form.
@@ -1013,24 +1010,20 @@ class RatFunc:
     __slots__ = ("num", "den", "_laurent")
 
     def __init__(self, num, den):
-        laurent = isinstance(num, Laurent) or isinstance(den, Laurent)
-        if laurent:
-            num = num if isinstance(num, Laurent) else Laurent.from_poly(num)
-            den = den if isinstance(den, Laurent) else Laurent.from_poly(den)
-            if den.is_zero:
-                raise ZeroDenominator("zero denominator")
+        if type(num) is not type(den):
+            raise TypeError(f"numerator and denominator of different rings: "
+                            f"{type(num).__name__}, {type(den).__name__}")
+        if den.is_zero:
+            raise ZeroDenominator("zero denominator")
+        self._laurent = isinstance(num, Laurent)
+        if self._laurent:
             ns, np = num.to_poly()
             ds, dp = den.to_poly()
             np, dp = _reduce_pair(np, dp)
             self.num = Laurent.from_poly(np, ns - ds)
             self.den = Laurent.from_poly(dp)
         else:
-            if den.is_zero:
-                raise ZeroDenominator("zero denominator")
-            np, dp = _reduce_pair(num, den)
-            self.num = np
-            self.den = dp
-        self._laurent = laurent
+            self.num, self.den = _reduce_pair(num, den)
 
     @staticmethod
     def from_int(c: int, laurent: bool = False) -> "RatFunc":
@@ -1095,7 +1088,9 @@ class RatFunc:
     def __hash__(self) -> int:
         return hash(("RatFunc", self.num, self.den))
 
-    def render(self, var: str = "q") -> str:
+    def render(self, var: str | None = None) -> str:
+        """The fraction in var, by default z for Poly and q for Laurent."""
+        var = var or ("q" if self._laurent else "z")
         n = self.num.render(var)
         if self.den == (Laurent.one() if self._laurent else Poly.one()):
             return n
@@ -1108,14 +1103,12 @@ class RatFunc:
 def _reduce_pair(num: Poly, den: Poly) -> tuple[Poly, Poly]:
     if num.is_zero:
         return Poly.zero(), Poly.one()
+    # g carries the joint content of num and den, so by Gauss's lemma the
+    # two quotients have coprime contents
     g = num.gcd(den)
     if g.degree > 0 or abs(g.lead) > 1:
         num = num.exact_div(g)
         den = den.exact_div(g)
-    c = gcd(num.content(), den.content())
-    if c > 1:
-        num = Poly(tuple(x // c for x in num.coeffs))
-        den = Poly(tuple(x // c for x in den.coeffs))
     if den.lead < 0:
         num, den = -num, -den
     return num, den

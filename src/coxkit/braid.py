@@ -231,18 +231,18 @@ def det_one_minus(img: BurauImage) -> Laurent:
     return det_exact(m)
 
 
-def det_ratio(l_word: BraidWord, b_word: BraidWord,
-              reduced: bool = True) -> RatFunc:
-    """det(E - beta(L)) / det(E - beta(B L)) as a reduced rational function.
+def det_ratio(l_word: BraidWord, b_word: BraidWord) -> RatFunc:
+    """det(E - beta(L)) / det(E - beta(B L)) of the reduced image, as a
+    reduced rational function.
 
     The unreduced image fixes the all-ones vector, making both determinants
-    vanish identically, so the reduced representation is the meaningful
-    default; a zero numerator or denominator marks the degenerate cases.
+    vanish identically, so only the reduced representation gives a ratio;
+    a zero numerator or denominator marks the degenerate cases.
     """
     if l_word.strands != b_word.strands:
         raise StrandMismatch("strand counts differ")
-    top = det_one_minus(burau(l_word, reduced))
-    bot = det_one_minus(burau(b_word * l_word, reduced))
+    top = det_one_minus(burau(l_word, True))
+    bot = det_one_minus(burau(b_word * l_word, True))
     if bot.is_zero:
         raise UnknownClosure("denominator determinant vanishes")
     return RatFunc(top, bot)

@@ -652,7 +652,7 @@ def run_braid(args: Namespace) -> int:
         return 0 if rep.holds else 1
     # the last mode, ratio
     other = braid.BraidWord.parse(args.against, word.strands)
-    print(braid.det_ratio(word, other, args.reduced).render("t"))
+    print(braid.det_ratio(word, other).render("t"))
     return 0
 
 
@@ -722,15 +722,12 @@ def run_verify(args: Namespace) -> int:
 # argument parsing
 # ---------------------------------------------------------------------------
 
-def _int_in(lo: int, hi: int | None = None):
-    """The argparse type of an int in lo..hi, or at least lo when hi is
-    None."""
+def _int_in(lo: int, hi: int):
+    """The argparse type of an int in lo..hi."""
     def parse(text: str) -> int:
         value = int(text)
-        if value < lo or hi is not None and value > hi:
-            raise argparse.ArgumentTypeError(
-                f"must be at least {lo}" if hi is None
-                else f"must be in {lo}..{hi}")
+        if not lo <= value <= hi:
+            raise argparse.ArgumentTypeError(f"must be in {lo}..{hi}")
         return value
     # argparse names the type in its "invalid int value" message
     parse.__name__ = "int"
@@ -813,16 +810,16 @@ def build_parser() -> argparse.ArgumentParser:
             m.add_argument("--order", type=_int_in(lo, braid.MAX_ORDER),
                            default=16,
                            help="series order (default 16)")
-        if mode in ("burau", "ratio"):
+        if mode == "burau":
             m.add_argument("--reduced", action="store_true", default=True,
                            help="reduced Burau image (the default)")
             m.add_argument("--unreduced", dest="reduced",
                            action="store_false")
-        if mode == "ratio":
-            m.add_argument("--against", default="",
-                           help="the second braid word")
-        if mode == "burau":
             m.add_argument("--json", action="store_true")
+        if mode == "ratio":
+            # the reduced image only: see braid.det_ratio
+            m.add_argument("--against", required=True,
+                           help="the second braid word")
 
     p = sub.add_parser("verify", help="run exact identity suites")
     p.add_argument("suite", metavar="name", nargs="?", default="all",

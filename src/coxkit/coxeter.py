@@ -309,15 +309,16 @@ def _char_poly(n: int, edges) -> Poly:
         return (char_poly(rest) - a * a * char_poly(rest.delete([u, v]))
                 - 2 * a * path_sum_H(rest, u, v))
     d = _rebuild(n, edges)
-    total = Poly.one()
+    total = None  # no product with the unit: total starts at the first tree
     for comp in d.components():
         tour, parent = d.tour(comp[0])
         pairs: dict[int, tuple[Poly, Poly]] = {}
         for x in reversed(tour):
             pairs[x] = _rooted_step((d.weight(x, y) ** 2, *pairs.pop(y))
                                    for y in d.neighbors(x) if y != parent[x])
-        total = total * pairs[comp[0]][0]
-    return total
+        top = pairs[comp[0]][0]
+        total = top if total is None else total * top
+    return Poly.one() if total is None else total  # A0, the empty diagram
 
 
 def _rooted_step(children, z=None):

@@ -1,8 +1,9 @@
 """Independent oracles and input builders that only the tests use.
 
 Each computes what it checks the straight way, sharing no code with the
-library routine under test: a cofactor as a signed minor determinant, the
-Faddeev-LeVerrier layers on full rows, the rooted forest step as products
+library routine under test: a cofactor as a signed minor determinant,
+det(zE - A) by the Faddeev-LeVerrier pass (which the graph expansion
+never takes), the Faddeev-LeVerrier layers on full rows, the rooted forest step as products
 running from the unit, the inverse substitution by Pascal's rule walked
 down from the top row, a Magnus expansion as the product
 of its letters' images, the Artin action by substituting into every image
@@ -15,7 +16,7 @@ from operator import add, not_, sub
 
 from coxkit.algebra import Laurent, Poly, det_exact, det_poly
 from coxkit.braid import free_reduce, laurent_to_t_poly, word_inverse
-from coxkit.coxeter import _check_vertices
+from coxkit.coxeter import _adjacency_rows, _check_vertices, _faddeev_leverrier
 from coxkit.diagram import Diagram
 from coxkit.errors import DomainError
 
@@ -27,6 +28,12 @@ def _z_matrix(d: Diagram) -> list[list[Poly]]:
     n = d.n
     return [[Poly((0, 1)) if i == j else Poly((-d.weight(i, j),))
              for j in range(n)] for i in range(n)]
+
+
+def fl_char(d: Diagram) -> Poly:
+    """det(zE - A) by the Faddeev-LeVerrier pass, whatever the graph: the
+    forest recursion and Schwenk's edge step never run in it."""
+    return Poly(_faddeev_leverrier(_adjacency_rows(d.n, d.edges()))[0])
 
 
 def cofactor_entry(d: Diagram, i: int, j: int) -> Poly:

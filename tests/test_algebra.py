@@ -12,8 +12,9 @@ from hypothesis import strategies as st
 
 from coxkit.algebra import (BiLaurent, Frame, Laurent, Poly, RatFunc,
                             TruncSeries, _det_laplace, _list_add, _list_sub,
-                            _unsubstitute, bezoutian, det_exact, mat_mul,
-                            q_to_z, series_sqrt1p, wronskian, z_substitute)
+                            _pseudo_rem, _unsubstitute, bezoutian, det_exact,
+                            mat_mul, q_to_z, series_sqrt1p, wronskian,
+                            z_substitute)
 from coxkit.braid import laurent_to_t_poly, t_poly_to_laurent
 from coxkit.errors import (DomainError, ExactDivisionError, NotSymmetric,
                            ZeroDenominator)
@@ -390,6 +391,19 @@ def test_poly_refuses_the_other_ring():
     assert Poly((2, 4)).gcd(Poly((2,))) == Poly((2,))
 
 
+def test_ratfunc_refuses_the_other_ring():
+    # a fraction takes its numerator and denominator from one ring: once
+    # z was read as q, so the first gave q^2 / (1 + q^2), the second 2q
+    for make in (lambda: RatFunc(Poly.x(), Laurent.z()),
+                 lambda: RatFunc(Laurent.z(), Poly.x()),
+                 lambda: RatFunc(Laurent.q(1), Laurent.one()) + Poly.x(),
+                 lambda: RatFunc(Poly.x(), Poly.one()) * Laurent.z()):
+        with pytest.raises(TypeError):
+            make()
+    assert (1 + RatFunc(Poly.x(), Poly.one())).render() == "1 + z"
+    assert (RatFunc(Laurent.q(1), Laurent.one()) - 1).render() == "-1 + q"
+
+
 def test_sparse_takes_every_mapping_and_every_iterable_of_pairs():
     want = Laurent({-1: 2, 3: -1})
     for coeffs in (MappingProxyType({-1: 2, 3: -1, 5: 0}),
@@ -489,6 +503,66 @@ def test_ratfunc_arithmetic():
 def test_ratfunc_zero_denominator():
     with pytest.raises(ZeroDenominator):
         RatFunc(Poly.one(), Poly.zero())
+
+
+def test_ratfunc_renders_in_its_own_variable():
+    assert repr(RatFunc(Poly.x(), Poly.const(2))) == "RatFunc((z) / (2))"
+    assert repr(RatFunc(Laurent.z(), Laurent.const(2))) == (
+        "RatFunc((q^-1 + q) / (2))")
+    assert RatFunc(Poly.x(), Poly.const(2)).render("t") == "(t) / (2)"
+
+
+# -- Z[x] gcd and reduction against sympy ------------------------------------
+# pairs a*h*c, b*h*d with a planted common factor h and contents c, d of
+# either sign, so the gcd, the content and the sign step all have work
+
+nonzero_polys = st.lists(st.integers(-5, 5), min_size=1, max_size=4).filter(
+    any).map(Poly)
+contents = st.integers(-6, 6).filter(bool)
+planted_pairs = st.tuples(nonzero_polys, polys, nonzero_polys, contents,
+                          contents).map(
+    lambda t: (t[1] * t[0] * t[3], t[2] * t[0] * t[4]))
+
+
+def _to_sympy(sympy, p: Poly):
+    return sympy.Poly(list(reversed(p.coeffs)) or [0], sympy.Symbol("x"),
+                      domain="ZZ")
+
+
+def _from_sympy(sympy, expr) -> Poly:
+    coeffs = sympy.Poly(expr, sympy.Symbol("x"), domain="ZZ").all_coeffs()
+    return Poly(tuple(int(c) for c in reversed(coeffs)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(planted_pairs)
+def test_pseudo_rem_and_gcd_match_sympy(pair):
+    sympy = pytest.importorskip("sympy")
+    a, b = pair
+    sa, sb = _to_sympy(sympy, a), _to_sympy(sympy, b)
+    rem = _pseudo_rem(a.coeffs, b.coeffs)
+    got = Poly(rem)
+    assert got.coeffs == rem  # trimmed
+    # sympy's dense prem multiplies by lc(b)^(da - db + 1); the sparse one
+    # takes one factor per step, and a step may drop several degrees
+    want = _from_sympy(sympy, sympy.prem(sa, sb))
+    assert any(got * b.lead ** e == want
+               for e in range(max(a.degree - b.degree + 1, 0) + 1)), pair
+    assert a.gcd(b) == _from_sympy(sympy, sympy.gcd(sa, sb)), pair
+
+
+@settings(max_examples=150, deadline=None)
+@given(planted_pairs)
+def test_ratfunc_is_the_normal_form_of_sympy_cancel(pair):
+    sympy = pytest.importorskip("sympy")
+    a, b = pair
+    top, bottom = _to_sympy(sympy, a).cancel(_to_sympy(sympy, b),
+                                             include=True)
+    num, den = _from_sympy(sympy, top), _from_sympy(sympy, bottom)
+    if den.lead < 0:
+        num, den = -num, -den
+    r = RatFunc(a, b)
+    assert (r.num, r.den) == (num, den), pair
 
 
 def test_unit_multiple_detection():

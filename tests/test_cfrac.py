@@ -8,11 +8,11 @@ from coxkit import cfrac
 from coxkit.algebra import Laurent, Poly, RatFunc, z_substitute
 from coxkit.cfrac import (Branch, Closing, evaluate, expand_cycle,
                           expand_tree, render, tree_ratio, z_count)
-from coxkit.coxeter import (_adjacency_rows, _faddeev_leverrier, _rooted_step,
-                            char_poly)
+from coxkit.coxeter import _rooted_step, char_poly
 from coxkit.diagram import Diagram, build, from_name, random_tree
 from coxkit.errors import NotATree, ZeroDenominator
 from coxkit.kostant import klein_data
+from oracles import fl_char
 
 
 def test_single_vertex_is_one_over_z():
@@ -139,23 +139,19 @@ def test_fraction_equals_scaled_poincare_series():
 # char_poly and tree_ratio of a tree run the recursion evaluate runs, so the
 # oracle here is the Faddeev-LeVerrier pass, which never takes it.
 
-def _fl_char(d) -> Poly:
-    return Poly(_faddeev_leverrier(_adjacency_rows(d.n, d.edges()))[0])
-
-
 def test_evaluate_matches_faddeev_leverrier_ratio():
     rng = random.Random(31)
     for _ in range(30):
         d = random_tree(rng, rng.randint(1, 16), (1, 2, 3))
         for root in rng.sample(range(d.n), min(3, d.n)):
-            want = RatFunc(_fl_char(d.delete([root])), _fl_char(d))
+            want = RatFunc(fl_char(d.delete([root])), fl_char(d))
             assert evaluate(expand_tree(d, root)) == want, (d, root)
 
 
 def test_cycle_evaluation_matches_faddeev_leverrier_ratio():
     for n in range(1, 10):
         d = build("affA", n)
-        want = RatFunc(_fl_char(d.delete([0])), _fl_char(d))
+        want = RatFunc(fl_char(d.delete([0])), fl_char(d))
         assert evaluate(expand_cycle(n)) == want, n
 
 
@@ -249,7 +245,7 @@ def test_repr_is_the_dataclass_text_at_any_depth():
     assert repr(expand_tree(from_name("~D4"), 0)) == (
         "Branch(children=((1, Branch(children=((1, Branch(children=())), "
         "(1, Branch(children=())), (1, Branch(children=()))))),))")
-    half = "Closing(value=RatFunc((q) / (2)))"
+    half = "Closing(value=RatFunc((z) / (2)))"
     assert repr(expand_cycle(3)) == (
         f"Branch(children=((1, Branch(children=((1, {half}),))), "
         f"(1, Branch(children=((1, {half}),)))))")

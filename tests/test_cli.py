@@ -10,6 +10,7 @@ import io
 import json
 import os
 import random
+import re
 import shlex
 import subprocess
 import sys
@@ -145,11 +146,14 @@ def test_braid_modes(capsys):
     ["artin", "--word", "s1", "--order", "5"],
     ["longitudes", "--word", "s1 s1", "--order", "5"],
     ["ratio", "--word", "s1", "--against", "s1 s1", "--order", "5"],
+    ["ratio", "--word", "s1", "--against", "s1 s1", "--reduced"],
+    ["ratio", "--word", "s1", "--against", "s1 s1", "--unreduced"],
 ])
 def test_braid_option_of_another_mode_exits_2(capsys, argv):
-    # only burau reads --json, only ratio reads --against, only those two
-    # read --reduced and --unreduced, and only magnus, milnor and levin
-    # read --order
+    # only burau reads --json, --reduced and --unreduced (det(E - beta) of
+    # the unreduced image vanishes, so ratio reads the reduced one only),
+    # only ratio reads --against, and only magnus, milnor and levin read
+    # --order
     assert cli.main(["braid", *argv]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
@@ -166,6 +170,8 @@ def test_braid_option_of_another_mode_exits_2(capsys, argv):
     ["--bogus"],
     ["braid", "--bogus"],
     ["braid", "burau", "--bogus"],
+    # without --against the ratio is det(E - beta(L)) over itself
+    ["braid", "ratio", "--word", "s1"],
 ])
 def test_every_bad_command_line_is_one_usage_error(capsys, argv):
     assert cli.main(argv) == 2
@@ -258,22 +264,22 @@ def test_braid_mode_help_lists_only_its_own_options(capsys):
     out = capsys.readouterr().out
     assert "--word" in out and "--unreduced" in out and "--json" in out
     assert "--order" not in out and "--against" not in out
+    with pytest.raises(SystemExit) as exit_info:
+        cli.main(["braid", "ratio", "-h"])
+    assert exit_info.value.code == 0
+    out = capsys.readouterr().out
+    assert set(re.findall(r"--[a-z]+", out)) == {"--help", "--word",
+                                                 "--strands", "--against"}
 
 
 def test_burau_and_ratio_default_to_the_reduced_image(capsys):
-    for mode, extra in (("burau", []), ("ratio", ["--against", "s1 s1"])):
-        argv = ["braid", mode, "--word", "s1 s2 -s1", *extra]
-        _, default = run_cli(capsys, *argv)
-        _, reduced = run_cli(capsys, *argv, "--reduced")
-        code, unreduced = run_cli(capsys, *argv, "--unreduced")
-        assert default == reduced and default
-        if mode == "burau":
-            assert code == 0
-            assert default.count("[") == 2 and unreduced.count("[") == 3
-        else:
-            # the unreduced image fixes the all-ones vector, so
-            # det(E - beta) vanishes and the ratio is refused
-            assert code == 2 and unreduced == ""
+    argv = ["braid", "burau", "--word", "s1 s2 -s1"]
+    _, default = run_cli(capsys, *argv)
+    _, reduced = run_cli(capsys, *argv, "--reduced")
+    code, unreduced = run_cli(capsys, *argv, "--unreduced")
+    assert default == reduced and default
+    assert code == 0
+    assert default.count("[") == 2 and unreduced.count("[") == 3
 
 
 @pytest.mark.parametrize("argv", [
@@ -1265,7 +1271,7 @@ def test_kostant_verify_and_the_suites_share_one_check(capsys, monkeypatch):
 
 @pytest.mark.parametrize("argv", [
     ["burau", "--word", "s999999"],
-    ["ratio", "--word", "s1", "--strands", "1000000"],
+    ["ratio", "--word", "s1", "--strands", "1000000", "--against", "s1"],
     ["burau", "--word", " ".join(["s1"] * 2300), "--unreduced"],
 ])
 def test_braid_sizes_above_the_caps_exit_2_at_once(capsys, argv):

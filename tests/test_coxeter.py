@@ -24,7 +24,8 @@ from coxkit.errors import (DimensionMismatch, DomainError,
                            PreconditionABneq2C, UnknownVertex)
 from coxkit.report import nonzero_terms
 from oracles import (_z_matrix, cofactor_entry, disjoint_union,
-                     faddeev_leverrier_full_rows, rooted_step_by_products)
+                     faddeev_leverrier_full_rows, fl_char,
+                     rooted_step_by_products)
 
 Z = Laurent.z()
 
@@ -473,6 +474,29 @@ def test_rooted_step_does_no_algebra_with_the_unit_or_zero(monkeypatch):
                 assert b == det_poly(_z_matrix(d.delete([0])))
 
 
+def test_forest_product_starts_at_the_first_tree(monkeypatch):
+    """char_poly of a forest multiplies its trees' polynomials together and
+    never the unit into them; only the empty diagram gives the unit."""
+    products = []
+    real = Poly.__mul__
+
+    def counted(self, other):
+        products.append((self, other))
+        return real(self, other)
+
+    monkeypatch.setattr(Poly, "__mul__", counted)
+    for sizes in ((2, 3), (1, 1, 1), (4, 1, 2, 5), (3,)):
+        d = Diagram(0)
+        for k in sizes:
+            d = disjoint_union(d, build("A", k))
+        del products[:]
+        got = coxeter._char_poly.__wrapped__(d.n, d.edges())
+        assert not any(Poly.one() in pair for pair in products), sizes
+        assert len(products) == len(sizes) - 1, sizes
+        assert got == det_poly(_z_matrix(d)), sizes
+    assert coxeter._char_poly.__wrapped__(0, ()) == Poly.one()
+
+
 # -- cofactors ----------------------------------------------------------------
 
 def test_cofactor_a1():
@@ -576,11 +600,6 @@ SHAPED = _shaped_graphs()
 GRAPHS = _random_graphs(110) + SHAPED
 
 
-def _z_minus_a(d: Diagram) -> list[list[Poly]]:
-    return [[Poly((0, 1)) if i == j else Poly((-d.weight(i, j),))
-             for j in range(d.n)] for i in range(d.n)]
-
-
 def test_random_graphs_cover_the_cases():
     sizes = [d.n for d in GRAPHS]
     assert 0 in sizes and 1 in sizes
@@ -599,12 +618,12 @@ def test_random_graphs_cover_the_cases():
 
 def test_char_poly_matches_bareiss_on_random_graphs():
     for d in GRAPHS:
-        assert char_poly(d) == det_poly(_z_minus_a(d)), d
+        assert char_poly(d) == det_poly(_z_matrix(d)), d
 
 
 def test_cofactors_match_minors_and_invert_on_random_graphs():
     for d in GRAPHS:
-        table, g, m = cofactors(d), char_poly(d), _z_minus_a(d)
+        table, g, m = cofactors(d), char_poly(d), _z_matrix(d)
         assert table.n == d.n
         for i in range(d.n):
             for j in range(d.n):
@@ -740,11 +759,6 @@ def test_char_poly_of_100_vertex_tree_matches_leaf_expansion():
 # fraction share one recursion, so none of these checks uses it: the oracles
 # are Faddeev-LeVerrier, sympy, Laplace, Bareiss and the ~A closed form.
 
-def _fl_char(d: Diagram) -> Poly:
-    """det(zE - A) by the Faddeev-LeVerrier pass, whatever the graph."""
-    return Poly(_faddeev_leverrier(_adjacency_rows(d.n, d.edges()))[0])
-
-
 def _relabel(rng, d: Diagram) -> Diagram:
     """The same graph under a random renumbering of its vertices."""
     perm = rng.sample(range(d.n), d.n)
@@ -792,7 +806,7 @@ def test_forest_char_poly_matches_faddeev_leverrier():
     assert any(len(d.components()) > 1 for d in FORESTS)
     for d in FORESTS:
         assert not _cyclomatic(d.n, d.edges())
-        assert char_poly(d) == _fl_char(d), d
+        assert char_poly(d) == fl_char(d), d
 
 
 def test_char_poly_edge_step_matches_two_oracles_on_trees_plus_chords():
@@ -805,8 +819,8 @@ def test_char_poly_edge_step_matches_two_oracles_on_trees_plus_chords():
             d = _with_cycles(rng, n, c, orders=1)[0]
             assert len(_cyclomatic(d.n, d.edges())) == c
             got = char_poly(d)
-            assert got == _fl_char(d), d
-            assert got == det_poly(_z_minus_a(d)), d
+            assert got == fl_char(d), d
+            assert got == det_poly(_z_matrix(d)), d
 
 
 def _char_poly_engines(monkeypatch, graphs) -> list:
@@ -821,7 +835,7 @@ def _char_poly_engines(monkeypatch, graphs) -> list:
     monkeypatch.setattr(coxeter, "_faddeev_leverrier", logged)
     coxeter._char_poly.cache_clear()
     for d in graphs:
-        assert char_poly(d) == det_poly(_z_minus_a(d)), d
+        assert char_poly(d) == det_poly(_z_matrix(d)), d
     return calls
 
 
