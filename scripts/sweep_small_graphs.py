@@ -20,10 +20,13 @@ Usage:
     python scripts/sweep_small_graphs.py
 """
 
+import importlib
+import pkgutil
 import random
 import sys
 from itertools import combinations
 
+import coxkit
 from coxkit import coxeter, identities
 from coxkit.algebra import Poly, _det_laplace, det_exact, det_poly
 from coxkit.diagram import Diagram
@@ -43,10 +46,13 @@ def labeled_graphs(n: int, rng: random.Random):
 
 
 def clear_memos() -> None:
-    for memo in (coxeter._coxeter_poly, coxeter._char_poly,
-                 coxeter._schur_step, coxeter._cofactors,
-                 identities._packed_table, identities._packed_row):
-        memo.cache_clear()
+    """Empty every functools memo of the coxkit modules, so that no gate
+    reads what was computed under the other."""
+    for info in pkgutil.iter_modules(coxkit.__path__):
+        module = importlib.import_module(f"coxkit.{info.name}")
+        for value in vars(module).values():
+            if hasattr(value, "cache_clear"):
+                value.cache_clear()
 
 
 def signed_minor(m, i: int, j: int) -> Poly:

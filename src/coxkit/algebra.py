@@ -25,8 +25,8 @@ from operator import add, mul, neg, sub
 from struct import Struct
 from typing import Union
 
-from .errors import (DomainError, ExactDivisionError, NotSymmetric,
-                     ZeroDenominator)
+from .errors import (DomainError, ExactDivisionError, IndexOutOfRange,
+                     NotSymmetric, SizeMismatch, ZeroDenominator)
 
 
 # ---------------------------------------------------------------------------
@@ -671,7 +671,7 @@ def det_exact(mat: Sequence[Sequence[Laurent]]) -> Laurent:
     """
     n = len(mat)
     if any(len(row) != n for row in mat):
-        raise ValueError("matrix is not square")
+        raise SizeMismatch("matrix is not square")
     lows, g = [], 0
     for row in mat:
         exps = [k for e in row for k in e._c]
@@ -867,7 +867,7 @@ class TruncSeries:
 
     def __init__(self, order: int, coeffs: Iterable[Fraction | int] = ()):
         if order < 0:
-            raise ValueError("order must be >= 0")
+            raise IndexOutOfRange("order must be >= 0")
         c = [Fraction(x) for x in coeffs][: order + 1]
         # over the lcm of reduced denominators no prime divides them all
         den = lcm(*(x.denominator for x in c))
@@ -902,7 +902,7 @@ class TruncSeries:
 
     def _match(self, other: "TruncSeries") -> int:
         if self.order != other.order:
-            raise ValueError("series truncated at different orders")
+            raise SizeMismatch("series truncated at different orders")
         return self.order
 
     def _plus(self, other: "TruncSeries", sign: int) -> "TruncSeries":

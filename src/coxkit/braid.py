@@ -17,7 +17,8 @@ from typing import Iterable, Sequence
 
 from .algebra import (Frame, Laurent, Poly, RatFunc, TruncSeries, _substitute,
                       _unsubstitute, det_exact, series_sqrt1p)
-from .errors import (DomainError, NotPure, StrandMismatch, UnknownClosure)
+from .errors import (DomainError, IndexOutOfRange, NotPure, SizeMismatch,
+                     ZeroDenominator)
 
 Word = tuple[int, ...]
 
@@ -101,7 +102,7 @@ class BraidWord:
 
     def __mul__(self, other: "BraidWord") -> "BraidWord":
         if self.strands != other.strands:
-            raise StrandMismatch("cannot concatenate different strand counts")
+            raise SizeMismatch("cannot concatenate different strand counts")
         return BraidWord(self.strands, self.word + other.word)
 
     def inverse(self) -> "BraidWord":
@@ -240,11 +241,11 @@ def det_ratio(l_word: BraidWord, b_word: BraidWord) -> RatFunc:
     a zero numerator or denominator marks the degenerate cases.
     """
     if l_word.strands != b_word.strands:
-        raise StrandMismatch("strand counts differ")
+        raise SizeMismatch("strand counts differ")
     top = det_one_minus(burau(l_word, True))
     bot = det_one_minus(burau(b_word * l_word, True))
     if bot.is_zero:
-        raise UnknownClosure("denominator determinant vanishes")
+        raise ZeroDenominator("denominator determinant vanishes")
     return RatFunc(top, bot)
 
 
@@ -504,7 +505,7 @@ class MilnorTable:
 
 def milnor(b: BraidWord, order: int) -> MilnorTable:
     if order < 1:
-        raise DomainError("order must be >= 1")
+        raise IndexOutOfRange("order must be >= 1")
     if not b.is_pure:
         raise NotPure("Milnor invariants need a pure braid")
     entries: dict[Word, int] = {}

@@ -24,9 +24,8 @@ from dataclasses import dataclass
 
 from . import algebra, braid, cfrac, coxeter, diagram, identities, kostant
 from .algebra import Laurent, Poly, RatFunc
-from .errors import (DomainError, ExactDivisionError, NotASquare,
-                     UnknownVertex, UsageError)
-from .report import IdentityReport, nonzero_terms
+from .errors import DomainError, ExactDivisionError, UnknownVertex, UsageError
+from .report import nonzero_terms
 
 
 # verify's sweep defaults: seeded trees per suite and their most vertices
@@ -331,15 +330,6 @@ def _cfrac_cycle(args: Namespace):
 # Klein-group checks
 # ---------------------------------------------------------------------------
 
-def _perfect_square(data) -> list[IdentityReport]:
-    want = abs(data.a - data.b)
-    try:
-        s = kostant.perfect_square_check(data)
-    except NotASquare:  # a wrong |B|: one failing term, not an error
-        return [IdentityReport.of("perfect-square", None, want, 1)]
-    return [IdentityReport.of("perfect-square", s, want, s - want)]
-
-
 # The checks on one Klein group, keyed by their kostant --verify mode
 # ("prop2" runs only under "all"): the case name kostant --verify gives a
 # check, and the function from the group data to its reports.  The suites
@@ -351,7 +341,8 @@ KLEIN_CHECKS = {
     **{str(w): (f"system-{w}",
                 lambda data, w=w: [kostant.verify_system(data, w)])
        for w in (14, 15, 16)},
-    "squares": ("perfect-square", _perfect_square),
+    "squares": ("perfect-square",
+                lambda data: [kostant.perfect_square_check(data)]),
     "walks": ("walks", lambda data: [kostant.walk_series_check(data, i, 20)
                                      for i in range(data.vertex_count)]),
     "prop2": ("prop2-squares", lambda data: [
@@ -791,7 +782,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="vertex index (-1 for the virtual vertex)")
     group.add_argument("--verify", choices=(
         "all", *(m for m in KLEIN_CHECKS if m != "prop2")))
-    p.add_argument("--terms", type=int,
+    p.add_argument("--terms", type=_int_in(0, kostant.MAX_TERMS),
                    help="number of series terms (default 40)")
     p.add_argument("--json", action="store_true")
     p.add_argument("--timings", action="store_true")

@@ -16,7 +16,7 @@ from typing import Sequence
 
 from .algebra import Laurent, Poly, det_exact, det_poly, mat_mul, z_substitute
 from .diagram import Diagram, SeifertMatrix
-from .errors import (DimensionMismatch, DomainError, PreconditionABneq2C,
+from .errors import (DomainError, PreconditionABneq2C, SizeMismatch,
                      UnknownVertex)
 from .report import IdentityReport
 
@@ -622,13 +622,13 @@ def divide_identity(a_mat, b_mat, c_mat) -> IdentityReport:
     r = len(a[0]) if a and a[0] else (len(b) if b else 0)
     s = len(b[0]) if b and b[0] else (len(c[0]) if c and c[0] else 0)
     if any(len(row) != r for row in a) or any(len(row) != s for row in b):
-        raise DimensionMismatch("ragged blocks")
+        raise SizeMismatch("ragged blocks")
     if len(b) != r:
-        raise DimensionMismatch("A columns must match B rows")
+        raise SizeMismatch("A columns must match B rows")
     if not c:
         c = [[0] * s for _ in range(p)]
     elif len(c) != p or any(len(row) != s for row in c):
-        raise DimensionMismatch("C must be (rows of A) x (cols of B)")
+        raise SizeMismatch("C must be (rows of A) x (cols of B)")
     # the diagram refuses more than MAX_VERTICES vertices before any
     # product or determinant is formed
     d = Diagram(p + r + s, [

@@ -1,7 +1,13 @@
-"""Shared exception types.
+"""Shared exception types, one kind per fault.
 
 Every error raised by the library derives from DomainError so the CLI can
-separate bad input data from bad flags.
+separate bad input data from bad flags, and a check that can fail returns
+its report instead of raising.  Kept apart on purpose: TypeError for
+mixing the two rings (Python's convention for operands of the wrong
+type), the ArithmeticError of coxeter._trace_coeff (an invariant that
+Newton's identities make unreachable), and cli._kostant_tables' catch of
+ExactDivisionError, since cramer_z_table recomputes a table rather than
+checking one and that kernel fault has several raisers.
 """
 
 
@@ -38,11 +44,8 @@ class ShapeViolation(DomainError):
 
 
 class SizeMismatch(DomainError):
-    """Sample-point lists or matrix dimensions do not agree."""
-
-
-class DimensionMismatch(DomainError):
-    """Block matrices with incompatible dimensions."""
+    """Sizes that must agree do not: sample-point lists, matrix or block
+    dimensions, braid strand counts or series orders."""
 
 
 class PreconditionABneq2C(DomainError):
@@ -50,27 +53,16 @@ class PreconditionABneq2C(DomainError):
 
 
 class BadType(DomainError):
-    """Not a valid affine ADE family label."""
+    """Not a valid affine ADE family label, or a check form that does not
+    apply to the family."""
 
 
 class IndexOutOfRange(DomainError):
-    """Vertex or series index outside the allowed range."""
-
-
-class NotASquare(DomainError):
-    """Integer that was expected to be a perfect square is not."""
-
-
-class StrandMismatch(DomainError):
-    """Braid words on different strand counts."""
+    """Series length, order or system number outside its range."""
 
 
 class NotPure(DomainError):
     """Braid word with a nontrivial strand permutation."""
-
-
-class UnknownClosure(DomainError):
-    """No catalogued Alexander-Conway polynomial for the requested closure."""
 
 
 class UsageError(Exception):

@@ -20,7 +20,7 @@ from .algebra import Laurent, Poly, RatFunc, z_substitute
 from .coxeter import (char_poly, cofactors, coxeter_poly,
                       walk_expansion_residual, walk_gf)
 from .diagram import Diagram, ade_types, build
-from .errors import BadType, IndexOutOfRange, NotASquare
+from .errors import BadRank, BadType, IndexOutOfRange, UnknownVertex
 from .report import IdentityReport
 
 # The most terms a series may have.  Its coefficients grow linearly, so the
@@ -64,7 +64,7 @@ class KleinGroupData:
         if i == -1:
             return self.z_minus1
         if not (0 <= i < self.vertex_count):
-            raise IndexOutOfRange(f"no vertex {i}")
+            raise UnknownVertex(f"no vertex {i}")
         return self.z_table[i]
 
 
@@ -72,12 +72,12 @@ def klein_data(family: str, n: int) -> KleinGroupData:
     """Built-in numerator tables for the affine ADE families."""
     if family == "affA":
         if n < 1:
-            raise BadType("affine A needs n >= 1")
+            raise BadRank("affine A needs n >= 1")
         a, b = 2, n + 1
         z = tuple(_exps(i, n - i + 1) for i in range(n + 1))
     elif family == "affD":
         if n < 4:
-            raise BadType("affine D needs n >= 4")
+            raise BadRank("affine D needs n >= 4")
         a, b = 4, 2 * n - 4
         table = [_exps(0, 2 * n - 2), _exps(2, 2 * n - 4)]
         for k in range(2, n - 1):
@@ -264,7 +264,7 @@ def prop2_squares(data: KleinGroupData, i: int) -> IdentityReport:
     """Square formula: P_i^2 = (P_0 Tbar_i - T_i / q) / (q T^#), checked in
     the cleared polynomial form."""
     if not (1 <= i < data.vertex_count):
-        raise IndexOutOfRange("vertex must be 1..n")
+        raise UnknownVertex("vertex must be 1..n")
     d = data.diagram()
     t_i = coxeter_poly(d.delete([0, i]))
     tbar_i = coxeter_poly(d.delete([i]))
@@ -284,7 +284,7 @@ def walk_series_check(data: KleinGroupData, i: int, k_max: int) -> IdentityRepor
     series' (q P_i against them through q^(k_max+1)), where a product with
     z^-1 = q / (1 + q^2) is the recurrence y_t = x_(t-1) - y_(t-2)."""
     if not (0 <= i < data.vertex_count):
-        raise IndexOutOfRange(f"no vertex {i}")
+        raise UnknownVertex(f"no vertex {i}")
     d = data.diagram()
     table = cofactors(d)  # first: it refuses a table above the cap
     walks = walk_gf(d, i, 0, k_max)
@@ -299,10 +299,13 @@ def walk_series_check(data: KleinGroupData, i: int, k_max: int) -> IdentityRepor
         walk_expansion_residual(char_poly(d), table[i, 0], walks), series))
 
 
-def perfect_square_check(data: KleinGroupData) -> int:
-    """Return s with s^2 = (h+2)^2 - 8|B| (equals |a - b|)."""
+def perfect_square_check(data: KleinGroupData) -> IdentityReport:
+    """s with s^2 = (h+2)^2 - 8|B| against |a - b|: a + b = h + 2 and
+    ab = 2|B| make the value (a - b)^2.  A value that is not a square (a
+    wrong |B|) reports no s and the residual 1."""
+    want = abs(data.a - data.b)
     val = (data.h + 2) ** 2 - 8 * data.order_b
-    s = isqrt(val)
+    s = isqrt(max(val, 0))
     if s * s != val:
-        raise NotASquare(f"(h+2)^2 - 8|B| = {val} is not a square")
-    return s
+        return IdentityReport.of("perfect-square", None, want, 1)
+    return IdentityReport.of("perfect-square", s, want, s - want)

@@ -65,7 +65,7 @@ def test_criterion_2_exponent_arithmetic():
     assert (e8.h + 2) ** 2 - 8 * e8.order_b == 64
     for fam, n in klein_types(12):
         data = klein_data(fam, n)
-        s = perfect_square_check(data)
+        s = perfect_square_check(data).lhs
         assert s * s == (data.h + 2) ** 2 - 8 * data.order_b
     _finish(2, "exponents, group orders, perfect squares", start, 1.0)
 

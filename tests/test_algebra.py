@@ -16,8 +16,8 @@ from coxkit.algebra import (BiLaurent, Frame, Laurent, Poly, RatFunc,
                             mat_mul, q_to_z, series_sqrt1p, wronskian,
                             z_substitute)
 from coxkit.braid import laurent_to_t_poly, t_poly_to_laurent
-from coxkit.errors import (DomainError, ExactDivisionError, NotSymmetric,
-                           ZeroDenominator)
+from coxkit.errors import (DomainError, ExactDivisionError, IndexOutOfRange,
+                           NotSymmetric, SizeMismatch, ZeroDenominator)
 from oracles import unsubstitute_by_pascal
 
 laurents = st.dictionaries(st.integers(-4, 4), st.integers(-9, 9),
@@ -185,6 +185,12 @@ def test_det_2x2_cofactor_oracle():
 
 def test_det_empty():
     assert det_exact([]) == Laurent.one()
+
+
+def test_det_refuses_a_matrix_that_is_not_square():
+    for m in ([[Laurent.one(), Laurent.z()]], [[Laurent.one()], []]):
+        with pytest.raises(SizeMismatch, match="matrix is not square"):
+            det_exact(m)
 
 
 @settings(max_examples=30, deadline=None)
@@ -700,10 +706,10 @@ def test_series_keeps_its_surface():
     assert repr(s) == "TruncSeries(1/2 - u^2 + 3/4*u^3 + O(u^4))"
     assert s.coeffs[3] == Fraction(3, 4)
     assert all(isinstance(c, Fraction) for c in s.coeffs)
-    with pytest.raises(ValueError):
+    with pytest.raises(IndexOutOfRange):
         TruncSeries(-1)
     for op in ("__add__", "__sub__", "__mul__"):
-        with pytest.raises(ValueError):
+        with pytest.raises(SizeMismatch):
             getattr(s, op)(TruncSeries(4, (1,)))
     with pytest.raises(ZeroDenominator):
         TruncSeries(3, (0, Fraction(1, 2))).inverse()

@@ -21,7 +21,8 @@ from coxkit.braid import (BraidWord, _ending_in_1, artin_action, burau,
                           free_reduce, laurent_to_t_poly, levin_check,
                           linking_matrix, longitudes, magnus, milnor,
                           t_poly_to_laurent, unit_match)
-from coxkit.errors import DomainError, NotPure, StrandMismatch
+from coxkit.errors import (DomainError, IndexOutOfRange, NotPure, SizeMismatch,
+                           ZeroDenominator)
 from oracles import (artin_by_substitution, conway_from_seifert,
                      magnus_by_letters, magnus_product)
 
@@ -219,8 +220,20 @@ def test_unreduced_at_one_is_permutation_matrix():
 # -- det ratios -------------------------------------------------------------------
 
 def test_det_ratio_strand_mismatch():
-    with pytest.raises(StrandMismatch):
+    with pytest.raises(SizeMismatch):
         det_ratio(BraidWord(2, (1,)), BraidWord(3, (1,)))
+
+
+def test_det_ratio_refuses_a_vanishing_denominator():
+    # B L is s1^-1 s1, whose image is the identity: det(E - E) = 0
+    with pytest.raises(ZeroDenominator,
+                       match="^denominator determinant vanishes$"):
+        det_ratio(BraidWord(2, (1,)), BraidWord(2, (-1,)))
+
+
+def test_milnor_order_starts_at_1():
+    with pytest.raises(IndexOutOfRange, match="order must be >= 1"):
+        milnor(BraidWord(2, (1, 1)), 0)
 
 
 def test_det_ratio_identity_degenerate():

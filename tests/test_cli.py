@@ -161,6 +161,20 @@ def test_braid_option_of_another_mode_exits_2(capsys, argv):
     assert captured.err.count("\n") == 1
 
 
+def test_a_word_of_one_inverse_letter_is_given_with_an_equals_sign(capsys):
+    # argparse reads a lone -s1 as an option, so the word is --word=-s1
+    assert run_cli(capsys, "braid", "burau", "--word=-s1") == (0, "[-t^-1]\n")
+    assert run_cli(capsys, "braid", "artin", "--word=-s1") == (
+        0, "x1 -> x2\nx2 -> x2^-1 x1 x2\n")
+    assert run_cli(capsys, "braid", "ratio", "--word", "s1 s1",
+                   "--against=-s1") == (0, "1 - t\n")
+    assert cli.main(["braid", "artin", "--word", "-s1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("usage error: argument --word: "
+                            "expected one argument\n")
+
+
 @pytest.mark.parametrize("argv", [
     ["verify", "algebra", "--bogus"],
     ["braid", "levin", "--word", "s1 s1", "--order", "x"],
@@ -172,6 +186,8 @@ def test_braid_option_of_another_mode_exits_2(capsys, argv):
     ["braid", "burau", "--bogus"],
     # without --against the ratio is det(E - beta(L)) over itself
     ["braid", "ratio", "--word", "s1"],
+    ["kostant", "--type", "~A2", "--series", "0", "--terms", "-1"],
+    ["kostant", "--type", "~A2", "--series", "0", "--terms", "500001"],
 ])
 def test_every_bad_command_line_is_one_usage_error(capsys, argv):
     assert cli.main(argv) == 2
@@ -322,7 +338,7 @@ def test_kostant_terms_above_the_cap_exits_2_at_once(capsys):
     assert peak < 256 * 1024
     captured = capsys.readouterr()
     assert captured.out == "" and captured.err.count("\n") == 1
-    assert captured.err.startswith("error: ")
+    assert captured.err.startswith("usage error: ")
     assert f"0..{kostant.MAX_TERMS}" in captured.err
     for terms in (-1, kostant.MAX_TERMS + 1):
         assert cli.main(["kostant", "--type", "~E8", "--series", "-1",
@@ -1200,7 +1216,8 @@ def test_failing_case_prints_a_rerun_command(capsys, monkeypatch):
             "--max-vertices 2") in out
     _, out = run_cli(capsys, "verify", "cd-char", "--diagram", "D4")
     assert "rerun: coxkit verify cd-char --seed 0 --diagram D4" in out
-    monkeypatch.setattr(kostant, "perfect_square_check", lambda data: -1)
+    monkeypatch.setattr(kostant, "perfect_square_check", lambda data: (
+        IdentityReport.of("perfect-square", None, 2, 1)))
     code, out = run_cli(capsys, "kostant", "--type", "~E6", "--verify",
                         "squares")
     assert code == 1

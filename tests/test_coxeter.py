@@ -20,8 +20,8 @@ from coxkit.coxeter import (SchurStep, _adjacency_rows, _cyclomatic,
                             walk_expansion_residual, walk_gf)
 from coxkit.diagram import (MAX_VERTICES, Diagram, bipartite_order, build,
                             join, random_tree)
-from coxkit.errors import (DimensionMismatch, DomainError,
-                           PreconditionABneq2C, UnknownVertex)
+from coxkit.errors import (DomainError, PreconditionABneq2C, SizeMismatch,
+                           UnknownVertex)
 from coxkit.report import nonzero_terms
 from oracles import (_z_matrix, cofactor_entry, disjoint_union,
                      faddeev_leverrier_full_rows, fl_char,
@@ -1403,7 +1403,7 @@ def test_divide_refuses_more_than_max_vertices_before_any_matrix(
 def test_divide_preconditions():
     with pytest.raises(PreconditionABneq2C):
         divide_identity([[1]], [[1]], [[1]])
-    with pytest.raises(DimensionMismatch):
+    with pytest.raises(SizeMismatch):
         divide_identity([[1, 0]], [[2]], [[1]])
 
 

@@ -1,8 +1,9 @@
 """Every imported name is used, every module-level private function or
 class of the package is referenced, every public one, and every public
-method of a public class, is reached from outside the tests, and every
-parameter default of the package is passed from outside the tests:
-stdlib-only checks."""
+method of a public class, is reached from outside the tests, every
+parameter default of the package is passed from outside the tests, and
+every exception the package raises is one kind of coxkit.errors, each
+raised somewhere: stdlib-only checks."""
 
 import ast
 import pathlib
@@ -329,3 +330,58 @@ def test_checker_flags_unpassed_defaults_and_spares_passed_ones():
     assert _unpassed_defaults(sources, ["pkg/m.py"]) == [
         "pkg/m.py:1: f(c=)", "pkg/m.py:1: f(g=)",
         "pkg/m.py:10: row(full=)", "pkg/m.py:13: make(m=)"]
+
+
+# the built-in kinds the package raises on purpose: TypeError for an operand
+# of the other ring, ArithmeticError for an invariant that cannot fail
+_BUILTIN_RAISES = {"TypeError", "ArithmeticError"}
+
+
+def _stray_raises(sources: dict[str, str], errors: str) -> list[str]:
+    """Each `raise Name(...)` of the package that names neither a kind of
+    the errors module nor one of _BUILTIN_RAISES, and each kind of that
+    module that nothing raises."""
+    kinds = {node.name for node in ast.parse(sources[errors]).body
+             if isinstance(node, ast.ClassDef)}
+    out, raised = [], set()
+    for name, source in sources.items():
+        for node in ast.walk(ast.parse(source, name)):
+            if not isinstance(node, ast.Raise) or node.exc is None:
+                continue
+            exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+            if isinstance(exc, ast.Name) and exc.id[:1].isupper():
+                raised.add(exc.id)
+                if exc.id not in kinds | _BUILTIN_RAISES:
+                    out.append(f"{name}:{node.lineno}: {exc.id}")
+    out += [f"{errors}: {kind} is never raised"
+            for kind in sorted(kinds - raised)]
+    return out
+
+
+def test_every_raise_names_one_kind_of_the_errors_module():
+    sources, checked = _package_sources()
+    stray = _stray_raises({name: sources[name] for name in checked},
+                          "src/coxkit/errors.py")
+    assert not stray, "\n".join(stray)
+
+
+def test_checker_flags_stray_raises_and_unraised_kinds():
+    sources = {
+        "pkg/errors.py": ("class Base(Exception):\n    pass\n"
+                          "class Used(Base):\n    pass\n"
+                          "class Idle(Base):\n    pass\n"),
+        "pkg/m.py": ("def f(x):\n"
+                     "    if x:\n"
+                     "        raise Used('a')\n"
+                     "    try:\n"
+                     "        raise Base\n"
+                     "    except Base as exc:\n"
+                     "        raise exc\n"
+                     "    raise ValueError('b')\n"
+                     "def g():\n"
+                     "    raise TypeError('c')\n"
+                     "def h():\n"
+                     "    raise\n"),
+    }
+    assert _stray_raises(sources, "pkg/errors.py") == [
+        "pkg/m.py:8: ValueError", "pkg/errors.py: Idle is never raised"]

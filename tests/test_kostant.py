@@ -10,7 +10,7 @@ from coxkit.algebra import Laurent, Poly, RatFunc, z_substitute
 from coxkit.cfrac import evaluate, expand_cycle, expand_tree
 from coxkit.coxeter import CofactorTable, char_poly, coxeter_poly
 from coxkit.diagram import build
-from coxkit.errors import BadType, IndexOutOfRange
+from coxkit.errors import BadRank, BadType, UnknownVertex
 from coxkit.kostant import (a2m_closed_form, a2m_recurrence, cramer_z_table,
                             ebeling_ratios, klein_data, klein_types,
                             perfect_square_check, poincare_series,
@@ -53,7 +53,7 @@ def test_d_family_exponents():
 def test_bad_type():
     with pytest.raises(BadType):
         klein_data("affE", 9)
-    with pytest.raises(BadType):
+    with pytest.raises(BadRank):
         klein_data("affA", 0)
 
 
@@ -138,7 +138,7 @@ def test_series_matches_long_division():
 
 def test_series_index_range():
     data = klein_data("affA", 2)
-    with pytest.raises(IndexOutOfRange):
+    with pytest.raises(UnknownVertex):
         poincare_series(data, 5, 10)
 
 
@@ -342,12 +342,33 @@ def test_walk_series_examples():
 
 
 def test_perfect_squares():
-    assert perfect_square_check(klein_data("affE", 6)) == 2
-    assert perfect_square_check(klein_data("affE", 8)) == 8
-    assert perfect_square_check(klein_data("affA", 1)) == 0
+    assert perfect_square_check(klein_data("affE", 6)).lhs == 2
+    assert perfect_square_check(klein_data("affE", 8)).lhs == 8
+    assert perfect_square_check(klein_data("affA", 1)).lhs == 0
     for fam, n in klein_types(12):
         data = klein_data(fam, n)
-        assert perfect_square_check(data) == abs(data.a - data.b)
+        assert perfect_square_check(data).lhs == abs(data.a - data.b)
+
+
+@pytest.mark.parametrize("shift", [-1, 1])
+def test_a_wrong_group_order_fails_the_square_check(shift):
+    # on ~A3, (h+2)^2 - 8|B| is 36 - 32 = 4; |B| - 1 makes it 12 and
+    # |B| + 1 makes it -4, neither a square
+    data = klein_data("affA", 3)
+    wrong = dataclasses.replace(data, order_b=data.order_b + shift)
+    report = perfect_square_check(wrong)
+    assert not report.holds and report.residual_terms == 1
+    assert (report.lhs, report.rhs) == (None, 2)
+
+
+def test_a_bad_vertex_is_an_unknown_vertex():
+    data = klein_data("affD", 4)
+    for bad in (-1, data.vertex_count):
+        with pytest.raises(UnknownVertex, match=f"no vertex {bad}"):
+            walk_series_check(data, bad, 5)
+    for bad in (0, data.vertex_count):
+        with pytest.raises(UnknownVertex, match="vertex must be 1..n"):
+            prop2_squares(data, bad)
 
 
 def test_numerator_reads_the_virtual_vertex_too():
@@ -361,7 +382,7 @@ def test_numerator_reads_the_virtual_vertex_too():
         assert virtual == RatFunc(Laurent.q(-1), Laurent.one())
         assert (virtual.num, virtual.den) == (Laurent.q(-1), Laurent.one())
         for bad in (-2, data.vertex_count):
-            with pytest.raises(IndexOutOfRange):
+            with pytest.raises(UnknownVertex):
                 data.numerator(bad)
 
 

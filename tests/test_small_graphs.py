@@ -2,13 +2,17 @@
 expansion gate forced both ways (scripts/sweep_small_graphs.py holds the
 checks and runs 6 vertices on demand)."""
 
+import ast
+import contextlib
+import importlib
 import importlib.util
+import io
 import random
 from pathlib import Path
 
 import pytest
 
-from coxkit import coxeter
+from coxkit import cli, coxeter
 
 _SCRIPT = Path(__file__).resolve().parent.parent / "scripts" / "sweep_small_graphs.py"
 _spec = importlib.util.spec_from_file_location("sweep_small_graphs", _SCRIPT)
@@ -41,3 +45,26 @@ def test_labeled_graphs_are_distinct_and_seeded():
     again = list(sweep.labeled_graphs(4, random.Random(4)))
     assert [(d.edges(), d.order) for d in graphs] == [
         (d.edges(), d.order) for d in again]
+
+
+def _memos():
+    """Every lru_cache of the package, found by its decorator in the
+    source."""
+    for path in sorted(Path(cli.__file__).parent.glob("*.py")):
+        if path.stem == "__init__":
+            continue
+        module = importlib.import_module(f"coxkit.{path.stem}")
+        for node in ast.parse(path.read_text(encoding="utf-8")).body:
+            if isinstance(node, ast.FunctionDef) and any(
+                    "lru_cache" in ast.unparse(dec)
+                    for dec in node.decorator_list):
+                yield getattr(module, node.name)
+
+
+def test_clear_memos_empties_every_memo_of_the_package():
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(["verify", "all"]) == 0
+    memos = list(_memos())
+    assert memos and all(m.cache_info().currsize for m in memos)
+    sweep.clear_memos()
+    assert [m.__qualname__ for m in memos if m.cache_info().currsize] == []
