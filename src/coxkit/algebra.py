@@ -793,19 +793,36 @@ class Frame:
             x = (x << shift) + c
         return x
 
+    def digits(self, x: int, count: int) -> Sequence[int]:
+        """Digits 0 .. count - 1 of x, which has no nonzero digit above
+        them; a few zero digits may follow.
+
+        With off holding 2^(w - 1) in each of them, x + off has the digits
+        c + 2^(w - 1), all in 0..2^w - 1, and xor with off turns each into
+        the two's complement of c."""
+        w = self.width
+        if w == 64:
+            # more than 40 digits are read as a multiple of 8, so that few
+            # readers are kept
+            if count > 40:
+                count = (count + 7) & -8
+            off, read = _digit_reader(count)
+            return read(((x + off) ^ off).to_bytes(8 * count, "little"))
+        step = w // 8
+        off = int.from_bytes((bytes(step - 1) + b"\x80") * count, "little")
+        raw = ((x + off) ^ off).to_bytes(step * count, "little")
+        return [int.from_bytes(raw[k:k + step], "little", signed=True)
+                for k in range(0, step * count, step)]
+
     def laurents(self, xs: Iterable[int], start: int = 0) -> list[Laurent]:
         """For each x, the Laurent polynomial with digit k of x as the
         coefficient of q^(k + start).
 
         Only the digits from the lowest nonzero one to the highest are
-        read.  With off holding 2^(w - 1) in each of them, x + off has the
-        digits c + 2^(w - 1), all in 0..2^w - 1, and xor with off turns
-        each into the two's complement of c; places above those of x come
-        out zero."""
+        read."""
         w = self.width
-        step = w // 8
         zero = Laurent.zero()
-        reader = _digit_reader
+        digits = self.digits
         of = Laurent._of
         out = []
         for x in xs:
@@ -814,23 +831,8 @@ class Frame:
                 continue
             low = ((x & -x).bit_length() - 1) // w
             x >>= low * w
-            count = x.bit_length() // w + 1
-            if w == 64:
-                # more than 40 digits are read as a multiple of 8, so that
-                # few readers are kept
-                if count > 40:
-                    count = (count + 7) & -8
-                off, read = reader(count)
-                digits = read(((x + off) ^ off).to_bytes(8 * count, "little"))
-            else:
-                off = int.from_bytes((bytes(step - 1) + b"\x80") * count,
-                                     "little")
-                raw = ((x + off) ^ off).to_bytes(step * count, "little")
-                digits = [int.from_bytes(raw[k:k + step], "little",
-                                         signed=True)
-                          for k in range(0, step * count, step)]
-            out.append(of(
-                {e: c for e, c in enumerate(digits, low + start) if c}))
+            out.append(of({e: c for e, c in enumerate(
+                digits(x, x.bit_length() // w + 1), low + start) if c}))
         return out
 
     def bilaurents(self, xs: Iterable[int], stride: int) -> list[BiLaurent]:

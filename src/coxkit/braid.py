@@ -12,7 +12,8 @@ otherwise.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import zip_longest
+from itertools import compress, product, zip_longest
+from math import comb
 from typing import Iterable, Sequence
 
 from .algebra import (Frame, Laurent, Poly, RatFunc, TruncSeries, _substitute,
@@ -34,15 +35,50 @@ MAX_ORDER = 64
 MAX_MAGNUS_WORDS = 100_000
 
 # The most words the Magnus expansions of one command may visit, summed
-# over their letters (milnor's longitudes share the count): each letter
-# passes over every word held, so the work is letters times words, which
-# MAX_MAGNUS_WORDS alone leaves unbounded.  On (s1 s2^-1)^9, whose walk
-# MAX_WALK_LETTERS admits, the longitudes of 4180, 10946 and 6766 letters
-# visit 0.9, 2.5 and 1.6 M words at order 5 and about 3 times as many at
-# each order above, and `braid milnor --order 10` ran for 61 s; at 10^6
-# it is refused in 0.2 s (Python 3.11, 2 cores).  The largest count in
-# the suites and the benchmark is 68525 (a milnor op of the benchmark).
+# over their letters (milnor's longitudes share the count): on the dict
+# route each letter passes over every word held, so the work is letters
+# times words, which MAX_MAGNUS_WORDS alone leaves unbounded; the packed
+# route charges each letter the time of the digits it rebuilds, in
+# visits (see PACKED_BITS_PER_VISIT).  On (s1 s2^-1)^9, whose walk
+# MAX_WALK_LETTERS admits, the longitudes of 4180, 10946 and 6766
+# letters visit 0.9, 2.5 and 1.6 M words at order 5 by dict and about 3
+# times as many at each order above, and `braid milnor --order 10` ran
+# for 61 s; at 10^6 it is refused in 0.01 s, before any packed integer
+# is built, and `braid magnus --order 10`, whose 88573 words up to the
+# order take the dict route, in 0.3 s (Python 3.11, 2 cores).  The
+# largest count in the suites and the benchmark is 63612 (a milnor op of
+# the benchmark at seed 42: 186 letters over 4 generators at order 6).
 MAX_MAGNUS_WORK = 1_000_000
+
+# The most words up to the order, b^0 + .. + b^order over the b
+# generators of the word, that a packed Magnus expansion may hold as
+# digits (see _packed); it stays below MAX_MAGNUS_WORDS.  The packed
+# route takes only words longer than the order: on 127 seeded words no
+# longer than the order it lost to the dict route on 111, down to 0.009
+# times its speed.  The dict route's time over the packed route's on
+# seeded words of L letters over b = 2-8 generators, the median of three
+# words, each the best of five (Python 3.11, 2 cores):
+#
+#     words up to the order    L = order + 1    2 order      4 order
+#     63-1023                  0.48-2.4         0.91-5.8     1.3-12
+#     1093-32767               0.15-2.8         0.58-8.7     2.2-19
+#     37449-97656              0.19-1.9         0.45-4.5     1.3-16
+#
+# Up to 2^15 a loss costs at most 0.7 ms (b = 4, order 7, 8 letters);
+# above it the packed route loses up to 3 ms on order + 1 letters, and
+# at 2 order letters it loses or breaks even for every b >= 4.
+MAX_PACKED_DIGITS = 1 << 15
+
+# The bits a packed shift-add writes in the time the dict route visits
+# one word.  Each letter of the packed route rebuilds degrees 1 .. order,
+# b^m digits of width w each, and is charged, in visits, the sum over m
+# of ceil(b^m w / PACKED_BITS_PER_VISIT): at least one a shift-add, whose
+# fixed cost is about that of a visit.  A dict visit took 115-200 ns, a
+# shift-add 2.3-4.9 ns per 64 bits from 2^12 to 2^24 bits, and a charged
+# unit of _packed 32-115 ns on seeded words over 1-32767 generators at
+# orders 1-64 (Python 3.11, 2 cores), so MAX_MAGNUS_WORK bounds both
+# routes to about the same time.
+PACKED_BITS_PER_VISIT = 1024
 
 # The most strands a braid word may have, as diagram.MAX_VERTICES bounds a
 # diagram; no word in the suites or the benchmark has more than 6.
@@ -404,14 +440,22 @@ def _too_many():
                       f"{MAX_MAGNUS_WORDS} words; lower the order")
 
 
+def _too_much_work():
+    raise DomainError(f"the Magnus expansion visits more than "
+                      f"{MAX_MAGNUS_WORK} words; lower the order")
+
+
 def magnus(word: Sequence[int], nvars: int, order: int) -> dict[Word, int]:
     """Magnus embedding x_i -> 1 + u_i, truncated at total degree order:
     the coefficient of each word, a tuple of 1-based variable indices.
 
-    While it is expanded, a word u_(i_1) .. u_(i_m) is the integer with the
-    digits i_1 .. i_m in base nvars + 1, and the empty word is 0.  No digit
-    is 0, so the words of length at most m are exactly the integers below
-    base^m; appending u_i is k * base + i and stripping it k // base.
+    A word longer than the order whose words up to the order over its
+    generators number at most MAX_PACKED_DIGITS is expanded packed (see
+    _packed); any other word over a dict, where a word u_(i_1) .. u_(i_m)
+    is the integer with the digits i_1 .. i_m in base nvars + 1, and the
+    empty word is 0.  No digit is 0, so the words of length at most m are
+    exactly the integers below base^m; appending u_i is k * base + i and
+    stripping it k // base.
     """
     for g in word:
         if not 0 < abs(g) <= nvars:
@@ -421,13 +465,28 @@ def magnus(word: Sequence[int], nvars: int, order: int) -> dict[Word, int]:
 
 def _magnus(word: Sequence[int], nvars: int, order: int,
             work: int) -> tuple[dict[Word, int], int]:
-    """magnus, and work plus the words its letters visit: each letter
-    passes over every word held, and the count, taken once per letter, is
-    refused past MAX_MAGNUS_WORK.  milnor passes the count on from one
-    longitude to the next, so that the bound holds for all of them."""
+    """magnus, and work plus the work of its letters, refused past
+    MAX_MAGNUS_WORK.  On the dict route each letter passes over every word
+    held, and the count is taken once per letter; on the packed route
+    each letter is charged the digits it rebuilds, and the count is taken
+    before anything is built.  milnor passes
+    the count on from one longitude to the next, so that the bound holds
+    for all of them."""
     if order < 0:
         # below degree 0 a letter leaves nothing
         return ({} if word else {(): 1}), work
+    letters = sorted({abs(g) for g in word})
+    b = len(letters)
+    if (len(word) > order
+            and sum(b ** m for m in range(order + 1)) <= MAX_PACKED_DIGITS):
+        frame = Frame(comb(len(word) + order, order))
+        # each letter rebuilds degrees 1 .. order (see PACKED_BITS_PER_VISIT)
+        work += len(word) * sum(-(-b ** m * frame.width
+                                  // PACKED_BITS_PER_VISIT)
+                                for m in range(1, order + 1))
+        if work > MAX_MAGNUS_WORK:
+            _too_much_work()
+        return _packed(word, letters, order, frame), work
     base = nvars + 1
     # the words shorter than the order: none at order 0
     short = base ** (order - 1) if order else 0
@@ -436,14 +495,53 @@ def _magnus(word: Sequence[int], nvars: int, order: int,
     for letter in word:
         work += len(acc)
         if work > MAX_MAGNUS_WORK:
-            raise DomainError(f"the Magnus expansion visits more than "
-                              f"{MAX_MAGNUS_WORK} words; lower the order")
+            _too_much_work()
         if letter > 0:
             acc = _times_letter(acc, letter, base, short)
         else:
             acc = _times_inverse_letter(acc, -letter, base, top)
     words = {0: ()}
     return {_spelled(k, base, words): c for k, c in acc.items()}, work
+
+
+def _packed(word: Sequence[int], letters: list[int], order: int,
+            frame: Frame) -> dict[Word, int]:
+    """The Magnus expansion of word, whose generators are letters
+    (ascending), with degree m held as one integer of b^m digits.
+
+    The word of degree m with the letter places p_1 .. p_m is digit
+    p_1 b^(m-1) + .. + p_m, so prepending the letter at place p to a word
+    of degree m - 1 moves its digit up by p b^(m-1).  The word is read
+    right to left: x_p multiplies the series on the left by 1 + u_p,
+    which adds degree m - 1 shifted so to degree m (m descending, so that
+    each reads the old degree below it), and x_p^-1 by its inverse, whose
+    product P' with P solves P' = P - u_p P' (m ascending).  A word of
+    degree m splits among the L letters in C(L + m - 1, m) ways, one sign
+    each, so that binomial bounds every coefficient, and frame, of
+    C(L + order, order), makes every one a digit.
+    """
+    b = len(letters)
+    w = frame.width
+    shifts = {}
+    for p, g in enumerate(letters):
+        shifts[g] = shifts[-g] = [p * b ** m * w for m in range(order)]
+    packed = [1] + [0] * order
+    up = range(1, order + 1)
+    down = up[::-1]
+    for g in reversed(word):
+        s = shifts[g]
+        if g > 0:
+            for m in down:
+                packed[m] += packed[m - 1] << s[m - 1]
+        else:
+            for m in up:
+                packed[m] -= packed[m - 1] << s[m - 1]
+    out = {(): 1}
+    for m in up:
+        digits = frame.digits(packed[m], b ** m)
+        out.update(zip(compress(product(letters, repeat=m), digits),
+                       filter(None, digits)))
+    return out
 
 
 def _spelled(k: int, base: int, words: dict[int, Word]) -> Word:

@@ -102,6 +102,8 @@ def klein_data(family: str, n: int) -> KleinGroupData:
              _exps(5, 7, 9, 11, 13, 15, 15, 17, 19, 21, 23, 25),
              _exps(6, 8, 12, 14, 16, 18, 22, 24), _exps(7, 13, 17, 23),
              _exps(6, 10, 14, 16, 20, 24))
+    elif family == "affE":
+        raise BadRank("affine E_n needs n in {6, 7, 8}")
     else:
         raise BadType(f"no Klein group data for {family}_{n}")
     h = a + b - 2

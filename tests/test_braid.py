@@ -7,6 +7,7 @@ import re
 import subprocess
 import sys
 from itertools import product
+from math import comb
 from pathlib import Path
 
 import pytest
@@ -374,6 +375,59 @@ def test_magnus_matches_generator_product():
             word, order)
 
 
+def _log_packed(monkeypatch) -> list:
+    """The words braid._packed is called on, in order."""
+    built = []
+    real = braid._packed
+
+    def logged(word, *args):
+        built.append(word)
+        return real(word, *args)
+
+    monkeypatch.setattr(braid, "_packed", logged)
+    return built
+
+
+@pytest.mark.parametrize("cap", [0, braid.MAX_MAGNUS_WORDS - 1],
+                         ids=["dict", "packed"])
+def test_each_magnus_route_matches_the_letter_oracle(monkeypatch, cap):
+    # the packed route takes every word longer than the order whose words
+    # up to the order number at most the cap; the dict route the others
+    monkeypatch.setattr(braid, "MAX_PACKED_DIGITS", cap)
+    packed = _log_packed(monkeypatch)
+    rng = random.Random(36)
+    for k in range(270):
+        order = k % 9
+        gens = rng.sample(range(1, 6), 1 + k // 9 % 5)
+        # shorter words where the oracle's products grow large
+        most = sum(len(gens) ** m for m in range(order + 1))
+        length = rng.randint(0, order + 8 if most < 2000 else order + 2)
+        word = tuple(rng.choice((1, -1)) * rng.choice(gens)
+                     for _ in range(length))
+        # the words up to the order over the generators the word uses
+        size = sum(len({abs(g) for g in word}) ** m
+                   for m in range(order + 1))
+        before = len(packed)
+        want = magnus_by_letters(word, order)
+        assert dict(magnus(word, 5, order).items()) == want, (word, order)
+        took = len(packed) > before
+        assert took == (length > order and size <= cap), (word, order)
+    assert len(packed) > 100 if cap else not packed
+
+
+@pytest.mark.parametrize("cap", [0, braid.MAX_MAGNUS_WORDS - 1],
+                         ids=["dict", "packed"])
+def test_magnus_of_a_long_inverse_power_is_binomial(monkeypatch, cap):
+    # (1 + u)^-2000 has the coefficients (-1)^m C(1999 + m, m), 88 bits
+    # at m = 10, so the packed route reads digits wider than 64 bits
+    monkeypatch.setattr(braid, "MAX_PACKED_DIGITS", cap)
+    packed = _log_packed(monkeypatch)
+    got = magnus((-1,) * 2000, 1, 10)
+    assert got == {(1,) * m: (-1) ** m * comb(1999 + m, m)
+                   for m in range(11)}
+    assert len(packed) == (1 if cap else 0)
+
+
 def test_magnus_stops_one_stem_past_the_word_cap(monkeypatch):
     lon = longitudes(BraidWord.parse("-s1 -s1 -s1 -s1 -s1 -s1", 2))[0]
     order = 12
@@ -441,6 +495,9 @@ def test_milnor_shares_the_work_bound_between_its_longitudes(monkeypatch):
     b = BraidWord.parse("s1 s1 s2 s2 -s1 -s1 -s2 -s2", 3)
     order = 5
     want = milnor(b, order)
+    # longer than the order, the longitudes take the packed route unless
+    # the dict route is forced
+    monkeypatch.setattr(braid, "MAX_PACKED_DIGITS", 0)
     visits = [_visits(lon, 3, order - 1, monkeypatch)
               for lon in longitudes(b)]
     work = sum(visits)
@@ -450,6 +507,43 @@ def test_milnor_shares_the_work_bound_between_its_longitudes(monkeypatch):
     monkeypatch.setattr(braid, "MAX_MAGNUS_WORK", work - 1)
     with pytest.raises(DomainError, match="lower the order"):
         milnor(b, order)
+
+
+def test_milnor_shares_the_packed_work_bound_between_its_longitudes(
+        monkeypatch):
+    b = BraidWord.parse("s1 s1 s2 s2 -s1 -s1 -s2 -s2", 3)
+    order = 5
+    lons = longitudes(b)
+    assert [len(lon) for lon in lons] == [12, 34, 22]
+    want = milnor(b, order)
+    # each letter rebuilds degrees 1 .. order - 1 over the longitude's 3
+    # generators, 3^m digits of 64 bits each
+    per_letter = sum(-(-3 ** m * 64 // braid.PACKED_BITS_PER_VISIT)
+                     for m in range(1, order))
+    work = sum(len(lon) for lon in lons) * per_letter
+    built = _log_packed(monkeypatch)
+    monkeypatch.setattr(braid, "MAX_MAGNUS_WORK", work)
+    assert milnor(b, order) == want
+    assert built == list(lons)
+    built.clear()
+    monkeypatch.setattr(braid, "MAX_MAGNUS_WORK", work - 1)
+    with pytest.raises(DomainError, match=f"visits more than {work - 1} "):
+        milnor(b, order)
+    # the last longitude is refused before its integers are built
+    assert built == list(lons[:2])
+
+
+@pytest.mark.parametrize("nvars", [1000, 32767])
+def test_magnus_charges_the_packed_route_the_digits_it_rebuilds(
+        monkeypatch, nvars):
+    # about 10^6 letters over every generator at order 1: each letter
+    # rebuilds degree 1, nvars digits, and the word is refused before
+    # _packed runs (counted one digit a letter, the first once ran 2.3 s)
+    word = tuple(range(1, nvars + 1)) * (10 ** 6 // nvars)
+    built = _log_packed(monkeypatch)
+    with pytest.raises(DomainError, match="lower the order"):
+        magnus(word, nvars, 1)
+    assert not built
 
 
 def test_magnus_refuses_a_letter_that_is_no_generator():

@@ -2,6 +2,7 @@
 
 import dataclasses
 import random
+import re
 
 import pytest
 
@@ -51,10 +52,18 @@ def test_d_family_exponents():
 
 
 def test_bad_type():
-    with pytest.raises(BadType):
-        klein_data("affE", 9)
+    # a rank outside its family is a rank fault, with build's message
+    for n in (5, 9):
+        with pytest.raises(BadRank) as built:
+            build("affE", n)
+        with pytest.raises(BadRank, match=re.escape(str(built.value))):
+            klein_data("affE", n)
     with pytest.raises(BadRank):
         klein_data("affA", 0)
+    # an unknown family, or one with no Klein group, is a type fault
+    for family in ("affB", "E"):
+        with pytest.raises(BadType):
+            klein_data(family, 6)
 
 
 def test_arithmetic_invariants_all_types():
