@@ -20,6 +20,7 @@ from __future__ import annotations
 from collections.abc import Iterable, Mapping, Sequence
 from fractions import Fraction
 from functools import lru_cache
+from itertools import chain
 from math import gcd, lcm
 from operator import add, mul, neg, sub
 from struct import Struct
@@ -484,10 +485,6 @@ class Laurent(_Sparse):
         out._c = {e + k: v for e, v in self._c.items()}
         return out
 
-    def derivative(self) -> "Laurent":
-        """Formal derivative: d/dq q^k = k q^(k-1), including negative k."""
-        return Laurent._of({k - 1: k * v for k, v in self._c.items() if k})
-
     @property
     def is_palindromic(self) -> bool:
         return all(self._c.get(-k, 0) == v for k, v in self._c.items())
@@ -761,8 +758,17 @@ def bezoutian(f: Laurent, g: Laurent) -> BiLaurent:
 
 
 def wronskian(f: Laurent, g: Laurent) -> Laurent:
-    """f' g - f g' with the formal Laurent derivative."""
-    return f.derivative() * g - f * g.derivative()
+    """f' g - f g' with the formal Laurent derivative: each pair of terms
+    f_i q^i and g_j q^j adds (i - j) f_i g_j q^(i + j - 1)."""
+    d: dict[int, int] = {}
+    get = d.get
+    gs = g._c.items()
+    for i, a in f._c.items():
+        for j, b in gs:
+            if i != j:
+                k = i + j - 1
+                d[k] = get(k, 0) + (i - j) * a * b
+    return Laurent._of({k: v for k, v in d.items() if v})
 
 
 # ---------------------------------------------------------------------------
@@ -1123,11 +1129,38 @@ def _reduce_pair(num: Poly, den: Poly) -> tuple[Poly, Poly]:
 def mat_mul(a, b) -> list:
     """Matrix product over int, Poly or Laurent entries, or int times Poly.
 
-    Zero entries are skipped, and the ring's zero is taken from one product
-    of entries.  An empty b leaves the column count unknown: the product
-    then has rows of length 0.
+    Every row of a must have len(b) entries, and every row of b as many as
+    the first.  When both matrices hold only Laurent entries, each entry of
+    the product is summed over its term pairs into one exponent ->
+    coefficient map, whose zero coefficients are dropped at the end.
+    Otherwise zero entries are skipped, and the ring's zero is taken from
+    one product of entries.  An empty b leaves the column count unknown:
+    the product then has rows of length 0.
     """
     p = len(b[0]) if b else 0
+    if any(len(ra) != len(b) for ra in a) or any(len(rb) != p for rb in b):
+        raise SizeMismatch("matrix shapes do not match")
+    if set(map(type, chain(*a, *b))) <= {Laurent}:
+        # each column of b as its nonzero entries, with their row numbers
+        cols = [[(k, tuple(y._c.items())) for k, y in enumerate(col) if y._c]
+                for col in zip(*b)]
+        out = []
+        for ra in a:
+            xs = [tuple(x._c.items()) for x in ra]
+            row = []
+            for col in cols:
+                d: dict[int, int] = {}
+                get = d.get
+                for k, ys in col:
+                    for ka, va in xs[k]:
+                        for kb, vb in ys:
+                            e = ka + kb
+                            d[e] = get(e, 0) + va * vb
+                entry = _new(Laurent)
+                entry._c = {e: v for e, v in d.items() if v}
+                row.append(entry)
+            out.append(row)
+        return out
     zero = a[0][0] * b[0][0] * 0 if a and p else 0
     out = [[zero] * p for _ in a]
     for ra, row in zip(a, out):

@@ -24,6 +24,10 @@ class IdentityReport:
 
     @staticmethod
     def compare(name: str, lhs, rhs) -> "IdentityReport":
+        """The report of lhs against rhs: equal sides take the ring's zero
+        as residual, and only sides that differ are subtracted."""
+        if lhs == rhs:
+            return IdentityReport.of(name, lhs, rhs, lhs * 0)
         return IdentityReport.of(name, lhs, rhs, lhs - rhs)
 
     @property

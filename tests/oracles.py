@@ -5,7 +5,8 @@ library routine under test: a cofactor as a signed minor determinant,
 det(zE - A) by the Faddeev-LeVerrier pass (which the graph expansion
 never takes), the Faddeev-LeVerrier layers on full rows, the rooted forest step as products
 running from the unit, the inverse substitution by Pascal's rule walked
-down from the top row, a Magnus expansion as the product
+down from the top row, the Wronskian as f' g - f g' with each derivative
+formed first, a Magnus expansion as the product
 of its letters' images, the Artin action by substituting into every image
 letter by letter, a Conway polynomial as the determinant of a Seifert
 form, and a union of diagrams or a diagram file by writing the edges out.
@@ -110,6 +111,19 @@ def rooted_step_by_products(children, z=None):
         rest = rest * a + wsq * b * prod
         prod = prod * a
     return (prod.shift(1) if z is None else z * prod) - rest, prod
+
+
+# -- the Wronskian ------------------------------------------------------------------
+
+def _derivative(f: Laurent) -> Laurent:
+    """Formal derivative: d/dq q^k = k q^(k-1), including negative k."""
+    return Laurent({k - 1: k * v for k, v in f._c.items() if k})
+
+
+def wronskian_by_derivatives(f: Laurent, g: Laurent) -> Laurent:
+    """f' g - f g', each derivative formed first and the two products
+    subtracted."""
+    return _derivative(f) * g - f * _derivative(g)
 
 
 # -- the inverse substitution ------------------------------------------------------

@@ -18,7 +18,7 @@ from coxkit.algebra import (BiLaurent, Frame, Laurent, Poly, RatFunc,
 from coxkit.braid import laurent_to_t_poly, t_poly_to_laurent
 from coxkit.errors import (DomainError, ExactDivisionError, IndexOutOfRange,
                            NotSymmetric, SizeMismatch, ZeroDenominator)
-from oracles import unsubstitute_by_pascal
+from oracles import unsubstitute_by_pascal, wronskian_by_derivatives
 
 laurents = st.dictionaries(st.integers(-4, 4), st.integers(-9, 9),
                            max_size=5).map(Laurent)
@@ -166,8 +166,9 @@ def test_ring_axioms(a, b, c):
 
 
 def test_laurent_derivative_negative_exponent():
-    # d/dq q^-2 = -2 q^-3
-    assert Laurent.q(-2).derivative() == Laurent({-3: -2})
+    # d/dq q^-2 = -2 q^-3, read off the Wronskian W(q^-2, 1) = (q^-2)'
+    for w in (wronskian_by_derivatives, wronskian):
+        assert w(Laurent.q(-2), Laurent.one()) == Laurent({-3: -2})
 
 
 # -- determinants -----------------------------------------------------------
@@ -261,6 +262,85 @@ def test_mat_mul_over_every_ring():
             assert mat_mul(a, b) == _triple_loop(a, b, zero)
 
 
+def test_mat_mul_refuses_shapes_that_do_not_match():
+    q = Laurent.q
+    for a, b in (([[1, 2, 3]], [[1], [2]]), ([[1]], [[1], [2]]),
+                 ([[1, 1]], [[1, 5], [2]]), ([[1, 1], [1]], [[1], [2]]),
+                 ([[1]], []),
+                 ([[q(1), q(2), q(3)]], [[q(1)], [q(2)]]),
+                 ([[q(1)]], [[q(1)], [q(2)]]),
+                 ([[q(1), q(1)]], [[q(1), q(5)], [q(2)]]),
+                 ([[Poly((1,)), 2]], [[Poly((1,))]])):
+        with pytest.raises(SizeMismatch, match="matrix shapes do not match"):
+            mat_mul(a, b)
+    # an empty b leaves the column count unknown
+    assert mat_mul([[]], []) == [[]]
+    assert mat_mul([[], []], []) == [[], []]
+    assert mat_mul([], []) == []
+
+
+def test_laurent_product_stores_no_zero_coefficient():
+    # q q^-1 + 1 (-1) cancels to the zero entry, and (q + 1) q - q q to q
+    one, q = Laurent.one(), Laurent.q
+    [[zero]] = mat_mul([[q(1), one]], [[q(-1)], [-one]])
+    assert zero._c == {} and zero == Laurent.zero()
+    assert hash(zero) == hash(Laurent.zero())
+    [[rest]] = mat_mul([[Laurent({0: 1, 1: 1}), q(1)]], [[q(1)], [-q(1)]])
+    assert rest._c == {1: 1}
+
+
+def test_laurent_product_matches_the_triple_loop():
+    # zero rows and columns, shapes that are not square, negative
+    # exponents, and terms chosen so that entries often cancel
+    rng = random.Random(53)
+
+    def laurent():
+        if rng.random() < 0.4:
+            return Laurent()
+        return Laurent({rng.randint(-3, 2): rng.choice([-1, 1, 2])
+                        for _ in range(rng.randint(1, 3))})
+
+    zeros = 0
+    for _ in range(300):
+        n, m, p = rng.randint(0, 4), rng.randint(1, 4), rng.randint(0, 4)
+        a = [[laurent() for _ in range(m)] for _ in range(n)]
+        b = [[laurent() for _ in range(p)] for _ in range(m)]
+        if n and rng.random() < 0.3:
+            a[rng.randrange(n)] = [Laurent()] * m
+        if p and rng.random() < 0.3:
+            j = rng.randrange(p)
+            for row in b:
+                row[j] = Laurent()
+        got = mat_mul(a, b)
+        assert got == _triple_loop(a, b, Laurent.zero())
+        for row in got:
+            for x in row:
+                assert type(x) is Laurent and all(x._c.values())
+                zeros += x.is_zero
+    assert zeros > 100
+
+
+def test_mat_mul_without_two_laurent_matrices_is_unchanged():
+    # int times Laurent, Laurent times int, a Laurent matrix holding an int
+    # zero, and int and Poly matrices: each against the triple loop, in
+    # value and in the type of every entry
+    q, one = Laurent.q, Laurent.one()
+    cases = [([[2, 0], [1, -1]], [[q(1), one], [Laurent(), q(-2)]],
+              Laurent.zero()),
+             ([[q(1), one], [Laurent(), q(-2)]], [[2, 0], [1, -1]],
+              Laurent.zero()),
+             ([[q(1), 0]], [[one], [q(3)]], Laurent.zero()),
+             ([[1, 2], [3, 4]], [[0, 1], [1, 0]], 0),
+             ([[Poly((1, 1)), Poly()]], [[Poly((0, 2))], [Poly((5,))]],
+              Poly.zero()),
+             ([[3, 0]], [[Poly((1, 1))], [Poly((2,))]], Poly.zero())]
+    for a, b, zero in cases:
+        got, want = mat_mul(a, b), _triple_loop(a, b, zero)
+        assert got == want
+        assert [list(map(type, row)) for row in got] == \
+            [list(map(type, row)) for row in want]
+
+
 def test_exact_division_raises_on_remainder():
     with pytest.raises(ExactDivisionError):
         Poly((1, 1)).exact_div(Poly((0, 1)))
@@ -301,6 +381,33 @@ def test_wronskian_examples():
     f = Laurent({1: 7, -2: 3})
     assert wronskian(f, f).is_zero
     assert wronskian(Laurent.one(), Laurent.q(1)) == Laurent({0: -1})
+
+
+def test_wronskian_matches_the_oracle():
+    # negative exponents, terms of one exponent in f and g (whose pair adds
+    # nothing), zero operands and f = g (the empty map)
+    rng = random.Random(29)
+
+    def laurent():
+        if rng.random() < 0.1:
+            return Laurent()
+        return Laurent({rng.randint(-4, 4): rng.randint(-5, 5)
+                        for _ in range(rng.randint(1, 5))})
+
+    seen = Counter()
+    for _ in range(600):
+        f = laurent()
+        g = f if rng.random() < 0.1 else laurent()
+        got = wronskian(f, g)
+        assert got == wronskian_by_derivatives(f, g), (f, g)
+        assert all(got._c.values())
+        seen["zero"] += f.is_zero or g.is_zero
+        seen["same"] += f is g
+        seen["shared"] += bool(set(f._c) & set(g._c)) and f is not g
+        seen["negative"] += any(k < 0 for k in (*f._c, *g._c))
+        if f is g:
+            assert got._c == {}
+    assert min(seen.values()) >= 30, seen
 
 
 @settings(max_examples=100, deadline=None)

@@ -7,7 +7,7 @@ import random
 import pytest
 
 from coxkit import identities
-from coxkit.algebra import (BiLaurent, Laurent, RatFunc, bezoutian,
+from coxkit.algebra import (BiLaurent, Laurent, Poly, RatFunc, bezoutian,
                             wronskian)
 from coxkit.diagram import build, random_tree
 from coxkit.errors import BadType, ShapeViolation, SizeMismatch, UnknownVertex
@@ -112,6 +112,39 @@ def test_chain_transfer_counts_the_residual_of_a_wrong_input(monkeypatch):
         rep = reps[f"chain-transfer-{i}"]
         assert [nonzero_terms(x) for x in rep.residual] == parts
         assert not rep.holds and rep.residual_terms == sum(parts)
+
+
+def test_compare_of_equal_sides_gives_the_residual_of_their_difference():
+    # equal sides that are distinct objects: the residual is lhs - rhs in
+    # value, type and repr, without a subtraction
+    for lhs, rhs in ((Laurent({-2: 3, 1: -1}), Laurent({1: -1, -2: 3})),
+                     (Laurent(), Laurent()),
+                     (BiLaurent({(0, -1): 2, (3, 1): 1}),
+                      BiLaurent({(3, 1): 1, (0, -1): 2})),
+                     (BiLaurent(), BiLaurent()),
+                     (Poly((1, -2, 5)), Poly((1, -2, 5))),
+                     (Poly(), Poly())):
+        assert lhs is not rhs
+        rep = IdentityReport.compare("same", lhs, rhs)
+        want = lhs - rhs
+        assert rep == IdentityReport("same", lhs, rhs, want, True)
+        assert type(rep.residual) is type(want)
+        assert repr(rep.residual) == repr(want)
+        assert rep.holds and rep.residual_terms == 0
+
+
+def test_compare_of_sides_that_differ_subtracts_them():
+    for lhs, rhs in ((Laurent.z(), Laurent.q(1)), (Laurent.z(), Laurent()),
+                     (BiLaurent({(0, -1): 2}), BiLaurent({(0, -1): 3})),
+                     (Poly((1, 2)), Poly((1, 3)))):
+        rep = IdentityReport.compare("differ", lhs, rhs)
+        want = lhs - rhs
+        assert rep == IdentityReport("differ", lhs, rhs, want, False)
+        assert repr(rep.residual) == repr(want)
+        assert rep.residual_terms == nonzero_terms(want) > 0
+    # sides of two rings neither compare equal nor subtract
+    with pytest.raises(TypeError):
+        IdentityReport.compare("rings", Laurent.one(), BiLaurent({(0, 0): 1}))
 
 
 def test_the_forms_call_the_pairings_bound_in_the_module(monkeypatch):
