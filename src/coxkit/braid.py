@@ -31,7 +31,7 @@ MAX_ORDER = 64
 # The most words a Magnus expansion may hold.  Their number grows like a
 # power of the order set by the longitude: the longitude of s1^-6 has
 # 26475 words at order 16 and 104119 at order 20, while the largest
-# expansion in the suites and the benchmark has 1101.
+# expansion in the suites and the benchmark has 1101 (140 by dict).
 MAX_MAGNUS_WORDS = 100_000
 
 # The most words the Magnus expansions of one command may visit, summed
@@ -45,7 +45,7 @@ MAX_MAGNUS_WORDS = 100_000
 # times as many at each order above, and `braid milnor --order 10` ran
 # for 61 s; at 10^6 it is refused in 0.01 s, before any packed integer
 # is built, and `braid magnus --order 10`, whose 88573 words up to the
-# order take the dict route, in 0.3 s (Python 3.11, 2 cores).  The
+# order take the dict route, in 0.13 s (Python 3.11, 2 cores).  The
 # largest count in the suites and the benchmark is 63612 (a milnor op of
 # the benchmark at seed 42: 186 letters over 4 generators at order 6).
 MAX_MAGNUS_WORK = 1_000_000
@@ -54,30 +54,31 @@ MAX_MAGNUS_WORK = 1_000_000
 # generators of the word, that a packed Magnus expansion may hold as
 # digits (see _packed); it stays below MAX_MAGNUS_WORDS.  The packed
 # route takes only words longer than the order: on 127 seeded words no
-# longer than the order it lost to the dict route on 111, down to 0.009
+# longer than the order it lost to the dict route on 113, down to 0.088
 # times its speed.  The dict route's time over the packed route's on
 # seeded words of L letters over b = 2-8 generators, the median of three
 # words, each the best of five (Python 3.11, 2 cores):
 #
 #     words up to the order    L = order + 1    2 order      4 order
-#     63-1023                  0.48-2.4         0.91-5.8     1.3-12
-#     1093-32767               0.15-2.8         0.58-8.7     2.2-19
-#     37449-97656              0.19-1.9         0.45-4.5     1.3-16
+#     63-1023                  0.48-2.2         0.66-5.8     0.85-10
+#     1093-32767               0.14-2.1         0.18-5.8     0.71-13
+#     37449-97656              0.05-0.74        0.11-7.0     0.49-15
 #
-# Up to 2^15 a loss costs at most 0.7 ms (b = 4, order 7, 8 letters);
-# above it the packed route loses up to 3 ms on order + 1 letters, and
-# at 2 order letters it loses or breaks even for every b >= 4.
+# Up to 2^15 a loss costs at most 1.1 ms (b = 3, order 9, 10 letters);
+# above it the packed route loses up to 3.7 ms on order + 1 letters, and
+# at 2 order letters it loses for every b >= 4.
 MAX_PACKED_DIGITS = 1 << 15
 
 # The bits a packed shift-add writes in the time the dict route visits
 # one word.  Each letter of the packed route rebuilds degrees 1 .. order,
 # b^m digits of width w each, and is charged, in visits, the sum over m
 # of ceil(b^m w / PACKED_BITS_PER_VISIT): at least one a shift-add, whose
-# fixed cost is about that of a visit.  A dict visit took 115-200 ns, a
-# shift-add 2.3-4.9 ns per 64 bits from 2^12 to 2^24 bits, and a charged
-# unit of _packed 32-115 ns on seeded words over 1-32767 generators at
-# orders 1-64 (Python 3.11, 2 cores), so MAX_MAGNUS_WORK bounds both
-# routes to about the same time.
+# fixed cost is about that of a visit.  A dict visit took 72-521 ns
+# (median 144) on the words of the MAX_PACKED_DIGITS table with at least
+# 10^4 visits, a shift-add 2.3-4.9 ns per 64 bits from 2^12 to 2^24
+# bits, and a charged unit of _packed 32-115 ns on seeded words over
+# 1-32767 generators at orders 1-64 (Python 3.11, 2 cores), so
+# MAX_MAGNUS_WORK bounds both routes to about the same time.
 PACKED_BITS_PER_VISIT = 1024
 
 # The most strands a braid word may have, as diagram.MAX_VERTICES bounds a
@@ -377,65 +378,7 @@ def longitudes(b: BraidWord) -> tuple[Word, ...]:
 # Magnus expansion
 # ---------------------------------------------------------------------------
 
-def _times_letter(acc: dict[int, int], i: int, base: int,
-                  short: int) -> dict[int, int]:
-    """acc * (1 + u_i), truncated: each word k shorter than the order
-    (k < short) also gives the word k * base + i."""
-    out = dict(acc)
-    for k, c in acc.items():
-        if k < short:
-            key = k * base + i
-            v = out.get(key, 0) + c
-            if v:
-                out[key] = v
-                if len(out) > MAX_MAGNUS_WORDS:
-                    _too_many()
-            else:
-                del out[key]
-    return out
-
-
-def _times_inverse_letter(acc: dict[int, int], i: int, base: int,
-                          top: int) -> dict[int, int]:
-    """acc * (1 + u_i)^-1, truncated: the solution of out * (1 + u_i) = acc.
-
-    Coefficients of different stems (words with their trailing i's
-    stripped) do not interact; along stem * i^j, up to the words below top
-    (those no longer than the order), the coefficient of out is the
-    alternating running sum of those of acc.  A stem as long as the order
-    is a word of acc and is its own run.
-    """
-    last = top // base
-    # out starts as a subset of acc, which held at most MAX_MAGNUS_WORDS
-    out: dict[int, int] = {}
-    stems = set()
-    for k, c in acc.items():
-        if k % base != i:
-            if k >= last:
-                out[k] = c
-            else:
-                stems.add(k)
-        else:
-            k //= base
-            while k % base == i:
-                k //= base
-            stems.add(k)
-    get = acc.get
-    for key in stems:
-        run = 0
-        while key < top:
-            run = get(key, 0) - run
-            if run:
-                out[key] = run
-            key = key * base + i
-        if len(out) > MAX_MAGNUS_WORDS:
-            _too_many()
-    return out
-
-
 def _too_many():
-    """The words are counted as they are added, so a step holds at most
-    one stem's run, order + 1 words, beyond MAX_MAGNUS_WORDS."""
     raise DomainError(f"the Magnus expansion holds more than "
                       f"{MAX_MAGNUS_WORDS} words; lower the order")
 
@@ -451,30 +394,34 @@ def magnus(word: Sequence[int], nvars: int, order: int) -> dict[Word, int]:
 
     A word longer than the order whose words up to the order over its
     generators number at most MAX_PACKED_DIGITS is expanded packed (see
-    _packed); any other word over a dict, where a word u_(i_1) .. u_(i_m)
-    is the integer with the digits i_1 .. i_m in base nvars + 1, and the
-    empty word is 0.  No digit is 0, so the words of length at most m are
-    exactly the integers below base^m; appending u_i is k * base + i and
-    stripping it k // base.
+    _packed); any other word over one dict per degree (see _magnus).
     """
+    if order < 0:
+        raise IndexOutOfRange("order must be >= 0")
     for g in word:
         if not 0 < abs(g) <= nvars:
             raise DomainError(f"letter {g} is not a generator of 1..{nvars}")
-    return _magnus(word, nvars, order, 0)[0]
+    return _magnus(word, order, 0)[0]
 
 
-def _magnus(word: Sequence[int], nvars: int, order: int,
+def _magnus(word: Sequence[int], order: int,
             work: int) -> tuple[dict[Word, int], int]:
     """magnus, and work plus the work of its letters, refused past
     MAX_MAGNUS_WORK.  On the dict route each letter passes over every word
     held, and the count is taken once per letter; on the packed route
     each letter is charged the digits it rebuilds, and the count is taken
-    before anything is built.  milnor passes
-    the count on from one longitude to the next, so that the bound holds
-    for all of them."""
-    if order < 0:
-        # below degree 0 a letter leaves nothing
-        return ({} if word else {(): 1}), work
+    before anything is built.  milnor passes the count on from one
+    longitude to the next, so that the bound holds for all of them.
+
+    The dict route holds degree m as a dict of the words of length m and
+    runs the recurrence of _packed, but reads the word left to right and
+    appends each letter: x_i multiplies the series on the right by
+    1 + u_i, which adds degree m - 1 followed by i to degree m (m
+    descending, so that each reads the old degree below it), and x_i^-1
+    by its inverse, whose product P' with P solves P' = P - P' u_i (m
+    ascending).  The words are counted as they are added, so a refused
+    expansion holds at most MAX_MAGNUS_WORDS + 1 of them.
+    """
     letters = sorted({abs(g) for g in word})
     b = len(letters)
     if (len(word) > order
@@ -487,21 +434,35 @@ def _magnus(word: Sequence[int], nvars: int, order: int,
         if work > MAX_MAGNUS_WORK:
             _too_much_work()
         return _packed(word, letters, order, frame), work
-    base = nvars + 1
-    # the words shorter than the order: none at order 0
-    short = base ** (order - 1) if order else 0
-    top = base ** order
-    acc: dict[int, int] = {0: 1}
-    for letter in word:
-        work += len(acc)
+    series: list[dict[Word, int]] = [{(): 1}] + [{} for _ in range(order)]
+    held = 1
+    up = range(1, order + 1)
+    down = up[::-1]
+    for g in word:
+        work += held
         if work > MAX_MAGNUS_WORK:
             _too_much_work()
-        if letter > 0:
-            acc = _times_letter(acc, letter, base, short)
-        else:
-            acc = _times_inverse_letter(acc, -letter, base, top)
-    words = {0: ()}
-    return {_spelled(k, base, words): c for k, c in acc.items()}, work
+        pos = g > 0
+        tail = (abs(g),)
+        for m in down if pos else up:
+            deg = series[m]
+            get = deg.get
+            for w, c in series[m - 1].items():
+                key = w + tail
+                v = get(key)
+                if v is None:
+                    held += 1
+                    if held > MAX_MAGNUS_WORDS:
+                        _too_many()
+                    deg[key] = c if pos else -c
+                else:
+                    v = v + c if pos else v - c
+                    if v:
+                        deg[key] = v
+                    else:
+                        del deg[key]
+                        held -= 1
+    return {w: c for deg in series for w, c in deg.items()}, work
 
 
 def _packed(word: Sequence[int], letters: list[int], order: int,
@@ -542,16 +503,6 @@ def _packed(word: Sequence[int], letters: list[int], order: int,
         out.update(zip(compress(product(letters, repeat=m), digits),
                        filter(None, digits)))
     return out
-
-
-def _spelled(k: int, base: int, words: dict[int, Word]) -> Word:
-    """The word of the integer k (see magnus), through the memo words of
-    those already spelled, so that a shared prefix is spelled once."""
-    w = words.get(k)
-    if w is None:
-        rest, i = divmod(k, base)
-        w = words[k] = _spelled(rest, base, words) + (i,)
-    return w
 
 
 def _ending_in_1(word: Sequence[int], order: int) -> list[int]:
@@ -609,7 +560,7 @@ def milnor(b: BraidWord, order: int) -> MilnorTable:
     entries: dict[Word, int] = {}
     work = 0
     for i, lon in enumerate(longitudes(b), start=1):
-        series, work = _magnus(lon, b.strands, order - 1, work)
+        series, work = _magnus(lon, order - 1, work)
         for word, coeff in series.items():
             if word and coeff:
                 entries[word + (i,)] = coeff

@@ -428,29 +428,54 @@ def test_magnus_of_a_long_inverse_power_is_binomial(monkeypatch, cap):
     assert len(packed) == (1 if cap else 0)
 
 
-def test_magnus_stops_one_stem_past_the_word_cap(monkeypatch):
+def _held(word, order: int) -> list[int]:
+    """The words the dict route holds before each letter of word and
+    after the last: the sizes of the expansions of the word's prefixes."""
+    return [len(magnus_by_letters(word[:k], order))
+            for k in range(len(word) + 1)]
+
+
+def _visits(word, order: int) -> int:
+    """The words the letters of word visit in its Magnus expansion on the
+    dict route: the sum over the letters of the words held when each is
+    read."""
+    return sum(_held(word, order)[:-1])
+
+
+def test_dict_route_matches_the_letter_oracle_and_counts_its_work(
+        monkeypatch):
+    # every letter of the dict route visits the words held before it,
+    # which are the expansion of the prefix read so far
+    monkeypatch.setattr(braid, "MAX_PACKED_DIGITS", 0)
+    rng = random.Random(38)
+    words = [(), (-1,) * 9, (-2,) * 4 + (1,), (1, -2) * 3, (-1, -2) * 3]
+    for _ in range(120):
+        gens = rng.sample(range(1, 5), rng.randint(1, 3))
+        words.append(tuple(rng.choice((1, -1)) * rng.choice(gens)
+                           for _ in range(rng.randint(0, 8))))
+    for k, word in enumerate(words):
+        for order in (k % 9, 8 - k % 9):
+            got, work = braid._magnus(word, order, 5)
+            assert got == magnus_by_letters(word, order), (word, order)
+            assert work == 5 + _visits(word, order), (word, order)
+
+
+def test_magnus_stops_one_word_past_the_word_cap(monkeypatch):
     lon = longitudes(BraidWord.parse("-s1 -s1 -s1 -s1 -s1 -s1", 2))[0]
     order = 12
-    sizes = []
-    for name in ("_times_letter", "_times_inverse_letter"):
-        real = getattr(braid, name)
-
-        def logged(acc, *args, real=real):
-            out = real(acc, *args)
-            sizes.append(len(out))
-            return out
-
-        monkeypatch.setattr(braid, name, logged)
     want = magnus(lon, 2, order)
-    assert len(want.items()) == 4407
-    top = max(sizes)
-    # the cap counts the words of every step, not only of the result
+    top = max(_held(lon, order))
+    assert top == len(want) == 4407
+    # on this longitude the words held while a letter is read never pass
+    # the larger of the expansions before and after it, so the largest
+    # prefix expansion is the least cap that admits the word
     monkeypatch.setattr(braid, "MAX_MAGNUS_WORDS", top)
     assert magnus(lon, 2, order) == want
     held = []
 
     def too_many():
-        held.append(len(sys._getframe(1).f_locals["out"]))
+        series = sys._getframe(1).f_locals["series"]
+        held.append(sum(map(len, series)))
         raise DomainError("too many")
 
     monkeypatch.setattr(braid, "_too_many", too_many)
@@ -458,32 +483,14 @@ def test_magnus_stops_one_stem_past_the_word_cap(monkeypatch):
         monkeypatch.setattr(braid, "MAX_MAGNUS_WORDS", cap)
         with pytest.raises(DomainError):
             magnus(lon, 2, order)
-        assert cap < held[-1] <= cap + order + 1, cap
-
-
-def _visits(word, nvars: int, order: int, monkeypatch) -> int:
-    """The words the letters of word visit in its Magnus expansion: the
-    sum over the letters of the words held when each is read."""
-    sizes = [1]
-    with monkeypatch.context() as mp:
-        for name in ("_times_letter", "_times_inverse_letter"):
-            real = getattr(braid, name)
-
-            def logged(acc, *args, real=real):
-                out = real(acc, *args)
-                sizes.append(len(out))
-                return out
-
-            mp.setattr(braid, name, logged)
-        magnus(word, nvars, order)
-    return sum(sizes[:len(word)])
+        assert cap <= held[-1] <= cap + 1, cap
 
 
 def test_magnus_refuses_one_word_past_the_work_bound(monkeypatch):
     lon = longitudes(BraidWord.parse("-s1 -s1 -s1 -s1 -s1 -s1", 2))[0]
     order = 12
     want = magnus(lon, 2, order)
-    work = _visits(lon, 2, order, monkeypatch)
+    work = _visits(lon, order)
     monkeypatch.setattr(braid, "MAX_MAGNUS_WORK", work)
     assert magnus(lon, 2, order) == want
     monkeypatch.setattr(braid, "MAX_MAGNUS_WORK", work - 1)
@@ -498,8 +505,7 @@ def test_milnor_shares_the_work_bound_between_its_longitudes(monkeypatch):
     # longer than the order, the longitudes take the packed route unless
     # the dict route is forced
     monkeypatch.setattr(braid, "MAX_PACKED_DIGITS", 0)
-    visits = [_visits(lon, 3, order - 1, monkeypatch)
-              for lon in longitudes(b)]
+    visits = [_visits(lon, order - 1) for lon in longitudes(b)]
     work = sum(visits)
     assert max(visits) < work - 1  # no longitude alone passes work - 1
     monkeypatch.setattr(braid, "MAX_MAGNUS_WORK", work)
@@ -552,6 +558,14 @@ def test_magnus_refuses_a_letter_that_is_no_generator():
     for word, nvars in (((3,), 2), ((-3, 1), 2), ((1,), 0), ((-1,), 0)):
         with pytest.raises(DomainError, match="not a generator"):
             magnus(word, nvars, 2)
+
+
+def test_magnus_refuses_a_negative_order():
+    # truncated below degree 0 every series is empty: the empty word once
+    # gave {(): 1} and every other word {}
+    for word in ((), (1,), (-2, 1)):
+        with pytest.raises(IndexOutOfRange, match="order must be >= 0"):
+            magnus(word, 2, -1)
 
 
 def test_magnus_refuses_letter_0_at_once():

@@ -1622,6 +1622,43 @@ BRAID_LONGITUDES_SHA256 = (
     "67edac413c32f66666c18b4afd27c238ca3e5dc961e668b65a8bd3b8c2c14d53")
 
 
+# sha256 of the stdout of the commands whose outputs the tier-1 workflow
+# pins (.github/workflows/tier1.yml), so that a local run sees a change
+# in them: the rank-1000 polynomials of Schwenk's edge step and of the
+# rooted forest step, and one output of each Magnus route (the packed
+# route on the 12-92 letter longitudes of this 4-strand braid, the dict
+# route on the 10-letter longitude of s1^-6 at order 16, 26475 lines)
+CI_PINNED_SHA256 = {
+    "affine-A1000-char": (
+        "coxeter --diagram ~A1000 --char",
+        "932a2496a9e08e549b1ad83598f40bda61507dbbe3bd5786ef79a772b68e2b52"),
+    "A1000-char": (
+        "coxeter --diagram A1000 --char",
+        "74153aca54ee3ba5dfbec668eb00263e19e5d87de920d1d8757284eccb6fe138"),
+    "D1000-char": (
+        "coxeter --diagram D1000 --char",
+        "b765fbc0cbb11c7a2163bf3dbe536b49836a0fb89653855f46a9e25b180eae28"),
+    "milnor-packed": (
+        "braid milnor --order 7"
+        " --word 's1 s1 s2 s2 s3 s3 -s1 -s1 -s2 -s2 -s3 -s3'",
+        "a500ca02f4a5861a6f1750871e237f6bf93a6b55af01868a3cdd2758cea99908"),
+    "magnus-dict": (
+        "braid magnus --word '-s1 -s1 -s1 -s1 -s1 -s1' --order 16",
+        "2b484bd58c7c91b71ded36e0832b38ef5ff9d71d62648bde8c75b70fab1c99f4"),
+}
+
+
+@pytest.mark.parametrize("name", list(CI_PINNED_SHA256))
+def test_ci_pinned_output(capsys, name):
+    command, digest = CI_PINNED_SHA256[name]
+    workflow = (Path(__file__).resolve().parents[1] / ".github"
+                / "workflows" / "tier1.yml")
+    assert f'"{digest}  -"' in workflow.read_text(encoding="utf-8")
+    code, out = run_cli(capsys, *shlex.split(command))
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 @pytest.mark.parametrize("order", sorted(BRAID_MAGNUS_SHA256))
 def test_braid_magnus_output_is_pinned(capsys, order):
     digest = hashlib.sha256()

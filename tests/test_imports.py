@@ -1,9 +1,10 @@
 """Every imported name is used, every module-level private function or
 class of the package is referenced, every public one, and every public
 method of a public class, is reached from outside the tests, every
-parameter default of the package is passed from outside the tests, and
-every exception the package raises is one kind of coxkit.errors, each
-raised somewhere: stdlib-only checks."""
+parameter default of the package is passed and every module-level
+constant read from outside the tests, and every exception the package
+raises is one kind of coxkit.errors, each raised somewhere: stdlib-only
+checks."""
 
 import ast
 import pathlib
@@ -330,6 +331,69 @@ def test_checker_flags_unpassed_defaults_and_spares_passed_ones():
     assert _unpassed_defaults(sources, ["pkg/m.py"]) == [
         "pkg/m.py:1: f(c=)", "pkg/m.py:1: f(g=)",
         "pkg/m.py:10: row(full=)", "pkg/m.py:13: make(m=)"]
+
+
+def _reads(node: ast.AST):
+    """The names node reads: a name or attribute loaded, or a name
+    imported."""
+    if isinstance(node, (ast.Name, ast.Attribute)):
+        if isinstance(node.ctx, ast.Load):
+            yield _name(node)
+    elif isinstance(node, ast.alias):
+        yield node.name.split(".")[-1]
+
+
+def _assigned(tree: ast.Module):
+    """(name, line) of each name a module-level assignment binds, dunders
+    aside."""
+    for top in tree.body:
+        targets = (top.targets if isinstance(top, ast.Assign)
+                   else [top.target] if isinstance(top, ast.AnnAssign)
+                   else [])
+        for target in targets:
+            for node in ast.walk(target):
+                if (isinstance(node, ast.Name)
+                        and not node.id.startswith("__")):
+                    yield node.id, top.lineno
+
+
+def _unread_constants(sources: dict[str, str], checked) -> list[str]:
+    """The names assigned at module level in the files in checked that no
+    source (file name -> text) outside tests/ reads: a constant that only
+    tests read is a knob the product never turns."""
+    trees = {name: ast.parse(text, name) for name, text in sources.items()}
+    read = {ref for name, tree in trees.items()
+            if not name.startswith("tests/")
+            for node in ast.walk(tree) for ref in _reads(node)}
+    return [f"{name}:{line}: {const}" for name in checked
+            for const, line in _assigned(trees[name]) if const not in read]
+
+
+def test_every_module_constant_is_read_outside_the_tests():
+    unread = _unread_constants(*_package_sources())
+    assert not unread, "\n".join(unread)
+
+
+def test_checker_flags_unread_constants_and_spares_read_ones():
+    sources = {
+        "pkg/m.py": ("__all__ = ['LIMIT']\n"
+                     "LIMIT = 3\n"
+                     "IDLE = 4\n"
+                     "LOW, HIGH = 1, 2\n"
+                     "TABLE: dict = {}\n"
+                     "SHADOW = 5\n"
+                     "def f(n):\n"
+                     "    SHADOW = n\n"
+                     "    return n < LIMIT\n"),
+        "scripts/s.py": ("from pkg.m import TABLE\n"
+                         "import pkg.m as m\n"
+                         "print(m.LOW)\n"
+                         "m.HIGH = 0\n"),
+        "tests/test_m.py": ("from pkg import m\n"
+                            "print(m.IDLE)\n"),
+    }
+    assert _unread_constants(sources, ["pkg/m.py"]) == [
+        "pkg/m.py:3: IDLE", "pkg/m.py:4: HIGH", "pkg/m.py:6: SHADOW"]
 
 
 # the built-in kinds the package raises on purpose: TypeError for an operand
