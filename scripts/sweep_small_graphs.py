@@ -13,7 +13,7 @@ tests/test_small_graphs.py runs the same checks on 1-5 vertices, plus on at
 most 4 the cofactor table against the signed minors of zE - A (det_poly),
 cd_char at every pair, the Schur step and both Christoffel-Darboux forms
 at every pivot, and det_exact of the Coxeter matrix against Laplace
-expansion.  The 32768 graphs took about 70 s per gate on a 2-core VM
+expansion.  The 32768 graphs took about 30 s per gate on a 2-core VM
 with Python 3.11.7.
 
 Usage:

@@ -138,7 +138,9 @@ def _list_gcd(a: Sequence[int], b: Sequence[int]) -> tuple[int, ...]:
 
 
 def _power(base, e: int, one):
-    """base^e by square and multiply; one for e <= 0."""
+    """base^e by square and multiply; one for e = 0."""
+    if e < 0:
+        raise IndexOutOfRange("exponent must be >= 0")
     out = one
     while e > 0:
         if e & 1:
@@ -613,30 +615,41 @@ def q_to_z(p: Laurent) -> Poly:
 # ---------------------------------------------------------------------------
 
 def det_poly(mat: Sequence[Sequence[Poly]]) -> Poly:
-    """Fraction-free Bareiss determinant over Z[x]."""
+    """Determinant over Z[x] by one integer Bareiss at x = 2^w.  Each
+    permutation term has l1 norm at most the product of the rows' l1
+    norms, so that product bounds every coefficient."""
+    bound = 1
+    for row in mat:
+        bound *= sum(abs(c) for e in row for c in e._c)
+    frame = Frame(bound)
+    det = _bareiss([[frame.pack(e._c) for e in row] for row in mat])
+    return Poly(frame.digits(det, abs(det).bit_length() // frame.width + 1))
+
+
+def _bareiss(mat: Sequence[Sequence[int]]) -> int:
+    """Fraction-free Bareiss determinant of a square integer matrix: each
+    division is exact, since each entry it gives is a minor of mat."""
     n = len(mat)
-    if n == 0:
-        return Poly.one()
+    if any(len(row) != n for row in mat):
+        raise SizeMismatch("matrix is not square")
     m = [list(row) for row in mat]
-    sign = 1
-    prev = Poly.one()
+    sign, prev = 1, 1
     for k in range(n - 1):
-        if m[k][k].is_zero:
+        if not m[k][k]:
             for i in range(k + 1, n):
-                if not m[i][k].is_zero:
+                if m[i][k]:
                     m[k], m[i] = m[i], m[k]
                     sign = -sign
                     break
             else:
-                return Poly.zero()
-        pivot = m[k][k]
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                t = pivot * m[i][j] - m[i][k] * m[k][j]
-                m[i][j] = t.exact_div(prev)
+                return 0
+        pivot, top = m[k][k], m[k]
+        for row in m[k + 1:]:
+            a = row[k]
+            row[k + 1:] = [(pivot * x - a * y) // prev
+                           for x, y in zip(row[k + 1:], top[k + 1:])]
         prev = pivot
-    d = m[n - 1][n - 1]
-    return -d if sign < 0 else d
+    return sign * m[-1][-1] if n else 1
 
 
 def _det_laplace(mat: Sequence[Sequence[Laurent]]) -> Laurent:
@@ -662,13 +675,10 @@ def det_exact(mat: Sequence[Sequence[Laurent]]) -> Laurent:
     """Exact determinant of a square Laurent matrix.
 
     Divides each row by its lowest power of q, writes the rows in w = q^g
-    for g the gcd of the exponents left (1 when they are all 0), runs
-    fraction-free Bareiss over Z[w], and multiplies the q-powers back in.
+    for g the gcd of the exponents left (1 when they are all 0), takes
+    det_poly over Z[w], and multiplies the q-powers back in.
     On the Coxeter matrix and its minors g is 2: the w = q^2 lift.
     """
-    n = len(mat)
-    if any(len(row) != n for row in mat):
-        raise SizeMismatch("matrix is not square")
     lows, g = [], 0
     for row in mat:
         exps = [k for e in row for k in e._c]

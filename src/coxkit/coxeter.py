@@ -59,12 +59,14 @@ def coxeter_poly(d: Diagram) -> Laurent:
 
 # Schwenk's step on a diagram with cyclomatic number c recurses c levels
 # deep, with a term for every cycle through the chosen edge at each level;
-# Bareiss costs about n^3 whatever the cycles.  On random trees plus c
-# chords in a shuffled order, the two cross at c = 3 on 8 vertices (the
-# step takes 1.1 times Bareiss's time at c = 3, 1.7 at c = 4), while at
-# c = 4 on 16-32 vertices the step takes 0.15-0.46 of it.  _char_poly
-# reads the same gate, although its step's crossover with
-# Faddeev-LeVerrier lies elsewhere.
+# Bareiss costs about n^3 integer steps whatever the cycles.  On random
+# trees plus c chords in a shuffled order, with empty memos, the step
+# takes (median of five graphs, two runs) 3.6 times Bareiss's time at
+# c = 3 and 4.3-4.9 at c = 4 on 8 vertices, 1.3-1.7 and 2.6-2.7 on 16,
+# 0.8-1.0 and 1.5-1.7 on 24, 0.42 and 0.8-1.0 on 32, and 0.14 and 0.24
+# on 48: the crossover moves with n, which this constant gate does not
+# read.  _char_poly reads the same gate, although its step's crossover
+# with Faddeev-LeVerrier lies elsewhere.
 _EXPAND_MAX = 4
 
 

@@ -58,7 +58,7 @@ class BadType(DomainError):
 
 
 class IndexOutOfRange(DomainError):
-    """Series length, order or system number outside its range."""
+    """Series length, order, system number or exponent outside its range."""
 
 
 class NotPure(DomainError):

@@ -13,8 +13,8 @@ from functools import lru_cache, reduce
 from itertools import accumulate, combinations, starmap
 from operator import add, mul
 
-from .algebra import (BiLaurent, Frame, Laurent, RatFunc, bezoutian,
-                      det_exact, wronskian)
+from .algebra import (BiLaurent, Frame, Laurent, RatFunc, _bareiss,
+                      bezoutian, wronskian)
 from .coxeter import _rebuild, char_poly, cofactors, coxeter_poly, schur_step
 from .diagram import Diagram
 from .errors import (BadType, ShapeViolation, SizeMismatch, UnknownVertex)
@@ -257,18 +257,14 @@ def binet_cauchy(d: Diagram, i: int, j: int, xs, ys) -> IdentityReport:
     entries = tuple(sum(hx[l][k] * hy[t][k] for k in range(d.n)) - bmat[l][t]
                     for l in range(m) for t in range(m))
     # when the entries match these integer sums, every value is an integer
-    lhs = _int_det([[v.numerator for v in row] for row in bmat])
+    lhs = _bareiss([[v.numerator for v in row] for row in bmat])
     rhs = 0
     for subset in combinations(range(d.n), m):
         mx = [[hx[l][k] for k in subset] for l in range(m)]
         my = [[hy[t][k] for k in subset] for t in range(m)]
-        rhs += _int_det(mx) * _int_det(my)
+        rhs += _bareiss(mx) * _bareiss(my)
     residual = (rep8.residual, *entries, lhs - rhs)
     return IdentityReport.of(f"binet-cauchy-{i}-{j}-m{m}", lhs, rhs, residual)
-
-
-def _int_det(mat) -> int:
-    return det_exact([[Laurent.const(x) for x in row] for row in mat]).coeff(0)
 
 
 # ---------------------------------------------------------------------------

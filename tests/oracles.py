@@ -2,6 +2,7 @@
 
 Each computes what it checks the straight way, sharing no code with the
 library routine under test: a cofactor as a signed minor determinant,
+a determinant over Z[x] by Bareiss on the polynomial entries themselves,
 det(zE - A) by the Faddeev-LeVerrier pass (which the graph expansion
 never takes), the Faddeev-LeVerrier layers on full rows, the rooted forest step as products
 running from the unit, the inverse substitution by Pascal's rule walked
@@ -20,6 +21,37 @@ from coxkit.braid import free_reduce, laurent_to_t_poly, word_inverse
 from coxkit.coxeter import _adjacency_rows, _check_vertices, _faddeev_leverrier
 from coxkit.diagram import Diagram
 from coxkit.errors import DomainError
+
+
+# -- determinants ---------------------------------------------------------------
+
+def det_poly_by_bareiss(mat) -> Poly:
+    """Fraction-free Bareiss over Z[x], each step a Poly product and an
+    exact division, where algebra.det_poly runs Bareiss on the entries
+    packed into integers."""
+    n = len(mat)
+    if n == 0:
+        return Poly.one()
+    m = [list(row) for row in mat]
+    sign = 1
+    prev = Poly.one()
+    for k in range(n - 1):
+        if m[k][k].is_zero:
+            for i in range(k + 1, n):
+                if not m[i][k].is_zero:
+                    m[k], m[i] = m[i], m[k]
+                    sign = -sign
+                    break
+            else:
+                return Poly.zero()
+        pivot = m[k][k]
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                t = pivot * m[i][j] - m[i][k] * m[k][j]
+                m[i][j] = t.exact_div(prev)
+        prev = pivot
+    d = m[n - 1][n - 1]
+    return -d if sign < 0 else d
 
 
 # -- cofactors ------------------------------------------------------------------

@@ -11,14 +11,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from coxkit.algebra import (BiLaurent, Frame, Laurent, Poly, RatFunc,
-                            TruncSeries, _det_laplace, _list_add, _list_sub,
-                            _pseudo_rem, _unsubstitute, bezoutian, det_exact,
-                            mat_mul, q_to_z, series_sqrt1p, wronskian,
-                            z_substitute)
+                            TruncSeries, _bareiss, _det_laplace, _list_add,
+                            _list_sub, _pseudo_rem, _unsubstitute, bezoutian,
+                            det_exact, det_poly, mat_mul, q_to_z,
+                            series_sqrt1p, wronskian, z_substitute)
 from coxkit.braid import laurent_to_t_poly, t_poly_to_laurent
 from coxkit.errors import (DomainError, ExactDivisionError, IndexOutOfRange,
                            NotSymmetric, SizeMismatch, ZeroDenominator)
-from oracles import unsubstitute_by_pascal, wronskian_by_derivatives
+from oracles import (det_poly_by_bareiss, unsubstitute_by_pascal,
+                     wronskian_by_derivatives)
 
 laurents = st.dictionaries(st.integers(-4, 4), st.integers(-9, 9),
                            max_size=5).map(Laurent)
@@ -130,6 +131,16 @@ def test_unsubstitution_keeps_its_errors():
         Poly.x() ** 3
 
 
+def test_negative_powers_are_refused():
+    for base in (Laurent.q(), Laurent({1: 2, -1: 1}), Poly.x(), Poly.one()):
+        with pytest.raises(IndexOutOfRange, match="exponent must be >= 0"):
+            base ** -1
+        with pytest.raises(IndexOutOfRange):
+            base ** -2
+    assert Laurent.q() ** 0 == Laurent.one() and Poly.x() ** 0 == Poly.one()
+    assert Laurent.q(-1) ** 3 == Laurent.q(-3)
+
+
 def test_unsubstitution_matches_the_pascal_oracle():
     """q_to_z and laurent_to_t_poly against the backward Pascal walk, on
     seeded images of both signs of degree up to 60.  Each image with one
@@ -231,6 +242,133 @@ def test_det_packs_exponent_strides():
     assert det_exact([[Laurent.q(2) if i == j else Laurent()
                        for j in range(3)] for i in range(3)]) == Laurent.q(6)
     assert det_exact([]) == _det_laplace([]) == Laurent.one()
+
+
+def _det_cases(rng):
+    """Seeded Poly matrices with their kind: n = 0 and 1, dense entries of
+    mixed degrees and negative leading coefficients, a zero row, a zero
+    determinant with no zero row, and a row permutation of an upper
+    triangular U whose adjacent swaps force Bareiss to swap rows at those
+    pivots (given with det U and the swap count)."""
+    def entry(top=4):
+        if rng.random() < 0.2:
+            return Poly.zero()
+        return Poly(rng.randint(-9, 9) for _ in range(rng.randint(1, top)))
+
+    yield "empty", [], None
+    for _ in range(5):
+        yield "1x1", [[entry()]], None
+    for n in range(2, 8):
+        for _ in range(6):
+            m = [[entry() for _ in range(n)] for _ in range(n)]
+            yield "dense", m, None
+            m = [row[:] for row in m]
+            m[rng.randrange(n)] = [Poly.zero()] * n
+            yield "zero row", m, None
+            m = [[entry() or Poly.one() for _ in range(n)] for _ in range(n - 1)]
+            a, b = rng.sample(range(n - 1), 2) if n > 2 else (0, 0)
+            c = rng.choice((-2, 1, 3))
+            m.insert(rng.randrange(n), [x * c + y for x, y in zip(m[a], m[b])])
+            yield "dependent rows", m, None
+            diag = [Poly((rng.choice((-3, -1, 1, 2)),)) * (entry(3) or Poly.x())
+                    for _ in range(n)]
+            u = [[diag[i] if i == j else entry() if j > i else Poly.zero()
+                  for j in range(n)] for i in range(n)]
+            # disjoint adjacent swaps, so each one is met at its own pivot
+            swaps, k = 0, 0
+            while k < n - 1:
+                if rng.random() < 0.6:
+                    u[k], u[k + 1] = u[k + 1], u[k]
+                    swaps += 1
+                    k += 1
+                k += 1
+            total = Poly.one()
+            for x in diag:
+                total = total * x
+            yield "swaps", u, (total, swaps)
+
+
+def test_det_poly_matches_the_polynomial_bareiss():
+    seen = Counter()
+    swapped_at = set()
+    for kind, m, known in _det_cases(random.Random(53)):
+        got = det_poly(m)
+        assert got == det_poly_by_bareiss(m), (kind, m)
+        seen[kind] += 1
+        if kind == "dependent rows":
+            assert got.is_zero
+            assert all(any(row) for row in m)
+        if known:
+            total, count = known
+            assert got == (-total if count % 2 else total), m
+            swapped_at.add(count)
+        if got:
+            seen["negative lead"] += got.lead < 0
+            seen["mixed degrees"] += len({e.degree for row in m for e in row
+                                          if e}) > 1
+    assert det_poly([]) == Poly.one() and seen.pop("empty") == 1
+    assert min(seen.values()) >= 5, seen
+    assert {1, 2, 3} <= swapped_at
+
+
+def test_det_exact_matches_laplace_on_the_poly_cases():
+    # the same cases as Laurent rows, each shifted by its own power of q
+    # and written in q^g for g in 1..3, n <= 6 for the cofactor expansion
+    rng = random.Random(59)
+    count = 0
+    for kind, m, _ in _det_cases(rng):
+        if len(m) > 6:
+            continue
+        g = rng.randint(1, 3)
+        rows = []
+        for row in m:
+            shift = rng.randint(-4, 4)
+            rows.append([Laurent({g * k + shift: c
+                                  for k, c in enumerate(e.coeffs) if c})
+                         for e in row])
+        assert det_exact(rows) == _det_laplace(rows), (kind, rows)
+        count += 1
+    assert count > 100
+
+
+def test_det_poly_frame_holds_a_coefficient_equal_to_the_bound():
+    # det diag(2^44 x, 2^43 + 1) = (2^87 + 2^44) x: its coefficient equals
+    # the product of the rows' l1 norms and has 88 bits, so it needs the
+    # 96-bit frame that bound gives; half the bound gives an 88-bit frame,
+    # which reads the digit as negative
+    a, b = 2 ** 44, 2 ** 43 + 1
+    m = [[Poly((0, a)), Poly.zero()], [Poly.zero(), Poly((b,))]]
+    want = Poly((0, a * b))
+    assert a * b == 2 ** 87 + 2 ** 44 and (a * b).bit_length() == 88
+    assert det_poly(m) == det_poly_by_bareiss(m) == want
+    assert det_poly([[Poly((b,))]]) == Poly((b,))
+    assert Frame(a * b).width == 96
+    narrow = Frame(a * b >> 1)
+    assert narrow.width == 88
+    x = narrow.pack(want.coeffs)
+    assert Poly(narrow.digits(x, 3)) != want
+
+
+def test_det_poly_refuses_a_matrix_that_is_not_square():
+    one, z = Poly.one(), Poly.x()
+    for m in ([[one, z, one], [z, one, z]], [[one, z]], [[one, z], [one]],
+              [[one], []]):
+        with pytest.raises(SizeMismatch, match="matrix is not square"):
+            det_poly(m)
+        with pytest.raises(SizeMismatch, match="matrix is not square"):
+            _bareiss([[e.eval_int(2) for e in row] for row in m])
+
+
+def test_integer_bareiss_matches_laplace():
+    rng = random.Random(61)
+    for n in range(7):
+        for _ in range(10):
+            m = [[rng.choice((0, 0, rng.randint(-10 ** 12, 10 ** 12)))
+                  for _ in range(n)] for _ in range(n)]
+            want = _det_laplace([[Laurent.const(x) for x in row]
+                                 for row in m]).coeff(0)
+            assert _bareiss(m) == want, m
+    assert _bareiss([]) == 1 and _bareiss([[0, 1], [1, 0]]) == -1
 
 
 def _triple_loop(a, b, zero):

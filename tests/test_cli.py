@@ -1625,9 +1625,11 @@ BRAID_LONGITUDES_SHA256 = (
 # sha256 of the stdout of the commands whose outputs the tier-1 workflow
 # pins (.github/workflows/tier1.yml), so that a local run sees a change
 # in them: the rank-1000 polynomials of Schwenk's edge step and of the
-# rooted forest step, and one output of each Magnus route (the packed
+# rooted forest step, one output of each Magnus route (the packed
 # route on the 12-92 letter longitudes of this 4-strand braid, the dict
-# route on the 10-letter longitude of s1^-6 at order 16, 26475 lines)
+# route on the 10-letter longitude of s1^-6 at order 16, 26475 lines), and
+# the Coxeter polynomial of the complete graph on 16 vertices, whose 105
+# independent cycles send it to Bareiss in a frame of 80 bits
 CI_PINNED_SHA256 = {
     "affine-A1000-char": (
         "coxeter --diagram ~A1000 --char",
@@ -1645,15 +1647,32 @@ CI_PINNED_SHA256 = {
     "magnus-dict": (
         "braid magnus --word '-s1 -s1 -s1 -s1 -s1 -s1' --order 16",
         "2b484bd58c7c91b71ded36e0832b38ef5ff9d71d62648bde8c75b70fab1c99f4"),
+    "K16-coxeter": (
+        "coxeter --diagram K16.txt",
+        "53a59ed7e12dfe4cad0e71073cef9c184c238778444ba05c18f62a183dd500e5"),
 }
 
 
+def _k16_text() -> str:
+    """The file K16.txt that the workflow writes: the complete graph on 16
+    vertices, weights from {1, 2} and a shuffled order, all drawn from
+    Random(0)."""
+    rng = random.Random(0)
+    lines = ["n 16"] + [f"{i} {j} {rng.choice((1, 2))}"
+                        for i in range(16) for j in range(i + 1, 16)]
+    order = list(range(16))
+    rng.shuffle(order)
+    return "\n".join([*lines, "order " + " ".join(map(str, order))]) + "\n"
+
+
 @pytest.mark.parametrize("name", list(CI_PINNED_SHA256))
-def test_ci_pinned_output(capsys, name):
+def test_ci_pinned_output(capsys, tmp_path, monkeypatch, name):
     command, digest = CI_PINNED_SHA256[name]
     workflow = (Path(__file__).resolve().parents[1] / ".github"
                 / "workflows" / "tier1.yml")
     assert f'"{digest}  -"' in workflow.read_text(encoding="utf-8")
+    (tmp_path / "K16.txt").write_text(_k16_text())
+    monkeypatch.chdir(tmp_path)
     code, out = run_cli(capsys, *shlex.split(command))
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == digest

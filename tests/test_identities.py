@@ -224,9 +224,9 @@ def test_binet_cauchy_m3_a5():
 
 def test_binet_cauchy_counts_each_part_that_disagrees(monkeypatch):
     d = build("A", 5)
-    real_det = identities._int_det
+    real_det = identities._bareiss
     with monkeypatch.context() as m:
-        m.setattr(identities, "_int_det", lambda mat: real_det(mat) + 1000)
+        m.setattr(identities, "_bareiss", lambda mat: real_det(mat) + 1000)
         rep = binet_cauchy(d, 0, 1, [2, 3], [5, 7])
     # only the determinant sum disagrees, and the residual keeps by how much
     assert not rep.holds and rep.residual_terms == 1

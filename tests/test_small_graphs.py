@@ -13,6 +13,7 @@ from pathlib import Path
 import pytest
 
 from coxkit import cli, coxeter
+from oracles import det_poly_by_bareiss
 
 _SCRIPT = Path(__file__).resolve().parent.parent / "scripts" / "sweep_small_graphs.py"
 _spec = importlib.util.spec_from_file_location("sweep_small_graphs", _SCRIPT)
@@ -25,6 +26,16 @@ def test_every_small_graph_against_the_determinant_oracles(gate, monkeypatch):
     monkeypatch.setattr(coxeter, "_EXPAND_MAX", gate)
     sweep.clear_memos()
     count, failures = 0, []
+    # every zE - A the checks build, and each of its minors, also goes
+    # through the Bareiss loop on the polynomials themselves
+    real_det, agreed = sweep.det_poly, []
+
+    def checked_det(mat):
+        det = real_det(mat)
+        agreed.append(det == det_poly_by_bareiss(mat))
+        return det
+
+    monkeypatch.setattr(sweep, "det_poly", checked_det)
     try:
         for n in range(1, 6):
             for d in sweep.labeled_graphs(n, random.Random(n)):
@@ -34,6 +45,7 @@ def test_every_small_graph_against_the_determinant_oracles(gate, monkeypatch):
     finally:
         sweep.clear_memos()
     assert count == 1 + 2 + 8 + 64 + 1024
+    assert len(agreed) > count and all(agreed)
     assert not failures, failures[:5]
 
 
