@@ -21,7 +21,7 @@ from collections.abc import Iterable, Mapping, Sequence
 from fractions import Fraction
 from functools import lru_cache
 from itertools import chain
-from math import gcd, lcm
+from math import gcd, lcm, prod
 from operator import add, mul, neg, sub
 from struct import Struct
 from typing import Union
@@ -180,7 +180,7 @@ class Poly:
 
     @staticmethod
     def monomial(c: int, k: int) -> "Poly":
-        return Poly((0,) * k + (c,))
+        return Poly((c,)).shift(k)
 
     @property
     def coeffs(self) -> tuple[int, ...]:
@@ -272,6 +272,8 @@ class Poly:
 
     def shift(self, k: int) -> "Poly":
         """Multiply by x^k (k >= 0)."""
+        if k < 0:
+            raise IndexOutOfRange("exponent must be >= 0")
         return Poly((0,) * k + self._c)
 
     def render(self, var: str = "z") -> str:
@@ -615,15 +617,20 @@ def q_to_z(p: Laurent) -> Poly:
 # ---------------------------------------------------------------------------
 
 def det_poly(mat: Sequence[Sequence[Poly]]) -> Poly:
-    """Determinant over Z[x] by one integer Bareiss at x = 2^w.  Each
-    permutation term has l1 norm at most the product of the rows' l1
-    norms, so that product bounds every coefficient."""
-    bound = 1
-    for row in mat:
-        bound *= sum(abs(c) for e in row for c in e._c)
-    frame = Frame(bound)
-    det = _bareiss([[frame.pack(e._c) for e in row] for row in mat])
-    return Poly(frame.digits(det, abs(det).bit_length() // frame.width + 1))
+    """Determinant over Z[x] (see _det_packed)."""
+    return Poly(_det_packed([[list(enumerate(e._c)) for e in row]
+                             for row in mat]))
+
+
+def _det_packed(rows) -> Sequence[int]:
+    """Coefficients of the determinant over Z[x] of a matrix of term lists
+    (k, c), k >= 0, by one integer Bareiss at x = 2^w.  Each permutation
+    term has l1 norm at most the product of the rows' l1 norms, so that
+    product bounds every coefficient."""
+    frame = Frame(prod(sum(abs(c) for terms in row for _, c in terms)
+                       for row in rows))
+    det = _bareiss([[frame.pack(terms) for terms in row] for row in rows])
+    return frame.digits(det, abs(det).bit_length() // frame.width + 1)
 
 
 def _bareiss(mat: Sequence[Sequence[int]]) -> int:
@@ -676,27 +683,17 @@ def det_exact(mat: Sequence[Sequence[Laurent]]) -> Laurent:
 
     Divides each row by its lowest power of q, writes the rows in w = q^g
     for g the gcd of the exponents left (1 when they are all 0), takes
-    det_poly over Z[w], and multiplies the q-powers back in.
-    On the Coxeter matrix and its minors g is 2: the w = q^2 lift.
+    the determinant over Z[w] by _det_packed, and multiplies the q-powers
+    back in.  On the Coxeter matrix and its minors g is 2: the w = q^2 lift.
     """
-    lows, g = [], 0
-    for row in mat:
-        exps = [k for e in row for k in e._c]
-        low = min(exps, default=0)
-        lows.append(low)
-        for k in exps:
-            g = gcd(g, k - low)
-    g = g or 1
-    rows = [[_packed(e, low, g) for e in row] for row, low in zip(mat, lows)]
+    lows = [min((k for e in row for k in e._c), default=0) for row in mat]
+    g = gcd(*[k - low for row, low in zip(mat, lows)
+              for e in row for k in e._c]) or 1
+    digits = _det_packed([[[((k - low) // g, c) for k, c in e._c.items()]
+                           for e in row] for row, low in zip(mat, lows)])
     shift = sum(lows)
     return Laurent._of({g * k + shift: c
-                        for k, c in enumerate(det_poly(rows).coeffs) if c})
-
-
-def _packed(e: Laurent, low: int, g: int) -> Poly:
-    """e / q^low as a polynomial in w = q^g."""
-    top = (max(e._c, default=low) - low) // g
-    return Poly([e._c.get(low + g * k, 0) for k in range(top + 1)])
+                        for k, c in enumerate(digits) if c})
 
 
 # ---------------------------------------------------------------------------
@@ -788,10 +785,11 @@ def wronskian(f: Laurent, g: Laurent) -> Laurent:
 class Frame:
     """Signed digits of one width w (Kronecker substitution).
 
-    A coefficient list c_0, c_1, ... packs into the integer sum of
-    c_k 2^(w k).  Integer sums and products of packed values are then the
-    packed sums and products of the polynomials, as long as every
-    coefficient of a value that is decoded stays a digit: |c| < 2^(w - 1).
+    A polynomial, as its terms (k, c) of c x^k (enumerate(coeffs) of a
+    dense one), packs into the integer sum of c 2^(w k).  Integer sums and
+    products of packed values are then the packed sums and products of the
+    polynomials, as long as every coefficient of a value that is decoded
+    stays a digit: |c| < 2^(w - 1).
     w is the least multiple of 8, and at least 64, with bound < 2^(w - 1),
     so any integer of absolute value at most bound is a digit.
     """
@@ -801,12 +799,12 @@ class Frame:
     def __init__(self, bound: int):
         self.width = max(64, (bound.bit_length() + 8) // 8 * 8)
 
-    def pack(self, coeffs: Sequence[int], stride: int = 1) -> int:
-        """The sum of c_k 2^(w stride k)."""
+    def pack(self, terms: Iterable[tuple[int, int]], stride: int = 1) -> int:
+        """The sum of c 2^(w stride k) over the terms (k, c), k >= 0."""
         shift = self.width * stride
         x = 0
-        for c in reversed(coeffs):
-            x = (x << shift) + c
+        for k, c in terms:
+            x += c << shift * k
         return x
 
     def digits(self, x: int, count: int) -> Sequence[int]:

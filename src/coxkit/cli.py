@@ -802,10 +802,8 @@ def build_parser() -> argparse.ArgumentParser:
                            default=16,
                            help="series order (default 16)")
         if mode == "burau":
-            m.add_argument("--reduced", action="store_true", default=True,
-                           help="reduced Burau image (the default)")
-            m.add_argument("--unreduced", dest="reduced",
-                           action="store_false")
+            m.add_argument("--unreduced", dest="reduced", action="store_false",
+                           help="unreduced Burau image (default: reduced)")
             m.add_argument("--json", action="store_true")
         if mode == "ratio":
             # the reduced image only: see braid.det_ratio

@@ -363,6 +363,8 @@ def from_text(text: str) -> Diagram:
         if not line:
             continue
         tok = line.split()
+        if {"n": n, "order": order}.get(tok[0]) is not None:
+            raise DomainError(f"second {tok[0]!r} line: {raw!r}")
         if tok[0] == "n":
             if len(tok) != 2:
                 raise DomainError(f"bad header line: {raw!r}")

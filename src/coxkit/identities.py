@@ -158,7 +158,8 @@ def cd_char(d: Diagram, i: int, j: int) -> tuple[IdentityReport, IdentityReport]
     frame, s, g_x, g_y, dg_y, at_y, table = _packed_table(d.n, edges)
     row_x = _packed_row(d.n, edges, i)
     h_x, h_y = row_x[j], at_y[i][j]
-    dh_y = frame.pack([k * c for k, c in enumerate(table[i, j].coeffs)][1:])
+    h = table[i, j].coeffs
+    dh_y = frame.pack((k - 1, k * c) for k, c in enumerate(h) if k)
     bez_rhs = sum(map(mul, row_x, at_y[j]))
     num = g_x * h_y - g_y * h_x
     # X - Y = Y^s - Y; a product is much cheaper than the division, which
@@ -214,9 +215,9 @@ def _packed_table(n: int, edges):
     at_y = [[0] * n for _ in range(n)]
     for r, row in enumerate(table.entries):
         for c in range(r, n):
-            at_y[r][c] = at_y[c][r] = frame.pack(row[c].coeffs)
-    return (frame, s, frame.pack(g, s), frame.pack(g),
-            frame.pack([k * c for k, c in enumerate(g)][1:]),
+            at_y[r][c] = at_y[c][r] = frame.pack(enumerate(row[c].coeffs))
+    return (frame, s, frame.pack(enumerate(g), s), frame.pack(enumerate(g)),
+            frame.pack((k - 1, k * c) for k, c in enumerate(g) if k),
             tuple(map(tuple, at_y)), table)
 
 
@@ -228,7 +229,7 @@ def _packed_table(n: int, edges):
 def _packed_row(n: int, edges, i: int) -> tuple[int, ...]:
     """Row i of the cofactor table at X = 2^(w s)."""
     frame, s, *_, table = _packed_table(n, edges)
-    return tuple(frame.pack(h.coeffs, s) for h in table.entries[i])
+    return tuple(frame.pack(enumerate(h.coeffs), s) for h in table.entries[i])
 
 
 def binet_cauchy(d: Diagram, i: int, j: int, xs, ys) -> IdentityReport:

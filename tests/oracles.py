@@ -3,6 +3,7 @@
 Each computes what it checks the straight way, sharing no code with the
 library routine under test: a cofactor as a signed minor determinant,
 a determinant over Z[x] by Bareiss on the polynomial entries themselves,
+a Kronecker packing by Horner's rule over the dense coefficient list,
 det(zE - A) by the Faddeev-LeVerrier pass (which the graph expansion
 never takes), the Faddeev-LeVerrier layers on full rows, the rooted forest step as products
 running from the unit, the inverse substitution by Pascal's rule walked
@@ -52,6 +53,16 @@ def det_poly_by_bareiss(mat) -> Poly:
         prev = pivot
     d = m[n - 1][n - 1]
     return -d if sign < 0 else d
+
+
+def pack_by_horner(frame, coeffs, stride: int = 1) -> int:
+    """The sum of c_k 2^(w stride k) by Horner's rule over the dense list,
+    where Frame.pack sums the shifted terms (k, c)."""
+    shift = frame.width * stride
+    x = 0
+    for c in reversed(coeffs):
+        x = (x << shift) + c
+    return x
 
 
 # -- cofactors ------------------------------------------------------------------

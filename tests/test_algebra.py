@@ -3,6 +3,7 @@
 import random
 from collections import Counter
 from fractions import Fraction
+from math import gcd
 from operator import add, mul, sub
 from types import MappingProxyType
 
@@ -10,16 +11,20 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from coxkit import algebra
 from coxkit.algebra import (BiLaurent, Frame, Laurent, Poly, RatFunc,
                             TruncSeries, _bareiss, _det_laplace, _list_add,
                             _list_sub, _pseudo_rem, _unsubstitute, bezoutian,
                             det_exact, det_poly, mat_mul, q_to_z,
                             series_sqrt1p, wronskian, z_substitute)
-from coxkit.braid import laurent_to_t_poly, t_poly_to_laurent
+from coxkit.braid import (BraidWord, burau, det_one_minus, laurent_to_t_poly,
+                          t_poly_to_laurent)
+from coxkit.coxeter import coxeter_matrix
+from coxkit.diagram import Diagram
 from coxkit.errors import (DomainError, ExactDivisionError, IndexOutOfRange,
                            NotSymmetric, SizeMismatch, ZeroDenominator)
-from oracles import (det_poly_by_bareiss, unsubstitute_by_pascal,
-                     wronskian_by_derivatives)
+from oracles import (det_poly_by_bareiss, pack_by_horner,
+                     unsubstitute_by_pascal, wronskian_by_derivatives)
 
 laurents = st.dictionaries(st.integers(-4, 4), st.integers(-9, 9),
                            max_size=5).map(Laurent)
@@ -139,6 +144,19 @@ def test_negative_powers_are_refused():
             base ** -2
     assert Laurent.q() ** 0 == Laurent.one() and Poly.x() ** 0 == Poly.one()
     assert Laurent.q(-1) ** 3 == Laurent.q(-3)
+
+
+def test_negative_shifts_and_monomials_are_refused():
+    # x.shift(-1) once gave 1 and monomial(3, -1) gave 3
+    for make in (lambda: Poly.x().shift(-1), lambda: Poly.one().shift(-2),
+                 lambda: Poly.zero().shift(-1), lambda: Poly.monomial(3, -1),
+                 lambda: Poly.monomial(0, -1)):
+        with pytest.raises(IndexOutOfRange, match="exponent must be >= 0"):
+            make()
+    assert Poly.x().shift(0) == Poly.x() and Poly.x().shift(2) == Poly.x() ** 3
+    assert Poly.monomial(3, 0) == Poly.const(3)
+    assert Poly.monomial(-2, 3) == Poly((0, 0, 0, -2))
+    assert Poly.monomial(0, 4) == Poly.zero()
 
 
 def test_unsubstitution_matches_the_pascal_oracle():
@@ -331,6 +349,75 @@ def test_det_exact_matches_laplace_on_the_poly_cases():
     assert count > 100
 
 
+def _e_minus(img) -> list[list[Laurent]]:
+    """E - beta of a Burau image, the matrix of det_one_minus."""
+    return [[(Laurent.one() if i == j else Laurent.zero()) - e
+             for j, e in enumerate(row)] for i, row in enumerate(img.entries)]
+
+
+def _row_stride(m) -> int:
+    """The gcd of the exponents of each row less the row's lowest."""
+    lows = [min((k for e in row for k in e._c), default=0) for row in m]
+    return gcd(*[k - low for row, low in zip(m, lows) for e in row
+                 for k in e._c])
+
+
+def test_det_exact_matches_laplace_on_burau_and_coxeter_matrices():
+    # E - beta of reduced Burau images: Laurent rows of stride 1 with
+    # negative exponents; Coxeter matrices qS + q^-1 S^t and their minors:
+    # rows in q^-1 and q, stride 2
+    rng = random.Random(97)
+    strides = Counter()
+    for _ in range(40):
+        strands = rng.randint(2, 6)
+        word = BraidWord(strands, [rng.choice((1, -1)) * rng.randint(
+            1, strands - 1) for _ in range(rng.randint(1, 12))])
+        img = burau(word, True)
+        m = _e_minus(img)
+        assert det_exact(m) == _det_laplace(m) == det_one_minus(img), word
+        strides["burau", _row_stride(m)] += 1
+        strides["negative"] += any(k < 0 for row in m for e in row
+                                   for k in e._c)
+    for _ in range(40):
+        n = rng.randint(1, 6)
+        d = Diagram(n, {(i, j): rng.choice((-1, 1, 2, 3))
+                        for i in range(n) for j in range(i + 1, n)
+                        if rng.random() < 0.6})
+        m = coxeter_matrix(d.with_order(rng.sample(range(n), n)))
+        r, c = rng.randrange(n), rng.randrange(n)
+        minor = [[x for t, x in enumerate(row) if t != c]
+                 for p, row in enumerate(m) if p != r]
+        for a in (m, minor):
+            assert det_exact(a) == _det_laplace(a), d
+            strides["coxeter", _row_stride(a)] += 1
+    assert strides["burau", 1] >= 30 and strides["negative"] >= 20, strides
+    assert strides["coxeter", 2] >= 60, strides
+
+
+def test_det_exact_builds_no_poly(monkeypatch):
+    # det_exact packs each Laurent row's terms straight into the frame: it
+    # enters neither det_poly nor Poly.__init__
+    d = Diagram(5, {(i, j): 1 + (i + j) % 2
+                    for i in range(5) for j in range(i + 1, 5)})
+    mats = [coxeter_matrix(d),
+            _e_minus(burau(BraidWord(4, (1, -2, 3, 1, -2)), True)), []]
+    wants = [_det_laplace(m) for m in mats]
+    calls = []
+    real_init = Poly.__init__
+
+    def logged_init(self, coeffs=()):
+        calls.append("Poly")
+        real_init(self, coeffs)
+
+    monkeypatch.setattr(Poly, "__init__", logged_init)
+    monkeypatch.setattr(algebra, "det_poly",
+                        lambda mat: calls.append("det_poly"))
+    assert Poly.x() and calls == ["Poly"]
+    calls.clear()
+    assert [det_exact(m) for m in mats] == wants
+    assert calls == []
+
+
 def test_det_poly_frame_holds_a_coefficient_equal_to_the_bound():
     # det diag(2^44 x, 2^43 + 1) = (2^87 + 2^44) x: its coefficient equals
     # the product of the rows' l1 norms and has 88 bits, so it needs the
@@ -345,7 +432,7 @@ def test_det_poly_frame_holds_a_coefficient_equal_to_the_bound():
     assert Frame(a * b).width == 96
     narrow = Frame(a * b >> 1)
     assert narrow.width == 88
-    x = narrow.pack(want.coeffs)
+    x = narrow.pack(enumerate(want.coeffs))
     assert Poly(narrow.digits(x, 3)) != want
 
 
@@ -984,11 +1071,41 @@ def test_frame_packs_and_decodes_sums_of_products(a, b, start, scale):
     s = size + 1
     bound = (sum(map(abs, a)) + 1) * (sum(map(abs, b)) + 1)
     frame = Frame(bound)
-    pa, pb = frame.pack(a), frame.pack(b)
+    pa, pb = frame.pack(enumerate(a)), frame.pack(enumerate(b))
     assert frame.laurents([pa, 0, pa * pb - pb]) == [
         la, Laurent.zero(), la * lb - lb]
     assert frame.laurents([pa], start) == [la.shifted(start)]
-    outer = frame.pack(a, s) * pb - frame.pack(b, s)
+    outer = frame.pack(enumerate(a), s) * pb - frame.pack(enumerate(b), s)
     assert frame.bilaurents([outer, 0], s) == [
         BiLaurent.outer(la, lb) - BiLaurent.outer(lb, Laurent.one()),
         BiLaurent.zero()]
+
+
+def test_frame_pack_matches_horner():
+    # the term packer against Horner's rule on the dense list, in frames of
+    # 64, 72 and 136 bits at strides 1-3: dense terms with their zeros,
+    # sparse terms in any order, digits of either sign up to the largest,
+    # and no terms at all
+    rng = random.Random(101)
+    frames = [Frame(2 ** 40), Frame(2 ** 70), Frame(2 ** 134)]
+    assert [f.width for f in frames] == [64, 72, 136]
+    seen = Counter()
+    for frame in frames:
+        top = 2 ** (frame.width - 1) - 1
+        for stride in (1, 2, 3):
+            assert frame.pack([], stride) == 0 == pack_by_horner(
+                frame, [], stride)
+            for _ in range(50):
+                coeffs = [rng.choice((0, 1, -1, top, -top, rng.randint(
+                    -top, top))) for _ in range(rng.randint(1, 9))]
+                want = pack_by_horner(frame, coeffs, stride)
+                assert frame.pack(enumerate(coeffs), stride) == want
+                terms = [(k, c) for k, c in enumerate(coeffs) if c]
+                rng.shuffle(terms)
+                assert frame.pack(terms, stride) == want
+                if stride == 1:
+                    got = frame.digits(want, len(coeffs))
+                    assert list(got[:len(coeffs)]) == coeffs
+                seen["zero"] += 0 in coeffs
+                seen["negative"] += any(c < 0 for c in coeffs)
+    assert min(seen.values()) >= 200, seen

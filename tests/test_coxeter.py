@@ -1061,12 +1061,13 @@ def test_det_exact_takes_the_coxeter_matrix_in_w_equals_q_squared(
                      for i in range(6) for j in range(i + 1, 6)})
     d = k6.with_order((3, 0, 5, 1, 4, 2))
     degrees = []
+    real = algebra._det_packed
 
-    def logged(mat):
-        degrees.extend(e.degree for row in mat for e in row)
-        return det_poly(mat)
+    def logged(rows):
+        degrees.extend(k for row in rows for terms in row for k, _ in terms)
+        return real(rows)
 
-    monkeypatch.setattr(algebra, "det_poly", logged)
+    monkeypatch.setattr(algebra, "_det_packed", logged)
     m = coxeter_matrix(d)
     want = _det_laplace(m)
     assert det_exact(m) == want

@@ -257,6 +257,20 @@ def test_from_text_errors():
             from_text(text)
 
 
+def test_from_text_refuses_a_second_header_or_order_line():
+    # the last of two such lines was once kept: `n 2` then `n 3` gave A3
+    with pytest.raises(DomainError, match="second 'n' line: 'n 3'"):
+        from_text("n 2\n0 1 1\nn 3\n1 2 1\n")
+    with pytest.raises(DomainError, match="second 'n' line: ' n 2 # again'"):
+        from_text("n 2\n n 2 # again\n")
+    with pytest.raises(DomainError, match="second 'order' line: 'order 1 0'"):
+        from_text("n 2\n0 1 1\norder 0 1\norder 1 0\n")
+    with pytest.raises(DomainError, match="second 'order' line: 'order'"):
+        from_text("n 2\norder\norder\n")
+    d = from_text("# n 5\nn 2\n0 1 1 # order 0 1\norder 1 0\n")
+    assert d.n == 2 and d.order == (1, 0)
+
+
 def test_vertex_count_is_capped():
     assert Diagram(MAX_VERTICES).n == MAX_VERTICES
     assert build("A", MAX_VERTICES).n == MAX_VERTICES
