@@ -15,7 +15,7 @@ from typing import Union
 from .algebra import Poly, RatFunc
 from .coxeter import _rooted_step, char_poly
 from .diagram import Diagram
-from .errors import BadRank, DomainError, NotATree, UnknownVertex, ZeroDenominator
+from .errors import BadRank, DomainError, NotATree, ZeroDenominator
 
 
 class _Node:
@@ -94,13 +94,12 @@ def _walk(node: CFracNode):
 def expand_tree(d: Diagram, root: int) -> Branch:
     """Expansion of char(d minus root) / char(d) for a tree.
 
-    The tree is walked from the root and its nodes are built leaves first,
-    so a path of any length needs no recursion."""
-    if not (0 <= root < d.n):
-        raise UnknownVertex(f"no vertex {root}")
-    if not d.is_tree():
-        raise NotATree("diagram is not a connected tree")
+    The tree is walked once from the root, which must reach n vertices
+    over n - 1 edges, and its nodes are built leaves first, so a path of
+    any length needs no recursion."""
     tour, parent = d.tour(root)
+    if len(tour) != d.n or len(d.edges()) != d.n - 1:
+        raise NotATree("diagram is not a connected tree")
     built: dict[int, Branch] = {}
     for v in reversed(tour):
         built[v] = Branch(tuple((d.weight(v, u) ** 2, built.pop(u))

@@ -73,11 +73,10 @@ def _load_diagram(source: str, order_override: str | None = None) -> diagram.Dia
     else:
         d = diagram.from_name(source)
     if order_override:
-        try:
-            order = [int(t) for t in order_override.split()]
-        except ValueError:
+        order = [diagram._int_token(t) for t in order_override.split()]
+        if None in order:
             raise DomainError(f"order must list vertex indices, "
-                              f"got {order_override!r}") from None
+                              f"got {order_override!r}")
         d = d.with_order(order)
     return d
 

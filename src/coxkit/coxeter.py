@@ -166,8 +166,8 @@ def _adjacency_rows(n: int, edges) -> list[list[tuple[int, int]]]:
 def _two_sides(rows) -> tuple[list[int], list[list[int]]]:
     """A 2-colouring of the nonzero pattern of rows: the side (0 or 1) of
     each vertex and the two classes, each in ascending order.  A pattern
-    with an odd cycle (a nonzero diagonal entry is one) gets side 0
-    everywhere and one class that holds every vertex."""
+    with an odd cycle gets side 0 everywhere and one class that holds every
+    vertex."""
     n = len(rows)
     side = [-1] * n
     for s in range(n):
@@ -213,9 +213,9 @@ def _trace_coeff(tr: int, k: int) -> int:
     return -(tr // k)
 
 
-def _faddeev_leverrier(rows, entry=None):
-    """det(xE - M), and adj(xE - M) on request, for a symmetric integer
-    matrix M given by the nonzero entries (column, value) of each row.
+def _faddeev_leverrier(rows, table=False):
+    """det(xE - M), and adj(xE - M) on request, for a diagram's weighted
+    adjacency M given by the nonzero entries (column, weight) of each row.
 
     M_0 = E, M_k = M M_{k-1} + c_k E with c_k = -tr(M M_{k-1}) / k (always
     exact).  The c_k are the coefficients of det(xE - M) = sum c_k x^(n-k)
@@ -231,14 +231,13 @@ def _faddeev_leverrier(rows, entry=None):
     the same loop with one class of every vertex: full rows, and a trace
     at every k.
 
-    Returns the ascending coefficients of the determinant, and the table
-    of entry(ascending coefficients of adj(xE - M)[i][j]) when entry is
-    given; else None, and only the current layer is held.  Each row is
-    zipped once per parity over its layers, lowest power first, with
-    repeat(0) for the other parity, so an entry is one tuple of n
-    integers whose trailing zeros are entry's to drop.  M symmetric (every
-    caller's is) makes the adjugate symmetric, so entry runs once per
-    unordered pair and [i][j] and [j][i] hold the same value.
+    Returns the ascending coefficients of the determinant, and with table
+    the table of adj(xE - M) as Poly entries; else None, and only the
+    current layer is held.  Each row is zipped once per parity over its
+    layers, lowest power first, with repeat(0) for the other parity, so an
+    entry is one tuple of n integers whose trailing zeros Poly drops.  M is
+    symmetric, so the adjugate is too: each unordered pair is built once,
+    and [i][j] and [j][i] hold the same Poly.
     """
     n = len(rows)
     side, classes = _two_sides(rows)
@@ -250,7 +249,7 @@ def _faddeev_leverrier(rows, entry=None):
     m = [[0] * len(classes[s]) for s in side]
     for r, p in zip(m, at):
         r[p] = 1
-    layers = [m] if entry else None
+    layers = [m] if table else None
     coeffs = [1]
     for k in range(1, n):
         m = [_row_times(row, m) or [0] * len(classes[(s + k) % h])
@@ -262,14 +261,14 @@ def _faddeev_leverrier(rows, entry=None):
             coeffs.append(c)
             for r, p in zip(m, at):
                 r[p] += c
-        if entry:
+        if table:
             layers.append(m)
     if n:
         coeffs.append(0 if n % h else _trace_coeff(
             sum(w * m[t][at[i]] for i, row in enumerate(rows)
                 for t, w in row), n))
     coeffs.reverse()
-    if not entry:
+    if not table:
         return coeffs, None
     adj = [[None] * n for _ in range(n)]
     zeros = repeat(0)
@@ -283,7 +282,7 @@ def _faddeev_leverrier(rows, entry=None):
             cols = zip(*[layers[k][i][lo:] if k % h == par else zeros
                          for k in range(n - 1, -1, -1)])
             for j, c in zip(cls[lo:], cols):
-                adj[i][j] = adj[j][i] = entry(c)
+                adj[i][j] = adj[j][i] = Poly(c)
         for layer in layers:
             layer[i] = None  # the table takes the place of the layers
     return coeffs, adj
@@ -312,13 +311,12 @@ def _char_poly(n: int, edges) -> Poly:
                 - 2 * a * path_sum_H(rest, u, v))
     d = _rebuild(n, edges)
     total = None  # no product with the unit: total starts at the first tree
-    for comp in d.components():
-        tour, parent = d.tour(comp[0])
+    for tour, parent in d.tours():
         pairs: dict[int, tuple[Poly, Poly]] = {}
         for x in reversed(tour):
             pairs[x] = _rooted_step((d.weight(x, y) ** 2, *pairs.pop(y))
                                    for y in d.neighbors(x) if y != parent[x])
-        top = pairs[comp[0]][0]
+        top = pairs[tour[0]][0]
         total = top if total is None else total * top
     return Poly.one() if total is None else total  # A0, the empty diagram
 
@@ -392,7 +390,7 @@ def cofactors(d: Diagram) -> CofactorTable:
 # is kept: the suites finish with one diagram before they move to the next.
 @lru_cache(maxsize=1)
 def _cofactors(n: int, edges) -> CofactorTable:
-    _, adj = _faddeev_leverrier(_adjacency_rows(n, edges), Poly)
+    _, adj = _faddeev_leverrier(_adjacency_rows(n, edges), table=True)
     return CofactorTable(tuple(map(tuple, adj)))
 
 
@@ -584,27 +582,22 @@ def identity7_check(d: Diagram, i: int, j: int) -> Poly:
 # tripartite divide block matrix
 # ---------------------------------------------------------------------------
 
-def _int_rows(mat) -> list[list[int]]:
-    return [list(map(int, row)) for row in mat]
+def _gram_det_adj(half: Diagram, rows: range):
+    """det and adj of z^2 E - M M^t, M the biadjacency of the bipartite
+    diagram half from the vertices rows to its other vertices.  With B the
+    adjacency of half, p = len(rows) and r = half.n - p, the Schur
+    complement gives det(zE - B) = z^(r-p) det(z^2 E - M M^t), and the rows
+    by rows block of adj(zE - B) is z^(r-p+1) adj(z^2 E - M M^t)."""
+    det, adj = _faddeev_leverrier(_adjacency_rows(half.n, half.edges()),
+                                  table=True)
+    k = 2 * len(rows) - half.n  # p - r
+    return (_times_z(Poly(det), k),
+            [[_times_z(adj[i][j], k - 1) for j in rows] for i in rows])
 
 
-def _mat_t(m):
-    return [list(col) for col in zip(*m)] if m else []
-
-
-def _at_square(coeffs) -> Poly:
-    """The polynomial with these ascending coefficients, at x = z^2."""
-    out = [0] * (2 * len(coeffs))
-    out[::2] = coeffs
-    return Poly(out)
-
-
-def _det_adj_at_square(m: list[list[int]]):
-    """det and adj of z^2 E - m, m a symmetric integer matrix (AA^t or
-    B^tB)."""
-    rows = [[(t, x) for t, x in enumerate(row) if x] for row in m]
-    det, adj = _faddeev_leverrier(rows, _at_square)
-    return _at_square(det), adj
+def _times_z(f: Poly, k: int) -> Poly:
+    """f z^k; at k < 0 an exact division, which refuses a remainder."""
+    return f.shift(k) if k >= 0 else f.exact_div(Poly.monomial(1, -k))
 
 
 def divide_identity(a_mat, b_mat, c_mat) -> IdentityReport:
@@ -617,9 +610,10 @@ def divide_identity(a_mat, b_mat, c_mat) -> IdentityReport:
     simplified closed form, whose twist power is the middle block size r,
     and the generic two-block Schur factorization (always exact).
     """
-    a = _int_rows(a_mat)
-    b = _int_rows(b_mat)
-    c = _int_rows(c_mat)
+    a, b, c = ([list(row) for row in m] for m in (a_mat, b_mat, c_mat))
+    if not all(isinstance(x, int)
+               for m in (a, b, c) for row in m for x in row):
+        raise DomainError("block entries must be integers")
     p = len(a)
     r = len(a[0]) if a and a[0] else (len(b) if b else 0)
     s = len(b[0]) if b and b[0] else (len(c[0]) if c and c[0] else 0)
@@ -654,23 +648,17 @@ def divide_identity(a_mat, b_mat, c_mat) -> IdentityReport:
         inner = [[x - y for x, y in zip(a, b)] for a, b in zip(inner, prod)]
     schur_residual = g * z ** (p + r) - z ** s * det_exact(inner)
 
-    # simplified closed form over z-polynomials
-    aat = mat_mul(a, _mat_t(a)) if r else [[0] * p for _ in range(p)]
-    btb = mat_mul(_mat_t(b), b) if r else [[0] * s for _ in range(s)]
-    det_a, adj_a = _det_adj_at_square(aat)
-    det_b, adj_b = _det_adj_at_square(btb)
+    # simplified closed form over z-polynomials, with the Gram determinants
+    # and adjugates of A A^t and B^t B read off the two bipartite halves
+    det_a, adj_a = _gram_det_adj(d.delete(range(p + r, p + r + s)), range(p))
+    det_b, adj_b = _gram_det_adj(d.delete(range(p)), range(r, r + s))
     dd = det_a * det_b
     four_minus = Poly((4, 0, -1))
-    if s:
-        if p:
-            core = mat_mul(mat_mul(mat_mul(_mat_t(c), adj_a), c), adj_b)
-        else:
-            core = [[Poly.zero()] * s for _ in range(s)]
-        big = [[dd * (Poly.one() if i == j else Poly.zero())
-                - four_minus * core[i][j] for j in range(s)] for i in range(s)]
-        big_det = det_poly(big)
-    else:
-        big_det = Poly.one()
+    core = (mat_mul(mat_mul(mat_mul([*zip(*c)], adj_a), c), adj_b) if p
+            else [[Poly.zero()] * s for _ in range(s)])
+    big_det = det_poly([[(dd if i == j else Poly.zero()) - four_minus * x
+                         for j, x in enumerate(row)]
+                        for i, row in enumerate(core)])  # 1 at s = 0
 
     # the closed form g z^(p+s) / dd = z^r det(big) / dd^s, cross-multiplied:
     # dd is a product of monic determinants, so no denominator is zero

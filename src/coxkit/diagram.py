@@ -123,16 +123,19 @@ class Diagram:
                     tour.append(u)
         return tour, parent
 
-    def components(self) -> list[tuple[int, ...]]:
-        """Vertex sets of the components, each ascending, by least vertex."""
+    def tours(self):
+        """tour(root) of each component from its least vertex, by least
+        vertex: one walk per component."""
         seen: set[int] = set()
-        comps = []
         for start in range(self.n):
             if start not in seen:
-                tour, _ = self.tour(start)
+                tour, parent = self.tour(start)
                 seen.update(tour)
-                comps.append(tuple(sorted(tour)))
-        return comps
+                yield tour, parent
+
+    def components(self) -> list[tuple[int, ...]]:
+        """Vertex sets of the components, each ascending, by least vertex."""
+        return [tuple(sorted(tour)) for tour, _ in self.tours()]
 
     def is_tree(self) -> bool:
         return (len(self._w) == self.n - 1
@@ -250,10 +253,9 @@ def parse_name(name: str) -> tuple[str, int]:
     if not s or s[0].upper() not in "ADE":
         raise DomainError(f"cannot parse diagram name {name!r}")
     fam = s[0].upper()
-    try:
-        rank = int(s[1:])
-    except ValueError:
-        raise DomainError(f"cannot parse rank in {name!r}") from None
+    rank = _int_token(s[1:])
+    if rank is None:
+        raise DomainError(f"cannot parse rank in {name!r}")
     _check_vertex_count(rank)
     return ("aff" + fam if aff else fam), rank
 
@@ -303,8 +305,7 @@ def bipartite_order(d: Diagram):
     under which the characteristic and Coxeter polynomials coincide.
     """
     color = [0] * d.n
-    for comp in d.components():
-        tour, parent = d.tour(comp[0])
+    for tour, parent in d.tours():
         for v in tour[1:]:
             color[v] = 1 - color[parent[v]]
         # the first conflict in tour order is the first that a breadth-first
@@ -382,7 +383,17 @@ def from_text(text: str) -> Diagram:
 
 
 def _ints(tokens, raw: str) -> list[int]:
+    out = [_int_token(t) for t in tokens]
+    if None in out:
+        raise DomainError(f"expected integers in line: {raw!r}")
+    return out
+
+
+def _int_token(token: str) -> int | None:
+    """token as an int when it is an optional '-' and ASCII digits, else
+    None: int() alone also reads '+5', '1_0', ' 8' and non-ASCII digits."""
+    digits = token.removeprefix("-")
     try:
-        return [int(t) for t in tokens]
-    except ValueError:
-        raise DomainError(f"expected integers in line: {raw!r}") from None
+        return int(token) if digits.isascii() and digits.isdigit() else None
+    except ValueError:  # more digits than int() converts
+        return None

@@ -14,8 +14,7 @@ letter by letter, a Conway polynomial as the determinant of a Seifert
 form, and a union of diagrams or a diagram file by writing the edges out.
 """
 
-from itertools import dropwhile
-from operator import add, not_, sub
+from operator import add, sub
 
 from coxkit.algebra import Laurent, Poly, det_exact, det_poly
 from coxkit.braid import free_reduce, laurent_to_t_poly, word_inverse
@@ -108,14 +107,14 @@ def _full_row_times(row, m: list[list[int]], n: int) -> list[int]:
     return acc
 
 
-def faddeev_leverrier_full_rows(rows, entry=None):
+def faddeev_leverrier_full_rows(rows, table=False):
     """det(xE - M) and adj(xE - M) as the library's _faddeev_leverrier
-    returns them, for a symmetric integer matrix M given by the nonzero
+    returns them, for a diagram's weighted adjacency M given by the nonzero
     entries of each row: every layer M_k = M M_(k-1) + c_k E held on full
     rows, and a trace taken at every k, whatever the pattern of M."""
     n = len(rows)
     m = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-    layers = [m] if entry else None
+    layers = [m] if table else None
     coeffs = [1]
 
     def coeff(tr: int, k: int) -> int:
@@ -128,18 +127,17 @@ def faddeev_leverrier_full_rows(rows, entry=None):
         coeffs.append(c)
         for i in range(n):
             m[i][i] += c
-        if entry:
+        if table:
             layers.append(m)
     if n:
         coeffs.append(coeff(
             sum(w * m[t][i] for i, row in enumerate(rows) for t, w in row), n))
     coeffs.reverse()
-    if not entry:
+    if not table:
         return coeffs, None
     # in layer order an entry's coefficients come highest power first
-    return coeffs, [[entry(list(dropwhile(
-        not_, [layer[i][j] for layer in layers]))[::-1]) for j in range(n)]
-        for i in range(n)]
+    return coeffs, [[Poly(reversed([layer[i][j] for layer in layers]))
+                     for j in range(n)] for i in range(n)]
 
 
 # -- the rooted forest step -----------------------------------------------------------

@@ -10,7 +10,7 @@ from coxkit.cfrac import (Branch, Closing, evaluate, expand_cycle,
                           expand_tree, render, tree_ratio, z_count)
 from coxkit.coxeter import _rooted_step, char_poly
 from coxkit.diagram import Diagram, build, from_name, random_tree
-from coxkit.errors import NotATree, ZeroDenominator
+from coxkit.errors import NotATree, UnknownVertex, ZeroDenominator
 from coxkit.kostant import klein_data
 from oracles import fl_char
 
@@ -45,6 +45,20 @@ def test_path_fraction_is_chebyshev_quotient():
 def test_tree_requirement():
     with pytest.raises(NotATree):
         expand_tree(build("affA", 3), 0)
+
+
+def test_tree_requirement_on_the_tour_from_the_root():
+    # a tour that misses a vertex, and one that covers a cycle's n edges
+    forest = Diagram(4, [((0, 1), 1), ((2, 3), 2)])
+    triangle = Diagram(3, [((0, 1), 1), ((1, 2), 1), ((0, 2), 1)])
+    for d in (forest, triangle):
+        for root in range(d.n):
+            with pytest.raises(NotATree):
+                expand_tree(d, root)
+    for root in (-1, 4):
+        with pytest.raises(UnknownVertex):
+            expand_tree(forest, root)
+    assert expand_tree(Diagram(1), 0) == Branch(())
 
 
 def test_round_trip_random_trees_all_roots():

@@ -54,6 +54,30 @@ def test_coxeter_order_override(capsys):
     assert natural != ordered  # cycle order matters
 
 
+@pytest.mark.parametrize("argv", [
+    ["--diagram", "A1_0"], ["--diagram", "E 8", "--char"],
+    ["--diagram", "~D\uff15"], ["--diagram", "A3", "--order", "2 1 0_0"],
+    ["--diagram", "A3", "--order", "+2 1 0"],
+    ["--diagram", "A3", "--order", "2 1 \u0660"],
+    ["--diagram", "A3", "--order", "2 1 " + "0" * 5000],
+])
+def test_coxeter_reads_only_a_sign_and_ascii_digits(capsys, argv):
+    # int() reads A10, E8, ~D5 and the order 2 1 0 from these
+    assert cli.main(["coxeter", *argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.count("\n") == 1
+    assert ("order must list vertex indices" if "--order" in argv
+            else "cannot parse rank") in captured.err
+
+
+def test_coxeter_order_keeps_leading_zeros(capsys):
+    _, plain = run_cli(capsys, "coxeter", "--diagram", "~A3",
+                       "--order", "0 2 1 3")
+    _, padded = run_cli(capsys, "coxeter", "--diagram", " ~A03 ",
+                        "--order", "00 2 01 3")
+    assert padded == plain
+
+
 def test_coxeter_json_record(capsys):
     code, out = run_cli(capsys, "coxeter", "--diagram", "A3", "--json")
     rec = json.loads(out)
@@ -704,11 +728,11 @@ def test_cofactor_tables_above_the_cap_exit_2_at_once(capsys, monkeypatch,
 
     real = coxeter._faddeev_leverrier
 
-    def below_the_cap(rows, entry=None):
+    def below_the_cap(rows, table=False):
         # the tree option still sweeps the small named diagrams first
         assert len(rows) <= coxeter.MAX_COFACTOR_VERTICES, (
             "a cofactor table above the cap was started")
-        return real(rows, entry)
+        return real(rows, table)
 
     monkeypatch.setattr(coxeter, "_faddeev_leverrier", below_the_cap)
     start = time.perf_counter()

@@ -4,6 +4,7 @@ import dataclasses
 import hashlib
 import math
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -20,8 +21,8 @@ from coxkit.coxeter import (SchurStep, _adjacency_rows, _cyclomatic,
                             walk_expansion_residual, walk_gf)
 from coxkit.diagram import (MAX_VERTICES, Diagram, bipartite_order, build,
                             join, random_tree)
-from coxkit.errors import (DomainError, PreconditionABneq2C, SizeMismatch,
-                           UnknownVertex)
+from coxkit.errors import (DomainError, ExactDivisionError,
+                           PreconditionABneq2C, SizeMismatch, UnknownVertex)
 from coxkit.report import nonzero_terms
 from oracles import (_z_matrix, cofactor_entry, disjoint_union,
                      faddeev_leverrier_full_rows, fl_char,
@@ -641,9 +642,9 @@ def test_cofactors_match_minors_and_invert_on_random_graphs():
 def test_engine_matches_the_full_row_oracle_on_random_graphs():
     for d in GRAPHS:
         rows = _adjacency_rows(d.n, d.edges())
-        for entry in (None, Poly, coxeter._at_square):
-            assert (_faddeev_leverrier(rows, entry)
-                    == faddeev_leverrier_full_rows(rows, entry)), d
+        for table in (False, True):
+            assert (_faddeev_leverrier(rows, table)
+                    == faddeev_leverrier_full_rows(rows, table)), d
 
 
 def test_shaped_graphs_match_every_minor():
@@ -684,18 +685,20 @@ def test_layer_rows_are_half_width_exactly_on_bipartite_patterns(
         monkeypatch):
     def table(d):
         return _layer_widths(monkeypatch, lambda: _faddeev_leverrier(
-            _adjacency_rows(d.n, d.edges()), Poly))
+            _adjacency_rows(d.n, d.edges()), table=True))
 
     tree = random_tree(random.Random(9), 21, (1, -2, 3))
     assert table(tree) == _side_counts(tree) and len(_side_counts(tree)) == 2
     assert table(build("affA", 11)) == {6}  # the 12-cycle
     assert table(build("affA", 10)) == {11}  # the 11-cycle
-    # A A^t, whose diagonal holds the squared row lengths of A
-    a = [[1, -2, 0, 3], [0, 1, 1, 0], [2, 0, -1, 1], [1, 1, 1, 1]]
-    aat = algebra.mat_mul(a, [list(col) for col in zip(*a)])
-    assert all(aat[i][i] for i in range(4))
+    # the divide halves, connected and with no zero row or column in A or
+    # B: layers of p = 3 or r = 4 entries on the A half, r or s = 2 on the
+    # B half, where A A^t and B^t B gave full rows of p and s
+    a = [[1, -2, 0, 3], [0, 1, 1, 0], [2, 0, -1, 1]]
+    b = [[2, 4], [-2, 2], [2, 0], [0, -6]]
+    c = [[x // 2 for x in row] for row in algebra.mat_mul(a, b)]
     assert _layer_widths(monkeypatch,
-                         lambda: coxeter._det_adj_at_square(aat)) == {4}
+                         lambda: divide_identity(a, b, c)) == {2, 3, 4}
 
 
 def test_char_poly_and_cofactors_match_sympy():
@@ -828,9 +831,9 @@ def _char_poly_engines(monkeypatch, graphs) -> list:
     on these graphs, on an empty memo."""
     calls = []
 
-    def logged(rows, entry=None):
+    def logged(rows, table=False):
         calls.append(len(rows))
-        return _faddeev_leverrier(rows, entry)
+        return _faddeev_leverrier(rows, table)
 
     monkeypatch.setattr(coxeter, "_faddeev_leverrier", logged)
     coxeter._char_poly.cache_clear()
@@ -926,35 +929,59 @@ def test_sweep_tables_are_symmetric_inverses_on_large_graphs():
                 assert acc == (g if i == j else Poly.zero()), (d, i, j)
 
 
-def test_det_adj_at_square_of_a_dense_gram_matrix_matches_bareiss():
+def test_gram_det_and_adj_of_a_half_match_bareiss():
+    # z^(p-r) det(zE - B) and z^(p-r-1) times the rows block of adj(zE - B)
+    # against det_poly of z^2 E - m m^t and its signed minors: both shifts
+    # divide at p < r, the adjugate's at p = r, neither at p >= r + 1; the
+    # half puts the rows of m first (the A half) or last (the B half)
     rng = random.Random(31)
-    for p in (2, 4, 6):
-        a = [[rng.choice((-3, -2, -1, 1, 2, 3)) for _ in range(p + 1)]
+    for p, r in ((0, 3), (3, 0), (0, 0), (1, 4), (2, 4), (3, 3), (4, 3),
+                 (5, 3), (6, 1)):
+        m = [[rng.choice((-3, -2, -1, 0, 1, 2, 3)) for _ in range(r)]
              for _ in range(p)]
-        m = algebra.mat_mul(a, [list(col) for col in zip(*a)])
-        assert all(m[i][i] > 1 for i in range(p))
-        det, adj = coxeter._det_adj_at_square(m)
-        zm = [[Poly((-m[i][j], 0, 1)) if i == j else Poly((-m[i][j],))
+        gram = [[sum(x * y for x, y in zip(u, v)) for v in m] for u in m]
+        zm = [[Poly((-gram[i][j], 0, 1)) if i == j else Poly((-gram[i][j],))
                for j in range(p)] for i in range(p)]
-        assert det == det_poly(zm)
-        for i in range(p):
-            for j in range(p):
-                minor = [[x for c, x in enumerate(row) if c != i]
-                         for r, row in enumerate(zm) if r != j]
-                want = det_poly(minor)
-                assert adj[i][j] == (-want if (i + j) % 2 else want)
+        first = Diagram(p + r, [((i, p + j), x) for i, row in enumerate(m)
+                                for j, x in enumerate(row)])
+        last = Diagram(p + r, [((r + i, j), x) for i, row in enumerate(m)
+                               for j, x in enumerate(row)])
+        for half, rows in ((first, range(p)), (last, range(r, r + p))):
+            det, adj = coxeter._gram_det_adj(half, rows)
+            assert det == det_poly(zm), (p, r)
+            assert len(adj) == p and all(len(row) == p for row in adj)
+            for i in range(p):
+                for j in range(p):
+                    minor = [[x for c, x in enumerate(row) if c != i]
+                             for k, row in enumerate(zm) if k != j]
+                    want = det_poly(minor)
+                    assert adj[i][j] == (-want if (i + j) % 2 else want), (
+                        p, r, i, j)
+
+
+def test_a_gram_shift_that_leaves_a_remainder_raises():
+    # det(zE - B) of the edge with weight 3 is z^2 - 9: read with p = 0
+    # rows (a wrong half), its z^(p-r) = z^-2 shift is no exact division
+    with pytest.raises(ExactDivisionError):
+        coxeter._gram_det_adj(Diagram(2, [((0, 1), 3)]), range(0))
 
 
 def test_faddeev_leverrier_on_zero_and_one_rows():
     assert _faddeev_leverrier([]) == ([1], None)
-    assert _faddeev_leverrier([], Poly) == ([1], [])
-    assert _faddeev_leverrier([[]], Poly) == ([0, 1], [[Poly.one()]])
-    assert _faddeev_leverrier([[(0, 5)]], tuple) == ([-5, 1], [[(1,)]])
+    assert _faddeev_leverrier([], table=True) == ([1], [])
+    assert _faddeev_leverrier([[]], table=True) == ([0, 1], [[Poly.one()]])
+    # one edge of weight 5: x^2 - 25, adj = [[x, 5], [5, x]]
+    x, five = Poly.x(), Poly.const(5)
+    assert _faddeev_leverrier([[(1, 5)], [(0, 5)]], table=True) == (
+        [-25, 0, 1], [[x, five], [five, x]])
     assert cofactors(Diagram(0)).n == 0
     assert cofactors(Diagram(1))[0, 0] == Poly.one()
-    assert coxeter._det_adj_at_square([]) == (Poly.one(), [])
-    assert coxeter._det_adj_at_square([[7]]) == (Poly((-7, 0, 1)),
-                                                 [[Poly.one()]])
+    # the halves of no vertex, of one vertex with no column and of one edge
+    assert coxeter._gram_det_adj(Diagram(0), range(0)) == (Poly.one(), [])
+    assert coxeter._gram_det_adj(Diagram(1), range(1)) == (
+        Poly((0, 0, 1)), [[Poly.one()]])
+    assert coxeter._gram_det_adj(Diagram(2, [((0, 1), 3)]), range(1)) == (
+        Poly((-9, 0, 1)), [[Poly.one()]])
 
 
 def _rendered(table) -> str:
@@ -1399,6 +1426,23 @@ def test_divide_refuses_more_than_max_vertices_before_any_matrix(
                     ([[0]], [[0] * cap], [[0] * cap])):
         with pytest.raises(DomainError):
             divide_identity(a, b, c)
+
+
+@pytest.mark.parametrize("blocks", [
+    ([[2.5]], [[1]], [[1]]),
+    ([[Fraction(5, 2)]], [[1]], [[1]]),
+    ([[2]], [["3"]], [[3]]),
+])
+def test_divide_refuses_an_entry_that_is_not_an_int(monkeypatch, blocks):
+    # int() would read each as a block that holds (2, 2 and 3)
+    def never(*args):
+        raise AssertionError("a matrix was built")
+
+    for name in ("mat_mul", "coxeter_matrix", "det_exact", "det_poly"):
+        monkeypatch.setattr(coxeter, name, never)
+    with pytest.raises(DomainError) as err:
+        divide_identity(*blocks)
+    assert err.type is DomainError
 
 
 def test_divide_preconditions():

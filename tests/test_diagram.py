@@ -7,6 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from coxkit import coxeter
+from coxkit.cfrac import expand_tree
 from coxkit.diagram import (MAX_VERTICES, Diagram, OddCycle, SeifertMatrix,
                             bipartite_order, build, from_name, from_text, join,
                             parse_name, random_tree)
@@ -99,6 +101,31 @@ def test_tour_is_breadth_first_with_neighbors_ascending():
     for bad in (-1, 9):
         with pytest.raises(UnknownVertex):
             d.tour(bad)
+
+
+def test_each_component_is_toured_once(monkeypatch):
+    calls = []
+    real = Diagram.tour
+
+    def counted(self, root):
+        calls.append(root)
+        return real(self, root)
+
+    monkeypatch.setattr(Diagram, "tour", counted)
+    rng = random.Random(17)
+    forest = Diagram(0)
+    for n in (1, 5, 8):
+        forest = disjoint_union(forest, random_tree(rng, n, (1, 2)))
+    coxeter._char_poly.cache_clear()
+    for run in (lambda: coxeter.char_poly(forest),
+                lambda: bipartite_order(forest), forest.components):
+        calls.clear()
+        run()
+        assert calls == [0, 1, 6], run
+    tree = random_tree(rng, 9, (1, 2))
+    calls.clear()
+    expand_tree(tree, 4)
+    assert calls == [4]
 
 
 def test_bipartite_order_and_components_are_pinned():
@@ -255,6 +282,37 @@ def test_from_text_errors():
                  "n 3\n0 1 1\norder 0 x 2\n"]:
         with pytest.raises(DomainError):
             from_text(text)
+
+
+@pytest.mark.parametrize("text", [
+    "n 1_0\n", "n +3\n", "n \uff13\n", "n 3\n0 1 1_0\n", "n 3\n0 1 +1\n",
+    "n 3\n0 1 --1\n", "n 3\n0 1 -\n", "n 3\norder 0 1 \u0662\n",
+    "n 3\n0 1 " + "9" * 5000 + "\n",  # past int()'s digit limit
+])
+def test_from_text_reads_only_a_sign_and_ascii_digits(text):
+    # int() reads each of these: 10 vertices, a weight of 10, a fullwidth
+    # or Arabic-Indic digit
+    with pytest.raises(DomainError, match="expected integers in line"):
+        from_text(text)
+
+
+def test_from_text_keeps_signs_and_leading_zeros():
+    d = from_text("n 03\n0 1 -2\n1 2 007\norder 2 01 0\n")
+    assert d.edges() == ((0, 1, -2), (1, 2, 7)) and d.order == (2, 1, 0)
+
+
+@pytest.mark.parametrize("name", ["A1_0", "E 8", "~D\uff15", "A+5", "A",
+                                  "D4.0", "A--1", "E\u0668", "A" + "9" * 5000])
+def test_parse_name_reads_only_a_sign_and_ascii_digits(name):
+    with pytest.raises(DomainError, match="cannot parse rank"):
+        parse_name(name)
+
+
+def test_parse_name_keeps_outer_spaces_leading_zeros_and_bad_ranks():
+    assert parse_name("  ~d05 ") == ("affD", 5)
+    assert parse_name("A00") == ("A", 0)
+    with pytest.raises(BadRank):
+        from_name("A-1")
 
 
 def test_from_text_refuses_a_second_header_or_order_line():

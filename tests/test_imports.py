@@ -89,10 +89,10 @@ def _references(tree: ast.Module) -> list[tuple[str, str | None]]:
 def _orphans(sources: dict[str, str], checked) -> list[str]:
     """The module-level private functions and classes of the files in
     checked that nothing references outside their own definition, in any
-    of the sources (file name -> text)."""
+    of the sources (file name -> text) outside tests/."""
     trees = {name: ast.parse(text, name) for name, text in sources.items()}
     used = {(ref, name if owner == ref else None)
-            for name, tree in trees.items()
+            for name, tree in trees.items() if not name.startswith("tests/")
             for ref, owner in _references(tree)}
     out = []
     for name in checked:
@@ -143,8 +143,13 @@ def test_checker_flags_orphans_and_spares_outside_references():
                  "monkeypatch.setattr(m, '_patched', None)\n"
                  "def _test_helper():\n"
                  "    pass\n"),
+        "tests/test_m.py": ("from pkg.m import _test_only\n"
+                            "_test_only()\n"),
     }
-    assert _orphans(sources, ["pkg/m.py"]) == ["pkg/m.py:1: _alone"]
+    sources["pkg/m.py"] += "def _test_only():\n    pass\n"
+    # a helper that only tests/ reach is an orphan: it belongs in tests/
+    assert _orphans(sources, ["pkg/m.py"]) == ["pkg/m.py:1: _alone",
+                                               "pkg/m.py:15: _test_only"]
 
 
 def _public(tree: ast.Module):
