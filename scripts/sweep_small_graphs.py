@@ -4,17 +4,21 @@
 Each graph gets seeded weights from {1, 2} and a seeded shuffled vertex
 order.  Under each setting of the expansion gate, with empty memos, it
 checks that
-- coxeter_poly equals det_exact of the Coxeter matrix, and
-- char_poly equals det_poly of zE - A (A the weighted adjacency).
+- coxeter_poly equals det_exact of the Coxeter matrix,
+- char_poly equals det_poly of zE - A (A the weighted adjacency), and
+- cd_char at every pair, and cd_coxeter and cd_wronskian at the first
+  vertex of the seeded order, hold with sides that are equal when read:
+  each of them is decided by a packed comparison, and its sides are made
+  only when read.
 A gate of -1 sends every graph with a cycle to Bareiss (coxeter_poly) and
 to Faddeev-LeVerrier (char_poly); a large gate sends every one through
 Schwenk's edge step, read in q and in z.  The tier-1 test
 tests/test_small_graphs.py runs the same checks on 1-5 vertices, plus on at
-most 4 the cofactor table against the signed minors of zE - A (det_poly),
-cd_char at every pair, the Schur step and both Christoffel-Darboux forms
-at every pivot, and det_exact of the Coxeter matrix against Laplace
-expansion.  The 32768 graphs took about 30 s per gate on a 2-core VM
-with Python 3.11.7.
+most 4 the two Christoffel-Darboux forms at every pivot, the cofactor
+table against the signed minors of zE - A (det_poly), the Schur step at
+every pivot, and det_exact of the Coxeter matrix against Laplace
+expansion.  The 32768 graphs took about 105 s per gate on a 2-core VM
+with Python 3.11.7 (about 23 s before the Christoffel-Darboux checks).
 
 Usage:
     python scripts/sweep_small_graphs.py
@@ -64,10 +68,16 @@ def signed_minor(m, i: int, j: int) -> Poly:
 
 
 def failed_checks(d: Diagram, tables: bool) -> list[str]:
-    """The checks that fail on d; tables adds every cofactor against the
-    signed minor of zE - A, cd_char at every pair, the Schur step and both
-    Christoffel-Darboux forms at every pivot, and det_exact of the Coxeter
-    matrix against Laplace expansion."""
+    """The checks that fail on d: coxeter_poly and char_poly against their
+    determinants, and cd_char at every pair and both Christoffel-Darboux
+    forms at the first vertex of d's order, each holding with lhs == rhs,
+    so that the packed verdict that decides them agrees with the sides
+    made when read; tables takes the two forms at every pivot, and adds
+    every cofactor against the signed minor of zE - A, the Schur step at
+    every pivot, and det_exact of the Coxeter matrix against Laplace
+    expansion.  The order is seeded, so the pivots of a sweep vary from
+    graph to graph; every pivot of 6-vertex graphs took the sweep from
+    3.5 to 8 minutes."""
     bad = []
     if coxeter.coxeter_poly(d) != det_exact(coxeter.coxeter_matrix(d)):
         bad.append("coxeter_poly")
@@ -75,19 +85,19 @@ def failed_checks(d: Diagram, tables: bool) -> list[str]:
                   for c in range(d.n)] for r in range(d.n)]
     if coxeter.char_poly(d) != det_poly(z_minus_a):
         bad.append("char_poly")
+    sums = [(f"cd_char {i} {j}", rep) for i in range(d.n)
+            for j in range(i, d.n) for rep in identities.cd_char(d, i, j)]
+    for p in range(d.n) if tables else d.order[:1]:
+        sums += [(f"cd_coxeter pivot {p}", identities.cd_coxeter(d, p)),
+                 (f"cd_wronskian pivot {p}", identities.cd_wronskian(d, p))]
+    bad += [name for name, rep in sums
+            if not (rep.holds and rep.lhs == rep.rhs)]
     if tables:
         table = coxeter.cofactors(d)
         bad += [f"cofactor {i} {j}" for i in range(d.n) for j in range(d.n)
                 if table[i, j] != signed_minor(z_minus_a, i, j)]
-        bad += [f"cd_char {i} {j}" for i in range(d.n)
-                for j in range(i, d.n)
-                if not all(r.holds for r in identities.cd_char(d, i, j))]
-        for p in range(d.n):
-            bad += [f"{name} pivot {p}" for name, step in (
-                ("schur", coxeter.schur_step(d, p)),
-                ("cd_coxeter", identities.cd_coxeter(d, p)),
-                ("cd_wronskian", identities.cd_wronskian(d, p)))
-                if not step.residual.is_zero]
+        bad += [f"schur pivot {p}" for p in range(d.n)
+                if not coxeter.schur_step(d, p).residual.is_zero]
         matrix = coxeter.coxeter_matrix(d)
         if det_exact(matrix) != _det_laplace(matrix):
             bad.append("det_exact against Laplace")

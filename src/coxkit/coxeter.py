@@ -8,6 +8,7 @@ block-matrix factorization.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import repeat
@@ -213,7 +214,7 @@ def _trace_coeff(tr: int, k: int) -> int:
     return -(tr // k)
 
 
-def _faddeev_leverrier(rows, table=False):
+def _faddeev_leverrier(rows, block: range | None = None):
     """det(xE - M), and adj(xE - M) on request, for a diagram's weighted
     adjacency M given by the nonzero entries (column, weight) of each row.
 
@@ -231,10 +232,13 @@ def _faddeev_leverrier(rows, table=False):
     the same loop with one class of every vertex: full rows, and a trace
     at every k.
 
-    Returns the ascending coefficients of the determinant, and with table
-    the table of adj(xE - M) as Poly entries; else None, and only the
-    current layer is held.  Each row is zipped once per parity over its
-    layers, lowest power first, with repeat(0) for the other parity, so an
+    Returns the ascending coefficients of the determinant, and with block,
+    a range of vertices, the block x block part of adj(xE - M) as a table
+    of Poly entries, [i - block.start][j - block.start] holding (i, j);
+    else None.  Only the rows of block are kept from one layer to the next.
+    Each of them is zipped once per parity over its layers, lowest power
+    first, with repeat(0) for the other parity, on the columns of block of
+    the class it lies in, which are one run of the ascending class: so an
     entry is one tuple of n integers whose trailing zeros Poly drops.  M is
     symmetric, so the adjugate is too: each unordered pair is built once,
     and [i][j] and [j][i] hold the same Poly.
@@ -249,7 +253,8 @@ def _faddeev_leverrier(rows, table=False):
     m = [[0] * len(classes[s]) for s in side]
     for r, p in zip(m, at):
         r[p] = 1
-    layers = [m] if table else None
+    kept = None if block is None else slice(block.start, block.stop)
+    layers = None if block is None else [m[kept]]
     coeffs = [1]
     for k in range(1, n):
         m = [_row_times(row, m) or [0] * len(classes[(s + k) % h])
@@ -261,30 +266,31 @@ def _faddeev_leverrier(rows, table=False):
             coeffs.append(c)
             for r, p in zip(m, at):
                 r[p] += c
-        if table:
-            layers.append(m)
+        if block is not None:
+            layers.append(m[kept])
     if n:
         coeffs.append(0 if n % h else _trace_coeff(
             sum(w * m[t][at[i]] for i, row in enumerate(rows)
                 for t, w in row), n))
     coeffs.reverse()
-    if not table:
+    if block is None:
         return coeffs, None
-    adj = [[None] * n for _ in range(n)]
+    adj = [[None] * len(block) for _ in block]
     zeros = repeat(0)
-    for i in range(n):
+    first = block.start
+    for i in block:
+        at_b = i - first  # the place of i in the block
         for par in range(h):
             cls = classes[(side[i] + par) % h]
-            # the columns j >= i: of the i vertices below i, at[i] lie on
-            # the side of i and the others on the other side
-            lo = i - at[i] if par else at[i]
+            # the columns j >= i of the block
+            lo, hi = bisect_left(cls, i), bisect_left(cls, block.stop)
             # layer n - 1 holds the coefficient of x^0
-            cols = zip(*[layers[k][i][lo:] if k % h == par else zeros
+            cols = zip(*[layers[k][at_b][lo:hi] if k % h == par else zeros
                          for k in range(n - 1, -1, -1)])
-            for j, c in zip(cls[lo:], cols):
-                adj[i][j] = adj[j][i] = Poly(c)
+            for j, c in zip(cls[lo:hi], cols):
+                adj[at_b][j - first] = adj[j - first][at_b] = Poly(c)
         for layer in layers:
-            layer[i] = None  # the table takes the place of the layers
+            layer[at_b] = None  # the table takes the place of the layers
     return coeffs, adj
 
 
@@ -390,7 +396,7 @@ def cofactors(d: Diagram) -> CofactorTable:
 # is kept: the suites finish with one diagram before they move to the next.
 @lru_cache(maxsize=1)
 def _cofactors(n: int, edges) -> CofactorTable:
-    _, adj = _faddeev_leverrier(_adjacency_rows(n, edges), table=True)
+    _, adj = _faddeev_leverrier(_adjacency_rows(n, edges), range(n))
     return CofactorTable(tuple(map(tuple, adj)))
 
 
@@ -589,10 +595,10 @@ def _gram_det_adj(half: Diagram, rows: range):
     complement gives det(zE - B) = z^(r-p) det(z^2 E - M M^t), and the rows
     by rows block of adj(zE - B) is z^(r-p+1) adj(z^2 E - M M^t)."""
     det, adj = _faddeev_leverrier(_adjacency_rows(half.n, half.edges()),
-                                  table=True)
+                                  rows)
     k = 2 * len(rows) - half.n  # p - r
     return (_times_z(Poly(det), k),
-            [[_times_z(adj[i][j], k - 1) for j in rows] for i in rows])
+            [[_times_z(x, k - 1) for x in row] for row in adj])
 
 
 def _times_z(f: Poly, k: int) -> Poly:

@@ -26,26 +26,129 @@ from .report import IdentityReport
 # the one Christoffel-Darboux sum, and its forms on the one-row pivot
 # ---------------------------------------------------------------------------
 
-# A form is (F, S, s, total): the pairing F, the square S(h) of a term,
-# the shift s of (1 - u) X = X - X.shifted(s), and the sum of the squares'
-# class, which adds into one map.  The Wronskian is the y = x limit of the
-# Bezoutian, so 1 - 1/(xy) becomes 1 - 1/x^2.  The pairing is looked up
-# when it runs, so that a patched or traced bezoutian or wronskian is the
-# one called.
+# A form is (F, S, s, total, holds): the pairing F, the square S(h) of a
+# term, the shift s of (1 - u) X = X - X.shifted(s), the sum of the
+# squares' class, which adds into one map, and the packed verdict of the
+# sum (_bez_holds, _wr_holds).  The Wronskian is the y = x limit of the
+# Bezoutian, so 1 - 1/(xy) becomes 1 - 1/x^2.  The pairing and the verdict
+# are looked up when they run, so that a patched or traced one is the one
+# called.
 _BEZ = (lambda f, g: bezoutian(f, g), lambda h: BiLaurent.outer(h, h), -1,
-        BiLaurent.total)
-_WR = (lambda f, g: wronskian(f, g), lambda h: h * h, -2, Laurent.total)
+        BiLaurent.total, lambda *sums: _bez_holds(*sums))
+_WR = (lambda f, g: wronskian(f, g), lambda h: h * h, -2, Laurent.total,
+       lambda *sums: _wr_holds(*sums))
 
 
 def _cd(form, name: str, left, right, inside) -> IdentityReport:
     """sum_left F(f, g) = (1 - u) sum_inside S(h) + sum_right F(f, g): the
     sum of F(z h, h) = (1 - u) S(h) over the inside, where bilinearity and
-    skew-symmetry keep only the pairs (f, g) that cross its boundary."""
-    pair, square, shift, total = form
-    inner = total(map(square, inside))
-    return IdentityReport.compare(
-        name, reduce(add, starmap(pair, left)),
-        reduce(add, starmap(pair, right), inner - inner.shifted(shift)))
+    skew-symmetry keep only the pairs (f, g) that cross its boundary.
+
+    The form's packed verdict decides it, and the two sums are made only
+    when they are read: at once when they differ, for their difference, and
+    on the first read of a side when they agree, whose residual is the
+    ring's zero."""
+    pair, square, shift, total, holds = form
+
+    def sides():
+        inner = total(map(square, inside))
+        return (reduce(add, starmap(pair, left)),
+                reduce(add, starmap(pair, right), inner - inner.shifted(shift)))
+
+    if holds(left, right, inside):
+        return IdentityReport.on_demand(name, total(()), sides)
+    return IdentityReport.compare(name, *sides())
+
+
+def _packed(left, right, inside):
+    """The terms of each input of a sum, and the input and its Euler value
+    T v = sum k c q^k packed at q = Y = 2^w, both keyed by the input's id,
+    and w.
+
+    Every input packs at one offset Y^-lo, lo the lowest exponent of them
+    all, so that no exponent is negative: a term c q^k packs as
+    c Y^(k - lo).  w is the width of Frame(bound), so that bound is below
+    2^(w - 1), where, with |v| the sum of v's absolute coefficients and
+    ||v|| = |v| + |T v|, bound is 2 ||f|| ||g|| summed over the pairs plus
+    4 |h|^2 summed over the inside.  It is at least the sum of absolute
+    coefficients of the difference of the two sides of either form, once
+    its denominators are cleared (_bez_holds, _wr_holds)."""
+    terms = {id(v): v.items() for part in (*left, *right, inside)
+             for v in part}
+    size = {key: sum(abs(c) for _, c in t) for key, t in terms.items()}
+    both = {key: size[key] + sum(abs(k * c) for k, c in t)
+            for key, t in terms.items()}
+    bound = (2 * sum(both[id(f)] * both[id(g)] for f, g in (*left, *right))
+             + 4 * sum(size[id(h)] ** 2 for h in inside))
+    w = Frame(bound).width
+    lo = min((t[0][0] for t in terms.values() if t), default=0)
+    at_y = {}
+    for key, t in terms.items():
+        x = e = 0
+        for k, c in t:
+            v = c << w * (k - lo)
+            x += v
+            e += k * v
+        at_y[key] = x, e
+    return terms, at_y, w
+
+
+def _bez_holds(left, right, inside) -> bool:
+    """Whether sum_left Bez(f, g) = (1 - 1/(xy)) sum_inside h(x) h(y)
+    + sum_right Bez(f, g), decided without a Bezoutian.
+
+    Times xy (x - y), and then over x, every term is a product of the
+    one-variable inputs: y (f(x) g(y) - f(y) g(x)) for a pair, and
+    (xy - y^2 - 1 + y/x) h(x) h(y) for the inside.  At y = Y = 2^w, with
+    every input packed at one offset Y^-lo (_packed), the coefficient of
+    each power of x of the difference D is an integer sum d_j Y^(j - lo)
+    over j >= lo, which is zero iff every d_j is, since |d_j| < Y / 2:
+    |d_j| is at most the sum of D's absolute coefficients, at most
+    2 |f| |g| summed over the pairs plus 4 |h|^2 summed over the inside,
+    which _packed's bound is not below."""
+    terms, at_y, w = _packed(left, right, inside)
+    acc: dict[int, int] = {}
+    get = acc.get
+    for sign, side in ((1, left), (-1, right)):
+        for f, g in side:
+            fy, gy = sign * at_y[id(f)][0] << w, sign * at_y[id(g)][0] << w
+            for i, c in terms[id(f)]:
+                acc[i] = get(i, 0) + c * gy
+            for i, c in terms[id(g)]:
+                acc[i] = get(i, 0) - c * fy
+    inner: dict[int, int] = {}
+    for h in inside:
+        hy = at_y[id(h)][0]
+        for i, c in terms[id(h)]:
+            inner[i] = inner.get(i, 0) + c * hy
+    for i, v in inner.items():
+        vy = v << w
+        acc[i + 1] = get(i + 1, 0) - vy
+        acc[i] = get(i, 0) + (vy << w) + v
+        acc[i - 1] = get(i - 1, 0) - vy
+    return not any(acc.values())
+
+
+def _wr_holds(left, right, inside) -> bool:
+    """Whether sum_left Wr(f, g) = (1 - 1/x^2) sum_inside h^2
+    + sum_right Wr(f, g), decided without a Wronskian.
+
+    Times q^2, every term is a product of one-variable values:
+    q (Tf g - f Tg) for a pair, T the Euler operator q d/dq, and
+    (q^2 - 1) h^2 for the inside.  At q = Y = 2^w, with every input packed
+    at one offset Y^-lo (_packed), the difference D is one integer
+    sum d_j Y^(j - 2 lo) over j >= 2 lo, which is zero iff every d_j is,
+    since |d_j| < Y / 2: |d_j| is at most the sum of D's absolute
+    coefficients, at most |Tf| |g| + |f| |Tg| summed over the pairs plus
+    2 |h|^2 summed over the inside, which _packed's bound is not below."""
+    _, at_y, w = _packed(left, right, inside)
+    diff = 0
+    for sign, side in ((1, left), (-1, right)):
+        for f, g in side:
+            (pf, tf), (pg, tg) = at_y[id(f)], at_y[id(g)]
+            diff += sign * (tf * pg - pf * tg)
+    squares = sum(at_y[id(h)][0] ** 2 for h in inside)
+    return (diff << w) == (squares << 2 * w) - squares
 
 
 def cd_coxeter(d: Diagram, pivot: int) -> IdentityReport:
@@ -167,19 +270,21 @@ def cd_char(d: Diagram, i: int, j: int) -> tuple[IdentityReport, IdentityReport]
     x_minus_y = (1 << (frame.width * s)) - (1 << frame.width)
     bez_lhs = bez_rhs if num == bez_rhs * x_minus_y else num // x_minus_y
     rep8 = _packed_report(f"cd-char-bez-{i}-{j}", bez_lhs, bez_rhs,
-                          lambda xs: frame.bilaurents(xs, s))
+                          lambda xs: frame.bilaurents(xs, s), BiLaurent)
     rep9 = _packed_report(
         f"cd-char-wr-{i}-{j}", dg_y * h_y - g_y * dh_y,
-        sum(map(mul, at_y[i], at_y[j])), frame.laurents)
+        sum(map(mul, at_y[i], at_y[j])), frame.laurents, Laurent)
     return rep8, rep9
 
 
-def _packed_report(name: str, lhs: int, rhs: int, decode) -> IdentityReport:
-    """The report of two packed sides, each decoded once, and one decode
-    serves both when they are equal."""
+def _packed_report(name: str, lhs: int, rhs: int, decode, ring
+                   ) -> IdentityReport:
+    """The report of two packed sides.  Equal sides take the ring's zero
+    as residual, and are decoded when one is read; sides that differ are
+    decoded at once, with their difference."""
     if lhs == rhs:
-        side, residual = decode((lhs, 0))
-        return IdentityReport.of(name, side, side, residual)
+        return IdentityReport.on_demand(name, ring.zero(),
+                                        lambda: decode((lhs, rhs)))
     left, right, residual = decode((lhs, rhs, lhs - rhs))
     return IdentityReport.of(name, left, right, residual)
 
@@ -332,7 +437,7 @@ def _klein_form(form, data: KleinGroupData):
       sum_{k<m} S(Z_k), so that the arc i..j is arcs[j + 1] - arcs[i].
     Each side is a sum over a set whose boundary is one or two pairs
     (_cd), and the table holds them all, each made once."""
-    pair, square, shift, total = form
+    pair, square, shift, total, _ = form
     zt = data.z_table
     if data.family == "affA":
         parents = range(-1, data.n)

@@ -643,7 +643,7 @@ def test_engine_matches_the_full_row_oracle_on_random_graphs():
     for d in GRAPHS:
         rows = _adjacency_rows(d.n, d.edges())
         for table in (False, True):
-            assert (_faddeev_leverrier(rows, table)
+            assert (_faddeev_leverrier(rows, range(d.n) if table else None)
                     == faddeev_leverrier_full_rows(rows, table)), d
 
 
@@ -685,7 +685,7 @@ def test_layer_rows_are_half_width_exactly_on_bipartite_patterns(
         monkeypatch):
     def table(d):
         return _layer_widths(monkeypatch, lambda: _faddeev_leverrier(
-            _adjacency_rows(d.n, d.edges()), table=True))
+            _adjacency_rows(d.n, d.edges()), range(d.n)))
 
     tree = random_tree(random.Random(9), 21, (1, -2, 3))
     assert table(tree) == _side_counts(tree) and len(_side_counts(tree)) == 2
@@ -831,9 +831,9 @@ def _char_poly_engines(monkeypatch, graphs) -> list:
     on these graphs, on an empty memo."""
     calls = []
 
-    def logged(rows, table=False):
+    def logged(rows, block=None):
         calls.append(len(rows))
-        return _faddeev_leverrier(rows, table)
+        return _faddeev_leverrier(rows, block)
 
     monkeypatch.setattr(coxeter, "_faddeev_leverrier", logged)
     coxeter._char_poly.cache_clear()
@@ -968,12 +968,16 @@ def test_a_gram_shift_that_leaves_a_remainder_raises():
 
 def test_faddeev_leverrier_on_zero_and_one_rows():
     assert _faddeev_leverrier([]) == ([1], None)
-    assert _faddeev_leverrier([], table=True) == ([1], [])
-    assert _faddeev_leverrier([[]], table=True) == ([0, 1], [[Poly.one()]])
+    assert _faddeev_leverrier([], range(0)) == ([1], [])
+    assert _faddeev_leverrier([[]], range(1)) == ([0, 1], [[Poly.one()]])
+    assert _faddeev_leverrier([[]], range(0)) == ([0, 1], [])
     # one edge of weight 5: x^2 - 25, adj = [[x, 5], [5, x]]
     x, five = Poly.x(), Poly.const(5)
-    assert _faddeev_leverrier([[(1, 5)], [(0, 5)]], table=True) == (
+    assert _faddeev_leverrier([[(1, 5)], [(0, 5)]], range(2)) == (
         [-25, 0, 1], [[x, five], [five, x]])
+    for block, entry in ((range(1), x), (range(1, 2), x)):
+        assert _faddeev_leverrier([[(1, 5)], [(0, 5)]], block) == (
+            [-25, 0, 1], [[entry]])
     assert cofactors(Diagram(0)).n == 0
     assert cofactors(Diagram(1))[0, 0] == Poly.one()
     # the halves of no vertex, of one vertex with no column and of one edge
@@ -1481,3 +1485,32 @@ def test_schur_step_computes_each_cross_pair_once(monkeypatch):
         assert list(st_.crosses) == _oracle_crosses(d, 0, det_exact)
         by_pair = {pair: p for pair, _, p in st_.crosses}
         assert all(by_pair[j, i] == p.bar() for (i, j), p in by_pair.items())
+
+
+def test_divide_blocks_equal_the_full_tables_block(monkeypatch):
+    # every Gram adjugate of `verify divide` at seeds 42 and 7 against the
+    # block of the whole table; a zero row or column of A or B leaves an
+    # isolated vertex, which starts its own class on side 0, so some blocks
+    # mix the two sides
+    import contextlib
+    import io
+
+    from coxkit import cli
+
+    real = coxeter._faddeev_leverrier
+    blocks = []  # the number of sides each block spans
+
+    def checked(rows, block=None):
+        got = real(rows, block)
+        if block is not None:
+            det, full = real(rows, range(len(rows)))
+            assert got == (det, [[full[i][j] for j in block] for i in block])
+            side, _ = coxeter._two_sides(rows)
+            blocks.append(len({side[i] for i in block}))
+        return got
+
+    monkeypatch.setattr(coxeter, "_faddeev_leverrier", checked)
+    for seed in ("42", "7"):
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert cli.main(["verify", "divide", "--seed", seed]) == 0
+    assert len(blocks) == 88 and blocks.count(2) == 5

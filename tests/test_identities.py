@@ -147,30 +147,138 @@ def test_compare_of_sides_that_differ_subtracts_them():
         IdentityReport.compare("rings", Laurent.one(), BiLaurent({(0, 0): 1}))
 
 
-def test_the_forms_call_the_pairings_bound_in_the_module(monkeypatch):
-    # the pairing is looked up when a form runs, so a patched (or traced)
-    # bezoutian or wronskian sees the calls of every form
-    calls = {"bezoutian": 0, "wronskian": 0}
-    for name in calls:
+def _count_pairings(monkeypatch) -> dict:
+    """Count the bezoutian and wronskian calls of identities, and the
+    decodes of a packed side (Frame.laurents, which bilaurents reads)."""
+    from coxkit.algebra import Frame
+
+    calls = {"bezoutian": 0, "wronskian": 0, "decode": 0}
+    for name in ("bezoutian", "wronskian"):
         def counted(f, g, real=getattr(identities, name), name=name):
             calls[name] += 1
             return real(f, g)
 
         monkeypatch.setattr(identities, name, counted)
 
-    def taken():
-        out = dict(calls)
-        calls.update(bezoutian=0, wronskian=0)
-        return out
+    def decode(frame, xs, *args, real=Frame.laurents):
+        calls["decode"] += 1
+        return real(frame, xs, *args)
 
-    assert cd_coxeter(build("D", 5), 2).holds
-    assert cd_wronskian(build("D", 5), 2).holds
-    assert taken() == {"bezoutian": 2, "wronskian": 2}
-    assert all(r.holds for r in chain_identities(build("A", 5), range(5)))
-    assert taken() == {"bezoutian": 8, "wronskian": 8}
+    monkeypatch.setattr(Frame, "laurents", decode)
+    return calls
+
+
+def _taken(calls) -> dict:
+    out = dict(calls)
+    calls.update(dict.fromkeys(calls, 0))
+    return out
+
+
+def test_the_forms_call_the_pairings_bound_in_the_module(monkeypatch):
+    # a form that holds is decided packed and makes no pairing until a side
+    # is read; the pairing is looked up when it runs, so a patched (or
+    # traced) bezoutian or wronskian sees the calls of every form
+    calls = _count_pairings(monkeypatch)
+    pivot = [cd_coxeter(build("D", 5), 2), cd_wronskian(build("D", 5), 2)]
+    chain = chain_identities(build("A", 5), range(5))
+    assert all(r.holds for r in pivot + chain)
+    assert _taken(calls) == {"bezoutian": 0, "wronskian": 0, "decode": 0}
+    # the first read of a side makes both sums, each pairing its boundary
+    assert pivot[0].lhs == pivot[0].rhs and pivot[1].rhs == pivot[1].lhs
+    assert _taken(calls) == {"bezoutian": 2, "wronskian": 2, "decode": 0}
+    assert all(r.lhs == r.rhs for r in chain)
+    assert _taken(calls) == {"bezoutian": 8, "wronskian": 8, "decode": 0}
     # a fresh data object, so the type's table is built here
     assert all(r.holds for r in poincare_cd(klein_data("affE", 6), 0))
-    assert taken() == {"bezoutian": 7, "wronskian": 7}
+    assert _taken(calls) == {"bezoutian": 7, "wronskian": 7, "decode": 0}
+
+
+def test_holding_reports_make_their_sides_once_and_only_when_read(
+        monkeypatch):
+    calls = _count_pairings(monkeypatch)
+    rng = random.Random(41)
+    graphs = [build("E", 6), build("affA", 5), build("affD", 6),
+              random_tree(rng, 9, (1, 2))]
+    reports = []
+    for d in graphs:
+        for p in range(d.n):
+            reports += [cd_coxeter(d, p), cd_wronskian(d, p)]
+        reports += cd_char(d, rng.randrange(d.n), rng.randrange(d.n))
+        reports += cd_char(d, 0, 0)
+    d, tail = _tree_with_path_tail(rng, 4, 4)
+    reports += [r for r in chain_identities(d, tail)
+                if r.name.startswith(("chain-bez", "chain-wr"))]
+    assert all(r.holds for r in reports) and len(reports) == 78
+    assert not any(_taken(calls).values())
+    for k, rep in enumerate(reports):
+        first = rep.rhs if k % 2 else rep.lhs
+        taken = _taken(calls)
+        # one pairing for each side of a sum, one decode of a packed form
+        want = ({"decode": 1} if rep.name.startswith("cd-char") else
+                {"bezoutian" if "bez" in rep.name else "wronskian": 2})
+        assert taken == {**dict.fromkeys(calls, 0), **want}, rep.name
+        assert (rep.rhs if k % 2 else rep.lhs) is first
+        assert rep.lhs == rep.rhs and hash(rep)
+        assert not any(_taken(calls).values())
+
+
+def test_sides_read_after_other_diagrams_are_the_reports_own():
+    # every report is made before any side is read, so the packed table
+    # memo, which keeps one diagram, holds the last one when the first
+    # report is read
+    from coxkit.coxeter import char_poly, cofactors, schur_step
+
+    rng = random.Random(43)
+    graphs = _cd_graphs(29)[2:9]
+    made = []
+    for d in graphs:
+        i, j = rng.randrange(d.n), rng.randrange(d.n)
+        p = rng.randrange(d.n)
+        made.append((d, i, j, p, cd_char(d, i, j), cd_coxeter(d, p),
+                     cd_wronskian(d, p)))
+    for d, i, j, p, packed, bez, wr in made:
+        _same_reports(packed, _dict_cd_char(char_poly(d), cofactors(d), i, j))
+        step = schur_step(d, p)
+        for rep, form in ((bez, True), (wr, False)):
+            assert _sides(rep) == _cd_oracle(
+                rep.name, [(step.total, step.base)],
+                [(step.base, step.terms)], [step.base], form)
+
+
+def test_a_report_made_on_demand_equals_the_one_built_with_its_sides():
+    import copy
+
+    lhs, zero = Laurent({-1: 2, 3: 1}), Laurent.zero()
+    made = []
+    late = IdentityReport.on_demand(
+        "late", zero, lambda: made.append(1) or (lhs, lhs))
+    built = IdentityReport("late", lhs, lhs, zero, True)
+    assert late.holds and late.residual_terms == 0 and not made
+    assert late == built and hash(late) == hash(built)
+    assert repr(late) == repr(built) and made == [1]
+    assert dataclasses.replace(late, holds=False) == IdentityReport(
+        "late", lhs, lhs, zero, False)
+    assert copy.copy(late) == built and made == [1]
+    # a second late report is read through ==, from either side
+    other = IdentityReport.on_demand("late", zero, lambda: (lhs, lhs))
+    assert built == other
+    with pytest.raises(AttributeError):
+        late.missing
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        late.lhs = zero
+    # a sides() that raises is run again on the next read
+    tries = []
+
+    def failing():
+        tries.append(1)
+        raise ZeroDivisionError
+
+    broken = IdentityReport.on_demand("broken", Laurent.one(), failing)
+    assert not broken.holds and broken.residual_terms == 1
+    for _ in range(2):
+        with pytest.raises(ZeroDivisionError):
+            broken.rhs
+    assert tries == [1, 1]
 
 
 # -- characteristic-polynomial forms --------------------------------------------
@@ -849,3 +957,148 @@ def test_chain_and_antipodal_reports_match_the_per_term_sums():
                 [(zt[mid - 1], zt[mid]), (zt[mid + 1], zt[mid])], [],
                 [zt[mid]], bez)
         assert all(r.holds for r in reps)
+
+
+# -- the packed verdict of a Christoffel-Darboux sum against the dense sums ------
+
+def _laurent(rng, size):
+    """Up to 6 seeded terms, exponents -6..6, coefficients in -size..size."""
+    return Laurent({rng.randint(-6, 6): rng.randint(-size, size)
+                    for _ in range(rng.randint(0, 6))})
+
+
+def _holding_sums(rng, size):
+    """(left, right, inside) of the three shapes _cd is called with, each
+    built to hold in both forms: a pivot, total = z base - terms; a chain,
+    C_(j-1) = z C_j - C_(j+1); and two parents a + b = z m."""
+    z = Laurent.z()
+    h, t = _laurent(rng, size), _laurent(rng, size)
+    c = [_laurent(rng, size), _laurent(rng, size)]
+    while len(c) < rng.randint(2, 6):
+        c.insert(0, z * c[0] - c[1])
+    m, a = _laurent(rng, size), _laurent(rng, size)
+    return [([(z * h - t, h)], [(h, t)], [h]),
+            ([(c[0], c[1])], [(c[-2], c[-1])], c[1:-1]),
+            ([(a, m), (z * m - a, m)], [], [m])]
+
+
+def _planted(rng, sums, size):
+    """The sums with one seeded monomial added to one of their inputs."""
+    left, right, inside = ([list(p) for p in part] if part is not sums[2]
+                           else list(part) for part in sums)
+    spots = ([(left, k, s) for k in range(len(left)) for s in (0, 1)]
+             + [(right, k, s) for k in range(len(right)) for s in (0, 1)]
+             + [(inside, k, None) for k in range(len(inside))])
+    where, k, s = rng.choice(spots)
+    bump = rng.choice((-1, 1)) * rng.randint(1, size) * Laurent.q(
+        rng.randint(-7, 7))
+    if s is None:
+        where[k] = where[k] + bump
+    else:
+        where[k][s] = where[k][s] + bump
+    return ([tuple(p) for p in left], [tuple(p) for p in right], inside)
+
+
+def _check_against_dense(form, sums) -> bool:
+    """Assert that _cd's report of sums is the dense one: its name, sides
+    and residual, and its residual_terms; return its verdict."""
+    left, right, inside = sums
+    bez = form is identities._BEZ
+    rep = identities._cd(form, "sum", left, right, inside)
+    want = _cd_oracle("sum", left, right, inside, bez)
+    assert rep.holds == (nonzero_terms(want[3]) == 0), sums
+    assert rep.residual_terms == nonzero_terms(want[3])
+    assert _sides(rep) == want, sums
+    assert type(rep.residual) is (BiLaurent if bez else Laurent)
+    return rep.holds
+
+
+def test_packed_verdict_matches_the_dense_sums_on_seeded_inputs(monkeypatch):
+    from coxkit.algebra import Frame
+
+    widths = []
+
+    class Recorded(Frame):
+        def __init__(self, bound):
+            super().__init__(bound)
+            widths.append(self.width)
+
+    monkeypatch.setattr(identities, "Frame", Recorded)
+    rng = random.Random(47)
+    planted, loose = [], []
+    for size in (1, 3, 10 ** 6, 10 ** 30):
+        for _ in range(40):
+            for sums in _holding_sums(rng, size):
+                for form in (identities._BEZ, identities._WR):
+                    assert _check_against_dense(form, sums)
+                    # a planted term that pairs with zero, or with a
+                    # multiple of its partner, may leave the sum holding
+                    planted.append(_check_against_dense(
+                        form, _planted(rng, sums, size)))
+                    # seeded inputs that were not built to hold
+                    loose.append(_check_against_dense(form, (
+                        [(_laurent(rng, size), _laurent(rng, size))],
+                        [(_laurent(rng, size), _laurent(rng, size))],
+                        [_laurent(rng, size)])))
+    assert planted.count(False) > 850 and loose.count(False) > 850
+    assert min(widths) == 64
+    assert max(widths) > 200  # coefficients of 10^30 need wide digits
+
+
+def test_a_digit_past_64_bits_is_not_read_as_a_carry(monkeypatch):
+    # Wr(q^2, q - 2^63) times q^2 is q^4 - 2^64 q^3: it vanishes at
+    # q = 2^64, so in 64-bit digits the two terms would cancel.  The bound
+    # of _packed, 2 * 3 * (2^63 + 2), takes the frame to 72 bits, where
+    # the sum fails
+    from coxkit.algebra import Frame
+
+    q2, g = Laurent.q(2), Laurent({1: 1, 0: -2 ** 63})
+    assert not _check_against_dense(identities._WR, ([(q2, g)], [], []))
+    assert not _check_against_dense(identities._BEZ, ([(q2, g)], [], []))
+
+    class Narrow(Frame):
+        def __init__(self, bound):
+            super().__init__(0)
+
+    monkeypatch.setattr(identities, "Frame", Narrow)
+    assert identities._wr_holds([(q2, g)], [], [])
+
+
+def test_packed_verdict_at_every_pivot_of_the_ade_sweep():
+    from coxkit.coxeter import schur_step
+    from coxkit.diagram import ade_types
+
+    rng = random.Random(53)
+    checked = 0
+    for fam, n in ade_types(8):
+        d = build(fam, n)
+        for pivot in range(d.n):
+            step = schur_step(d, pivot)
+            sums = ([(step.total, step.base)], [(step.base, step.terms)],
+                    [step.base])
+            for form in (identities._BEZ, identities._WR):
+                # a planted term fails the sum, with the dense residual
+                assert _check_against_dense(form, sums)
+                assert not _check_against_dense(form, _planted(rng, sums, 5))
+                checked += 1
+    assert checked == 380
+
+
+def test_every_christoffel_darboux_sum_of_verify_all_is_decided_packed(
+        monkeypatch):
+    import contextlib
+    import io
+
+    from coxkit import cli
+
+    verdicts = []
+    for name in ("_bez_holds", "_wr_holds"):
+        def logged(*sums, real=getattr(identities, name)):
+            verdicts.append(real(*sums))
+            return verdicts[-1]
+
+        monkeypatch.setattr(identities, name, logged)
+    for seed in ("42", "7"):
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert cli.main(["verify", "all", "--seed", seed]) == 0
+    assert len(verdicts) == 1372 and all(verdicts)
