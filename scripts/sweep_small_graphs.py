@@ -5,20 +5,26 @@ Each graph gets seeded weights from {1, 2} and a seeded shuffled vertex
 order.  Under each setting of the expansion gate, with empty memos, it
 checks that
 - coxeter_poly equals det_exact of the Coxeter matrix,
-- char_poly equals det_poly of zE - A (A the weighted adjacency), and
+- char_poly, and the determinant of the Faddeev-LeVerrier pass, equal
+  det_poly of zE - A (A the weighted adjacency), forests included,
+- the trace of the cofactor table equals the derivative of that
+  determinant, and
 - cd_char at every pair, and cd_coxeter and cd_wronskian at the first
   vertex of the seeded order, hold with sides that are equal when read:
   each of them is decided by a packed comparison, and its sides are made
   only when read.
 A gate of -1 sends every graph with a cycle to Bareiss (coxeter_poly) and
 to Faddeev-LeVerrier (char_poly); a large gate sends every one through
-Schwenk's edge step, read in q and in z.  The tier-1 test
+Schwenk's edge step, read in q and in z.  The pass itself and the cofactor
+table run on every graph at either gate.  The tier-1 test
 tests/test_small_graphs.py runs the same checks on 1-5 vertices, plus on at
 most 4 the two Christoffel-Darboux forms at every pivot, the cofactor
 table against the signed minors of zE - A (det_poly), the Schur step at
 every pivot, and det_exact of the Coxeter matrix against Laplace
-expansion.  The 32768 graphs took about 105 s per gate on a 2-core VM
-with Python 3.11.7 (about 23 s before the Christoffel-Darboux checks).
+expansion.  The 32768 graphs took about 101 s per gate on a 2-core VM
+with Python 3.11.7 (about 100 s without the pass and trace checks, since
+cd_char builds the same cofactor table; about 23 s before the
+Christoffel-Darboux checks).
 
 Usage:
     python scripts/sweep_small_graphs.py
@@ -68,23 +74,31 @@ def signed_minor(m, i: int, j: int) -> Poly:
 
 
 def failed_checks(d: Diagram, tables: bool) -> list[str]:
-    """The checks that fail on d: coxeter_poly and char_poly against their
-    determinants, and cd_char at every pair and both Christoffel-Darboux
-    forms at the first vertex of d's order, each holding with lhs == rhs,
-    so that the packed verdict that decides them agrees with the sides
-    made when read; tables takes the two forms at every pivot, and adds
-    every cofactor against the signed minor of zE - A, the Schur step at
-    every pivot, and det_exact of the Coxeter matrix against Laplace
-    expansion.  The order is seeded, so the pivots of a sweep vary from
-    graph to graph; every pivot of 6-vertex graphs took the sweep from
-    3.5 to 8 minutes."""
+    """The checks that fail on d: coxeter_poly, char_poly and the
+    Faddeev-LeVerrier determinant against their determinants, the trace of
+    the cofactor table against G', and cd_char at every pair and both
+    Christoffel-Darboux forms at the first vertex of d's order, each
+    holding with lhs == rhs, so that the packed verdict that decides them
+    agrees with the sides made when read; tables takes the two forms at
+    every pivot, and adds every cofactor against the signed minor of
+    zE - A, the Schur step at every pivot, and det_exact of the Coxeter
+    matrix against Laplace expansion.  The order is seeded, so the pivots
+    of a sweep vary from graph to graph; every pivot of 6-vertex graphs
+    took the sweep from 3.5 to 8 minutes."""
     bad = []
     if coxeter.coxeter_poly(d) != det_exact(coxeter.coxeter_matrix(d)):
         bad.append("coxeter_poly")
     z_minus_a = [[Poly.x() if r == c else Poly.const(-d.weight(r, c))
                   for c in range(d.n)] for r in range(d.n)]
-    if coxeter.char_poly(d) != det_poly(z_minus_a):
+    g = det_poly(z_minus_a)
+    if coxeter.char_poly(d) != g:
         bad.append("char_poly")
+    if Poly(coxeter._faddeev_leverrier(d)[0]) != g:
+        bad.append("Faddeev-LeVerrier determinant")
+    table = coxeter.cofactors(d)
+    trace = sum((table[i, i] for i in range(d.n)), Poly.zero())
+    if trace != Poly([k * c for k, c in enumerate(g.coeffs)][1:]):
+        bad.append("cofactor trace")
     sums = [(f"cd_char {i} {j}", rep) for i in range(d.n)
             for j in range(i, d.n) for rep in identities.cd_char(d, i, j)]
     for p in range(d.n) if tables else d.order[:1]:
@@ -93,7 +107,6 @@ def failed_checks(d: Diagram, tables: bool) -> list[str]:
     bad += [name for name, rep in sums
             if not (rep.holds and rep.lhs == rep.rhs)]
     if tables:
-        table = coxeter.cofactors(d)
         bad += [f"cofactor {i} {j}" for i in range(d.n) for j in range(d.n)
                 if table[i, j] != signed_minor(z_minus_a, i, j)]
         bad += [f"schur pivot {p}" for p in range(d.n)

@@ -355,6 +355,10 @@ class _Sparse:
     def items(self) -> tuple:
         return tuple(sorted(self._c.items()))
 
+    def __len__(self) -> int:
+        """The number of nonzero terms, without sorting them."""
+        return len(self._c)
+
     def __add__(self, other):
         if type(other) is not type(self):
             return NotImplemented

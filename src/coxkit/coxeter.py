@@ -16,7 +16,7 @@ from operator import add, sub
 from typing import Sequence
 
 from .algebra import Laurent, Poly, det_exact, det_poly, mat_mul, z_substitute
-from .diagram import Diagram, SeifertMatrix
+from .diagram import Diagram, SeifertMatrix, two_coloring
 from .errors import (DomainError, PreconditionABneq2C, SizeMismatch,
                      UnknownVertex)
 from .report import IdentityReport
@@ -155,37 +155,13 @@ def coxeter_matrix(d: Diagram) -> list[list[Laurent]]:
 # characteristic polynomial and cofactors
 # ---------------------------------------------------------------------------
 
-def _adjacency_rows(n: int, edges) -> list[list[tuple[int, int]]]:
+def _adjacency_rows(d: Diagram) -> list[list[tuple[int, int]]]:
     """Nonzero entries (column, weight) of each row of the adjacency."""
-    rows: list[list[tuple[int, int]]] = [[] for _ in range(n)]
-    for i, j, w in edges:
+    rows: list[list[tuple[int, int]]] = [[] for _ in range(d.n)]
+    for i, j, w in d.edges():
         rows[i].append((j, w))
         rows[j].append((i, w))
     return rows
-
-
-def _two_sides(rows) -> tuple[list[int], list[list[int]]]:
-    """A 2-colouring of the nonzero pattern of rows: the side (0 or 1) of
-    each vertex and the two classes, each in ascending order.  A pattern
-    with an odd cycle gets side 0 everywhere and one class that holds every
-    vertex."""
-    n = len(rows)
-    side = [-1] * n
-    for s in range(n):
-        if side[s] >= 0:
-            continue
-        side[s], stack = 0, [s]
-        while stack:
-            i = stack.pop()
-            other = 1 - side[i]
-            for t, _ in rows[i]:
-                if side[t] < 0:
-                    side[t] = other
-                    stack.append(t)
-                elif side[t] != other:
-                    return [0] * n, [list(range(n))]
-    return side, [[i for i in range(n) if not side[i]],
-                  [i for i in range(n) if side[i]]]
 
 
 def _row_times(row, m: list[list[int]]) -> list[int]:
@@ -214,9 +190,9 @@ def _trace_coeff(tr: int, k: int) -> int:
     return -(tr // k)
 
 
-def _faddeev_leverrier(rows, block: range | None = None):
-    """det(xE - M), and adj(xE - M) on request, for a diagram's weighted
-    adjacency M given by the nonzero entries (column, weight) of each row.
+def _faddeev_leverrier(d: Diagram, block: range | None = None):
+    """det(xE - M), and adj(xE - M) on request, for the weighted adjacency
+    M of the diagram d, held by the nonzero entries of each row.
 
     M_0 = E, M_k = M M_{k-1} + c_k E with c_k = -tr(M M_{k-1}) / k (always
     exact).  The c_k are the coefficients of det(xE - M) = sum c_k x^(n-k)
@@ -224,13 +200,13 @@ def _faddeev_leverrier(rows, block: range | None = None):
     diagonal of M M_{k-1} before c_k is added; the last step, which needs
     no layer, computes only that diagonal.
 
-    On a bipartite pattern (see _two_sides), (M^k)_ij vanishes unless
-    k = side(i) + side(j) mod 2, so c_k = 0 at odd k, and row i of M_k is
-    held at half width, on the class of side side(i) + k mod 2, where the
-    row of every neighbour of i lies in M_{k-1}: a step costs |E|n
-    products, and the trace runs at even k only.  Any other pattern runs
-    the same loop with one class of every vertex: full rows, and a trace
-    at every k.
+    On a bipartite diagram, side(i) the color of i (diagram.two_coloring),
+    (M^k)_ij vanishes unless k = side(i) + side(j) mod 2, so c_k = 0 at
+    odd k, and row i of M_k is held at half width, on the class of side
+    side(i) + k mod 2, where the row of every neighbour of i lies in
+    M_{k-1}: a step costs |E|n products, and the trace runs at even k
+    only.  Any other diagram runs the same loop with one class of every
+    vertex: full rows, and a trace at every k.
 
     Returns the ascending coefficients of the determinant, and with block,
     a range of vertices, the block x block part of adj(xE - M) as a table
@@ -243,9 +219,15 @@ def _faddeev_leverrier(rows, block: range | None = None):
     symmetric, so the adjugate is too: each unordered pair is built once,
     and [i][j] and [j][i] hold the same Poly.
     """
-    n = len(rows)
-    side, classes = _two_sides(rows)
-    h = len(classes)  # 2 on a bipartite pattern, else 1
+    n = d.n
+    rows = _adjacency_rows(d)
+    side, clash = two_coloring(d)
+    if clash:
+        side, classes = [0] * n, [range(n)]
+    else:
+        classes = [[i for i in range(n) if not side[i]],
+                   [i for i in range(n) if side[i]]]
+    h = len(classes)  # 2 on a bipartite diagram, else 1
     at = [0] * n  # the place of each vertex in its class
     for cls in classes:
         for p, i in enumerate(cls):
@@ -308,7 +290,7 @@ def char_poly(d: Diagram) -> Poly:
 def _char_poly(n: int, edges) -> Poly:
     closing = _cyclomatic(n, edges)
     if closing and len(closing) > _EXPAND_MAX:  # not a forest, at any gate
-        coeffs, _ = _faddeev_leverrier(_adjacency_rows(n, edges))
+        coeffs, _ = _faddeev_leverrier(_rebuild(n, edges))
         return Poly(coeffs)
     if closing:
         u, v, a = e = closing[0]
@@ -396,7 +378,7 @@ def cofactors(d: Diagram) -> CofactorTable:
 # is kept: the suites finish with one diagram before they move to the next.
 @lru_cache(maxsize=1)
 def _cofactors(n: int, edges) -> CofactorTable:
-    _, adj = _faddeev_leverrier(_adjacency_rows(n, edges), range(n))
+    _, adj = _faddeev_leverrier(_rebuild(n, edges), range(n))
     return CofactorTable(tuple(map(tuple, adj)))
 
 
@@ -547,7 +529,7 @@ def walk_gf(d: Diagram, i: int, j: int, k_max: int) -> list[int]:
     """Weighted walk counts d_ij^k for k = 0..k_max (powers of the
     adjacency matrix, applied to column j one sparse row at a time)."""
     _check_vertices(d, "walk endpoints", i, j)
-    rows = _adjacency_rows(d.n, d.edges())
+    rows = _adjacency_rows(d)
     vec = [1 if t == j else 0 for t in range(d.n)]
     out = [vec[i]]
     for _ in range(k_max):
@@ -594,8 +576,7 @@ def _gram_det_adj(half: Diagram, rows: range):
     adjacency of half, p = len(rows) and r = half.n - p, the Schur
     complement gives det(zE - B) = z^(r-p) det(z^2 E - M M^t), and the rows
     by rows block of adj(zE - B) is z^(r-p+1) adj(z^2 E - M M^t)."""
-    det, adj = _faddeev_leverrier(_adjacency_rows(half.n, half.edges()),
-                                  rows)
+    det, adj = _faddeev_leverrier(half, rows)
     k = 2 * len(rows) - half.n  # p - r
     return (_times_z(Poly(det), k),
             [[_times_z(x, k - 1) for x in row] for row in adj])

@@ -298,12 +298,13 @@ class OddCycle:
     cycle: tuple[int, ...]
 
 
-def bipartite_order(d: Diagram):
-    """Two-block vertex order (one part first, then the other) or OddCycle.
-
-    A normal outcome either way: graphs without odd cycles get an order
-    under which the characteristic and Coxeter polynomials coincide.
-    """
+def two_coloring(d: Diagram):
+    """The color (0 or 1) of each vertex by parity along d.tours(), 0 at
+    each tour's root, and the first edge uv in tour order whose ends share
+    a color, as (parent, u, v) with parent that tour's parents, or None
+    when there is none; the tours after that edge's keep color 0.  A
+    bipartite component has one 2-coloring once its root's color is
+    fixed."""
     color = [0] * d.n
     for tour, parent in d.tours():
         for v in tour[1:]:
@@ -313,10 +314,21 @@ def bipartite_order(d: Diagram):
         for v in tour:
             for u in d.neighbors(v):
                 if color[u] == color[v]:
-                    return OddCycle(_odd_cycle_witness(parent, u, v))
-    part0 = [v for v in range(d.n) if color[v] == 0]
-    part1 = [v for v in range(d.n) if color[v] == 1]
-    return part0 + part1
+                    return color, (parent, u, v)
+    return color, None
+
+
+def bipartite_order(d: Diagram):
+    """Two-block vertex order (one part first, then the other) or OddCycle.
+
+    A normal outcome either way: graphs without odd cycles get an order
+    under which the characteristic and Coxeter polynomials coincide.
+    """
+    color, clash = two_coloring(d)
+    if clash:
+        return OddCycle(_odd_cycle_witness(*clash))
+    return ([v for v in range(d.n) if not color[v]]
+            + [v for v in range(d.n) if color[v]])
 
 
 def _odd_cycle_witness(parent, u, v) -> tuple[int, ...]:

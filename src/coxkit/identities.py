@@ -80,17 +80,12 @@ def _packed(left, right, inside):
             for key, t in terms.items()}
     bound = (2 * sum(both[id(f)] * both[id(g)] for f, g in (*left, *right))
              + 4 * sum(size[id(h)] ** 2 for h in inside))
-    w = Frame(bound).width
+    frame = Frame(bound)
     lo = min((t[0][0] for t in terms.values() if t), default=0)
-    at_y = {}
-    for key, t in terms.items():
-        x = e = 0
-        for k, c in t:
-            v = c << w * (k - lo)
-            x += v
-            e += k * v
-        at_y[key] = x, e
-    return terms, at_y, w
+    at_y = {key: (frame.pack((k - lo, c) for k, c in t),
+                  frame.pack((k - lo, k * c) for k, c in t))
+            for key, t in terms.items()}
+    return terms, at_y, frame.width
 
 
 def _bez_holds(left, right, inside) -> bool:

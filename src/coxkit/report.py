@@ -70,5 +70,5 @@ def nonzero_terms(residual) -> int:
     if isinstance(residual, (int, Fraction)):
         return int(residual != 0)
     if hasattr(residual, "items"):
-        return len(residual.items())
+        return len(residual)
     return sum(1 for c in residual.coeffs if c)

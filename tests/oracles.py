@@ -18,7 +18,7 @@ from operator import add, sub
 
 from coxkit.algebra import Laurent, Poly, det_exact, det_poly
 from coxkit.braid import free_reduce, laurent_to_t_poly, word_inverse
-from coxkit.coxeter import _adjacency_rows, _check_vertices, _faddeev_leverrier
+from coxkit.coxeter import _check_vertices, _faddeev_leverrier
 from coxkit.diagram import Diagram
 from coxkit.errors import DomainError
 
@@ -76,7 +76,7 @@ def _z_matrix(d: Diagram) -> list[list[Poly]]:
 def fl_char(d: Diagram) -> Poly:
     """det(zE - A) by the Faddeev-LeVerrier pass, whatever the graph: the
     forest recursion and Schwenk's edge step never run in it."""
-    return Poly(_faddeev_leverrier(_adjacency_rows(d.n, d.edges()))[0])
+    return Poly(_faddeev_leverrier(d)[0])
 
 
 def cofactor_entry(d: Diagram, i: int, j: int) -> Poly:

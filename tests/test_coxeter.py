@@ -19,8 +19,8 @@ from coxkit.coxeter import (SchurStep, _adjacency_rows, _cyclomatic,
                             divide_identity, identity7_check, join_poly,
                             path_sum_H, pivot_first, schur_step,
                             walk_expansion_residual, walk_gf)
-from coxkit.diagram import (MAX_VERTICES, Diagram, bipartite_order, build,
-                            join, random_tree)
+from coxkit.diagram import (MAX_VERTICES, Diagram, OddCycle, bipartite_order,
+                            build, join, random_tree, two_coloring)
 from coxkit.errors import (DomainError, ExactDivisionError,
                            PreconditionABneq2C, SizeMismatch, UnknownVertex)
 from coxkit.report import nonzero_terms
@@ -641,9 +641,9 @@ def test_cofactors_match_minors_and_invert_on_random_graphs():
 
 def test_engine_matches_the_full_row_oracle_on_random_graphs():
     for d in GRAPHS:
-        rows = _adjacency_rows(d.n, d.edges())
+        rows = _adjacency_rows(d)
         for table in (False, True):
-            assert (_faddeev_leverrier(rows, range(d.n) if table else None)
+            assert (_faddeev_leverrier(d, range(d.n) if table else None)
                     == faddeev_leverrier_full_rows(rows, table)), d
 
 
@@ -684,8 +684,8 @@ def _layer_widths(monkeypatch, call) -> set:
 def test_layer_rows_are_half_width_exactly_on_bipartite_patterns(
         monkeypatch):
     def table(d):
-        return _layer_widths(monkeypatch, lambda: _faddeev_leverrier(
-            _adjacency_rows(d.n, d.edges()), range(d.n)))
+        return _layer_widths(monkeypatch,
+                             lambda: _faddeev_leverrier(d, range(d.n)))
 
     tree = random_tree(random.Random(9), 21, (1, -2, 3))
     assert table(tree) == _side_counts(tree) and len(_side_counts(tree)) == 2
@@ -699,6 +699,62 @@ def test_layer_rows_are_half_width_exactly_on_bipartite_patterns(
     c = [[x // 2 for x in row] for row in algebra.mat_mul(a, b)]
     assert _layer_widths(monkeypatch,
                          lambda: divide_identity(a, b, c)) == {2, 3, 4}
+
+
+def _two_parts(d: Diagram, split: list[int]):
+    """The two parts of a two-block order of d: every vertex of the second
+    part has a neighbour in the first, its parent in the tour, and no
+    vertex of the first has one before it."""
+    seen: set[int] = set()
+    for s, v in enumerate(split):
+        if seen.intersection(d.neighbors(v)):
+            return split[:s], split[s:]
+        seen.add(v)
+    return split, []
+
+
+def test_engine_classes_are_the_parts_of_bipartite_order(monkeypatch):
+    # row i of layer k lies on the class of side(i) + k mod 2: it is as
+    # wide as the part of bipartite_order that holds i at even k and as
+    # the other part at odd k, and as all n vertices on a diagram with an
+    # odd cycle; an empty row sums to no entry at all
+    rng = random.Random(83)
+    seeded = []
+    for _ in range(60):
+        d = Diagram(rng.randint(0, 3))  # isolated vertices
+        for _ in range(rng.randint(1, 3)):
+            d = disjoint_union(d, build("affA", rng.randint(1, 7))
+                               if rng.random() < 0.3
+                               else random_tree(rng, rng.randint(1, 7),
+                                                (1, -2, 3)))
+        seeded.append(_relabel(rng, d))
+    splits = [bipartite_order(d) for d in seeded]
+    assert any(isinstance(s, OddCycle) for s in splits)
+    assert any(not isinstance(s, OddCycle) and len(d.components()) > 2
+               and any(not d.neighbors(v) for v in range(d.n))
+               and _cyclomatic(d.n, d.edges()) for d, s in zip(seeded, splits))
+    for d in [Diagram(0), *GRAPHS, *seeded]:
+        widths: list[int] = []
+        real = coxeter._row_times
+
+        def logged(row, m):
+            out = real(row, m)
+            widths.append(len(out))
+            return out
+
+        with monkeypatch.context() as mp:
+            mp.setattr(coxeter, "_row_times", logged)
+            _faddeev_leverrier(d, range(d.n))
+        split = bipartite_order(d)
+        if isinstance(split, OddCycle):
+            size = {i: (d.n, d.n) for i in range(d.n)}
+        else:
+            first, second = _two_parts(d, split)
+            assert first == sorted(first) and second == sorted(second), d
+            size = {**{i: (len(first), len(second)) for i in first},
+                    **{i: (len(second), len(first)) for i in second}}
+        assert widths == [size[i][k % 2] if d.neighbors(i) else 0
+                          for k in range(1, d.n) for i in range(d.n)], d
 
 
 def test_char_poly_and_cofactors_match_sympy():
@@ -831,9 +887,9 @@ def _char_poly_engines(monkeypatch, graphs) -> list:
     on these graphs, on an empty memo."""
     calls = []
 
-    def logged(rows, block=None):
-        calls.append(len(rows))
-        return _faddeev_leverrier(rows, block)
+    def logged(d, block=None):
+        calls.append(d.n)
+        return _faddeev_leverrier(d, block)
 
     monkeypatch.setattr(coxeter, "_faddeev_leverrier", logged)
     coxeter._char_poly.cache_clear()
@@ -903,7 +959,7 @@ def _int_det(m: list[list[int]]) -> int:
 
 def test_sweep_tables_are_symmetric_inverses_on_large_graphs():
     graphs = _sweep_graphs()
-    rows = [_adjacency_rows(d.n, d.edges()) for d in graphs]
+    rows = [_adjacency_rows(d) for d in graphs]
     # every branch of the row sum runs: an empty row, a row that is one
     # entry of weight 1 (a copy), and later entries of weight 1, -1 and
     # others (map by add, by sub and over w.__mul__)
@@ -967,17 +1023,17 @@ def test_a_gram_shift_that_leaves_a_remainder_raises():
 
 
 def test_faddeev_leverrier_on_zero_and_one_rows():
-    assert _faddeev_leverrier([]) == ([1], None)
-    assert _faddeev_leverrier([], range(0)) == ([1], [])
-    assert _faddeev_leverrier([[]], range(1)) == ([0, 1], [[Poly.one()]])
-    assert _faddeev_leverrier([[]], range(0)) == ([0, 1], [])
+    empty, point, edge = Diagram(0), Diagram(1), Diagram(2, [((0, 1), 5)])
+    assert _faddeev_leverrier(empty) == ([1], None)
+    assert _faddeev_leverrier(empty, range(0)) == ([1], [])
+    assert _faddeev_leverrier(point, range(1)) == ([0, 1], [[Poly.one()]])
+    assert _faddeev_leverrier(point, range(0)) == ([0, 1], [])
     # one edge of weight 5: x^2 - 25, adj = [[x, 5], [5, x]]
     x, five = Poly.x(), Poly.const(5)
-    assert _faddeev_leverrier([[(1, 5)], [(0, 5)]], range(2)) == (
+    assert _faddeev_leverrier(edge, range(2)) == (
         [-25, 0, 1], [[x, five], [five, x]])
-    for block, entry in ((range(1), x), (range(1, 2), x)):
-        assert _faddeev_leverrier([[(1, 5)], [(0, 5)]], block) == (
-            [-25, 0, 1], [[entry]])
+    for block in (range(1), range(1, 2)):
+        assert _faddeev_leverrier(edge, block) == ([-25, 0, 1], [[x]])
     assert cofactors(Diagram(0)).n == 0
     assert cofactors(Diagram(1))[0, 0] == Poly.one()
     # the halves of no vertex, of one vertex with no column and of one edge
@@ -1500,12 +1556,13 @@ def test_divide_blocks_equal_the_full_tables_block(monkeypatch):
     real = coxeter._faddeev_leverrier
     blocks = []  # the number of sides each block spans
 
-    def checked(rows, block=None):
-        got = real(rows, block)
+    def checked(d, block=None):
+        got = real(d, block)
         if block is not None:
-            det, full = real(rows, range(len(rows)))
+            det, full = real(d, range(d.n))
             assert got == (det, [[full[i][j] for j in block] for i in block])
-            side, _ = coxeter._two_sides(rows)
+            side, clash = two_coloring(d)
+            assert clash is None
             blocks.append(len({side[i] for i in block}))
         return got
 

@@ -117,7 +117,9 @@ def test_each_component_is_toured_once(monkeypatch):
     for n in (1, 5, 8):
         forest = disjoint_union(forest, random_tree(rng, n, (1, 2)))
     coxeter._char_poly.cache_clear()
+    coxeter._cofactors.cache_clear()
     for run in (lambda: coxeter.char_poly(forest),
+                lambda: coxeter.cofactors(forest),
                 lambda: bipartite_order(forest), forest.components):
         calls.clear()
         run()
