@@ -454,9 +454,6 @@ class Laurent(_Sparse):
     def max_exp(self) -> int:
         return max(self._c)
 
-    def coeff(self, k: int) -> int:
-        return self._c.get(k, 0)
-
     def __mul__(self, other: Union["Laurent", int]) -> "Laurent":
         if isinstance(other, int):
             return _Sparse.__mul__(self, other)

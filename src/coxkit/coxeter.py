@@ -190,7 +190,7 @@ def _trace_coeff(tr: int, k: int) -> int:
     return -(tr // k)
 
 
-def _faddeev_leverrier(d: Diagram, block: range | None = None):
+def _faddeev_leverrier(d: Diagram, table: bool = False):
     """det(xE - M), and adj(xE - M) on request, for the weighted adjacency
     M of the diagram d, held by the nonzero entries of each row.
 
@@ -208,16 +208,14 @@ def _faddeev_leverrier(d: Diagram, block: range | None = None):
     only.  Any other diagram runs the same loop with one class of every
     vertex: full rows, and a trace at every k.
 
-    Returns the ascending coefficients of the determinant, and with block,
-    a range of vertices, the block x block part of adj(xE - M) as a table
-    of Poly entries, [i - block.start][j - block.start] holding (i, j);
-    else None.  Only the rows of block are kept from one layer to the next.
-    Each of them is zipped once per parity over its layers, lowest power
-    first, with repeat(0) for the other parity, on the columns of block of
-    the class it lies in, which are one run of the ascending class: so an
-    entry is one tuple of n integers whose trailing zeros Poly drops.  M is
-    symmetric, so the adjugate is too: each unordered pair is built once,
-    and [i][j] and [j][i] hold the same Poly.
+    Returns the ascending coefficients of the determinant, and with table
+    the table of adj(xE - M) as Poly entries; else None, and only the
+    current layer is held.  Each row is zipped once per parity over its
+    layers, lowest power first, with repeat(0) for the other parity, on
+    the columns j >= i of the class it lies in, so an entry is one tuple
+    of n integers whose trailing zeros Poly drops.  M is symmetric, so the
+    adjugate is too: each unordered pair is built once, and [i][j] and
+    [j][i] hold the same Poly.
     """
     n = d.n
     rows = _adjacency_rows(d)
@@ -235,8 +233,7 @@ def _faddeev_leverrier(d: Diagram, block: range | None = None):
     m = [[0] * len(classes[s]) for s in side]
     for r, p in zip(m, at):
         r[p] = 1
-    kept = None if block is None else slice(block.start, block.stop)
-    layers = None if block is None else [m[kept]]
+    layers = [m] if table else None
     coeffs = [1]
     for k in range(1, n):
         m = [_row_times(row, m) or [0] * len(classes[(s + k) % h])
@@ -248,31 +245,28 @@ def _faddeev_leverrier(d: Diagram, block: range | None = None):
             coeffs.append(c)
             for r, p in zip(m, at):
                 r[p] += c
-        if block is not None:
-            layers.append(m[kept])
+        if table:
+            layers.append(m)
     if n:
         coeffs.append(0 if n % h else _trace_coeff(
             sum(w * m[t][at[i]] for i, row in enumerate(rows)
                 for t, w in row), n))
     coeffs.reverse()
-    if block is None:
+    if not table:
         return coeffs, None
-    adj = [[None] * len(block) for _ in block]
+    adj = [[None] * n for _ in range(n)]
     zeros = repeat(0)
-    first = block.start
-    for i in block:
-        at_b = i - first  # the place of i in the block
+    for i in range(n):
         for par in range(h):
             cls = classes[(side[i] + par) % h]
-            # the columns j >= i of the block
-            lo, hi = bisect_left(cls, i), bisect_left(cls, block.stop)
+            lo = bisect_left(cls, i)  # the columns j >= i
             # layer n - 1 holds the coefficient of x^0
-            cols = zip(*[layers[k][at_b][lo:hi] if k % h == par else zeros
+            cols = zip(*[layers[k][i][lo:] if k % h == par else zeros
                          for k in range(n - 1, -1, -1)])
-            for j, c in zip(cls[lo:hi], cols):
-                adj[at_b][j - first] = adj[j - first][at_b] = Poly(c)
+            for j, c in zip(cls[lo:], cols):
+                adj[i][j] = adj[j][i] = Poly(c)
         for layer in layers:
-            layer[at_b] = None  # the table takes the place of the layers
+            layer[i] = None  # the table takes the place of the layers
     return coeffs, adj
 
 
@@ -378,7 +372,7 @@ def cofactors(d: Diagram) -> CofactorTable:
 # is kept: the suites finish with one diagram before they move to the next.
 @lru_cache(maxsize=1)
 def _cofactors(n: int, edges) -> CofactorTable:
-    _, adj = _faddeev_leverrier(_rebuild(n, edges), range(n))
+    _, adj = _faddeev_leverrier(_rebuild(n, edges), True)
     return CofactorTable(tuple(map(tuple, adj)))
 
 
@@ -575,11 +569,12 @@ def _gram_det_adj(half: Diagram, rows: range):
     diagram half from the vertices rows to its other vertices.  With B the
     adjacency of half, p = len(rows) and r = half.n - p, the Schur
     complement gives det(zE - B) = z^(r-p) det(z^2 E - M M^t), and the rows
-    by rows block of adj(zE - B) is z^(r-p+1) adj(z^2 E - M M^t)."""
-    det, adj = _faddeev_leverrier(half, rows)
+    by rows block of adj(zE - B) is z^(r-p+1) adj(z^2 E - M M^t).  One
+    full-table pass over half; its rows block is sliced before the shifts."""
+    det, adj = _faddeev_leverrier(half, True)
     k = 2 * len(rows) - half.n  # p - r
     return (_times_z(Poly(det), k),
-            [[_times_z(x, k - 1) for x in row] for row in adj])
+            [[_times_z(adj[i][j], k - 1) for j in rows] for i in rows])
 
 
 def _times_z(f: Poly, k: int) -> Poly:
@@ -608,12 +603,16 @@ def divide_identity(a_mat, b_mat, c_mat) -> IdentityReport:
         raise SizeMismatch("ragged blocks")
     if len(b) != r:
         raise SizeMismatch("A columns must match B rows")
+    # each half's Gram adjugate is read off its whole cofactor table, so
+    # the halves are capped as cofactors is, before any product is formed
+    half = max(p + r, r + s)
+    if half > MAX_COFACTOR_VERTICES:
+        raise DomainError(f"a divide half of {half} vertices exceeds the "
+                          f"limit {MAX_COFACTOR_VERTICES}")
     if not c:
         c = [[0] * s for _ in range(p)]
     elif len(c) != p or any(len(row) != s for row in c):
         raise SizeMismatch("C must be (rows of A) x (cols of B)")
-    # the diagram refuses more than MAX_VERTICES vertices before any
-    # product or determinant is formed
     d = Diagram(p + r + s, [
         *(((i, p + j), a[i][j]) for i in range(p) for j in range(r)),
         *(((i, p + r + j), -c[i][j]) for i in range(p) for j in range(s)),

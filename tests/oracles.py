@@ -108,10 +108,11 @@ def _full_row_times(row, m: list[list[int]], n: int) -> list[int]:
 
 
 def faddeev_leverrier_full_rows(rows, table=False):
-    """det(xE - M) and adj(xE - M) as the library's _faddeev_leverrier
-    returns them, for a diagram's weighted adjacency M given by the nonzero
-    entries of each row: every layer M_k = M M_(k-1) + c_k E held on full
-    rows, and a trace taken at every k, whatever the pattern of M."""
+    """det(xE - M), and with table adj(xE - M), in the two shapes of the
+    library's _faddeev_leverrier, for a diagram's weighted adjacency M
+    given by the nonzero entries of each row: every layer
+    M_k = M M_(k-1) + c_k E held on full rows, and a trace taken at every
+    k, whatever the pattern of M."""
     n = len(rows)
     m = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
     layers = [m] if table else None

@@ -452,8 +452,8 @@ def test_integer_bareiss_matches_laplace():
         for _ in range(10):
             m = [[rng.choice((0, 0, rng.randint(-10 ** 12, 10 ** 12)))
                   for _ in range(n)] for _ in range(n)]
-            want = _det_laplace([[Laurent.const(x) for x in row]
-                                 for row in m]).coeff(0)
+            want = dict(_det_laplace([[Laurent.const(x) for x in row]
+                                      for row in m]).items()).get(0, 0)
             assert _bareiss(m) == want, m
     assert _bareiss([]) == 1 and _bareiss([[0, 1], [1, 0]]) == -1
 

@@ -728,11 +728,11 @@ def test_cofactor_tables_above_the_cap_exit_2_at_once(capsys, monkeypatch,
 
     real = coxeter._faddeev_leverrier
 
-    def below_the_cap(d, block=None):
+    def below_the_cap(d, table=False):
         # the tree option still sweeps the small named diagrams first
         assert d.n <= coxeter.MAX_COFACTOR_VERTICES, (
             "a cofactor table above the cap was started")
-        return real(d, block)
+        return real(d, table)
 
     monkeypatch.setattr(coxeter, "_faddeev_leverrier", below_the_cap)
     start = time.perf_counter()

@@ -643,8 +643,25 @@ def test_engine_matches_the_full_row_oracle_on_random_graphs():
     for d in GRAPHS:
         rows = _adjacency_rows(d)
         for table in (False, True):
-            assert (_faddeev_leverrier(d, range(d.n) if table else None)
+            assert (_faddeev_leverrier(d, table)
                     == faddeev_leverrier_full_rows(rows, table)), d
+
+
+def test_the_table_builds_each_unordered_pair_once(monkeypatch):
+    # each entry with j >= i is one Poly, which [j][i] shares
+    built = []
+
+    def counted(coeffs):
+        built.append(coeffs)
+        return Poly(coeffs)
+
+    monkeypatch.setattr(coxeter, "Poly", counted)
+    for d in [Diagram(0), *GRAPHS]:
+        built.clear()
+        _, adj = _faddeev_leverrier(d, True)
+        assert len(built) == d.n * (d.n + 1) // 2, d
+        assert all(adj[i][j] is adj[j][i]
+                   for i in range(d.n) for j in range(i)), d
 
 
 def test_shaped_graphs_match_every_minor():
@@ -685,7 +702,7 @@ def test_layer_rows_are_half_width_exactly_on_bipartite_patterns(
         monkeypatch):
     def table(d):
         return _layer_widths(monkeypatch,
-                             lambda: _faddeev_leverrier(d, range(d.n)))
+                             lambda: _faddeev_leverrier(d, True))
 
     tree = random_tree(random.Random(9), 21, (1, -2, 3))
     assert table(tree) == _side_counts(tree) and len(_side_counts(tree)) == 2
@@ -744,7 +761,7 @@ def test_engine_classes_are_the_parts_of_bipartite_order(monkeypatch):
 
         with monkeypatch.context() as mp:
             mp.setattr(coxeter, "_row_times", logged)
-            _faddeev_leverrier(d, range(d.n))
+            _faddeev_leverrier(d, True)
         split = bipartite_order(d)
         if isinstance(split, OddCycle):
             size = {i: (d.n, d.n) for i in range(d.n)}
@@ -887,9 +904,9 @@ def _char_poly_engines(monkeypatch, graphs) -> list:
     on these graphs, on an empty memo."""
     calls = []
 
-    def logged(d, block=None):
+    def logged(d, table=False):
         calls.append(d.n)
-        return _faddeev_leverrier(d, block)
+        return _faddeev_leverrier(d, table)
 
     monkeypatch.setattr(coxeter, "_faddeev_leverrier", logged)
     coxeter._char_poly.cache_clear()
@@ -1025,15 +1042,14 @@ def test_a_gram_shift_that_leaves_a_remainder_raises():
 def test_faddeev_leverrier_on_zero_and_one_rows():
     empty, point, edge = Diagram(0), Diagram(1), Diagram(2, [((0, 1), 5)])
     assert _faddeev_leverrier(empty) == ([1], None)
-    assert _faddeev_leverrier(empty, range(0)) == ([1], [])
-    assert _faddeev_leverrier(point, range(1)) == ([0, 1], [[Poly.one()]])
-    assert _faddeev_leverrier(point, range(0)) == ([0, 1], [])
+    assert _faddeev_leverrier(empty, True) == ([1], [])
+    assert _faddeev_leverrier(point) == ([0, 1], None)
+    assert _faddeev_leverrier(point, True) == ([0, 1], [[Poly.one()]])
     # one edge of weight 5: x^2 - 25, adj = [[x, 5], [5, x]]
     x, five = Poly.x(), Poly.const(5)
-    assert _faddeev_leverrier(edge, range(2)) == (
+    assert _faddeev_leverrier(edge) == ([-25, 0, 1], None)
+    assert _faddeev_leverrier(edge, True) == (
         [-25, 0, 1], [[x, five], [five, x]])
-    for block in (range(1), range(1, 2)):
-        assert _faddeev_leverrier(edge, block) == ([-25, 0, 1], [[x]])
     assert cofactors(Diagram(0)).n == 0
     assert cofactors(Diagram(1))[0, 0] == Poly.one()
     # the halves of no vertex, of one vertex with no column and of one edge
@@ -1488,6 +1504,38 @@ def test_divide_refuses_more_than_max_vertices_before_any_matrix(
             divide_identity(a, b, c)
 
 
+def test_divide_refuses_a_half_above_the_cofactor_cap_before_any_matrix(
+        monkeypatch):
+    # a half of p + r or r + s vertices takes one cofactor table of its
+    # own; with r = 1, a half one past the cap is refused before any call,
+    # and a half at the cap reaches the first product, A B
+    calls = []
+
+    def logged(name):
+        def never(*args):
+            calls.append(name)
+            raise AssertionError(f"{name} was called")
+        return never
+
+    for name in ("mat_mul", "coxeter_matrix", "det_exact", "det_poly",
+                 "_faddeev_leverrier"):
+        monkeypatch.setattr(coxeter, name, logged(name))
+    cap = coxeter.MAX_COFACTOR_VERTICES
+
+    def blocks(p, s):
+        return [[0]] * p, [[0] * s], [[0] * s] * p
+
+    for p, s in ((cap, 1), (1, cap), (cap, cap)):
+        with pytest.raises(DomainError) as err:
+            divide_identity(*blocks(p, s))
+        assert f"limit {cap}" in str(err.value)
+    assert calls == []
+    for p, s in ((cap - 1, 1), (1, cap - 1)):
+        with pytest.raises(AssertionError):
+            divide_identity(*blocks(p, s))
+    assert calls == ["mat_mul", "mat_mul"]
+
+
 @pytest.mark.parametrize("blocks", [
     ([[2.5]], [[1]], [[1]]),
     ([[Fraction(5, 2)]], [[1]], [[1]]),
@@ -1544,30 +1592,23 @@ def test_schur_step_computes_each_cross_pair_once(monkeypatch):
 
 
 def test_divide_blocks_equal_the_full_tables_block(monkeypatch):
-    # every Gram adjugate of `verify divide` at seeds 42 and 7 against the
-    # block of the whole table; a zero row or column of A or B leaves an
-    # isolated vertex, which starts its own class on side 0, so some blocks
-    # mix the two sides
+    # `verify divide` at seeds 42 and 7 makes one full-table pass per
+    # half, two per case, and no other pass; every half is bipartite
     import contextlib
     import io
 
     from coxkit import cli
 
     real = coxeter._faddeev_leverrier
-    blocks = []  # the number of sides each block spans
+    passes = []  # the table flag of each pass
 
-    def checked(d, block=None):
-        got = real(d, block)
-        if block is not None:
-            det, full = real(d, range(d.n))
-            assert got == (det, [[full[i][j] for j in block] for i in block])
-            side, clash = two_coloring(d)
-            assert clash is None
-            blocks.append(len({side[i] for i in block}))
-        return got
+    def logged(d, table=False):
+        assert two_coloring(d)[1] is None
+        passes.append(table)
+        return real(d, table)
 
-    monkeypatch.setattr(coxeter, "_faddeev_leverrier", checked)
+    monkeypatch.setattr(coxeter, "_faddeev_leverrier", logged)
     for seed in ("42", "7"):
         with contextlib.redirect_stdout(io.StringIO()):
             assert cli.main(["verify", "divide", "--seed", seed]) == 0
-    assert len(blocks) == 88 and blocks.count(2) == 5
+    assert passes == [True] * 88

@@ -1,6 +1,7 @@
 """Every imported name is used, every module-level private function or
 class of the package is referenced, every public one, and every public
-method of a public class, is reached from outside the tests, every
+method of a public class (by an attribute or a string), is reached from
+outside the tests, every
 parameter default of the package is passed and every module-level
 constant read from outside the tests, and every exception the package
 raises is one kind of coxkit.errors, each raised somewhere: stdlib-only
@@ -60,23 +61,24 @@ _FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef)
 _DEFINITIONS = (*_FUNCTIONS, ast.ClassDef)
 
 
-def _mentions(node: ast.AST):
+def _mentions(node: ast.AST, bare: bool = True):
     """Every name, attribute, imported name and dotted string's last part
-    under node; an `__all__` list mentions nothing."""
+    under node, or without bare only the attributes and strings (a local
+    name never reaches a method); an `__all__` list mentions nothing."""
     if isinstance(node, ast.Assign) and any(
             isinstance(t, ast.Name) and t.id == "__all__"
             for t in node.targets):
         return
-    if isinstance(node, ast.Name):
+    if isinstance(node, ast.Name) and bare:
         yield node.id
     elif isinstance(node, ast.Attribute):
         yield node.attr
-    elif isinstance(node, ast.alias):
+    elif isinstance(node, ast.alias) and bare:
         yield node.name.split(".")[-1]
     elif isinstance(node, ast.Constant) and isinstance(node.value, str):
         yield node.value.split(".")[-1]
     for child in ast.iter_child_nodes(node):
-        yield from _mentions(child)
+        yield from _mentions(child, bare)
 
 
 def _references(tree: ast.Module) -> list[tuple[str, str | None]]:
@@ -167,18 +169,31 @@ def _public(tree: ast.Module):
 def _unreached(sources: dict[str, str], checked, readme: str) -> list[str]:
     """The public functions, classes and methods of the files in checked
     that no source (file name -> text) outside tests/ mentions outside
-    their own definition and that no code span of readme names.  A name
-    shared with another definition counts as reached through it."""
+    their own definition and that no code span of readme names.  A method
+    is mentioned only by an attribute or a string, and named only as
+    `Class.method`.  A name shared with another definition counts as
+    reached through it."""
     trees = {name: ast.parse(text, name) for name, text in sources.items()}
-    mentioned = Counter(m for name, tree in trees.items()
-                        if not name.startswith("tests/")
-                        for m in _mentions(tree))
-    named = {word for span in re.findall(r"```.*?```|`[^`]+`", readme, re.S)
+    outside = [tree for name, tree in trees.items()
+               if not name.startswith("tests/")]
+    mentioned = {bare: Counter(m for tree in outside
+                               for m in _mentions(tree, bare))
+                 for bare in (True, False)}
+    spans = re.findall(r"```.*?```|`[^`]+`", readme, re.S)
+    named = {word for span in spans
              for word in re.findall(r"[A-Za-z_]\w*", span)}
-    return [f"{name}:{node.lineno}: {qual}"
-            for name in checked for qual, node in _public(trees[name])
-            if node.name not in named
-            and mentioned[node.name] == Counter(_mentions(node))[node.name]]
+    named |= {pair for span in spans
+              for pair in re.findall(r"(?=\b([A-Za-z_]\w*\.[A-Za-z_]\w*))",
+                                     span)}
+    out = []
+    for name in checked:
+        for qual, node in _public(trees[name]):
+            bare = "." not in qual
+            if ((node.name if bare else qual) not in named
+                    and mentioned[bare][node.name]
+                    == Counter(_mentions(node, bare))[node.name]):
+                out.append(f"{name}:{node.lineno}: {qual}")
+    return out
 
 
 def test_every_public_name_is_reached_outside_the_tests():
@@ -207,21 +222,32 @@ def test_checker_flags_test_only_names_and_spares_readme_and_callers():
                      "        return called()\n"
                      "    def unread(self):\n"
                      "        return self.unread()\n"
+                     "    def shadowed(self):\n"
+                     "        pass\n"
+                     "    def patched(self):\n"
+                     "        pass\n"
+                     "    def listed(self):\n"
+                     "        pass\n"
                      "    def __len__(self):\n"
                      "        return 0\n"
                      "class _Hidden:\n"
                      "    def method(self):\n"
                      "        pass\n"),
         "scripts/s.py": ("from pkg.m import Table\n"
-                         "print(Table().row())\n"),
+                         "shadowed = Table().row()\n"
+                         "print(shadowed)\n"
+                         "setattr(Table, 'patched', None)\n"),
         "tests/test_m.py": ("from pkg.m import by_test, recursive\n"
                             "by_test(recursive(2))\n"),
     }
+    # a local name or a bare README word never reaches a method, but an
+    # attribute, a string or `Class.method` in README does
     readme = ("The prose word by_test names nothing; `documented()` and\n"
-              "```\nunread = 1\n```\n")
+              "```\nunread = 1\n```\nand `m.Table.listed()`\n")
     assert _unreached(sources, ["pkg/m.py"], readme) == [
         "pkg/m.py:1: by_test", "pkg/m.py:3: recursive",
-        "pkg/m.py:9: exported"]
+        "pkg/m.py:9: exported", "pkg/m.py:15: Table.unread",
+        "pkg/m.py:17: Table.shadowed"]
 
 
 def _name(node: ast.AST) -> str | None:

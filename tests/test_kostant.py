@@ -99,7 +99,7 @@ def test_series_constant_term():
     for fam, n in [("affA", 2), ("affD", 4), ("affE", 6)]:
         data = klein_data(fam, n)
         assert poincare_series(data, 0, 0) == Laurent.one()
-        assert poincare_series(data, 1, 0).coeff(0) == 0
+        assert 0 not in poincare_series(data, 1, 0).support
 
 
 def test_series_positivity_to_200():
@@ -126,9 +126,10 @@ def _long_division(num, a, b, terms):
     for k, v in ((0, 1), (a, -1), (b, -1), (a + b, 1)):
         den[k] = den.get(k, 0) + v
     lo = min(0, num.min_exp)
+    coeffs = dict(num.items())
     out = {}
     for m in range(lo, terms + 1):
-        c = num.coeff(m) - sum(v * out.get(m - k, 0)
+        c = coeffs.get(m, 0) - sum(v * out.get(m - k, 0)
                                for k, v in den.items() if k)
         if c:
             out[m] = c
