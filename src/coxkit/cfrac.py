@@ -102,8 +102,8 @@ def expand_tree(d: Diagram, root: int) -> Branch:
         raise NotATree("diagram is not a connected tree")
     built: dict[int, Branch] = {}
     for v in reversed(tour):
-        built[v] = Branch(tuple((d.weight(v, u) ** 2, built.pop(u))
-                                for u in d.neighbors(v) if u != parent[v]))
+        built[v] = Branch(tuple((w ** 2, built.pop(u))
+                                for u, w in d.neighbors(v) if u != parent[v]))
     return built[root]
 
 

@@ -116,9 +116,9 @@ def _paths(d: Diagram, start: int, end: int):
         if x == end:
             yield path, weight
             continue
-        for y in d.neighbors(x):
+        for y, w in d.neighbors(x):
             if y not in path:
-                stack.append((y, path + [y], weight * d.weight(x, y)))
+                stack.append((y, path + [y], weight * w))
 
 
 def _cyclomatic(n: int, edges) -> list:
@@ -155,15 +155,6 @@ def coxeter_matrix(d: Diagram) -> list[list[Laurent]]:
 # characteristic polynomial and cofactors
 # ---------------------------------------------------------------------------
 
-def _adjacency_rows(d: Diagram) -> list[list[tuple[int, int]]]:
-    """Nonzero entries (column, weight) of each row of the adjacency."""
-    rows: list[list[tuple[int, int]]] = [[] for _ in range(d.n)]
-    for i, j, w in d.edges():
-        rows[i].append((j, w))
-        rows[j].append((i, w))
-    return rows
-
-
 def _row_times(row, m: list[list[int]]) -> list[int]:
     """One row of M m, for the row of M given by its nonzero entries: one
     lazy map chain over the rows of m that list runs once, so every element
@@ -192,7 +183,8 @@ def _trace_coeff(tr: int, k: int) -> int:
 
 def _faddeev_leverrier(d: Diagram, table: bool = False):
     """det(xE - M), and adj(xE - M) on request, for the weighted adjacency
-    M of the diagram d, held by the nonzero entries of each row.
+    M of the diagram d, read as its nonzero entries (j, M_ij), row i being
+    d.neighbors(i).
 
     M_0 = E, M_k = M M_{k-1} + c_k E with c_k = -tr(M M_{k-1}) / k (always
     exact).  The c_k are the coefficients of det(xE - M) = sum c_k x^(n-k)
@@ -218,8 +210,8 @@ def _faddeev_leverrier(d: Diagram, table: bool = False):
     [j][i] hold the same Poly.
     """
     n = d.n
-    rows = _adjacency_rows(d)
     side, clash = two_coloring(d)
+    rows = [d.neighbors(i) for i in range(n)]
     if clash:
         side, classes = [0] * n, [range(n)]
     else:
@@ -296,8 +288,8 @@ def _char_poly(n: int, edges) -> Poly:
     for tour, parent in d.tours():
         pairs: dict[int, tuple[Poly, Poly]] = {}
         for x in reversed(tour):
-            pairs[x] = _rooted_step((d.weight(x, y) ** 2, *pairs.pop(y))
-                                   for y in d.neighbors(x) if y != parent[x])
+            pairs[x] = _rooted_step((w ** 2, *pairs.pop(y))
+                                   for y, w in d.neighbors(x) if y != parent[x])
         top = pairs[tour[0]][0]
         total = top if total is None else total * top
     return Poly.one() if total is None else total  # A0, the empty diagram
@@ -447,13 +439,13 @@ def _schur_step(n: int, edges, order, pivot: int) -> SchurStep:
     rest = d.delete([pivot])
     base = coxeter_poly(rest)
     nbrs = d.neighbors(pivot)  # every stored edge has a nonzero weight
-    branches = [(v, d.weight(pivot, v) ** 2,
-                 coxeter_poly(d.delete([pivot, v]))) for v in nbrs]
+    branches = [(v, w ** 2, coxeter_poly(d.delete([pivot, v])))
+                for v, w in nbrs]
     crosses = []
     pos = {x: p for p, x in enumerate(rest.order)}
     done: dict[tuple[int, int], Laurent] = {}
-    for i in nbrs:
-        for j in nbrs:
+    for i, wi in nbrs:
+        for j, wj in nbrs:
             if i == j:
                 continue
             if (j, i) in done:
@@ -463,8 +455,7 @@ def _schur_step(n: int, edges, order, pivot: int) -> SchurStep:
                 p = _cross_minor(rest, i - (i > pivot), j - (j > pivot), pos)
             done[i, j] = p
             if not p.is_zero:
-                crosses.append(((i, j),
-                                d.weight(pivot, i) * d.weight(pivot, j), p))
+                crosses.append(((i, j), wi * wj, p))
     return SchurStep(pivot, total, base, tuple(branches), tuple(crosses))
 
 
@@ -521,9 +512,10 @@ def path_sum_H(d: Diagram, i: int, j: int) -> Poly:
 
 def walk_gf(d: Diagram, i: int, j: int, k_max: int) -> list[int]:
     """Weighted walk counts d_ij^k for k = 0..k_max (powers of the
-    adjacency matrix, applied to column j one sparse row at a time)."""
+    adjacency matrix, applied to column j one row d.neighbors(t) at a
+    time)."""
     _check_vertices(d, "walk endpoints", i, j)
-    rows = _adjacency_rows(d)
+    rows = [d.neighbors(t) for t in range(d.n)]
     vec = [1 if t == j else 0 for t in range(d.n)]
     out = [vec[i]]
     for _ in range(k_max):

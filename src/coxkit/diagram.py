@@ -31,12 +31,13 @@ class Diagram:
     vertex order.
 
     Edges are stored once per unordered pair with a nonzero integer weight;
-    an absent pair means weight 0.  The neighbor lists are built from the
-    edges on the first neighbors() call, not here: most diagrams (the
-    subgraphs of the expansions in coxeter) never need them.
+    an absent pair means weight 0.  The rows of the weighted adjacency,
+    which every walk over the diagram reads, are built from the edges on
+    the first neighbors() call, not here: most diagrams (the subgraphs of
+    the expansions in coxeter) never need them.
     """
 
-    __slots__ = ("n", "order", "_w", "_nbrs")
+    __slots__ = ("n", "order", "_w", "_rows")
 
     def __init__(self, n: int, edges=(), order=None):
         _check_vertex_count(n)
@@ -56,7 +57,7 @@ class Diagram:
             if weight:
                 w[key] = weight
         self._w = w
-        self._nbrs = None
+        self._rows = None
         self.order = tuple(order) if order is not None else tuple(range(n))
         if sorted(self.order) != list(range(n)):
             raise DomainError("order must be a permutation of the vertices")
@@ -70,15 +71,16 @@ class Diagram:
     def edges(self) -> tuple[tuple[int, int, int], ...]:
         return tuple(sorted((i, j, w) for (i, j), w in self._w.items()))
 
-    def neighbors(self, i: int) -> tuple[int, ...]:
-        """The vertices joined to i, ascending; () when i is no vertex."""
-        if self._nbrs is None:
-            nbrs: list[list[int]] = [[] for _ in range(self.n)]
-            for a, b in self._w:
-                nbrs[a].append(b)
-                nbrs[b].append(a)
-            self._nbrs = tuple(tuple(sorted(x)) for x in nbrs)
-        return self._nbrs[i] if 0 <= i < self.n else ()
+    def neighbors(self, i: int) -> tuple[tuple[int, int], ...]:
+        """Row i of the weighted adjacency: (j, weight of ij) for each
+        vertex j joined to i, ascending in j; () when i is no vertex."""
+        if self._rows is None:
+            rows: list[list[tuple[int, int]]] = [[] for _ in range(self.n)]
+            for (a, b), w in self._w.items():
+                rows[a].append((b, w))
+                rows[b].append((a, w))
+            self._rows = tuple(tuple(sorted(r)) for r in rows)
+        return self._rows[i] if 0 <= i < self.n else ()
 
     def __eq__(self, other: object) -> bool:
         return (isinstance(other, Diagram) and self.n == other.n
@@ -117,7 +119,7 @@ class Diagram:
             raise UnknownVertex(f"no vertex {root}")
         tour, parent = [root], {root: -1}
         for v in tour:
-            for u in self.neighbors(v):
+            for u, _ in self.neighbors(v):
                 if u not in parent:
                     parent[u] = v
                     tour.append(u)
@@ -155,19 +157,16 @@ class SeifertMatrix:
 
     @staticmethod
     def from_diagram(d: Diagram) -> "SeifertMatrix":
+        """The upper triangle is filled from the rows of d.neighbors."""
         n = d.n
-        rows = []
-        for p in range(n):
-            row = []
-            for t in range(n):
-                if t == p:
-                    row.append(1)
-                elif t > p:
-                    row.append(-d.weight(d.order[p], d.order[t]))
-                else:
-                    row.append(0)
-            rows.append(tuple(row))
-        return SeifertMatrix(tuple(rows))
+        pos = {v: p for p, v in enumerate(d.order)}
+        rows = [[0] * n for _ in range(n)]
+        for v, p in pos.items():
+            rows[p][p] = 1
+            for u, w in d.neighbors(v):
+                if pos[u] > p:
+                    rows[p][pos[u]] = -w
+        return SeifertMatrix(tuple(map(tuple, rows)))
 
 
 # ---------------------------------------------------------------------------
@@ -312,7 +311,7 @@ def two_coloring(d: Diagram):
         # the first conflict in tour order is the first that a breadth-first
         # coloring meets: it gives every new neighbor the other color
         for v in tour:
-            for u in d.neighbors(v):
+            for u, _ in d.neighbors(v):
                 if color[u] == color[v]:
                     return color, (parent, u, v)
     return color, None

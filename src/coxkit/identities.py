@@ -175,11 +175,12 @@ def _check_tail(d: Diagram, tail) -> None:
             raise ShapeViolation("tail edges must be consecutive with weight 1")
     allowed = set(tail)
     for t, v in enumerate(tail[:-1]):
-        if not allowed.issuperset(d.neighbors(v)):
+        nbrs = {u for u, _ in d.neighbors(v)}
+        if not allowed.issuperset(nbrs):
             raise ShapeViolation(
                 f"tail vertex {v} has an edge leaving the tail")
         expected = {tail[t + 1]} | ({tail[t - 1]} if t > 0 else set())
-        if set(d.neighbors(v)) != expected:
+        if nbrs != expected:
             raise ShapeViolation("tail is not an induced path")
 
 

@@ -169,8 +169,8 @@ def verify_system(data: KleinGroupData, which: int) -> IdentityReport:
     parts = []
     for j in range(d.n):
         acc = head * vec[j]
-        for i in d.neighbors(j):
-            acc = acc - d.weight(i, j) * vec[i]
+        for i, w in d.neighbors(j):
+            acc = acc - w * vec[i]
         if j == 0:
             acc = acc - virtual
         parts.append(acc)

@@ -76,7 +76,7 @@ def test_branch_shape_mirrors_diagram():
     node = expand_tree(d, 0)
 
     def walk(nd, vertex, parent):
-        kids = [u for u in d.neighbors(vertex) if u != parent]
+        kids = [u for u, _ in d.neighbors(vertex) if u != parent]
         assert len(nd.children) == len(kids)
         for (w, child), u in zip(nd.children, sorted(kids)):
             assert w == d.weight(vertex, u) ** 2

@@ -13,6 +13,7 @@ from coxkit.diagram import (MAX_VERTICES, Diagram, OddCycle, SeifertMatrix,
                             bipartite_order, build, from_name, from_text, join,
                             parse_name, random_tree)
 from coxkit.errors import BadRank, DomainError, UnknownVertex
+from coxkit.kostant import klein_data, verify_system
 from oracles import disjoint_union, to_text
 
 
@@ -50,10 +51,12 @@ def test_families_have_unit_weights_and_right_sizes():
             assert all(w == 1 for (_, _, w) in d.edges())
 
 
-def _scan_neighbors(d: Diagram, i: int) -> tuple[int, ...]:
-    """Brute force: every edge scanned for an end at i."""
-    return tuple(sorted([b for a, b, _ in d.edges() if a == i]
-                        + [a for a, b, _ in d.edges() if b == i]))
+def _scan_neighbors(d: Diagram, i: int) -> tuple[tuple[int, int], ...]:
+    """Brute force: every edge scanned for an end j at i, with the weight
+    that the point lookup gives ij."""
+    ends = ([b for a, b, _ in d.edges() if a == i]
+            + [a for a, b, _ in d.edges() if b == i])
+    return tuple(sorted((j, d.weight(i, j)) for j in ends))
 
 
 def _scan_components(d: Diagram) -> list[tuple[int, ...]]:
@@ -149,7 +152,46 @@ def test_bipartite_order_and_components_are_pinned():
 def test_is_tree_and_neighbors_of_a_1000_vertex_path():
     d = build("A", 1000)
     assert d.is_tree() and len(d.components()) == 1
-    assert d.neighbors(0) == (1,) and d.neighbors(500) == (499, 501)
+    assert d.neighbors(0) == ((1, 1),)
+    assert d.neighbors(500) == ((499, 1), (501, 1))
+
+
+def test_the_walks_take_no_weight_from_the_point_lookup(monkeypatch):
+    # every walk over a diagram reads its weights off the rows of
+    # Diagram.neighbors: with Diagram.weight raising and the memos empty,
+    # each value is the one it has with the lookup
+    rng = random.Random(47)
+    tree = random_tree(rng, 9, (1, -2, 3))
+    ends = next((u, v) for u in range(9) for v in range(u + 1, 9)
+                if not tree.weight(u, v))
+    chord = Diagram(9, {**{(i, j): w for i, j, w in tree.edges()}, ends: 2},
+                    order=rng.sample(range(9), 9))
+    dense = Diagram(6, {(i, j): rng.choice((1, -1, 2))
+                        for i in range(6) for j in range(i + 1, 6)},
+                    order=rng.sample(range(6), 6))
+    # the edge step and the paths on the chord, Bareiss on the dense graph
+    assert len(coxeter._cyclomatic(chord.n, chord.edges())) == 1
+    assert len(coxeter._cyclomatic(6, dense.edges())) > coxeter._EXPAND_MAX
+    data = klein_data("affE", 6)
+
+    def values():
+        for memo in (coxeter._char_poly, coxeter._coxeter_poly,
+                     coxeter._schur_step, coxeter._cofactors):
+            memo.cache_clear()
+        return [coxeter.char_poly(tree), coxeter.coxeter_poly(tree),
+                coxeter.char_poly(chord), coxeter.coxeter_poly(chord),
+                coxeter.coxeter_poly(dense),
+                *(coxeter.schur_step(chord, v) for v in range(chord.n)),
+                coxeter.cofactors(chord), expand_tree(tree, 0),
+                coxeter.walk_gf(chord, 0, 5, 8), verify_system(data, 16)]
+
+    before = values()
+
+    def lookup(self, i, j):
+        raise AssertionError(f"Diagram.weight({i}, {j}) read by a walk")
+
+    monkeypatch.setattr(Diagram, "weight", lookup)
+    assert values() == before
 
 
 def test_delete_middle_of_path():

@@ -553,13 +553,13 @@ def _poincare_cd_oracle(data, i, j):
         def reach(start):
             seen, todo = {start}, [start]
             while todo:
-                for u in d.neighbors(todo.pop()):
+                for u, _ in d.neighbors(todo.pop()):
                     if u != i and u not in seen:
                         seen.add(u)
                         todo.append(u)
             return seen
 
-        sides = {u: reach(u) for u in d.neighbors(i)}
+        sides = {u: reach(u) for u, _ in d.neighbors(i)}
         (parent,) = [u for u, side in sides.items() if 0 in side]
         branch = {i}.union(*(side for u, side in sides.items()
                              if u != parent))

@@ -210,7 +210,7 @@ def _system_14_stepwise(data):
     rows = []
     for j in range(d.n):
         acc = head * p[j]
-        for i in d.neighbors(j):
+        for i, _ in d.neighbors(j):
             acc = acc - d.weight(i, j) * p[i]
         if j == 0:
             acc = acc - RatFunc(data.z_minus1, den)
@@ -423,7 +423,7 @@ def test_subfractions_are_series_ratios():
         queue = [0]
         while queue:
             v = queue.pop(0)
-            for u in d.neighbors(v):
+            for u, _ in d.neighbors(v):
                 if u not in parent:
                     parent[u] = v
                     queue.append(u)
