@@ -1490,13 +1490,29 @@ def test_divide_counts_the_residual_of_a_wrong_input(monkeypatch):
         map(nonzero_terms, rep.residual))
 
 
+def test_divide_refuses_more_than_max_vertices_before_any_matrix(
+        monkeypatch):
+    # an input past the Diagram cap has a half past the cofactor cap,
+    # which refuses it first, before any matrix is built
+    def never(*args):
+        raise AssertionError("a matrix was built")
+
+    for name in ("mat_mul", "coxeter_matrix", "det_exact", "det_poly",
+                 "_faddeev_leverrier"):
+        monkeypatch.setattr(coxeter, name, never)
+    cap = MAX_VERTICES
+    for a, b, c in (([[]] * (cap + 1), [], []),
+                    ([[0]], [[0] * cap], [[0] * cap])):
+        with pytest.raises(DomainError) as err:
+            divide_identity(a, b, c)
+        assert f"limit {coxeter.MAX_COFACTOR_VERTICES}" in str(err.value)
+
+
 def test_divide_refuses_a_half_above_the_cofactor_cap_before_any_matrix(
         monkeypatch):
     # a half of p + r or r + s vertices takes one cofactor table of its
     # own; with r = 1, a half one past the cap is refused before any call,
-    # and a half at the cap reaches the first product, A B.  An input past
-    # the Diagram cap (MAX_VERTICES) has a half past this cap, which
-    # refuses it first
+    # and a half at the cap reaches the first product, A B
     calls = []
 
     def logged(name):
@@ -1513,12 +1529,9 @@ def test_divide_refuses_a_half_above_the_cofactor_cap_before_any_matrix(
     def blocks(p, s):
         return [[0]] * p, [[0] * s], [[0] * s] * p
 
-    for a, b, c in (*(blocks(p, s) for p, s in ((cap, 1), (1, cap),
-                                                (cap, cap))),
-                    ([[]] * (MAX_VERTICES + 1), [], []),
-                    ([[0]], [[0] * MAX_VERTICES], [[0] * MAX_VERTICES])):
+    for p, s in ((cap, 1), (1, cap), (cap, cap)):
         with pytest.raises(DomainError) as err:
-            divide_identity(a, b, c)
+            divide_identity(*blocks(p, s))
         assert f"limit {cap}" in str(err.value)
     assert calls == []
     for p, s in ((cap - 1, 1), (1, cap - 1)):
