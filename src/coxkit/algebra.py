@@ -808,6 +808,19 @@ class Frame:
             x += c << shift * k
         return x
 
+    def pack_euler(self, terms: Iterable[tuple[int, int]],
+                   lo: int) -> tuple[int, int]:
+        """The sums of c 2^(w (k - lo)) and of k c 2^(w (k - lo)) over the
+        terms (k, c), k >= lo: a polynomial and its Euler value
+        sum k c x^k, both times x^-lo, in one walk over the terms."""
+        w = self.width
+        x = e = 0
+        for k, c in terms:
+            v = c << w * (k - lo)
+            x += v
+            e += k * v
+        return x, e
+
     def digits(self, x: int, count: int) -> Sequence[int]:
         """Digits 0 .. count - 1 of x, which has no nonzero digit above
         them; a few zero digits may follow.

@@ -14,6 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import compress, product, zip_longest
 from math import comb
+from operator import mul
 from typing import Iterable, Sequence
 
 from .algebra import (Frame, Laurent, Poly, RatFunc, TruncSeries, _substitute,
@@ -85,7 +86,7 @@ PACKED_BITS_PER_VISIT = 1024
 # diagram; no word in the suites or the benchmark has more than 6.
 MAX_STRANDS = 1024
 
-# The most bits a Burau image may take while it is built (see burau).
+# The most bits a Burau image may take while it is built (see _burau_frame).
 # 2^25 bits (4 MB) admits 2 strands with 2000 letters, 7 with 400 and 12
 # with 130; the unreduced image of 2 strands and 2000 letters took 1.8 s
 # on a Xeon core under Python 3.11.
@@ -204,25 +205,34 @@ class BurauImage:
 # 1.6 L bits each, so the image of size^2 entries takes about
 # 1.6 size^2 L^2 bits, which MAX_BURAU_BITS bounds.
 
-def burau(b: BraidWord, reduced: bool = False) -> BurauImage:
-    """Image of the braid word; multiplicative over concatenation.
+def _burau_frame(b: BraidWord, reduced: bool, letters: int) -> Frame:
+    """The frame of Burau images of b's strands whose coefficients are at
+    most 3^letters, as those of a word of that many letters are, refused
+    when such an image would exceed MAX_BURAU_BITS."""
+    size = b.strands - 1 if reduced else b.strands
+    if 8 * size * size * letters ** 2 > 5 * MAX_BURAU_BITS:
+        raise DomainError(f"the Burau image of {letters} letters on "
+                          f"{b.strands} strands would exceed "
+                          f"{MAX_BURAU_BITS} bits")
+    return Frame(3 ** letters)
+
+
+def _burau_rows(b: BraidWord, reduced: bool,
+                frame: Frame) -> tuple[list[list[int]], int]:
+    """The rows of the Burau image of b packed in frame, each entry the
+    sum of c_e 2^(w (e + m)) over its terms, and m, the count of inverse
+    letters of b.  frame must hold every coefficient (_burau_frame).
 
     Each letter right-multiplies every row; column j of the image is at
     place j + 1 of a row, and places 0 and size + 1 take what a reduced
     letter at either end would add outside the matrix."""
     size = b.strands - 1 if reduced else b.strands
-    word = b.word
-    if 8 * size * size * len(word) ** 2 > 5 * MAX_BURAU_BITS:
-        raise DomainError(f"the Burau image of {len(word)} letters on "
-                          f"{b.strands} strands would exceed "
-                          f"{MAX_BURAU_BITS} bits")
-    frame = Frame(3 ** len(word))
     w = frame.width
-    m = sum(1 for g in word if g < 0)
+    m = sum(1 for g in b.word if g < 0)
     rows = [[0] * (size + 2) for _ in range(size)]
     for i, row in enumerate(rows):
         row[i + 1] = 1 << (w * m)
-    for g in word:
+    for g in b.word:
         k = abs(g)
         if reduced and g > 0:
             # x at place k becomes -t x, and adds t x to place k - 1 and
@@ -256,10 +266,51 @@ def burau(b: BraidWord, reduced: bool = False) -> BurauImage:
                 ty = y >> w
                 row[k + 1] = row[k] + y - ty
                 row[k] = ty
-    flat = frame.laurents([x for row in rows for x in row[1:-1]], -m)
+    return [row[1:-1] for row in rows], m
+
+
+def burau(b: BraidWord, reduced: bool = False) -> BurauImage:
+    """Image of the braid word; multiplicative over concatenation."""
+    frame = _burau_frame(b, reduced, len(b.word))
+    rows, m = _burau_rows(b, reduced, frame)
+    size = len(rows)
+    flat = frame.laurents([x for row in rows for x in row], -m)
     return BurauImage("reduced" if reduced else "unreduced", b.strands,
                       tuple(tuple(flat[r * size:(r + 1) * size])
                             for r in range(size)))
+
+
+def burau_differences(b: BraidWord, factors: Sequence[BraidWord],
+                      reduced: bool) -> list[Laurent]:
+    """The nonzero entrywise differences of B(b) and the product of the
+    B(f) over the factors, in order: none exactly when the two are equal.
+
+    Every image packs in one frame of 3^L, L the larger of the letters of
+    b and of all the factors: a row of a product of images of L1, L2, ..
+    letters has l1 norm at most 3^(L1 + L2 + ..), since a row of the first
+    has at most 3^L1 and every entry of the next at most 3^L2.  The
+    product is the integer matrix product of the packed rows, whose
+    inverse-letter offsets m add, and an entry t^m e(t) at t = 2^w whose
+    coefficients the frame holds is one packed integer, so the two sides
+    are equal iff their rows and offsets are.  Only sides that differ are
+    decoded."""
+    frame = _burau_frame(b, reduced, max(
+        len(b.word), sum(len(f.word) for f in factors)))
+    lhs = _burau_rows(b, reduced, frame)
+    rows, m = _burau_rows(factors[0], reduced, frame)
+    for f in factors[1:]:
+        image, mf = _burau_rows(f, reduced, frame)
+        cols = list(zip(*image))
+        rows = [[sum(map(mul, row, col)) for col in cols] for row in rows]
+        m += mf
+    if lhs == (rows, m):
+        return []
+    left, right = ([frame.laurents(row, -k) for row in side]
+                   for side, k in (lhs, (rows, m)))
+    # only the nonzero ones: the ~6400 zeros of the verify suite's 400
+    # products, kept, took its traced peak memory from 0.3 to 0.9 MB
+    return [r for ra, rb in zip(left, right)
+            for x, y in zip(ra, rb) if (r := x - y)]
 
 
 def det_one_minus(img: BurauImage) -> Laurent:

@@ -398,27 +398,15 @@ def _burau(args: Namespace):
             rng.choice([1, -1]) * rng.randint(1, n - 1)
             for _ in range(rng.randint(0, 6)))) for _ in range(2))
         for red in (False, True):
-            lhs = braid.burau(w1 * w2, red).entries
-            rhs = algebra.mat_mul(braid.burau(w1, red).entries,
-                                  braid.burau(w2, red).entries)
-            mult += _entry_differences(lhs, rhs)
+            mult += braid.burau_differences(w1 * w2, (w1, w2), red)
     yield "multiplicativity-200", mult
     for n in (3, 4):
         for i in range(1, n - 1):
             a = braid.BraidWord(n, (i,))
             b = braid.BraidWord(n, (i + 1,))
             for red in (False, True):
-                lhs = braid.burau(a * b * a, red).entries
-                rhs = braid.burau(b * a * b, red).entries
-                rel += _entry_differences(lhs, rhs)
+                rel += braid.burau_differences(a * b * a, (b * a * b,), red)
     yield "braid-relations", rel
-
-
-def _entry_differences(a, b) -> list:
-    """The nonzero entrywise differences of two matrices of one shape: the
-    ~6400 zeros of multiplicativity-200, kept, took the suite's traced peak
-    memory from 0.3 to 0.9 MB."""
-    return [r for ra, rb in zip(a, b) for x, y in zip(ra, rb) if (r := x - y)]
 
 
 def _milnor(args: Namespace):

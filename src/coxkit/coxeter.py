@@ -15,7 +15,8 @@ from itertools import repeat
 from operator import add, sub
 from typing import Sequence
 
-from .algebra import Laurent, Poly, det_exact, det_poly, mat_mul, z_substitute
+from .algebra import (Frame, Laurent, Poly, det_exact, det_poly, mat_mul,
+                      z_substitute)
 from .diagram import Diagram, SeifertMatrix, two_coloring
 from .errors import (DomainError, PreconditionABneq2C, SizeMismatch,
                      UnknownVertex)
@@ -624,7 +625,7 @@ def divide_identity(a_mat, b_mat, c_mat) -> IdentityReport:
     if s:
         prod = mat_mul([row[k:] for row in m[:k]], [row[:k] for row in m[k:]])
         inner = [[x - y for x, y in zip(a, b)] for a, b in zip(inner, prod)]
-    schur_residual = g * z ** (p + r) - z ** s * det_exact(inner)
+    inner_det = det_exact(inner)
 
     # simplified closed form over z-polynomials, with the Gram determinants
     # and adjugates of A A^t and B^t B read off the two bipartite halves
@@ -641,7 +642,48 @@ def divide_identity(a_mat, b_mat, c_mat) -> IdentityReport:
     # the closed form g z^(p+s) / dd = z^r det(big) / dd^s, cross-multiplied:
     # dd is a product of monic determinants, so no denominator is zero
     dd_q = z_substitute(dd)
-    closed = (g * z ** (p + s) * dd_q ** s
-              - z ** r * z_substitute(big_det) * dd_q)
-    return IdentityReport.of(f"divide-p{p}-r{r}-s{s}", None, None,
-                             (closed, schur_residual))
+    big_q = z_substitute(big_det)
+    if _divide_holds(p, r, s, g, inner_det, dd_q, big_q):
+        residual = (Laurent.zero(), Laurent.zero())
+    else:
+        residual = (g * z ** (p + s) * dd_q ** s - z ** r * big_q * dd_q,
+                    g * z ** (p + r) - z ** s * inner_det)
+    return IdentityReport.of(f"divide-p{p}-r{r}-s{s}", None, None, residual)
+
+
+def _divide_holds(p: int, r: int, s: int, g: Laurent, inner: Laurent,
+                  dd: Laurent, big: Laurent) -> bool:
+    """Whether the closed form g z^(p+s) dd^s = z^r big dd and the Schur
+    factorization g z^(p+r) = z^s inner of divide_identity hold, decided
+    at q = Y = 2^w with no Laurent product.
+
+    Each input f = q^e F, e its lowest exponent, packs once as F(Y), and
+    z^k = q^-k (q^2 + 1)^k as (Y^2 + 1)^k with the shift -k, so each side
+    is q^e P with P(Y) one integer product.  Two sides q^e P and q^e' P'
+    are equal iff P Y^(e - e'') = P' Y^(e' - e''), e'' = min(e, e'), which
+    their packed integers decide, since every coefficient of either is
+    below 2^(w - 1): w is the width of Frame of the largest l1 bound of a
+    side, by |f g| <= |f| |g| and |z^k| = 2^k."""
+    fg, fi, fd, fb = (sum(abs(c) for _, c in f.items())
+                      for f in (g, inner, dd, big))
+    frame = Frame(max(fg << p + r, fi << s,
+                      (fg << p + s) * fd ** s, (fb << r) * fd))
+    w = frame.width
+
+    def packed(f: Laurent) -> tuple[int, int]:
+        if not f:
+            return 0, 0
+        e = f.min_exp
+        return e, frame.pack((k - e, c) for k, c in f.items())
+
+    (eg, g_y), (ei, i_y), (ed, d_y), (eb, b_y) = map(packed,
+                                                     (g, inner, dd, big))
+    z_y = (1 << 2 * w) + 1
+
+    def same(x: int, ex: int, y: int, ey: int) -> bool:
+        low = min(ex, ey)
+        return x << w * (ex - low) == y << w * (ey - low)
+
+    return (same(g_y * z_y ** (p + r), eg - p - r, i_y * z_y ** s, ei - s)
+            and same(g_y * z_y ** (p + s) * d_y ** s, eg - p - s + s * ed,
+                     z_y ** r * b_y * d_y, eb + ed - r))

@@ -75,16 +75,18 @@ def _packed(left, right, inside):
     its denominators are cleared (_bez_holds, _wr_holds)."""
     terms = {id(v): v.items() for part in (*left, *right, inside)
              for v in part}
-    size = {key: sum(abs(c) for _, c in t) for key, t in terms.items()}
-    both = {key: size[key] + sum(abs(k * c) for k, c in t)
-            for key, t in terms.items()}
+    size, both = {}, {}
+    for key, t in terms.items():
+        a = e = 0
+        for k, c in t:
+            a += abs(c)
+            e += abs(k * c)
+        size[key], both[key] = a, a + e
     bound = (2 * sum(both[id(f)] * both[id(g)] for f, g in (*left, *right))
              + 4 * sum(size[id(h)] ** 2 for h in inside))
     frame = Frame(bound)
     lo = min((t[0][0] for t in terms.values() if t), default=0)
-    at_y = {key: (frame.pack((k - lo, c) for k, c in t),
-                  frame.pack((k - lo, k * c) for k, c in t))
-            for key, t in terms.items()}
+    at_y = {key: frame.pack_euler(t, lo) for key, t in terms.items()}
     return terms, at_y, frame.width
 
 

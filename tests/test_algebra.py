@@ -1109,3 +1109,19 @@ def test_frame_pack_matches_horner():
                 seen["zero"] += 0 in coeffs
                 seen["negative"] += any(c < 0 for c in coeffs)
     assert min(seen.values()) >= 200, seen
+
+
+def test_frame_packs_a_value_and_its_euler_value_in_one_walk():
+    # pack_euler against two packs: the terms (k, c) of a Laurent
+    # polynomial from exponent lo on, at offset x^-lo, and its Euler value
+    # sum k c x^k, in frames of 64 and 136 bits
+    rng = random.Random(102)
+    for frame in (Frame(2 ** 40), Frame(2 ** 134)):
+        assert frame.pack_euler([], 3) == (0, 0)
+        for _ in range(100):
+            lo = rng.randint(-6, 6)
+            terms = [(k, rng.randint(-9, 9) or 1) for k in sorted(rng.sample(
+                range(lo, lo + 12), rng.randint(1, 6)))]
+            assert frame.pack_euler(terms, lo) == (
+                frame.pack((k - lo, c) for k, c in terms),
+                frame.pack((k - lo, k * c) for k, c in terms))

@@ -15,8 +15,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from coxkit import braid
-from coxkit.algebra import (Laurent, Poly, RatFunc, TruncSeries, mat_eq,
-                            mat_mul)
+from coxkit.algebra import (Frame, Laurent, Poly, RatFunc, TruncSeries,
+                            mat_eq, mat_mul)
 from coxkit.braid import (BraidWord, _ending_in_1, artin_action, burau,
                           conway_torus2, det_one_minus, det_ratio,
                           free_reduce, laurent_to_t_poly, levin_check,
@@ -865,6 +865,47 @@ def test_burau_cap_admits_the_long_words_in_use(monkeypatch, strands,
     for reduced in (False, True):
         with pytest.raises(_PastTheCap):
             burau(word, reduced)
+
+
+def test_burau_differences_pack_a_product_in_three_to_its_letters(
+        monkeypatch):
+    # every coefficient of B(w1) B(w2) is at most 3^L1 3^L2, so the images
+    # of a product pack in Frame(3^(L1 + L2)): 104 bits for two words of 30
+    # letters, where either alone takes 64; a relation of two 3-letter
+    # words packs in Frame(3^3)
+    bounds = []
+
+    class LoggedFrame(Frame):
+        __slots__ = ()
+
+        def __init__(self, bound):
+            super().__init__(bound)
+            bounds.append(bound)
+
+    monkeypatch.setattr(braid, "Frame", LoggedFrame)
+    for n, l1, l2 in [(3, 30, 30), (4, 5, 41), (2, 0, 42), (3, 17, 0)]:
+        w1, w2 = (BraidWord(n, tuple((-1) ** k * (1 + k % (n - 1))
+                                     for k in range(length)))
+                  for length in (l1, l2))
+        for red in (False, True):
+            for factors in ((w1, w2), (w2, w1)):
+                bounds.clear()
+                holds = not braid.burau_differences(w1 * w2, factors, red)
+                assert bounds == [3 ** (l1 + l2)]
+                assert holds or factors == (w2, w1)
+    assert Frame(3 ** 60).width == 104 and Frame(3 ** 30).width == 64
+    s1, s2 = BraidWord(3, (1,)), BraidWord(3, (2,))
+    bounds.clear()
+    assert not braid.burau_differences(s1 * s2 * s1, (s2 * s1 * s2,), True)
+    assert bounds == [27]
+    # the pinned CI image of (s1 s2^-1)^21 packs in 72 bits
+    assert Frame(3 ** 42).width == 72
+    # each word of 1500 letters on 2 strands is admitted alone, but not a
+    # product of the two, of 3000
+    word = BraidWord(2, (1,) * 1500)
+    assert braid._burau_frame(word, False, 1500).width > 64
+    with pytest.raises(DomainError, match=str(braid.MAX_BURAU_BITS)):
+        braid.burau_differences(word, (word, word), False)
 
 
 def test_burau_rejects_an_image_above_the_bit_cap():

@@ -1404,17 +1404,17 @@ def _fail_cramer(monkeypatch):
 
 
 def _fail_burau(monkeypatch):
-    # one more in the corner entry of every image: the braid relations
-    # still hold, multiplicativity does not
-    real = braid.burau
+    # one more in the corner entry of every image, packed as the digit of
+    # t^0 at the image's offset: the braid relations still hold,
+    # multiplicativity does not, and braid.burau decodes the same fault
+    real = braid._burau_rows
 
-    def shifted(word, reduced=False):
-        img = real(word, reduced)
-        (corner, *rest), *rows = img.entries
-        return dataclasses.replace(img, entries=(
-            (corner + Laurent.one(), *rest), *rows))
+    def shifted(word, reduced, frame):
+        rows, m = real(word, reduced, frame)
+        rows[0][0] += 1 << frame.width * m
+        return rows, m
 
-    monkeypatch.setattr(braid, "burau", shifted)
+    monkeypatch.setattr(braid, "_burau_rows", shifted)
 
 
 def _fail_linking(monkeypatch):
@@ -1454,6 +1454,105 @@ def test_a_failing_case_has_residual_terms(capsys, monkeypatch, suite, case,
     assert not records[case]["holds"] and records[case]["residual_terms"] > 0
     assert all(r["residual_terms"] > 0 for r in records.values()
                if not r["holds"])
+
+
+def _log_calls(monkeypatch, owner, name, calls):
+    real = getattr(owner, name)
+
+    def logged(*args, **kwargs):
+        calls.append(name)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, logged)
+
+
+@pytest.mark.parametrize("seed", ["42", "7"])
+def test_verify_burau_decides_every_case_packed(capsys, monkeypatch, seed):
+    # a case that holds is one comparison of packed integer matrices: no
+    # image is decoded and no Laurent matrix is multiplied
+    calls = []
+    _log_calls(monkeypatch, algebra.Frame, "laurents", calls)
+    _log_calls(monkeypatch, braid, "burau", calls)
+    _log_calls(monkeypatch, algebra, "mat_mul", calls)
+    code, out = run_cli(capsys, "verify", "burau", "--seed", seed, "--json")
+    assert code == 0 and len(out.splitlines()) == 2
+    assert calls == []
+
+
+def test_verify_divide_takes_no_laurent_power(capsys, monkeypatch):
+    # the z-powers of a case that holds are powers of the packed Y^2 + 1
+    calls = []
+    _log_calls(monkeypatch, Laurent, "__pow__", calls)
+    code, _ = run_cli(capsys, "verify", "divide", "--seed", "42", "--json")
+    assert code == 0 and calls == []
+
+
+def _burau_pairs(capsys, monkeypatch, seed):
+    """The (w1, w2, reduced) of every product of `verify burau`."""
+    pairs = []
+    real = braid.burau_differences
+
+    def logged(b, factors, reduced):
+        if len(factors) == 2:
+            pairs.append((*factors, reduced))
+        return real(b, factors, reduced)
+
+    monkeypatch.setattr(braid, "burau_differences", logged)
+    assert run_cli(capsys, "verify", "burau", "--seed", seed)[0] == 0
+    monkeypatch.setattr(braid, "burau_differences", real)
+    return pairs
+
+
+@pytest.mark.parametrize("seed, failing", [("42", 146), ("7", 146)])
+def test_packed_burau_verdict_agrees_with_mat_eq_on_swapped_factors(
+        capsys, monkeypatch, seed, failing):
+    # B(w1 w2) against B(w2) B(w1), which fails unless the factors commute:
+    # the packed verdict and the dense one agree on every product, and a
+    # product that fails decodes to the dense entrywise differences
+    pairs = _burau_pairs(capsys, monkeypatch, seed)
+    assert len(pairs) == 400
+    packed, dense = [], []
+    for w1, w2, red in pairs:
+        diffs = braid.burau_differences(w1 * w2, (w2, w1), red)
+        left = braid.burau(w1 * w2, red).entries
+        right = algebra.mat_mul(braid.burau(w2, red).entries,
+                                braid.burau(w1, red).entries)
+        assert diffs == [x - y for ra, rb in zip(left, right)
+                         for x, y in zip(ra, rb) if x != y]
+        packed.append(not diffs)
+        dense.append(algebra.mat_eq(left, right))
+    assert packed == dense
+    assert dense.count(False) == failing
+
+
+@pytest.mark.parametrize("seed", ["42", "7"])
+def test_packed_divide_verdict_agrees_with_the_dense_residuals(
+        capsys, monkeypatch, seed):
+    # the inputs of every verify divide case, as given and with g, det(inner),
+    # dd(q) or det(big)(q) one term off or g shifted: the packed verdict
+    # holds exactly when both dense residuals vanish
+    inputs = []
+    real = coxeter._divide_holds
+
+    def logged(*args):
+        inputs.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(coxeter, "_divide_holds", logged)
+    assert run_cli(capsys, "verify", "divide", "--seed", seed)[0] == 0
+    assert len(inputs) == 22
+    z = Laurent.z()
+    packed, dense = [], []
+    for p, r, s, *parts in inputs:
+        changed = [parts[:k] + [f + Laurent.q(k)] + parts[k + 1:]
+                   for k, f in enumerate(parts)]
+        for g, inner, dd, big in [parts, *changed,
+                                  [parts[0].shifted(1), *parts[1:]]]:
+            packed.append(real(p, r, s, g, inner, dd, big))
+            dense.append(not (g * z ** (p + s) * dd ** s - z ** r * big * dd
+                              or g * z ** (p + r) - z ** s * inner))
+    assert packed == dense
+    assert dense.count(True) >= 22 and dense.count(False) >= 4 * 22
 
 
 def _wrong_e6(monkeypatch, change):
@@ -1656,7 +1755,8 @@ BRAID_LONGITUDES_SHA256 = (
 # independent cycles send it to Bareiss in a frame of 80 bits (rows of
 # exponent stride 2), and the ratio of (s1 s2^-1 s3 s4^-1)^8 against s1,
 # whose two det(E - beta) run Bareiss on Laurent rows of stride 1 in
-# frames of 72 bits
+# frames of 72 bits, and the reduced Burau image of (s1 s2^-1)^21, whose 42
+# letters pack its rows in a frame of 72 bits
 CI_PINNED_SHA256 = {
     "affine-A1000-char": (
         "coxeter --diagram ~A1000 --char",
@@ -1681,6 +1781,9 @@ CI_PINNED_SHA256 = {
         "braid ratio --against s1 --word '"
         + " ".join(["s1 -s2 s3 -s4"] * 8) + "'",
         "5bd93890943d9e29d1893bce97b193f9f7b5430feb6164d61ad0c6a9c3edbac7"),
+    "burau-72bit": (
+        "braid burau --word '" + " ".join(["s1 -s2"] * 21) + "'",
+        "c0b94fa197deebc46823da8531723b43f47df8335b4cec6ead4f3715156ca9ac"),
 }
 # for the cases it names, the widths of the frames that the determinants
 # of the pinned run build

@@ -1490,6 +1490,41 @@ def test_divide_counts_the_residual_of_a_wrong_input(monkeypatch):
         map(nonzero_terms, rep.residual))
 
 
+def test_divide_sees_a_closed_form_residual_that_vanishes_at_2_to_the_64(
+        monkeypatch):
+    # det(big) off by P(z) = Y z - (Y^2 + 1), Y = 2^64: the closed form is
+    # off by -z P(q + 1/q) dd(q + 1/q), where P(q + 1/q) = (q - Y)(Y q - 1)/q
+    # vanishes at q = Y, the packing of a 64-bit frame; the l1 bound of the
+    # side that reads det(big) is above Y^2, so the verdict's frame is wider
+    y = 1 << 64
+    fault = Poly((-(y * y + 1), y))
+    real = coxeter.det_poly
+    monkeypatch.setattr(coxeter, "det_poly", lambda mat: real(mat) + fault)
+    rep = divide_identity([[2]], [[1]], [[1]])
+    closed, schur = rep.residual
+    assert sum(c * Fraction(y) ** k for k, c in closed.items()) == 0
+    assert closed == -Laurent({5: 1, 1: -1, -1: -1, -5: 1}) * z_substitute(
+        fault)
+    assert schur.is_zero and not rep.holds
+
+
+def test_divide_sees_a_schur_residual_that_vanishes_at_2_to_the_64(
+        monkeypatch):
+    # det(inner), the determinant of the 2 x 2 Schur complement, off by
+    # q - Y, Y = 2^64: the factorization is off by -z (q - Y), which
+    # vanishes at q = Y; the l1 bound of the side that reads det(inner) is
+    # above Y, so the verdict's frame is wider
+    y = 1 << 64
+    fault = Laurent({1: 1, 0: -y})
+    real = coxeter.det_exact
+    monkeypatch.setattr(coxeter, "det_exact", lambda mat: (
+        real(mat) + fault if len(mat) == 2 else real(mat)))
+    rep = divide_identity([[2]], [[1]], [[1]])
+    closed, schur = rep.residual
+    assert schur == -Laurent.z() * fault
+    assert closed.is_zero and not rep.holds
+
+
 def test_divide_refuses_more_than_max_vertices_before_any_matrix(
         monkeypatch):
     # an input past the Diagram cap has a half past the cofactor cap,
